@@ -2,6 +2,15 @@
 
 Structured JSON is the default output; --pretty switches to human tables.
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 integrity failure.
+
+Each call is one short process, so start-up is part of every answer.
+The module imports only what parsing the arguments and loading the
+dataset need; each cmd_* function imports the modules it calls, so
+`cf` and `triad` never import the deduction engine, and only the
+commands that read census rows pay for the census cross-check.  The
+domain errors of every module subclass ValueError, and integrity
+failures subclass DatasetError, so main() maps exit codes without
+importing the modules that raise them.
 """
 
 from __future__ import annotations
@@ -11,29 +20,12 @@ import json
 import sys
 
 from . import datasets
-from .datasets import DatasetError
-from .invariants import deduce, lspace_cable, lspace_knot_invariants, sl_upper_bound
-from .knots import Cable, KnotError, format_knot, genus, parse_knot
-from .slopes import SlopeError, format_cf, neg_cf, parse_slope, triad
-from .surgery import (
-    DimensionError,
-    IntegrityError,
-    Surgery,
-    census_dim,
-    homeo_identities,
-    manifold_dim,
-    parse_manifold,
-)
-from .values import Inconsistency
-from .verify import (
-    check_census,
-    check_identities,
-    check_integer_surgery_table,
-    check_spectral,
-    rederive_nu_tau,
-    rederive_r0,
-    verify_all,
-)
+from .datasets import DatasetError, IntegrityError
+
+# subcommands that never read the record file (nor --data)
+DATA_FREE = ("cf", "triad")
+# the tables whose rows the census cross-check compares
+CENSUS_TABLES = ("T2", "T6", "T7", "T8")
 
 
 def emit(obj, pretty: bool):
@@ -70,6 +62,9 @@ def _bundle_json(b, trace: bool):
 
 
 def cmd_dim(args, ds):
+    from .invariants import deduce
+    from .surgery import Surgery, manifold_dim, parse_manifold
+
     m = parse_manifold(args.manifold)
     result = manifold_dim(m, ds)
     out = result.to_json()
@@ -83,6 +78,9 @@ def cmd_dim(args, ds):
 
 
 def cmd_invariants(args, ds):
+    from .invariants import deduce, sl_upper_bound
+    from .knots import parse_knot
+
     k = parse_knot(args.knot)
     b = deduce(k, ds)
     out = _bundle_json(b, args.trace)
@@ -94,19 +92,26 @@ def cmd_invariants(args, ds):
     emit(out, args.pretty)
 
 
-def cmd_triad(args, ds):
+def cmd_triad(args):
+    from .slopes import format_cf, neg_cf, parse_slope, triad
+
     s = parse_slope(args.slope)
     t = triad(s)
     emit({"slope": str(s), "cf": format_cf(neg_cf(s)), "ab": str(t.ab),
           "cd": str(t.cd), "ef": str(t.ef), "sum_case": t.sum_case}, args.pretty)
 
 
-def cmd_cf(args, ds):
+def cmd_cf(args):
+    from .slopes import format_cf, neg_cf, parse_slope
+
     s = parse_slope(args.slope)
     emit({"slope": str(s), "cf": format_cf(neg_cf(s))}, args.pretty)
 
 
 def cmd_cable(args, ds):
+    from .invariants import lspace_cable, lspace_knot_invariants
+    from .knots import Cable, format_knot, genus, parse_knot
+
     k = parse_knot(args.knot)
     cable = Cable(args.p, args.q, k)
     status = lspace_cable(args.p, args.q, k, ds)
@@ -120,14 +125,18 @@ def cmd_cable(args, ds):
 
 
 def cmd_sum(args, ds):
+    from .invariants import deduce
+    from .knots import make_sum, parse_knot
+
     summands = [parse_knot(t) for t in args.knots]
-    from .knots import make_sum
     k = make_sum(summands)
     b = deduce(k, ds)
     emit(_bundle_json(b, args.trace), args.pretty)
 
 
 def cmd_census(args, ds):
+    from .surgery import census_dim
+
     if args.index == "all":
         rows = []
         for i in range(20):
@@ -145,7 +154,9 @@ def cmd_census(args, ds):
 
 
 def cmd_dcover(args, ds):
+    from .knots import format_knot, parse_knot
     from .surgery import branched_cover_dim
+
     k = parse_knot(args.knot)
     out = branched_cover_dim(k, ds).to_json()
     out["manifold"] = f"dcover({format_knot(k)})"
@@ -153,6 +164,16 @@ def cmd_dcover(args, ds):
 
 
 def cmd_verify(args, ds):
+    from .verify import (
+        check_census,
+        check_identities,
+        check_integer_surgery_table,
+        check_spectral,
+        rederive_nu_tau,
+        rederive_r0,
+        verify_all,
+    )
+
     target = args.target
     if target == "all":
         report = verify_all(ds)
@@ -164,7 +185,7 @@ def cmd_verify(args, ds):
         _, report = rederive_r0(ds)
     elif target == "T4":
         report = check_integer_surgery_table(ds)
-    elif target in ("T2", "T6", "T7", "T8"):
+    elif target in CENSUS_TABLES:
         full = check_census(ds)
         report = type(full)()
         report.cells = [c for c in full.cells if c.section == target]
@@ -179,10 +200,14 @@ def cmd_verify(args, ds):
     else:
         emit(report.to_json(), False)
     if report.failed:
-        sys.exit(3)
+        raise IntegrityError(f"{len(report.failed)} of {len(report.cells)} cells failed")
 
 
 def cmd_identities(args, ds):
+    from .knots import format_knot, parse_knot
+    from .slopes import parse_slope
+    from .surgery import homeo_identities
+
     k = parse_knot(args.knot)
     s = parse_slope(args.slope)
     rows = [{"knot": format_knot(rk), "slope": str(rs)}
@@ -191,6 +216,8 @@ def cmd_identities(args, ds):
 
 
 def cmd_export(args, ds):
+    if args.table in CENSUS_TABLES:
+        ds.cross_check_census()
     sys.stdout.write(ds.export_tsv(args.table))
 
 
@@ -263,13 +290,15 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        ds = datasets.load(args.data) if args.data else datasets.default()
-        args.func(args, ds)
-    except (IntegrityError, DatasetError) as e:
+        if args.command in DATA_FREE:
+            args.func(args)
+        else:
+            ds = datasets.load(args.data) if args.data else datasets.default()
+            args.func(args, ds)
+    except DatasetError as e:  # IntegrityError included
         print(f"integrity error: {e}", file=sys.stderr)
         return 3
-    except (KnotError, SlopeError, DimensionError, Inconsistency, KeyError,
-            ValueError) as e:
+    except (KeyError, ValueError) as e:  # every module's domain errors
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -165,11 +165,19 @@ def make_sum(summands: list[KnotExpr]) -> KnotExpr:
 
 _NAME_RE = re.compile(r"[0-9]+_[0-9]+|K[0-9]+[an][0-9]+|k[0-9]+_[0-9]+")
 
+# Deepest accepted nesting of m(...) and Cab(...) together.  The parser,
+# mirror() and the deduction engine all recurse once per level, and a
+# cable chain 100 deep still answers within the interpreter's default
+# recursion limit; deeper input is refused with a KnotError instead of
+# ending in a RecursionError.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg: str):
         raise KnotError(f"{msg} at position {self.pos} in {self.text!r}")
@@ -205,6 +213,11 @@ class _Parser:
         self.expect(")")
         return args
 
+    def enter(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING}")
+
     def parse(self) -> KnotExpr:
         expr = self.sum_expr()
         self.skip_ws()
@@ -225,8 +238,10 @@ class _Parser:
         if rest.startswith("m("):
             self.pos += 1
             self.expect("(")
+            self.enter()
             inner = self.sum_expr()
             self.expect(")")
+            self.depth -= 1
             return mirror(inner)
         if rest.startswith("Cab("):
             self.pos += 3
@@ -235,8 +250,10 @@ class _Parser:
             self.expect(",")
             q = self.integer()
             self.expect(";")
+            self.enter()
             companion = self.sum_expr()
             self.expect(")")
+            self.depth -= 1
             return Cable(p, q, companion)
         if rest.startswith("Tw("):
             self.pos += 2
@@ -267,7 +284,8 @@ class _Parser:
 
 def parse_knot(text: str) -> KnotExpr:
     """Parse the knot grammar: "3_1", "m(...)", "T(p,q)", "Tw(n)",
-    "P(a,b,c)", "TB(a,b)", "Cab(p,q;K)", "K1 # K2", "U"."""
+    "P(a,b,c)", "TB(a,b)", "Cab(p,q;K)", "K1 # K2", "U".  At most
+    MAX_NESTING mirrors and cables may enclose one another."""
     return _Parser(text).parse()
 
 

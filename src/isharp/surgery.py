@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import datasets
+from .datasets import IntegrityError
 from .invariants import Bundle, deduce
 from .knots import KnotError, KnotExpr, Unknot, format_knot, mirror, parse_knot, structural
 from .slopes import Slope, parse_slope, reduce, triad
@@ -22,10 +23,6 @@ from .values import Inconsistency, Val
 
 class DimensionError(ValueError):
     """The available data do not determine the requested dimension."""
-
-
-class IntegrityError(ValueError):
-    """A recomputed value disagrees with stored table data."""
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +315,14 @@ def _abs_range(p: int, q: int, nu: Val) -> tuple[int, int]:
     ends = [abs(p - q * int(x)) for x in (nu.lo, nu.hi)]
     lo, hi = min(ends), max(ends)
     if nu.lo <= Fraction(p, q) <= nu.hi:
-        # nearest integers to the critical point stay within the interval
-        for n in (p // q, -((-p) // q)):
+        # the minimum sits at the admissible integer nearest the critical
+        # point on one side or the other; with a parity constraint that
+        # can be one step beyond floor(p/q) or ceil(p/q)
+        below, above = p // q, -((-p) // q)
+        if nu.parity is not None:
+            below -= (below - nu.parity) % 2
+            above += (above - nu.parity) % 2
+        for n in (below, above):
             if nu.contains(n):
                 lo = min(lo, abs(p - q * n))
     return lo, hi

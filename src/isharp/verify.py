@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from . import datasets
+from .datasets import IntegrityError
 from .invariants import deduce
 from .knots import (
     Named,
@@ -23,14 +24,13 @@ from .knots import (
 from .slopes import Slope
 from .surgery import (
     DimResult,
-    IntegrityError,
     branched_cover_dim,
     census_routes,
     homeo_identities,
     surgery_dim,
     verify_identity,
 )
-from .values import Val
+from .values import Inconsistency, Val
 
 
 @dataclass
@@ -81,7 +81,7 @@ def _val_str(v: Val) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Census routes (also run at load time)
+# Census routes (the cross-check behind Dataset.cross_check_census)
 # ---------------------------------------------------------------------------
 
 def census_route_failures(ds) -> list[str]:
@@ -91,7 +91,7 @@ def census_route_failures(ds) -> list[str]:
         for route, computed in census_routes(int(key), ds):
             try:
                 stored.meet(computed)
-            except Exception as e:
+            except Inconsistency as e:
                 failures.append(f"census {key} via {route}: {e}")
     return failures
 
@@ -258,7 +258,8 @@ def check_census(ds) -> Report:
     report = Report()
     for key, entry in sorted(ds.table("T2").items(), key=lambda kv: int(kv[0])):
         stored = _stored(entry.payload["dim"], entry.payload["h1"])
-        for route, computed in census_routes(int(key), ds):
+        routes = census_routes(int(key), ds)
+        for route, computed in routes:
             if route.startswith("triad("):
                 table = "T8"
             elif route.startswith("surg("):
@@ -267,11 +268,12 @@ def check_census(ds) -> Report:
                 table = "T7"
             try:
                 stored.meet(computed)
-                report.add(table, key, route, stored, computed, True)
-            except Exception:
-                report.add(table, key, route, stored, computed, False)
+                ok = True
+            except Inconsistency:
+                ok = False
+            report.add(table, key, route, stored, computed, ok)
         report.add("T2", key, "routes", entry.payload["dim"],
-                   entry.payload["dim"], bool(census_routes(int(key), ds)))
+                   entry.payload["dim"], bool(routes))
     return report
 
 

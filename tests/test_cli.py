@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "isharp.cli", *args],
@@ -114,3 +116,75 @@ def test_identities_listing():
     assert code == 0
     rows = json.loads(out)
     assert any(r["slope"] == "9/2" for r in rows)
+
+
+def test_deep_nesting_is_refused_cleanly():
+    for text in ("m(" * 1500 + "3_1" + ")" * 1500,
+                 "Cab(3,2;" * 300 + "3_1" + ")" * 300):
+        code, out, err = run_cli("invariants", text)
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "nesting deeper than" in err
+
+
+def _tampered_copy(tmp_path):
+    """The bundled records with census row 5 stored as 7 (its routes give 5)."""
+    from isharp import datasets
+    from isharp.datasets import Dataset, TableEntry
+    entries = []
+    for e in datasets.load(check=False).entries:
+        payload = dict(e.payload)
+        if (e.table, e.key) == ("T2", "5"):
+            payload["dim"] = 7
+        entries.append(TableEntry(e.table, e.key, payload, e.citation))
+    path = tmp_path / "tampered.jsonl"
+    Dataset(entries).save(str(path))
+    return str(path)
+
+
+def test_tampered_census_row_fails_where_census_rows_are_read(tmp_path):
+    data = _tampered_copy(tmp_path)
+    for args in (("dim", "census(5)"), ("census", "5"), ("verify", "all"),
+                 ("export", "T2")):
+        code, _, err = run_cli("--data", data, *args)
+        assert code == 3, args
+        assert err.startswith("integrity error:"), args
+    # commands that read no census row answer from the same file
+    code, out, _ = run_cli("--data", data, "dim", "surg(3_1; -5/1)")
+    assert code == 0 and json.loads(out)["dim"] == 5
+
+
+def test_data_free_commands_ignore_the_data_file(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{nope\n", encoding="utf-8")
+    code, out, _ = run_cli("--data", str(bad), "cf", "1/3")
+    assert code == 0 and json.loads(out)["cf"] == "[1,2,2]"
+    code, _, err = run_cli("--data", str(bad), "invariants", "3_1")
+    assert code == 3 and err.startswith("integrity error:")
+
+
+def test_public_names_resolve():
+    import isharp
+    for name in isharp.__all__:
+        module = isharp._EXPORTS[name]
+        assert getattr(isharp, name) is getattr(sys.modules[f"isharp.{module}"], name)
+    with pytest.raises(AttributeError):
+        isharp.no_such_name
+
+
+def _isharp_modules(code):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport json, sys; print(json.dumps([m for m in sys.modules if m.startswith('isharp')]))"],
+        capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def test_import_layout():
+    # a CLI call pays for importing only what its subcommand runs
+    assert _isharp_modules("import isharp.cli") == {
+        "isharp", "isharp.cli", "isharp.datasets", "isharp.values"}
+    loaded = _isharp_modules("import isharp.cli as c; c.main(['cf', '1/3'])")
+    assert "isharp.slopes" in loaded
+    assert loaded.isdisjoint({"isharp.knots", "isharp.invariants", "isharp.surgery",
+                              "isharp.verify"})

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from isharp import datasets
 from isharp.knots import (
     Cable,
+    MAX_NESTING,
     KnotError,
     Named,
     Pretzel,
@@ -59,6 +60,16 @@ def test_parse_rejects_bad_input():
         parse_knot("3_1 #")
     with pytest.raises(KnotError):
         parse_knot("Q(1,2)")
+
+
+def test_parse_bounds_nesting_depth():
+    half = MAX_NESTING // 2
+    assert parse_knot("m(m(" * half + "3_1" + "))" * half) == Named("3_1")
+    for text in ("m(" * (MAX_NESTING + 1) + "3_1" + ")" * (MAX_NESTING + 1),
+                 "Cab(3,2;" * half + "m(" * (MAX_NESTING - half + 1) + "3_1"
+                 + ")" * (MAX_NESTING + 1)):
+        with pytest.raises(KnotError, match="nesting deeper than"):
+            parse_knot(text)
 
 
 def test_mirror_normalization():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isharp import datasets
-from isharp.invariants import deduce
+from isharp.invariants import Bundle, deduce
 from isharp.knots import Cable, Pretzel, mirror, parse_knot
 from isharp.slopes import Slope, reduce, triad
 from isharp.surgery import (
@@ -15,6 +15,8 @@ from isharp.surgery import (
     DimResult,
     Lens,
     Surgery,
+    _abs_range,
+    _formula_dim,
     branched_cover_dim,
     census_dim,
     homeo_identities,
@@ -26,7 +28,7 @@ from isharp.surgery import (
     verify_identity,
     zero_surgery_dim,
 )
-from isharp.values import Inconsistency
+from isharp.values import Inconsistency, Val
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +103,33 @@ def test_branched_cover_dim(ds):
     assert r.kind == "interval" and (r.lo, r.hi, r.parity) == (11, None, 1)
     # thin knots: dimension equals the determinant
     assert branched_cover_dim(parse_knot("8_21"), ds).dim == 15
+
+
+def test_interval_branch_reaches_parity_shifted_minimum():
+    # 13 x 31 (nu, r0) pairs exceed the enumeration cap, so the interval
+    # branch runs; with nu odd and slope 14, neither floor nor ceil of
+    # p/q is admissible, yet nu = r0 = 15 gives dimension 16
+    b = Bundle("K", nu=Val.between(7, 31, 1), r0=Val.between(15, 75, 1))
+    assert _abs_range(14, 1, b.nu) == (1, 17)
+    r = _formula_dim(b, Slope(14, 1))
+    assert min(r.values()) == 16
+
+
+@st.composite
+def _bounded_nu(draw):
+    lo = draw(st.integers(-12, 12))
+    hi = draw(st.integers(lo, lo + 16))
+    parity = draw(st.sampled_from([None, 0, 1]))
+    if parity is not None and lo == hi and lo % 2 != parity:
+        hi += 1
+    return Val.between(lo, hi, parity)
+
+
+@given(_bounded_nu(), st.integers(-40, 40), st.integers(1, 6))
+@settings(max_examples=400, deadline=None)
+def test_abs_range_lower_bound_is_the_exact_minimum(nu, p, q):
+    admissible = [n for n in range(int(nu.lo), int(nu.hi) + 1) if nu.contains(n)]
+    assert _abs_range(p, q, nu)[0] == min(abs(p - q * n) for n in admissible)
 
 
 def test_census_dim_rows(ds):
