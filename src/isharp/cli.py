@@ -171,6 +171,7 @@ def cmd_verify(args, ds):
         check_spectral,
         rederive_nu_tau,
         rederive_r0,
+        spectral_rows,
         verify_all,
     )
 
@@ -196,6 +197,16 @@ def cmd_verify(args, ds):
     if args.pretty:
         for c in report.cells:
             print(c.line())
+        if target == "T5":
+            print("branched double covers of the non-thin knots:")
+            for row in spectral_rows(ds):
+                t = row.get("tight_candidate")
+                extra = (f"  (candidate {t['value']} vs {t['khbar_dim']}: {t['status']})"
+                         if t else "")
+                dim = json.dumps(row["dim"], sort_keys=True, separators=(",", ":"))
+                print(f"  {row['knot']}: dim {dim}"
+                      f"  vs reduced odd Khovanov {row['khbar_dim']}"
+                      f"  -> {row['noncollapse']}{extra}")
         print(f"{report.passed}/{len(report.cells)} passed")
     else:
         emit(report.to_json(), False)

@@ -313,8 +313,11 @@ def load(path: Optional[str] = None, check: bool = True) -> Dataset:
     if path is None:
         text = resources.files("isharp").joinpath("data/tables.jsonl").read_text("utf-8")
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise DatasetError(f"cannot read {path}: {e.strerror}") from None
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -28,6 +28,7 @@ from .knots import (
     _pretzel_odd32,
     format_knot,
     mirror,
+    parse_knot,
     resolve_atom,
     structural,
 )
@@ -189,8 +190,6 @@ def _apply_atom_rules(b: Bundle, k, ds, use_stored) -> None:
 
 def _equivalent_atoms(k, hit, ds):
     """The expression itself plus every registered alias presentation."""
-    from .knots import parse_knot
-
     out = [k]
     if hit is not None:
         name, mirrored = hit

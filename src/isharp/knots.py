@@ -11,6 +11,7 @@ trefoil, and the signature of the right-handed trefoil is -2.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -218,11 +219,21 @@ class _Parser:
         if self.depth > MAX_NESTING:
             self.error(f"nesting deeper than {MAX_NESTING}")
 
-    def parse(self) -> KnotExpr:
-        expr = self.sum_expr()
+    def token(self) -> str:
+        """The text up to the next ';' or ')', stripped."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] not in ";)":
+            self.pos += 1
+        return self.text[start:self.pos].strip()
+
+    def end(self):
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("trailing input")
+
+    def parse(self) -> KnotExpr:
+        expr = self.sum_expr()
+        self.end()
         return expr
 
     def sum_expr(self) -> KnotExpr:
@@ -390,6 +401,13 @@ def _twist_from_two_bridge(k: TwoBridge):
     return None
 
 
+def _two_bridge_from_twist(tw: Twist) -> TwoBridge:
+    """The inverse of _twist_from_two_bridge: 2n-1 half-twists give
+    K(2, 2n), 2n give K(-2, 2n); a mirror negates the code."""
+    a, b = (2, tw.n + 1) if tw.n % 2 == 1 else (-2, tw.n)
+    return TwoBridge(-a, -b) if tw.mirrored else TwoBridge(a, b)
+
+
 def atom_code(k: KnotExpr) -> Optional[str]:
     """Alias-table key for a family atom, ignoring the mirror flag."""
     if isinstance(k, Torus):
@@ -450,7 +468,6 @@ def resolve_atom(k: KnotExpr, dataset) -> Optional[tuple[str, bool]]:
 
 def _pretzel_alias(k: Pretzel, dataset):
     """Pretzel atoms match alias entries up to permutation of the strands."""
-    import itertools
     for perm in itertools.permutations((k.a, k.b, k.c)):
         hit = dataset.alias(f"P({perm[0]},{perm[1]},{perm[2]})")
         if hit is not None:

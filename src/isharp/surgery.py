@@ -9,6 +9,7 @@ surgery triads are layered on top.  Results carry the Euler characteristic
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -16,8 +17,10 @@ from typing import Optional, Union
 from . import datasets
 from .datasets import IntegrityError
 from .invariants import Bundle, deduce
-from .knots import KnotError, KnotExpr, Unknot, format_knot, mirror, parse_knot, structural
-from .slopes import Slope, parse_slope, reduce, triad
+from .knots import (Cable, KnotError, KnotExpr, Named, Pretzel, Twist, TwoBridge, Unknot,
+                    _Parser, _pretzel_n33, _two_bridge_from_twist, format_knot, mirror,
+                    parse_knot, resolve_atom, structural)
+from .slopes import Slope, parse_slope, reduce
 from .values import Inconsistency, Val
 
 
@@ -52,7 +55,6 @@ class Lens:
     q: int
 
     def __post_init__(self):
-        import math
         if not (self.p > self.q >= 1) or math.gcd(self.p, self.q) != 1:
             raise ValueError(f"lens space needs p > q >= 1 coprime, got ({self.p},{self.q})")
 
@@ -80,45 +82,40 @@ class Census:
         return f"census({self.index})"
 
 
-@dataclass(frozen=True)
-class Opaque:
-    name: str
-    h1: Optional[int]  # None marks infinite first homology
-
-    def __str__(self):
-        return f"opaque({self.name}; {self.h1 if self.h1 is not None else 'inf'})"
-
-
-ManifoldDesc = Union[Surgery, Lens, BranchedCover, Census, Opaque]
+ManifoldDesc = Union[Surgery, Lens, BranchedCover, Census]
 
 
 def parse_manifold(text: str) -> ManifoldDesc:
-    """Grammar: surg(K; p/q[; mu]) | lens(p,q) | dcover(K) | census(i)."""
-    text = text.strip()
-    if text.startswith("surg(") and text.endswith(")"):
-        inner = text[5:-1]
-        parts = [p.strip() for p in inner.split(";")]
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad surgery description {text!r}")
-        knot = parse_knot(parts[0])
-        slope = parse_slope(parts[1])
-        bundle = "trivial"
-        if len(parts) == 3:
-            if parts[2] != "mu":
-                raise ValueError(f"bad bundle {parts[2]!r} in {text!r}")
-            bundle = "mu"
-        return Surgery(knot, slope, bundle)
-    if text.startswith("lens(") and text.endswith(")"):
-        p, q = (int(x) for x in text[5:-1].split(","))
-        return Lens(p, q)
-    if text.startswith("dcover(") and text.endswith(")"):
-        return BranchedCover(parse_knot(text[7:-1]))
-    if text.startswith("census(") and text.endswith(")"):
-        return Census(int(text[7:-1]))
-    if text.startswith("opaque(") and text.endswith(")"):
-        name, _, h1 = text[7:-1].partition(";")
-        return Opaque(name.strip(), None if h1.strip() == "inf" else int(h1))
-    raise ValueError(f"cannot parse manifold description {text!r}")
+    """Grammar: surg(K; p/q[; mu]) | lens(p,q) | dcover(K) | census(i),
+    with K in the knot grammar."""
+    ps = _Parser(text)
+    ps.skip_ws()
+    head = next((h for h in ("surg", "lens", "dcover", "census")
+                 if text.startswith(h + "(", ps.pos)), None)
+    if head is None:
+        raise ValueError(f"cannot parse manifold description {text.strip()!r}")
+    ps.expect(head)
+    if head == "lens":
+        m = Lens(*ps.int_args(2))
+    elif head == "census":
+        m = Census(*ps.int_args(1))
+    else:
+        ps.expect("(")
+        knot = ps.sum_expr()
+        if head == "dcover":
+            m = BranchedCover(knot)
+        else:
+            ps.expect(";")
+            slope = parse_slope(ps.token())
+            bundle = "trivial"
+            if ps.peek() == ";":
+                ps.expect(";")
+                ps.expect("mu")
+                bundle = "mu"
+            m = Surgery(knot, slope, bundle)
+        ps.expect(")")
+    ps.end()
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -129,61 +126,82 @@ def parse_manifold(text: str) -> ManifoldDesc:
 class DimResult:
     """Exact dimension, finite candidate set, or interval with parity.
 
-    euler is |H1| for rational homology spheres and 0 otherwise; the
-    grading splits as ((d + euler)/2, (d - euler)/2) when d is exact.
+    The state is either the sorted tuple of admissible dimensions (one
+    value when exact) or, when there are too many to list, a Val
+    interval.  euler is |H1| for rational homology spheres and 0
+    otherwise; every admissible d satisfies d >= euler and
+    d = euler (mod 2), and the grading splits as ((d + euler)/2,
+    (d - euler)/2) when d is exact.
     """
 
-    kind: str  # "exact" | "candidates" | "interval"
-    dim: Optional[int] = None
-    candidates: Optional[tuple[int, ...]] = None
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    parity: Optional[int] = None
+    state: Union[tuple[int, ...], Val]
     euler: int = 0
 
     @staticmethod
     def exact(d: int, euler: int) -> "DimResult":
-        if d < abs(euler) or (d - euler) % 2 != 0:
-            raise Inconsistency(f"dimension {d} incompatible with euler {euler}")
-        return DimResult(kind="exact", dim=d, euler=abs(euler))
+        return DimResult.of_candidates((d,), euler)
 
     @staticmethod
     def of_candidates(values, euler: int) -> "DimResult":
-        values = tuple(sorted(set(int(v) for v in values)))
+        euler = abs(euler)
+        values = tuple(sorted(set(map(int, values))))
         if not values:
             raise Inconsistency("empty candidate set")
-        if len(values) == 1:
-            return DimResult.exact(values[0], euler)
-        return DimResult(kind="candidates", candidates=values, euler=abs(euler))
+        for d in values:
+            if d < euler or (d - euler) % 2 != 0:
+                raise Inconsistency(f"dimension {d} incompatible with euler {euler}")
+        return DimResult(values, euler)
 
     @staticmethod
-    def of_interval(lo, hi, parity, euler: int) -> "DimResult":
-        # the Euler characteristic forces d >= |euler| and d = euler (mod 2)
+    def of_stored(dim, euler: int) -> "DimResult":
+        """A stored table cell: one dimension or a list of candidates."""
+        return DimResult.of_candidates(dim if isinstance(dim, list) else (dim,), euler)
+
+    @staticmethod
+    def of_interval(lo, hi, euler: int) -> "DimResult":
+        """The dimensions in [lo, hi] (hi None: unbounded) that euler admits;
+        listed as candidates when there are at most 64 of them."""
         euler = abs(euler)
-        if parity is None:
-            parity = euler % 2
-        elif parity != euler % 2:
-            raise Inconsistency(f"parity {parity} clashes with euler {euler}")
-        lo = euler if lo is None else max(int(lo), euler)
-        val = Val.between(lo, hi, parity)
-        cands = val.candidates()
+        val = Val.between(lo, hi).meet(Val.between(euler, None, euler % 2))
+        cands = val.candidates(64)
         if cands is not None:
-            return DimResult.of_candidates([int(c) for c in cands], euler)
-        return DimResult(kind="interval",
-                         lo=None if val.lo is None else int(val.lo),
-                         hi=None if val.hi is None else int(val.hi),
-                         parity=parity, euler=euler)
+            return DimResult.of_candidates(cands, euler)
+        return DimResult(val, euler)
+
+    def values(self) -> Optional[tuple[int, ...]]:
+        return None if isinstance(self.state, Val) else self.state
+
+    @property
+    def kind(self) -> str:
+        if isinstance(self.state, Val):
+            return "interval"
+        return "exact" if len(self.state) == 1 else "candidates"
 
     @property
     def is_exact(self) -> bool:
         return self.kind == "exact"
 
-    def values(self) -> Optional[tuple[int, ...]]:
-        if self.kind == "exact":
-            return (self.dim,)
-        if self.kind == "candidates":
-            return self.candidates
-        return None
+    @property
+    def dim(self) -> Optional[int]:
+        return self.state[0] if self.is_exact else None
+
+    @property
+    def candidates(self) -> Optional[tuple[int, ...]]:
+        return self.state if self.kind == "candidates" else None
+
+    @property
+    def lo(self) -> Optional[int]:
+        return int(self.state.lo) if self.kind == "interval" else None
+
+    @property
+    def hi(self) -> Optional[int]:
+        if self.kind != "interval" or self.state.hi is None:
+            return None
+        return int(self.state.hi)
+
+    @property
+    def parity(self) -> Optional[int]:
+        return self.state.parity if self.kind == "interval" else None
 
     @property
     def graded(self) -> Optional[tuple[int, int]]:
@@ -191,45 +209,31 @@ class DimResult:
             return None
         return ((self.dim + self.euler) // 2, (self.dim - self.euler) // 2)
 
+    def contains(self, d: int) -> bool:
+        return self.state.contains(d) if self.kind == "interval" else d in self.state
+
     def meet(self, other: "DimResult") -> "DimResult":
         if self.euler != other.euler:
             raise Inconsistency(f"euler mismatch: {self.euler} vs {other.euler}")
-        a, b = self.values(), other.values()
-        if a is not None and b is not None:
-            common = set(a) & set(b)
-            if not common:
-                raise Inconsistency(f"disjoint dimension sets {a} and {b}")
-            return DimResult.of_candidates(common, self.euler)
-        if a is None and b is not None:
-            return other.meet(self)
-        if a is not None:  # b is an interval
-            keep = [v for v in a if other._contains(v)]
-            if not keep:
-                raise Inconsistency(f"no candidate in {a} lies in {other}")
-            return DimResult.of_candidates(keep, self.euler)
-        lo = max(x for x in (self.lo, other.lo, 0) if x is not None)
-        hi = min((x for x in (self.hi, other.hi) if x is not None), default=None)
-        parity = self.parity if self.parity is not None else other.parity
-        return DimResult.of_interval(lo, hi, parity, self.euler)
-
-    def _contains(self, v: int) -> bool:
-        if self.kind == "interval":
-            if self.lo is not None and v < self.lo:
-                return False
-            if self.hi is not None and v > self.hi:
-                return False
-            return self.parity is None or v % 2 == self.parity
-        return v in self.values()
+        if self.kind == other.kind == "interval":
+            val = self.state.meet(other.state)
+            return DimResult.of_interval(val.lo, val.hi, self.euler)
+        a, b = (other, self) if self.kind == "interval" else (self, other)
+        keep = [d for d in a.state if b.contains(d)]
+        if not keep:
+            raise Inconsistency(f"no dimension in {a} lies in {b}")
+        return DimResult.of_candidates(keep, self.euler)
 
     def to_json(self):
-        out = {"kind": self.kind, "euler": self.euler}
-        if self.kind == "exact":
+        kind = self.kind
+        out = {"kind": kind, "euler": self.euler}
+        if kind == "exact":
             out["dim"] = self.dim
             out["graded"] = list(self.graded)
-        elif self.kind == "candidates":
-            out["candidates"] = list(self.candidates)
+        elif kind == "candidates":
+            out["candidates"] = list(self.state)
         else:
-            out.update({"lo": self.lo, "hi": self.hi, "parity": self.parity})
+            out.update(self.state.to_json())
         return out
 
     def __str__(self):
@@ -237,10 +241,9 @@ class DimResult:
             return str(self.dim)
         if self.kind == "candidates":
             return "{" + ",".join(map(str, self.candidates)) + "}"
-        lo = "0" if self.lo is None else str(self.lo)
         hi = "inf" if self.hi is None else str(self.hi)
-        par = "" if self.parity is None else (" even" if self.parity == 0 else " odd")
-        return f"[{lo},{hi}]{par}"
+        par = " even" if self.parity == 0 else " odd"
+        return f"[{self.lo},{hi}]{par}"
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +254,6 @@ def _require_bounded(val: Val, what: str, knot: str) -> Val:
     if val.lo is None or val.hi is None:
         raise DimensionError(f"{what} of {knot} is not determined: {val}")
     return val
-
-
-def _int_candidates(val: Val, limit: int = 40) -> Optional[list[int]]:
-    """All integers a bounded integer-valued Val can take."""
-    if val.lo is None or val.hi is None:
-        return None
-    lo = -((-val.lo.numerator) // val.lo.denominator)
-    hi = val.hi.numerator // val.hi.denominator
-    step = 1
-    if val.parity is not None:
-        if lo % 2 != val.parity:
-            lo += 1
-        step = 2
-    out = list(range(lo, hi + 1, step))
-    return out if 0 < len(out) <= limit else None
 
 
 def surgery_dim(k: KnotExpr, s: Slope, bundle: str = "trivial",
@@ -288,8 +276,8 @@ def _formula_dim(b: Bundle, s: Slope) -> DimResult:
     r0 = _require_bounded(b.r0, "r0", b.knot)
     euler = abs(p)
 
-    nu_c = _int_candidates(nu)
-    r0_c = _int_candidates(r0)
+    nu_c = nu.candidates(40)
+    r0_c = r0.candidates(40)
     if nu_c is not None and r0_c is not None and len(nu_c) * len(r0_c) <= 400:
         dims = set()
         for n in nu_c:
@@ -306,9 +294,7 @@ def _formula_dim(b: Bundle, s: Slope) -> DimResult:
     lo_abs, hi_abs = _abs_range(p, q, nu)
     lo = q * int(r0.lo) + lo_abs
     hi = None if r0.hi is None else q * int(r0.hi) + hi_abs
-    parity = abs(p) % 2 if (r0.parity is not None and nu.parity is not None
-                            and r0.parity == nu.parity) else None
-    return DimResult.of_interval(lo, hi, parity, euler)
+    return DimResult.of_interval(lo, hi, euler)
 
 
 def _abs_range(p: int, q: int, nu: Val) -> tuple[int, int]:
@@ -339,10 +325,10 @@ def zero_surgery_dim(k: KnotExpr, bundle: str = "trivial", dataset=None) -> DimR
     if b.nu.is_exact and b.nu.value() != 0:
         nu = abs(b.nu.int_value())
         r0 = _require_bounded(b.r0, "r0", b.knot)
-        cands = _int_candidates(r0)
+        cands = r0.candidates(40)
         if cands is not None:
             return DimResult.of_candidates([r + nu for r in cands], euler)
-        return DimResult.of_interval(int(r0.lo) + nu, int(r0.hi) + nu, None, euler)
+        return DimResult.of_interval(int(r0.lo) + nu, int(r0.hi) + nu, euler)
     if not b.nu.is_exact:
         raise DimensionError(f"nu of {b.knot} is not determined: {b.nu}")
     r0 = _require_bounded(b.r0, "r0", b.knot)
@@ -351,20 +337,13 @@ def zero_surgery_dim(k: KnotExpr, bundle: str = "trivial", dataset=None) -> DimR
     r = r0.int_value()
     if b.shape == "W":
         return DimResult.exact(r if bundle == "mu" else r + 2, euler)
-    if b.shape == "V":
-        # nu = 0 and V-shaped: the trivial bundle gives r0; the mu-bundle
-        # dimension is not determined by the closed form
-        if bundle == "trivial":
-            return DimResult.exact(r, euler)
-        if b.mu0_dim is not None:
-            return DimResult.exact(b.mu0_dim, euler)
-        return DimResult.of_interval(0, None, 0, euler)
-    # shape unknown
+    # nu = 0, V-shaped or of unknown shape: the trivial bundle gives r0
+    # (V) or one of r0, r0 + 2; the mu bundle is open unless tabulated
     if bundle == "trivial":
-        return DimResult.of_candidates([r, r + 2], euler)
+        return DimResult.of_candidates([r] if b.shape == "V" else [r, r + 2], euler)
     if b.mu0_dim is not None:
         return DimResult.exact(b.mu0_dim, euler)
-    return DimResult.of_interval(0, None, 0, euler)
+    return DimResult.of_interval(0, None, euler)
 
 
 def lens_dim(p: int, q: int) -> DimResult:
@@ -396,11 +375,10 @@ def branched_cover_dim(k: KnotExpr, dataset=None) -> DimResult:
         return result
     if det is None:
         raise DimensionError(f"no route to the branched double cover of {format_knot(k)}")
-    return DimResult.of_interval(det, None, det % 2, det)
+    return DimResult.of_interval(det, None, det)
 
 
 def _record_for(k: KnotExpr, ds):
-    from .knots import resolve_atom
     try:
         hit = resolve_atom(k, ds)
     except KnotError:
@@ -431,8 +409,7 @@ def census_dim(index: int, dataset=None) -> DimResult:
     ds = dataset if dataset is not None else datasets.default()
     Census(index)  # validates the range
     stored = ds.lookup("T2", index)
-    expected = _stored_dim_result(stored.payload["dim"], stored.payload["h1"])
-    result = expected
+    result = DimResult.of_stored(stored.payload["dim"], stored.payload["h1"])
     for route, computed in census_routes(index, ds):
         try:
             result = result.meet(computed)
@@ -462,12 +439,6 @@ def census_routes(index: int, ds) -> list[tuple[str, DimResult]]:
     return out
 
 
-def _stored_dim_result(dim, h1: int) -> DimResult:
-    if isinstance(dim, list):
-        return DimResult.of_candidates(dim, h1)
-    return DimResult.exact(dim, h1)
-
-
 def manifold_dim(m: ManifoldDesc, dataset=None) -> DimResult:
     ds = dataset if dataset is not None else datasets.default()
     if isinstance(m, Surgery):
@@ -478,10 +449,6 @@ def manifold_dim(m: ManifoldDesc, dataset=None) -> DimResult:
         return branched_cover_dim(m.knot, ds)
     if isinstance(m, Census):
         return census_dim(m.index, ds)
-    if isinstance(m, Opaque):
-        if m.h1 is None:
-            raise DimensionError(f"no dimension information for {m}")
-        return DimResult.of_interval(m.h1, None, m.h1 % 2, m.h1)
     raise TypeError(f"not a manifold description: {m!r}")
 
 
@@ -503,7 +470,7 @@ def triad_bounds(dA: DimResult, dB: DimResult, h1C: int) -> DimResult:
     hi = max(a + b for a in a_vals for b in b_vals)
     lo = max(lo, h1C)
     try:
-        return DimResult.of_interval(lo, hi, h1C % 2, h1C)
+        return DimResult.of_interval(lo, hi, h1C)
     except Inconsistency:
         raise Inconsistency(
             f"no dimension in [{lo},{hi}] matches |H1| = {h1C} and its parity") from None
@@ -515,8 +482,6 @@ def triad_bounds(dA: DimResult, dB: DimResult, h1C: int) -> DimResult:
 
 def _tb_codes_for(k: KnotExpr, ds) -> list[tuple[int, int]]:
     """Two-bridge codes (a, b) known to present exactly this knot."""
-    from .knots import Named, TwoBridge, Twist, resolve_atom
-
     codes = []
     if isinstance(k, TwoBridge):
         codes.append((k.a, k.b))
@@ -536,21 +501,12 @@ def _tb_codes_for(k: KnotExpr, ds) -> list[tuple[int, int]]:
                 if alias.startswith("Tw("):
                     tw = Twist(int(alias[3:-1]), mirrored)
     if tw is not None:
-        # the twist-knot family codes: K(2, 2n) has 2n-1 half-twists and
-        # K(-2, 2n) has 2n
-        a, b = (2, tw.n + 1) if tw.n % 2 == 1 else (-2, tw.n)
-        codes.append((a, b) if not tw.mirrored else (-a, -b))
-    seen, out = set(), []
-    for c in codes:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
+        tb = _two_bridge_from_twist(tw)
+        codes.append((tb.a, tb.b))
+    return list(dict.fromkeys(codes))  # first occurrence order
 
 
 def _tb_expr(a: int, b: int, ds) -> KnotExpr:
-    from .knots import TwoBridge, resolve_atom, Named
-
     tb = TwoBridge(a, b)
     try:
         hit = resolve_atom(tb, ds)
@@ -568,9 +524,6 @@ def homeo_identities(k: KnotExpr, s: Slope, dataset=None) -> list[tuple[KnotExpr
     (-2 on P(n,3,-3) vs +2 on P(n+3,3,-3)), and the two cable identities
     relating slopes (pq +- 1)/q^2 on a companion to pq +- 1 on its cable.
     """
-    from .knots import Cable, Pretzel, _pretzel_n33
-    import math
-
     ds = dataset if dataset is not None else datasets.default()
     out: list[tuple[KnotExpr, Slope]] = []
 
@@ -641,15 +594,10 @@ def verify_identity(lhs: tuple[KnotExpr, Slope], rhs: tuple[KnotExpr, Slope],
     ds = dataset if dataset is not None else datasets.default()
     ld = surgery_dim(lhs[0], lhs[1], dataset=ds)
     rd = surgery_dim(rhs[0], rhs[1], dataset=ds)
-    if ld.euler != rd.euler:
+    try:
+        ld.meet(rd)  # raises on different euler or disjoint dimensions
+        status = "equal" if ld.is_exact and ld == rd else "compatible"
+    except Inconsistency:
         status = "contradiction"
-    elif ld.is_exact and rd.is_exact:
-        status = "equal" if ld.dim == rd.dim else "contradiction"
-    else:
-        try:
-            ld.meet(rd)
-            status = "compatible"
-        except Inconsistency:
-            status = "contradiction"
     name = lambda pair: f"surg({format_knot(pair[0])}; {pair[1]})"
     return IdentityReport(name(lhs), name(rhs), ld, rd, status)

@@ -69,10 +69,6 @@ class Val:
     def is_unknown(self) -> bool:
         return self.lo is None and self.hi is None and self.parity is None
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.lo is not None and self.hi is not None
-
     def value(self) -> Fraction:
         if not self.is_exact:
             raise ValueError(f"value of non-exact {self}")
@@ -115,16 +111,6 @@ class Val:
             raise Inconsistency(f"disjoint: {self} vs {other}")
         return Val(lo, hi, parity).normalized()
 
-    def refines(self, other: "Val") -> bool:
-        """True when self is at least as narrow as other."""
-        if other.lo is not None and (self.lo is None or self.lo < other.lo):
-            return False
-        if other.hi is not None and (self.hi is None or self.hi > other.hi):
-            return False
-        if other.parity is not None and self.parity != other.parity:
-            return False
-        return True
-
     def contains(self, x: Rat) -> bool:
         x = _frac(x)
         if self.lo is not None and x < self.lo:
@@ -135,23 +121,20 @@ class Val:
             return False
         return True
 
-    def candidates(self, limit: int = 64) -> Optional[list[Fraction]]:
-        """Explicit finite candidate list for integer-valued states, or None."""
-        if not self.is_bounded:
+    def candidates(self, limit: int) -> Optional[list[int]]:
+        """Every integer this state admits, stepping by 2 under a parity
+        constraint; None when it is unbounded, admits no integer, or
+        admits more than limit."""
+        if self.lo is None or self.hi is None:
             return None
-        if self.is_exact:
-            return [self.lo]
-        if self.parity is None:
-            return None
-        step = 2
-        out = []
-        x = self.lo
-        while x <= self.hi:
-            out.append(x)
-            if len(out) > limit:
-                return None
-            x += step
-        return out
+        lo = -((-self.lo.numerator) // self.lo.denominator)  # ceil
+        hi = self.hi.numerator // self.hi.denominator  # floor
+        step = 1
+        if self.parity is not None:
+            lo += (lo - self.parity) % 2
+            step = 2
+        ints = range(lo, hi + 1, step)
+        return list(ints) if 0 < len(ints) <= limit else None
 
     def __add__(self, other: "Val") -> "Val":
         lo = None if self.lo is None or other.lo is None else self.lo + other.lo
@@ -167,25 +150,6 @@ class Val:
 
     def __sub__(self, other: "Val") -> "Val":
         return self + (-other)
-
-    def shift(self, c: Rat) -> "Val":
-        c = _frac(c)
-        parity = self.parity
-        if parity is not None:
-            parity = (parity + c.numerator) % 2 if c.denominator == 1 else None
-        return Val(None if self.lo is None else self.lo + c,
-                   None if self.hi is None else self.hi + c, parity)
-
-    def scale(self, c: Rat) -> "Val":
-        """Multiply by a positive rational constant."""
-        c = _frac(c)
-        if c <= 0:
-            raise ValueError("scale expects a positive constant")
-        parity = None
-        if self.parity is not None and c.denominator == 1:
-            parity = 0 if c.numerator % 2 == 0 else self.parity
-        return Val(None if self.lo is None else self.lo * c,
-                   None if self.hi is None else self.hi * c, parity)
 
     def abs_bounds(self) -> "Val":
         """Exact range of |x| over this state (parity preserved)."""

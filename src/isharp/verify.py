@@ -13,8 +13,10 @@ from . import datasets
 from .datasets import IntegrityError
 from .invariants import deduce
 from .knots import (
+    Cable,
     Named,
     Pretzel,
+    TwoBridge,
     Unknot,
     alexander_zero_surgery_floor,
     format_knot,
@@ -23,6 +25,7 @@ from .knots import (
 )
 from .slopes import Slope
 from .surgery import (
+    DimensionError,
     DimResult,
     branched_cover_dim,
     census_routes,
@@ -30,7 +33,7 @@ from .surgery import (
     surgery_dim,
     verify_identity,
 )
-from .values import Inconsistency, Val
+from .values import Inconsistency
 
 
 @dataclass
@@ -76,30 +79,15 @@ class Report:
         }
 
 
-def _val_str(v: Val) -> str:
-    return str(v)
-
-
 # ---------------------------------------------------------------------------
 # Census routes (the cross-check behind Dataset.cross_check_census)
 # ---------------------------------------------------------------------------
 
 def census_route_failures(ds) -> list[str]:
-    failures = []
-    for key, entry in sorted(ds.table("T2").items(), key=lambda kv: int(kv[0])):
-        stored = _stored(entry.payload["dim"], entry.payload["h1"])
-        for route, computed in census_routes(int(key), ds):
-            try:
-                stored.meet(computed)
-            except Inconsistency as e:
-                failures.append(f"census {key} via {route}: {e}")
-    return failures
-
-
-def _stored(dim, h1) -> DimResult:
-    if isinstance(dim, list):
-        return DimResult.of_candidates(dim, h1)
-    return DimResult.exact(dim, h1)
+    """One line per registered census route that disagrees with the
+    stored row (the route cells of check_census)."""
+    return [f"census {c.key} via {c.cell}: stored {c.expected}, computed {c.got}"
+            for c in check_census(ds).failed if c.section != "T2"]
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +107,10 @@ def rederive_nu_tau(ds) -> Report:
         stored_tau = entry.payload["tau"]
         if stored_nu is None:
             ok = (not b.nu.is_exact and b.nu.lo == -1 and b.nu.hi == 1)
-            report.add("T3", key, "nu", "interval [-1,1]", _val_str(b.nu), ok)
+            report.add("T3", key, "nu", "interval [-1,1]", b.nu, ok)
         else:
-            report.add("T3", key, "nu", stored_nu, _val_str(b.nu))
-        report.add("T3", key, "tau", stored_tau, _val_str(b.tau))
+            report.add("T3", key, "nu", stored_nu, b.nu)
+        report.add("T3", key, "tau", stored_tau, b.tau)
     return report
 
 
@@ -158,7 +146,7 @@ def rederive_r0(ds) -> tuple[dict, Report]:
                  "8_5", "8_19", "8_20"):
         b = flags_bundle(name)
         if not (b.nu.is_exact and b.r0.is_exact):
-            report.add("T1", name, "r0", "exact family value", _val_str(b.r0), False)
+            report.add("T1", name, "r0", "exact family value", b.r0, False)
             continue
         derived[name] = (b.nu.int_value(), b.r0.int_value())
 
@@ -257,7 +245,7 @@ def check_integer_surgery_table(ds) -> Report:
 def check_census(ds) -> Report:
     report = Report()
     for key, entry in sorted(ds.table("T2").items(), key=lambda kv: int(kv[0])):
-        stored = _stored(entry.payload["dim"], entry.payload["h1"])
+        stored = DimResult.of_stored(entry.payload["dim"], entry.payload["h1"])
         routes = census_routes(int(key), ds)
         for route, computed in routes:
             if route.startswith("triad("):
@@ -322,7 +310,7 @@ def check_spectral(ds) -> Report:
             report.add("T5", key, "dim", "undetermined", computed, ok)
             report.add("T5", key, "noncollapse", "open", rows[key]["noncollapse"])
         else:
-            expected = _stored(stored, entry.payload["det"])
+            expected = DimResult.of_stored(stored, entry.payload["det"])
             ok = (computed.values() == expected.values()
                   and computed.euler == expected.euler)
             report.add("T5", key, "dim", expected, computed, ok)
@@ -336,8 +324,6 @@ def check_spectral(ds) -> Report:
 
 def identity_instances(ds, bound: int = 50):
     """Instances of every registered identity with both sides computable."""
-    from .knots import Cable, TwoBridge
-
     out = []
     # two-bridge codes from the alias registry, plus the twist-knot family
     codes = set()
@@ -387,7 +373,7 @@ def _computable(k, s, ds) -> bool:
     try:
         surgery_dim(k, s, dataset=ds)
         return True
-    except Exception:
+    except DimensionError:
         return False
 
 

@@ -99,6 +99,11 @@ def test_pretty_mode():
     code, out, _ = run_cli("--pretty", "dim", "surg(3_1; -5/1)")
     assert code == 0
     assert "dim: 5" in out
+    code, out, _ = run_cli("--pretty", "verify", "T5")
+    assert code == 0
+    assert "branched double covers of the non-thin knots:" in out
+    assert "(candidate 15 vs 17: possible)" in out
+    assert out.endswith("14/14 passed\n")
 
 
 def test_data_override(tmp_path):
@@ -108,6 +113,13 @@ def test_data_override(tmp_path):
     ds.save(str(alt))
     code, out, _ = run_cli("--data", str(alt), "dim", "surg(3_1; -5/1)")
     assert code == 0 and json.loads(out)["dim"] == 5
+
+
+def test_missing_data_file_exits_3(tmp_path):
+    code, out, err = run_cli("--data", str(tmp_path / "missing.jsonl"), "dim", "lens(9,2)")
+    assert code == 3 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("integrity error: cannot read")
 
 
 def test_identities_listing():

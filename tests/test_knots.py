@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from isharp.knots import (
     TwoBridge,
     Twist,
     Unknot,
+    _two_bridge_from_twist,
+    _twist_from_two_bridge,
     alexander_at_minus_one,
     alexander_convolve,
     alexander_zero_surgery_floor,
@@ -27,6 +31,8 @@ from isharp.knots import (
     resolve_alias,
     structural,
 )
+from isharp.slopes import Slope, reduce
+from isharp.surgery import BranchedCover, Census, Lens, Surgery, parse_manifold
 from isharp.values import Val
 
 
@@ -101,7 +107,7 @@ knot_exprs = st.deferred(lambda: st.one_of(
     st.just(Unknot()),
     st.sampled_from(["3_1", "4_1", "5_2", "8_19", "K11n118"]).map(Named),
     st.tuples(st.sampled_from([2, 3, -2, -3, 5]), st.sampled_from([2, 3, 5, 7]))
-    .filter(lambda pq: abs(pq[0]) != pq[1] and __import__("math").gcd(abs(pq[0]), pq[1]) == 1
+    .filter(lambda pq: abs(pq[0]) != pq[1] and math.gcd(abs(pq[0]), pq[1]) == 1
             and abs(pq[0]) > 1)
     .map(lambda pq: make_torus(*pq)).filter(lambda k: not isinstance(k, Unknot)),
     st.integers(1, 9).map(Twist),
@@ -112,6 +118,7 @@ knot_exprs = st.deferred(lambda: st.one_of(
     st.tuples(st.sampled_from([3, 5, -3]), st.just(2), knot_exprs).map(
         lambda t: Cable(t[0], t[1], t[2])),
     st.lists(knot_exprs, min_size=2, max_size=3).map(make_sum),
+    knot_exprs.map(mirror),
 ))
 
 
@@ -125,6 +132,39 @@ def test_parse_print_roundtrip(k):
 @settings(max_examples=150)
 def test_double_mirror_identity(k):
     assert mirror(mirror(k)) == k
+
+
+slopes = st.one_of(
+    st.just(Slope(1, 0)),
+    st.tuples(st.integers(-60, 60), st.integers(1, 9)).map(lambda pq: reduce(*pq)),
+)
+
+manifold_descs = st.one_of(
+    st.builds(Surgery, knot_exprs, slopes),
+    knot_exprs.map(lambda k: Surgery(k, Slope(0, 1), "mu")),
+    st.tuples(st.integers(2, 40), st.integers(1, 39))
+    .filter(lambda pq: pq[1] < pq[0] and math.gcd(*pq) == 1)
+    .map(lambda pq: Lens(*pq)),
+    knot_exprs.map(BranchedCover),
+    st.integers(0, 19).map(Census),
+)
+
+
+@given(manifold_descs)
+@settings(max_examples=300)
+def test_manifold_print_parse_roundtrip(m):
+    # cable knots carry their own ';' inside surg(K; p/q[; mu])
+    assert parse_manifold(str(m)) == m
+
+
+def test_twist_and_two_bridge_maps_invert_each_other():
+    for n in range(1, 51):
+        for mirrored in (False, True):
+            tw = Twist(n, mirrored)
+            assert _twist_from_two_bridge(_two_bridge_from_twist(tw)) == tw
+        for a, b in ((2, 2 * n), (-2, 2 * n), (-2, -2 * n), (2, -2 * n)):
+            tb = TwoBridge(a, b)
+            assert _two_bridge_from_twist(_twist_from_two_bridge(tb)) == tb
 
 
 # --- genus ------------------------------------------------------------------

@@ -1,0 +1,175 @@
+"""The value lattice against brute-force set semantics on small lattices.
+
+The property under test is soundness: every value the inputs admit lies
+in the result, and an operation raises Inconsistency only when no value
+is admitted.  Where the operation is exact (meets, intervals, candidate
+lists) the result admits nothing more either.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from isharp.invariants import Bundle
+from isharp.slopes import Slope
+from isharp.surgery import DimResult, _formula_dim, triad_bounds
+from isharp.values import Inconsistency, Val
+
+# wider than every finite bound the strategies below produce
+WINDOW = range(0, 500)
+
+
+def members(r: DimResult, window=WINDOW) -> set:
+    return {d for d in window if r.contains(d)}
+
+
+def test_of_candidates_rejects_values_the_euler_characteristic_forbids():
+    with pytest.raises(Inconsistency):
+        DimResult.of_candidates([3, 5], 5)  # 3 < |H1|
+    with pytest.raises(Inconsistency):
+        DimResult.of_candidates([5, 6], 5)  # 6 has the wrong parity
+    with pytest.raises(Inconsistency):
+        DimResult.of_stored([9, 11], -11)
+    assert DimResult.of_candidates([12, 10, 12], 10).candidates == (10, 12)
+
+
+@st.composite
+def dim_results(draw, euler, finite=False):
+    """An exact value, a candidate set or an interval admitted by euler."""
+    admissible = st.integers(0, 40).map(lambda k: euler + 2 * k)
+    kind = draw(st.sampled_from(["exact", "candidates"] if finite
+                                else ["exact", "candidates", "interval"]))
+    if kind == "exact":
+        return DimResult.exact(draw(admissible), euler)
+    if kind == "candidates":
+        return DimResult.of_candidates(draw(st.sets(admissible, min_size=1, max_size=6)), euler)
+    lo = draw(st.none() | st.integers(-4, 60))
+    hi = draw(st.none() | st.integers(max(lo or 0, euler) + 1, 400))
+    return DimResult.of_interval(lo, hi, euler)
+
+
+@given(st.none() | st.integers(-6, 60), st.none() | st.integers(-6, 400), st.integers(-7, 7))
+@settings(max_examples=300, deadline=None)
+def test_of_interval_is_the_admitted_set(lo, hi, euler):
+    assume(lo is None or hi is None or lo <= hi)
+    e = abs(euler)
+    truth = {d for d in WINDOW if (lo is None or d >= lo) and (hi is None or d <= hi)
+             and d >= e and (d - e) % 2 == 0}
+    if not truth:
+        with pytest.raises(Inconsistency):
+            DimResult.of_interval(lo, hi, euler)
+        return
+    r = DimResult.of_interval(lo, hi, euler)
+    assert r.euler == e and members(r) == truth
+    assert (r.kind == "interval") == (hi is None or len(truth) > 64)
+
+
+@given(st.integers(0, 6).flatmap(lambda e: st.tuples(dim_results(e), dim_results(e))))
+@settings(max_examples=400, deadline=None)
+def test_dim_meet_is_the_intersection(pair):
+    a, b = pair
+    truth = members(a) & members(b)
+    if not truth:
+        with pytest.raises(Inconsistency):
+            a.meet(b)
+        return
+    assert members(a.meet(b)) == truth == members(b.meet(a))
+
+
+@given(st.integers(0, 6).flatmap(dim_results), st.integers(0, 6).flatmap(dim_results))
+@settings(max_examples=100, deadline=None)
+def test_dim_meet_refuses_mismatched_euler(a, b):
+    assume(a.euler != b.euler)
+    with pytest.raises(Inconsistency):
+        a.meet(b)
+
+
+@given(st.integers(0, 6).flatmap(lambda e: dim_results(e, finite=True)),
+       st.integers(0, 6).flatmap(lambda e: dim_results(e, finite=True)),
+       st.integers(0, 14))
+@settings(max_examples=300, deadline=None)
+def test_triad_bounds_are_sound(a, b, h1):
+    # exactness: the third dimension lies within |dA - dB| .. dA + dB
+    truth = {c for x in a.values() for y in b.values()
+             for c in range(abs(x - y), x + y + 1) if c >= h1 and (c - h1) % 2 == 0}
+    try:
+        r = triad_bounds(a, b, h1)
+    except Inconsistency:
+        assert not truth
+        return
+    assert r.euler == h1 and truth <= members(r)
+
+
+halves = st.integers(-20, 20).map(lambda n: Fraction(n, 2))
+
+
+@st.composite
+def vals(draw):
+    lo, hi = draw(st.none() | halves), draw(st.none() | halves)
+    assume(lo is None or hi is None or lo <= hi)
+    try:
+        return Val.between(lo, hi, draw(st.sampled_from([None, 0, 1])))
+    except Inconsistency:
+        assume(False)
+
+
+GRID = [Fraction(n, 2) for n in range(-24, 25)]
+
+
+@given(vals(), vals())
+@settings(max_examples=400, deadline=None)
+def test_val_meet_is_the_intersection(a, b):
+    truth = {x for x in GRID if a.contains(x) and b.contains(x)}
+    if not truth:
+        with pytest.raises(Inconsistency):
+            a.meet(b)
+        return
+    m = a.meet(b)
+    assert {x for x in GRID if m.contains(x)} == truth
+
+
+@given(st.none() | halves, st.none() | halves, st.sampled_from([None, 0, 1]),
+       st.integers(1, 12))
+@settings(max_examples=400, deadline=None)
+def test_val_candidates_lists_every_admitted_integer(lo, hi, parity, limit):
+    assume(lo is None or hi is None or lo < hi)
+    v = Val(lo, hi, parity)  # not normalized: candidates rounds the ends itself
+    got = v.candidates(limit)
+    if lo is None or hi is None:
+        assert got is None
+        return
+    truth = [n for n in range(-12, 13) if v.contains(n)]
+    assert got == (truth if 0 < len(truth) <= limit else None)
+    assert all(type(n) is int for n in got or ())
+
+
+@st.composite
+def bounded(draw, lo_min, width):
+    lo = draw(st.integers(lo_min, lo_min + 30))
+    hi = draw(st.integers(lo, lo + width))
+    parity = draw(st.sampled_from([None, 0, 1]))
+    try:
+        return Val.between(lo, hi, parity)
+    except Inconsistency:
+        assume(False)
+
+
+@given(bounded(-30, 60), bounded(0, 80), st.integers(-40, 40).filter(bool),
+       st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_closed_form_is_sound_on_both_branches(nu, r0, p, q):
+    # large lattices exceed the enumeration caps and take the interval branch
+    assume(math.gcd(abs(p), q) == 1)
+    truth = {q * r + abs(p - q * n)
+             for n in range(int(nu.lo), int(nu.hi) + 1) if nu.contains(n)
+             for r in range(int(r0.lo), int(r0.hi) + 1)
+             if r0.contains(r) and r >= abs(n) and (r - n) % 2 == 0}
+    try:
+        r = _formula_dim(Bundle("K", nu=nu, r0=r0), Slope(p, q))
+    except Inconsistency:
+        assert not truth
+        return
+    assert truth <= members(r, range(0, 800))

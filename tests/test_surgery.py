@@ -155,10 +155,27 @@ def test_triad_bounds(ds):
 
 def test_manifold_parsing_roundtrip(ds):
     for text in ["surg(6_2; -9/1)", "surg(4_1; 0/1; mu)", "lens(9,2)",
-                 "dcover(10_154)", "census(7)"]:
+                 "dcover(10_154)", "census(7)", "surg(Cab(3,2;m(3_1)); 19/1)",
+                 "surg(Cab(3,2;3_1 # 4_1); 0/1; mu)"]:
         m = parse_manifold(text)
         assert str(m) == text
-        manifold_dim(m, ds)  # computable
+    for text in ["surg(6_2; -9/1)", "surg(4_1; 0/1; mu)", "lens(9,2)",
+                 "dcover(10_154)", "census(7)"]:
+        manifold_dim(parse_manifold(text), ds)  # computable
+
+
+def test_cable_surgery_parses_and_answers(ds):
+    m = parse_manifold("surg(Cab(3,2;m(3_1)); 19)")
+    assert m == Surgery(Cable(3, 2, parse_knot("m(3_1)")), Slope(19, 1))
+    r = manifold_dim(m, ds)
+    assert (r.dim, r.euler) == (19, 19)
+
+
+def test_manifold_parser_refuses_malformed_and_opaque_input():
+    for text in ["opaque(X; 5)", "surg(3_1; 5/1", "surg(3_1; 5/1) extra",
+                 "surg(3_1; 0/1; nu)", "surg(3_1)", "lens(9)", "census(x)", ""]:
+        with pytest.raises(ValueError):
+            parse_manifold(text)
 
 
 # --- homeomorphism identities ---------------------------------------------------
