@@ -318,6 +318,8 @@ def load(path: Optional[str] = None, check: bool = True) -> Dataset:
                 text = fh.read()
         except OSError as e:
             raise DatasetError(f"cannot read {path}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise DatasetError(f"cannot read {path}: {e}") from None
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -8,6 +8,13 @@ Slopes are reduced pairs p/q with q >= 1, plus the single infinite slope
 
 with a_i >= 2 for i >= 1 (a0 arbitrary); every rational has exactly one
 such expansion.  All arithmetic is exact integer arithmetic.
+
+Consecutive convergents satisfy q_i p_{i-1} - p_i q_{i-1} = 1, and their
+denominators strictly increase because the tail coefficients are >= 2.
+So the penultimate convergent c/d of p/q (q >= 2) is the unique solution
+of q c - p d = 1 with 0 < d < q: d = (-p)^-1 mod q.  `triad` uses this to
+build the surgery triad from one modular inverse instead of the whole
+expansion.
 """
 
 from __future__ import annotations
@@ -105,18 +112,21 @@ def neg_cf(s: Slope) -> list[int]:
     """The unique negative continued fraction of a finite slope.
 
     a0 = ceil(p/q); then recurse on the reciprocal of a0 - p/q until the
-    remainder vanishes.  The tail coefficients all come out >= 2.
+    remainder vanishes.  The tail coefficients all come out >= 2.  With
+    p = k q + r (0 < r < q) the coefficient is k + 1 and the reciprocal of
+    (k + 1) - p/q is q/(q - r), so each step is one divmod.
     """
     if s.is_infinite:
         raise SlopeError("no continued fraction for the infinite slope")
     coeffs = []
     p, q = s.p, s.q
     while True:
-        a = -((-p) // q)  # ceil(p/q)
-        coeffs.append(a)
-        p, q = q, a * q - p  # reciprocal of a - p/q
-        if q == 0:
+        a, r = divmod(p, q)
+        if not r:
+            coeffs.append(a)
             return coeffs
+        coeffs.append(a + 1)
+        p, q = q, q - r
 
 
 def check_cf(coeffs: list[int]) -> None:
@@ -184,13 +194,19 @@ def triad(s: Slope) -> Triad:
     its convergents:  a/b = (p_n - p_{n-1})/(q_n - q_{n-1}),
     c/d = p_{n-1}/q_{n-1}, and e/f is their difference, normalized so that
     f >= 0 (with f = 0 only for e/f = 1/0).
+
+    The penultimate convergent is found without the expansion: it is the
+    unique solution of q c - p d = 1 with 0 < d < q.  The determinant
+    identity gives q c - p d = 1, and the convergent denominators strictly
+    increase (every tail coefficient is >= 2), so 0 < q_{n-1} < q_n = q;
+    d is the one residue of (-p)^-1 mod q in that range.
     """
     if s.is_infinite or s.is_integer:
         raise SlopeError(f"no triad for integer or infinite slope {s}")
-    pairs = convergents(neg_cf(s))
-    (pn1, qn1), (pn, qn) = pairs[-2], pairs[-1]
-    a, b = pn - pn1, qn - qn1
-    c, d = pn1, qn1
+    p, q = s.p, s.q
+    d = pow(-p, -1, q)
+    c = (1 + p * d) // q
+    a, b = p - c, q - d
     if b == d:
         e, f = 1, 0
         case = "cd=ab+ef" if a + e == c and b + f == d else "ab=cd+ef"

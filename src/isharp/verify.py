@@ -265,6 +265,19 @@ def check_census(ds) -> Report:
     return report
 
 
+def _noncollapse(result: DimResult, khbar_dim: int) -> str:
+    """Whether every admitted cover dimension lies below the reduced odd
+    Khovanov rank ("confirmed"), none does ("collapses"), or it is open."""
+    values = result.values()
+    if values is None:
+        return "open"
+    if all(v < khbar_dim for v in values):
+        return "confirmed"
+    if all(v >= khbar_dim for v in values):
+        return "collapses"
+    return "open"
+
+
 def spectral_rows(ds) -> list[dict]:
     """Per-knot status for the branched-double-cover comparison table."""
     rows = []
@@ -273,20 +286,12 @@ def spectral_rows(ds) -> list[dict]:
         expr = parse_knot(key)
         result = branched_cover_dim(expr, ds)
         values = result.values()
-        if values is None:
-            noncollapse = "open"
-        elif all(v < p["khbar_dim"] for v in values):
-            noncollapse = "confirmed"
-        elif all(v >= p["khbar_dim"] for v in values):
-            noncollapse = "collapses"
-        else:
-            noncollapse = "open"
         row = {
             "knot": key,
             "det": p["det"],
             "khbar_dim": p["khbar_dim"],
             "dim": result.to_json(),
-            "noncollapse": noncollapse,
+            "noncollapse": _noncollapse(result, p["khbar_dim"]),
         }
         if values is not None and len(values) > 1:
             # candidate values are possible, not confirmed; flag the tightest
@@ -301,20 +306,20 @@ def spectral_rows(ds) -> list[dict]:
 
 def check_spectral(ds) -> Report:
     report = Report()
-    rows = {r["knot"]: r for r in spectral_rows(ds)}
     for key, entry in ds.table("T5").items():
         stored = entry.payload["dim"]
         computed = branched_cover_dim(parse_knot(key), ds)
+        noncollapse = _noncollapse(computed, entry.payload["khbar_dim"])
         if stored is None:
             ok = computed.values() is None and computed.hi is None
             report.add("T5", key, "dim", "undetermined", computed, ok)
-            report.add("T5", key, "noncollapse", "open", rows[key]["noncollapse"])
+            report.add("T5", key, "noncollapse", "open", noncollapse)
         else:
             expected = DimResult.of_stored(stored, entry.payload["det"])
             ok = (computed.values() == expected.values()
                   and computed.euler == expected.euler)
             report.add("T5", key, "dim", expected, computed, ok)
-            report.add("T5", key, "noncollapse", "confirmed", rows[key]["noncollapse"])
+            report.add("T5", key, "noncollapse", "confirmed", noncollapse)
     return report
 
 

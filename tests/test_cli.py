@@ -122,6 +122,15 @@ def test_missing_data_file_exits_3(tmp_path):
     assert err.startswith("integrity error: cannot read")
 
 
+def test_non_utf8_data_file_exits_3(tmp_path):
+    binary = tmp_path / "binary.jsonl"
+    binary.write_bytes(b"\xff\xfe{not text\n")
+    code, out, err = run_cli("--data", str(binary), "dim", "lens(9,2)")
+    assert code == 3 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"integrity error: cannot read {binary}: 'utf-8' codec")
+
+
 def test_identities_listing():
     # "--" keeps the negative slope from being read as a flag
     code, out, _ = run_cli("identities", "TB(-3,-4)", "--", "-9/1")
@@ -196,7 +205,8 @@ def test_import_layout():
     # a CLI call pays for importing only what its subcommand runs
     assert _isharp_modules("import isharp.cli") == {
         "isharp", "isharp.cli", "isharp.datasets", "isharp.values"}
-    loaded = _isharp_modules("import isharp.cli as c; c.main(['cf', '1/3'])")
-    assert "isharp.slopes" in loaded
-    assert loaded.isdisjoint({"isharp.knots", "isharp.invariants", "isharp.surgery",
-                              "isharp.verify"})
+    for argv in (['cf', '1/3'], ['triad', '5/2']):
+        loaded = _isharp_modules(f"import isharp.cli as c; c.main({argv!r})")
+        assert "isharp.slopes" in loaded, argv
+        assert loaded.isdisjoint({"isharp.knots", "isharp.invariants", "isharp.surgery",
+                                  "isharp.verify"}), argv

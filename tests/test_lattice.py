@@ -131,6 +131,23 @@ def test_val_meet_is_the_intersection(a, b):
     assert {x for x in GRID if m.contains(x)} == truth
 
 
+@given(vals())
+@settings(max_examples=400, deadline=None)
+def test_val_abs_bounds_is_the_image_under_abs(v):
+    # halves lie in [-10, 10] and GRID in [-12, 12], so every |x| up to 12
+    # has both preimages on GRID: the half-bounded cases are exact up to 12
+    image = {abs(x) for x in GRID if v.contains(x)}
+    r = v.abs_bounds()
+    assert r.parity == v.parity and r.lo >= 0
+    assert {y for y in GRID if y >= 0 and r.contains(y)} == image
+    tight = r.normalized()
+    assert tight.lo == min(image)
+    if v.lo is None or v.hi is None:
+        assert r.hi is None
+    else:
+        assert tight.hi == max(image)
+
+
 @given(st.none() | halves, st.none() | halves, st.sampled_from([None, 0, 1]),
        st.integers(1, 12))
 @settings(max_examples=400, deadline=None)

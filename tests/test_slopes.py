@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isharp.slopes import (
@@ -162,3 +162,114 @@ def test_convergent_invariants_random(pq):
         if i >= 2:
             assert q_i > q_prev > 0
     assert reduce(*pairs[-1]) == s
+
+
+# -- differential checks against the expansion-based kernels ---------------------
+
+def neg_cf_reference(s: Slope) -> list[int]:
+    """The ceil-and-multiply loop: a = ceil(p/q), then (p, q) -> (q, a q - p)."""
+    coeffs = []
+    p, q = s.p, s.q
+    while True:
+        a = -((-p) // q)
+        coeffs.append(a)
+        p, q = q, a * q - p
+        if q == 0:
+            return coeffs
+
+
+def triad_reference(s: Slope) -> Triad:
+    """The triad read off the last two convergents of the full expansion."""
+    (c, d), (p, q) = convergents(neg_cf_reference(s))[-2:]
+    a, b = p - c, q - d
+    if b == d:
+        e, f = 1, 0
+        case = "cd=ab+ef" if a + e == c and b + f == d else "ab=cd+ef"
+    elif b > d:
+        e, f = a - c, b - d
+        case = "ab=cd+ef"
+    else:
+        e, f = c - a, d - b
+        case = "cd=ab+ef"
+    return Triad(Slope(a, b), Slope(c, d), Slope(e, f), case)
+
+
+@st.composite
+def uniform_slopes(draw, digits):
+    """A uniformly random reduced p/q with q of d digits and |p| <= 10^(d+1)."""
+    d = draw(digits)
+    rng = draw(st.randoms(use_true_random=True))
+    q = rng.randint(max(2, 10 ** (d - 1)), 10 ** d)
+    p = rng.randint(-10 ** (d + 1), 10 ** (d + 1))
+    assume(math.gcd(abs(p), q) == 1)
+    return Slope(p, q)
+
+
+@st.composite
+def expanded_slopes(draw, digits):
+    """p/q built from a drawn negative expansion (runs of twos, huge
+    coefficients) and stopped before q passes 10^d."""
+    d = draw(digits)
+    cap = 10 ** d
+    (p1, q1), (p0, q0) = (1, 0), (draw(st.integers(-10 * cap, 10 * cap)), 1)
+    for _ in range(draw(st.integers(1, 300))):
+        a = draw(st.sampled_from([2, 2, 2, 3]) | st.integers(2, cap))
+        if a * q0 - q1 > cap:
+            break
+        (p1, q1), (p0, q0) = (p0, q0), (a * p0 - p1, a * q0 - q1)
+    assume(q0 >= 2)
+    return Slope(p0, q0)
+
+
+def big_slopes(digits=st.integers(1, 40)):
+    return uniform_slopes(digits) | expanded_slopes(digits)
+
+
+def short_expansion(s: Slope, bound=10**4) -> bool:
+    """Whether the negative expansion of s has at most `bound` terms.
+
+    With p/q = [k0; k1, k2, ...] the ordinary continued fraction, the
+    negative one is [k0 + 1, 2 (k1 - 1 times), k2 + 2, 2 (k3 - 1 times),
+    ...], so its length is at most k1 + k3 + ... plus the number of k_i.
+    Slopes like 1/10^40 (a run of 10^40 - 1 twos) are left to the identity
+    checks."""
+    p, q = s.p, s.q
+    length, i = 0, 0
+    while q:
+        k, r = divmod(p, q)
+        length += k if i % 2 else 1
+        p, q, i = q, r, i + 1
+    return length <= bound
+
+
+def test_kernels_match_the_references_on_a_small_grid():
+    for p in range(-60, 61):
+        for q in range(2, 40):
+            if math.gcd(abs(p), q) == 1:
+                s = Slope(p, q)
+                assert neg_cf(s) == neg_cf_reference(s), s
+                assert triad(s) == triad_reference(s), s
+
+
+@given(big_slopes())
+@settings(max_examples=400)
+def test_kernels_match_the_references_on_big_slopes(s):
+    t = triad(s)
+    check_triad_identities(s, t)
+    assume(short_expansion(s))
+    assert neg_cf(s) == neg_cf_reference(s)
+    assert t == triad_reference(s)
+
+
+@given(uniform_slopes(st.just(40)))
+@settings(max_examples=200)
+def test_cf_roundtrip_forty_digit_slopes(s):
+    assume(short_expansion(s))
+    assert eval_cf(neg_cf(s)) == s
+
+
+def test_triad_needs_no_expansion():
+    # 1/10^40 expands to [1, 2, ..., 2] with 10^40 terms
+    q = 10 ** 40
+    for s in (Slope(1, q), Slope(-1, q), Slope(q + 1, q), Slope(q - 1, q)):
+        check_triad_identities(s, triad(s))

@@ -216,6 +216,20 @@ def test_verify_identity_reports(ds):
     assert r.status == "contradiction"
 
 
+def test_check_spectral_computes_each_cover_once(ds, monkeypatch):
+    from isharp import verify
+    calls = []
+
+    def counting(k, dataset):
+        calls.append(k)
+        return branched_cover_dim(k, dataset)
+
+    monkeypatch.setattr(verify, "branched_cover_dim", counting)
+    report = verify.check_spectral(ds)
+    assert len(calls) == len(ds.table("T5")) == 7
+    assert report.passed == len(report.cells) == 14
+
+
 def test_twist_chain(ds):
     for n in range(1, 101):
         r = verify_identity((parse_knot(f"Tw({2 * n - 1})"), Slope(-1, 1)),
