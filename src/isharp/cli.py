@@ -7,10 +7,14 @@ Each call is one short process, so start-up is part of every answer.
 The module imports only what parsing the arguments and loading the
 dataset need; each cmd_* function imports the modules it calls, so
 `cf` and `triad` never import the deduction engine, and only the
-commands that read census rows pay for the census cross-check.  The
-domain errors of every module subclass ValueError, and integrity
-failures subclass DatasetError, so main() maps exit codes without
-importing the modules that raise them.
+commands that read census rows pay for the census cross-check.  No
+subcommand imports `dataclasses` (nor the `inspect`, `ast` and `dis`
+modules it loads): the records are slotted classes on values.Record,
+and the bundled data is read as a plain file, not through
+importlib.resources.  tests/test_cli.py::test_import_layout holds both
+rules.  The domain errors of every module subclass ValueError, and
+integrity failures subclass DatasetError, so main() maps exit codes
+without importing the modules that raise them.
 """
 
 from __future__ import annotations
@@ -171,6 +175,7 @@ def cmd_verify(args, ds):
         check_spectral,
         rederive_nu_tau,
         rederive_r0,
+        spectral_covers,
         spectral_rows,
         verify_all,
     )
@@ -188,10 +193,10 @@ def cmd_verify(args, ds):
         report = check_integer_surgery_table(ds)
     elif target in CENSUS_TABLES:
         full = check_census(ds)
-        report = type(full)()
-        report.cells = [c for c in full.cells if c.section == target]
+        report = type(full)([c for c in full.cells if c.section == target])
     elif target == "T5":
-        report = check_spectral(ds)
+        covers = spectral_covers(ds)
+        report = check_spectral(ds, covers)
     else:
         raise DatasetError(f"nothing to verify for {target!r}")
     if args.pretty:
@@ -199,7 +204,7 @@ def cmd_verify(args, ds):
             print(c.line())
         if target == "T5":
             print("branched double covers of the non-thin knots:")
-            for row in spectral_rows(ds):
+            for row in spectral_rows(ds, covers):
                 t = row.get("tight_candidate")
                 extra = (f"  (candidate {t['value']} vs {t['khbar_dim']}: {t['status']})"
                          if t else "")

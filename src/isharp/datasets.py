@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from typing import Optional
 
-from .values import Val
+from .values import Record, Val
 
 SCHEMA_VERSION = 1
 KNOWN_TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "KNOT", "ALIAS")
 
 ENV_DATA_PATH = "ISHARP_DATA"
+# read as a plain file: importlib.resources costs a fresh interpreter
+# about 30 ms of imports (and, from Python 3.12, `inspect`)
+BUNDLED_PATH = os.path.join(os.path.dirname(__file__), "data", "tables.jsonl")
 
 
 class DatasetError(ValueError):
@@ -32,12 +33,11 @@ class IntegrityError(DatasetError):
     """A recomputed value disagrees with stored table data."""
 
 
-@dataclass(frozen=True)
-class TableEntry:
-    table: str
-    key: str
-    payload: dict
-    citation: str
+class TableEntry(Record):
+    __slots__ = ("table", "key", "payload", "citation")
+
+    def __init__(self, table: str, key: str, payload: dict, citation: str):
+        self._fill(table, key, payload, citation)
 
     def to_json_line(self) -> str:
         obj = {
@@ -68,28 +68,31 @@ def _val_from_payload(x) -> Val:
     raise DatasetError(f"bad value encoding {x!r}")
 
 
-@dataclass
-class InstantonFields:
-    """Tabulated invariants stored on a knot record."""
+class InstantonFields(Record):
+    """Tabulated invariants stored on a knot record: nu, tau, r0, the
+    shape ("V" / "W" / None) and the pinned zero-surgery dimension of the
+    mu bundle."""
 
-    nu: Val = field(default_factory=Val.unknown)
-    tau: Val = field(default_factory=Val.unknown)
-    r0: Val = field(default_factory=Val.unknown)
-    shape: Optional[str] = None  # "V" / "W" / None
-    mu0_dim: Optional[int] = None  # pinned zero-surgery dimension, mu bundle
+    __slots__ = ("nu", "tau", "r0", "shape", "mu0_dim")
+
+    def __init__(self, nu: Val = Val(), tau: Val = Val(), r0: Val = Val(),
+                 shape: Optional[str] = None, mu0_dim: Optional[int] = None):
+        self._fill(nu, tau, r0, shape, mu0_dim)
 
 
-@dataclass
-class KnotRecord:
-    name: str
-    structural: "StructuralData"
-    instanton: InstantonFields
-    aliases: tuple[str, ...]
-    sigma2: Optional[str] = None  # registered double-branched-cover description
-    khbar_dim: Optional[int] = None
-    mirror_flags: dict = field(default_factory=dict)
-    mirror_sl_max: Optional[int] = None
-    citation: str = ""
+class KnotRecord(Record):
+    """One KNOT row; sigma2 is the registered double-branched-cover
+    description."""
+
+    __slots__ = ("name", "structural", "instanton", "aliases", "sigma2", "khbar_dim",
+                 "mirror_flags", "mirror_sl_max", "citation")
+
+    def __init__(self, name: str, structural: "StructuralData", instanton: InstantonFields,
+                 aliases: tuple[str, ...], sigma2: Optional[str] = None,
+                 khbar_dim: Optional[int] = None, mirror_flags: Optional[dict] = None,
+                 mirror_sl_max: Optional[int] = None, citation: str = ""):
+        self._fill(name, structural, instanton, aliases, sigma2, khbar_dim,
+                   {} if mirror_flags is None else mirror_flags, mirror_sl_max, citation)
 
 
 def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
@@ -309,17 +312,14 @@ def load(path: Optional[str] = None, check: bool = True) -> Dataset:
     route of the row it reads, and `verify` and `export` of the census
     tables run the full cross-check."""
     if path is None:
-        path = os.environ.get(ENV_DATA_PATH)
-    if path is None:
-        text = resources.files("isharp").joinpath("data/tables.jsonl").read_text("utf-8")
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise DatasetError(f"cannot read {path}: {e.strerror}") from None
-        except UnicodeDecodeError as e:
-            raise DatasetError(f"cannot read {path}: {e}") from None
+        path = os.environ.get(ENV_DATA_PATH, BUNDLED_PATH)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise DatasetError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise DatasetError(f"cannot read {path}: {e}") from None
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -10,7 +10,6 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -32,7 +31,7 @@ from .knots import (
     resolve_atom,
     structural,
 )
-from .values import Inconsistency, Val
+from .values import Inconsistency, Record, Val
 
 # rule id -> statement it applies
 RULES = {
@@ -55,32 +54,63 @@ RULES = {
 }
 
 
-@dataclass
-class TraceEntry:
-    rule: str
-    statement: str
-    detail: str
+class TraceEntry(Record):
+    __slots__ = ("rule", "statement", "detail")
+
+    def __init__(self, rule: str, statement: str, detail: str):
+        self._fill(rule, statement, detail)
 
     def to_json(self):
         return {"rule": self.rule, "statement": self.statement, "detail": self.detail}
 
 
-@dataclass
-class Bundle:
-    """Deduced invariant state for one knot expression."""
+class Bundle(Record):
+    """Deduced invariant state for one knot expression: nu, tau, r0, the
+    shape ("V" / "W" / "unknown"), the pinned mu-bundle zero-surgery
+    dimension, and the trace of the steps that narrowed them.
 
-    knot: str
-    nu: Val = field(default_factory=Val.unknown)
-    tau: Val = field(default_factory=Val.unknown)
-    r0: Val = field(default_factory=Val.unknown)
-    shape: str = "unknown"  # "V" / "W" / "unknown"
-    mu0_dim: Optional[int] = None
-    trace: list = field(default_factory=list)
+    Immutable, so deduce can cache one bundle and hand it to every
+    caller; the engine works on a _Draft and freezes it at the end."""
+
+    __slots__ = ("knot", "nu", "tau", "r0", "shape", "mu0_dim", "trace")
+
+    def __init__(self, knot: str, nu: Val = Val(), tau: Val = Val(), r0: Val = Val(),
+                 shape: str = "unknown", mu0_dim: Optional[int] = None,
+                 trace: tuple = ()):
+        self._fill(knot, nu, tau, r0, shape, mu0_dim, tuple(trace))
 
     @property
     def delta(self) -> Val:
         # delta = r0 - nu is a nonnegative even integer for every knot
         return (self.r0 - self.nu).meet(Val.between(0, None, 0))
+
+    def to_json(self):
+        return {
+            "knot": self.knot,
+            "nu": self.nu.to_json(),
+            "tau": self.tau.to_json(),
+            "r0": self.r0.to_json(),
+            "shape": self.shape,
+            "delta": self.delta.to_json(),
+        }
+
+
+class _Draft:
+    """The engine's working state for one bundle: the rules narrow it in
+    place and append to its trace, and freeze() makes the Bundle."""
+
+    __slots__ = Bundle.__slots__
+
+    def __init__(self, knot: str):
+        self.knot = knot
+        self.nu = self.tau = self.r0 = Val()
+        self.shape = "unknown"
+        self.mu0_dim = None
+        self.trace = []
+
+    def freeze(self) -> Bundle:
+        return Bundle(self.knot, self.nu, self.tau, self.r0, self.shape, self.mu0_dim,
+                      self.trace)
 
     def narrow(self, fieldname: str, value: Val, rule: str, detail: str = "") -> None:
         current: Val = getattr(self, fieldname)
@@ -107,16 +137,6 @@ class Bundle:
         self.shape = shape
         self.trace.append(TraceEntry(rule, RULES[rule], f"shape = {shape} {detail}".rstrip()))
 
-    def to_json(self):
-        return {
-            "knot": self.knot,
-            "nu": self.nu.to_json(),
-            "tau": self.tau.to_json(),
-            "r0": self.r0.to_json(),
-            "shape": self.shape,
-            "delta": self.delta.to_json(),
-        }
-
 
 def deduce(k: KnotExpr, dataset=None, use_stored: bool = True,
            integral_tau: bool = False) -> Bundle:
@@ -126,7 +146,8 @@ def deduce(k: KnotExpr, dataset=None, use_stored: bool = True,
     (structural flags stay available); this is the re-derivation mode the
     table verifier runs in.  integral_tau additionally rounds tau
     intervals to integers, which relies on integrality of tau (an
-    external input the core rules do not assume).
+    external input the core rules do not assume).  The result is cached
+    per dataset, and every caller gets the same immutable Bundle.
     """
     ds = dataset if dataset is not None else datasets.default()
     key = (format_knot(k), use_stored, integral_tau)
@@ -142,11 +163,11 @@ def _deduce(k, ds, use_stored, integral_tau) -> Bundle:
     if isinstance(k, Sum):
         b = _deduce_sum(k, ds, use_stored, integral_tau)
     else:
-        b = Bundle(knot=format_knot(k))
+        b = _Draft(format_knot(k))
         _apply_atom_rules(b, k, ds, use_stored)
         # the mirror pass: every rule applies to the mirror as well, and
         # nu, tau negate while r0 is preserved
-        mb = Bundle(knot=format_knot(mirror(k)))
+        mb = _Draft(format_knot(mirror(k)))
         _apply_atom_rules(mb, mirror(k), ds, use_stored)
         for fieldname in ("nu", "tau"):
             v = getattr(mb, fieldname)
@@ -160,10 +181,10 @@ def _deduce(k, ds, use_stored, integral_tau) -> Bundle:
         if b.mu0_dim is None:
             b.mu0_dim = mb.mu0_dim
     _tighten(b, k, ds, integral_tau)
-    return b
+    return b.freeze()
 
 
-def _apply_atom_rules(b: Bundle, k, ds, use_stored) -> None:
+def _apply_atom_rules(b: _Draft, k, ds, use_stored) -> None:
     s = structural(k, ds)
 
     # R1: stored table values
@@ -205,7 +226,7 @@ def _equivalent_atoms(k, hit, ds):
     return out
 
 
-def _apply_family_rules(b: Bundle, k, s, ds, use_stored) -> None:
+def _apply_family_rules(b: _Draft, k, s, ds, use_stored) -> None:
 
     # R3: slice
     if s.flag("slice") or (s.slice_genus.is_exact and s.slice_genus.value() == 0):
@@ -258,9 +279,9 @@ def _apply_family_rules(b: Bundle, k, s, ds, use_stored) -> None:
                 b.narrow("r0", Val.exact(6 * n - 1), "R12")
 
 
-def _deduce_sum(k: Sum, ds, use_stored, integral_tau) -> Bundle:
+def _deduce_sum(k: Sum, ds, use_stored, integral_tau) -> _Draft:
     parts = [deduce(s, ds, use_stored, integral_tau) for s in k.summands]
-    b = Bundle(knot=format_knot(k))
+    b = _Draft(format_knot(k))
 
     tau = Val.exact(0)
     for p in parts:
@@ -292,7 +313,7 @@ def _deduce_sum(k: Sum, ds, use_stored, integral_tau) -> Bundle:
     return b
 
 
-def _tighten(b: Bundle, k, ds, integral_tau) -> None:
+def _tighten(b: _Draft, k, ds, integral_tau) -> None:
     """R14 to a fixed point: mutual nu/tau bounds, genus bound, r0 bounds."""
     s = structural(k, ds)
     for _ in range(8):
@@ -344,7 +365,7 @@ def _tighten(b: Bundle, k, ds, integral_tau) -> None:
             break
 
 
-def _lspace_status(k, b: Bundle, s, ds, use_stored: bool = True):
+def _lspace_status(k, b, s, ds, use_stored: bool = True):
     """instanton L-space knot status: True / False / None (unknown)."""
     if isinstance(k, Unknot):
         return False

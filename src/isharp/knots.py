@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-from .values import Val
+from .values import Record, Val
 
 
 class KnotError(ValueError):
@@ -29,81 +28,75 @@ class KnotError(ValueError):
 # Expression types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Unknot:
-    pass
+class Unknot(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Named:
-    name: str
-    mirrored: bool = False
+class Named(Record):
+    __slots__ = ("name", "mirrored")
+
+    def __init__(self, name: str, mirrored: bool = False):
+        self._fill(name, mirrored)
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(Record):
     """T(p, q) with 2 <= p < q coprime; chirality is the sign of p."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if not (2 <= abs(self.p) < self.q) or math.gcd(abs(self.p), self.q) != 1:
-            raise KnotError(f"bad torus parameters ({self.p},{self.q})")
+    def __init__(self, p: int, q: int):
+        if not (2 <= abs(p) < q) or math.gcd(abs(p), q) != 1:
+            raise KnotError(f"bad torus parameters ({p},{q})")
+        self._fill(p, q)
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(Record):
     """Twist knot with a positive clasp and n >= 1 positive half-twists."""
 
-    n: int
-    mirrored: bool = False
+    __slots__ = ("n", "mirrored")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise KnotError(f"twist knot needs n >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Pretzel:
-    a: int
-    b: int
-    c: int
-    mirrored: bool = False
+    def __init__(self, n: int, mirrored: bool = False):
+        if n < 1:
+            raise KnotError(f"twist knot needs n >= 1, got {n}")
+        self._fill(n, mirrored)
 
 
-@dataclass(frozen=True)
-class TwoBridge:
+class Pretzel(Record):
+    __slots__ = ("a", "b", "c", "mirrored")
+
+    def __init__(self, a: int, b: int, c: int, mirrored: bool = False):
+        self._fill(a, b, c, mirrored)
+
+
+class TwoBridge(Record):
     """Two twist regions with a and b signed crossings; not both odd."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a % 2 == 1 and self.b % 2 == 1:
-            raise KnotError(f"two-bridge code ({self.a},{self.b}) has both entries odd")
+    def __init__(self, a: int, b: int):
+        if a % 2 == 1 and b % 2 == 1:
+            raise KnotError(f"two-bridge code ({a},{b}) has both entries odd")
+        self._fill(a, b)
 
 
-@dataclass(frozen=True)
-class Cable:
+class Cable(Record):
     """The (p, q)-cable, q >= 2 and gcd(p, q) = 1, of the companion knot."""
 
-    p: int
-    q: int
-    companion: "KnotExpr"
+    __slots__ = ("p", "q", "companion")
 
-    def __post_init__(self):
-        if self.q < 2 or math.gcd(abs(self.p), self.q) != 1:
-            raise KnotError(f"cable needs q >= 2 and gcd(p,q)=1, got ({self.p},{self.q})")
+    def __init__(self, p: int, q: int, companion: "KnotExpr"):
+        if q < 2 or math.gcd(abs(p), q) != 1:
+            raise KnotError(f"cable needs q >= 2 and gcd(p,q)=1, got ({p},{q})")
+        self._fill(p, q, companion)
 
 
-@dataclass(frozen=True)
-class Sum:
-    summands: tuple["KnotExpr", ...]
+class Sum(Record):
+    __slots__ = ("summands",)
 
-    def __post_init__(self):
-        if len(self.summands) < 2:
+    def __init__(self, summands: tuple["KnotExpr", ...]):
+        if len(summands) < 2:
             raise KnotError("connected sum needs at least two summands")
+        self._fill(summands)
 
 
 KnotExpr = Union[Unknot, Named, Torus, Twist, Pretzel, TwoBridge, Cable, Sum]
@@ -124,14 +117,10 @@ def mirror(k: KnotExpr) -> KnotExpr:
     """Mirror image, pushed down to the atoms."""
     if isinstance(k, Unknot):
         return k
-    if isinstance(k, Named):
-        return replace(k, mirrored=not k.mirrored)
+    if isinstance(k, (Named, Twist, Pretzel)):
+        return k.replace(mirrored=not k.mirrored)
     if isinstance(k, Torus):
         return Torus(-k.p, k.q)
-    if isinstance(k, Twist):
-        return replace(k, mirrored=not k.mirrored)
-    if isinstance(k, Pretzel):
-        return replace(k, mirrored=not k.mirrored)
     if isinstance(k, TwoBridge):
         return TwoBridge(-k.a, -k.b)
     if isinstance(k, Cable):
@@ -340,15 +329,19 @@ FLAG_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class StructuralData:
-    genus: Val = field(default_factory=Val.unknown)
-    slice_genus: Val = field(default_factory=Val.unknown)
-    signature: Optional[int] = None
-    determinant: Optional[int] = None
-    alexander: Optional[tuple[int, ...]] = None  # (a0, a1, a2, ...), symmetric
-    sl_max: Optional[int] = None
-    flags: dict = field(default_factory=dict)
+class StructuralData(Record):
+    """alexander holds the coefficients (a0, a1, a2, ...) of the symmetric
+    polynomial; flags maps FLAG_NAMES to True / False / None."""
+
+    __slots__ = ("genus", "slice_genus", "signature", "determinant", "alexander",
+                 "sl_max", "flags")
+
+    def __init__(self, genus: Val = Val(), slice_genus: Val = Val(),
+                 signature: Optional[int] = None, determinant: Optional[int] = None,
+                 alexander: Optional[tuple[int, ...]] = None, sl_max: Optional[int] = None,
+                 flags: Optional[dict] = None):
+        self._fill(genus, slice_genus, signature, determinant, alexander, sl_max,
+                   {} if flags is None else flags)
 
     def flag(self, name: str) -> Tri:
         return self.flags.get(name)
@@ -430,7 +423,7 @@ def resolve_atom(k: KnotExpr, dataset) -> Optional[tuple[str, bool]]:
         if dataset.knot_record(name) is None:
             raise KnotError(f"unknown knot name {name!r}")
     elif isinstance(k, (Twist, Pretzel)):
-        hit = dataset.alias(atom_code(replace(k, mirrored=False)))
+        hit = dataset.alias(atom_code(k.replace(mirrored=False)))
         if hit is None and isinstance(k, Pretzel):
             hit = _pretzel_alias(k, dataset)
             if hit is None:

@@ -20,26 +20,27 @@ expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .values import Record
 
 
 class SlopeError(ValueError):
     """Invalid slope or continued-fraction input."""
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Record):
     """A reduced rational surgery coefficient p/q; q == 0 encodes infinity."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.q < 0 or math.gcd(abs(self.p), self.q) != 1:
-            raise SlopeError(f"not a reduced slope: {self.p}/{self.q}")
-        if self.q == 0 and self.p != 1:
-            raise SlopeError(f"infinite slope must be 1/0, got {self.p}/0")
+    def __init__(self, p: int, q: int):
+        if q < 0 or math.gcd(abs(p), q) != 1:
+            raise SlopeError(f"not a reduced slope: {p}/{q}")
+        if q == 0 and p != 1:
+            raise SlopeError(f"infinite slope must be 1/0, got {p}/0")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def is_infinite(self) -> bool:
@@ -108,25 +109,36 @@ def parse_slope(text: str) -> Slope:
         raise SlopeError(f"bad slope {text!r}") from None
 
 
+# Longest negative continued fraction neg_cf writes out.  The expansion
+# of p/q can be as long as the partial quotients of its ordinary one add
+# up to (1/10^20 has 10^20 terms), so without a bound one call could run
+# for ever and exhaust memory.  Slopes with 40-digit numerators and
+# denominators typically need a hundred terms or fewer.
+MAX_CF_TERMS = 100_000
+
+
 def neg_cf(s: Slope) -> list[int]:
     """The unique negative continued fraction of a finite slope.
 
     a0 = ceil(p/q); then recurse on the reciprocal of a0 - p/q until the
     remainder vanishes.  The tail coefficients all come out >= 2.  With
     p = k q + r (0 < r < q) the coefficient is k + 1 and the reciprocal of
-    (k + 1) - p/q is q/(q - r), so each step is one divmod.
+    (k + 1) - p/q is q/(q - r), so each step is one divmod.  Raises
+    SlopeError when the expansion is longer than MAX_CF_TERMS.
     """
     if s.is_infinite:
         raise SlopeError("no continued fraction for the infinite slope")
     coeffs = []
     p, q = s.p, s.q
-    while True:
+    for _ in range(MAX_CF_TERMS):
         a, r = divmod(p, q)
         if not r:
             coeffs.append(a)
             return coeffs
         coeffs.append(a + 1)
         p, q = q, q - r
+    raise SlopeError(f"the negative continued fraction of {s} has more than "
+                     f"{MAX_CF_TERMS} terms")
 
 
 def check_cf(coeffs: list[int]) -> None:
@@ -172,19 +184,22 @@ def parse_cf(text: str) -> list[int]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class Triad:
+class Triad(Record):
     """The surgery triad of a non-integral finite slope p/q.
 
     ab and cd are the slopes sitting in exact triangles with p/q, and ef is
-    the third slope of the companion triangle; sum_case records which of
-    (a,b) = (c+e, d+f) or (c,d) = (a+e, b+f) holds.
+    the third slope of the companion triangle; sum_case ("ab=cd+ef" or
+    "cd=ab+ef") records which of (a,b) = (c+e, d+f) or (c,d) = (a+e, b+f)
+    holds.
     """
 
-    ab: Slope
-    cd: Slope
-    ef: Slope
-    sum_case: str  # "ab=cd+ef" or "cd=ab+ef"
+    __slots__ = ("ab", "cd", "ef", "sum_case")
+
+    def __init__(self, ab: Slope, cd: Slope, ef: Slope, sum_case: str):
+        object.__setattr__(self, "ab", ab)
+        object.__setattr__(self, "cd", cd)
+        object.__setattr__(self, "ef", ef)
+        object.__setattr__(self, "sum_case", sum_case)
 
 
 def triad(s: Slope) -> Triad:

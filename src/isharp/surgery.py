@@ -10,7 +10,6 @@ surgery triads are layered on top.  Results carry the Euler characteristic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -21,7 +20,7 @@ from .knots import (Cable, KnotError, KnotExpr, Named, Pretzel, Twist, TwoBridge
                     _Parser, _pretzel_n33, _two_bridge_from_twist, format_knot, mirror,
                     parse_knot, resolve_atom, structural)
 from .slopes import Slope, parse_slope, reduce
-from .values import Inconsistency, Val
+from .values import Inconsistency, Record, Val
 
 
 class DimensionError(ValueError):
@@ -32,51 +31,52 @@ class DimensionError(ValueError):
 # Manifold descriptions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Surgery:
-    knot: KnotExpr
-    slope: Slope
-    bundle: str = "trivial"  # "trivial" or "mu"; "mu" only at slope 0
+class Surgery(Record):
+    """p/q surgery on a knot; bundle is "trivial" or, at slope 0 only, "mu"."""
 
-    def __post_init__(self):
-        if self.bundle not in ("trivial", "mu"):
-            raise ValueError(f"bad bundle {self.bundle!r}")
-        if self.bundle == "mu" and not (self.slope.q == 1 and self.slope.p == 0):
+    __slots__ = ("knot", "slope", "bundle")
+
+    def __init__(self, knot: KnotExpr, slope: Slope, bundle: str = "trivial"):
+        if bundle not in ("trivial", "mu"):
+            raise ValueError(f"bad bundle {bundle!r}")
+        if bundle == "mu" and not (slope.q == 1 and slope.p == 0):
             raise ValueError("the mu bundle is only meaningful at slope 0")
+        self._fill(knot, slope, bundle)
 
     def __str__(self):
         tail = "; mu" if self.bundle == "mu" else ""
         return f"surg({format_knot(self.knot)}; {self.slope}{tail})"
 
 
-@dataclass(frozen=True)
-class Lens:
-    p: int
-    q: int
+class Lens(Record):
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if not (self.p > self.q >= 1) or math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"lens space needs p > q >= 1 coprime, got ({self.p},{self.q})")
+    def __init__(self, p: int, q: int):
+        if not (p > q >= 1) or math.gcd(p, q) != 1:
+            raise ValueError(f"lens space needs p > q >= 1 coprime, got ({p},{q})")
+        self._fill(p, q)
 
     def __str__(self):
         return f"lens({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class BranchedCover:
-    knot: KnotExpr
+class BranchedCover(Record):
+    __slots__ = ("knot",)
+
+    def __init__(self, knot: KnotExpr):
+        self._fill(knot)
 
     def __str__(self):
         return f"dcover({format_knot(self.knot)})"
 
 
-@dataclass(frozen=True)
-class Census:
-    index: int
+class Census(Record):
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if not 0 <= self.index <= 19:
-            raise ValueError(f"census index {self.index} out of range 0..19")
+    def __init__(self, index: int):
+        if not 0 <= index <= 19:
+            raise ValueError(f"census index {index} out of range 0..19")
+        self._fill(index)
 
     def __str__(self):
         return f"census({self.index})"
@@ -122,8 +122,7 @@ def parse_manifold(text: str) -> ManifoldDesc:
 # Dimension results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimResult:
+class DimResult(Record):
     """Exact dimension, finite candidate set, or interval with parity.
 
     The state is either the sorted tuple of admissible dimensions (one
@@ -134,8 +133,11 @@ class DimResult:
     (d - euler)/2) when d is exact.
     """
 
-    state: Union[tuple[int, ...], Val]
-    euler: int = 0
+    __slots__ = ("state", "euler")
+
+    def __init__(self, state: Union[tuple[int, ...], Val], euler: int = 0):
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "euler", euler)
 
     @staticmethod
     def exact(d: int, euler: int) -> "DimResult":
@@ -574,13 +576,14 @@ def homeo_identities(k: KnotExpr, s: Slope, dataset=None) -> list[tuple[KnotExpr
     return out
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    lhs: str
-    rhs: str
-    lhs_dim: DimResult
-    rhs_dim: DimResult
-    status: str  # "equal" | "compatible" | "contradiction"
+class IdentityReport(Record):
+    """status is "equal", "compatible" or "contradiction"."""
+
+    __slots__ = ("lhs", "rhs", "lhs_dim", "rhs_dim", "status")
+
+    def __init__(self, lhs: str, rhs: str, lhs_dim: DimResult, rhs_dim: DimResult,
+                 status: str):
+        self._fill(lhs, rhs, lhs_dim, rhs_dim, status)
 
     def to_json(self):
         return {"lhs": self.lhs, "rhs": self.rhs,

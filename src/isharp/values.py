@@ -1,18 +1,80 @@
-"""Exact values, intervals with parity constraints, and the unknown state.
+"""Exact values, intervals with parity constraints, and the unknown state;
+and Record, the base class of every immutable isharp record.
 
 The deduction engine narrows each invariant through a lattice of states:
 completely unknown, a bounded or half-bounded interval (optionally with a
 mod-2 parity constraint for integer-valued invariants), or an exact
 rational.  Narrowing two incompatible states raises Inconsistency.
+
+Record gives a slotted class value semantics: equality by exact type and
+field tuple, a matching hash, the usual Name(field=value, ...) repr,
+assignment that raises, replace(**changes), and pickling and deep copies
+that rebuild through __init__.  Each record writes its own __init__, so
+its checks read as plain code and its constructor costs no more than the
+field stores.  Records live here, in the lowest layer, because every CLI
+call imports this module anyway: the class-generating machinery of
+`dataclasses` (which pulls in `inspect`, `ast` and `dis`) cost about a
+quarter of a short call's start-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Union
 
 Rat = Union[int, Fraction]
+
+
+class Record:
+    """Base of the immutable records.
+
+    A record's fields are its class's __slots__, in order, and its
+    __init__ takes them under the same names and in the same order;
+    replace, pickling and copying rebuild records through __init__, so
+    they re-run its checks.  __init__ stores the fields with _fill (or
+    object.__setattr__), since ordinary assignment raises.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # equality and hashing read the fields in one C call; a one-field
+        # record compares by its value, a field-less one by its class
+        cls._key = attrgetter(*cls.__slots__ or ("__class__",))
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}: records are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}: records are immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked by __init__."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return type(self)(**fields)
 
 
 class Inconsistency(ValueError):
@@ -23,27 +85,29 @@ def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class Val:
-    """A known rational, an interval [lo, hi], or unknown (both ends None)."""
+class Val(Record):
+    """A known rational, an interval [lo, hi], or unknown (both ends None).
 
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    parity: Optional[int] = None  # residue mod 2 for integer-valued quantities
+    parity is the residue mod 2 for integer-valued quantities."""
 
-    def __post_init__(self):
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise Inconsistency(f"empty interval [{self.lo}, {self.hi}]")
-        if self.parity is not None and self.parity not in (0, 1):
-            raise ValueError(f"parity must be 0 or 1, got {self.parity}")
-        if self.is_exact:
-            v = self.lo
-            if self.parity is not None:
-                if v.denominator != 1 or v.numerator % 2 != self.parity:
-                    raise Inconsistency(f"exact value {v} violates parity {self.parity}")
-            elif v.denominator == 1:
+    __slots__ = ("lo", "hi", "parity")
+
+    def __init__(self, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None,
+                 parity: Optional[int] = None):
+        if lo is not None and hi is not None and lo > hi:
+            raise Inconsistency(f"empty interval [{lo}, {hi}]")
+        if parity is not None and parity not in (0, 1):
+            raise ValueError(f"parity must be 0 or 1, got {parity}")
+        if lo is not None and lo == hi:
+            if parity is not None:
+                if lo.denominator != 1 or lo.numerator % 2 != parity:
+                    raise Inconsistency(f"exact value {lo} violates parity {parity}")
+            elif lo.denominator == 1:
                 # canonical form: exact integers always carry their parity
-                object.__setattr__(self, "parity", v.numerator % 2)
+                parity = lo.numerator % 2
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "parity", parity)
 
     @staticmethod
     def exact(x: Rat) -> "Val":

@@ -8,7 +8,6 @@ identities, and the constraint chain through the pretzel P(5,5,-3)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from . import datasets
 from .datasets import IntegrityError
 from .invariants import deduce
@@ -33,26 +32,32 @@ from .surgery import (
     surgery_dim,
     verify_identity,
 )
-from .values import Inconsistency
+from .values import Inconsistency, Record
 
 
-@dataclass
-class Cell:
-    section: str
-    key: str
-    cell: str
-    expected: str
-    got: str
-    ok: bool
+class Cell(Record):
+    __slots__ = ("section", "key", "cell", "expected", "got", "ok")
+
+    def __init__(self, section: str, key: str, cell: str, expected: str, got: str,
+                 ok: bool):
+        self._fill(section, key, cell, expected, got, ok)
+
+    def to_json(self):
+        return {"section": self.section, "key": self.key, "cell": self.cell,
+                "expected": self.expected, "got": self.got, "ok": self.ok}
 
     def line(self) -> str:
         mark = "pass" if self.ok else "FAIL"
         return f"[{mark}] {self.section} {self.key} {self.cell}: expected {self.expected}, got {self.got}"
 
 
-@dataclass
 class Report:
-    cells: list = field(default_factory=list)
+    """The cells of one verification run, in the order they were checked."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells=None):
+        self.cells = [] if cells is None else cells
 
     def add(self, section, key, cell, expected, got, ok=None):
         expected_s, got_s = str(expected), str(got)
@@ -75,7 +80,7 @@ class Report:
         return {
             "total": len(self.cells),
             "passed": self.passed,
-            "failed": [c.__dict__ for c in self.failed],
+            "failed": [c.to_json() for c in self.failed],
         }
 
 
@@ -278,13 +283,19 @@ def _noncollapse(result: DimResult, khbar_dim: int) -> str:
     return "open"
 
 
-def spectral_rows(ds) -> list[dict]:
+def spectral_covers(ds) -> dict:
+    """The branched-double-cover dimension of every T5 knot, by key; pass
+    it to check_spectral and spectral_rows to compute each cover once."""
+    return {key: branched_cover_dim(parse_knot(key), ds) for key in ds.table("T5")}
+
+
+def spectral_rows(ds, covers=None) -> list[dict]:
     """Per-knot status for the branched-double-cover comparison table."""
+    covers = spectral_covers(ds) if covers is None else covers
     rows = []
     for key, entry in ds.table("T5").items():
         p = entry.payload
-        expr = parse_knot(key)
-        result = branched_cover_dim(expr, ds)
+        result = covers[key]
         values = result.values()
         row = {
             "knot": key,
@@ -304,11 +315,12 @@ def spectral_rows(ds) -> list[dict]:
     return rows
 
 
-def check_spectral(ds) -> Report:
+def check_spectral(ds, covers=None) -> Report:
+    covers = spectral_covers(ds) if covers is None else covers
     report = Report()
     for key, entry in ds.table("T5").items():
         stored = entry.payload["dim"]
-        computed = branched_cover_dim(parse_knot(key), ds)
+        computed = covers[key]
         noncollapse = _noncollapse(computed, entry.payload["khbar_dim"])
         if stored is None:
             ok = computed.values() is None and computed.hi is None

@@ -7,7 +7,7 @@ import pytest
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "isharp.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -131,6 +131,19 @@ def test_non_utf8_data_file_exits_3(tmp_path):
     assert err.startswith(f"integrity error: cannot read {binary}: 'utf-8' codec")
 
 
+def test_astronomically_long_expansions_exit_1():
+    # 10^20 terms; and a partial quotient of 8.3 * 10^22 in the ordinary
+    # expansion, which the negative one writes as that many twos
+    for args in (("cf", "1/100000000000000000000"),
+                 ("triad", "--", "-98765432109876543210987654321098765432101"
+                                 "/1234567890123456789012345678901234567891")):
+        code, out, err = run_cli(*args)
+        assert code == 1 and out == "", args
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, args
+        assert err.startswith("error: the negative continued fraction of"), args
+        assert "terms" in err, args
+
+
 def test_identities_listing():
     # "--" keeps the negative slope from being read as a flag
     code, out, _ = run_cli("identities", "TB(-3,-4)", "--", "-9/1")
@@ -193,12 +206,16 @@ def test_public_names_resolve():
         isharp.no_such_name
 
 
-def _isharp_modules(code):
+def _loaded_modules(code):
     proc = subprocess.run(
         [sys.executable, "-c",
-         code + "\nimport json, sys; print(json.dumps([m for m in sys.modules if m.startswith('isharp')]))"],
+         code + "\nimport json, sys; print(json.dumps(list(sys.modules)))"],
         capture_output=True, text=True, check=True)
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
+def _isharp_modules(code):
+    return {m for m in _loaded_modules(code) if m.startswith("isharp")}
 
 
 def test_import_layout():
@@ -210,3 +227,13 @@ def test_import_layout():
         assert "isharp.slopes" in loaded, argv
         assert loaded.isdisjoint({"isharp.knots", "isharp.invariants", "isharp.surgery",
                                   "isharp.verify"}), argv
+    # records are plain slotted classes, so no subcommand pays for the
+    # dataclasses machinery and the inspect, ast and dis modules it loads
+    for code in ("import isharp.cli",
+                 "import isharp.cli as c\n"
+                 "for argv in (['cf', '1/3'], ['triad', '5/2'], ['dim', 'surg(4_1; 1/2)'],\n"
+                 "             ['invariants', 'm(5_2)'], ['verify', 'T5']):\n"
+                 "    assert c.main(argv) == 0, argv"):
+        loaded = _loaded_modules(code)
+        assert "isharp.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect"}), code

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -71,8 +72,7 @@ def test_lookup_examples(ds):
 def test_serialization_roundtrip(tmp_path, ds):
     out = tmp_path / "tables.jsonl"
     ds.save(str(out))
-    bundled = (datasets.resources.files("isharp")
-               .joinpath("data/tables.jsonl").read_bytes())
+    bundled = resources.files("isharp").joinpath("data/tables.jsonl").read_bytes()
     assert out.read_bytes() == bundled
     again = datasets.load(str(out), check=False)
     assert len(again.entries) == len(ds.entries)

@@ -95,12 +95,24 @@ def test_deduce_w_absorption(ds):
     assert b.tau == Val.exact(3)
 
 
+def test_deduce_hands_out_an_immutable_bundle(ds):
+    b = bundle("m(5_2) # 8_19", ds)
+    assert isinstance(b.trace, tuple) and b.trace
+    with pytest.raises(AttributeError):
+        b.nu = Val.exact(0)
+    with pytest.raises(AttributeError):
+        b.trace.append(b.trace[0])
+    assert bundle("m(5_2) # 8_19", ds) is b  # the cached bundle
+    fresh = deduce(parse_knot("m(5_2) # 8_19"), datasets.load(check=False))
+    assert fresh is not b and fresh == b and fresh.to_json() == b.to_json()
+
+
 def test_inconsistent_input_raises(ds):
     import copy
     bad = copy.deepcopy(ds.knot_record("8_19"))
     # pretend the table said nu = -5: the torus rule must then contradict it
     from isharp.datasets import InstantonFields
-    bad.instanton = InstantonFields(nu=Val.exact(-5))
+    bad = bad.replace(instanton=InstantonFields(nu=Val.exact(-5)))
     ds2 = datasets.load(check=False)
     ds2._knots["8_19"] = bad
     with pytest.raises(Inconsistency):

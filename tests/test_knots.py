@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -33,12 +36,57 @@ from isharp.knots import (
 )
 from isharp.slopes import Slope, reduce
 from isharp.surgery import BranchedCover, Census, Lens, Surgery, parse_manifold
-from isharp.values import Val
+from isharp.values import Inconsistency, Val
 
 
 @pytest.fixture(scope="module")
 def ds():
     return datasets.load(check=False)
+
+
+# --- records ------------------------------------------------------------------
+
+def test_records_compare_by_exact_type_and_fields():
+    assert Torus(2, 3) != TwoBridge(2, 3)
+    assert Torus(2, 3).__eq__(TwoBridge(2, 3)) is NotImplemented
+    assert Named("3_1") != "3_1" and Named("3_1") != Named("3_1", True)
+    for a, b in ((Named("3_1"), Named("3_1")), (Unknot(), Unknot()),
+                 (Val.between(1, 5, 1), Val.between(1, 5, 1)),
+                 (parse_knot("Cab(3,2;m(3_1)) # 4_1"), parse_knot("4_1 # Cab(3,2;m(3_1))"))):
+        assert a == b and hash(a) == hash(b)
+    assert len({Named("3_1"), Named("3_1"), Named("3_1", True), Unknot(), Unknot()}) == 3
+    assert repr(Named("3_1")) == "Named(name='3_1', mirrored=False)"
+    assert repr(Val.exact(2)) == "Val(lo=Fraction(2, 1), hi=Fraction(2, 1), parity=0)"
+
+
+def test_records_are_immutable(ds):
+    for record, field in ((Named("3_1"), "name"), (Val.exact(1), "lo"),
+                          (Slope(1, 2), "q"), (ds.knot_record("3_1"), "instanton")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert not hasattr(record, "__dict__")
+
+
+def test_records_survive_deepcopy_and_pickle(ds):
+    for record in (ds.knot_record("8_19"), Val.between(1, 7, 1),
+                   parse_knot("Cab(3,2;m(3_1) # 4_1)"), Unknot()):
+        for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(copied) is type(record) and copied == record
+
+
+def test_replace_reruns_the_constructor_checks():
+    assert Twist(3).replace(mirrored=True) == Twist(3, True)
+    assert Val.between(1, 3).replace(hi=Fraction(1)) == Val.exact(1)  # parity 1 filled in
+    with pytest.raises(KnotError):
+        Twist(3).replace(n=0)
+    with pytest.raises(KnotError):
+        Cable(3, 2, Unknot()).replace(p=4)
+    with pytest.raises(Inconsistency):
+        Val.between(1, 3).replace(lo=Fraction(5))
+    with pytest.raises(TypeError):
+        Twist(3).replace(crossings=5)
 
 
 # --- parsing and normalization ---------------------------------------------

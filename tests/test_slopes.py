@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from isharp.slopes import (
     INFINITY,
+    MAX_CF_TERMS,
     Slope,
     SlopeError,
     Triad,
@@ -273,3 +274,12 @@ def test_triad_needs_no_expansion():
     q = 10 ** 40
     for s in (Slope(1, q), Slope(-1, q), Slope(q + 1, q), Slope(q - 1, q)):
         check_triad_identities(s, triad(s))
+
+
+def test_neg_cf_refuses_expansions_past_the_bound():
+    assert MAX_CF_TERMS >= 10 ** 4
+    # 1/n expands to [1, 2, ..., 2] with n terms
+    assert neg_cf(Slope(1, MAX_CF_TERMS)) == [1] + [2] * (MAX_CF_TERMS - 1)
+    for s in (Slope(1, MAX_CF_TERMS + 1), Slope(1, 10 ** 20), Slope(10 ** 40 + 1, 10 ** 40)):
+        with pytest.raises(SlopeError, match=f"more than {MAX_CF_TERMS} terms"):
+            neg_cf(s)

@@ -228,6 +228,11 @@ def test_check_spectral_computes_each_cover_once(ds, monkeypatch):
     report = verify.check_spectral(ds)
     assert len(calls) == len(ds.table("T5")) == 7
     assert report.passed == len(report.cells) == 14
+    # the pretty report prints the spectral rows from the same covers
+    from isharp.cli import main
+    calls.clear()
+    assert main(["--pretty", "verify", "T5"]) == 0
+    assert len(calls) == 7
 
 
 def test_twist_chain(ds):
