@@ -58,7 +58,9 @@ class TraceEntry(Record):
     __slots__ = ("rule", "statement", "detail")
 
     def __init__(self, rule: str, statement: str, detail: str):
-        self._fill(rule, statement, detail)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "detail", detail)
 
     def to_json(self):
         return {"rule": self.rule, "statement": self.statement, "detail": self.detail}

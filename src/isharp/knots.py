@@ -36,7 +36,8 @@ class Named(Record):
     __slots__ = ("name", "mirrored")
 
     def __init__(self, name: str, mirrored: bool = False):
-        self._fill(name, mirrored)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "mirrored", mirrored)
 
 
 class Torus(Record):
@@ -47,7 +48,8 @@ class Torus(Record):
     def __init__(self, p: int, q: int):
         if not (2 <= abs(p) < q) or math.gcd(abs(p), q) != 1:
             raise KnotError(f"bad torus parameters ({p},{q})")
-        self._fill(p, q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 class Twist(Record):
@@ -58,14 +60,18 @@ class Twist(Record):
     def __init__(self, n: int, mirrored: bool = False):
         if n < 1:
             raise KnotError(f"twist knot needs n >= 1, got {n}")
-        self._fill(n, mirrored)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mirrored", mirrored)
 
 
 class Pretzel(Record):
     __slots__ = ("a", "b", "c", "mirrored")
 
     def __init__(self, a: int, b: int, c: int, mirrored: bool = False):
-        self._fill(a, b, c, mirrored)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "mirrored", mirrored)
 
 
 class TwoBridge(Record):
@@ -76,7 +82,8 @@ class TwoBridge(Record):
     def __init__(self, a: int, b: int):
         if a % 2 == 1 and b % 2 == 1:
             raise KnotError(f"two-bridge code ({a},{b}) has both entries odd")
-        self._fill(a, b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 class Cable(Record):
@@ -87,7 +94,9 @@ class Cable(Record):
     def __init__(self, p: int, q: int, companion: "KnotExpr"):
         if q < 2 or math.gcd(abs(p), q) != 1:
             raise KnotError(f"cable needs q >= 2 and gcd(p,q)=1, got ({p},{q})")
-        self._fill(p, q, companion)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "companion", companion)
 
 
 class Sum(Record):
@@ -96,7 +105,7 @@ class Sum(Record):
     def __init__(self, summands: tuple["KnotExpr", ...]):
         if len(summands) < 2:
             raise KnotError("connected sum needs at least two summands")
-        self._fill(summands)
+        object.__setattr__(self, "summands", summands)
 
 
 KnotExpr = Union[Unknot, Named, Torus, Twist, Pretzel, TwoBridge, Cable, Sum]
@@ -340,8 +349,13 @@ class StructuralData(Record):
                  signature: Optional[int] = None, determinant: Optional[int] = None,
                  alexander: Optional[tuple[int, ...]] = None, sl_max: Optional[int] = None,
                  flags: Optional[dict] = None):
-        self._fill(genus, slice_genus, signature, determinant, alexander, sl_max,
-                   {} if flags is None else flags)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "slice_genus", slice_genus)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "alexander", alexander)
+        object.__setattr__(self, "sl_max", sl_max)
+        object.__setattr__(self, "flags", {} if flags is None else flags)
 
     def flag(self, name: str) -> Tri:
         return self.flags.get(name)

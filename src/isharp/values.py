@@ -32,8 +32,11 @@ class Record:
     A record's fields are its class's __slots__, in order, and its
     __init__ takes them under the same names and in the same order;
     replace, pickling and copying rebuild records through __init__, so
-    they re-run its checks.  __init__ stores the fields with _fill (or
-    object.__setattr__), since ordinary assignment raises.
+    they re-run its checks.  __init__ stores the fields with _fill, since
+    ordinary assignment raises; the records built in bulk while deducing
+    or sweeping slopes (Val, Slope, Triad, DimResult, StructuralData, the
+    knot expressions and TraceEntry) store them with object.__setattr__,
+    which skips _fill's extra call and loop.
     """
 
     __slots__ = ()

@@ -289,9 +289,8 @@ def spectral_covers(ds) -> dict:
     return {key: branched_cover_dim(parse_knot(key), ds) for key in ds.table("T5")}
 
 
-def spectral_rows(ds, covers=None) -> list[dict]:
+def spectral_rows(ds, covers: dict) -> list[dict]:
     """Per-knot status for the branched-double-cover comparison table."""
-    covers = spectral_covers(ds) if covers is None else covers
     rows = []
     for key, entry in ds.table("T5").items():
         p = entry.payload
@@ -315,8 +314,7 @@ def spectral_rows(ds, covers=None) -> list[dict]:
     return rows
 
 
-def check_spectral(ds, covers=None) -> Report:
-    covers = spectral_covers(ds) if covers is None else covers
+def check_spectral(ds, covers: dict) -> Report:
     report = Report()
     for key, entry in ds.table("T5").items():
         stored = entry.payload["dim"]
@@ -420,5 +418,5 @@ def verify_all(ds=None) -> Report:
     report.extend(t1)
     report.extend(check_integer_surgery_table(ds))
     report.extend(check_census(ds))
-    report.extend(check_spectral(ds))
+    report.extend(check_spectral(ds, spectral_covers(ds)))
     return report

@@ -18,6 +18,7 @@ from isharp.verify import (
     check_integer_surgery_table,
     rederive_nu_tau,
     rederive_r0,
+    spectral_covers,
     spectral_rows,
     verify_all,
 )
@@ -137,7 +138,7 @@ def test_criterion_3_family_formulas(ds):
 # -- criterion 4: spectral-sequence table ----------------------------------------
 
 def test_criterion_4_spectral_table(ds):
-    rows = {r["knot"]: r for r in spectral_rows(ds)}
+    rows = {r["knot"]: r for r in spectral_rows(ds, spectral_covers(ds))}
     expected = {
         "10_124": 1, "10_139": 5, "10_145": 5, "10_152": None,
         "10_153": 5, "10_154": (13, 15), "10_161": 7,
