@@ -2,8 +2,15 @@
 
 Structured JSON is the default output; --pretty switches to human tables.
 Exit codes: 0 success, 1 domain error, 2 usage error, 3 integrity failure.
+A reader that closes stdout before the answer is written (a broken pipe)
+gets exit 1 and one stderr line, never a traceback.
 
-Each call is one short process, so start-up is part of every answer.
+Each call is one short process, so start-up and shutdown are part of
+every answer.  The process entry run() flushes stdout and stderr and
+ends with os._exit, skipping the interpreter's module teardown (no
+atexit handlers, no finalizers), unless a tracer or profiler watches
+the process and must write its results at exit.
+
 The module imports only what parsing the arguments and loading the
 dataset need; each cmd_* function imports the modules it calls, so
 `cf` and `triad` never import the deduction engine, and only the
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import datasets
@@ -234,7 +242,7 @@ def cmd_identities(args, ds):
 def cmd_export(args, ds):
     if args.table in CENSUS_TABLES:
         ds.cross_check_census()
-    sys.stdout.write(ds.export_tsv(args.table))
+    print(ds.export_tsv(args.table), end="")
 
 
 def build_parser():
@@ -320,5 +328,47 @@ def main(argv=None) -> int:
     return 0
 
 
+def _observed() -> bool:
+    """True while a trace function, a profile function or a sys.monitoring
+    tool (3.12+) watches the process: each writes its results at exit."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(i) is not None for i in range(6))
+
+
+def run() -> None:
+    """The process entry of `isharp` and `python -m isharp.cli`: main(),
+    then a flush and os._exit, so no call pays for interpreter teardown.
+
+    argparse's SystemExit becomes its code.  On a broken pipe stdout is
+    pointed at os.devnull, so that no later flush fails again (the recipe
+    in the `signal` docs).  Any other exception, and any process a tracer
+    or profiler watches, leave through the interpreter's own exit.
+    """
+    try:
+        try:
+            code = main()
+        except SystemExit as e:  # argparse: 2 on a usage error, 0 after -h
+            code = e.code
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)  # stdout
+        code = 1
+        try:
+            print("error: stdout was closed before the answer was written (broken pipe)",
+                  file=sys.stderr, flush=True)
+        except OSError:  # stderr is the closed pipe
+            os.dup2(devnull, 2)
+    if _observed():
+        sys.exit(code)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

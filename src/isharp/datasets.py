@@ -340,8 +340,3 @@ def default() -> Dataset:
     if _default is None:
         _default = load()
     return _default
-
-
-def set_default(ds: Dataset) -> None:
-    global _default
-    _default = ds

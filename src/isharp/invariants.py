@@ -53,6 +53,10 @@ RULES = {
            "bound, r0 >= |nu|, and parity",
 }
 
+# R14 stops here even short of a fixed point, and says so in the trace;
+# no deduction of the bundled tables or identities needs more than two
+TIGHTEN_ROUNDS = 8
+
 
 class TraceEntry(Record):
     __slots__ = ("rule", "statement", "detail")
@@ -316,9 +320,10 @@ def _deduce_sum(k: Sum, ds, use_stored, integral_tau) -> _Draft:
 
 
 def _tighten(b: _Draft, k, ds, integral_tau) -> None:
-    """R14 to a fixed point: mutual nu/tau bounds, genus bound, r0 bounds."""
+    """R14 to a fixed point, or for TIGHTEN_ROUNDS rounds: mutual nu/tau
+    bounds, genus bound, r0 bounds."""
     s = structural(k, ds)
-    for _ in range(8):
+    for _ in range(TIGHTEN_ROUNDS):
         before = (b.nu, b.tau, b.r0, b.shape)
 
         if s.slice_genus.hi is not None:
@@ -365,6 +370,9 @@ def _tighten(b: _Draft, k, ds, integral_tau) -> None:
 
         if (b.nu, b.tau, b.r0, b.shape) == before:
             break
+    else:
+        b.trace.append(TraceEntry("R14", RULES["R14"],
+                                  f"(no fixed point after {TIGHTEN_ROUNDS} rounds)"))
 
 
 def _lspace_status(k, b, s, ds, use_stored: bool = True):

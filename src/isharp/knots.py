@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -686,14 +687,14 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
 
 
 def _is_mirror_paired(k: Sum) -> bool:
-    """True when the summands cancel in mirror pairs (a slice pattern)."""
-    remaining = list(k.summands)
-    while remaining:
-        x = remaining.pop()
+    """True when the summands cancel in mirror pairs (a slice pattern).
+
+    Each summand needs as many copies of its mirror as it has copies of
+    itself; one equal to its own mirror needs an even number of copies."""
+    counts = Counter(k.summands)
+    for x, n in counts.items():
         mx = mirror(x)
-        if mx in remaining:
-            remaining.remove(mx)
-        else:
+        if (n % 2 == 1) if mx == x else (counts[mx] != n):
             return False
     return True
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -237,3 +238,117 @@ def test_import_layout():
         loaded = _loaded_modules(code)
         assert "isharp.cli" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect"}), code
+
+
+# --- the process entry: cli.run() -------------------------------------------
+
+def _entry_env():
+    # without PYTHONUNBUFFERED, stdout into a pipe is block-buffered, so the
+    # answer is still in the buffer when run() flushes and exits
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["COLUMNS"] = "80"  # argparse wraps -h and usage text to this width
+    return env
+
+
+def _entry(*args, **kw):
+    return subprocess.run([sys.executable, *args], env=_entry_env(), timeout=300, **kw)
+
+
+@pytest.mark.parametrize("args, expected", [
+    (("cf", "1/3"), 0),
+    (("invariants", "99_42"), 1),
+    (("nonsense-command",), 2),
+    (("--data", "{missing}", "dim", "lens(9,2)"), 3),
+    (("-h",), 0),
+    (("export", "T9"), 2),
+    (("census", "all"), 0),
+    (("--pretty", "verify", "T5"), 0),
+    (("export", "T4"), 0),
+])
+def test_process_entry_matches_main(args, expected, tmp_path, capsys, monkeypatch):
+    from isharp import cli
+    args = [a.format(missing=tmp_path / "missing.jsonl") for a in args]
+    proc = _entry("-m", "isharp.cli", *args, capture_output=True)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(args)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    assert proc.returncode == code == expected
+    assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
+
+
+@pytest.mark.parametrize("args", [("export", "T1"), ("census", "all"), ("cf", "1/3")])
+def test_closed_stdout_ends_without_traceback(args):
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before the child writes
+    try:
+        proc = _entry("-m", "isharp.cli", *args, stdout=w, stderr=subprocess.PIPE)
+    finally:
+        os.close(w)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("error:") and "broken pipe" in err
+
+
+@pytest.mark.parametrize("args", [("export", "T1"), ("cf", "1/3")])
+def test_no_stdout_at_all_is_not_an_error(args):
+    # fd 1 closed before the interpreter starts: sys.stdout is None
+    proc = _entry("-m", "isharp.cli", *args, stderr=subprocess.PIPE,
+                  preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_profiler_still_prints_its_stats():
+    proc = _entry("-m", "cProfile", "-m", "isharp.cli", "cf", "1/3",
+                  capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    first, rest = proc.stdout.split("\n", 1)
+    assert json.loads(first)["cf"] == "[1,2,2]"
+    assert "function calls" in rest and "Ordered by" in rest
+
+
+def test_trace_module_still_writes_its_counts(tmp_path):
+    proc = _entry("-m", "trace", "--count", "-C", str(tmp_path), "--module",
+                  "isharp.cli", "cf", "1/3", capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["cf"] == "[1,2,2]"
+    assert "isharp.cli.cover" in os.listdir(tmp_path)
+
+
+_WATCHED = {
+    "unwatched": "",
+    "trace function": "sys.settrace(lambda *a: None)",
+    "profile function": "sys.setprofile(lambda *a: None)",
+    "monitoring tool": "sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, 'p')",
+}
+
+
+def _run_with_atexit_handler(argv, watch=""):
+    code = ("import atexit, sys\n"
+            "from isharp import cli\n"
+            "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+            f"sys.argv[1:] = {argv!r}\n"
+            f"{watch}\n"
+            "cli.run()\n")
+    return _entry("-c", code, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("watcher", list(_WATCHED))
+def test_atexit_handlers_run_only_when_watched(watcher):
+    if watcher == "monitoring tool" and not hasattr(sys, "monitoring"):
+        pytest.skip("sys.monitoring is new in Python 3.12")
+    proc = _run_with_atexit_handler(["cf", "1/3"], _WATCHED[watcher])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["cf"] == "[1,2,2]"
+    assert ("atexit ran" in proc.stderr) == (watcher != "unwatched")
+
+
+@pytest.mark.parametrize("argv, expected", [(["-h"], 0), (["dim"], 2)])
+def test_argparse_exits_skip_teardown_too(argv, expected):
+    proc = _run_with_atexit_handler(argv)
+    assert proc.returncode == expected
+    assert proc.stdout.startswith("usage: isharp") or proc.stderr.startswith("usage: isharp")
+    assert "atexit ran" not in proc.stderr

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isharp import datasets
+from isharp import datasets, invariants
 from isharp.invariants import (
     crossing_change_bound,
     deduce,
@@ -70,6 +70,18 @@ def test_deduce_mirror_rule(ds):
         b = bundle(text, ds)
         m = bundle(f"m({text})", ds)
         assert m.nu == -b.nu and m.tau == -b.tau and m.r0 == b.r0
+
+
+def test_round_cap_is_traced(monkeypatch):
+    # 3_1 needs two R14 rounds: one narrows, the next confirms the fixed point
+    capped = "(no fixed point after 1 rounds)"
+    b = deduce(parse_knot("3_1"), datasets.load(check=False))
+    assert all(capped not in t.detail for t in b.trace)
+    monkeypatch.setattr(invariants, "TIGHTEN_ROUNDS", 1)
+    short = deduce(parse_knot("3_1"), datasets.load(check=False))
+    assert (short.nu, short.tau, short.r0) == (b.nu, b.tau, b.r0)
+    assert short.trace[-1].rule == "R14" and short.trace[-1].detail == capped
+    assert short.trace[:-1] == b.trace
 
 
 def test_deduce_trace_has_rules_and_statements(ds):

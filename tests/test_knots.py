@@ -19,6 +19,7 @@ from isharp.knots import (
     TwoBridge,
     Twist,
     Unknot,
+    _is_mirror_paired,
     _two_bridge_from_twist,
     _twist_from_two_bridge,
     alexander_at_minus_one,
@@ -180,6 +181,51 @@ def test_parse_print_roundtrip(k):
 @settings(max_examples=150)
 def test_double_mirror_identity(k):
     assert mirror(mirror(k)) == k
+
+
+def _mirror_paired_by_list(summands):
+    """The former quadratic pairing, kept as the reference."""
+    remaining = list(summands)
+    while remaining:
+        mx = mirror(remaining.pop())
+        if mx not in remaining:
+            return False
+        remaining.remove(mx)
+    return True
+
+
+pairing_atoms = st.one_of(
+    st.sampled_from(["3_1", "4_1", "8_19"]).map(Named),
+    st.sampled_from([(2, 3), (-2, 3), (3, 5)]).map(lambda pq: Torus(*pq)),
+    st.sampled_from([(3, 2, "3_1"), (-3, 2, "3_1"), (5, 2, "4_1")]).map(
+        lambda t: Cable(t[0], t[1], Named(t[2]))),
+    # its own mirror: it pairs only with a second copy
+    st.just(TwoBridge(0, 0)),
+)
+
+
+@given(st.lists(pairing_atoms, min_size=1, max_size=6),
+       st.lists(st.booleans(), min_size=6, max_size=6), st.randoms())
+@settings(max_examples=300)
+def test_mirror_pairing_counts_agree_with_list_pairing(atoms, mirrored, rnd):
+    # each atom with or without its mirror, plus stray copies, shuffled
+    summands = list(atoms)
+    summands += [mirror(x) for x, m in zip(atoms, mirrored) if m]
+    summands += atoms[:rnd.randrange(3)]
+    rnd.shuffle(summands)
+    if len(summands) < 2:
+        summands.append(mirror(summands[0]))
+    k = Sum(tuple(summands))
+    assert _is_mirror_paired(k) == _mirror_paired_by_list(summands)
+
+
+def test_mirror_pairing_of_a_self_mirror_summand():
+    a, b = TwoBridge(0, 0), Named("4_1")
+    assert mirror(a) == a
+    assert not _is_mirror_paired(Sum((a, b, mirror(b))))
+    assert _is_mirror_paired(Sum((a, a, b, mirror(b))))
+    assert not _is_mirror_paired(Sum((a, a, a, b, mirror(b))))
+    assert not _is_mirror_paired(Sum((b, b, mirror(b))))
 
 
 slopes = st.one_of(
