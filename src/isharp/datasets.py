@@ -82,24 +82,25 @@ class InstantonFields(Record):
 
 class KnotRecord(Record):
     """One KNOT row; sigma2 is the registered double-branched-cover
-    description."""
+    description, and mirror_flags the mirror's flags as make_flags
+    builds them."""
 
     __slots__ = ("name", "structural", "instanton", "aliases", "sigma2", "khbar_dim",
                  "mirror_flags", "mirror_sl_max", "citation")
 
     def __init__(self, name: str, structural: "StructuralData", instanton: InstantonFields,
                  aliases: tuple[str, ...], sigma2: Optional[str] = None,
-                 khbar_dim: Optional[int] = None, mirror_flags: Optional[dict] = None,
+                 khbar_dim: Optional[int] = None, mirror_flags: tuple = (),
                  mirror_sl_max: Optional[int] = None, citation: str = ""):
         self._fill(name, structural, instanton, aliases, sigma2, khbar_dim,
-                   {} if mirror_flags is None else mirror_flags, mirror_sl_max, citation)
+                   mirror_flags, mirror_sl_max, citation)
 
 
 def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
-    from .knots import FLAG_NAMES, StructuralData
+    from .knots import FLAG_NAMES, StructuralData, make_flags
 
     p = entry.payload
-    for name in p.get("flags", {}):
+    for name in (*p.get("flags", {}), *p.get("mirror_flags", {})):
         if name not in FLAG_NAMES:
             raise DatasetError(f"knot record {entry.key}: unknown flag {name!r}")
     structural = StructuralData(
@@ -109,7 +110,7 @@ def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
         determinant=p.get("determinant"),
         alexander=None if p.get("alexander") is None else tuple(p["alexander"]),
         sl_max=p.get("sl_max"),
-        flags={k: v for k, v in p.get("flags", {}).items()},
+        flags=make_flags(**p.get("flags", {})),
     )
     inst = p.get("instanton", {})
     instanton = InstantonFields(
@@ -126,7 +127,7 @@ def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
         aliases=tuple(p.get("aliases", [])),
         sigma2=p.get("sigma2"),
         khbar_dim=p.get("khbar_dim"),
-        mirror_flags=p.get("mirror_flags", {}),
+        mirror_flags=make_flags(**p.get("mirror_flags", {})),
         mirror_sl_max=p.get("mirror_sl_max"),
         citation=entry.citation,
     )
@@ -153,7 +154,9 @@ class Dataset:
         for rec in self._knots.values():
             for code in rec.aliases:
                 self._aliases.setdefault(code, (rec.name, False))
+        # deduce and structural results, keyed by the canonical knot text
         self.deduce_cache: dict = {}
+        self.structural_cache: dict = {}
 
     # -- lookups ------------------------------------------------------------
 

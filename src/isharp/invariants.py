@@ -76,14 +76,25 @@ class Bundle(Record):
     dimension, and the trace of the steps that narrowed them.
 
     Immutable, so deduce can cache one bundle and hand it to every
-    caller; the engine works on a _Draft and freezes it at the end."""
+    caller; the engine works on a _Draft and freezes it at the end.
 
-    __slots__ = ("knot", "nu", "tau", "r0", "shape", "mu0_dim", "trace")
+    pairs is derived from nu and r0: every admissible integer pair
+    (nu, r0), with r0 = nu (mod 2) and r0 >= |nu|, or None when either
+    state admits no integer or more than 40, or the lattice has more
+    than 400 points."""
+
+    _fields = ("knot", "nu", "tau", "r0", "shape", "mu0_dim", "trace")
+    __slots__ = _fields + ("pairs",)
 
     def __init__(self, knot: str, nu: Val = Val(), tau: Val = Val(), r0: Val = Val(),
                  shape: str = "unknown", mu0_dim: Optional[int] = None,
                  trace: tuple = ()):
         self._fill(knot, nu, tau, r0, shape, mu0_dim, tuple(trace))
+        nus, r0s = nu.candidates(40), r0.candidates(40)
+        pairs = None
+        if nus is not None and r0s is not None and len(nus) * len(r0s) <= 400:
+            pairs = tuple((n, r) for n in nus for r in r0s if (r - n) % 2 == 0 and r >= abs(n))
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def delta(self) -> Val:
@@ -105,7 +116,7 @@ class _Draft:
     """The engine's working state for one bundle: the rules narrow it in
     place and append to its trace, and freeze() makes the Bundle."""
 
-    __slots__ = Bundle.__slots__
+    __slots__ = Bundle._fields
 
     def __init__(self, knot: str):
         self.knot = knot

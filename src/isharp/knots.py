@@ -3,7 +3,10 @@
 Expressions are immutable trees built from named atoms, torus / twist /
 pretzel / two-bridge family atoms, cables, and connected sums.  Mirrors
 are normalized down to the atoms (a chirality flag or a sign), so a
-normalized expression never contains an explicit mirror node.
+normalized expression never contains an explicit mirror node.  Each
+expression keeps its canonical text once format_knot has rendered it;
+that text, which parses back to an equal expression, keys the per-dataset
+caches of structural here and of deduce in invariants.
 
 Chirality follows the Rolfsen / Knot Atlas tables: 3_1 is the left-handed
 trefoil, and the signature of the right-handed trefoil is -2.
@@ -16,7 +19,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .values import Record, Val
 
@@ -29,11 +32,19 @@ class KnotError(ValueError):
 # Expression types
 # ---------------------------------------------------------------------------
 
-class Unknot(Record):
+class KnotExpr(Record):
+    """Base of the expression types.  _text is derived, not a field: the
+    canonical text, written once by format_knot."""
+
+    __slots__ = ("_text",)
+    _fields = ()
+
+
+class Unknot(KnotExpr):
     __slots__ = ()
 
 
-class Named(Record):
+class Named(KnotExpr):
     __slots__ = ("name", "mirrored")
 
     def __init__(self, name: str, mirrored: bool = False):
@@ -41,7 +52,7 @@ class Named(Record):
         object.__setattr__(self, "mirrored", mirrored)
 
 
-class Torus(Record):
+class Torus(KnotExpr):
     """T(p, q) with 2 <= p < q coprime; chirality is the sign of p."""
 
     __slots__ = ("p", "q")
@@ -53,7 +64,7 @@ class Torus(Record):
         object.__setattr__(self, "q", q)
 
 
-class Twist(Record):
+class Twist(KnotExpr):
     """Twist knot with a positive clasp and n >= 1 positive half-twists."""
 
     __slots__ = ("n", "mirrored")
@@ -65,7 +76,7 @@ class Twist(Record):
         object.__setattr__(self, "mirrored", mirrored)
 
 
-class Pretzel(Record):
+class Pretzel(KnotExpr):
     __slots__ = ("a", "b", "c", "mirrored")
 
     def __init__(self, a: int, b: int, c: int, mirrored: bool = False):
@@ -75,7 +86,7 @@ class Pretzel(Record):
         object.__setattr__(self, "mirrored", mirrored)
 
 
-class TwoBridge(Record):
+class TwoBridge(KnotExpr):
     """Two twist regions with a and b signed crossings; not both odd."""
 
     __slots__ = ("a", "b")
@@ -87,12 +98,12 @@ class TwoBridge(Record):
         object.__setattr__(self, "b", b)
 
 
-class Cable(Record):
+class Cable(KnotExpr):
     """The (p, q)-cable, q >= 2 and gcd(p, q) = 1, of the companion knot."""
 
     __slots__ = ("p", "q", "companion")
 
-    def __init__(self, p: int, q: int, companion: "KnotExpr"):
+    def __init__(self, p: int, q: int, companion: KnotExpr):
         if q < 2 or math.gcd(abs(p), q) != 1:
             raise KnotError(f"cable needs q >= 2 and gcd(p,q)=1, got ({p},{q})")
         object.__setattr__(self, "p", p)
@@ -100,16 +111,13 @@ class Cable(Record):
         object.__setattr__(self, "companion", companion)
 
 
-class Sum(Record):
+class Sum(KnotExpr):
     __slots__ = ("summands",)
 
-    def __init__(self, summands: tuple["KnotExpr", ...]):
+    def __init__(self, summands: tuple[KnotExpr, ...]):
         if len(summands) < 2:
             raise KnotError("connected sum needs at least two summands")
         object.__setattr__(self, "summands", summands)
-
-
-KnotExpr = Union[Unknot, Named, Torus, Twist, Pretzel, TwoBridge, Cable, Sum]
 
 
 def make_torus(p: int, q: int) -> KnotExpr:
@@ -140,10 +148,6 @@ def mirror(k: KnotExpr) -> KnotExpr:
     raise KnotError(f"cannot mirror {k!r}")
 
 
-def _sort_key(k: KnotExpr) -> str:
-    return format_knot(k)
-
-
 def make_sum(summands: list[KnotExpr]) -> KnotExpr:
     """Flatten nested sums, drop unknots, sort for a canonical form."""
     flat: list[KnotExpr] = []
@@ -156,7 +160,7 @@ def make_sum(summands: list[KnotExpr]) -> KnotExpr:
         return Unknot()
     if len(flat) == 1:
         return flat[0]
-    return Sum(tuple(sorted(flat, key=_sort_key)))
+    return Sum(tuple(sorted(flat, key=format_knot)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +304,16 @@ def parse_knot(text: str) -> KnotExpr:
 
 
 def format_knot(k: KnotExpr) -> str:
+    """The canonical text of k, rendered on the first call and then read
+    back from the expression."""
+    text = getattr(k, "_text", None)
+    if text is None:
+        text = _format(k)
+        object.__setattr__(k, "_text", text)
+    return text
+
+
+def _format(k: KnotExpr) -> str:
     if isinstance(k, Unknot):
         return "U"
     if isinstance(k, Named):
@@ -337,11 +351,22 @@ FLAG_NAMES = (
     "instanton_lspace",
     "thin_odd_khovanov",
 )
+_FLAG_INDEX = {name: i for i, name in enumerate(FLAG_NAMES)}
+NO_FLAGS = (None,) * len(FLAG_NAMES)
+
+
+def make_flags(**values: Tri) -> tuple[Tri, ...]:
+    """The flags tuple: one value per FLAG_NAMES entry, in that order,
+    unknown (None) where no value is given.  Names outside FLAG_NAMES
+    are not read; the dataset loader rejects them in a record file."""
+    return tuple(map(values.get, FLAG_NAMES))
 
 
 class StructuralData(Record):
     """alexander holds the coefficients (a0, a1, a2, ...) of the symmetric
-    polynomial; flags maps FLAG_NAMES to True / False / None."""
+    polynomial, and stays unknown on a connected sum; flags is the tuple
+    make_flags builds, so structural data is hashable and, like every
+    record, cannot be changed once built."""
 
     __slots__ = ("genus", "slice_genus", "signature", "determinant", "alexander",
                  "sl_max", "flags")
@@ -349,17 +374,17 @@ class StructuralData(Record):
     def __init__(self, genus: Val = Val(), slice_genus: Val = Val(),
                  signature: Optional[int] = None, determinant: Optional[int] = None,
                  alexander: Optional[tuple[int, ...]] = None, sl_max: Optional[int] = None,
-                 flags: Optional[dict] = None):
+                 flags: tuple[Tri, ...] = NO_FLAGS):
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "slice_genus", slice_genus)
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "determinant", determinant)
         object.__setattr__(self, "alexander", alexander)
         object.__setattr__(self, "sl_max", sl_max)
-        object.__setattr__(self, "flags", {} if flags is None else flags)
+        object.__setattr__(self, "flags", flags)
 
     def flag(self, name: str) -> Tri:
-        return self.flags.get(name)
+        return self.flags[_FLAG_INDEX[name]]
 
 
 def alexander_at_minus_one(coeffs: tuple[int, ...]) -> int:
@@ -368,20 +393,6 @@ def alexander_at_minus_one(coeffs: tuple[int, ...]) -> int:
     for i, a in enumerate(coeffs[1:], start=1):
         total += 2 * a * (-1) ** i
     return total
-
-
-def alexander_convolve(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients of the product of two symmetric Laurent polynomials."""
-    def full(c):
-        return list(reversed(c[1:])) + list(c)
-    fx, fy = full(x), full(y)
-    n = len(fx) + len(fy) - 1
-    prod = [0] * n
-    for i, a in enumerate(fx):
-        for j, b in enumerate(fy):
-            prod[i + j] += a * b
-    mid = (n - 1) // 2
-    return tuple(prod[mid:])
 
 
 def alexander_zero_surgery_floor(coeffs: tuple[int, ...]) -> int:
@@ -486,26 +497,6 @@ def _pretzel_alias(k: Pretzel, dataset):
     return None
 
 
-def resolve_alias(code: str, dataset=None):
-    """Resolve a family code or name to its canonical knot record.
-
-    Returns (record, mirrored).  Raises KnotError for codes the tables do
-    not cover; codes outside the registered identities are never guessed.
-    """
-    from . import datasets
-
-    ds = dataset if dataset is not None else datasets.default()
-    expr = parse_knot(code)
-    hit = resolve_atom(expr, ds)
-    if hit is None:
-        raise KnotError(f"no registered alias for {code!r}")
-    name, mirrored = hit
-    rec = ds.knot_record(name)
-    if rec is None:
-        raise KnotError(f"alias {code!r} resolves to unknown record {name!r}")
-    return rec, mirrored
-
-
 # ---------------------------------------------------------------------------
 # Structural invariants
 # ---------------------------------------------------------------------------
@@ -518,31 +509,39 @@ def genus(k: KnotExpr, dataset=None) -> Val:
     return structural(k, ds).genus
 
 
-def _mirror_structural(s: StructuralData, rec=None) -> StructuralData:
-    flags = dict(s.flags)
-    for name in ("quasipositive", "positive"):
-        stored = rec.mirror_flags.get(name) if rec is not None else None
-        flags[name] = stored
-    # instanton L-space surgeries are positive surgeries; not mirror-invariant
-    flags["instanton_lspace"] = None
-    sl = rec.mirror_sl_max if rec is not None else None
+def _mirror_structural(s: StructuralData, rec) -> StructuralData:
+    # the record stores its mirror's quasipositivity and positivity;
+    # instanton L-space surgeries are positive surgeries, not mirror-invariant
+    stored = dict(zip(FLAG_NAMES, rec.mirror_flags))
+    flags = dict(zip(FLAG_NAMES, s.flags), quasipositive=stored.get("quasipositive"),
+                 positive=stored.get("positive"), instanton_lspace=None)
     return StructuralData(
         genus=s.genus,
         slice_genus=s.slice_genus,
         signature=None if s.signature is None else -s.signature,
         determinant=s.determinant,
         alexander=s.alexander,
-        sl_max=sl,
-        flags=flags,
+        sl_max=rec.mirror_sl_max,
+        flags=make_flags(**flags),
     )
 
 
 def structural(k: KnotExpr, dataset=None) -> StructuralData:
     """Best-known structural data; fields stay unknown when neither a
-    family formula nor a table entry applies."""
+    family formula nor a table entry applies.  The result is cached per
+    dataset under the canonical text of k, and every caller gets the
+    same immutable record."""
     from . import datasets
 
     ds = dataset if dataset is not None else datasets.default()
+    key = format_knot(k)
+    s = ds.structural_cache.get(key)
+    if s is None:
+        s = ds.structural_cache[key] = _structural(k, ds)
+    return s
+
+
+def _structural(k: KnotExpr, ds) -> StructuralData:
     if isinstance(k, Unknot):
         return ds.knot_record("0_1").structural
     if isinstance(k, Sum):
@@ -561,8 +560,7 @@ def structural(k: KnotExpr, dataset=None) -> StructuralData:
 
 
 def _merge_structural(a: StructuralData, b: StructuralData) -> StructuralData:
-    flags = dict(b.flags)
-    flags.update({n: v for n, v in a.flags.items() if v is not None})
+    flags = tuple(y if x is None else x for x, y in zip(a.flags, b.flags))
     return StructuralData(
         genus=a.genus.meet(b.genus),
         slice_genus=a.slice_genus.meet(b.slice_genus),
@@ -578,10 +576,10 @@ def _family_structural(k: KnotExpr) -> StructuralData:
     nonneg = Val.between(0, None)
     if isinstance(k, Torus):
         g = (abs(k.p) - 1) * (k.q - 1) // 2
-        flags = {}
+        flags = NO_FLAGS
         if k.p > 0:
-            flags = {"positive": True, "quasipositive": True, "homogeneous": True,
-                     "instanton_lspace": True}
+            flags = make_flags(positive=True, quasipositive=True, homogeneous=True,
+                               instanton_lspace=True)
         return StructuralData(genus=Val.exact(g), slice_genus=Val.exact(g),
                               determinant=_torus_det(abs(k.p), k.q), flags=flags)
     if isinstance(k, Twist):
@@ -592,14 +590,14 @@ def _family_structural(k: KnotExpr) -> StructuralData:
             if k.mirrored:
                 flags.update({"positive": True, "quasipositive": True})
             return StructuralData(genus=Val.exact(1), slice_genus=Val.exact(1),
-                                  flags=flags)
+                                  flags=make_flags(**flags))
         return StructuralData(genus=Val.exact(1), slice_genus=Val.between(0, 1),
-                              flags=flags)
+                              flags=make_flags(**flags))
     if isinstance(k, Pretzel):
         if _pretzel_n33(k) is not None:
             # the P(n,3,-3) family is smoothly slice (band to the unlink)
             return StructuralData(slice_genus=Val.exact(0), genus=nonneg,
-                                  flags={"slice": True})
+                                  flags=make_flags(slice=True))
         n = _pretzel_odd32(k)
         if n is not None:
             # alternating diagrams with signature -2n and slice genus n
@@ -607,12 +605,12 @@ def _family_structural(k: KnotExpr) -> StructuralData:
             sigma = -2 * n if not k.mirrored else 2 * n
             return StructuralData(slice_genus=Val.exact(n), genus=nonneg,
                                   signature=sigma,
-                                  flags={"alternating": True, "homogeneous": True})
+                                  flags=make_flags(alternating=True, homogeneous=True))
         return StructuralData(genus=nonneg, slice_genus=nonneg)
     if isinstance(k, TwoBridge):
         # two-bridge knots are alternating
         return StructuralData(genus=nonneg, slice_genus=nonneg,
-                              flags={"alternating": True, "homogeneous": True})
+                              flags=make_flags(alternating=True, homogeneous=True))
     return StructuralData(genus=nonneg, slice_genus=nonneg)
 
 
@@ -666,24 +664,15 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
             det = None
             break
         det *= p.determinant
-    alex = (1,)
-    for p in parts:
-        if p.alexander is None:
-            alex = None
-            break
-        alex = alexander_convolve(alex, p.alexander)
     all_slice = all(p.flag("slice") for p in parts)
     is_slice = True if (all_slice or _is_mirror_paired(k)) else None
     gs = Val.exact(0) if is_slice else Val.between(0, gs_hi)
-    flags = {"slice": is_slice}
-    if all(p.flag("alternating") for p in parts):
-        flags["alternating"] = None  # sums of alternating knots need not be
-    if all(p.flag("quasipositive") for p in parts):
-        flags["quasipositive"] = True
-    if all(p.flag("positive") for p in parts):
-        flags["positive"] = True
-    return StructuralData(genus=g, slice_genus=gs, signature=sigma,
-                          determinant=det, alexander=alex, flags=flags)
+    # sums of alternating knots need not be alternating: that flag stays unknown
+    flags = make_flags(slice=is_slice,
+                       quasipositive=all(p.flag("quasipositive") for p in parts) or None,
+                       positive=all(p.flag("positive") for p in parts) or None)
+    return StructuralData(genus=g, slice_genus=gs, signature=sigma, determinant=det,
+                          flags=flags)
 
 
 def _is_mirror_paired(k: Sum) -> bool:
@@ -705,15 +694,4 @@ def _cable_structural(k: Cable, ds) -> StructuralData:
     if comp.genus.is_exact:
         g0 = comp.genus.value()
         g = Val.exact(Fraction(abs(k.p) - 1, 1) * (k.q - 1) / 2 + k.q * g0)
-    return StructuralData(genus=g, slice_genus=Val.between(0, None), flags={})
-
-
-def cable_genus_identity(k: Cable, dataset=None) -> bool:
-    """Check 2 g(K_{p,q}) - 1 = |p| q + q (2 g(K) - 1 - |p|/q) exactly."""
-    g_c = genus(k, dataset)
-    g_k = genus(k.companion, dataset)
-    if not (g_c.is_exact and g_k.is_exact):
-        raise KnotError("cable genus identity needs exact genera")
-    lhs = 2 * g_c.value() - 1
-    rhs = abs(k.p) * k.q + k.q * (2 * g_k.value() - 1 - Fraction(abs(k.p), k.q))
-    return lhs == rhs
+    return StructuralData(genus=g, slice_genus=Val.between(0, None))

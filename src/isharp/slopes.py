@@ -175,15 +175,6 @@ def format_cf(coeffs: list[int]) -> str:
     return "[" + ",".join(str(a) for a in coeffs) + "]"
 
 
-def parse_cf(text: str) -> list[int]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise SlopeError(f"bad continued fraction {text!r}")
-    coeffs = [int(t) for t in text[1:-1].split(",")]
-    check_cf(coeffs)
-    return coeffs
-
-
 class Triad(Record):
     """The surgery triad of a non-integral finite slope p/q.
 

@@ -277,18 +277,9 @@ def _formula_dim(b: Bundle, s: Slope) -> DimResult:
     nu = _require_bounded(b.nu, "nu", b.knot)
     r0 = _require_bounded(b.r0, "r0", b.knot)
     euler = abs(p)
-
-    nu_c = nu.candidates(40)
-    r0_c = r0.candidates(40)
-    if nu_c is not None and r0_c is not None and len(nu_c) * len(r0_c) <= 400:
-        dims = set()
-        for n in nu_c:
-            for r in r0_c:
-                if (r - n) % 2 != 0 or r < abs(n):
-                    continue  # r0 and nu always share parity, r0 >= |nu|
-                dims.add(q * r + abs(p - q * n))
-        if dims:
-            return DimResult.of_candidates(dims, euler)
+    if b.pairs:
+        # enumeration over the admissible (nu, r0) lattice
+        return DimResult.of_candidates({q * r + abs(p - q * n) for n, r in b.pairs}, euler)
 
     # interval propagation: |p - q nu| is piecewise linear in nu, so its
     # extremes over an interval sit at the endpoints or at the interior

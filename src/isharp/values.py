@@ -9,7 +9,12 @@ rational.  Narrowing two incompatible states raises Inconsistency.
 Record gives a slotted class value semantics: equality by exact type and
 field tuple, a matching hash, the usual Name(field=value, ...) repr,
 assignment that raises, replace(**changes), and pickling and deep copies
-that rebuild through __init__.  Each record writes its own __init__, so
+that rebuild through __init__.  A record's fields are its _fields, by
+default the __slots__ its class declares.  Any other slot, declared by a
+base class or left out of _fields, is derived: a value computed from the
+fields (a knot expression's canonical text, a bundle's (nu, r0) pairs)
+that equality, hashing, repr, replace and pickling never see, and that
+is never a constructor argument.  Each record writes its own __init__, so
 its checks read as plain code and its constructor costs no more than the
 field stores.  Records live here, in the lowest layer, because every CLI
 call imports this module anyway: the class-generating machinery of
@@ -29,26 +34,28 @@ Rat = Union[int, Fraction]
 class Record:
     """Base of the immutable records.
 
-    A record's fields are its class's __slots__, in order, and its
-    __init__ takes them under the same names and in the same order;
-    replace, pickling and copying rebuild records through __init__, so
-    they re-run its checks.  __init__ stores the fields with _fill, since
-    ordinary assignment raises; the records built in bulk while deducing
-    or sweeping slopes (Val, Slope, Triad, DimResult, StructuralData, the
-    knot expressions and TraceEntry) store them with object.__setattr__,
-    which skips _fill's extra call and loop.
+    A record's fields are its class's _fields, in order (by default the
+    __slots__ the class itself declares), and its __init__ takes them
+    under the same names and in the same order; replace, pickling and
+    copying rebuild records through __init__, so they re-run its checks
+    and recompute every derived slot.  __init__ stores the fields with
+    _fill, since ordinary assignment raises; the records built in bulk
+    while deducing or sweeping slopes (Val, Slope, Triad, DimResult,
+    StructuralData, the knot expressions and TraceEntry) store them with
+    object.__setattr__, which skips _fill's extra call and loop.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         # equality and hashing read the fields in one C call; a one-field
         # record compares by its value, a field-less one by its class
-        cls._key = attrgetter(*cls.__slots__ or ("__class__",))
+        cls._key = attrgetter(*cls._fields or ("__class__",))
 
     def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -67,15 +74,15 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return (type(self), tuple(getattr(self, name) for name in self.__slots__))
+        return (type(self), tuple(getattr(self, name) for name in self._fields))
 
     def replace(self, **changes):
         """A copy with the given fields changed, checked by __init__."""
-        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields = {name: getattr(self, name) for name in self._fields}
         fields.update(changes)
         return type(self)(**fields)
 

@@ -41,6 +41,13 @@ def test_integrity_rejects_tau_bound_violation():
         ds.check_integrity()
 
 
+def test_loader_rejects_unknown_flag_names():
+    for field in ("flags", "mirror_flags"):
+        entry = TableEntry("KNOT", "bogus", {field: {"slcie": True}}, "test")
+        with pytest.raises(DatasetError, match="unknown flag 'slcie'"):
+            Dataset([entry])
+
+
 def test_loader_rejects_bad_schema_and_duplicates():
     with pytest.raises(DatasetError, match="schema_version"):
         parse_record_line(json.dumps({"schema_version": 99, "table": "T1",

@@ -6,16 +6,19 @@ is admitted.  Where the operation is exact (meets, intervals, candidate
 lists) the result admits nothing more either.
 """
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isharp.invariants import Bundle
 from isharp.slopes import Slope
-from isharp.surgery import DimResult, _formula_dim, triad_bounds
+from isharp.surgery import (DimensionError, DimResult, _abs_range, _formula_dim,
+                            _require_bounded, triad_bounds)
 from isharp.values import Inconsistency, Val
 
 # wider than every finite bound the strategies below produce
@@ -190,3 +193,88 @@ def test_closed_form_is_sound_on_both_branches(nu, r0, p, q):
         assert not truth
         return
     assert truth <= members(r, range(0, 800))
+
+
+def _nested_formula_dim(b: Bundle, s: Slope) -> DimResult:
+    """The closed form as it enumerated before bundles carried their
+    (nu, r0) pairs: the reference for the pairs comprehension."""
+    p, q = s.p, s.q
+    nu = _require_bounded(b.nu, "nu", b.knot)
+    r0 = _require_bounded(b.r0, "r0", b.knot)
+    euler = abs(p)
+    nu_c = nu.candidates(40)
+    r0_c = r0.candidates(40)
+    if nu_c is not None and r0_c is not None and len(nu_c) * len(r0_c) <= 400:
+        dims = set()
+        for n in nu_c:
+            for r in r0_c:
+                if (r - n) % 2 != 0 or r < abs(n):
+                    continue
+                dims.add(q * r + abs(p - q * n))
+        if dims:
+            return DimResult.of_candidates(dims, euler)
+    lo_abs, hi_abs = _abs_range(p, q, nu)
+    lo = q * int(r0.lo) + lo_abs
+    hi = None if r0.hi is None else q * int(r0.hi) + hi_abs
+    return DimResult.of_interval(lo, hi, euler)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (Inconsistency, DimensionError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def lattice_states(draw):
+    """Bounded states from empty to past the 40-candidate cap, with
+    half-integer ends, and now and then an unbounded one."""
+    den = draw(st.sampled_from([1, 1, 2]))
+    ends = st.integers(-120, 120).map(lambda n: Fraction(n, den))
+    lo = draw(ends)
+    hi = draw(st.none() | st.just(lo) | ends.filter(lambda x: x >= lo)
+              | st.integers(0, 100).map(lambda w: lo + w))
+    try:
+        return Val.between(lo, hi, draw(st.sampled_from([None, 0, 1])))
+    except Inconsistency:
+        assume(False)
+
+
+@given(lattice_states(), lattice_states(), st.integers(-60, 60).filter(bool),
+       st.integers(1, 5))
+# empty lattice (r0 < |nu| throughout), 400 pairs, 403 pairs, 41 candidates
+@example(Val.exact(9), Val.between(1, 7, 1), 5, 1)
+@example(Val.between(0, 39), Val.between(0, 9), 7, 2)
+@example(Val.between(0, 12), Val.between(0, 30), 7, 2)
+@example(Val.between(-40, 40, 0), Val.between(40, 42, 0), -3, 1)
+@settings(max_examples=500, deadline=None)
+def test_pairs_enumeration_equals_the_nested_loops(nu, r0, p, q):
+    assume(math.gcd(abs(p), q) == 1)
+    b = Bundle("K", nu=nu, r0=r0)
+    assert _outcome(_formula_dim, b, Slope(p, q)) == _outcome(_nested_formula_dim, b, Slope(p, q))
+
+
+def test_bundle_pairs_respect_the_caps():
+    assert Bundle("K", nu=Val.exact(9), r0=Val.between(1, 7, 1)).pairs == ()
+    assert len(Bundle("K", nu=Val.between(0, 39), r0=Val.between(0, 9)).pairs) == 30
+    assert Bundle("K", nu=Val.between(0, 12), r0=Val.between(0, 30)).pairs is None  # 403
+    assert Bundle("K", nu=Val.between(0, 40), r0=Val.exact(40)).pairs is None
+    assert Bundle("K", nu=Val.between(0, 1)).pairs is None  # r0 unknown
+    assert Bundle("K", nu=Val.exact(-1), r0=Val.between(0, 3)).pairs == ((-1, 1), (-1, 3))
+
+
+def test_bundle_pairs_are_invisible():
+    b = Bundle("K", nu=Val.exact(1), r0=Val.between(1, 5, 1), shape="V")
+    fresh = Bundle("K", nu=Val.exact(1), r0=Val.between(1, 5, 1), shape="V")
+    assert b.pairs == ((1, 1), (1, 3), (1, 5)) and "pairs" not in repr(b)
+    for copied in (copy.deepcopy(b), pickle.loads(pickle.dumps(b)), copy.copy(b),
+                   b.replace(), fresh):
+        assert copied == b and hash(copied) == hash(b) and repr(copied) == repr(b)
+        assert copied.pairs == b.pairs
+    # a replaced field recomputes the derived slot
+    assert b.replace(nu=Val.exact(3)).pairs == ((3, 3), (3, 5))
+    with pytest.raises(TypeError):
+        Bundle("K", pairs=())
+    with pytest.raises(AttributeError):
+        b.pairs = ()

@@ -14,7 +14,6 @@ from isharp.slopes import (
     eval_cf,
     format_cf,
     neg_cf,
-    parse_cf,
     parse_slope,
     reduce,
     triad,
@@ -78,9 +77,9 @@ def test_convergents_known_values():
 
 def test_cf_format_parse():
     assert format_cf([1, 2, 2]) == "[1,2,2]"
-    assert parse_cf("[0,3]") == [0, 3]
+    assert eval_cf([0, 3]) == Slope(-1, 3)
     with pytest.raises(SlopeError):
-        parse_cf("[3,1]")
+        eval_cf([3, 1])
 
 
 def test_triad_known_values():
