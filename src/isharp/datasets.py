@@ -1,10 +1,16 @@
 """Bundled table data: an integrity-checked loader for the line-delimited
-record file, lookup by (table, key), and tab-separated export.
+record file, the records it builds, lookup by (table, key), and
+tab-separated export.
 
 The record file is UTF-8 JSON lines, one object per line, with fields
 {schema_version, table, key, payload, citation}.  Tables T1-T8 mirror the
 published computations this library reproduces; KNOT rows hold structural
 data per knot, and ALIAS rows hold the registered family identifications.
+A malformed row raises DatasetError while the file loads.
+
+The knot-level records (StructuralData, its flags and KnotRecord) live
+here, below knots, so the loader imports nothing but values: every module
+above it, from knots up to cli, takes the loaded Dataset as an argument.
 """
 
 from __future__ import annotations
@@ -50,22 +56,64 @@ class TableEntry(Record):
         return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def _val_from_payload(x) -> Val:
-    """Payload encodings: null (unknown), int, [num, den], or
-    {lo, hi, parity} with null for an unbounded end."""
-    if x is None:
-        return Val.unknown()
-    if isinstance(x, int):
-        return Val.exact(x)
-    if isinstance(x, list):
-        return Val.exact(Fraction(x[0], x[1]))
-    if isinstance(x, dict):
-        def end(v):
-            if v is None:
-                return None
-            return Fraction(v[0], v[1]) if isinstance(v, list) else Fraction(v)
-        return Val.between(end(x.get("lo")), end(x.get("hi")), x.get("parity"))
-    raise DatasetError(f"bad value encoding {x!r}")
+# ---------------------------------------------------------------------------
+# Knot records: structural data, tabulated invariants, one KNOT row
+# ---------------------------------------------------------------------------
+
+Tri = Optional[bool]  # True / False / unknown
+
+FLAG_NAMES = (
+    "alternating",
+    "quasipositive",
+    "positive",
+    "slice",
+    "amphichiral",
+    "homogeneous",
+    "instanton_lspace",
+    "thin_odd_khovanov",
+)
+_FLAG_INDEX = {name: i for i, name in enumerate(FLAG_NAMES)}
+NO_FLAGS = (None,) * len(FLAG_NAMES)
+
+
+def make_flags(**values: Tri) -> tuple[Tri, ...]:
+    """The flags tuple: one value per FLAG_NAMES entry, in that order,
+    unknown (None) where no value is given.  Names outside FLAG_NAMES
+    are not read; the loader rejects them in a record file."""
+    return tuple(map(values.get, FLAG_NAMES))
+
+
+class StructuralData(Record):
+    """alexander holds the coefficients (a0, a1, a2, ...) of the symmetric
+    polynomial, and stays unknown on a connected sum; flags is the tuple
+    make_flags builds, so structural data is hashable and, like every
+    record, cannot be changed once built."""
+
+    __slots__ = ("genus", "slice_genus", "signature", "determinant", "alexander",
+                 "sl_max", "flags")
+
+    def __init__(self, genus: Val = Val(), slice_genus: Val = Val(),
+                 signature: Optional[int] = None, determinant: Optional[int] = None,
+                 alexander: Optional[tuple[int, ...]] = None, sl_max: Optional[int] = None,
+                 flags: tuple[Tri, ...] = NO_FLAGS):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "slice_genus", slice_genus)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "alexander", alexander)
+        object.__setattr__(self, "sl_max", sl_max)
+        object.__setattr__(self, "flags", flags)
+
+    def flag(self, name: str) -> Tri:
+        return self.flags[_FLAG_INDEX[name]]
+
+
+def alexander_at_minus_one(coeffs: tuple[int, ...]) -> int:
+    """Delta(-1) = a0 + 2 * sum_i (-1)^i a_i."""
+    total = coeffs[0]
+    for i, a in enumerate(coeffs[1:], start=1):
+        total += 2 * a * (-1) ** i
+    return total
 
 
 class InstantonFields(Record):
@@ -88,7 +136,7 @@ class KnotRecord(Record):
     __slots__ = ("name", "structural", "instanton", "aliases", "sigma2", "khbar_dim",
                  "mirror_flags", "mirror_sl_max", "citation")
 
-    def __init__(self, name: str, structural: "StructuralData", instanton: InstantonFields,
+    def __init__(self, name: str, structural: StructuralData, instanton: InstantonFields,
                  aliases: tuple[str, ...], sigma2: Optional[str] = None,
                  khbar_dim: Optional[int] = None, mirror_flags: tuple = (),
                  mirror_sl_max: Optional[int] = None, citation: str = ""):
@@ -96,23 +144,60 @@ class KnotRecord(Record):
                    mirror_flags, mirror_sl_max, citation)
 
 
-def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
-    from .knots import FLAG_NAMES, StructuralData, make_flags
+def _rational(x) -> Fraction:
+    """An int, or [num, den] with integer parts and den != 0."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, list) and len(x) == 2 and all(type(v) is int for v in x) and x[1]:
+        return Fraction(x[0], x[1])
+    raise DatasetError(f"bad value encoding {x!r}")
 
+
+def _val_from_payload(x) -> Val:
+    """Payload encodings: null (unknown), int, [num, den], or
+    {lo, hi, parity} with null for an unbounded end."""
+    if x is None:
+        return Val.unknown()
+    if not isinstance(x, dict):
+        return Val.exact(_rational(x))
+    lo, hi = (None if x.get(end) is None else _rational(x[end]) for end in ("lo", "hi"))
+    try:
+        return Val.between(lo, hi, x.get("parity"))
+    except ValueError as e:  # a bad parity, or lo > hi
+        raise DatasetError(f"bad value encoding {x!r}: {e}") from None
+
+
+# the JSON type of each KNOT payload field that is not null
+_KNOT_FIELD_TYPES = {"signature": int, "determinant": int, "sl_max": int, "khbar_dim": int,
+                     "mirror_sl_max": int, "sigma2": str, "aliases": list, "flags": dict,
+                     "mirror_flags": dict, "instanton": dict}
+
+
+def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
     p = entry.payload
-    for name in (*p.get("flags", {}), *p.get("mirror_flags", {})):
+    for field, kind in _KNOT_FIELD_TYPES.items():
+        if p.get(field) is not None and type(p[field]) is not kind:
+            raise DatasetError(f"knot record {entry.key}: {field} {p[field]!r} "
+                               f"is not of type {kind.__name__}")
+    flags, mirror_flags = p.get("flags") or {}, p.get("mirror_flags") or {}
+    for name in (*flags, *mirror_flags):
         if name not in FLAG_NAMES:
             raise DatasetError(f"knot record {entry.key}: unknown flag {name!r}")
+    alexander = p.get("alexander")
+    if alexander is not None and not (isinstance(alexander, list) and alexander
+                                      and all(type(a) is int for a in alexander)):
+        raise DatasetError(f"knot record {entry.key}: alexander {alexander!r} "
+                           "is not a non-empty list of integers")
     structural = StructuralData(
         genus=_val_from_payload(p.get("genus")),
         slice_genus=_val_from_payload(p.get("slice_genus")),
         signature=p.get("signature"),
         determinant=p.get("determinant"),
-        alexander=None if p.get("alexander") is None else tuple(p["alexander"]),
+        alexander=None if alexander is None else tuple(alexander),
         sl_max=p.get("sl_max"),
-        flags=make_flags(**p.get("flags", {})),
+        flags=make_flags(**flags),
     )
-    inst = p.get("instanton", {})
+    inst = p.get("instanton") or {}
     instanton = InstantonFields(
         nu=_val_from_payload(inst.get("nu")),
         tau=_val_from_payload(inst.get("tau")),
@@ -124,10 +209,10 @@ def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
         name=entry.key,
         structural=structural,
         instanton=instanton,
-        aliases=tuple(p.get("aliases", [])),
+        aliases=tuple(p.get("aliases") or ()),
         sigma2=p.get("sigma2"),
         khbar_dim=p.get("khbar_dim"),
-        mirror_flags=make_flags(**p.get("mirror_flags", {})),
+        mirror_flags=make_flags(**mirror_flags),
         mirror_sl_max=p.get("mirror_sl_max"),
         citation=entry.citation,
     )
@@ -150,13 +235,17 @@ class Dataset:
         }
         self._aliases: dict[str, tuple[str, bool]] = {}
         for key, e in self._by_table.get("ALIAS", {}).items():
+            if not isinstance(e.payload.get("name"), str):
+                raise DatasetError(f"alias {key!r}: no string name")
             self._aliases[key] = (e.payload["name"], bool(e.payload.get("mirrored", False)))
         for rec in self._knots.values():
             for code in rec.aliases:
                 self._aliases.setdefault(code, (rec.name, False))
-        # deduce and structural results, keyed by the canonical knot text
+        # deduce, structural and lspace_cable results, keyed by the
+        # canonical knot text
         self.deduce_cache: dict = {}
         self.structural_cache: dict = {}
+        self.lspace_cache: dict = {}
 
     # -- lookups ------------------------------------------------------------
 
@@ -200,8 +289,6 @@ class Dataset:
 
     def check_integrity(self) -> None:
         """Bound checks on every knot record; raises on the first violation."""
-        from .knots import alexander_at_minus_one
-
         for rec in self._knots.values():
             inst = rec.instanton
             nu, tau, r0 = inst.nu, inst.tau, inst.r0
@@ -297,6 +384,8 @@ def parse_record_line(line: str, lineno: int) -> TableEntry:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise DatasetError(f"line {lineno}: invalid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise DatasetError(f"line {lineno}: not a JSON object")
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise DatasetError(f"line {lineno}: unsupported schema_version {obj.get('schema_version')!r}")
     for fieldname in ("table", "key", "payload", "citation"):
@@ -304,6 +393,8 @@ def parse_record_line(line: str, lineno: int) -> TableEntry:
             raise DatasetError(f"line {lineno}: missing field {fieldname!r}")
     if obj["table"] not in KNOWN_TABLES:
         raise DatasetError(f"line {lineno}: unknown table {obj['table']!r}")
+    if not isinstance(obj["payload"], dict):
+        raise DatasetError(f"line {lineno}: payload is not a JSON object")
     return TableEntry(obj["table"], str(obj["key"]), obj["payload"], obj["citation"])
 
 

@@ -6,6 +6,9 @@ detail).  Rule priority is fixed: stored table data (R1) outranks family
 formulas, which outrank bound-tightening (R14); contradictions between
 rules raise Inconsistency naming both trace entries, never resolve
 silently.
+
+Every entry point takes the Dataset it reads as ds, and each dataset
+caches the bundles of deduce and the answers of lspace_cable.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from . import datasets
 from .knots import (
     Cable,
     KnotError,
@@ -155,37 +157,34 @@ class _Draft:
         self.trace.append(TraceEntry(rule, RULES[rule], f"shape = {shape} {detail}".rstrip()))
 
 
-def deduce(k: KnotExpr, dataset=None, use_stored: bool = True,
-           integral_tau: bool = False) -> Bundle:
+def deduce(k: KnotExpr, ds, use_stored: bool = True) -> Bundle:
     """Run the rules to a fixed point over the expression.
 
     With use_stored=False the engine ignores every tabulated nu/tau/r0
     (structural flags stay available); this is the re-derivation mode the
-    table verifier runs in.  integral_tau additionally rounds tau
-    intervals to integers, which relies on integrality of tau (an
-    external input the core rules do not assume).  The result is cached
-    per dataset, and every caller gets the same immutable Bundle.
+    table verifier runs in.  The result is cached per dataset, and every
+    caller gets the same immutable Bundle.
     """
-    ds = dataset if dataset is not None else datasets.default()
-    key = (format_knot(k), use_stored, integral_tau)
+    key = (format_knot(k), use_stored)
     cached = ds.deduce_cache.get(key)
     if cached is not None:
         return cached
-    bundle = _deduce(k, ds, use_stored, integral_tau)
+    bundle = _deduce(k, ds, use_stored)
     ds.deduce_cache[key] = bundle
     return bundle
 
 
-def _deduce(k, ds, use_stored, integral_tau) -> Bundle:
+def _deduce(k, ds, use_stored) -> Bundle:
     if isinstance(k, Sum):
-        b = _deduce_sum(k, ds, use_stored, integral_tau)
+        b = _deduce_sum(k, ds, use_stored)
     else:
         b = _Draft(format_knot(k))
         _apply_atom_rules(b, k, ds, use_stored)
         # the mirror pass: every rule applies to the mirror as well, and
         # nu, tau negate while r0 is preserved
-        mb = _Draft(format_knot(mirror(k)))
-        _apply_atom_rules(mb, mirror(k), ds, use_stored)
+        mk = mirror(k)
+        mb = _Draft(format_knot(mk))
+        _apply_atom_rules(mb, mk, ds, use_stored)
         for fieldname in ("nu", "tau"):
             v = getattr(mb, fieldname)
             if not v.is_unknown:
@@ -197,7 +196,7 @@ def _deduce(k, ds, use_stored, integral_tau) -> Bundle:
             b.set_shape(mb.shape, "R2", f"(from {mb.knot})")
         if b.mu0_dim is None:
             b.mu0_dim = mb.mu0_dim
-    _tighten(b, k, ds, integral_tau)
+    _tighten(b, k, ds)
     return b.freeze()
 
 
@@ -296,8 +295,8 @@ def _apply_family_rules(b: _Draft, k, s, ds, use_stored) -> None:
                 b.narrow("r0", Val.exact(6 * n - 1), "R12")
 
 
-def _deduce_sum(k: Sum, ds, use_stored, integral_tau) -> _Draft:
-    parts = [deduce(s, ds, use_stored, integral_tau) for s in k.summands]
+def _deduce_sum(k: Sum, ds, use_stored) -> _Draft:
+    parts = [deduce(s, ds, use_stored) for s in k.summands]
     b = _Draft(format_knot(k))
 
     tau = Val.exact(0)
@@ -330,7 +329,7 @@ def _deduce_sum(k: Sum, ds, use_stored, integral_tau) -> _Draft:
     return b
 
 
-def _tighten(b: _Draft, k, ds, integral_tau) -> None:
+def _tighten(b: _Draft, k, ds) -> None:
     """R14 to a fixed point, or for TIGHTEN_ROUNDS rounds: mutual nu/tau
     bounds, genus bound, r0 bounds."""
     s = structural(k, ds)
@@ -351,10 +350,6 @@ def _tighten(b: _Draft, k, ds, integral_tau) -> None:
         if s.slice_genus.hi is not None:
             g = s.slice_genus.hi
             b.narrow("tau", Val.between(-g, g), "R14", "(slice-genus bound)")
-        if integral_tau and not b.tau.is_unknown:
-            lo = None if b.tau.lo is None else Fraction(-((-b.tau.lo.numerator) // b.tau.lo.denominator))
-            hi = None if b.tau.hi is None else Fraction(b.tau.hi.numerator // b.tau.hi.denominator)
-            b.narrow("tau", Val.between(lo, hi), "R14", "(integrality of tau)")
 
         # r0 >= |nu|, r0 >= 0, parity r0 = parity nu
         nu_abs = b.nu.abs_bounds()
@@ -407,17 +402,11 @@ def _lspace_status(k, b, s, ds, use_stored: bool = True):
 # Direct operations on the invariants
 # ---------------------------------------------------------------------------
 
-def tau_interval_from_nu(nu: int) -> tuple[Fraction, Fraction]:
-    """tau lies in [(nu-1)/2, (nu+1)/2]."""
-    return (Fraction(nu - 1, 2), Fraction(nu + 1, 2))
-
-
-def sl_upper_bound(k: KnotExpr, dataset=None):
+def sl_upper_bound(k: KnotExpr, ds):
     """Upper bound 2 tau - 1 for the maximum self-linking number.
 
     Returns (bound, violation) where violation is True when a stored
     maximum self-linking number exceeds the bound."""
-    ds = dataset if dataset is not None else datasets.default()
     b = deduce(k, ds)
     if not b.tau.is_exact:
         return None, False
@@ -427,17 +416,20 @@ def sl_upper_bound(k: KnotExpr, dataset=None):
     return bound, violation
 
 
-def crossing_change_bound(tau_minus: Fraction) -> tuple[Fraction, Fraction]:
-    """After a negative-to-positive crossing change,
-    tau(K+) lies in [tau(K-), tau(K-) + 1]."""
-    t = Fraction(tau_minus)
-    return (t, t + 1)
-
-
-def lspace_cable(p: int, q: int, k: KnotExpr, dataset=None, use_stored: bool = True):
+def lspace_cable(p: int, q: int, k: KnotExpr, ds, use_stored: bool = True):
     """Whether the (p,q)-cable of k is an instanton L-space knot:
-    true iff k is one and p/q > 2g(k) - 1.  None when undecidable."""
-    ds = dataset if dataset is not None else datasets.default()
+    true iff k is one and p/q > 2g(k) - 1.  None when undecidable.
+
+    The answer is cached per dataset: it reads only the cached bundle and
+    structural data of k, so a cable chain checks each layer once."""
+    key = (p, q, format_knot(k), use_stored)
+    cache = ds.lspace_cache
+    if key not in cache:
+        cache[key] = _lspace_cable(p, q, k, ds, use_stored)
+    return cache[key]
+
+
+def _lspace_cable(p, q, k, ds, use_stored):
     b = deduce(k, ds, use_stored)
     s = structural(k, ds)
     status = _lspace_status(k, b, s, ds, use_stored)
@@ -448,9 +440,8 @@ def lspace_cable(p: int, q: int, k: KnotExpr, dataset=None, use_stored: bool = T
     return Fraction(p, q) > 2 * s.genus.value() - 1
 
 
-def lspace_knot_invariants(k: KnotExpr, dataset=None) -> tuple[int, int]:
+def lspace_knot_invariants(k: KnotExpr, ds) -> tuple[int, int]:
     """(nu, r0) = (2g - 1, 2g - 1) for an instanton L-space knot."""
-    ds = dataset if dataset is not None else datasets.default()
     b = deduce(k, ds)
     s = structural(k, ds)
     if _lspace_status(k, b, s, ds) is not True or not s.genus.is_exact:

@@ -8,6 +8,11 @@ expression keeps its canonical text once format_knot has rendered it;
 that text, which parses back to an equal expression, keys the per-dataset
 caches of structural here and of deduce in invariants.
 
+structural returns the StructuralData record that datasets defines and
+its knot records hold; it combines those records with the family
+formulas here.  Every function that reads the tables takes the Dataset
+as its ds argument.
+
 Chirality follows the Rolfsen / Knot Atlas tables: 3_1 is the left-handed
 trefoil, and the signature of the right-handed trefoil is -2.
 """
@@ -21,6 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
+from .datasets import FLAG_NAMES, NO_FLAGS, StructuralData, make_flags
 from .values import Record, Val
 
 
@@ -339,62 +345,6 @@ def _format(k: KnotExpr) -> str:
 # Structural data
 # ---------------------------------------------------------------------------
 
-Tri = Optional[bool]  # True / False / unknown
-
-FLAG_NAMES = (
-    "alternating",
-    "quasipositive",
-    "positive",
-    "slice",
-    "amphichiral",
-    "homogeneous",
-    "instanton_lspace",
-    "thin_odd_khovanov",
-)
-_FLAG_INDEX = {name: i for i, name in enumerate(FLAG_NAMES)}
-NO_FLAGS = (None,) * len(FLAG_NAMES)
-
-
-def make_flags(**values: Tri) -> tuple[Tri, ...]:
-    """The flags tuple: one value per FLAG_NAMES entry, in that order,
-    unknown (None) where no value is given.  Names outside FLAG_NAMES
-    are not read; the dataset loader rejects them in a record file."""
-    return tuple(map(values.get, FLAG_NAMES))
-
-
-class StructuralData(Record):
-    """alexander holds the coefficients (a0, a1, a2, ...) of the symmetric
-    polynomial, and stays unknown on a connected sum; flags is the tuple
-    make_flags builds, so structural data is hashable and, like every
-    record, cannot be changed once built."""
-
-    __slots__ = ("genus", "slice_genus", "signature", "determinant", "alexander",
-                 "sl_max", "flags")
-
-    def __init__(self, genus: Val = Val(), slice_genus: Val = Val(),
-                 signature: Optional[int] = None, determinant: Optional[int] = None,
-                 alexander: Optional[tuple[int, ...]] = None, sl_max: Optional[int] = None,
-                 flags: tuple[Tri, ...] = NO_FLAGS):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "slice_genus", slice_genus)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "determinant", determinant)
-        object.__setattr__(self, "alexander", alexander)
-        object.__setattr__(self, "sl_max", sl_max)
-        object.__setattr__(self, "flags", flags)
-
-    def flag(self, name: str) -> Tri:
-        return self.flags[_FLAG_INDEX[name]]
-
-
-def alexander_at_minus_one(coeffs: tuple[int, ...]) -> int:
-    """Delta(-1) = a0 + 2 * sum_i (-1)^i a_i."""
-    total = coeffs[0]
-    for i, a in enumerate(coeffs[1:], start=1):
-        total += 2 * a * (-1) ** i
-    return total
-
-
 def alexander_zero_surgery_floor(coeffs: tuple[int, ...]) -> int:
     """Lower bound for dim of the zero-surgery invariant (mu bundle) of a
     genus <= 2 knot from its symmetric polynomial coefficients; the actual
@@ -427,33 +377,16 @@ def _two_bridge_from_twist(tw: Twist) -> TwoBridge:
     return TwoBridge(-a, -b) if tw.mirrored else TwoBridge(a, b)
 
 
-def atom_code(k: KnotExpr) -> Optional[str]:
-    """Alias-table key for a family atom, ignoring the mirror flag."""
-    if isinstance(k, Torus):
-        return f"T({abs(k.p)},{k.q})"
-    if isinstance(k, Twist):
-        return f"Tw({k.n})"
-    if isinstance(k, Pretzel):
-        return f"P({k.a},{k.b},{k.c})"
-    if isinstance(k, TwoBridge):
-        return f"TB({k.a},{k.b})"
-    return None
-
-
-def resolve_atom(k: KnotExpr, dataset) -> Optional[tuple[str, bool]]:
+def resolve_atom(k: KnotExpr, ds) -> Optional[tuple[str, bool]]:
     """Resolve an atomic expression to (canonical name, mirrored), if known."""
     if isinstance(k, Unknot):
         return ("0_1", False)
     if isinstance(k, Named):
         name, mirrored = k.name, k.mirrored
-        if dataset.knot_record(name) is None:
+        if ds.knot_record(name) is None:
             raise KnotError(f"unknown knot name {name!r}")
     elif isinstance(k, (Twist, Pretzel)):
-        hit = dataset.alias(atom_code(k.replace(mirrored=False)))
-        if hit is None and isinstance(k, Pretzel):
-            hit = _pretzel_alias(k, dataset)
-            if hit is None:
-                return None
+        hit = ds.alias(f"Tw({k.n})") if isinstance(k, Twist) else _pretzel_alias(k, ds)
         if hit is None:
             return None
         name, m = hit
@@ -461,7 +394,7 @@ def resolve_atom(k: KnotExpr, dataset) -> Optional[tuple[str, bool]]:
     elif isinstance(k, Torus):
         # the table registers positive torus knots; the sign of p is the
         # chirality of the instance at hand
-        hit = dataset.alias(f"T({abs(k.p)},{k.q})")
+        hit = ds.alias(f"T({abs(k.p)},{k.q})")
         if hit is None:
             return None
         name, m = hit
@@ -469,29 +402,29 @@ def resolve_atom(k: KnotExpr, dataset) -> Optional[tuple[str, bool]]:
     elif isinstance(k, TwoBridge):
         tw = _twist_from_two_bridge(k)
         if tw is not None:
-            return resolve_atom(tw, dataset)
-        hit, flip = dataset.alias(f"TB({k.a},{k.b})"), False
+            return resolve_atom(tw, ds)
+        hit, flip = ds.alias(f"TB({k.a},{k.b})"), False
         if hit is None:
-            hit, flip = dataset.alias(f"TB({-k.a},{-k.b})"), True
+            hit, flip = ds.alias(f"TB({-k.a},{-k.b})"), True
         if hit is None:
             return None
         name, m = hit
         mirrored = m != flip
     else:
         return None
-    rec = dataset.knot_record(name)
+    rec = ds.knot_record(name)
     if rec is not None and rec.structural.flag("amphichiral"):
         mirrored = False
     return (name, mirrored)
 
 
-def _pretzel_alias(k: Pretzel, dataset):
+def _pretzel_alias(k: Pretzel, ds):
     """Pretzel atoms match alias entries up to permutation of the strands."""
     for perm in itertools.permutations((k.a, k.b, k.c)):
-        hit = dataset.alias(f"P({perm[0]},{perm[1]},{perm[2]})")
+        hit = ds.alias(f"P({perm[0]},{perm[1]},{perm[2]})")
         if hit is not None:
             return hit
-        hit = dataset.alias(f"P({-perm[0]},{-perm[1]},{-perm[2]})")
+        hit = ds.alias(f"P({-perm[0]},{-perm[1]},{-perm[2]})")
         if hit is not None:
             return (hit[0], not hit[1])
     return None
@@ -501,11 +434,8 @@ def _pretzel_alias(k: Pretzel, dataset):
 # Structural invariants
 # ---------------------------------------------------------------------------
 
-def genus(k: KnotExpr, dataset=None) -> Val:
+def genus(k: KnotExpr, ds) -> Val:
     """Seifert genus: exact for torus/twist/cable/sum and table atoms."""
-    from . import datasets
-
-    ds = dataset if dataset is not None else datasets.default()
     return structural(k, ds).genus
 
 
@@ -526,14 +456,11 @@ def _mirror_structural(s: StructuralData, rec) -> StructuralData:
     )
 
 
-def structural(k: KnotExpr, dataset=None) -> StructuralData:
+def structural(k: KnotExpr, ds) -> StructuralData:
     """Best-known structural data; fields stay unknown when neither a
     family formula nor a table entry applies.  The result is cached per
     dataset under the canonical text of k, and every caller gets the
     same immutable record."""
-    from . import datasets
-
-    ds = dataset if dataset is not None else datasets.default()
     key = format_knot(k)
     s = ds.structural_cache.get(key)
     if s is None:

@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import datasets
 from .datasets import IntegrityError
 from .invariants import Bundle, deduce
 from .knots import (Cable, KnotError, KnotExpr, Named, Pretzel, Twist, TwoBridge, Unknot,
@@ -258,12 +257,10 @@ def _require_bounded(val: Val, what: str, knot: str) -> Val:
     return val
 
 
-def surgery_dim(k: KnotExpr, s: Slope, bundle: str = "trivial",
-                dataset=None) -> DimResult:
+def surgery_dim(k: KnotExpr, s: Slope, bundle: str, ds) -> DimResult:
     """Dimension of the p/q surgery: q * r0 + |p - q * nu| away from the
     zero-surgery exceptions; slope 0 dispatches to zero_surgery_dim and
     the infinite slope gives the 3-sphere."""
-    ds = dataset if dataset is not None else datasets.default()
     if s.is_infinite:
         return DimResult.exact(1, 1)
     if s.p == 0:
@@ -307,12 +304,11 @@ def _abs_range(p: int, q: int, nu: Val) -> tuple[int, int]:
     return lo, hi
 
 
-def zero_surgery_dim(k: KnotExpr, bundle: str = "trivial", dataset=None) -> DimResult:
+def zero_surgery_dim(k: KnotExpr, bundle: str, ds) -> DimResult:
     """Zero-surgery dimensions: V-shaped knots give r0 + |nu| for either
     bundle; W-shaped knots give r0 (mu bundle) and r0 + 2 (trivial); with
     nu = 0 and unknown shape the trivial bundle gives the candidate pair
     {r0, r0 + 2} and the mu bundle is undetermined unless tabulated."""
-    ds = dataset if dataset is not None else datasets.default()
     b = deduce(k, ds)
     euler = 0
     if b.nu.is_exact and b.nu.value() != 0:
@@ -345,13 +341,12 @@ def lens_dim(p: int, q: int) -> DimResult:
     return DimResult.exact(p, p)
 
 
-def branched_cover_dim(k: KnotExpr, dataset=None) -> DimResult:
+def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
     """Dimension for the double cover of the 3-sphere branched over k.
 
     Thin reduced odd Khovanov homology forces the dimension to equal the
     determinant; otherwise a registered surgery description is used; with
     neither, only the Euler-characteristic bound remains."""
-    ds = dataset if dataset is not None else datasets.default()
     st = structural(k, ds)
     det = st.determinant
     thin = st.flag("thin_odd_khovanov")
@@ -396,10 +391,9 @@ def _khbar_dim(k: KnotExpr, ds):
     return rec.khbar_dim if rec is not None else None
 
 
-def census_dim(index: int, dataset=None) -> DimResult:
+def census_dim(index: int, ds) -> DimResult:
     """Dimension of a census manifold via its registered routes, cross
     checked against the stored value."""
-    ds = dataset if dataset is not None else datasets.default()
     Census(index)  # validates the range
     stored = ds.lookup("T2", index)
     result = DimResult.of_stored(stored.payload["dim"], stored.payload["h1"])
@@ -417,7 +411,7 @@ def census_routes(index: int, ds) -> list[tuple[str, DimResult]]:
     t6 = ds.table("T6").get(str(index))
     if t6 is not None:
         desc = Surgery(parse_knot(t6.payload["knot"]), parse_slope(t6.payload["slope"]))
-        out.append((str(desc), surgery_dim(desc.knot, desc.slope, dataset=ds)))
+        out.append((str(desc), surgery_dim(desc.knot, desc.slope, desc.bundle, ds)))
     t7 = ds.table("T7").get(str(index))
     if t7 is not None:
         desc = BranchedCover(parse_knot(t7.payload["knot"]))
@@ -432,8 +426,7 @@ def census_routes(index: int, ds) -> list[tuple[str, DimResult]]:
     return out
 
 
-def manifold_dim(m: ManifoldDesc, dataset=None) -> DimResult:
-    ds = dataset if dataset is not None else datasets.default()
+def manifold_dim(m: ManifoldDesc, ds) -> DimResult:
     if isinstance(m, Surgery):
         return surgery_dim(m.knot, m.slope, m.bundle, ds)
     if isinstance(m, Lens):
@@ -511,13 +504,12 @@ def _tb_expr(a: int, b: int, ds) -> KnotExpr:
     return tb
 
 
-def homeo_identities(k: KnotExpr, s: Slope, dataset=None) -> list[tuple[KnotExpr, Slope]]:
+def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
     """All registered re-descriptions of the surgery (k, s): the three
     two-bridge twist-region identities, the pretzel shift
     (-2 on P(n,3,-3) vs +2 on P(n+3,3,-3)), and the two cable identities
     relating slopes (pq +- 1)/q^2 on a companion to pq +- 1 on its cable.
     """
-    ds = dataset if dataset is not None else datasets.default()
     out: list[tuple[KnotExpr, Slope]] = []
 
     # two-bridge identities
@@ -583,11 +575,10 @@ class IdentityReport(Record):
 
 
 def verify_identity(lhs: tuple[KnotExpr, Slope], rhs: tuple[KnotExpr, Slope],
-                    dataset=None) -> IdentityReport:
+                    ds) -> IdentityReport:
     """Compare the dimensions and |H1| of two surgery descriptions."""
-    ds = dataset if dataset is not None else datasets.default()
-    ld = surgery_dim(lhs[0], lhs[1], dataset=ds)
-    rd = surgery_dim(rhs[0], rhs[1], dataset=ds)
+    ld = surgery_dim(lhs[0], lhs[1], "trivial", ds)
+    rd = surgery_dim(rhs[0], rhs[1], "trivial", ds)
     try:
         ld.meet(rd)  # raises on different euler or disjoint dimensions
         status = "equal" if ld.is_exact and ld == rd else "compatible"

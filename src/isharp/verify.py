@@ -8,7 +8,6 @@ identities, and the constraint chain through the pretzel P(5,5,-3)).
 
 from __future__ import annotations
 
-from . import datasets
 from .datasets import IntegrityError
 from .invariants import deduce
 from .knots import (
@@ -242,7 +241,7 @@ def check_integer_surgery_table(ds) -> Report:
     report = Report()
     for key, entry in ds.table("T4").items():
         n, dim = entry.payload["n"], entry.payload["dim"]
-        result = surgery_dim(Named(key), Slope(n, 1), dataset=ds)
+        result = surgery_dim(Named(key), Slope(n, 1), "trivial", ds)
         report.add("T4", key, f"dim@{n}", dim, result)
     return report
 
@@ -386,7 +385,7 @@ def identity_instances(ds, bound: int = 50):
 
 def _computable(k, s, ds) -> bool:
     try:
-        surgery_dim(k, s, dataset=ds)
+        surgery_dim(k, s, "trivial", ds)
         return True
     except DimensionError:
         return False
@@ -409,9 +408,8 @@ def check_identities(ds, bound: int = 50) -> Report:
     return report
 
 
-def verify_all(ds=None) -> Report:
+def verify_all(ds) -> Report:
     """Every re-derivable cell of every table, one pass/fail row per cell."""
-    ds = ds if ds is not None else datasets.default()
     report = Report()
     report.extend(rederive_nu_tau(ds))
     _, t1 = rederive_r0(ds)

@@ -54,7 +54,7 @@ def test_criterion_1_table_reproduction(ds):
               ("8_3", 1): 9, ("8_4", -7): 15, ("6_3", -1): 7, ("8_6", -1): 11,
               ("8_8", -1): 13}
     for (name, n), dim in pinned.items():
-        got = surgery_dim(parse_knot(name), Slope(n, 1), dataset=ds)
+        got = surgery_dim(parse_knot(name), Slope(n, 1), "trivial", ds)
         assert got.dim == dim, (name, n, got)
     report(1, f"{len(t3.cells) + len(t1.cells) + len(t4.cells)} cells re-derived; "
               "only nu(7_7), nu(8_13) stay intervals")
@@ -109,14 +109,14 @@ def test_criterion_3_family_formulas(ds):
         for s in slopes:
             p, q = s.p, s.q
             if n % 2 == 0:
-                assert surgery_dim(tw, s, dataset=ds).dim == q * n + abs(p)
+                assert surgery_dim(tw, s, "trivial", ds).dim == q * n + abs(p)
             else:
-                assert surgery_dim(tw, s, dataset=ds).dim == q * n + abs(p + q)
-            assert surgery_dim(p33, s, dataset=ds).dim == 4 * q + abs(p)
-            assert surgery_dim(p32, s, dataset=ds).dim == \
+                assert surgery_dim(tw, s, "trivial", ds).dim == q * n + abs(p + q)
+            assert surgery_dim(p33, s, "trivial", ds).dim == 4 * q + abs(p)
+            assert surgery_dim(p32, s, "trivial", ds).dim == \
                 (6 * n - 1) * q + abs(p - (2 * n - 1) * q)
             expected = p if Fraction(p, q) >= 2 * g - 1 else 2 * q * (2 * g - 1) - p
-            assert surgery_dim(torus, s, dataset=ds).dim == expected
+            assert surgery_dim(torus, s, "trivial", ds).dim == expected
             checked += 4
     # a few L-space knots beyond the (2, odd) torus family
     for text, g in [("T(3,4)", 3), ("T(3,5)", 4), ("P(-2,3,7)", 5), ("k5_1", 11),
@@ -124,12 +124,12 @@ def test_criterion_3_family_formulas(ds):
         k = parse_knot(text)
         for s in _random_slopes(rng, 50):
             expected = s.p if s.as_fraction() >= 2 * g - 1 else 2 * s.q * (2 * g - 1) - s.p
-            assert surgery_dim(k, s, dataset=ds).dim == expected
+            assert surgery_dim(k, s, "trivial", ds).dim == expected
             checked += 1
     # the formulas with nonzero nu also cover the zero slope
     for n in (1, 3, 9):
-        assert surgery_dim(Twist(2 * n - 1), Slope(0, 1), dataset=ds).dim == 2 * n
-        assert surgery_dim(Pretzel(2 * n - 1, 3, 2), Slope(0, 1), dataset=ds).dim \
+        assert surgery_dim(Twist(2 * n - 1), Slope(0, 1), "trivial", ds).dim == 2 * n
+        assert surgery_dim(Pretzel(2 * n - 1, 3, 2), Slope(0, 1), "trivial", ds).dim \
             == (6 * n - 1) + (2 * n - 1)
         checked += 2
     report(3, f"{checked} family-formula dimensions match the closed forms")
@@ -259,9 +259,9 @@ def test_criterion_5d_parity_and_5e_mirror(ds):
         if p == 0:
             continue
         k, s = parse_knot(name), Slope(p, q)
-        r = surgery_dim(k, s, dataset=ds)
+        r = surgery_dim(k, s, "trivial", ds)
         assert r.dim % 2 == abs(p) % 2
-        assert surgery_dim(mirror(k), -s, dataset=ds).dim == r.dim
+        assert surgery_dim(mirror(k), -s, "trivial", ds).dim == r.dim
     report("5d/5e", f"dimension parity and mirror symmetry on {N_PROPERTY} pairs")
 
 
@@ -350,7 +350,7 @@ def test_criterion_7_recursive_oracle(ds):
             if p == 0:
                 continue
             s = Slope(p, q)
-            assert oracle(nu, r0, s, memo) == surgery_dim(k, s, dataset=ds).dim, (name, s)
+            assert oracle(nu, r0, s, memo) == surgery_dim(k, s, "trivial", ds).dim, (name, s)
             checked += 1
     report(7, f"recursive triad oracle equals the closed form on {checked} "
               "(knot, slope) pairs with q <= 50")

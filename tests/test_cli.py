@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +125,22 @@ def test_missing_data_file_exits_3(tmp_path):
     assert err.startswith("integrity error: cannot read")
 
 
+def test_malformed_record_exits_3(tmp_path):
+    from isharp import datasets
+    lines = []
+    for e in datasets.load(check=False).entries:
+        line = json.loads(e.to_json_line())
+        if (e.table, e.key) == ("KNOT", "3_1"):
+            line["payload"] = [1, 2]
+        lines.append(json.dumps(line))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli("--data", str(bad), "verify", "T4")
+    assert code == 3 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("integrity error: line ")
+
+
 def test_non_utf8_data_file_exits_3(tmp_path):
     binary = tmp_path / "binary.jsonl"
     binary.write_bytes(b"\xff\xfe{not text\n")
@@ -220,9 +238,11 @@ def _isharp_modules(code):
 
 
 def test_import_layout():
-    # a CLI call pays for importing only what its subcommand runs
-    assert _isharp_modules("import isharp.cli") == {
-        "isharp", "isharp.cli", "isharp.datasets", "isharp.values"}
+    # a CLI call pays for importing only what its subcommand runs, and
+    # loading the dataset imports nothing above the loader
+    for code in ("import isharp.cli", "import isharp.cli as c; c.datasets.default()"):
+        assert _isharp_modules(code) == {
+            "isharp", "isharp.cli", "isharp.datasets", "isharp.values"}, code
     for argv in (['cf', '1/3'], ['triad', '5/2']):
         loaded = _isharp_modules(f"import isharp.cli as c; c.main({argv!r})")
         assert "isharp.slopes" in loaded, argv
@@ -238,6 +258,54 @@ def test_import_layout():
         loaded = _loaded_modules(code)
         assert "isharp.cli" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect"}), code
+
+
+# the modules from the bottom layer up; each imports only those before it
+LAYERS = ("values", "slopes", "datasets", "knots", "invariants", "surgery", "verify", "cli")
+
+
+def _isharp_targets(node):
+    """The isharp modules one import statement names."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names if a.name.startswith("isharp.")}
+    if node.level == 0:
+        parts = (node.module or "").split(".")
+        return {parts[1]} if parts[0] == "isharp" and len(parts) > 1 else set()
+    return {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+
+
+def _imports(tree):
+    """(qualified name of the enclosing function or None, isharp modules
+    named) for every import statement of a module."""
+    out = []
+
+    def visit(node, qual, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                out.append((qual if in_function else None, _isharp_targets(child)))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{qual}.{child.name}".lstrip("."),
+                      in_function or not isinstance(child, ast.ClassDef))
+            else:
+                visit(child, qual, in_function)
+
+    visit(tree, "", False)
+    return out
+
+
+def test_layers_import_downward_at_module_top():
+    import isharp
+    src = Path(isharp.__file__).parent
+    # the one function-local import below the CLI: bench/layers.py times
+    # Dataset.cross_check_census, which runs the census routes of verify
+    allowed_local = {("datasets", "Dataset.cross_check_census")}
+    for i, name in enumerate(LAYERS):
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        for function, targets in _imports(tree):
+            if (name, function) in allowed_local:
+                continue
+            assert function is None or name == "cli", f"{name}.{function} imports {targets}"
+            assert targets <= set(LAYERS[:i]), f"{name} imports {targets}"
 
 
 # --- the process entry: cli.run() -------------------------------------------

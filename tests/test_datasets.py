@@ -60,6 +60,35 @@ def test_loader_rejects_bad_schema_and_duplicates():
     e = TableEntry("T1", "3_1", {}, "")
     with pytest.raises(DatasetError, match="duplicate"):
         Dataset([e, e])
+    # malformed rows end in DatasetError at load, never in a traceback
+    with pytest.raises(DatasetError, match="not a JSON object"):
+        parse_record_line("[1, 2]", 1)
+    for table, payload in (("KNOT", [1, 2]), ("T4", "x")):
+        with pytest.raises(DatasetError, match="payload is not a JSON object"):
+            parse_record_line(json.dumps({"schema_version": 1, "table": table, "key": "x",
+                                          "payload": payload, "citation": ""}), 1)
+    for payload, message in (
+            ({"genus": {"lo": [1, 0]}}, "bad value encoding"),
+            ({"genus": [1, 0]}, "bad value encoding"),
+            ({"genus": [1, "2"]}, "bad value encoding"),
+            ({"genus": 1.5}, "bad value encoding"),
+            ({"slice_genus": {"lo": 3, "hi": 1}}, "empty interval"),
+            ({"instanton": {"r0": {"lo": 1, "parity": "x"}}}, "parity"),
+            ({"alexander": []}, "alexander"),
+            ({"alexander": [1, "x"]}, "alexander"),
+            ({"alexander": 3}, "alexander"),
+            ({"signature": "x"}, "signature"),
+            ({"determinant": 1.0}, "determinant"),
+            ({"flags": ["slice"]}, "flags"),
+            ({"instanton": [1]}, "instanton"),
+            ({"aliases": 5}, "aliases")):
+        with pytest.raises(DatasetError, match=message):
+            Dataset([TableEntry("KNOT", "bogus", payload, "test")])
+    # null stands for an absent field
+    Dataset([TableEntry("KNOT", "bogus", {"flags": None, "instanton": None}, "test")])
+    for payload in ({}, {"name": 3}):
+        with pytest.raises(DatasetError, match="name"):
+            Dataset([TableEntry("ALIAS", "T(2,3)", payload, "test")])
 
 
 def test_lookup_examples(ds):

@@ -1,19 +1,10 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isharp import datasets, invariants
-from isharp.invariants import (
-    crossing_change_bound,
-    deduce,
-    lspace_cable,
-    lspace_knot_invariants,
-    sl_upper_bound,
-    tau_interval_from_nu,
-)
-from isharp.knots import KnotError, make_sum, mirror, parse_knot
+from isharp.invariants import deduce, lspace_cable, lspace_knot_invariants, sl_upper_bound
+from isharp.knots import KnotError, format_knot, make_sum, mirror, parse_knot
 from isharp.values import Inconsistency, Val
 
 
@@ -144,14 +135,6 @@ def test_rederive_matches_stored_for_every_small_knot(ds):
 
 # --- direct operations --------------------------------------------------------
 
-def test_tau_interval_from_nu():
-    assert tau_interval_from_nu(5) == (2, 3)
-    assert tau_interval_from_nu(0) == (Fraction(-1, 2), Fraction(1, 2))
-    lo, hi = tau_interval_from_nu(-3)
-    assert (lo, hi) == (-2, -1)
-    assert lo <= -2 <= hi  # tau of the (2,5) torus mirror sits inside
-
-
 def test_sl_upper_bound(ds):
     bound, violation = sl_upper_bound(parse_knot("8_19"), ds)
     assert bound == 5 and not violation
@@ -159,17 +142,6 @@ def test_sl_upper_bound(ds):
     assert bound == -1 and not violation
     bound, violation = sl_upper_bound(parse_knot("m(3_1)"), ds)
     assert bound == 1 and not violation
-
-
-def test_crossing_change_bound():
-    assert crossing_change_bound(0) == (0, 1)
-    assert crossing_change_bound(-2) == (-2, -1)
-    # a chain of four positive-to-negative changes reaching the unknot
-    lo, hi = 0, 0
-    for _ in range(4):
-        lo2, hi2 = crossing_change_bound(lo)
-        lo, hi = lo2, hi + 1
-    assert (lo, hi) == (0, 4)
 
 
 def test_lspace_cable(ds):
@@ -184,6 +156,24 @@ def test_lspace_knot_invariants(ds):
     assert lspace_knot_invariants(parse_knot("Cab(3,2;m(3_1))"), ds) == (5, 5)
     with pytest.raises(KnotError):
         lspace_knot_invariants(parse_knot("4_1"), ds)
+
+
+def test_cold_cable_chain_checks_each_layer_once(monkeypatch):
+    ds = datasets.load(check=False)  # empty caches
+    text = "T(2,3)"
+    for _ in range(32):
+        text = f"Cab(3,2;{text})"
+    keys = []
+    original = invariants._lspace_cable
+
+    def counting(p, q, k, ds, use_stored):
+        keys.append((p, q, format_knot(k), use_stored))
+        return original(p, q, k, ds, use_stored)
+
+    monkeypatch.setattr(invariants, "_lspace_cable", counting)
+    deduce(parse_knot(text), ds)
+    # one check per cable layer of the chain and of its mirror
+    assert len(keys) == len(set(keys)) <= 2 * 32
 
 
 # --- bundle invariants over all records ---------------------------------------

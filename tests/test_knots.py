@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isharp import datasets, knots
+from isharp.datasets import alexander_at_minus_one, make_flags
 from isharp.invariants import deduce
 from isharp.knots import (
     Cable,
@@ -23,11 +24,9 @@ from isharp.knots import (
     _is_mirror_paired,
     _two_bridge_from_twist,
     _twist_from_two_bridge,
-    alexander_at_minus_one,
     alexander_zero_surgery_floor,
     format_knot,
     genus,
-    make_flags,
     make_sum,
     make_torus,
     mirror,

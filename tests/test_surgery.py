@@ -260,10 +260,10 @@ def test_parity_and_mirror_symmetry(name, pq):
     ds = datasets.default()
     s = Slope(*pq)
     k = parse_knot(name)
-    r = surgery_dim(k, s, dataset=ds)
+    r = surgery_dim(k, s, "trivial", ds)
     assert r.dim % 2 == abs(s.p) % 2
     assert r.dim >= abs(s.p)
-    rm = surgery_dim(mirror(k), -s, dataset=ds)
+    rm = surgery_dim(mirror(k), -s, "trivial", ds)
     assert rm.dim == r.dim and rm.euler == r.euler
 
 
@@ -295,4 +295,4 @@ def test_lspace_piecewise_form(name, pq):
     k = parse_knot(name)
     g = genus(k, ds).int_value()
     expected = s.p if s.as_fraction() >= 2 * g - 1 else 2 * s.q * (2 * g - 1) - s.p
-    assert surgery_dim(k, s, dataset=ds).dim == expected
+    assert surgery_dim(k, s, "trivial", ds).dim == expected
