@@ -11,14 +11,25 @@ ends with os._exit, skipping the interpreter's module teardown (no
 atexit handlers, no finalizers), unless a tracer or profiler watches
 the process and must write its results at exit.
 
-The module imports only what parsing the arguments and loading the
+One command table, COMMANDS, drives both ways of reading argv.
+main() first matches a well-formed argv straight against it (the
+global --pretty and --data PATH, the command, its flags and
+positionals, with "--" ending the options) and builds the namespace
+argparse would build.  Anything else (-h, a usage error, --data=x, an
+abbreviated flag, a negative number without "--") goes to the argparse
+parser build_parser() generates from the same table, which prints the
+help and usage text; main(argv) then raises SystemExit, with code 0
+after -h and 2 on a usage error.  So an answered call never imports
+argparse, nor the gettext and locale modules it loads.
+
+The module imports only what reading the arguments and loading the
 dataset need; each cmd_* function imports the modules it calls, so
 `cf` and `triad` never import the deduction engine, and only the
 commands that read census rows pay for the census cross-check.  No
 subcommand imports `dataclasses` (nor the `inspect`, `ast` and `dis`
 modules it loads): the records are slotted classes on values.Record,
 and the bundled data is read as a plain file, not through
-importlib.resources.  tests/test_cli.py::test_import_layout holds both
+importlib.resources.  tests/test_cli.py::test_import_layout holds these
 rules.  The domain errors of every module subclass ValueError, and
 integrity failures subclass DatasetError, so main() maps exit codes
 without importing the modules that raise them.
@@ -26,16 +37,17 @@ without importing the modules that raise them.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import datasets
 from .datasets import DatasetError, IntegrityError
 
 # subcommands that never read the record file (nor --data)
 DATA_FREE = ("cf", "triad")
+TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 # the tables whose rows the census cross-check compares
 CENSUS_TABLES = ("T2", "T6", "T7", "T8")
 
@@ -245,7 +257,41 @@ def cmd_export(args, ds):
     print(ds.export_tsv(args.table), end="")
 
 
+# The command table: name -> (handler, help, positionals, flags).  A
+# positional is (dest, argparse keywords: type, nargs, default, choices,
+# help); a flag is a store_true option without help.  _match reads argv
+# straight against it, and build_parser turns each row into a subparser.
+COMMANDS = {
+    "dim": (cmd_dim, "dimension of a manifold description",
+            (("manifold", {"help": 'e.g. "surg(6_2; -9/1)", "lens(9,2)", '
+                                   '"dcover(9_49)", "census(7)"'}),),
+            ("--graded", "--trace")),
+    "invariants": (cmd_invariants, "deduced invariants of a knot",
+                   (("knot", {}),), ("--trace",)),
+    "triad": (cmd_triad, "surgery triad of a slope", (("slope", {}),), ()),
+    "cf": (cmd_cf, "negative continued fraction of a slope", (("slope", {}),), ()),
+    "cable": (cmd_cable, "is the (p,q)-cable an instanton L-space knot",
+              (("p", {"type": int}), ("q", {"type": int}), ("knot", {})), ()),
+    "sum": (cmd_sum, "invariants of a connected sum",
+            (("knots", {"nargs": "+"}),), ("--trace",)),
+    "census": (cmd_census, "census manifold dimension",
+               (("index", {"help": "0..19 or 'all'"}),), ()),
+    "dcover": (cmd_dcover, "branched double cover dimension", (("knot", {}),), ()),
+    "verify": (cmd_verify, "re-derive table cells and cross-checks",
+               (("target", {"nargs": "?", "default": "all",
+                            "choices": ("all", "identities", *TABLES)}),), ()),
+    "identities": (cmd_identities, "registered surgery re-descriptions",
+                   (("knot", {}), ("slope", {})), ()),
+    "export": (cmd_export, "tab-separated dump of a table",
+               (("table", {"choices": TABLES}),), ()),
+}
+
+
 def build_parser():
+    """The argparse parser of the command table: it prints -h and the
+    usage errors, for the argv that _match declines."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="isharp",
         description="Exact dimensions of framed instanton homology for "
@@ -253,66 +299,84 @@ def build_parser():
     ap.add_argument("--data", help="path to an alternate record file")
     ap.add_argument("--pretty", action="store_true", help="human-readable output")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dim", help="dimension of a manifold description")
-    p.add_argument("manifold", help='e.g. "surg(6_2; -9/1)", "lens(9,2)", '
-                                    '"dcover(9_49)", "census(7)"')
-    p.add_argument("--graded", action="store_true")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("invariants", help="deduced invariants of a knot")
-    p.add_argument("knot")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("triad", help="surgery triad of a slope")
-    p.add_argument("slope")
-    p.set_defaults(func=cmd_triad)
-
-    p = sub.add_parser("cf", help="negative continued fraction of a slope")
-    p.add_argument("slope")
-    p.set_defaults(func=cmd_cf)
-
-    p = sub.add_parser("cable", help="is the (p,q)-cable an instanton L-space knot")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("knot")
-    p.set_defaults(func=cmd_cable)
-
-    p = sub.add_parser("sum", help="invariants of a connected sum")
-    p.add_argument("knots", nargs="+")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_sum)
-
-    p = sub.add_parser("census", help="census manifold dimension")
-    p.add_argument("index", help="0..19 or 'all'")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("dcover", help="branched double cover dimension")
-    p.add_argument("knot")
-    p.set_defaults(func=cmd_dcover)
-
-    p = sub.add_parser("verify", help="re-derive table cells and cross-checks")
-    p.add_argument("target", nargs="?", default="all",
-                   choices=["all", "identities", "T1", "T2", "T3", "T4",
-                            "T5", "T6", "T7", "T8"])
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("identities", help="registered surgery re-descriptions")
-    p.add_argument("knot")
-    p.add_argument("slope")
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("export", help="tab-separated dump of a table")
-    p.add_argument("table", choices=["T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"])
-    p.set_defaults(func=cmd_export)
+    for name, (func, text, positionals, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, kw in positionals:
+            p.add_argument(dest, **kw)
+        for flag in flags:
+            p.add_argument(flag, action="store_true")
+        p.set_defaults(func=func)
     return ap
 
 
+def _match(argv):
+    """The namespace build_parser().parse_args(argv) would return, read
+    straight from the command table; None when argv is anything but
+    well formed: -h, a usage error, --data=x, an abbreviated flag, an
+    argument that begins with "-" and comes before "--".  Those are left
+    to argparse."""
+    data, pretty, i, n = None, False, 0, len(argv)
+    while i < n and argv[i] in ("--pretty", "--data"):
+        if argv[i] == "--pretty":
+            pretty, i = True, i + 1
+        elif i + 1 < n and not argv[i + 1].startswith("-"):
+            data, i = argv[i + 1], i + 2
+        else:
+            return None
+    if i == n or argv[i] not in COMMANDS:
+        return None
+    command = argv[i]
+    func, _, positionals, flags = COMMANDS[command]
+    ns = {"data": data, "pretty": pretty, "command": command, "func": func}
+    ns.update((flag[2:], False) for flag in flags)
+    values, closed = [], False  # closed: a flag followed the positionals
+    for j in range(i + 1, n):
+        a = argv[j]
+        if a == "--":
+            rest = argv[j + 1:]
+            if closed or not rest or "--" in rest:
+                return None
+            values.extend(rest)
+            break
+        if a in flags:
+            ns[a[2:]] = True
+            closed = bool(values)
+        elif a.startswith("-") or closed:
+            return None
+        else:
+            values.append(a)
+    for dest, kw in positionals:
+        nargs = kw.get("nargs")
+        if nargs == "+":
+            if not values:
+                return None
+            value, values = values, []
+        elif nargs == "?":
+            value = values.pop(0) if values else kw["default"]
+        elif values:
+            value = values.pop(0)
+        else:
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        ns[dest] = value
+    return None if values else SimpleNamespace(**ns)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command line; the exit code.  argparse, reached only
+    for -h and usage errors, raises SystemExit (0 after -h, 2 on a
+    usage error)."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _match(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         if args.command in DATA_FREE:
             args.func(args)

@@ -171,6 +171,40 @@ def _val_from_payload(x) -> Val:
 _KNOT_FIELD_TYPES = {"signature": int, "determinant": int, "sl_max": int, "khbar_dim": int,
                      "mirror_sl_max": int, "sigma2": str, "aliases": list, "flags": dict,
                      "mirror_flags": dict, "instanton": dict}
+_NULL = type(None)
+# the JSON types each instanton field may take; a stored shape is "V" or "W"
+_INSTANTON_FIELD_TYPES = {"shape": (str, _NULL), "mu0_dim": (int, _NULL)}
+# the JSON types each T-table payload field may take (a field left out
+# counts as null); a list of dimensions is a non-empty list of ints, and
+# a T8 row lists the two manifolds of its triad
+_TABLE_FIELD_TYPES = {
+    "T1": {"nu": (int,), "r0": (int,)},
+    "T2": {"name": (str,), "h1": (int,), "dim": (int, list)},
+    "T3": {"nu": (int, _NULL), "tau": (int,)},
+    "T4": {"n": (int,), "dim": (int,), "nu": (int,), "r0": (int,), "via": (str,)},
+    "T5": {"det": (int,), "khbar_dim": (int,), "sigma2": (str, _NULL),
+           "dim": (int, list, _NULL)},
+    "T6": {"name": (str,), "knot": (str,), "slope": (str,), "h1": (int,), "dim": (int,)},
+    "T7": {"name": (str,), "knot": (str,), "qa": (str,), "h1": (int,), "dim": (int,)},
+    "T8": {"name": (str,), "h1": (int,), "components": (list,), "dim": (int, list)},
+}
+_COMPONENT_FIELD_TYPES = {"desc": (str,), "dim": (int,), "h1": (int,)}
+
+
+def _check_row(where: str, payload: dict, types: dict) -> None:
+    """Raise DatasetError unless every field has one of its JSON types."""
+    for field, kinds in types.items():
+        v = payload.get(field)
+        if type(v) not in kinds:
+            names = " or ".join("null" if k is _NULL else k.__name__ for k in kinds)
+            raise DatasetError(f"{where}: {field} {v!r} is not of type {names}")
+        if field == "components":
+            if len(v) != 2 or any(type(c) is not dict for c in v):
+                raise DatasetError(f"{where}: components {v!r} are not two JSON objects")
+            for c in v:
+                _check_row(where, c, _COMPONENT_FIELD_TYPES)
+        elif type(v) is list and not (v and all(type(x) is int for x in v)):
+            raise DatasetError(f"{where}: {field} {v!r} is not a non-empty list of ints")
 
 
 def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
@@ -198,6 +232,10 @@ def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
         flags=make_flags(**flags),
     )
     inst = p.get("instanton") or {}
+    _check_row(f"knot record {entry.key}: instanton", inst, _INSTANTON_FIELD_TYPES)
+    if inst.get("shape") not in (None, "V", "W"):
+        raise DatasetError(f"knot record {entry.key}: instanton shape {inst['shape']!r} "
+                           "is not V or W")
     instanton = InstantonFields(
         nu=_val_from_payload(inst.get("nu")),
         tau=_val_from_payload(inst.get("tau")),
@@ -229,6 +267,9 @@ class Dataset:
             if e.key in bucket:
                 raise DatasetError(f"duplicate key {e.key!r} in table {e.table}")
             bucket[e.key] = e
+        for table, types in _TABLE_FIELD_TYPES.items():
+            for key, e in self._by_table.get(table, {}).items():
+                _check_row(f"{table} row {key}", e.payload, types)
         self._knots = {
             key: _knot_record_from_entry(e)
             for key, e in self._by_table.get("KNOT", {}).items()

@@ -39,10 +39,11 @@ class KnotError(ValueError):
 # ---------------------------------------------------------------------------
 
 class KnotExpr(Record):
-    """Base of the expression types.  _text is derived, not a field: the
-    canonical text, written once by format_knot."""
+    """Base of the expression types.  _text and _mirror are derived, not
+    fields: the canonical text, written once by format_knot, and the
+    mirror image, built once by mirror."""
 
-    __slots__ = ("_text",)
+    __slots__ = ("_text", "_mirror")
     _fields = ()
 
 
@@ -138,7 +139,19 @@ def make_torus(p: int, q: int) -> KnotExpr:
 
 
 def mirror(k: KnotExpr) -> KnotExpr:
-    """Mirror image, pushed down to the atoms."""
+    """Mirror image, pushed down to the atoms.  It is built on the first
+    call and kept on k (and k on it), so a cable chain is mirrored one
+    layer at a time, however often its layers are mirrored."""
+    mk = getattr(k, "_mirror", None)
+    if mk is None:
+        mk = _mirror(k)
+        object.__setattr__(k, "_mirror", mk)
+        if getattr(mk, "_mirror", None) is None:
+            object.__setattr__(mk, "_mirror", k)
+    return mk
+
+
+def _mirror(k: KnotExpr) -> KnotExpr:
     if isinstance(k, Unknot):
         return k
     if isinstance(k, (Named, Twist, Pretzel)):

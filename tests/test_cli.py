@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from isharp import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run_cli(*args):
@@ -125,20 +133,40 @@ def test_missing_data_file_exits_3(tmp_path):
     assert err.startswith("integrity error: cannot read")
 
 
-def test_malformed_record_exits_3(tmp_path):
+def _edited_copy(tmp_path, table, key, edit):
+    """The bundled record file with edit applied to the JSON object of
+    one row."""
     from isharp import datasets
     lines = []
     for e in datasets.load(check=False).entries:
         line = json.loads(e.to_json_line())
-        if (e.table, e.key) == ("KNOT", "3_1"):
-            line["payload"] = [1, 2]
+        if (e.table, e.key) == (table, key):
+            edit(line)
         lines.append(json.dumps(line))
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, err = run_cli("--data", str(bad), "verify", "T4")
+    return str(bad)
+
+
+def test_malformed_record_exits_3(tmp_path):
+    bad = _edited_copy(tmp_path, "KNOT", "3_1", lambda line: line.update(payload=[1, 2]))
+    code, out, err = run_cli("--data", bad, "verify", "T4")
     assert code == 3 and out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("integrity error: line ")
+
+
+@pytest.mark.parametrize("table, key, edit, argv, message", [
+    ("T4", "3_1", lambda line: line["payload"].update(n="x"), ("verify", "all"),
+     "T4 row 3_1: n 'x' is not of type int"),
+    ("T2", "0", lambda line: line["payload"].update(dim="x"), ("dim", "census(0)"),
+     "T2 row 0: dim 'x' is not of type int or list"),
+    ("KNOT", "3_1", lambda line: line["payload"]["instanton"].update(shape=5),
+     ("verify", "all"), "knot record 3_1: instanton: shape 5 is not of type str or null"),
+])
+def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
+    code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
+    assert (code, out, err) == (3, "", f"integrity error: {message}\n")
 
 
 def test_non_utf8_data_file_exits_3(tmp_path):
@@ -258,6 +286,93 @@ def test_import_layout():
         loaded = _loaded_modules(code)
         assert "isharp.cli" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect"}), code
+    # a well-formed command line is read from the command table, so it
+    # never imports argparse, nor the gettext and locale modules argparse
+    # loads; -h goes through argparse
+    for code in ("import isharp.cli",
+                 "import isharp.cli as c\n"
+                 "for argv in (['cf', '1/3'], ['triad', '5/2'], ['dim', 'surg(4_1; 1/2)'],\n"
+                 "             ['invariants', 'm(5_2)'], ['sum', '3_1', 'm(3_1)'],\n"
+                 "             ['cable', '3', '2', 'm(3_1)'], ['identities', 'm(3_1)', '7/4'],\n"
+                 "             ['export', 'T1']):\n"
+                 "    assert c.main(argv) == 0, argv"):
+        loaded = _loaded_modules(code)
+        assert "isharp.cli" in loaded
+        assert loaded.isdisjoint({"argparse", "gettext", "locale"}), code
+    loaded = _loaded_modules("import isharp.cli as c\n"
+                             "try:\n"
+                             "    c.main(['-h'])\n"
+                             "except SystemExit:\n"
+                             "    pass")
+    assert "argparse" in loaded
+
+
+# --- the argv matcher: cli._match against build_parser() ---------------------
+
+_PARSER = cli.build_parser()
+
+
+def _parsed(argv):
+    """vars() of argparse's namespace for argv; None where argparse exits
+    (after -h, or on a usage error)."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(_PARSER.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+_WORDS = ["", "T1", "T9", "all", "3", "x"]
+_TOKENS = st.sampled_from([
+    *cli.COMMANDS, "--pretty", "--data", "--data=x", "--trace", "--graded", "--gra",
+    "-h", "--", "-", "-9", "-3/4", *_WORDS])
+# argv drawn at random, and argv that start like a command line and go
+# on with flags, "--" and positionals in any order
+_ARGV = st.lists(_TOKENS, max_size=7) | st.builds(
+    lambda head, command, tail: [*head, command, *tail],
+    st.lists(st.sampled_from(["--pretty", "--data", "x"]), max_size=3),
+    st.sampled_from(list(cli.COMMANDS)),
+    st.lists(st.sampled_from(["--trace", "--graded", "--", "-9", *_WORDS]), max_size=5))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_ARGV)
+@example(["sum", "x", "--trace", "x"])
+@example(["sum", "x", "--trace", "--", "x"])
+@example(["sum", "x", "--", "x", "--", "x"])
+@example(["cable", "--", "-9", "3", "x"])
+def test_matcher_returns_what_argparse_returns(argv):
+    matched = cli._match(argv)
+    if matched is not None:
+        assert vars(matched) == _parsed(argv)
+
+
+def test_corpus_queries_take_the_matcher_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import cli_corpus
+    import oracle
+
+    tables = oracle.load_tables(BENCH.parent / "src" / "isharp" / "data" / "tables.jsonl")
+    argvs = [list(q.argv) for q in cli_corpus.queries(tables)]
+    assert any("--" in argv for argv in argvs)
+    for argv in argvs:
+        expected = _parsed(argv)
+        if argv == ["export", "T9"]:  # the corpus's one usage error
+            assert expected is None and cli._match(argv) is None
+        else:
+            assert vars(cli._match(argv)) == expected, argv
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["dim", "-h"], ["dim"], ["export", "T9"]])
+def test_help_and_usage_errors_print_the_parser_text(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    proc = _entry("-m", "isharp.cli", *argv, capture_output=True)
+    assert proc.returncode == exit_.value.code == (0 if "-h" in argv else 2)
+    assert (proc.stdout, proc.stderr) == (expected.out.encode(), expected.err.encode())
 
 
 # the modules from the bottom layer up; each imports only those before it

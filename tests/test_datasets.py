@@ -91,6 +91,34 @@ def test_loader_rejects_bad_schema_and_duplicates():
             Dataset([TableEntry("ALIAS", "T(2,3)", payload, "test")])
 
 
+def test_loader_type_checks_every_table_cell(ds):
+    """Each T1-T8 field of the wrong JSON type, or missing where it is
+    not nullable, is a DatasetError at load; so is a bad instanton field."""
+    nullable = {("T3", "nu"), ("T5", "sigma2"), ("T5", "dim")}
+    for table in ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8"):
+        entry = next(iter(ds.table(table).values()))
+        for field, value in entry.payload.items():
+            bad = [1.5, [], ["x"], {}] + (["x"] if type(value) is not str else [5])
+            if (table, field) not in nullable:
+                bad.append(None)
+            for wrong in bad:
+                payload = {**entry.payload, field: wrong}
+                with pytest.raises(DatasetError, match=f"{table} row {entry.key}: {field} "):
+                    Dataset([TableEntry(table, entry.key, payload, "test")])
+            Dataset([TableEntry(table, entry.key, dict(entry.payload), "test")])
+    t8 = next(iter(ds.table("T8").values()))
+    first, second = t8.payload["components"]
+    for components in ([first], [first, second, second], [first, 3],
+                       [first, {**second, "desc": 7}], [first, {**second, "h1": "x"}]):
+        with pytest.raises(DatasetError, match="components|desc|h1"):
+            Dataset([TableEntry("T8", t8.key, {**t8.payload, "components": components}, "")])
+    for instanton, message in (({"shape": 5}, "shape 5"), ({"shape": "X"}, "not V or W"),
+                               ({"mu0_dim": "4"}, "mu0_dim '4'")):
+        with pytest.raises(DatasetError, match=message):
+            Dataset([_record("bogus", instanton)])
+    Dataset([_record("bogus", {"shape": "W", "mu0_dim": 4})])
+
+
 def test_lookup_examples(ds):
     e = ds.lookup("T1", "8_5")
     assert (e.payload["nu"], e.payload["r0"]) == (3, 11)

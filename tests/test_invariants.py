@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isharp import datasets, invariants
+from isharp import datasets, invariants, knots
 from isharp.invariants import deduce, lspace_cable, lspace_knot_invariants, sl_upper_bound
 from isharp.knots import KnotError, format_knot, make_sum, mirror, parse_knot
 from isharp.values import Inconsistency, Val
@@ -174,6 +177,48 @@ def test_cold_cable_chain_checks_each_layer_once(monkeypatch):
     deduce(parse_knot(text), ds)
     # one check per cable layer of the chain and of its mirror
     assert len(keys) == len(set(keys)) <= 2 * 32
+
+
+def _cable_chain(depth, lspace):
+    """depth nested (p, 2)-cables over T(2,3): p = 3 throughout, or
+    p = 4g - 1 over a companion of genus g, which keeps every layer an
+    instanton L-space knot."""
+    text, g = "T(2,3)", 1
+    for _ in range(depth):
+        p = 4 * g - 1 if lspace else 3
+        text, g = f"Cab({p},2;{text})", 2 * g + (p - 1) // 2
+    return text
+
+
+# sha256 of the bundle's JSON, trace included, recorded before mirror
+# images were kept on the expressions
+CHAIN_DIGESTS = {
+    (8, False): "d76eddb5bd729031", (16, False): "9c8b0d84578d8b2f",
+    (32, False): "cfe7867a7b6585ab", (8, True): "580c0c77f1217599",
+    (16, True): "5b322fa6ebb75f1b", (32, True): "9a18913555e83495",
+}
+
+
+def test_cold_cable_chain_builds_each_mirror_once(monkeypatch):
+    built = []
+    original = knots._mirror
+
+    def counting(k):
+        built.append(k)
+        return original(k)
+
+    monkeypatch.setattr(knots, "_mirror", counting)
+    for (depth, lspace), digest in CHAIN_DIGESTS.items():
+        built.clear()
+        b = deduce(parse_knot(_cable_chain(depth, lspace)), datasets.load(check=False))
+        out = b.to_json()
+        out["trace"] = [t.to_json() for t in b.trace]
+        text = json.dumps(out, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (depth, lspace)
+        # one mirror per layer of the chain, plus the few atoms the rules
+        # mirror on the way (a quadratic pass made 1095 at depth 32)
+        assert len(built) <= depth + 8, (depth, lspace, len(built))
+    assert b.nu == b.r0 == Val.exact(24595658764946068821)
 
 
 # --- bundle invariants over all records ---------------------------------------

@@ -97,6 +97,19 @@ def test_derived_text_is_invisible():
         k._text = "4_1"
 
 
+def test_derived_mirror_is_invisible():
+    k = parse_knot("Cab(3,2;m(3_1)) # 4_1")
+    mk = mirror(k)
+    assert mirror(k) is mk and mirror(mk) is k  # built once, both ways
+    fresh = parse_knot("Cab(3,2;m(3_1)) # 4_1")
+    assert k == fresh and hash(k) == hash(fresh) and repr(k) == repr(fresh)
+    for copied in (copy.deepcopy(k), pickle.loads(pickle.dumps(k)), copy.copy(k)):
+        assert getattr(copied, "_mirror", None) is None  # recomputed, never carried
+        assert mirror(copied) == mk
+    with pytest.raises(AttributeError):
+        k._mirror = k
+
+
 def test_replace_reruns_the_constructor_checks():
     assert Twist(3).replace(mirrored=True) == Twist(3, True)
     assert Val.between(1, 3).replace(hi=Fraction(1)) == Val.exact(1)  # parity 1 filled in
