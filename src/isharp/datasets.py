@@ -8,6 +8,11 @@ published computations this library reproduces; KNOT rows hold structural
 data per knot, and ALIAS rows hold the registered family identifications.
 A malformed row raises DatasetError while the file loads.
 
+The alias registry (Dataset.aliases) maps each code, such as "T(3,5)" or
+"P(-2,3,7)", to the knot it presents; here the codes stay opaque text.
+knots parses them, once per dataset, into the index that resolves every
+family atom.
+
 The knot-level records (StructuralData, its flags and KnotRecord) live
 here, below knots, so the loader imports nothing but values: every module
 above it, from knots up to cli, takes the loaded Dataset as an argument.
@@ -174,9 +179,9 @@ _KNOT_FIELD_TYPES = {"signature": int, "determinant": int, "sl_max": int, "khbar
 _NULL = type(None)
 # the JSON types each instanton field may take; a stored shape is "V" or "W"
 _INSTANTON_FIELD_TYPES = {"shape": (str, _NULL), "mu0_dim": (int, _NULL)}
-# the JSON types each T-table payload field may take (a field left out
-# counts as null); a list of dimensions is a non-empty list of ints, and
-# a T8 row lists the two manifolds of its triad
+# the JSON types each T-table and ALIAS payload field may take (a field
+# left out counts as null); a list of dimensions is a non-empty list of
+# ints, and a T8 row lists the two manifolds of its triad
 _TABLE_FIELD_TYPES = {
     "T1": {"nu": (int,), "r0": (int,)},
     "T2": {"name": (str,), "h1": (int,), "dim": (int, list)},
@@ -187,6 +192,7 @@ _TABLE_FIELD_TYPES = {
     "T6": {"name": (str,), "knot": (str,), "slope": (str,), "h1": (int,), "dim": (int,)},
     "T7": {"name": (str,), "knot": (str,), "qa": (str,), "h1": (int,), "dim": (int,)},
     "T8": {"name": (str,), "h1": (int,), "components": (list,), "dim": (int, list)},
+    "ALIAS": {"name": (str,), "mirrored": (bool, _NULL)},
 }
 _COMPONENT_FIELD_TYPES = {"desc": (str,), "dim": (int,), "h1": (int,)}
 
@@ -217,6 +223,9 @@ def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
     for name in (*flags, *mirror_flags):
         if name not in FLAG_NAMES:
             raise DatasetError(f"knot record {entry.key}: unknown flag {name!r}")
+    if any(type(code) is not str for code in p.get("aliases") or ()):
+        raise DatasetError(f"knot record {entry.key}: aliases {p['aliases']!r} "
+                           "is not a list of strings")
     alexander = p.get("alexander")
     if alexander is not None and not (isinstance(alexander, list) and alexander
                                       and all(type(a) is int for a in alexander)):
@@ -274,19 +283,20 @@ class Dataset:
             key: _knot_record_from_entry(e)
             for key, e in self._by_table.get("KNOT", {}).items()
         }
-        self._aliases: dict[str, tuple[str, bool]] = {}
+        # the alias registry, code -> (name, mirrored): the ALIAS rows,
+        # then the codes the KNOT rows list; the codes stay opaque text
+        self.aliases: dict[str, tuple[str, bool]] = {}
         for key, e in self._by_table.get("ALIAS", {}).items():
-            if not isinstance(e.payload.get("name"), str):
-                raise DatasetError(f"alias {key!r}: no string name")
-            self._aliases[key] = (e.payload["name"], bool(e.payload.get("mirrored", False)))
+            self.aliases[key] = (e.payload["name"], e.payload.get("mirrored") is True)
         for rec in self._knots.values():
             for code in rec.aliases:
-                self._aliases.setdefault(code, (rec.name, False))
+                self.aliases.setdefault(code, (rec.name, False))
         # deduce, structural and lspace_cable results, keyed by the
-        # canonical knot text
+        # canonical knot text, and the alias index knots builds on first use
         self.deduce_cache: dict = {}
         self.structural_cache: dict = {}
         self.lspace_cache: dict = {}
+        self.alias_index = None
 
     # -- lookups ------------------------------------------------------------
 
@@ -304,27 +314,6 @@ class Dataset:
 
     def knot_names(self) -> list[str]:
         return sorted(self._knots)
-
-    def alias(self, code: Optional[str]) -> Optional[tuple[str, bool]]:
-        if code is None:
-            return None
-        return self._aliases.get(code)
-
-    def tb_codes(self, name: str) -> list[tuple[int, int, bool]]:
-        """All registered two-bridge codes resolving to the named knot;
-        entries are (a, b, mirrored)."""
-        out = []
-        for code, (target, mirrored) in self._aliases.items():
-            if target == name and code.startswith("TB("):
-                a, b = (int(x) for x in code[3:-1].split(","))
-                out.append((a, b, mirrored))
-                out.append((-a, -b, not mirrored))
-        return out
-
-    def alias_codes(self, name: str) -> list[tuple[str, bool]]:
-        """All registered codes resolving to the named knot."""
-        return [(code, mirrored) for code, (target, mirrored) in self._aliases.items()
-                if target == name]
 
     # -- integrity ----------------------------------------------------------
 

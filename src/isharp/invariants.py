@@ -27,9 +27,9 @@ from .knots import (
     Unknot,
     _pretzel_n33,
     _pretzel_odd32,
+    equivalent_atoms,
     format_knot,
     mirror,
-    parse_knot,
     resolve_atom,
     structural,
 )
@@ -221,25 +221,8 @@ def _apply_atom_rules(b: _Draft, k, ds, use_stored) -> None:
             if inst.mu0_dim is not None:
                 b.mu0_dim = inst.mu0_dim
 
-    for expr in _equivalent_atoms(k, hit, ds):
+    for expr in equivalent_atoms(k, hit, ds):
         _apply_family_rules(b, expr, s, ds, use_stored)
-
-
-def _equivalent_atoms(k, hit, ds):
-    """The expression itself plus every registered alias presentation."""
-    out = [k]
-    if hit is not None:
-        name, mirrored = hit
-        for code, code_mirrored in ds.alias_codes(name):
-            try:
-                expr = parse_knot(code)
-            except KnotError:
-                continue
-            if code_mirrored != mirrored:
-                expr = mirror(expr)
-            if expr != k:
-                out.append(expr)
-    return out
 
 
 def _apply_family_rules(b: _Draft, k, s, ds, use_stored) -> None:

@@ -19,14 +19,13 @@ trefoil, and the signature of the right-handed trefoil is -2.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
-from .datasets import FLAG_NAMES, NO_FLAGS, StructuralData, make_flags
+from .datasets import FLAG_NAMES, NO_FLAGS, DatasetError, StructuralData, make_flags
 from .values import Record, Val
 
 
@@ -369,7 +368,7 @@ def alexander_zero_surgery_floor(coeffs: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Alias resolution against the loaded dataset
+# The presentation index: alias codes resolved against the loaded dataset
 # ---------------------------------------------------------------------------
 
 def _twist_from_two_bridge(k: TwoBridge):
@@ -390,57 +389,82 @@ def _two_bridge_from_twist(tw: Twist) -> TwoBridge:
     return TwoBridge(-a, -b) if tw.mirrored else TwoBridge(a, b)
 
 
+def _atom_key(k: KnotExpr):
+    """The index key of a family atom, None for any other expression: the
+    atom itself, a two-bridge code in twist form as its twist knot, and a
+    pretzel as its sorted strands, negated when it is mirrored."""
+    if isinstance(k, TwoBridge):
+        return _twist_from_two_bridge(k) or k
+    if isinstance(k, Pretzel):
+        return Pretzel(*sorted((-k.a, -k.b, -k.c) if k.mirrored else (k.a, k.b, k.c)))
+    return k if isinstance(k, (Torus, Twist)) else None
+
+
+def _alias_index(ds) -> tuple[dict, dict]:
+    """The alias registry of ds, parsed once: atom key -> (name, mirrored),
+    the first code in registry order winning a key, and name -> its
+    presentations [(expression, mirrored)] in registry order.  A code
+    that is not a torus, twist, pretzel or two-bridge atom is a
+    DatasetError."""
+    if ds.alias_index is None:
+        by_key: dict = {}
+        by_name: dict = {}
+        for code, (name, mirrored) in ds.aliases.items():
+            try:
+                expr = parse_knot(code)
+            except KnotError as e:
+                raise DatasetError(f"alias {code!r}: {e}") from None
+            key = _atom_key(expr)
+            if key is None:
+                raise DatasetError(f"alias {code!r} is not a torus, twist, pretzel "
+                                   "or two-bridge knot")
+            by_key.setdefault(key, (name, mirrored))
+            by_name.setdefault(name, []).append((expr, mirrored))
+        ds.alias_index = (by_key, by_name)
+    return ds.alias_index
+
+
 def resolve_atom(k: KnotExpr, ds) -> Optional[tuple[str, bool]]:
-    """Resolve an atomic expression to (canonical name, mirrored), if known."""
+    """Resolve an atomic expression to (canonical name, mirrored), if known:
+    a family atom by its index key, or else by its mirror's."""
     if isinstance(k, Unknot):
         return ("0_1", False)
     if isinstance(k, Named):
         name, mirrored = k.name, k.mirrored
         if ds.knot_record(name) is None:
             raise KnotError(f"unknown knot name {name!r}")
-    elif isinstance(k, (Twist, Pretzel)):
-        hit = ds.alias(f"Tw({k.n})") if isinstance(k, Twist) else _pretzel_alias(k, ds)
-        if hit is None:
-            return None
-        name, m = hit
-        mirrored = m != k.mirrored
-    elif isinstance(k, Torus):
-        # the table registers positive torus knots; the sign of p is the
-        # chirality of the instance at hand
-        hit = ds.alias(f"T({abs(k.p)},{k.q})")
-        if hit is None:
-            return None
-        name, m = hit
-        mirrored = m != (k.p < 0)
-    elif isinstance(k, TwoBridge):
-        tw = _twist_from_two_bridge(k)
-        if tw is not None:
-            return resolve_atom(tw, ds)
-        hit, flip = ds.alias(f"TB({k.a},{k.b})"), False
-        if hit is None:
-            hit, flip = ds.alias(f"TB({-k.a},{-k.b})"), True
-        if hit is None:
-            return None
-        name, m = hit
-        mirrored = m != flip
     else:
-        return None
+        key = _atom_key(k)
+        if key is None:
+            return None
+        by_key = _alias_index(ds)[0]
+        hit = by_key.get(key)
+        if hit is not None:
+            name, mirrored = hit
+        else:
+            hit = by_key.get(_atom_key(mirror(k)))
+            if hit is None:
+                return None
+            name, mirrored = hit[0], not hit[1]
     rec = ds.knot_record(name)
     if rec is not None and rec.structural.flag("amphichiral"):
         mirrored = False
     return (name, mirrored)
 
 
-def _pretzel_alias(k: Pretzel, ds):
-    """Pretzel atoms match alias entries up to permutation of the strands."""
-    for perm in itertools.permutations((k.a, k.b, k.c)):
-        hit = ds.alias(f"P({perm[0]},{perm[1]},{perm[2]})")
-        if hit is not None:
-            return hit
-        hit = ds.alias(f"P({-perm[0]},{-perm[1]},{-perm[2]})")
-        if hit is not None:
-            return (hit[0], not hit[1])
-    return None
+def equivalent_atoms(k: KnotExpr, hit, ds) -> list[KnotExpr]:
+    """k, then every registered presentation of the knot that hit (from
+    resolve_atom, or None) names, in its chirality; the presentations
+    equal to k are left out."""
+    out = [k]
+    if hit is not None:
+        name, mirrored = hit
+        for expr, code_mirrored in _alias_index(ds)[1].get(name, ()):
+            if code_mirrored != mirrored:
+                expr = mirror(expr)
+            if expr != k:
+                out.append(expr)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from typing import Optional, Union
 from .datasets import IntegrityError
 from .invariants import Bundle, deduce
 from .knots import (Cable, KnotError, KnotExpr, Named, Pretzel, Twist, TwoBridge, Unknot,
-                    _Parser, _pretzel_n33, _two_bridge_from_twist, format_knot, mirror,
-                    parse_knot, resolve_atom, structural)
+                    _Parser, _pretzel_n33, _two_bridge_from_twist, equivalent_atoms,
+                    format_knot, mirror, parse_knot, resolve_atom, structural)
 from .slopes import Slope, parse_slope, reduce
 from .values import Inconsistency, Record, Val
 
@@ -467,25 +467,15 @@ def triad_bounds(dA: DimResult, dB: DimResult, h1C: int) -> DimResult:
 # ---------------------------------------------------------------------------
 
 def _tb_codes_for(k: KnotExpr, ds) -> list[tuple[int, int]]:
-    """Two-bridge codes (a, b) known to present exactly this knot."""
-    codes = []
-    if isinstance(k, TwoBridge):
-        codes.append((k.a, k.b))
-    tw = k if isinstance(k, Twist) else None
+    """Two-bridge codes (a, b) known to present exactly this knot: its
+    two-bridge presentations, then the code of its first twist one."""
     try:
         hit = resolve_atom(k, ds)
     except KnotError:
         hit = None
-    if hit is not None:
-        name, mirrored = hit
-        for a, b, m in ds.tb_codes(name):
-            if m == mirrored:
-                codes.append((a, b))
-        rec = ds.knot_record(name)
-        if tw is None and rec is not None:
-            for alias in rec.aliases:
-                if alias.startswith("Tw("):
-                    tw = Twist(int(alias[3:-1]), mirrored)
+    atoms = equivalent_atoms(k, hit, ds)
+    codes = [(x.a, x.b) for x in atoms if isinstance(x, TwoBridge)]
+    tw = next((x for x in atoms if isinstance(x, Twist)), None)
     if tw is not None:
         tb = _two_bridge_from_twist(tw)
         codes.append((tb.a, tb.b))

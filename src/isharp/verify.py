@@ -17,6 +17,7 @@ from .knots import (
     TwoBridge,
     Unknot,
     alexander_zero_surgery_floor,
+    equivalent_atoms,
     format_knot,
     parse_knot,
     structural,
@@ -342,8 +343,9 @@ def identity_instances(ds, bound: int = 50):
     # two-bridge codes from the alias registry, plus the twist-knot family
     codes = set()
     for name in ds.knot_names():
-        for a, b, _ in ds.tb_codes(name):
-            codes.add((a, b))
+        for x in equivalent_atoms(Named(name), (name, False), ds):
+            if isinstance(x, TwoBridge):
+                codes.update(((x.a, x.b), (-x.a, -x.b)))
     for n in range(1, bound + 1):
         codes.add((2, 2 * n))
         codes.add((-2, 2 * n))

@@ -163,6 +163,19 @@ def test_malformed_record_exits_3(tmp_path):
      "T2 row 0: dim 'x' is not of type int or list"),
     ("KNOT", "3_1", lambda line: line["payload"]["instanton"].update(shape=5),
      ("verify", "all"), "knot record 3_1: instanton: shape 5 is not of type str or null"),
+    ("KNOT", "3_1", lambda line: line["payload"].update(aliases=[5]), ("invariants", "3_1"),
+     "knot record 3_1: aliases [5] is not a list of strings"),
+    ("ALIAS", "T(2,3)", lambda line: line["payload"].update(mirrored="no"),
+     ("invariants", "3_1"), "ALIAS row T(2,3): mirrored 'no' is not of type bool or null"),
+    ("KNOT", "3_1", lambda line: line["payload"].update(aliases=["X(1)"]),
+     ("invariants", "3_1"), "alias 'X(1)': expected a knot expression at position 0 in 'X(1)'"),
+    ("KNOT", "3_1", lambda line: line["payload"].update(aliases=["Tw(0)"]),
+     ("dim", "surg(T(2,5); 1)"), "alias 'Tw(0)': twist knot needs n >= 1, got 0"),
+    ("KNOT", "3_1", lambda line: line["payload"].update(aliases=["Cab(3,2;5_1)"]),
+     ("identities", "6_2", "1"),
+     "alias 'Cab(3,2;5_1)' is not a torus, twist, pretzel or two-bridge knot"),
+    ("ALIAS", "T(2,3)", lambda line: line.update(key="T(1,3)"), ("invariants", "5_2"),
+     "alias 'T(1,3)' is not a torus, twist, pretzel or two-bridge knot"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
