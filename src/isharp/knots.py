@@ -513,14 +513,17 @@ def _structural(k: KnotExpr, ds) -> StructuralData:
     if isinstance(k, Cable):
         return _cable_structural(k, ds)
 
+    # the table record, then the family data of every presentation, so
+    # that each presentation of one knot gets the same answer
     hit = resolve_atom(k, ds)
     rec = ds.knot_record(hit[0]) if hit else None
     if rec is not None:
-        base = rec.structural
-        table = _mirror_structural(base, rec) if hit[1] else base
+        s = _mirror_structural(rec.structural, rec) if hit[1] else rec.structural
     else:
-        table = StructuralData()
-    return _merge_structural(table, _family_structural(k))
+        s = StructuralData()
+    for expr in equivalent_atoms(k, hit, ds):
+        s = _merge_structural(s, _family_structural(expr))
+    return s
 
 
 def _merge_structural(a: StructuralData, b: StructuralData) -> StructuralData:
@@ -629,7 +632,7 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
             break
         det *= p.determinant
     all_slice = all(p.flag("slice") for p in parts)
-    is_slice = True if (all_slice or _is_mirror_paired(k)) else None
+    is_slice = True if (all_slice or _is_mirror_paired(k, ds)) else None
     gs = Val.exact(0) if is_slice else Val.between(0, gs_hi)
     # sums of alternating knots need not be alternating: that flag stays unknown
     flags = make_flags(slice=is_slice,
@@ -639,17 +642,26 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
                           flags=flags)
 
 
-def _is_mirror_paired(k: Sum) -> bool:
+def _is_mirror_paired(k: Sum, ds=None) -> bool:
     """True when the summands cancel in mirror pairs (a slice pattern).
 
     Each summand needs as many copies of its mirror as it has copies of
-    itself; one equal to its own mirror needs an even number of copies."""
-    counts = Counter(k.summands)
+    itself; one equal to its own mirror needs an even number of copies.
+    Given ds, a summand that presents a registered knot counts as that
+    knot: T(2,3) pairs with 3_1, and an amphichiral knot with itself."""
+    form = (lambda s: s) if ds is None else (lambda s: _registered_form(s, ds))
+    counts = Counter(map(form, k.summands))
+    mirrors = {form(s): form(mirror(s)) for s in k.summands}
     for x, n in counts.items():
-        mx = mirror(x)
+        mx = mirrors[x]
         if (n % 2 == 1) if mx == x else (counts[mx] != n):
             return False
     return True
+
+
+def _registered_form(k: KnotExpr, ds) -> KnotExpr:
+    hit = resolve_atom(k, ds)
+    return k if hit is None else Named(*hit)
 
 
 def _cable_structural(k: Cable, ds) -> StructuralData:
