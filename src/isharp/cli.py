@@ -161,20 +161,12 @@ def cmd_sum(args, ds):
 def cmd_census(args, ds):
     from .surgery import census_dim
 
-    if args.index == "all":
-        rows = []
-        for i in range(20):
-            entry = ds.lookup("T2", i)
-            out = census_dim(i, ds).to_json()
-            out.update({"index": i, "name": entry.payload["name"]})
-            rows.append(out)
-        emit(rows, args.pretty)
-        return
-    i = int(args.index)
-    entry = ds.lookup("T2", i)
-    out = census_dim(i, ds).to_json()
-    out.update({"index": i, "name": entry.payload["name"]})
-    emit(out, args.pretty)
+    def row(i):
+        name = ds.lookup("T2", i).payload["name"]
+        return {**census_dim(i, ds).to_json(), "index": i, "name": name}
+
+    emit([row(i) for i in range(20)] if args.index == "all" else row(int(args.index)),
+         args.pretty)
 
 
 def cmd_dcover(args, ds):

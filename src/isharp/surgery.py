@@ -380,7 +380,7 @@ def _sigma2_route(k: KnotExpr, ds):
     rec, mirrored = _record_for(k, ds)
     if rec is None or rec.sigma2 is None:
         return None
-    route = parse_manifold(rec.sigma2)
+    route = _parse_cell(f"knot record {rec.name}: sigma2", parse_manifold, rec.sigma2)
     if mirrored and isinstance(route, Surgery):
         route = Surgery(mirror(route.knot), -route.slope, route.bundle)
     return route
@@ -397,7 +397,7 @@ def census_dim(index: int, ds) -> DimResult:
     Census(index)  # validates the range
     stored = ds.lookup("T2", index)
     result = DimResult.of_stored(stored.payload["dim"], stored.payload["h1"])
-    for route, computed in census_routes(index, ds):
+    for _, route, computed in census_routes(index, ds):
         try:
             result = result.meet(computed)
         except Inconsistency as e:
@@ -405,25 +405,37 @@ def census_dim(index: int, ds) -> DimResult:
     return result
 
 
-def census_routes(index: int, ds) -> list[tuple[str, DimResult]]:
-    """Every registered computation route for one census manifold."""
+def census_routes(index: int, ds) -> list[tuple[str, str, DimResult]]:
+    """Every registered computation route for one census manifold, as
+    (table, label, dimension)."""
     out = []
     t6 = ds.table("T6").get(str(index))
     if t6 is not None:
-        desc = Surgery(parse_knot(t6.payload["knot"]), parse_slope(t6.payload["slope"]))
-        out.append((str(desc), surgery_dim(desc.knot, desc.slope, desc.bundle, ds)))
+        where = f"T6 row {index}"
+        desc = Surgery(_parse_cell(where, parse_knot, t6.payload["knot"]),
+                       _parse_cell(where, parse_slope, t6.payload["slope"]))
+        out.append(("T6", str(desc), surgery_dim(desc.knot, desc.slope, desc.bundle, ds)))
     t7 = ds.table("T7").get(str(index))
     if t7 is not None:
-        desc = BranchedCover(parse_knot(t7.payload["knot"]))
-        out.append((str(desc), branched_cover_dim(desc.knot, ds)))
+        desc = BranchedCover(_parse_cell(f"T7 row {index}", parse_knot, t7.payload["knot"]))
+        out.append(("T7", str(desc), branched_cover_dim(desc.knot, ds)))
     t8 = ds.table("T8").get(str(index))
     if t8 is not None:
-        parts = [manifold_dim(parse_manifold(c["desc"]), ds)
+        parts = [manifold_dim(_parse_cell(f"T8 row {index}", parse_manifold, c["desc"]), ds)
                  for c in t8.payload["components"]]
         computed = triad_bounds(parts[0], parts[1], t8.payload["h1"])
         label = " / ".join(c["desc"] for c in t8.payload["components"])
-        out.append((f"triad({label})", computed))
+        out.append(("T8", f"triad({label})", computed))
     return out
+
+
+def _parse_cell(where: str, parse, text: str):
+    """parse(text) for a stored cell; a cell that does not parse is an
+    IntegrityError that names its row."""
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise IntegrityError(f"{where}: {e}") from None
 
 
 def manifold_dim(m: ManifoldDesc, ds) -> DimResult:

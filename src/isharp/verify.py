@@ -252,13 +252,7 @@ def check_census(ds) -> Report:
     for key, entry in sorted(ds.table("T2").items(), key=lambda kv: int(kv[0])):
         stored = DimResult.of_stored(entry.payload["dim"], entry.payload["h1"])
         routes = census_routes(int(key), ds)
-        for route, computed in routes:
-            if route.startswith("triad("):
-                table = "T8"
-            elif route.startswith("surg("):
-                table = "T6"
-            else:
-                table = "T7"
+        for table, route, computed in routes:
             try:
                 stored.meet(computed)
                 ok = True

@@ -182,6 +182,34 @@ def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path)
     assert (code, out, err) == (3, "", f"integrity error: {message}\n")
 
 
+def _set_component_desc(line, desc):
+    line["payload"]["components"][1]["desc"] = desc
+
+
+@pytest.mark.parametrize("table, key, edit, argvs, message", [
+    ("T6", "1", lambda line: line["payload"].update(knot="X_1"),
+     [("dim", "census(1)"), ("verify", "T6"), ("export", "T6"), ("census", "all")],
+     "T6 row 1: expected a knot expression at position 0 in 'X_1'"),
+    ("T6", "1", lambda line: line["payload"].update(slope="x"),
+     [("census", "1"), ("verify", "all")], "T6 row 1: bad slope 'x'"),
+    ("T7", "0", lambda line: line["payload"].update(knot="Cab(3,2;3_1"),
+     [("dim", "census(0)"), ("verify", "T7")],
+     "T7 row 0: expected ')' at position 11 in 'Cab(3,2;3_1'"),
+    ("T8", "2", lambda line: _set_component_desc(line, "dcover(X_1)"),
+     [("dim", "census(2)"), ("export", "T8")],
+     "T8 row 2: expected a knot expression at position 7 in 'dcover(X_1)'"),
+    ("KNOT", "10_124", lambda line: line["payload"].update(sigma2="surg(X_1; 1)"),
+     [("dim", "dcover(10_124)"), ("verify", "T5")],
+     "knot record 10_124: sigma2: expected a knot expression at position 5 "
+     "in 'surg(X_1; 1)'"),
+])
+def test_unparseable_route_cell_exits_3_naming_its_row(table, key, edit, argvs, message,
+                                                       tmp_path):
+    data = _edited_copy(tmp_path, table, key, edit)
+    for argv in argvs:
+        assert run_cli("--data", data, *argv) == (3, "", f"integrity error: {message}\n"), argv
+
+
 def test_non_utf8_data_file_exits_3(tmp_path):
     binary = tmp_path / "binary.jsonl"
     binary.write_bytes(b"\xff\xfe{not text\n")
