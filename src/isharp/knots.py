@@ -10,8 +10,12 @@ caches of structural here and of deduce in invariants.
 
 structural returns the StructuralData record that datasets defines and
 its knot records hold; it combines those records with the family
-formulas here.  Every function that reads the tables takes the Dataset
-as its ds argument.
+formulas of every registered presentation of the knot.  Every function
+that reads the tables takes the Dataset as its ds argument.
+
+The dataset keeps its alias codes ("T(3,5)", "P(-2,3,7)", ...) as text;
+this module alone parses them, once per dataset, into an index that
+resolve_atom and equivalent_atoms read.
 
 Chirality follows the Rolfsen / Knot Atlas tables: 3_1 is the left-handed
 trefoil, and the signature of the right-handed trefoil is -2.
