@@ -646,16 +646,15 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
                           flags=flags)
 
 
-def _is_mirror_paired(k: Sum, ds=None) -> bool:
+def _is_mirror_paired(k: Sum, ds) -> bool:
     """True when the summands cancel in mirror pairs (a slice pattern).
 
-    Each summand needs as many copies of its mirror as it has copies of
-    itself; one equal to its own mirror needs an even number of copies.
-    Given ds, a summand that presents a registered knot counts as that
-    knot: T(2,3) pairs with 3_1, and an amphichiral knot with itself."""
-    form = (lambda s: s) if ds is None else (lambda s: _registered_form(s, ds))
-    counts = Counter(map(form, k.summands))
-    mirrors = {form(s): form(mirror(s)) for s in k.summands}
+    Each summand counts as the registered knot it presents, if any, so
+    T(2,3) pairs with 3_1.  Each needs as many copies of its mirror as it
+    has copies of itself; one equal to its own mirror (an amphichiral
+    knot) needs an even number of copies."""
+    counts = Counter(_registered_form(s, ds) for s in k.summands)
+    mirrors = {_registered_form(s, ds): _registered_form(mirror(s), ds) for s in k.summands}
     for x, n in counts.items():
         mx = mirrors[x]
         if (n % 2 == 1) if mx == x else (counts[mx] != n):

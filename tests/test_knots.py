@@ -22,6 +22,7 @@ from isharp.knots import (
     Twist,
     Unknot,
     _is_mirror_paired,
+    _registered_form,
     _two_bridge_from_twist,
     _twist_from_two_bridge,
     alexander_zero_surgery_floor,
@@ -227,11 +228,12 @@ def test_double_mirror_identity(k):
     assert mirror(mirror(k)) == k
 
 
-def _mirror_paired_by_list(summands):
-    """The former quadratic pairing, kept as the reference."""
-    remaining = list(summands)
+def _mirror_paired_by_list(summands, form):
+    """The former quadratic pairing, kept as the reference; form maps a
+    summand to the knot it presents."""
+    remaining = [form(x) for x in summands]
     while remaining:
-        mx = mirror(remaining.pop())
+        mx = form(mirror(remaining.pop()))
         if mx not in remaining:
             return False
         remaining.remove(mx)
@@ -251,7 +253,7 @@ pairing_atoms = st.one_of(
 @given(st.lists(pairing_atoms, min_size=1, max_size=6),
        st.lists(st.booleans(), min_size=6, max_size=6), st.randoms())
 @settings(max_examples=300)
-def test_mirror_pairing_counts_agree_with_list_pairing(atoms, mirrored, rnd):
+def test_mirror_pairing_counts_agree_with_list_pairing(ds, atoms, mirrored, rnd):
     # each atom with or without its mirror, plus stray copies, shuffled
     summands = list(atoms)
     summands += [mirror(x) for x, m in zip(atoms, mirrored) if m]
@@ -260,16 +262,18 @@ def test_mirror_pairing_counts_agree_with_list_pairing(atoms, mirrored, rnd):
     if len(summands) < 2:
         summands.append(mirror(summands[0]))
     k = Sum(tuple(summands))
-    assert _is_mirror_paired(k) == _mirror_paired_by_list(summands)
+    form = lambda x: _registered_form(x, ds)
+    assert _is_mirror_paired(k, ds) == _mirror_paired_by_list(summands, form)
 
 
-def test_mirror_pairing_of_a_self_mirror_summand():
-    a, b = TwoBridge(0, 0), Named("4_1")
+def test_mirror_pairing_of_a_self_mirror_summand(ds):
+    a, b = TwoBridge(0, 0), Named("4_1")  # 4_1 is amphichiral
     assert mirror(a) == a
-    assert not _is_mirror_paired(Sum((a, b, mirror(b))))
-    assert _is_mirror_paired(Sum((a, a, b, mirror(b))))
-    assert not _is_mirror_paired(Sum((a, a, a, b, mirror(b))))
-    assert not _is_mirror_paired(Sum((b, b, mirror(b))))
+    assert not _is_mirror_paired(Sum((a, b, mirror(b))), ds)
+    assert _is_mirror_paired(Sum((a, a, b, mirror(b))), ds)
+    assert not _is_mirror_paired(Sum((a, a, a, b, mirror(b))), ds)
+    assert not _is_mirror_paired(Sum((b, b, mirror(b))), ds)
+    assert _is_mirror_paired(Sum((b, b)), ds)
 
 
 slopes = st.one_of(
