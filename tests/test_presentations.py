@@ -24,12 +24,9 @@ from isharp.values import Inconsistency
 DS = datasets.load(check=False)
 
 
-def _name_text(name, mirrored):
-    return f"m({name})" if mirrored else name
-
-
 # (name text, alias code) for every registered code
-PAIRS = [(_name_text(name, mirrored), code) for code, (name, mirrored) in DS.aliases.items()]
+PAIRS = [(f"m({name})" if mirrored else name, code)
+         for code, (name, mirrored) in DS.aliases.items()]
 PRESENTATIONS = sorted({t for pair in PAIRS for t in pair})
 
 
