@@ -663,6 +663,7 @@ def _is_mirror_paired(k: Sum, ds) -> bool:
 
 
 def _registered_form(k: KnotExpr, ds) -> KnotExpr:
+    """The registered knot that k presents, as a Named atom, or else k."""
     hit = resolve_atom(k, ds)
     return k if hit is None else Named(*hit)
 
