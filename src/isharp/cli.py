@@ -180,51 +180,11 @@ def cmd_dcover(args, ds):
 
 
 def cmd_verify(args, ds):
-    from .verify import (
-        check_census,
-        check_identities,
-        check_integer_surgery_table,
-        check_spectral,
-        rederive_nu_tau,
-        rederive_r0,
-        spectral_covers,
-        spectral_rows,
-        verify_all,
-    )
+    from .verify import verify_target
 
-    target = args.target
-    if target == "all":
-        report = verify_all(ds)
-    elif target == "identities":
-        report = check_identities(ds)
-    elif target == "T3":
-        report = rederive_nu_tau(ds)
-    elif target == "T1":
-        _, report = rederive_r0(ds)
-    elif target == "T4":
-        report = check_integer_surgery_table(ds)
-    elif target in CENSUS_TABLES:
-        full = check_census(ds)
-        report = type(full)([c for c in full.cells if c.section == target])
-    elif target == "T5":
-        covers = spectral_covers(ds)
-        report = check_spectral(ds, covers)
-    else:
-        raise DatasetError(f"nothing to verify for {target!r}")
+    report = verify_target(args.target, ds)
     if args.pretty:
-        for c in report.cells:
-            print(c.line())
-        if target == "T5":
-            print("branched double covers of the non-thin knots:")
-            for row in spectral_rows(ds, covers):
-                t = row.get("tight_candidate")
-                extra = (f"  (candidate {t['value']} vs {t['khbar_dim']}: {t['status']})"
-                         if t else "")
-                dim = json.dumps(row["dim"], sort_keys=True, separators=(",", ":"))
-                print(f"  {row['knot']}: dim {dim}"
-                      f"  vs reduced odd Khovanov {row['khbar_dim']}"
-                      f"  -> {row['noncollapse']}{extra}")
-        print(f"{report.passed}/{len(report.cells)} passed")
+        print(report.pretty())
     else:
         emit(report.to_json(), False)
     if report.failed:

@@ -25,7 +25,7 @@ import os
 from fractions import Fraction
 from typing import Optional
 
-from .values import Record, Val
+from .values import Rat, Record, Val
 
 SCHEMA_VERSION = 1
 KNOWN_TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "KNOT", "ALIAS")
@@ -149,10 +149,10 @@ class KnotRecord(Record):
                    mirror_flags, mirror_sl_max, citation)
 
 
-def _rational(x) -> Fraction:
+def _rational(x) -> Rat:
     """An int, or [num, den] with integer parts and den != 0."""
     if type(x) is int:
-        return Fraction(x)
+        return x
     if isinstance(x, list) and len(x) == 2 and all(type(v) is int for v in x) and x[1]:
         return Fraction(x[0], x[1])
     raise DatasetError(f"bad value encoding {x!r}")

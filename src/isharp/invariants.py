@@ -336,7 +336,7 @@ def _tighten(b: _Draft, k, ds) -> None:
 
         # r0 >= |nu|, r0 >= 0, parity r0 = parity nu
         nu_abs = b.nu.abs_bounds()
-        lo = nu_abs.lo if nu_abs.lo is not None else Fraction(0)
+        lo = nu_abs.lo if nu_abs.lo is not None else 0
         parity = b.nu.parity if b.nu.is_exact else None
         b.narrow("r0", Val.between(lo, None, parity), "R14", "(r0 >= |nu|, parity)")
         if b.r0.is_exact:
@@ -420,7 +420,7 @@ def _lspace_cable(p, q, k, ds, use_stored):
         return False
     if status is None or not s.genus.is_exact:
         return None
-    return Fraction(p, q) > 2 * s.genus.value() - 1
+    return p > q * (2 * s.genus.value() - 1)  # p/q > 2g - 1, with q >= 2
 
 
 def lspace_knot_invariants(k: KnotExpr, ds) -> tuple[int, int]:

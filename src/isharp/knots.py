@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from fractions import Fraction
 from typing import Optional
 
 from .datasets import FLAG_NAMES, NO_FLAGS, DatasetError, StructuralData, make_flags
@@ -617,7 +616,7 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
     g = parts[0].genus
     for p in parts[1:]:
         g = g + p.genus
-    gs_hi = Fraction(0)
+    gs_hi = 0
     for p in parts:
         if p.slice_genus.hi is None:
             gs_hi = None
@@ -672,6 +671,6 @@ def _cable_structural(k: Cable, ds) -> StructuralData:
     comp = structural(k.companion, ds)
     g = Val.unknown()
     if comp.genus.is_exact:
-        g0 = comp.genus.value()
-        g = Val.exact(Fraction(abs(k.p) - 1, 1) * (k.q - 1) / 2 + k.q * g0)
+        # coprime p and q are not both even, so (|p| - 1)(q - 1) is even
+        g = Val.exact((abs(k.p) - 1) * (k.q - 1) // 2 + k.q * comp.genus.value())
     return StructuralData(genus=g, slice_genus=Val.between(0, None))

@@ -1,5 +1,5 @@
 """Exact surgery-slope arithmetic: reduced rationals, negative continued
-fractions, convergents, and the surgery-triad construction.
+fractions, and the surgery-triad construction.
 
 Slopes are reduced pairs p/q with q >= 1, plus the single infinite slope
 1/0.  Continued fractions here are the *negative* expansions
@@ -20,7 +20,6 @@ expansion.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .values import Record
 
@@ -50,17 +49,6 @@ class Slope(Record):
     def is_integer(self) -> bool:
         return self.q == 1
 
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise SlopeError("infinite slope has no rational value")
-        return Fraction(self.p, self.q)
-
-    def floor(self) -> int:
-        return self.p // self.q
-
-    def ceil(self) -> int:
-        return -((-self.p) // self.q)
-
     def __neg__(self) -> "Slope":
         if self.is_infinite:
             return self
@@ -68,14 +56,6 @@ class Slope(Record):
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else f"{self.p}/{self.q}"
-
-    def __lt__(self, other: "Slope") -> bool:
-        if self.is_infinite or other.is_infinite:
-            raise SlopeError("infinite slope is not ordered")
-        return self.p * other.q < other.p * self.q
-
-    def __le__(self, other: "Slope") -> bool:
-        return self == other or self < other
 
 
 INFINITY = Slope(1, 0)
@@ -141,34 +121,21 @@ def neg_cf(s: Slope) -> list[int]:
                      f"{MAX_CF_TERMS} terms")
 
 
-def check_cf(coeffs: list[int]) -> None:
+def eval_cf(coeffs: list[int]) -> Slope:
+    """Exact value of [a0, a1, ..., an]: the last convergent p_n/q_n.
+
+    (p_-1, q_-1) = (1, 0), (p_0, q_0) = (a0, 1), and
+    (p_i, q_i) = (a_i p_{i-1} - p_{i-2}, a_i q_{i-1} - q_{i-2}); raises
+    SlopeError on an empty list or a tail coefficient below 2.
+    """
     if not coeffs:
         raise SlopeError("empty continued fraction")
+    p1, q1, p, q = 1, 0, coeffs[0], 1
     for a in coeffs[1:]:
         if a < 2:
             raise SlopeError(f"tail coefficient {a} < 2 in {coeffs}")
-
-
-def eval_cf(coeffs: list[int]) -> Slope:
-    """Exact value of [a0, a1, ..., an]."""
-    check_cf(coeffs)
-    p, q = convergents(coeffs)[-1]
+        p1, q1, p, q = p, q, a * p - p1, a * q - q1
     return reduce(p, q)
-
-
-def convergents(coeffs: list[int]) -> list[tuple[int, int]]:
-    """Convergent pairs (p_i, q_i) for i = -1, 0, ..., n.
-
-    (p_-1, q_-1) = (1, 0), (p_0, q_0) = (a0, 1), and
-    (p_i, q_i) = (a_i p_{i-1} - p_{i-2}, a_i q_{i-1} - q_{i-2});
-    every consecutive pair satisfies q_i p_{i-1} - p_i q_{i-1} = 1.
-    """
-    check_cf(coeffs)
-    pairs = [(1, 0), (coeffs[0], 1)]
-    for a in coeffs[1:]:
-        (p2, q2), (p1, q1) = pairs[-2], pairs[-1]
-        pairs.append((a * p1 - p2, a * q1 - q2))
-    return pairs
 
 
 def format_cf(coeffs: list[int]) -> str:

@@ -10,7 +10,6 @@ surgery triads are layered on top.  Results carry the Euler characteristic
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Union
 
 from .datasets import IntegrityError
@@ -290,7 +289,7 @@ def _formula_dim(b: Bundle, s: Slope) -> DimResult:
 def _abs_range(p: int, q: int, nu: Val) -> tuple[int, int]:
     ends = [abs(p - q * int(x)) for x in (nu.lo, nu.hi)]
     lo, hi = min(ends), max(ends)
-    if nu.lo <= Fraction(p, q) <= nu.hi:
+    if nu.lo * q <= p <= nu.hi * q:  # nu.lo <= p/q <= nu.hi, with q >= 1
         # the minimum sits at the admissible integer nearest the critical
         # point on one side or the other; with a parity constraint that
         # can be one step beyond floor(p/q) or ceil(p/q)

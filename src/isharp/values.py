@@ -4,7 +4,12 @@ and Record, the base class of every immutable isharp record.
 The deduction engine narrows each invariant through a lattice of states:
 completely unknown, a bounded or half-bounded interval (optionally with a
 mod-2 parity constraint for integer-valued invariants), or an exact
-rational.  Narrowing two incompatible states raises Inconsistency.
+rational.  Narrowing two incompatible states raises Inconsistency.  A
+rational end is a Python int when it is integral and a Fraction only
+when it is not, never a float: every invariant isharp deduces is an
+integer, so deduction runs on exact int arithmetic, and only the odd
+half-integer bound (the |2 tau - nu| <= 1 rule) or a stored
+[numerator, denominator] cell holds a Fraction.
 
 Record gives a slotted class value semantics: equality by exact type and
 field tuple, a matching hash, the usual Name(field=value, ...) repr,
@@ -91,45 +96,53 @@ class Inconsistency(ValueError):
     """Two deduction steps produced incompatible values."""
 
 
-def _frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _end(x) -> Rat:
+    """A Fraction end as an int when it is integral; any end that is not
+    an int or a Fraction (a float, a bool, a Decimal) raises TypeError."""
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"a Val end must be an int or a Fraction, got {x!r}")
 
 
 class Val(Record):
     """A known rational, an interval [lo, hi], or unknown (both ends None).
 
-    parity is the residue mod 2 for integer-valued quantities."""
+    Each end is None (unbounded), an int when it is integral, or a
+    Fraction when it is not; never a float, and never an integral
+    Fraction.  __init__ canonicalises its ends that way, so the int
+    comparisons and sums of deduction skip Fraction arithmetic.  parity
+    is the residue mod 2 for integer-valued quantities."""
 
     __slots__ = ("lo", "hi", "parity")
 
-    def __init__(self, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None,
+    def __init__(self, lo: Optional[Rat] = None, hi: Optional[Rat] = None,
                  parity: Optional[int] = None):
+        if lo is not None and type(lo) is not int:
+            lo = _end(lo)
+        if hi is not None and type(hi) is not int:
+            hi = _end(hi)
         if lo is not None and hi is not None and lo > hi:
             raise Inconsistency(f"empty interval [{lo}, {hi}]")
         if parity is not None and parity not in (0, 1):
             raise ValueError(f"parity must be 0 or 1, got {parity}")
         if lo is not None and lo == hi:
             if parity is not None:
-                if lo.denominator != 1 or lo.numerator % 2 != parity:
+                if type(lo) is not int or lo % 2 != parity:
                     raise Inconsistency(f"exact value {lo} violates parity {parity}")
-            elif lo.denominator == 1:
+            elif type(lo) is int:
                 # canonical form: exact integers always carry their parity
-                parity = lo.numerator % 2
+                parity = lo % 2
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "parity", parity)
 
     @staticmethod
     def exact(x: Rat) -> "Val":
-        x = _frac(x)
-        parity = x.numerator % 2 if x.denominator == 1 else None
-        return Val(x, x, parity)
+        return Val(x, x)
 
     @staticmethod
     def between(lo: Optional[Rat], hi: Optional[Rat], parity: Optional[int] = None) -> "Val":
-        v = Val(None if lo is None else _frac(lo),
-                None if hi is None else _frac(hi), parity)
-        return v.normalized()
+        return Val(lo, hi, parity).normalized()
 
     @staticmethod
     def unknown() -> "Val":
@@ -143,33 +156,32 @@ class Val(Record):
     def is_unknown(self) -> bool:
         return self.lo is None and self.hi is None and self.parity is None
 
-    def value(self) -> Fraction:
+    def value(self) -> Rat:
         if not self.is_exact:
             raise ValueError(f"value of non-exact {self}")
         return self.lo
 
     def int_value(self) -> int:
         v = self.value()
-        if v.denominator != 1:
+        if type(v) is not int:
             raise ValueError(f"{v} is not an integer")
-        return v.numerator
+        return v
 
     def normalized(self) -> "Val":
         """Tighten integer/parity intervals to achievable endpoints."""
         lo, hi = self.lo, self.hi
         if self.parity is None:
             return self
-        # parity constraints only make sense for integer-valued quantities
+        # parity constraints only make sense for integer-valued quantities;
+        # x // 1 is the integer floor of an int or a Fraction
         if lo is not None:
-            n = -((-lo.numerator) // lo.denominator)  # ceil
-            if n % 2 != self.parity:
-                n += 1
-            lo = Fraction(n)
+            lo = -(-lo // 1)  # ceil
+            if lo % 2 != self.parity:
+                lo += 1
         if hi is not None:
-            n = hi.numerator // hi.denominator  # floor
-            if n % 2 != self.parity:
-                n -= 1
-            hi = Fraction(n)
+            hi = hi // 1
+            if hi % 2 != self.parity:
+                hi -= 1
         if lo is not None and hi is not None and lo > hi:
             raise Inconsistency(f"no value in [{self.lo}, {self.hi}] with parity {self.parity}")
         return Val(lo, hi, self.parity)
@@ -186,7 +198,6 @@ class Val(Record):
         return Val(lo, hi, parity).normalized()
 
     def contains(self, x: Rat) -> bool:
-        x = _frac(x)
         if self.lo is not None and x < self.lo:
             return False
         if self.hi is not None and x > self.hi:
@@ -201,8 +212,8 @@ class Val(Record):
         admits more than limit."""
         if self.lo is None or self.hi is None:
             return None
-        lo = -((-self.lo.numerator) // self.lo.denominator)  # ceil
-        hi = self.hi.numerator // self.hi.denominator  # floor
+        lo = -(-self.lo // 1)  # ceil
+        hi = self.hi // 1  # floor
         step = 1
         if self.parity is not None:
             lo += (lo - self.parity) % 2
@@ -234,16 +245,14 @@ class Val(Record):
             elif self.hi is not None and self.hi < 0:
                 lo = -self.hi
             else:
-                lo = Fraction(0)
+                lo = 0
             return Val(lo, hi, self.parity)
         if self.lo >= 0:
             return self
         if self.hi <= 0:
             return -self
         # straddles zero: minimum is the smallest achievable |x|
-        lo = Fraction(0)
-        if self.parity == 1:
-            lo = Fraction(1)
+        lo = 1 if self.parity == 1 else 0
         return Val(lo, max(-self.lo, self.hi), self.parity).normalized()
 
     def __str__(self) -> str:
@@ -262,13 +271,13 @@ class Val(Record):
         if self.is_unknown:
             return None
         if self.is_exact:
-            v = self.lo
-            return v.numerator if v.denominator == 1 else [v.numerator, v.denominator]
-        def end(x):
-            if x is None:
-                return None
-            return x.numerator if x.denominator == 1 else [x.numerator, x.denominator]
-        out = {"lo": end(self.lo), "hi": end(self.hi)}
+            return _end_json(self.lo)
+        out = {"lo": _end_json(self.lo), "hi": _end_json(self.hi)}
         if self.parity is not None:
             out["parity"] = self.parity
         return out
+
+
+def _end_json(x):
+    """An end as JSON: null, an int, or [numerator, denominator]."""
+    return x if x is None or type(x) is int else [x.numerator, x.denominator]

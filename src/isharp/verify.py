@@ -8,7 +8,9 @@ identities, and the constraint chain through the pretzel P(5,5,-3)).
 
 from __future__ import annotations
 
-from .datasets import IntegrityError
+import json
+
+from .datasets import DatasetError, IntegrityError
 from .invariants import deduce
 from .knots import (
     Cable,
@@ -52,12 +54,14 @@ class Cell(Record):
 
 
 class Report:
-    """The cells of one verification run, in the order they were checked."""
+    """The cells of one verification run, in the order they were checked,
+    and the notes its human-readable form prints after them."""
 
-    __slots__ = ("cells",)
+    __slots__ = ("cells", "notes")
 
-    def __init__(self, cells=None):
+    def __init__(self, cells=None, notes=()):
         self.cells = [] if cells is None else cells
+        self.notes = notes
 
     def add(self, section, key, cell, expected, got, ok=None):
         expected_s, got_s = str(expected), str(got)
@@ -82,6 +86,11 @@ class Report:
             "passed": self.passed,
             "failed": [c.to_json() for c in self.failed],
         }
+
+    def pretty(self) -> str:
+        """One line per cell, then the notes, then the pass count."""
+        return "\n".join([*(c.line() for c in self.cells), *self.notes,
+                          f"{self.passed}/{len(self.cells)} passed"])
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +411,38 @@ def check_identities(ds, bound: int = 50) -> Report:
     report.add("identities", "sweep", f"|parameters| <= {bound}",
                f"{count} equal", f"{equal} equal", count == equal and count > 0)
     return report
+
+
+def _spectral_line(row: dict) -> str:
+    t = row.get("tight_candidate")
+    extra = f"  (candidate {t['value']} vs {t['khbar_dim']}: {t['status']})" if t else ""
+    dim = json.dumps(row["dim"], sort_keys=True, separators=(",", ":"))
+    return (f"  {row['knot']}: dim {dim}  vs reduced odd Khovanov {row['khbar_dim']}"
+            f"  -> {row['noncollapse']}{extra}")
+
+
+def verify_target(target: str, ds) -> Report:
+    """The report of `isharp verify TARGET`: "all", "identities", or one
+    table T1-T8.  The T5 report's notes are the branched-double-cover
+    rows of the non-thin knots."""
+    if target == "all":
+        return verify_all(ds)
+    if target == "identities":
+        return check_identities(ds)
+    if target == "T1":
+        return rederive_r0(ds)[1]
+    if target == "T3":
+        return rederive_nu_tau(ds)
+    if target == "T4":
+        return check_integer_surgery_table(ds)
+    if target == "T5":
+        covers = spectral_covers(ds)
+        return Report(check_spectral(ds, covers).cells,
+                      ["branched double covers of the non-thin knots:",
+                       *map(_spectral_line, spectral_rows(ds, covers))])
+    if target in ("T2", "T6", "T7", "T8"):
+        return Report([c for c in check_census(ds).cells if c.section == target])
+    raise DatasetError(f"nothing to verify for {target!r}")
 
 
 def verify_all(ds) -> Report:

