@@ -78,8 +78,10 @@ def _pretty(obj, indent=0):
     return f"{pad}{obj}"
 
 
-def _bundle_json(b, trace: bool):
+def _bundle_json(b, knot: str, trace: bool):
+    """The bundle as JSON, naming the knot as the caller wrote it."""
     out = b.to_json()
+    out["knot"] = knot
     if trace:
         out["trace"] = [t.to_json() for t in b.trace]
     return out
@@ -103,11 +105,11 @@ def cmd_dim(args, ds):
 
 def cmd_invariants(args, ds):
     from .invariants import deduce, sl_upper_bound
-    from .knots import parse_knot
+    from .knots import format_knot, parse_knot
 
     k = parse_knot(args.knot)
     b = deduce(k, ds)
-    out = _bundle_json(b, args.trace)
+    out = _bundle_json(b, format_knot(k), args.trace)
     bound, violation = sl_upper_bound(k, ds)
     if bound is not None:
         out["sl_max_bound"] = int(bound) if bound.denominator == 1 else [bound.numerator, bound.denominator]
@@ -134,10 +136,10 @@ def cmd_cf(args):
 
 def cmd_cable(args, ds):
     from .invariants import lspace_cable, lspace_knot_invariants
-    from .knots import Cable, format_knot, genus, parse_knot
+    from .knots import format_knot, genus, make_cable, parse_knot
 
     k = parse_knot(args.knot)
-    cable = Cable(args.p, args.q, k)
+    cable = make_cable(args.p, args.q, k)
     status = lspace_cable(args.p, args.q, k, ds)
     out = {"cable": format_knot(cable),
            "lspace": status,
@@ -150,12 +152,12 @@ def cmd_cable(args, ds):
 
 def cmd_sum(args, ds):
     from .invariants import deduce
-    from .knots import make_sum, parse_knot
+    from .knots import format_knot, make_sum, parse_knot
 
     summands = [parse_knot(t) for t in args.knots]
     k = make_sum(summands)
     b = deduce(k, ds)
-    emit(_bundle_json(b, args.trace), args.pretty)
+    emit(_bundle_json(b, format_knot(k), args.trace), args.pretty)
 
 
 def cmd_census(args, ds):

@@ -291,8 +291,8 @@ class Dataset:
         for rec in self._knots.values():
             for code in rec.aliases:
                 self.aliases.setdefault(code, (rec.name, False))
-        # deduce, structural and lspace_cable results, keyed by the
-        # canonical knot text, and the alias index knots builds on first use
+        # deduce, structural and lspace_cable results, keyed by canonical
+        # knot forms (knots.memo), and the alias index knots builds on first use
         self.deduce_cache: dict = {}
         self.structural_cache: dict = {}
         self.lspace_cache: dict = {}

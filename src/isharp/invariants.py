@@ -8,7 +8,8 @@ rules raise Inconsistency naming both trace entries, never resolve
 silently.
 
 Every entry point takes the Dataset it reads as ds, and each dataset
-caches the bundles of deduce and the answers of lspace_cable.
+caches the bundles of deduce and the answers of lspace_cable once per
+canonical form of the knot (knots.memo), the form a bundle names.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from .knots import (
     _pretzel_odd32,
     equivalent_atoms,
     format_knot,
+    memo,
     mirror,
-    resolve_atom,
+    registered_record,
     structural,
 )
 from .values import Inconsistency, Record, Val
@@ -162,16 +164,11 @@ def deduce(k: KnotExpr, ds, use_stored: bool = True) -> Bundle:
 
     With use_stored=False the engine ignores every tabulated nu/tau/r0
     (structural flags stay available); this is the re-derivation mode the
-    table verifier runs in.  The result is cached per dataset, and every
-    caller gets the same immutable Bundle.
+    table verifier runs in.  The result is cached per dataset under the
+    canonical form of k, which the Bundle names, and every caller gets
+    the same immutable Bundle.
     """
-    key = (format_knot(k), use_stored)
-    cached = ds.deduce_cache.get(key)
-    if cached is not None:
-        return cached
-    bundle = _deduce(k, ds, use_stored)
-    ds.deduce_cache[key] = bundle
-    return bundle
+    return memo(ds.deduce_cache, k, ds, _deduce, use_stored)
 
 
 def _deduce(k, ds, use_stored) -> Bundle:
@@ -203,25 +200,22 @@ def _deduce(k, ds, use_stored) -> Bundle:
 def _apply_atom_rules(b: _Draft, k, ds, use_stored) -> None:
     s = structural(k, ds)
 
-    # R1: stored table values
-    hit = resolve_atom(k, ds) if not isinstance(k, (Sum, Cable)) else None
-    if use_stored and hit is not None:
-        rec = ds.knot_record(hit[0])
-        if rec is not None:
-            inst = rec.instanton
-            name, mirrored = hit
-            if not inst.nu.is_unknown:
-                b.narrow("nu", -inst.nu if mirrored else inst.nu, "R1", f"({name})")
-            if not inst.tau.is_unknown:
-                b.narrow("tau", -inst.tau if mirrored else inst.tau, "R1", f"({name})")
-            if not inst.r0.is_unknown:
-                b.narrow("r0", inst.r0, "R1", f"({name})")
-            if inst.shape is not None:
-                b.set_shape(inst.shape, "R1", f"({name})")
-            if inst.mu0_dim is not None:
-                b.mu0_dim = inst.mu0_dim
+    # R1: stored table values of the record the canonical atom names
+    rec, mirrored = registered_record(k, ds)
+    if use_stored and rec is not None:
+        inst, name = rec.instanton, rec.name
+        if not inst.nu.is_unknown:
+            b.narrow("nu", -inst.nu if mirrored else inst.nu, "R1", f"({name})")
+        if not inst.tau.is_unknown:
+            b.narrow("tau", -inst.tau if mirrored else inst.tau, "R1", f"({name})")
+        if not inst.r0.is_unknown:
+            b.narrow("r0", inst.r0, "R1", f"({name})")
+        if inst.shape is not None:
+            b.set_shape(inst.shape, "R1", f"({name})")
+        if inst.mu0_dim is not None:
+            b.mu0_dim = inst.mu0_dim
 
-    for expr in equivalent_atoms(k, hit, ds):
+    for expr in equivalent_atoms(k, ds):
         _apply_family_rules(b, expr, s, ds, use_stored)
 
 
@@ -245,7 +239,7 @@ def _apply_family_rules(b: _Draft, k, s, ds, use_stored) -> None:
 
     # R6: alternating
     if s.flag("alternating") and s.signature is not None:
-        b.narrow("tau", Val.exact(Fraction(-s.signature, 2)), "R6")
+        b.narrow("tau", Val.exact(_half(-s.signature)), "R6")
 
     # R8: torus knots (the mirror pass covers the negative ones)
     if isinstance(k, Torus) and k.p > 0:
@@ -327,8 +321,8 @@ def _tighten(b: _Draft, k, ds) -> None:
             hi = None if b.tau.hi is None else 2 * b.tau.hi + 1
             b.narrow("nu", Val.between(lo, hi), "R14", "(|2 tau - nu| <= 1)")
         if not b.nu.is_unknown:
-            lo = None if b.nu.lo is None else Fraction(b.nu.lo - 1, 2)
-            hi = None if b.nu.hi is None else Fraction(b.nu.hi + 1, 2)
+            lo = None if b.nu.lo is None else _half(b.nu.lo - 1)
+            hi = None if b.nu.hi is None else _half(b.nu.hi + 1)
             b.narrow("tau", Val.between(lo, hi), "R14", "(|2 tau - nu| <= 1)")
         if s.slice_genus.hi is not None:
             g = s.slice_genus.hi
@@ -362,6 +356,11 @@ def _tighten(b: _Draft, k, ds) -> None:
     else:
         b.trace.append(TraceEntry("R14", RULES["R14"],
                                   f"(no fixed point after {TIGHTEN_ROUNDS} rounds)"))
+
+
+def _half(n):
+    """n / 2: an int when n is even, a Fraction only when it is not."""
+    return n // 2 if n % 2 == 0 else Fraction(n, 2)
 
 
 def _lspace_status(k, b, s, ds, use_stored: bool = True):
@@ -403,16 +402,15 @@ def lspace_cable(p: int, q: int, k: KnotExpr, ds, use_stored: bool = True):
     """Whether the (p,q)-cable of k is an instanton L-space knot:
     true iff k is one and p/q > 2g(k) - 1.  None when undecidable.
 
-    The answer is cached per dataset: it reads only the cached bundle and
-    structural data of k, so a cable chain checks each layer once."""
-    key = (p, q, format_knot(k), use_stored)
-    cache = ds.lspace_cache
-    if key not in cache:
-        cache[key] = _lspace_cable(p, q, k, ds, use_stored)
-    return cache[key]
+    The answer is cached per dataset under the canonical form of k: it
+    reads only the cached bundle and structural data of k, so a cable
+    chain checks each layer once."""
+    return memo(ds.lspace_cache, k, ds, _lspace_cable, p, q, use_stored)
 
 
-def _lspace_cable(p, q, k, ds, use_stored):
+def _lspace_cable(k, ds, p, q, use_stored):
+    if isinstance(k, Unknot):
+        return p > 1  # the cable is T(p,q): positive, or the unknot when p = 1
     b = deduce(k, ds, use_stored)
     s = structural(k, ds)
     status = _lspace_status(k, b, s, ds, use_stored)

@@ -3,19 +3,23 @@
 Expressions are immutable trees built from named atoms, torus / twist /
 pretzel / two-bridge family atoms, cables, and connected sums.  Mirrors
 are normalized down to the atoms (a chirality flag or a sign), so a
-normalized expression never contains an explicit mirror node.  Each
-expression keeps its canonical text once format_knot has rendered it;
-that text, which parses back to an equal expression, keys the per-dataset
-caches of structural here and of deduce in invariants.
+normalized expression never contains an explicit mirror node, and a
+cable of the unknot is the torus knot it is.  Each expression keeps its
+text once format_knot has rendered it; that text parses back to an
+equal expression.
+
+The dataset keeps its alias codes ("T(3,5)", "P(-2,3,7)", ...) as text;
+this module alone parses them, once per dataset, into an index that
+resolve_atom and equivalent_atoms read.  canonical writes every
+presentation of a registered knot as its name (U for the unknot), and
+memo keys the per-dataset caches of structural here and of deduce and
+lspace_cable in invariants on that form: T(3,5) and 10_124 share one
+computation, and an alias input gets its registered knot's trace.
 
 structural returns the StructuralData record that datasets defines and
 its knot records hold; it combines those records with the family
 formulas of every registered presentation of the knot.  Every function
 that reads the tables takes the Dataset as its ds argument.
-
-The dataset keeps its alias codes ("T(3,5)", "P(-2,3,7)", ...) as text;
-this module alone parses them, once per dataset, into an index that
-resolve_atom and equivalent_atoms read.
 
 Chirality follows the Rolfsen / Knot Atlas tables: 3_1 is the left-handed
 trefoil, and the signature of the right-handed trefoil is -2.
@@ -24,6 +28,7 @@ trefoil, and the signature of the right-handed trefoil is -2.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from typing import Optional
@@ -41,12 +46,16 @@ class KnotError(ValueError):
 # ---------------------------------------------------------------------------
 
 class KnotExpr(Record):
-    """Base of the expression types.  _text and _mirror are derived, not
-    fields: the canonical text, written once by format_knot, and the
-    mirror image, built once by mirror."""
+    """Base of the expression types.  _text, _mirror and _canonical_in
+    are derived, not fields: the text format_knot renders, the mirror
+    image, and the dataset that canonical last found the expression
+    canonical in, so a deep expression is walked once per dataset."""
 
-    __slots__ = ("_text", "_mirror")
+    __slots__ = ("_text", "_mirror", "_canonical_in")
     _fields = ()
+
+    def __str__(self):
+        return format_knot(self)
 
 
 class Unknot(KnotExpr):
@@ -138,6 +147,12 @@ def make_torus(p: int, q: int) -> KnotExpr:
     sign = 1 if p * q > 0 else -1
     a, b = sorted((abs(p), abs(q)))
     return Torus(sign * a, b)
+
+
+def make_cable(p: int, q: int, companion: KnotExpr) -> KnotExpr:
+    """Cab(p, q; K) after Cable's checks; of the unknot, the torus knot T(p, q)."""
+    cable = Cable(p, q, companion)
+    return make_torus(p, q) if isinstance(companion, Unknot) else cable
 
 
 def mirror(k: KnotExpr) -> KnotExpr:
@@ -289,7 +304,7 @@ class _Parser:
             companion = self.sum_expr()
             self.expect(")")
             self.depth -= 1
-            return Cable(p, q, companion)
+            return make_cable(p, q, companion)
         if rest.startswith("Tw("):
             self.pos += 2
             (n,) = self.int_args(1)
@@ -455,11 +470,11 @@ def resolve_atom(k: KnotExpr, ds) -> Optional[tuple[str, bool]]:
     return (name, mirrored)
 
 
-def equivalent_atoms(k: KnotExpr, hit, ds) -> list[KnotExpr]:
-    """k, then every registered presentation of the knot that hit (from
-    resolve_atom, or None) names, in its chirality; the presentations
-    equal to k are left out."""
+def equivalent_atoms(k: KnotExpr, ds) -> list[KnotExpr]:
+    """k, then every registered presentation of the knot that k presents,
+    in its chirality; the presentations equal to k are left out."""
     out = [k]
+    hit = resolve_atom(k, ds)
     if hit is not None:
         name, mirrored = hit
         for expr, code_mirrored in _alias_index(ds)[1].get(name, ()):
@@ -468,6 +483,53 @@ def equivalent_atoms(k: KnotExpr, hit, ds) -> list[KnotExpr]:
             if expr != k:
                 out.append(expr)
     return out
+
+
+def canonical(k: KnotExpr, ds) -> KnotExpr:
+    """The canonical form of k against ds: every atom that resolve_atom
+    resolves written as its registered name (U for 0_1), sums rebuilt
+    by make_sum, so unknot summands drop out, and cables by make_cable.
+    k itself when nothing changes, so its memoised text and mirror stay."""
+    if getattr(k, "_canonical_in", None) is ds:
+        return k
+    if isinstance(k, Sum):
+        parts = [canonical(s, ds) for s in k.summands]
+        c = k if all(map(operator.is_, parts, k.summands)) else make_sum(parts)
+    elif isinstance(k, Cable):
+        companion = canonical(k.companion, ds)
+        c = k if companion is k.companion else make_cable(k.p, k.q, companion)
+        c = c if isinstance(c, Cable) else canonical(c, ds)
+    else:
+        hit = resolve_atom(k, ds)
+        c = k if hit is None else Unknot() if hit[0] == "0_1" else Named(*hit)
+        c = k if c == k else c
+    if c is k:
+        object.__setattr__(k, "_canonical_in", ds)
+    return c
+
+
+def registered_record(k: KnotExpr, ds):
+    """(record, mirrored) of the table knot that the canonical atom k
+    names, U naming 0_1; (None, False) for any other expression."""
+    if isinstance(k, Unknot):
+        return ds.knot_record("0_1"), False
+    return (ds.knot_record(k.name), k.mirrored) if isinstance(k, Named) else (None, False)
+
+
+def memo(cache: dict, k: KnotExpr, ds, compute, *args):
+    """compute(c, ds, *args) for the canonical form c of k, kept in cache
+    under the texts of k and of c, each followed by args: presentations of
+    one knot share one computation, and a warm call is one dict lookup."""
+    try:
+        return cache[(k._text,) + args]
+    except (AttributeError, KeyError):  # no text rendered yet, or no entry
+        pass
+    key = (format_knot(k),) + args
+    c = canonical(k, ds)
+    ckey = (format_knot(c),) + args
+    value = cache[ckey] if ckey in cache else compute(c, ds, *args)
+    cache[key] = cache[ckey] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +561,9 @@ def _mirror_structural(s: StructuralData, rec) -> StructuralData:
 def structural(k: KnotExpr, ds) -> StructuralData:
     """Best-known structural data; fields stay unknown when neither a
     family formula nor a table entry applies.  The result is cached per
-    dataset under the canonical text of k, and every caller gets the
+    dataset under the canonical form of k, and every caller gets the
     same immutable record."""
-    key = format_knot(k)
-    s = ds.structural_cache.get(key)
-    if s is None:
-        s = ds.structural_cache[key] = _structural(k, ds)
-    return s
+    return memo(ds.structural_cache, k, ds, _structural)
 
 
 def _structural(k: KnotExpr, ds) -> StructuralData:
@@ -518,13 +576,12 @@ def _structural(k: KnotExpr, ds) -> StructuralData:
 
     # the table record, then the family data of every presentation, so
     # that each presentation of one knot gets the same answer
-    hit = resolve_atom(k, ds)
-    rec = ds.knot_record(hit[0]) if hit else None
+    rec, mirrored = registered_record(k, ds)
     if rec is not None:
-        s = _mirror_structural(rec.structural, rec) if hit[1] else rec.structural
+        s = _mirror_structural(rec.structural, rec) if mirrored else rec.structural
     else:
         s = StructuralData()
-    for expr in equivalent_atoms(k, hit, ds):
+    for expr in equivalent_atoms(k, ds):
         s = _merge_structural(s, _family_structural(expr))
     return s
 
@@ -616,24 +673,12 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
     g = parts[0].genus
     for p in parts[1:]:
         g = g + p.genus
-    gs_hi = 0
-    for p in parts:
-        if p.slice_genus.hi is None:
-            gs_hi = None
-            break
-        gs_hi += p.slice_genus.hi
-    sigma = 0
-    for p in parts:
-        if p.signature is None:
-            sigma = None
-            break
-        sigma += p.signature
-    det = 1
-    for p in parts:
-        if p.determinant is None:
-            det = None
-            break
-        det *= p.determinant
+    # each total is unknown (None) when a summand's term is
+    his, sigmas, dets = ([p.slice_genus.hi for p in parts], [p.signature for p in parts],
+                         [p.determinant for p in parts])
+    gs_hi = None if None in his else sum(his)
+    sigma = None if None in sigmas else sum(sigmas)
+    det = None if None in dets else math.prod(dets)
     all_slice = all(p.flag("slice") for p in parts)
     is_slice = True if (all_slice or _is_mirror_paired(k, ds)) else None
     gs = Val.exact(0) if is_slice else Val.between(0, gs_hi)
@@ -646,25 +691,15 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
 
 
 def _is_mirror_paired(k: Sum, ds) -> bool:
-    """True when the summands cancel in mirror pairs (a slice pattern).
-
-    Each summand counts as the registered knot it presents, if any, so
-    T(2,3) pairs with 3_1.  Each needs as many copies of its mirror as it
-    has copies of itself; one equal to its own mirror (an amphichiral
-    knot) needs an even number of copies."""
-    counts = Counter(_registered_form(s, ds) for s in k.summands)
-    mirrors = {_registered_form(s, ds): _registered_form(mirror(s), ds) for s in k.summands}
+    """True when the summands of the canonical sum k cancel in mirror
+    pairs (a slice pattern): each needs as many copies of its mirror as
+    of itself, and one that is its own mirror an even number."""
+    counts = Counter(k.summands)
     for x, n in counts.items():
-        mx = mirrors[x]
+        mx = canonical(mirror(x), ds)
         if (n % 2 == 1) if mx == x else (counts[mx] != n):
             return False
     return True
-
-
-def _registered_form(k: KnotExpr, ds) -> KnotExpr:
-    """The registered knot that k presents, as a Named atom, or else k."""
-    hit = resolve_atom(k, ds)
-    return k if hit is None else Named(*hit)
 
 
 def _cable_structural(k: Cable, ds) -> StructuralData:

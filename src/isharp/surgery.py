@@ -14,9 +14,9 @@ from typing import Optional, Union
 
 from .datasets import IntegrityError
 from .invariants import Bundle, deduce
-from .knots import (Cable, KnotError, KnotExpr, Named, Pretzel, Twist, TwoBridge, Unknot,
-                    _Parser, _pretzel_n33, _two_bridge_from_twist, equivalent_atoms,
-                    format_knot, mirror, parse_knot, resolve_atom, structural)
+from .knots import (Cable, KnotExpr, Pretzel, Twist, TwoBridge, _Parser, _pretzel_n33,
+                    _two_bridge_from_twist, canonical, equivalent_atoms, format_knot,
+                    make_cable, mirror, parse_knot, registered_record, structural)
 from .slopes import Slope, parse_slope, reduce
 from .values import Inconsistency, Record, Val
 
@@ -250,7 +250,7 @@ class DimResult(Record):
 # The surgery formula
 # ---------------------------------------------------------------------------
 
-def _require_bounded(val: Val, what: str, knot: str) -> Val:
+def _require_bounded(val: Val, what: str, knot) -> Val:
     if val.lo is None or val.hi is None:
         raise DimensionError(f"{what} of {knot} is not determined: {val}")
     return val
@@ -264,14 +264,14 @@ def surgery_dim(k: KnotExpr, s: Slope, bundle: str, ds) -> DimResult:
         return DimResult.exact(1, 1)
     if s.p == 0:
         return zero_surgery_dim(k, bundle, ds)
-    b = deduce(k, ds)
-    return _formula_dim(b, s)
+    return _formula_dim(deduce(k, ds), s, k)
 
 
-def _formula_dim(b: Bundle, s: Slope) -> DimResult:
+def _formula_dim(b: Bundle, s: Slope, knot=None) -> DimResult:
+    """The closed form at s; errors name knot, or else the knot b names."""
     p, q = s.p, s.q
-    nu = _require_bounded(b.nu, "nu", b.knot)
-    r0 = _require_bounded(b.r0, "r0", b.knot)
+    nu = _require_bounded(b.nu, "nu", knot or b.knot)
+    r0 = _require_bounded(b.r0, "r0", knot or b.knot)
     euler = abs(p)
     if b.pairs:
         # enumeration over the admissible (nu, r0) lattice
@@ -312,16 +312,16 @@ def zero_surgery_dim(k: KnotExpr, bundle: str, ds) -> DimResult:
     euler = 0
     if b.nu.is_exact and b.nu.value() != 0:
         nu = abs(b.nu.int_value())
-        r0 = _require_bounded(b.r0, "r0", b.knot)
+        r0 = _require_bounded(b.r0, "r0", k)
         cands = r0.candidates(40)
         if cands is not None:
             return DimResult.of_candidates([r + nu for r in cands], euler)
         return DimResult.of_interval(int(r0.lo) + nu, int(r0.hi) + nu, euler)
     if not b.nu.is_exact:
-        raise DimensionError(f"nu of {b.knot} is not determined: {b.nu}")
-    r0 = _require_bounded(b.r0, "r0", b.knot)
+        raise DimensionError(f"nu of {k} is not determined: {b.nu}")
+    r0 = _require_bounded(b.r0, "r0", k)
     if not r0.is_exact:
-        raise DimensionError(f"r0 of {b.knot} is not pinned at slope 0: {r0}")
+        raise DimensionError(f"r0 of {k} is not pinned at slope 0: {r0}")
     r = r0.int_value()
     if b.shape == "W":
         return DimResult.exact(r if bundle == "mu" else r + 2, euler)
@@ -349,11 +349,15 @@ def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
     st = structural(k, ds)
     det = st.determinant
     thin = st.flag("thin_odd_khovanov")
-    khbar = _khbar_dim(k, ds)
+    rec, mirrored = registered_record(canonical(k, ds), ds)
+    khbar = rec.khbar_dim if rec is not None else None
     if det is not None and (thin or (khbar is not None and khbar == det)):
         return DimResult.exact(det, det)
-    route = _sigma2_route(k, ds)
-    if route is not None:
+    if rec is not None and rec.sigma2 is not None:
+        # the registered surgery description, mirrored with the knot
+        route = _parse_cell(f"knot record {rec.name}: sigma2", parse_manifold, rec.sigma2)
+        if mirrored and isinstance(route, Surgery):
+            route = Surgery(mirror(route.knot), -route.slope, route.bundle)
         result = manifold_dim(route, ds)
         if det is not None and result.euler != det:
             raise IntegrityError(
@@ -363,31 +367,6 @@ def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
     if det is None:
         raise DimensionError(f"no route to the branched double cover of {format_knot(k)}")
     return DimResult.of_interval(det, None, det)
-
-
-def _record_for(k: KnotExpr, ds):
-    try:
-        hit = resolve_atom(k, ds)
-    except KnotError:
-        return None, False
-    if hit is None:
-        return None, False
-    return ds.knot_record(hit[0]), hit[1]
-
-
-def _sigma2_route(k: KnotExpr, ds):
-    rec, mirrored = _record_for(k, ds)
-    if rec is None or rec.sigma2 is None:
-        return None
-    route = _parse_cell(f"knot record {rec.name}: sigma2", parse_manifold, rec.sigma2)
-    if mirrored and isinstance(route, Surgery):
-        route = Surgery(mirror(route.knot), -route.slope, route.bundle)
-    return route
-
-
-def _khbar_dim(k: KnotExpr, ds):
-    rec, _ = _record_for(k, ds)
-    return rec.khbar_dim if rec is not None else None
 
 
 def census_dim(index: int, ds) -> DimResult:
@@ -480,29 +459,13 @@ def triad_bounds(dA: DimResult, dB: DimResult, h1C: int) -> DimResult:
 def _tb_codes_for(k: KnotExpr, ds) -> list[tuple[int, int]]:
     """Two-bridge codes (a, b) known to present exactly this knot: its
     two-bridge presentations, then the code of its first twist one."""
-    try:
-        hit = resolve_atom(k, ds)
-    except KnotError:
-        hit = None
-    atoms = equivalent_atoms(k, hit, ds)
+    atoms = equivalent_atoms(k, ds)
     codes = [(x.a, x.b) for x in atoms if isinstance(x, TwoBridge)]
     tw = next((x for x in atoms if isinstance(x, Twist)), None)
     if tw is not None:
         tb = _two_bridge_from_twist(tw)
         codes.append((tb.a, tb.b))
     return list(dict.fromkeys(codes))  # first occurrence order
-
-
-def _tb_expr(a: int, b: int, ds) -> KnotExpr:
-    tb = TwoBridge(a, b)
-    try:
-        hit = resolve_atom(tb, ds)
-    except KnotError:
-        hit = None
-    if hit is not None:
-        name, mirrored = hit
-        return Named(name, mirrored) if name != "0_1" else Unknot()
-    return tb
 
 
 def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
@@ -521,15 +484,15 @@ def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
         if a % 2 != 0:
             m2 = a  # odd twist region, 2m+1 crossings
             if not s.is_infinite and s.is_integer and s.p == 4 * n - 1:
-                out.append((_tb_expr(2, m2, ds), reduce(4 * n - 1, n)))
+                out.append((canonical(TwoBridge(2, m2), ds), reduce(4 * n - 1, n)))
             if not s.is_infinite and s.is_integer and s.p == 4 * n + 1:
-                out.append((_tb_expr(-2, m2, ds), reduce(-(4 * n + 1), n)))
+                out.append((canonical(TwoBridge(-2, m2), ds), reduce(-(4 * n + 1), n)))
         else:
             m2 = a  # even twist region, 2m crossings
             if s == Slope(1, 1):
-                out.append((_tb_expr(-2, m2, ds), reduce(-1, n)))
+                out.append((canonical(TwoBridge(-2, m2), ds), reduce(-1, n)))
             if s == Slope(-1, 1):
-                out.append((_tb_expr(2, m2, ds), reduce(-1, n)))
+                out.append((canonical(TwoBridge(2, m2), ds), reduce(-1, n)))
 
     # pretzel shift
     if isinstance(k, Pretzel):
@@ -555,7 +518,7 @@ def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
                 if (s.p - eps) % q == 0:
                     p = (s.p - eps) // q
                     if math.gcd(abs(p), q) == 1:
-                        out.append((Cable(p, q, k), Slope(s.p, 1)))
+                        out.append((make_cable(p, q, k), Slope(s.p, 1)))
 
     return out
 

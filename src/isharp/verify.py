@@ -346,7 +346,7 @@ def identity_instances(ds, bound: int = 50):
     # two-bridge codes from the alias registry, plus the twist-knot family
     codes = set()
     for name in ds.knot_names():
-        for x in equivalent_atoms(Named(name), (name, False), ds):
+        for x in equivalent_atoms(Named(name), ds):
             if isinstance(x, TwoBridge):
                 codes.update(((x.a, x.b), (-x.a, -x.b)))
     for n in range(1, bound + 1):

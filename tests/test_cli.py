@@ -83,6 +83,17 @@ def test_cable_and_sum():
     assert obj["nu"] == 0 and obj["shape"] == "W"
 
 
+def test_cable_answers_for_the_knot_the_cable_is():
+    # the cable of the unknot is a torus knot: T(2,3), or the unknot itself
+    code, out, _ = run_cli("cable", "3", "2", "U")
+    assert code == 0
+    assert out == '{"cable":"T(2,3)","genus":1,"lspace":true,"nu":1,"r0":1}\n'
+    code, out, _ = run_cli("cable", "1", "2", "U")
+    assert code == 0 and json.loads(out) == {"cable": "U", "genus": 0, "lspace": False}
+    code, _, err = run_cli("cable", "3", "1", "U")
+    assert code == 1 and err.startswith("error: cable needs q >= 2")
+
+
 def test_exit_codes():
     code, _, err = run_cli("invariants", "99_42")
     assert code == 1 and "error" in err
@@ -238,6 +249,14 @@ def test_identities_listing():
     assert code == 0
     rows = json.loads(out)
     assert any(r["slope"] == "9/2" for r in rows)
+
+
+def test_identities_of_an_unknown_name_exit_1():
+    # like dcover, dim and invariants, not an empty list
+    for argv in (("identities", "99_1", "1"), ("invariants", "99_1"),
+                 ("dcover", "99_1"), ("dim", "surg(99_1; 1)")):
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (1, "", "error: unknown knot name '99_1'\n"), argv
 
 
 def test_deep_nesting_is_refused_cleanly():

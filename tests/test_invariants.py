@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from isharp import datasets, invariants, knots
 from isharp.invariants import deduce, lspace_cable, lspace_knot_invariants, sl_upper_bound
-from isharp.knots import KnotError, format_knot, make_sum, mirror, parse_knot
+from isharp.knots import KnotError, Unknot, format_knot, make_sum, mirror, parse_knot
 from isharp.values import Inconsistency, Val
 
 
@@ -153,6 +154,35 @@ def test_lspace_cable(ds):
     assert lspace_cable(7, 2, parse_knot("4_1"), ds) is False
 
 
+def test_lspace_cable_of_the_unknot_is_its_torus_knot(ds):
+    # Cab(p,q;U) is T(p,q): an L-space knot when positive, not the unknot
+    for companion in (Unknot(), parse_knot("P(-1,3,2)")):
+        assert lspace_cable(3, 2, companion, ds) is True
+        assert lspace_cable(5, 3, companion, ds) is True
+        assert lspace_cable(1, 2, companion, ds) is False
+        assert lspace_cable(-3, 2, companion, ds) is False
+        assert lspace_cable(-1, 2, companion, ds) is False
+
+
+def test_cold_deduction_builds_no_fraction_for_integral_halves(monkeypatch):
+    # R14's (nu +- 1)/2 and R6's -sigma/2 are integers on these knots
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(invariants, "Fraction", counting)
+    ds = datasets.load(check=False)
+    for text in ("T(2,5)", "m(5_2)", "8_19", "Cab(3,2;T(2,3))", "6_2"):
+        for use_stored in (True, False):
+            deduce(parse_knot(text), ds, use_stored)
+    assert made == []
+    # a half that is not an integer still is a Fraction
+    assert invariants._half(-1) == Fraction(-1, 2) and made == [(-1, 2)]
+    assert type(invariants._half(-4)) is int and invariants._half(-4) == -2
+
+
 def test_lspace_knot_invariants(ds):
     assert lspace_knot_invariants(parse_knot("P(-2,3,7)"), ds) == (9, 9)
     assert lspace_knot_invariants(parse_knot("T(3,4)"), ds) == (5, 5)
@@ -169,9 +199,9 @@ def test_cold_cable_chain_checks_each_layer_once(monkeypatch):
     keys = []
     original = invariants._lspace_cable
 
-    def counting(p, q, k, ds, use_stored):
+    def counting(k, ds, p, q, use_stored):
         keys.append((p, q, format_knot(k), use_stored))
-        return original(p, q, k, ds, use_stored)
+        return original(k, ds, p, q, use_stored)
 
     monkeypatch.setattr(invariants, "_lspace_cable", counting)
     deduce(parse_knot(text), ds)
@@ -210,8 +240,10 @@ def test_cold_cable_chain_builds_each_mirror_once(monkeypatch):
     monkeypatch.setattr(knots, "_mirror", counting)
     for (depth, lspace), digest in CHAIN_DIGESTS.items():
         built.clear()
-        b = deduce(parse_knot(_cable_chain(depth, lspace)), datasets.load(check=False))
-        out = b.to_json()
+        chain = _cable_chain(depth, lspace)
+        b = deduce(parse_knot(chain), datasets.load(check=False))
+        # the bundle names the canonical chain; label it as the CLI does
+        out = {**b.to_json(), "knot": chain}
         out["trace"] = [t.to_json() for t in b.trace]
         text = json.dumps(out, sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, (depth, lspace)

@@ -5,7 +5,9 @@ they get the same deduction, structural data, self-linking bound and
 dimensions, under both use_stored modes.  So do a connected sum with its
 summands in any order, and m(m(K)); the mirror m(K) gets the negated nu
 and tau, and a sum whose summands pair with presentations of their
-mirrors is slice.
+mirrors is slice.  A presentation of the unknot drops out of a sum, and
+a cable of it is the torus knot it is.  All of them share one canonical
+form, and with it one deduction.
 """
 
 import math
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isharp import datasets
+from isharp import datasets, invariants
 from isharp.invariants import deduce, sl_upper_bound
-from isharp.knots import mirror, parse_knot, structural
+from isharp.knots import KnotError, canonical, format_knot, mirror, parse_knot, structural
 from isharp.slopes import Slope
 from isharp.surgery import DimensionError, branched_cover_dim, surgery_dim
 from isharp.values import Inconsistency
@@ -118,3 +120,74 @@ def test_double_mirror_and_mirror_answers(texts):
             == answers(k, DS, use_stored)
         b, mb = deduce(k, DS, use_stored), deduce(mirror(k), DS, use_stored)
         assert (mb.nu, mb.tau, mb.r0, mb.shape) == (-b.nu, -b.tau, b.r0, b.shape)
+
+
+def dimensions(k, ds):
+    dim = lambda s, bundle="trivial": _attempt(lambda: surgery_dim(k, s, bundle, ds))
+    return ([dim(Slope(p, q)) for p, q in ((1, 1), (-7, 2), (13, 1), (0, 1))],
+            dim(Slope(0, 1), "mu"), _attempt(lambda: branched_cover_dim(k, ds)))
+
+
+UNKNOT_PRESENTATIONS = [
+    ("P(-1,3,2) # m(3_1)", "m(3_1)"), ("m(3_1) # U # 0_1", "m(3_1)"),
+    ("Cab(3,2;U)", "T(2,3)"), ("Cab(5,2;m(U))", "T(2,5)"),
+    ("Cab(3,2;P(-1,3,2))", "T(3,2)"), ("Cab(-3,2;P(-1,3,2))", "T(-3,2)"),
+    ("Cab(5,2;m(P(-1,3,2)))", "T(5,2)"), ("Cab(7,3;P(-1,3,2))", "T(7,3)"),
+    ("Cab(3,4;P(-1,3,2))", "T(3,4)"), ("Cab(1,2;P(-1,3,2))", "T(1,2)"),
+    ("Cab(3,2;P(-1,3,2)) # P(-1,3,2)", "T(2,3)"),
+    ("Cab(5,2;Cab(3,2;P(-1,3,2)))", "Cab(5,2;T(2,3))"),
+]
+
+
+@pytest.mark.parametrize("use_stored", [True, False])
+@pytest.mark.parametrize("text, knot", UNKNOT_PRESENTATIONS)
+def test_unknot_presentations_drop_out(text, knot, use_stored):
+    # each text and the knot it presents get one answer, mirrors included
+    fresh = datasets.load(check=False)
+    a, b = parse_knot(text), parse_knot(knot)
+    assert canonical(a, DS) == canonical(b, DS)
+    for x, y in ((a, b), (mirror(a), mirror(b))):
+        assert answers(x, DS, use_stored) == answers(y, fresh, use_stored)
+        assert dimensions(x, DS) == dimensions(y, fresh)
+
+
+def test_a_cable_of_the_unknot_keeps_the_cable_checks():
+    for text in ("Cab(3,1;U)", "Cab(4,2;U)", "Cab(3,0;P(-1,3,2))"):
+        with pytest.raises(KnotError):
+            parse_knot(text)
+
+
+def test_presentations_of_one_knot_share_one_deduction(monkeypatch):
+    ran = []
+    original = invariants._deduce
+
+    def counting(k, ds, use_stored):
+        ran.append((format_knot(k), use_stored))
+        return original(k, ds, use_stored)
+
+    monkeypatch.setattr(invariants, "_deduce", counting)
+    fresh = datasets.load(check=False)
+    for use_stored in (True, False):
+        first = deduce(parse_knot("T(3,5)"), fresh, use_stored)
+        assert deduce(parse_knot("10_124"), fresh, use_stored) is first
+        assert deduce(parse_knot("T(3,5)"), fresh, use_stored) is first
+    assert ran == [("10_124", True), ("10_124", False)]
+
+
+knot_texts = st.recursive(
+    st.sampled_from(PRESENTATIONS + ["U", "0_1", "P(-1,3,2)", "T(2,9)", "Tw(9)", "P(3,5,7)"]),
+    lambda inner: st.one_of(
+        inner.map(lambda t: f"m({t})"),
+        st.lists(inner, min_size=2, max_size=3).map(" # ".join),
+        st.tuples(st.sampled_from([(3, 2), (-3, 2), (5, 2), (7, 3), (1, 2)]), inner).map(
+            lambda t: f"Cab({t[0][0]},{t[0][1]};{t[1]})")),
+    max_leaves=6)
+
+
+@given(knot_texts)
+@settings(max_examples=300, deadline=None)
+def test_canonical_form_is_idempotent_and_parses_back(text):
+    c = canonical(parse_knot(text), DS)
+    assert canonical(c, DS) is c
+    back = parse_knot(format_knot(c))
+    assert back == c and canonical(back, DS) == c
