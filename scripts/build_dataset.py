@@ -11,7 +11,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from isharp.datasets import TableEntry  # noqa: E402
+from isharp.datasets import Dataset, TableEntry  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "isharp", "data", "tables.jsonl")
 
@@ -343,12 +343,12 @@ def build_entries():
 
 
 def main():
-    entries = build_entries()
+    # the loader's row and integrity checks run on every generated row
+    ds = Dataset(build_entries())
+    ds.check_integrity()
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
-    with open(OUT, "w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(e.to_json_line() + "\n")
-    print(f"wrote {len(entries)} records to {os.path.relpath(OUT)}")
+    ds.save(OUT)
+    print(f"wrote {len(ds.entries)} records to {os.path.relpath(OUT)}")
 
 
 if __name__ == "__main__":

@@ -112,7 +112,7 @@ def cmd_invariants(args, ds):
     out = _bundle_json(b, format_knot(k), args.trace)
     bound, violation = sl_upper_bound(k, ds)
     if bound is not None:
-        out["sl_max_bound"] = int(bound) if bound.denominator == 1 else [bound.numerator, bound.denominator]
+        out["sl_max_bound"] = bound
         if violation:
             out["sl_max_violation"] = True
     emit(out, args.pretty)

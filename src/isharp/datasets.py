@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from typing import Optional
 
-from .values import Rat, Record, Val
+from .values import Record, Val
 
 SCHEMA_VERSION = 1
 KNOWN_TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "KNOT", "ALIAS")
@@ -149,25 +148,18 @@ class KnotRecord(Record):
                    mirror_flags, mirror_sl_max, citation)
 
 
-def _rational(x) -> Rat:
-    """An int, or [num, den] with integer parts and den != 0."""
-    if type(x) is int:
-        return x
-    if isinstance(x, list) and len(x) == 2 and all(type(v) is int for v in x) and x[1]:
-        return Fraction(x[0], x[1])
-    raise DatasetError(f"bad value encoding {x!r}")
-
-
 def _val_from_payload(x) -> Val:
-    """Payload encodings: null (unknown), int, [num, den], or
-    {lo, hi, parity} with null for an unbounded end."""
+    """Payload encodings: null (unknown), an int, or {lo, hi, parity}
+    with int ends and null for an unbounded end.  Every stored value is
+    an integer invariant."""
     if x is None:
         return Val.unknown()
-    if not isinstance(x, dict):
-        return Val.exact(_rational(x))
-    lo, hi = (None if x.get(end) is None else _rational(x[end]) for end in ("lo", "hi"))
     try:
-        return Val.between(lo, hi, x.get("parity"))
+        if not isinstance(x, dict):
+            return Val.exact(x)
+        return Val.between(x.get("lo"), x.get("hi"), x.get("parity"))
+    except TypeError:  # an end that is not an int
+        raise DatasetError(f"bad value encoding {x!r}") from None
     except ValueError as e:  # a bad parity, or lo > hi
         raise DatasetError(f"bad value encoding {x!r}: {e}") from None
 

@@ -14,7 +14,6 @@ canonical form of the knot (knots.memo), the form a bundle names.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .knots import (
@@ -237,9 +236,9 @@ def _apply_family_rules(b: _Draft, k, s, ds, use_stored) -> None:
         if s.slice_genus.is_exact:
             b.narrow("tau", Val.exact(s.slice_genus.value()), "R5")
 
-    # R6: alternating
+    # R6: alternating (a knot's signature is even: the loader rejects an odd one)
     if s.flag("alternating") and s.signature is not None:
-        b.narrow("tau", Val.exact(_half(-s.signature)), "R6")
+        b.narrow("tau", Val.exact(-s.signature // 2), "R6")
 
     # R8: torus knots (the mirror pass covers the negative ones)
     if isinstance(k, Torus) and k.p > 0:
@@ -321,8 +320,10 @@ def _tighten(b: _Draft, k, ds) -> None:
             hi = None if b.tau.hi is None else 2 * b.tau.hi + 1
             b.narrow("nu", Val.between(lo, hi), "R14", "(|2 tau - nu| <= 1)")
         if not b.nu.is_unknown:
-            lo = None if b.nu.lo is None else _half(b.nu.lo - 1)
-            hi = None if b.nu.hi is None else _half(b.nu.hi + 1)
+            # tau is an integer, so (nu - 1)/2 <= tau <= (nu + 1)/2 rounds
+            # inward: ceil((nu.lo - 1)/2) = nu.lo // 2, floor((nu.hi + 1)/2)
+            lo = None if b.nu.lo is None else b.nu.lo // 2
+            hi = None if b.nu.hi is None else (b.nu.hi + 1) // 2
             b.narrow("tau", Val.between(lo, hi), "R14", "(|2 tau - nu| <= 1)")
         if s.slice_genus.hi is not None:
             g = s.slice_genus.hi
@@ -356,11 +357,6 @@ def _tighten(b: _Draft, k, ds) -> None:
     else:
         b.trace.append(TraceEntry("R14", RULES["R14"],
                                   f"(no fixed point after {TIGHTEN_ROUNDS} rounds)"))
-
-
-def _half(n):
-    """n / 2: an int when n is even, a Fraction only when it is not."""
-    return n // 2 if n % 2 == 0 else Fraction(n, 2)
 
 
 def _lspace_status(k, b, s, ds, use_stored: bool = True):
@@ -428,5 +424,5 @@ def lspace_knot_invariants(k: KnotExpr, ds) -> tuple[int, int]:
     if _lspace_status(k, b, s, ds) is not True or not s.genus.is_exact:
         raise KnotError(f"{format_knot(k)} is not a known instanton L-space knot "
                         "with known genus")
-    v = 2 * s.genus.int_value() - 1
+    v = 2 * s.genus.value() - 1
     return (v, v)

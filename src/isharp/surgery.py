@@ -144,7 +144,7 @@ class DimResult(Record):
     @staticmethod
     def of_candidates(values, euler: int) -> "DimResult":
         euler = abs(euler)
-        values = tuple(sorted(set(map(int, values))))
+        values = tuple(sorted(set(values)))
         if not values:
             raise Inconsistency("empty candidate set")
         for d in values:
@@ -191,13 +191,11 @@ class DimResult(Record):
 
     @property
     def lo(self) -> Optional[int]:
-        return int(self.state.lo) if self.kind == "interval" else None
+        return self.state.lo if self.kind == "interval" else None
 
     @property
     def hi(self) -> Optional[int]:
-        if self.kind != "interval" or self.state.hi is None:
-            return None
-        return int(self.state.hi)
+        return self.state.hi if self.kind == "interval" else None
 
     @property
     def parity(self) -> Optional[int]:
@@ -281,13 +279,13 @@ def _formula_dim(b: Bundle, s: Slope, knot=None) -> DimResult:
     # extremes over an interval sit at the endpoints or at the interior
     # critical point p/q
     lo_abs, hi_abs = _abs_range(p, q, nu)
-    lo = q * int(r0.lo) + lo_abs
-    hi = None if r0.hi is None else q * int(r0.hi) + hi_abs
+    lo = q * r0.lo + lo_abs
+    hi = None if r0.hi is None else q * r0.hi + hi_abs
     return DimResult.of_interval(lo, hi, euler)
 
 
 def _abs_range(p: int, q: int, nu: Val) -> tuple[int, int]:
-    ends = [abs(p - q * int(x)) for x in (nu.lo, nu.hi)]
+    ends = [abs(p - q * x) for x in (nu.lo, nu.hi)]
     lo, hi = min(ends), max(ends)
     if nu.lo * q <= p <= nu.hi * q:  # nu.lo <= p/q <= nu.hi, with q >= 1
         # the minimum sits at the admissible integer nearest the critical
@@ -311,18 +309,18 @@ def zero_surgery_dim(k: KnotExpr, bundle: str, ds) -> DimResult:
     b = deduce(k, ds)
     euler = 0
     if b.nu.is_exact and b.nu.value() != 0:
-        nu = abs(b.nu.int_value())
+        nu = abs(b.nu.value())
         r0 = _require_bounded(b.r0, "r0", k)
         cands = r0.candidates(40)
         if cands is not None:
             return DimResult.of_candidates([r + nu for r in cands], euler)
-        return DimResult.of_interval(int(r0.lo) + nu, int(r0.hi) + nu, euler)
+        return DimResult.of_interval(r0.lo + nu, r0.hi + nu, euler)
     if not b.nu.is_exact:
         raise DimensionError(f"nu of {k} is not determined: {b.nu}")
     r0 = _require_bounded(b.r0, "r0", k)
     if not r0.is_exact:
         raise DimensionError(f"r0 of {k} is not pinned at slope 0: {r0}")
-    r = r0.int_value()
+    r = r0.value()
     if b.shape == "W":
         return DimResult.exact(r if bundle == "mu" else r + 2, euler)
     # nu = 0, V-shaped or of unknown shape: the trivial bundle gives r0
@@ -456,10 +454,9 @@ def triad_bounds(dA: DimResult, dB: DimResult, h1C: int) -> DimResult:
 # Homeomorphism identities between surgery descriptions
 # ---------------------------------------------------------------------------
 
-def _tb_codes_for(k: KnotExpr, ds) -> list[tuple[int, int]]:
-    """Two-bridge codes (a, b) known to present exactly this knot: its
-    two-bridge presentations, then the code of its first twist one."""
-    atoms = equivalent_atoms(k, ds)
+def _tb_codes_for(atoms: list[KnotExpr]) -> list[tuple[int, int]]:
+    """Two-bridge codes (a, b) among atoms, the presentations of one knot:
+    its two-bridge presentations, then the code of its first twist one."""
     codes = [(x.a, x.b) for x in atoms if isinstance(x, TwoBridge)]
     tw = next((x for x in atoms if isinstance(x, Twist)), None)
     if tw is not None:
@@ -475,9 +472,10 @@ def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
     relating slopes (pq +- 1)/q^2 on a companion to pq +- 1 on its cable.
     """
     out: list[tuple[KnotExpr, Slope]] = []
+    atoms = equivalent_atoms(k, ds)
 
     # two-bridge identities
-    for a, b in _tb_codes_for(k, ds):
+    for a, b in _tb_codes_for(atoms):
         if b == 0 or b % 2 != 0:
             continue
         n = b // 2
@@ -494,16 +492,17 @@ def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
             if s == Slope(-1, 1):
                 out.append((canonical(TwoBridge(2, m2), ds), reduce(-1, n)))
 
-    # pretzel shift
-    if isinstance(k, Pretzel):
-        n = _pretzel_n33(k)
+    # pretzel shift, once per P(n,3,-3) presentation
+    shifts = []
+    for x in atoms:
+        n = _pretzel_n33(x) if isinstance(x, Pretzel) else None
         if n is not None:
-            if k.mirrored:
-                n = -n
-            if s == Slope(-2, 1):
-                out.append((Pretzel(n + 3, 3, -3), Slope(2, 1)))
-            if s == Slope(2, 1):
-                out.append((Pretzel(n - 3, 3, -3), Slope(-2, 1)))
+            shifts.append(-n if x.mirrored else n)
+    for n in dict.fromkeys(shifts):
+        if s == Slope(-2, 1):
+            out.append((Pretzel(n + 3, 3, -3), Slope(2, 1)))
+        if s == Slope(2, 1):
+            out.append((Pretzel(n - 3, 3, -3), Slope(-2, 1)))
 
     # cable identities: integer surgery on the cable ...
     if isinstance(k, Cable) and s.is_integer:

@@ -3,13 +3,11 @@ and Record, the base class of every immutable isharp record.
 
 The deduction engine narrows each invariant through a lattice of states:
 completely unknown, a bounded or half-bounded interval (optionally with a
-mod-2 parity constraint for integer-valued invariants), or an exact
-rational.  Narrowing two incompatible states raises Inconsistency.  A
-rational end is a Python int when it is integral and a Fraction only
-when it is not, never a float: every invariant isharp deduces is an
-integer, so deduction runs on exact int arithmetic, and only the odd
-half-integer bound (the |2 tau - nu| <= 1 rule) or a stored
-[numerator, denominator] cell holds a Fraction.
+mod-2 parity constraint), or an exact value.  Narrowing two incompatible
+states raises Inconsistency.  Every invariant isharp deduces (nu, tau,
+r0, the genera, the dimensions) is an integer, so every end is a Python
+int: deduction runs on exact int arithmetic, and an end of any other
+type (a Fraction, a float, a bool) raises TypeError.
 
 Record gives a slotted class value semantics: equality by exact type and
 field tuple, a matching hash, the usual Name(field=value, ...) repr,
@@ -29,11 +27,8 @@ quarter of a short call's start-up.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
-from typing import Optional, Union
-
-Rat = Union[int, Fraction]
+from typing import Optional
 
 
 class Record:
@@ -96,52 +91,40 @@ class Inconsistency(ValueError):
     """Two deduction steps produced incompatible values."""
 
 
-def _end(x) -> Rat:
-    """A Fraction end as an int when it is integral; any end that is not
-    an int or a Fraction (a float, a bool, a Decimal) raises TypeError."""
-    if type(x) is Fraction:
-        return x.numerator if x.denominator == 1 else x
-    raise TypeError(f"a Val end must be an int or a Fraction, got {x!r}")
-
-
 class Val(Record):
-    """A known rational, an interval [lo, hi], or unknown (both ends None).
+    """A known integer, an interval [lo, hi] of integers, or unknown
+    (both ends None).
 
-    Each end is None (unbounded), an int when it is integral, or a
-    Fraction when it is not; never a float, and never an integral
-    Fraction.  __init__ canonicalises its ends that way, so the int
-    comparisons and sums of deduction skip Fraction arithmetic.  parity
-    is the residue mod 2 for integer-valued quantities."""
+    Each end is None (unbounded) or an int; __init__ raises TypeError on
+    any other end.  parity, when not None, is the residue mod 2 of every
+    value the state admits."""
 
     __slots__ = ("lo", "hi", "parity")
 
-    def __init__(self, lo: Optional[Rat] = None, hi: Optional[Rat] = None,
+    def __init__(self, lo: Optional[int] = None, hi: Optional[int] = None,
                  parity: Optional[int] = None):
-        if lo is not None and type(lo) is not int:
-            lo = _end(lo)
-        if hi is not None and type(hi) is not int:
-            hi = _end(hi)
+        if (lo is not None and type(lo) is not int) or (hi is not None and type(hi) is not int):
+            raise TypeError(f"Val ends must be ints, got [{lo!r}, {hi!r}]")
         if lo is not None and hi is not None and lo > hi:
             raise Inconsistency(f"empty interval [{lo}, {hi}]")
         if parity is not None and parity not in (0, 1):
             raise ValueError(f"parity must be 0 or 1, got {parity}")
         if lo is not None and lo == hi:
-            if parity is not None:
-                if type(lo) is not int or lo % 2 != parity:
-                    raise Inconsistency(f"exact value {lo} violates parity {parity}")
-            elif type(lo) is int:
+            if parity is None:
                 # canonical form: exact integers always carry their parity
                 parity = lo % 2
+            elif lo % 2 != parity:
+                raise Inconsistency(f"exact value {lo} violates parity {parity}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "parity", parity)
 
     @staticmethod
-    def exact(x: Rat) -> "Val":
+    def exact(x: int) -> "Val":
         return Val(x, x)
 
     @staticmethod
-    def between(lo: Optional[Rat], hi: Optional[Rat], parity: Optional[int] = None) -> "Val":
+    def between(lo: Optional[int], hi: Optional[int], parity: Optional[int] = None) -> "Val":
         return Val(lo, hi, parity).normalized()
 
     @staticmethod
@@ -156,32 +139,20 @@ class Val(Record):
     def is_unknown(self) -> bool:
         return self.lo is None and self.hi is None and self.parity is None
 
-    def value(self) -> Rat:
+    def value(self) -> int:
         if not self.is_exact:
             raise ValueError(f"value of non-exact {self}")
         return self.lo
 
-    def int_value(self) -> int:
-        v = self.value()
-        if type(v) is not int:
-            raise ValueError(f"{v} is not an integer")
-        return v
-
     def normalized(self) -> "Val":
-        """Tighten integer/parity intervals to achievable endpoints."""
+        """Tighten the ends of a parity interval to values of that parity."""
         lo, hi = self.lo, self.hi
         if self.parity is None:
             return self
-        # parity constraints only make sense for integer-valued quantities;
-        # x // 1 is the integer floor of an int or a Fraction
-        if lo is not None:
-            lo = -(-lo // 1)  # ceil
-            if lo % 2 != self.parity:
-                lo += 1
-        if hi is not None:
-            hi = hi // 1
-            if hi % 2 != self.parity:
-                hi -= 1
+        if lo is not None and lo % 2 != self.parity:
+            lo += 1
+        if hi is not None and hi % 2 != self.parity:
+            hi -= 1
         if lo is not None and hi is not None and lo > hi:
             raise Inconsistency(f"no value in [{self.lo}, {self.hi}] with parity {self.parity}")
         return Val(lo, hi, self.parity)
@@ -197,14 +168,12 @@ class Val(Record):
             raise Inconsistency(f"disjoint: {self} vs {other}")
         return Val(lo, hi, parity).normalized()
 
-    def contains(self, x: Rat) -> bool:
+    def contains(self, x: int) -> bool:
         if self.lo is not None and x < self.lo:
             return False
         if self.hi is not None and x > self.hi:
             return False
-        if self.parity is not None and (x.denominator != 1 or x.numerator % 2 != self.parity):
-            return False
-        return True
+        return self.parity is None or x % 2 == self.parity
 
     def candidates(self, limit: int) -> Optional[list[int]]:
         """Every integer this state admits, stepping by 2 under a parity
@@ -212,13 +181,11 @@ class Val(Record):
         admits more than limit."""
         if self.lo is None or self.hi is None:
             return None
-        lo = -(-self.lo // 1)  # ceil
-        hi = self.hi // 1  # floor
-        step = 1
+        lo, step = self.lo, 1
         if self.parity is not None:
             lo += (lo - self.parity) % 2
             step = 2
-        ints = range(lo, hi + 1, step)
+        ints = range(lo, self.hi + 1, step)
         return list(ints) if 0 < len(ints) <= limit else None
 
     def __add__(self, other: "Val") -> "Val":
@@ -271,13 +238,8 @@ class Val(Record):
         if self.is_unknown:
             return None
         if self.is_exact:
-            return _end_json(self.lo)
-        out = {"lo": _end_json(self.lo), "hi": _end_json(self.hi)}
+            return self.lo
+        out = {"lo": self.lo, "hi": self.hi}
         if self.parity is not None:
             out["parity"] = self.parity
         return out
-
-
-def _end_json(x):
-    """An end as JSON: null, an int, or [numerator, denominator]."""
-    return x if x is None or type(x) is int else [x.numerator, x.denominator]

@@ -162,13 +162,13 @@ def rederive_r0(ds) -> tuple[dict, Report]:
         if not (b.nu.is_exact and b.r0.is_exact):
             report.add("T1", name, "r0", "exact family value", b.r0, False)
             continue
-        derived[name] = (b.nu.int_value(), b.r0.int_value())
+        derived[name] = (b.nu.value(), b.r0.value())
 
     # two-bridge identity routes
     for name, (n, partner_text) in IDENTITY_ROUTES.items():
         partner = parse_knot(partner_text)
         b = flags_bundle(name)
-        nu = b.nu.int_value()
+        nu = b.nu.value()
         slope = Slope(n, 1)
         matches = [rhs for rhs in homeo_identities(Named(name), slope, ds)
                    if rhs[0] == partner or format_knot(rhs[0]) == partner_text]
@@ -177,7 +177,7 @@ def rederive_r0(ds) -> tuple[dict, Report]:
             continue
         rhs_knot, rhs_slope = matches[0]
         pb = deduce(rhs_knot, ds, use_stored=False)
-        dim = rhs_slope.q * pb.r0.int_value() + abs(rhs_slope.p - rhs_slope.q * pb.nu.int_value())
+        dim = rhs_slope.q * pb.r0.value() + abs(rhs_slope.p - rhs_slope.q * pb.nu.value())
         derived[name] = (nu, dim - abs(n - nu))
 
     # the chain through P(5,5,-3)
@@ -232,11 +232,11 @@ def _chain_r0(ds, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
     d_mhalf = 2 * d0 - 1
 
     out = {}
-    nu63 = deduce(Named("6_3"), ds, use_stored=False).nu.int_value()
+    nu63 = deduce(Named("6_3"), ds, use_stored=False).nu.value()
     out["6_3"] = (nu63, d1 - abs(-1 - nu63))
-    nu86 = deduce(Named("8_6"), ds, use_stored=False).nu.int_value()
+    nu86 = deduce(Named("8_6"), ds, use_stored=False).nu.value()
     out["8_6"] = (nu86, d_mhalf - abs(-1 - nu86))
-    nu88 = deduce(Named("8_8"), ds, use_stored=False).nu.int_value()
+    nu88 = deduce(Named("8_8"), ds, use_stored=False).nu.value()
     out["8_8"] = (nu88, d_half - abs(-1 - nu88))
     return out
 
@@ -375,7 +375,7 @@ def identity_instances(ds, bound: int = 50):
     # cable identities on instanton L-space companions
     for companion_text in ("m(3_1)", "m(5_1)", "T(3,4)", "P(-2,3,7)"):
         companion = parse_knot(companion_text)
-        g = structural(companion, ds).genus.int_value()
+        g = structural(companion, ds).genus.value()
         for q in (2, 3):
             for p in range(q * (2 * g - 1) + 1, q * (2 * g - 1) + bound):
                 if p % q == 0:

@@ -239,7 +239,7 @@ def _invariants_by_name(ds):
     out = {}
     for name in TABLE_KNOTS:
         b = deduce(parse_knot(name), ds)
-        out[name] = (b.nu.int_value(), b.r0.int_value())
+        out[name] = (b.nu.value(), b.r0.value())
     return out
 
 

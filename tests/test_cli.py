@@ -251,6 +251,19 @@ def test_identities_listing():
     assert any(r["slope"] == "9/2" for r in rows)
 
 
+def test_r14_tau_bound_is_an_integer(tmp_path):
+    # stored nu = r0 = 2 and |2 tau - nu| <= 1 leave only tau = 1
+    from isharp import datasets
+    row = datasets.TableEntry("KNOT", "9_99", {"instanton": {"nu": 2, "r0": 2}}, "test")
+    data = tmp_path / "extra.jsonl"
+    data.write_text(Path(datasets.BUNDLED_PATH).read_text(encoding="utf-8")
+                    + row.to_json_line() + "\n", encoding="utf-8")
+    code, out, err = run_cli("--data", str(data), "invariants", "9_99")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"delta": 0, "knot": "9_99", "nu": 2, "r0": 2, "shape": "V",
+                               "sl_max_bound": 1, "tau": 1}
+
+
 def test_identities_of_an_unknown_name_exit_1():
     # like dcover, dim and invariants, not an empty list
     for argv in (("identities", "99_1", "1"), ("invariants", "99_1"),
@@ -359,6 +372,14 @@ def test_import_layout():
         loaded = _loaded_modules(code)
         assert "isharp.cli" in loaded
         assert loaded.isdisjoint({"argparse", "gettext", "locale"}), code
+    # every Val end is an int, so no subcommand imports fractions, nor the
+    # decimal module fractions loads
+    loaded = _loaded_modules("import isharp.cli as c\n"
+                             "for argv in (['cf', '1/3'], ['triad', '5/2'], ['dim', 'surg(4_1; 1/2)'],\n"
+                             "             ['invariants', 'm(5_2)'], ['verify', 'T5'], ['export', 'T1']):\n"
+                             "    assert c.main(argv) == 0, argv")
+    assert "isharp.verify" in loaded
+    assert loaded.isdisjoint({"fractions", "decimal"})
     loaded = _loaded_modules("import isharp.cli as c\n"
                              "try:\n"
                              "    c.main(['-h'])\n"

@@ -72,6 +72,9 @@ def test_loader_rejects_bad_schema_and_duplicates():
             ({"genus": [1, 0]}, "bad value encoding"),
             ({"genus": [1, "2"]}, "bad value encoding"),
             ({"genus": 1.5}, "bad value encoding"),
+            # every stored value is an integer invariant: no [num, den] cell
+            ({"genus": [3, 2]}, "bad value encoding"),
+            ({"instanton": {"tau": {"lo": [1, 2]}}}, "bad value encoding"),
             ({"slice_genus": {"lo": 3, "hi": 1}}, "empty interval"),
             ({"instanton": {"r0": {"lo": 1, "parity": "x"}}}, "parity"),
             ({"alexander": []}, "alexander"),

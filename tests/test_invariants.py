@@ -1,6 +1,5 @@
 import hashlib
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -164,23 +163,26 @@ def test_lspace_cable_of_the_unknot_is_its_torus_knot(ds):
         assert lspace_cable(-1, 2, companion, ds) is False
 
 
-def test_cold_deduction_builds_no_fraction_for_integral_halves(monkeypatch):
-    # R14's (nu +- 1)/2 and R6's -sigma/2 are integers on these knots
-    made = []
+def _with_knot_rows(instanton: dict):
+    """The bundled data plus one KNOT row per name in instanton, holding
+    only the stored invariants given for it."""
+    rows = [datasets.TableEntry("KNOT", name, {"instanton": inv}, "test")
+            for name, inv in instanton.items()]
+    return datasets.Dataset([*datasets.load(check=False).entries, *rows])
 
-    def counting(*args):
-        made.append(args)
-        return Fraction(*args)
 
-    monkeypatch.setattr(invariants, "Fraction", counting)
-    ds = datasets.load(check=False)
-    for text in ("T(2,5)", "m(5_2)", "8_19", "Cab(3,2;T(2,3))", "6_2"):
+def test_r14_rounds_tau_inward_to_integers():
+    # tau is an integer, so (nu - 1)/2 <= tau <= (nu + 1)/2 rounds inward
+    ds = _with_knot_rows({"9_99": {"nu": 2, "r0": 2}, "9_98": {"nu": {"lo": -3, "hi": 0}}})
+    for text, tau in (("9_99", 1), ("m(9_99)", -1)):
+        b = bundle(text, ds)
+        assert b.tau == Val.exact(tau) and type(b.tau.value()) is int, text
+        assert sl_upper_bound(parse_knot(text), ds) == (2 * tau - 1, False)
+    for text, tau in (("9_98", Val.between(-2, 0)), ("m(9_98)", Val.between(0, 2))):
         for use_stored in (True, False):
-            deduce(parse_knot(text), ds, use_stored)
-    assert made == []
-    # a half that is not an integer still is a Fraction
-    assert invariants._half(-1) == Fraction(-1, 2) and made == [(-1, 2)]
-    assert type(invariants._half(-4)) is int and invariants._half(-4) == -2
+            b = bundle(text, ds, use_stored=use_stored)
+            assert b.tau == (tau if use_stored else Val.unknown()), (text, use_stored)
+            assert sl_upper_bound(parse_knot(text), ds) == (None, False)
 
 
 def test_lspace_knot_invariants(ds):
@@ -285,7 +287,7 @@ def test_repeated_sum_nu_bound(name, n, ):
     k = parse_knot(name)
     b1 = deduce(k, ds)
     bn = deduce(make_sum([k] * n) if n > 1 else k, ds)
-    nu = b1.nu.int_value()
+    nu = b1.nu.value()
     # nu of the n-fold sum lies within n*nu +- (n-1)
     assert bn.nu.lo >= n * nu - (n - 1)
     assert bn.nu.hi <= n * nu + (n - 1)

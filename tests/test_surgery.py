@@ -197,6 +197,17 @@ def test_homeo_pretzel_shift(ds):
     assert (Pretzel(1, 3, -3), Slope(-2, 1)) in out
 
 
+@pytest.mark.parametrize("name, code, shifted", [
+    ("6_1", "P(1,3,-3)", "P(4,3,-3)"), ("m(6_1)", "m(P(1,3,-3))", "P(2,3,-3)"),
+    ("8_20", "P(2,3,-3)", "P(5,3,-3)"), ("m(8_20)", "m(P(2,3,-3))", "P(1,3,-3)")])
+def test_homeo_pretzel_shift_reads_every_presentation(name, code, shifted, ds):
+    # the identities of a knot do not depend on how it is written
+    for slope in (Slope(2, 1), Slope(-2, 1)):
+        out = homeo_identities(parse_knot(name), slope, ds)
+        assert out == homeo_identities(parse_knot(code), slope, ds), slope
+    assert homeo_identities(parse_knot(name), Slope(-2, 1), ds) == [(parse_knot(shifted), Slope(2, 1))]
+
+
 def test_homeo_cable(ds):
     c = Cable(3, 2, parse_knot("m(3_1)"))
     out = homeo_identities(c, Slope(5, 1), ds)
@@ -278,7 +289,7 @@ def test_triad_splitting(name, pq):
     t = triad(s)
     k = parse_knot(name)
     b = deduce(k, ds)
-    nu, r0 = b.nu.int_value(), b.r0.int_value()
+    nu, r0 = b.nu.value(), b.r0.value()
 
     def formula(sl):
         return sl.q * r0 + abs(sl.p - sl.q * nu)
@@ -294,6 +305,6 @@ def test_lspace_piecewise_form(name, pq):
     ds = datasets.default()
     s = Slope(*pq)
     k = parse_knot(name)
-    g = genus(k, ds).int_value()
+    g = genus(k, ds).value()
     expected = s.p if Fraction(s.p, s.q) >= 2 * g - 1 else 2 * s.q * (2 * g - 1) - s.p
     assert surgery_dim(k, s, "trivial", ds).dim == expected
