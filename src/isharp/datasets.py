@@ -153,11 +153,11 @@ def _val_from_payload(x) -> Val:
     with int ends and null for an unbounded end.  Every stored value is
     an integer invariant."""
     if x is None:
-        return Val.unknown()
+        return Val()
     try:
         if not isinstance(x, dict):
             return Val.exact(x)
-        return Val.between(x.get("lo"), x.get("hi"), x.get("parity"))
+        return Val(x.get("lo"), x.get("hi"), x.get("parity"))
     except TypeError:  # an end that is not an int
         raise DatasetError(f"bad value encoding {x!r}") from None
     except ValueError as e:  # a bad parity, or lo > hi
@@ -212,9 +212,12 @@ def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
             raise DatasetError(f"knot record {entry.key}: {field} {p[field]!r} "
                                f"is not of type {kind.__name__}")
     flags, mirror_flags = p.get("flags") or {}, p.get("mirror_flags") or {}
-    for name in (*flags, *mirror_flags):
+    for name, value in (*flags.items(), *mirror_flags.items()):
         if name not in FLAG_NAMES:
             raise DatasetError(f"knot record {entry.key}: unknown flag {name!r}")
+        if value is not None and type(value) is not bool:
+            raise DatasetError(f"knot record {entry.key}: flag {name} {value!r} "
+                               "is not of type bool or null")
     if any(type(code) is not str for code in p.get("aliases") or ()):
         raise DatasetError(f"knot record {entry.key}: aliases {p['aliases']!r} "
                            "is not a list of strings")
@@ -359,10 +362,11 @@ class Dataset:
                 fh.write(e.to_json_line() + "\n")
 
     def export_tsv(self, table: str) -> str:
-        """Tab-separated dump of one table in its published column order."""
-        columns = _EXPORT_COLUMNS.get(table)
-        if columns is None:
+        """Tab-separated dump of one published table, T1-T8: the key, then
+        the payload fields in the order _TABLE_FIELD_TYPES declares them."""
+        if table == "ALIAS" or table not in _TABLE_FIELD_TYPES:
             raise DatasetError(f"no export format for table {table!r}")
+        columns = ["key", *_TABLE_FIELD_TYPES[table]]
         lines = ["\t".join(columns)]
         entries = self.table(table)
         for key in sorted(entries, key=_entry_sort_key):
@@ -387,18 +391,6 @@ def _entry_sort_key(key: str):
             return (1, int(parts[0]), f"{int(parts[1]):04d}" if len(parts) > 1 else key)
         except ValueError:
             return (2, 0, key)
-
-
-_EXPORT_COLUMNS = {
-    "T1": ["key", "nu", "r0"],
-    "T2": ["key", "name", "h1", "dim"],
-    "T3": ["key", "nu", "tau"],
-    "T4": ["key", "n", "dim", "nu", "r0", "via"],
-    "T5": ["key", "det", "khbar_dim", "sigma2", "dim"],
-    "T6": ["key", "name", "knot", "slope", "h1", "dim"],
-    "T7": ["key", "name", "knot", "qa", "h1", "dim"],
-    "T8": ["key", "name", "h1", "components", "dim"],
-}
 
 
 def parse_record_line(line: str, lineno: int) -> TableEntry:

@@ -102,7 +102,7 @@ class Bundle(Record):
     @property
     def delta(self) -> Val:
         # delta = r0 - nu is a nonnegative even integer for every knot
-        return (self.r0 - self.nu).meet(Val.between(0, None, 0))
+        return (self.r0 - self.nu).meet(Val(0, None, 0))
 
     def to_json(self):
         return {
@@ -292,7 +292,7 @@ def _deduce_sum(k: Sum, ds, use_stored) -> _Draft:
         for p in live:
             total = total + p.nu
         slack = len(live) - 1
-        b.narrow("nu", Val.between(
+        b.narrow("nu", Val(
             None if total.lo is None else total.lo - slack,
             None if total.hi is None else total.hi + slack), "R13",
             f"(sum with slack {slack})")
@@ -314,28 +314,26 @@ def _tighten(b: _Draft, k, ds) -> None:
 
         if s.slice_genus.hi is not None:
             g = max(2 * s.slice_genus.hi - 1, 0)
-            b.narrow("nu", Val.between(-g, g), "R14", "(slice-genus bound)")
+            b.narrow("nu", Val(-g, g), "R14", "(slice-genus bound)")
         if not b.tau.is_unknown:
             lo = None if b.tau.lo is None else 2 * b.tau.lo - 1
             hi = None if b.tau.hi is None else 2 * b.tau.hi + 1
-            b.narrow("nu", Val.between(lo, hi), "R14", "(|2 tau - nu| <= 1)")
+            b.narrow("nu", Val(lo, hi), "R14", "(|2 tau - nu| <= 1)")
         if not b.nu.is_unknown:
             # tau is an integer, so (nu - 1)/2 <= tau <= (nu + 1)/2 rounds
             # inward: ceil((nu.lo - 1)/2) = nu.lo // 2, floor((nu.hi + 1)/2)
             lo = None if b.nu.lo is None else b.nu.lo // 2
             hi = None if b.nu.hi is None else (b.nu.hi + 1) // 2
-            b.narrow("tau", Val.between(lo, hi), "R14", "(|2 tau - nu| <= 1)")
+            b.narrow("tau", Val(lo, hi), "R14", "(|2 tau - nu| <= 1)")
         if s.slice_genus.hi is not None:
             g = s.slice_genus.hi
-            b.narrow("tau", Val.between(-g, g), "R14", "(slice-genus bound)")
+            b.narrow("tau", Val(-g, g), "R14", "(slice-genus bound)")
 
         # r0 >= |nu|, r0 >= 0, parity r0 = parity nu
-        nu_abs = b.nu.abs_bounds()
-        lo = nu_abs.lo if nu_abs.lo is not None else 0
         parity = b.nu.parity if b.nu.is_exact else None
-        b.narrow("r0", Val.between(lo, None, parity), "R14", "(r0 >= |nu|, parity)")
+        b.narrow("r0", Val(b.nu.min_abs(), None, parity), "R14", "(r0 >= |nu|, parity)")
         if b.r0.is_exact:
-            b.narrow("nu", Val.between(-b.r0.value(), b.r0.value(), b.r0.parity),
+            b.narrow("nu", Val(-b.r0.value(), b.r0.value(), b.r0.parity),
                      "R14", "(|nu| <= r0, parity)")
 
         # R7 (needs tau and g_s): |tau| = g_s > 0 pins nu

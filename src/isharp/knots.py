@@ -600,7 +600,7 @@ def _merge_structural(a: StructuralData, b: StructuralData) -> StructuralData:
 
 
 def _family_structural(k: KnotExpr) -> StructuralData:
-    nonneg = Val.between(0, None)
+    nonneg = Val(0, None)
     if isinstance(k, Torus):
         g = (abs(k.p) - 1) * (k.q - 1) // 2
         flags = NO_FLAGS
@@ -618,7 +618,7 @@ def _family_structural(k: KnotExpr) -> StructuralData:
                 flags.update({"positive": True, "quasipositive": True})
             return StructuralData(genus=Val.exact(1), slice_genus=Val.exact(1),
                                   flags=make_flags(**flags))
-        return StructuralData(genus=Val.exact(1), slice_genus=Val.between(0, 1),
+        return StructuralData(genus=Val.exact(1), slice_genus=Val(0, 1),
                               flags=make_flags(**flags))
     if isinstance(k, Pretzel):
         if _pretzel_n33(k) is not None:
@@ -681,7 +681,7 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
     det = None if None in dets else math.prod(dets)
     all_slice = all(p.flag("slice") for p in parts)
     is_slice = True if (all_slice or _is_mirror_paired(k, ds)) else None
-    gs = Val.exact(0) if is_slice else Val.between(0, gs_hi)
+    gs = Val.exact(0) if is_slice else Val(0, gs_hi)
     # sums of alternating knots need not be alternating: that flag stays unknown
     flags = make_flags(slice=is_slice,
                        quasipositive=all(p.flag("quasipositive") for p in parts) or None,
@@ -704,8 +704,8 @@ def _is_mirror_paired(k: Sum, ds) -> bool:
 
 def _cable_structural(k: Cable, ds) -> StructuralData:
     comp = structural(k.companion, ds)
-    g = Val.unknown()
+    g = Val()
     if comp.genus.is_exact:
         # coprime p and q are not both even, so (|p| - 1)(q - 1) is even
         g = Val.exact((abs(k.p) - 1) * (k.q - 1) // 2 + k.q * comp.genus.value())
-    return StructuralData(genus=g, slice_genus=Val.between(0, None))
+    return StructuralData(genus=g, slice_genus=Val(0, None))

@@ -162,11 +162,9 @@ class DimResult(Record):
         """The dimensions in [lo, hi] (hi None: unbounded) that euler admits;
         listed as candidates when there are at most 64 of them."""
         euler = abs(euler)
-        val = Val.between(lo, hi).meet(Val.between(euler, None, euler % 2))
-        cands = val.candidates(64)
-        if cands is not None:
-            return DimResult.of_candidates(cands, euler)
-        return DimResult(val, euler)
+        val = Val(euler if lo is None or lo < euler else lo, hi, euler % 2)
+        cands = val.candidates(64)  # sorted, and each one euler admits
+        return DimResult(val if cands is None else tuple(cands), euler)
 
     def values(self) -> Optional[tuple[int, ...]]:
         return None if isinstance(self.state, Val) else self.state
@@ -311,9 +309,7 @@ def zero_surgery_dim(k: KnotExpr, bundle: str, ds) -> DimResult:
     if b.nu.is_exact and b.nu.value() != 0:
         nu = abs(b.nu.value())
         r0 = _require_bounded(b.r0, "r0", k)
-        cands = r0.candidates(40)
-        if cands is not None:
-            return DimResult.of_candidates([r + nu for r in cands], euler)
+        # R14 gives r0 the parity of nu, so every r0 + |nu| is even
         return DimResult.of_interval(r0.lo + nu, r0.hi + nu, euler)
     if not b.nu.is_exact:
         raise DimensionError(f"nu of {k} is not determined: {b.nu}")
@@ -530,11 +526,6 @@ class IdentityReport(Record):
     def __init__(self, lhs: str, rhs: str, lhs_dim: DimResult, rhs_dim: DimResult,
                  status: str):
         self._fill(lhs, rhs, lhs_dim, rhs_dim, status)
-
-    def to_json(self):
-        return {"lhs": self.lhs, "rhs": self.rhs,
-                "lhs_dim": self.lhs_dim.to_json(), "rhs_dim": self.rhs_dim.to_json(),
-                "status": self.status}
 
 
 def verify_identity(lhs: tuple[KnotExpr, Slope], rhs: tuple[KnotExpr, Slope],

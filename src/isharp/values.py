@@ -3,11 +3,14 @@ and Record, the base class of every immutable isharp record.
 
 The deduction engine narrows each invariant through a lattice of states:
 completely unknown, a bounded or half-bounded interval (optionally with a
-mod-2 parity constraint), or an exact value.  Narrowing two incompatible
-states raises Inconsistency.  Every invariant isharp deduces (nu, tau,
-r0, the genera, the dimensions) is an integer, so every end is a Python
-int: deduction runs on exact int arithmetic, and an end of any other
-type (a Fraction, a float, a bool) raises TypeError.
+mod-2 parity constraint), or an exact value.  Each state has one form,
+which Val's constructor builds: the finite ends of a parity interval
+lie on the parity, and an exact value carries its parity, so equal sets
+of integers are equal states.  Narrowing two incompatible states raises
+Inconsistency.  Every invariant isharp deduces (nu, tau, r0, the
+genera, the dimensions) is an integer, so every end is a Python int:
+deduction runs on exact int arithmetic, and an end of any other type (a
+Fraction, a float, a bool) raises TypeError.
 
 Record gives a slotted class value semantics: equality by exact type and
 field tuple, a matching hash, the usual Name(field=value, ...) repr,
@@ -96,8 +99,11 @@ class Val(Record):
     (both ends None).
 
     Each end is None (unbounded) or an int; __init__ raises TypeError on
-    any other end.  parity, when not None, is the residue mod 2 of every
-    value the state admits."""
+    any other end.  parity, when not None, is the int 0 or 1, the residue
+    mod 2 of every value the state admits.  Every state has one form:
+    __init__ moves each finite end onto the parity (Val(0, 5, 1) is
+    Val(1, 5, 1)), and an exact value always carries its parity, so two
+    states are equal exactly when they admit the same integers."""
 
     __slots__ = ("lo", "hi", "parity")
 
@@ -107,14 +113,20 @@ class Val(Record):
             raise TypeError(f"Val ends must be ints, got [{lo!r}, {hi!r}]")
         if lo is not None and hi is not None and lo > hi:
             raise Inconsistency(f"empty interval [{lo}, {hi}]")
-        if parity is not None and parity not in (0, 1):
-            raise ValueError(f"parity must be 0 or 1, got {parity}")
-        if lo is not None and lo == hi:
-            if parity is None:
-                # canonical form: exact integers always carry their parity
+        if parity is None:
+            if lo is not None and lo == hi:
                 parity = lo % 2
-            elif lo % 2 != parity:
+        elif type(parity) is not int or parity not in (0, 1):  # True and 1.0 too
+            raise ValueError(f"parity must be 0 or 1, got {parity}")
+        elif lo is not None and lo == hi:
+            if lo % 2 != parity:
                 raise Inconsistency(f"exact value {lo} violates parity {parity}")
+        else:
+            # lo < hi admits both parities, so the moved ends never cross
+            if lo is not None and lo % 2 != parity:
+                lo += 1
+            if hi is not None and hi % 2 != parity:
+                hi -= 1
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "parity", parity)
@@ -122,14 +134,6 @@ class Val(Record):
     @staticmethod
     def exact(x: int) -> "Val":
         return Val(x, x)
-
-    @staticmethod
-    def between(lo: Optional[int], hi: Optional[int], parity: Optional[int] = None) -> "Val":
-        return Val(lo, hi, parity).normalized()
-
-    @staticmethod
-    def unknown() -> "Val":
-        return Val(None, None, None)
 
     @property
     def is_exact(self) -> bool:
@@ -144,19 +148,6 @@ class Val(Record):
             raise ValueError(f"value of non-exact {self}")
         return self.lo
 
-    def normalized(self) -> "Val":
-        """Tighten the ends of a parity interval to values of that parity."""
-        lo, hi = self.lo, self.hi
-        if self.parity is None:
-            return self
-        if lo is not None and lo % 2 != self.parity:
-            lo += 1
-        if hi is not None and hi % 2 != self.parity:
-            hi -= 1
-        if lo is not None and hi is not None and lo > hi:
-            raise Inconsistency(f"no value in [{self.lo}, {self.hi}] with parity {self.parity}")
-        return Val(lo, hi, self.parity)
-
     def meet(self, other: "Val") -> "Val":
         """Intersection of the two states; raises Inconsistency when empty."""
         lo = max((x for x in (self.lo, other.lo) if x is not None), default=None)
@@ -166,7 +157,7 @@ class Val(Record):
         parity = self.parity if self.parity is not None else other.parity
         if lo is not None and hi is not None and lo > hi:
             raise Inconsistency(f"disjoint: {self} vs {other}")
-        return Val(lo, hi, parity).normalized()
+        return Val(lo, hi, parity)
 
     def contains(self, x: int) -> bool:
         if self.lo is not None and x < self.lo:
@@ -177,16 +168,11 @@ class Val(Record):
 
     def candidates(self, limit: int) -> Optional[list[int]]:
         """Every integer this state admits, stepping by 2 under a parity
-        constraint; None when it is unbounded, admits no integer, or
-        admits more than limit."""
+        constraint; None when it is unbounded or admits more than limit."""
         if self.lo is None or self.hi is None:
             return None
-        lo, step = self.lo, 1
-        if self.parity is not None:
-            lo += (lo - self.parity) % 2
-            step = 2
-        ints = range(lo, self.hi + 1, step)
-        return list(ints) if 0 < len(ints) <= limit else None
+        ints = range(self.lo, self.hi + 1, 1 if self.parity is None else 2)
+        return list(ints) if len(ints) <= limit else None
 
     def __add__(self, other: "Val") -> "Val":
         lo = None if self.lo is None or other.lo is None else self.lo + other.lo
@@ -203,24 +189,13 @@ class Val(Record):
     def __sub__(self, other: "Val") -> "Val":
         return self + (-other)
 
-    def abs_bounds(self) -> "Val":
-        """Exact range of |x| over this state (parity preserved)."""
-        if self.lo is None or self.hi is None:
-            hi = None
-            if self.lo is not None and self.lo > 0:
-                lo = self.lo
-            elif self.hi is not None and self.hi < 0:
-                lo = -self.hi
-            else:
-                lo = 0
-            return Val(lo, hi, self.parity)
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        # straddles zero: minimum is the smallest achievable |x|
-        lo = 1 if self.parity == 1 else 0
-        return Val(lo, max(-self.lo, self.hi), self.parity).normalized()
+    def min_abs(self) -> int:
+        """The least |x| over the values this state admits."""
+        if self.lo is not None and self.lo >= 0:
+            return self.lo
+        if self.hi is not None and self.hi <= 0:
+            return -self.hi
+        return 1 if self.parity == 1 else 0  # straddles zero
 
     def __str__(self) -> str:
         if self.is_unknown:

@@ -313,7 +313,7 @@ def test_criterion_5g_bundle_bounds(ds):
 # -- criterion 6: homeomorphism cross-checks --------------------------------------
 
 def test_criterion_6_homeo_identities(ds):
-    rep = check_identities(ds, bound=50)
+    rep = check_identities(ds)
     assert not rep.failed, [c.line() for c in rep.failed]
     sweep = rep.cells[-1]
     for n in range(1, 51):

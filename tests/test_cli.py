@@ -187,6 +187,9 @@ def test_malformed_record_exits_3(tmp_path):
      "alias 'Cab(3,2;5_1)' is not a torus, twist, pretzel or two-bridge knot"),
     ("ALIAS", "T(2,3)", lambda line: line.update(key="T(1,3)"), ("invariants", "5_2"),
      "alias 'T(1,3)' is not a torus, twist, pretzel or two-bridge knot"),
+    # a flag that is not a bool would read as true (7_7 is not slice)
+    ("KNOT", "7_7", lambda line: line["payload"]["flags"].update(slice="no"),
+     ("invariants", "7_7"), "knot record 7_7: flag slice 'no' is not of type bool or null"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)

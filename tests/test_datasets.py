@@ -77,12 +77,16 @@ def test_loader_rejects_bad_schema_and_duplicates():
             ({"instanton": {"tau": {"lo": [1, 2]}}}, "bad value encoding"),
             ({"slice_genus": {"lo": 3, "hi": 1}}, "empty interval"),
             ({"instanton": {"r0": {"lo": 1, "parity": "x"}}}, "parity"),
+            ({"instanton": {"r0": {"lo": 1, "parity": True}}}, "parity must be 0 or 1"),
+            ({"instanton": {"r0": {"lo": 1, "parity": 1.0}}}, "parity must be 0 or 1"),
             ({"alexander": []}, "alexander"),
             ({"alexander": [1, "x"]}, "alexander"),
             ({"alexander": 3}, "alexander"),
             ({"signature": "x"}, "signature"),
             ({"determinant": 1.0}, "determinant"),
             ({"flags": ["slice"]}, "flags"),
+            ({"flags": {"slice": "no"}}, "flag slice 'no' is not of type bool or null"),
+            ({"mirror_flags": {"positive": 1}}, "flag positive 1 is not of type bool or null"),
             ({"instanton": [1]}, "instanton"),
             ({"aliases": 5}, "aliases")):
         with pytest.raises(DatasetError, match=message):

@@ -53,7 +53,7 @@ def test_records_compare_by_exact_type_and_fields():
     assert Torus(2, 3).__eq__(TwoBridge(2, 3)) is NotImplemented
     assert Named("3_1") != "3_1" and Named("3_1") != Named("3_1", True)
     for a, b in ((Named("3_1"), Named("3_1")), (Unknot(), Unknot()),
-                 (Val.between(1, 5, 1), Val.between(1, 5, 1)),
+                 (Val(1, 5, 1), Val(1, 5, 1)),
                  (parse_knot("Cab(3,2;m(3_1)) # 4_1"), parse_knot("4_1 # Cab(3,2;m(3_1))"))):
         assert a == b and hash(a) == hash(b)
     assert len({Named("3_1"), Named("3_1"), Named("3_1", True), Unknot(), Unknot()}) == 3
@@ -72,7 +72,7 @@ def test_records_are_immutable(ds):
 
 
 def test_records_survive_deepcopy_and_pickle(ds):
-    for record in (ds.knot_record("8_19"), Val.between(1, 7, 1),
+    for record in (ds.knot_record("8_19"), Val(1, 7, 1),
                    parse_knot("Cab(3,2;m(3_1) # 4_1)"), Unknot()):
         for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(copied) is type(record) and copied == record
@@ -114,13 +114,13 @@ def test_derived_mirror_is_invisible():
 
 def test_replace_reruns_the_constructor_checks():
     assert Twist(3).replace(mirrored=True) == Twist(3, True)
-    assert Val.between(1, 3).replace(hi=1) == Val.exact(1)  # parity 1 filled in
+    assert Val(1, 3).replace(hi=1) == Val.exact(1)  # parity 1 filled in
     with pytest.raises(KnotError):
         Twist(3).replace(n=0)
     with pytest.raises(KnotError):
         Cable(3, 2, Unknot()).replace(p=4)
     with pytest.raises(Inconsistency):
-        Val.between(1, 3).replace(lo=5)
+        Val(1, 3).replace(lo=5)
     with pytest.raises(TypeError):
         Twist(3).replace(crossings=5)
 

@@ -3,7 +3,8 @@
 The property under test is soundness: every value the inputs admit lies
 in the result, and an operation raises Inconsistency only when no value
 is admitted.  Where the operation is exact (meets, intervals, candidate
-lists) the result admits nothing more either.
+lists, the least |x|) the result admits nothing more either.  And a set
+of integers has one state: equal sets give equal values.
 """
 
 import copy
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from isharp import datasets
 from isharp.invariants import Bundle, deduce
-from isharp.knots import parse_knot, structural
+from isharp.knots import parse_knot
 from isharp.slopes import Slope
 from isharp.surgery import (DimensionError, DimResult, _abs_range, _formula_dim,
                             _require_bounded, triad_bounds)
@@ -117,7 +118,7 @@ def vals(draw):
     lo, hi = draw(st.none() | small_ints), draw(st.none() | small_ints)
     assume(lo is None or hi is None or lo <= hi)
     try:
-        return Val.between(lo, hi, draw(st.sampled_from([None, 0, 1])))
+        return Val(lo, hi, draw(st.sampled_from([None, 0, 1])))
     except Inconsistency:
         assume(False)
 
@@ -139,19 +140,25 @@ def test_val_meet_is_the_intersection(a, b):
 
 @given(vals())
 @settings(max_examples=400, deadline=None)
-def test_val_abs_bounds_is_the_image_under_abs(v):
-    # ends lie in [-10, 10] and GRID in [-12, 12], so every |x| up to 12
-    # has both preimages on GRID: the half-bounded cases are exact up to 12
-    image = {abs(x) for x in GRID if v.contains(x)}
-    r = v.abs_bounds()
-    assert r.parity == v.parity and r.lo >= 0
-    assert {y for y in GRID if y >= 0 and r.contains(y)} == image
-    tight = r.normalized()
-    assert tight.lo == min(image)
-    if v.lo is None or v.hi is None:
-        assert r.hi is None
-    else:
-        assert tight.hi == max(image)
+def test_val_min_abs_is_the_least_absolute_value(v):
+    # finite ends lie in [-10, 10], so the least |x| is taken on GRID
+    assert v.min_abs() == min(abs(x) for x in GRID if v.contains(x))
+
+
+@given(small_ints, small_ints, st.sampled_from([None, 0, 1]))
+@example(0, 5, 1)
+@example(3, 3, 0)
+@settings(max_examples=400, deadline=None)
+def test_val_has_one_form_per_set_of_integers(lo, hi, parity):
+    # a state equals the one whose ends are the least and greatest values
+    # it admits; one that admits none names the ends it was given
+    assume(lo <= hi)
+    admitted = [x for x in range(lo, hi + 1) if parity is None or x % 2 == parity]
+    if not admitted:
+        with pytest.raises(Inconsistency, match=f"^exact value {lo} violates parity {parity}$"):
+            Val(lo, hi, parity)
+        return
+    assert Val(lo, hi, parity) == Val(min(admitted), max(admitted), parity)
 
 
 @given(st.none() | small_ints, st.none() | small_ints, st.sampled_from([None, 0, 1]),
@@ -159,7 +166,7 @@ def test_val_abs_bounds_is_the_image_under_abs(v):
 @settings(max_examples=400, deadline=None)
 def test_val_candidates_lists_every_admitted_integer(lo, hi, parity, limit):
     assume(lo is None or hi is None or lo < hi)
-    v = Val(lo, hi, parity)  # not normalized: candidates steps to the parity itself
+    v = Val(lo, hi, parity)
     got = v.candidates(limit)
     if lo is None or hi is None:
         assert got is None
@@ -167,39 +174,6 @@ def test_val_candidates_lists_every_admitted_integer(lo, hi, parity, limit):
     truth = [n for n in range(-12, 13) if v.contains(n)]
     assert got == (truth if 0 < len(truth) <= limit else None)
     assert all(type(n) is int for n in got or ())
-
-
-# -- integer ends: every end is an int, and any other end raises
-
-def _int_ends(v: Val) -> bool:
-    return all(x is None or type(x) is int for x in (v.lo, v.hi))
-
-
-def _lattice_results(first, second, x):
-    """Every lattice operation on the given ends."""
-    (lo, hi, parity), (lo2, hi2, parity2) = first, second
-    a, b = Val.between(lo, hi, parity), Val.between(lo2, hi2, parity2)
-    return {"exact": Val.exact(x), "between": a, "meet": _outcome(a.meet, b),
-            "+": a + b, "-": a - b, "neg": -a, "abs_bounds": a.abs_bounds(),
-            "normalized": _outcome(lambda: Val(lo, hi, parity).normalized())}
-
-
-ints = st.integers(-20, 20)
-end_triples = st.tuples(st.none() | ints, st.none() | ints, st.sampled_from([None, 0, 1]))
-
-
-@given(end_triples, end_triples, ints)
-@settings(max_examples=400, deadline=None)
-def test_integral_ends_are_ints(first, second, x):
-    for lo, hi, _ in (first, second):
-        assume(lo is None or hi is None or lo <= hi)
-    try:
-        results = _lattice_results(first, second, x)
-    except Inconsistency:  # no value of a parity between the ends
-        assume(False)
-    for v in results.values():
-        if isinstance(v, Val):
-            assert _int_ends(v), v
 
 
 DS = datasets.load(check=False)
@@ -218,14 +192,15 @@ knot_texts = st.recursive(
 
 @given(knot_texts)
 @settings(max_examples=200, deadline=None)
-def test_deduction_keeps_integral_ends_ints(text):
-    k = parse_knot(text)
+def test_deduction_commutes_with_the_mirror(text):
+    # R2: nu and tau negate under the mirror; r0, the shape and the pinned
+    # mu-bundle dimension are kept
     fresh = datasets.load(check=False)
-    s = structural(k, fresh)
     for use_stored in (True, False):
-        b = deduce(k, fresh, use_stored)
-        for v in (b.nu, b.tau, b.r0, s.genus, s.slice_genus):
-            assert _int_ends(v), (text, use_stored, v)
+        b = deduce(parse_knot(text), fresh, use_stored)
+        mb = deduce(parse_knot(f"m({text})"), fresh, use_stored)
+        assert ((mb.nu, mb.tau, mb.r0, mb.shape, mb.mu0_dim)
+                == (-b.nu, -b.tau, b.r0, b.shape, b.mu0_dim)), (text, use_stored)
 
 
 @given(st.floats()
@@ -233,8 +208,8 @@ def test_deduction_keeps_integral_ends_ints(text):
 @settings(max_examples=100, deadline=None)
 def test_a_non_rational_end_raises(x):
     for build in (lambda: Val(x, None), lambda: Val(None, x), lambda: Val(x, x, 0),
-                  lambda: Val.exact(x), lambda: Val.between(x, None),
-                  lambda: Val.between(None, x, 1)):
+                  lambda: Val.exact(x), lambda: Val(x, None, 0),
+                  lambda: Val(None, x, 1)):
         with pytest.raises(TypeError):
             build()
 
@@ -245,7 +220,7 @@ def bounded(draw, lo_min, width):
     hi = draw(st.integers(lo, lo + width))
     parity = draw(st.sampled_from([None, 0, 1]))
     try:
-        return Val.between(lo, hi, parity)
+        return Val(lo, hi, parity)
     except Inconsistency:
         assume(False)
 
@@ -308,7 +283,7 @@ def lattice_states(draw):
     hi = draw(st.none() | st.just(lo) | ends.filter(lambda x: x >= lo)
               | st.integers(0, 100).map(lambda w: lo + w))
     try:
-        return Val.between(lo, hi, draw(st.sampled_from([None, 0, 1])))
+        return Val(lo, hi, draw(st.sampled_from([None, 0, 1])))
     except Inconsistency:
         assume(False)
 
@@ -316,10 +291,10 @@ def lattice_states(draw):
 @given(lattice_states(), lattice_states(), st.integers(-60, 60).filter(bool),
        st.integers(1, 5))
 # empty lattice (r0 < |nu| throughout), 400 pairs, 403 pairs, 41 candidates
-@example(Val.exact(9), Val.between(1, 7, 1), 5, 1)
-@example(Val.between(0, 39), Val.between(0, 9), 7, 2)
-@example(Val.between(0, 12), Val.between(0, 30), 7, 2)
-@example(Val.between(-40, 40, 0), Val.between(40, 42, 0), -3, 1)
+@example(Val.exact(9), Val(1, 7, 1), 5, 1)
+@example(Val(0, 39), Val(0, 9), 7, 2)
+@example(Val(0, 12), Val(0, 30), 7, 2)
+@example(Val(-40, 40, 0), Val(40, 42, 0), -3, 1)
 @settings(max_examples=500, deadline=None)
 def test_pairs_enumeration_equals_the_nested_loops(nu, r0, p, q):
     assume(math.gcd(abs(p), q) == 1)
@@ -328,17 +303,17 @@ def test_pairs_enumeration_equals_the_nested_loops(nu, r0, p, q):
 
 
 def test_bundle_pairs_respect_the_caps():
-    assert Bundle("K", nu=Val.exact(9), r0=Val.between(1, 7, 1)).pairs == ()
-    assert len(Bundle("K", nu=Val.between(0, 39), r0=Val.between(0, 9)).pairs) == 30
-    assert Bundle("K", nu=Val.between(0, 12), r0=Val.between(0, 30)).pairs is None  # 403
-    assert Bundle("K", nu=Val.between(0, 40), r0=Val.exact(40)).pairs is None
-    assert Bundle("K", nu=Val.between(0, 1)).pairs is None  # r0 unknown
-    assert Bundle("K", nu=Val.exact(-1), r0=Val.between(0, 3)).pairs == ((-1, 1), (-1, 3))
+    assert Bundle("K", nu=Val.exact(9), r0=Val(1, 7, 1)).pairs == ()
+    assert len(Bundle("K", nu=Val(0, 39), r0=Val(0, 9)).pairs) == 30
+    assert Bundle("K", nu=Val(0, 12), r0=Val(0, 30)).pairs is None  # 403
+    assert Bundle("K", nu=Val(0, 40), r0=Val.exact(40)).pairs is None
+    assert Bundle("K", nu=Val(0, 1)).pairs is None  # r0 unknown
+    assert Bundle("K", nu=Val.exact(-1), r0=Val(0, 3)).pairs == ((-1, 1), (-1, 3))
 
 
 def test_bundle_pairs_are_invisible():
-    b = Bundle("K", nu=Val.exact(1), r0=Val.between(1, 5, 1), shape="V")
-    fresh = Bundle("K", nu=Val.exact(1), r0=Val.between(1, 5, 1), shape="V")
+    b = Bundle("K", nu=Val.exact(1), r0=Val(1, 5, 1), shape="V")
+    fresh = Bundle("K", nu=Val.exact(1), r0=Val(1, 5, 1), shape="V")
     assert b.pairs == ((1, 1), (1, 3), (1, 5)) and "pairs" not in repr(b)
     for copied in (copy.deepcopy(b), pickle.loads(pickle.dumps(b)), copy.copy(b),
                    b.replace(), fresh):

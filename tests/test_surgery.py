@@ -110,7 +110,7 @@ def test_interval_branch_reaches_parity_shifted_minimum():
     # 13 x 31 (nu, r0) pairs exceed the enumeration cap, so the interval
     # branch runs; with nu odd and slope 14, neither floor nor ceil of
     # p/q is admissible, yet nu = r0 = 15 gives dimension 16
-    b = Bundle("K", nu=Val.between(7, 31, 1), r0=Val.between(15, 75, 1))
+    b = Bundle("K", nu=Val(7, 31, 1), r0=Val(15, 75, 1))
     assert _abs_range(14, 1, b.nu) == (1, 17)
     r = _formula_dim(b, Slope(14, 1))
     assert min(r.values()) == 16
@@ -123,7 +123,7 @@ def _bounded_nu(draw):
     parity = draw(st.sampled_from([None, 0, 1]))
     if parity is not None and lo == hi and lo % 2 != parity:
         hi += 1
-    return Val.between(lo, hi, parity)
+    return Val(lo, hi, parity)
 
 
 @given(_bounded_nu(), st.integers(-40, 40), st.integers(1, 6))
