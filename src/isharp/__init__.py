@@ -13,14 +13,14 @@ _EXPORTS = {
     "lspace_knot_invariants": "invariants",
     "format_knot": "knots", "genus": "knots", "mirror": "knots",
     "parse_knot": "knots", "structural": "knots",
-    "Slope": "slopes", "eval_cf": "slopes", "neg_cf": "slopes",
-    "parse_slope": "slopes", "reduce": "slopes", "triad": "slopes",
-    "DimResult": "surgery", "branched_cover_dim": "surgery",
+    "Slope": "values", "parse_slope": "values", "reduce": "values",
+    "eval_cf": "slopes", "neg_cf": "slopes", "triad": "slopes",
+    "DimResult": "dimension", "branched_cover_dim": "dimension",
+    "lens_dim": "dimension", "parse_manifold": "dimension",
+    "surgery_dim": "dimension", "zero_surgery_dim": "dimension",
     "census_dim": "surgery", "homeo_identities": "surgery",
-    "lens_dim": "surgery", "manifold_dim": "surgery",
-    "parse_manifold": "surgery", "surgery_dim": "surgery",
-    "triad_bounds": "surgery", "verify_identity": "surgery",
-    "zero_surgery_dim": "surgery",
+    "manifold_dim": "surgery", "triad_bounds": "surgery",
+    "verify_identity": "surgery",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -22,17 +22,18 @@ help and usage text; main(argv) then raises SystemExit, with code 0
 after -h and 2 on a usage error.  So an answered call never imports
 argparse, nor the gettext and locale modules it loads.
 
-The module imports only what reading the arguments and loading the
-dataset need; each cmd_* function imports the modules it calls, so
-`cf` and `triad` never import the deduction engine, and only the
-commands that read census rows pay for the census cross-check.  No
-subcommand imports `dataclasses` (nor the `inspect`, `ast` and `dis`
-modules it loads): the records are slotted classes on values.Record,
-and the bundled data is read as a plain file, not through
-importlib.resources.  tests/test_cli.py::test_import_layout holds these
-rules.  The domain errors of every module subclass ValueError, and
-integrity failures subclass DatasetError, so main() maps exit codes
-without importing the modules that raise them.
+A call compiles only the modules its command runs.  At module top
+this one imports values alone, for the errors main() maps to exit
+codes; main() imports the loader only for a command that reads data,
+and each cmd_* function imports the modules it calls.  So `cf` and
+`triad` add only slopes, and `dim` on a surgery, a lens space or a
+cover adds dimension but neither surgery nor slopes.  A module
+__getattr__ (PEP 562) still resolves isharp.cli.datasets.  No module
+imports isharp.cli: under `python -m` that would compile it twice.  No
+command imports `dataclasses`, and the bundled data is read as a plain
+file.  tests/test_cli.py::test_import_layout holds these rules.  Every
+module's domain errors subclass ValueError, and integrity failures
+DatasetError, so main() maps exit codes without importing their modules.
 """
 
 from __future__ import annotations
@@ -42,14 +43,20 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import datasets
-from .datasets import DatasetError, IntegrityError
+from .values import DatasetError, IntegrityError
 
 # subcommands that never read the record file (nor --data)
 DATA_FREE = ("cf", "triad")
 TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 # the tables whose rows the census cross-check compares
 CENSUS_TABLES = ("T2", "T6", "T7", "T8")
+
+
+def __getattr__(name):
+    if name == "datasets":
+        from . import datasets
+        return datasets
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def emit(obj, pretty: bool):
@@ -88,11 +95,15 @@ def _bundle_json(b, knot: str, trace: bool):
 
 
 def cmd_dim(args, ds):
+    from .dimension import Census, Surgery, manifold_dim, parse_manifold
     from .invariants import deduce
-    from .surgery import Surgery, manifold_dim, parse_manifold
 
     m = parse_manifold(args.manifold)
-    result = manifold_dim(m, ds)
+    if isinstance(m, Census):
+        from .surgery import census_dim
+        result = census_dim(m.index, ds)
+    else:
+        result = manifold_dim(m, ds)
     out = result.to_json()
     out["manifold"] = str(m)
     if not args.graded:
@@ -172,8 +183,8 @@ def cmd_census(args, ds):
 
 
 def cmd_dcover(args, ds):
+    from .dimension import branched_cover_dim
     from .knots import format_knot, parse_knot
-    from .surgery import branched_cover_dim
 
     k = parse_knot(args.knot)
     out = branched_cover_dim(k, ds).to_json()
@@ -195,8 +206,8 @@ def cmd_verify(args, ds):
 
 def cmd_identities(args, ds):
     from .knots import format_knot, parse_knot
-    from .slopes import parse_slope
     from .surgery import homeo_identities
+    from .values import parse_slope
 
     k = parse_knot(args.knot)
     s = parse_slope(args.slope)
@@ -335,6 +346,7 @@ def main(argv=None) -> int:
         if args.command in DATA_FREE:
             args.func(args)
         else:
+            from . import datasets
             ds = datasets.load(args.data) if args.data else datasets.default()
             args.func(args, ds)
     except DatasetError as e:  # IntegrityError included

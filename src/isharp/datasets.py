@@ -24,7 +24,9 @@ import json
 import os
 from typing import Optional
 
-from .values import Record, Val
+# the errors are defined in values, so the CLI maps exit codes without
+# compiling the loader; they are re-exported here
+from .values import DatasetError, IntegrityError, Record, Val
 
 SCHEMA_VERSION = 1
 KNOWN_TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "KNOT", "ALIAS")
@@ -33,14 +35,6 @@ ENV_DATA_PATH = "ISHARP_DATA"
 # read as a plain file: importlib.resources costs a fresh interpreter
 # about 30 ms of imports (and, from Python 3.12, `inspect`)
 BUNDLED_PATH = os.path.join(os.path.dirname(__file__), "data", "tables.jsonl")
-
-
-class DatasetError(ValueError):
-    """Parse failure or integrity violation in a record file."""
-
-
-class IntegrityError(DatasetError):
-    """A recomputed value disagrees with stored table data."""
 
 
 class TableEntry(Record):

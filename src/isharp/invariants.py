@@ -330,8 +330,7 @@ def _tighten(b: _Draft, k, ds) -> None:
             b.narrow("tau", Val(-g, g), "R14", "(slice-genus bound)")
 
         # r0 >= |nu|, r0 >= 0, parity r0 = parity nu
-        parity = b.nu.parity if b.nu.is_exact else None
-        b.narrow("r0", Val(b.nu.min_abs(), None, parity), "R14", "(r0 >= |nu|, parity)")
+        b.narrow("r0", Val(b.nu.min_abs(), None, b.nu.parity), "R14", "(r0 >= |nu|, parity)")
         if b.r0.is_exact:
             b.narrow("nu", Val(-b.r0.value(), b.r0.value(), b.r0.parity),
                      "R14", "(|nu| <= r0, parity)")

@@ -33,8 +33,8 @@ import re
 from collections import Counter
 from typing import Optional
 
-from .datasets import FLAG_NAMES, NO_FLAGS, DatasetError, StructuralData, make_flags
-from .values import Record, Val
+from .datasets import FLAG_NAMES, NO_FLAGS, StructuralData, make_flags
+from .values import DatasetError, Record, Val
 
 
 class KnotError(ValueError):

@@ -1,8 +1,11 @@
-"""Exact surgery-slope arithmetic: reduced rationals, negative continued
-fractions, and the surgery-triad construction.
+"""Exact surgery-slope arithmetic: negative continued fractions and the
+surgery-triad construction.
 
 Slopes are reduced pairs p/q with q >= 1, plus the single infinite slope
-1/0.  Continued fractions here are the *negative* expansions
+1/0.  That core (Slope, SlopeError, INFINITY, reduce and parse_slope) is
+defined in values, which every call compiles anyway, and re-exported
+here; of the CLI commands only `cf` and `triad` compile this module.
+Continued fractions here are the *negative* expansions
 
     [a0, a1, ..., an] = a0 - 1/(a1 - 1/(... - 1/an))
 
@@ -19,74 +22,8 @@ expansion.
 
 from __future__ import annotations
 
-import math
-
-from .values import Record
-
-
-class SlopeError(ValueError):
-    """Invalid slope or continued-fraction input."""
-
-
-class Slope(Record):
-    """A reduced rational surgery coefficient p/q; q == 0 encodes infinity."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: int, q: int):
-        if q < 0 or math.gcd(abs(p), q) != 1:
-            raise SlopeError(f"not a reduced slope: {p}/{q}")
-        if q == 0 and p != 1:
-            raise SlopeError(f"infinite slope must be 1/0, got {p}/0")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.q == 0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.q == 1
-
-    def __neg__(self) -> "Slope":
-        if self.is_infinite:
-            return self
-        return Slope(-self.p, self.q)
-
-    def __str__(self) -> str:
-        return "inf" if self.is_infinite else f"{self.p}/{self.q}"
-
-
-INFINITY = Slope(1, 0)
-
-
-def reduce(p: int, q: int) -> Slope:
-    """Canonical reduced slope for an arbitrary integer pair (p, q) != (0, 0)."""
-    if p == 0 and q == 0:
-        raise SlopeError("0/0 is not a slope")
-    g = math.gcd(abs(p), abs(q))
-    p, q = p // g, q // g
-    if q < 0:
-        p, q = -p, -q
-    return Slope(p, q)
-
-
-def parse_slope(text: str) -> Slope:
-    """Parse "p/q", a bare integer, or "inf"."""
-    text = text.strip()
-    if text in ("inf", "1/0"):
-        return INFINITY
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return reduce(int(num), int(den))
-        except ValueError as e:
-            raise SlopeError(f"bad slope {text!r}: {e}") from None
-    try:
-        return Slope(int(text), 1)
-    except ValueError:
-        raise SlopeError(f"bad slope {text!r}") from None
+# the slope core is defined in values and re-exported here
+from .values import INFINITY, Record, Slope, SlopeError, parse_slope, reduce
 
 
 # Longest negative continued fraction neg_cf writes out.  The expansion

@@ -26,10 +26,16 @@ field stores.  Records live here, in the lowest layer, because every CLI
 call imports this module anyway: the class-generating machinery of
 `dataclasses` (which pulls in `inspect`, `ast` and `dis`) cost about a
 quarter of a short call's start-up.
+
+Slope, the reduced surgery coefficient p/q, with reduce and parse_slope,
+and the record-file errors DatasetError and IntegrityError live here
+too, so a `dim` call skips the continued fractions of `slopes`, and the
+CLI maps exit codes without compiling the loader.
 """
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 from typing import Optional
 
@@ -218,3 +224,76 @@ class Val(Record):
         if self.parity is not None:
             out["parity"] = self.parity
         return out
+
+
+class DatasetError(ValueError):
+    """Parse failure or integrity violation in a record file."""
+
+
+class IntegrityError(DatasetError):
+    """A recomputed value disagrees with stored table data."""
+
+
+class SlopeError(ValueError):
+    """Invalid slope or continued-fraction input."""
+
+
+class Slope(Record):
+    """A reduced rational surgery coefficient p/q; q == 0 encodes infinity."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        if q < 0 or math.gcd(abs(p), q) != 1:
+            raise SlopeError(f"not a reduced slope: {p}/{q}")
+        if q == 0 and p != 1:
+            raise SlopeError(f"infinite slope must be 1/0, got {p}/0")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.q == 0
+
+    @property
+    def is_integer(self) -> bool:
+        return self.q == 1
+
+    def __neg__(self) -> "Slope":
+        if self.is_infinite:
+            return self
+        return Slope(-self.p, self.q)
+
+    def __str__(self) -> str:
+        return "inf" if self.is_infinite else f"{self.p}/{self.q}"
+
+
+INFINITY = Slope(1, 0)
+
+
+def reduce(p: int, q: int) -> Slope:
+    """Canonical reduced slope for an arbitrary integer pair (p, q) != (0, 0)."""
+    if p == 0 and q == 0:
+        raise SlopeError("0/0 is not a slope")
+    g = math.gcd(abs(p), abs(q))
+    p, q = p // g, q // g
+    if q < 0:
+        p, q = -p, -q
+    return Slope(p, q)
+
+
+def parse_slope(text: str) -> Slope:
+    """Parse "p/q", a bare integer, or "inf"."""
+    text = text.strip()
+    if text in ("inf", "1/0"):
+        return INFINITY
+    if "/" in text:
+        num, _, den = text.partition("/")
+        try:
+            return reduce(int(num), int(den))
+        except ValueError as e:
+            raise SlopeError(f"bad slope {text!r}: {e}") from None
+    try:
+        return Slope(int(text), 1)
+    except ValueError:
+        raise SlopeError(f"bad slope {text!r}") from None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .datasets import DatasetError, IntegrityError
+from .dimension import DimensionError, DimResult, branched_cover_dim, surgery_dim
 from .invariants import deduce
 from .knots import (
     Cable,
@@ -24,17 +24,8 @@ from .knots import (
     parse_knot,
     structural,
 )
-from .slopes import Slope
-from .surgery import (
-    DimensionError,
-    DimResult,
-    branched_cover_dim,
-    census_routes,
-    homeo_identities,
-    surgery_dim,
-    verify_identity,
-)
-from .values import Inconsistency, Record
+from .surgery import census_routes, homeo_identities, verify_identity
+from .values import DatasetError, Inconsistency, IntegrityError, Record, Slope
 
 
 class Cell(Record):

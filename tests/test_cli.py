@@ -190,6 +190,11 @@ def test_malformed_record_exits_3(tmp_path):
     # a flag that is not a bool would read as true (7_7 is not slice)
     ("KNOT", "7_7", lambda line: line["payload"]["flags"].update(slice="no"),
      ("invariants", "7_7"), "knot record 7_7: flag slice 'no' is not of type bool or null"),
+    # a census manifold's dimension comes from its census routes, a layer
+    # above the covers
+    ("KNOT", "10_124", lambda line: line["payload"].update(sigma2="census(3)"),
+     ("dim", "dcover(10_124)"),
+     "knot record 10_124: sigma2 census(3) is not a surgery, lens or cover description"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -267,6 +272,18 @@ def test_r14_tau_bound_is_an_integer(tmp_path):
                                "sl_max_bound": 1, "tau": 1}
 
 
+def test_r14_gives_r0_the_parity_of_an_inexact_nu(tmp_path):
+    # r0 - nu is always even, so a stored odd nu in [-1, 1] makes r0 odd
+    odd_nu = {"lo": -1, "hi": 1, "parity": 1}
+    data = _edited_copy(tmp_path, "KNOT", "7_7",
+                        lambda line: line["payload"]["instanton"].update(nu=odd_nu))
+    code, out, err = run_cli("--data", data, "invariants", "7_7")
+    assert (code, err) == (0, "")
+    bundle = json.loads(out)
+    assert bundle["nu"] == odd_nu
+    assert bundle["r0"] == {"lo": 1, "hi": None, "parity": 1}
+
+
 def test_identities_of_an_unknown_name_exit_1():
     # like dcover, dim and invariants, not an empty list
     for argv in (("identities", "99_1", "1"), ("invariants", "99_1"),
@@ -342,16 +359,28 @@ def _isharp_modules(code):
 
 
 def test_import_layout():
-    # a CLI call pays for importing only what its subcommand runs, and
-    # loading the dataset imports nothing above the loader
-    for code in ("import isharp.cli", "import isharp.cli as c; c.datasets.default()"):
-        assert _isharp_modules(code) == {
-            "isharp", "isharp.cli", "isharp.datasets", "isharp.values"}, code
+    # a CLI call compiles only the modules its subcommand runs: the CLI
+    # itself needs values alone, and loading the dataset imports nothing
+    # above the loader
+    base = {"isharp", "isharp.cli", "isharp.values"}
+    assert _isharp_modules("import isharp.cli") == base
+    assert _isharp_modules("import isharp.cli as c; c.datasets.default()") == {
+        *base, "isharp.datasets"}
+    # cf and triad add the continued fractions and skip the loader
     for argv in (['cf', '1/3'], ['triad', '5/2']):
-        loaded = _isharp_modules(f"import isharp.cli as c; c.main({argv!r})")
-        assert "isharp.slopes" in loaded, argv
-        assert loaded.isdisjoint({"isharp.knots", "isharp.invariants", "isharp.surgery",
-                                  "isharp.verify"}), argv
+        loaded = _isharp_modules(f"import isharp.cli as c; assert c.main({argv!r}) == 0")
+        assert loaded == {*base, "isharp.slopes"}, argv
+    # dim on a surgery, a lens space or a cover compiles neither the census
+    # and identity code (surgery) nor the continued fractions (slopes)
+    for argv in (['dim', 'surg(4_1; 1/2)'], ['dim', 'lens(9,2)'], ['dim', 'dcover(10_124)']):
+        loaded = _isharp_modules(f"import isharp.cli as c; assert c.main({argv!r}) == 0")
+        assert loaded == {*base, "isharp.datasets", "isharp.knots", "isharp.invariants",
+                          "isharp.dimension"}, argv
+    # the knot commands stop below the dimension code
+    for argv in (['invariants', 'm(5_2)'], ['sum', '3_1', 'm(3_1)'], ['cable', '3', '2', 'm(3_1)']):
+        loaded = _isharp_modules(f"import isharp.cli as c; assert c.main({argv!r}) == 0")
+        assert "isharp.invariants" in loaded, argv
+        assert "isharp.dimension" not in loaded, argv
     # records are plain slotted classes, so no subcommand pays for the
     # dataclasses machinery and the inspect, ast and dis modules it loads
     for code in ("import isharp.cli",
@@ -460,7 +489,8 @@ def test_help_and_usage_errors_print_the_parser_text(argv, capsys, monkeypatch):
 
 
 # the modules from the bottom layer up; each imports only those before it
-LAYERS = ("values", "slopes", "datasets", "knots", "invariants", "surgery", "verify", "cli")
+LAYERS = ("values", "slopes", "datasets", "knots", "invariants", "dimension", "surgery",
+          "verify", "cli")
 
 
 def _isharp_targets(node):
@@ -505,6 +535,20 @@ def test_layers_import_downward_at_module_top():
                 continue
             assert function is None or name == "cli", f"{name}.{function} imports {targets}"
             assert targets <= set(LAYERS[:i]), f"{name} imports {targets}"
+
+
+@pytest.mark.parametrize("manifold", ["surg(4_1; 1/2)", "census(7)"])
+def test_python_m_compiles_each_module_once(manifold):
+    # under `python -m isharp.cli` the CLI runs as __main__, so an import
+    # of isharp.cli by any module would compile it a second time
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "isharp.cli", "dim", manifold],
+                          capture_output=True, text=True, check=True)
+    names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:") and "|" in line]
+    isharp_names = [n for n in names if n.split(".")[0] == "isharp"]
+    assert "isharp.dimension" in isharp_names
+    assert "isharp.cli" not in isharp_names
+    assert len(isharp_names) == len(set(isharp_names)), isharp_names
 
 
 # --- the process entry: cli.run() -------------------------------------------

@@ -21,8 +21,9 @@ from isharp import datasets
 from isharp.invariants import Bundle, deduce
 from isharp.knots import parse_knot
 from isharp.slopes import Slope
-from isharp.surgery import (DimensionError, DimResult, _abs_range, _formula_dim,
-                            _require_bounded, triad_bounds)
+from isharp.dimension import (DimensionError, DimResult, _abs_range, _formula_dim,
+                              _require_bounded)
+from isharp.surgery import triad_bounds
 from isharp.values import Inconsistency, Val
 
 # wider than every finite bound the strategies below produce

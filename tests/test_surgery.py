@@ -9,7 +9,7 @@ from isharp import datasets
 from isharp.invariants import Bundle, deduce
 from isharp.knots import Cable, Pretzel, mirror, parse_knot
 from isharp.slopes import Slope, reduce, triad
-from isharp.surgery import (
+from isharp.dimension import (
     BranchedCover,
     Census,
     DimensionError,
@@ -19,16 +19,13 @@ from isharp.surgery import (
     _abs_range,
     _formula_dim,
     branched_cover_dim,
-    census_dim,
-    homeo_identities,
     lens_dim,
-    manifold_dim,
     parse_manifold,
     surgery_dim,
-    triad_bounds,
-    verify_identity,
     zero_surgery_dim,
 )
+from isharp.surgery import (census_dim, homeo_identities, manifold_dim, triad_bounds,
+                            verify_identity)
 from isharp.values import Inconsistency, Val
 
 
