@@ -1,6 +1,6 @@
 """Bundled table data: an integrity-checked loader for the line-delimited
-record file, the records it builds, lookup by (table, key), and
-tab-separated export.
+record file, the records it builds, lookup by (table, key), and the
+writer that saves them.
 
 The record file is UTF-8 JSON lines, one object per line, with fields
 {schema_version, table, key, payload, citation}.  Tables T1-T8 mirror the
@@ -18,11 +18,8 @@ here, below knots, so the loader imports nothing but values: every module
 above it, from knots up to cli, takes the loaded Dataset as an argument.
 """
 
-from __future__ import annotations
-
 import json
 import os
-from typing import Optional
 
 # the errors are defined in values, so the CLI maps exit codes without
 # compiling the loader; they are re-exported here
@@ -58,7 +55,7 @@ class TableEntry(Record):
 # Knot records: structural data, tabulated invariants, one KNOT row
 # ---------------------------------------------------------------------------
 
-Tri = Optional[bool]  # True / False / unknown
+Tri = bool | None  # True / False / unknown
 
 FLAG_NAMES = (
     "alternating",
@@ -91,8 +88,8 @@ class StructuralData(Record):
                  "sl_max", "flags")
 
     def __init__(self, genus: Val = Val(), slice_genus: Val = Val(),
-                 signature: Optional[int] = None, determinant: Optional[int] = None,
-                 alexander: Optional[tuple[int, ...]] = None, sl_max: Optional[int] = None,
+                 signature: int | None = None, determinant: int | None = None,
+                 alexander: tuple[int, ...] | None = None, sl_max: int | None = None,
                  flags: tuple[Tri, ...] = NO_FLAGS):
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "slice_genus", slice_genus)
@@ -122,7 +119,7 @@ class InstantonFields(Record):
     __slots__ = ("nu", "tau", "r0", "shape", "mu0_dim")
 
     def __init__(self, nu: Val = Val(), tau: Val = Val(), r0: Val = Val(),
-                 shape: Optional[str] = None, mu0_dim: Optional[int] = None):
+                 shape: str | None = None, mu0_dim: int | None = None):
         self._fill(nu, tau, r0, shape, mu0_dim)
 
 
@@ -135,9 +132,9 @@ class KnotRecord(Record):
                  "mirror_flags", "mirror_sl_max", "citation")
 
     def __init__(self, name: str, structural: StructuralData, instanton: InstantonFields,
-                 aliases: tuple[str, ...], sigma2: Optional[str] = None,
-                 khbar_dim: Optional[int] = None, mirror_flags: tuple = (),
-                 mirror_sl_max: Optional[int] = None, citation: str = ""):
+                 aliases: tuple[str, ...], sigma2: str | None = None,
+                 khbar_dim: int | None = None, mirror_flags: tuple = (),
+                 mirror_sl_max: int | None = None, citation: str = ""):
         self._fill(name, structural, instanton, aliases, sigma2, khbar_dim,
                    mirror_flags, mirror_sl_max, citation)
 
@@ -168,7 +165,7 @@ _INSTANTON_FIELD_TYPES = {"shape": (str, _NULL), "mu0_dim": (int, _NULL)}
 # the JSON types each T-table and ALIAS payload field may take (a field
 # left out counts as null); a list of dimensions is a non-empty list of
 # ints, and a T8 row lists the two manifolds of its triad
-_TABLE_FIELD_TYPES = {
+TABLE_FIELD_TYPES = {
     "T1": {"nu": (int,), "r0": (int,)},
     "T2": {"name": (str,), "h1": (int,), "dim": (int, list)},
     "T3": {"nu": (int, _NULL), "tau": (int,)},
@@ -265,7 +262,7 @@ class Dataset:
             if e.key in bucket:
                 raise DatasetError(f"duplicate key {e.key!r} in table {e.table}")
             bucket[e.key] = e
-        for table, types in _TABLE_FIELD_TYPES.items():
+        for table, types in TABLE_FIELD_TYPES.items():
             for key, e in self._by_table.get(table, {}).items():
                 _check_row(f"{table} row {key}", e.payload, types)
         self._knots = {
@@ -298,7 +295,7 @@ class Dataset:
             raise KeyError(f"no entry {key!r} in table {table}")
         return entry
 
-    def knot_record(self, name: str) -> Optional[KnotRecord]:
+    def knot_record(self, name: str) -> KnotRecord | None:
         return self._knots.get(name)
 
     def knot_names(self) -> list[str]:
@@ -355,37 +352,6 @@ class Dataset:
             for e in self.entries:
                 fh.write(e.to_json_line() + "\n")
 
-    def export_tsv(self, table: str) -> str:
-        """Tab-separated dump of one published table, T1-T8: the key, then
-        the payload fields in the order _TABLE_FIELD_TYPES declares them."""
-        if table == "ALIAS" or table not in _TABLE_FIELD_TYPES:
-            raise DatasetError(f"no export format for table {table!r}")
-        columns = ["key", *_TABLE_FIELD_TYPES[table]]
-        lines = ["\t".join(columns)]
-        entries = self.table(table)
-        for key in sorted(entries, key=_entry_sort_key):
-            e = entries[key]
-            row = []
-            for col in columns:
-                if col == "key":
-                    row.append(e.key)
-                else:
-                    v = e.payload.get(col)
-                    row.append("" if v is None else json.dumps(v, separators=(",", ":")))
-            lines.append("\t".join(row))
-        return "\n".join(lines) + "\n"
-
-
-def _entry_sort_key(key: str):
-    try:
-        return (0, int(key), "")
-    except ValueError:
-        parts = key.split("_")
-        try:
-            return (1, int(parts[0]), f"{int(parts[1]):04d}" if len(parts) > 1 else key)
-        except ValueError:
-            return (2, 0, key)
-
 
 def parse_record_line(line: str, lineno: int) -> TableEntry:
     try:
@@ -406,7 +372,7 @@ def parse_record_line(line: str, lineno: int) -> TableEntry:
     return TableEntry(obj["table"], str(obj["key"]), obj["payload"], obj["citation"])
 
 
-def load(path: Optional[str] = None, check: bool = True) -> Dataset:
+def load(path: str | None = None, check: bool = True) -> Dataset:
     """Load a record file (default: the bundled dataset) and run the
     integrity checks.
 
@@ -433,7 +399,7 @@ def load(path: Optional[str] = None, check: bool = True) -> Dataset:
     return ds
 
 
-_default: Optional[Dataset] = None
+_default: Dataset | None = None
 
 
 def default() -> Dataset:

@@ -12,10 +12,7 @@ compiles.  The census routes, the triad bounds and the homeomorphism
 identities sit one layer up, in surgery, which answers census(i).
 """
 
-from __future__ import annotations
-
 import math
-from typing import Optional, Union
 
 from .invariants import Bundle, deduce
 from .knots import (KnotExpr, _Parser, canonical, format_knot, mirror, registered_record,
@@ -82,7 +79,7 @@ class Census(Record):
         return f"census({self.index})"
 
 
-ManifoldDesc = Union[Surgery, Lens, BranchedCover, Census]
+ManifoldDesc = Surgery | Lens | BranchedCover | Census
 
 
 def parse_manifold(text: str) -> ManifoldDesc:
@@ -135,7 +132,7 @@ class DimResult(Record):
 
     __slots__ = ("state", "euler")
 
-    def __init__(self, state: Union[tuple[int, ...], Val], euler: int = 0):
+    def __init__(self, state: tuple[int, ...] | Val, euler: int = 0):
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "euler", euler)
 
@@ -168,7 +165,7 @@ class DimResult(Record):
         cands = val.candidates(64)  # sorted, and each one euler admits
         return DimResult(val if cands is None else tuple(cands), euler)
 
-    def values(self) -> Optional[tuple[int, ...]]:
+    def values(self) -> tuple[int, ...] | None:
         return None if isinstance(self.state, Val) else self.state
 
     @property
@@ -182,27 +179,27 @@ class DimResult(Record):
         return self.kind == "exact"
 
     @property
-    def dim(self) -> Optional[int]:
+    def dim(self) -> int | None:
         return self.state[0] if self.is_exact else None
 
     @property
-    def candidates(self) -> Optional[tuple[int, ...]]:
+    def candidates(self) -> tuple[int, ...] | None:
         return self.state if self.kind == "candidates" else None
 
     @property
-    def lo(self) -> Optional[int]:
+    def lo(self) -> int | None:
         return self.state.lo if self.kind == "interval" else None
 
     @property
-    def hi(self) -> Optional[int]:
+    def hi(self) -> int | None:
         return self.state.hi if self.kind == "interval" else None
 
     @property
-    def parity(self) -> Optional[int]:
+    def parity(self) -> int | None:
         return self.state.parity if self.kind == "interval" else None
 
     @property
-    def graded(self) -> Optional[tuple[int, int]]:
+    def graded(self) -> tuple[int, int] | None:
         if not self.is_exact:
             return None
         return ((self.dim + self.euler) // 2, (self.dim - self.euler) // 2)

@@ -12,9 +12,6 @@ caches the bundles of deduce and the answers of lspace_cable once per
 canonical form of the knot (knots.memo), the form a bundle names.
 """
 
-from __future__ import annotations
-
-from typing import Optional
 
 from .knots import (
     Cable,
@@ -90,7 +87,7 @@ class Bundle(Record):
     __slots__ = _fields + ("pairs",)
 
     def __init__(self, knot: str, nu: Val = Val(), tau: Val = Val(), r0: Val = Val(),
-                 shape: str = "unknown", mu0_dim: Optional[int] = None,
+                 shape: str = "unknown", mu0_dim: int | None = None,
                  trace: tuple = ()):
         self._fill(knot, nu, tau, r0, shape, mu0_dim, tuple(trace))
         nus, r0s = nu.candidates(40), r0.candidates(40)
@@ -104,8 +101,8 @@ class Bundle(Record):
         # delta = r0 - nu is a nonnegative even integer for every knot
         return (self.r0 - self.nu).meet(Val(0, None, 0))
 
-    def to_json(self):
-        return {
+    def to_json(self, trace: bool = False):
+        out = {
             "knot": self.knot,
             "nu": self.nu.to_json(),
             "tau": self.tau.to_json(),
@@ -113,6 +110,9 @@ class Bundle(Record):
             "shape": self.shape,
             "delta": self.delta.to_json(),
         }
+        if trace:
+            out["trace"] = [t.to_json() for t in self.trace]
+        return out
 
 
 class _Draft:

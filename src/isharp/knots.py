@@ -25,13 +25,10 @@ Chirality follows the Rolfsen / Knot Atlas tables: 3_1 is the left-handed
 trefoil, and the signature of the right-handed trefoil is -2.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re
 from collections import Counter
-from typing import Optional
 
 from .datasets import FLAG_NAMES, NO_FLAGS, StructuralData, make_flags
 from .values import DatasetError, Record, Val
@@ -372,20 +369,6 @@ def _format(k: KnotExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Structural data
-# ---------------------------------------------------------------------------
-
-def alexander_zero_surgery_floor(coeffs: tuple[int, ...]) -> int:
-    """Lower bound for dim of the zero-surgery invariant (mu bundle) of a
-    genus <= 2 knot from its symmetric polynomial coefficients; the actual
-    dimension is this value plus a nonnegative multiple of 4."""
-    a = list(coeffs) + [0, 0, 0]
-    if any(c != 0 for c in a[3:]):
-        raise KnotError("floor formula needs genus <= 2 coefficients")
-    return 4 * abs(a[2]) + 2 * abs(a[1] + 2 * a[2])
-
-
-# ---------------------------------------------------------------------------
 # The presentation index: alias codes resolved against the loaded dataset
 # ---------------------------------------------------------------------------
 
@@ -442,7 +425,7 @@ def _alias_index(ds) -> tuple[dict, dict]:
     return ds.alias_index
 
 
-def resolve_atom(k: KnotExpr, ds) -> Optional[tuple[str, bool]]:
+def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
     """Resolve an atomic expression to (canonical name, mirrored), if known:
     a family atom by its index key, or else by its mirror's."""
     if isinstance(k, Unknot):
@@ -648,7 +631,7 @@ def _torus_det(p: int, q: int) -> int:
     return 1
 
 
-def _pretzel_n33(k: Pretzel) -> Optional[int]:
+def _pretzel_n33(k: Pretzel) -> int | None:
     """Match P(n, 3, -3) up to permutation; returns n."""
     args = [k.a, k.b, k.c]
     for i in range(3):
@@ -658,7 +641,7 @@ def _pretzel_n33(k: Pretzel) -> Optional[int]:
     return None
 
 
-def _pretzel_odd32(k: Pretzel) -> Optional[int]:
+def _pretzel_odd32(k: Pretzel) -> int | None:
     """Match P(2n-1, 3, 2) with n >= 1 up to permutation; returns n."""
     args = [k.a, k.b, k.c]
     for i in range(3):

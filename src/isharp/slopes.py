@@ -20,8 +20,6 @@ build the surgery triad from one modular inverse instead of the whole
 expansion.
 """
 
-from __future__ import annotations
-
 # the slope core is defined in values and re-exported here
 from .values import INFINITY, Record, Slope, SlopeError, parse_slope, reduce
 

@@ -10,8 +10,6 @@ covers live one layer down, in dimension, which a `dim` call on a
 surgery compiles without this module; their names are re-exported here.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import dimension

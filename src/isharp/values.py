@@ -33,11 +33,8 @@ too, so a `dim` call skips the continued fractions of `slopes`, and the
 CLI maps exit codes without compiling the loader.
 """
 
-from __future__ import annotations
-
 import math
 from operator import attrgetter
-from typing import Optional
 
 
 class Record:
@@ -113,8 +110,8 @@ class Val(Record):
 
     __slots__ = ("lo", "hi", "parity")
 
-    def __init__(self, lo: Optional[int] = None, hi: Optional[int] = None,
-                 parity: Optional[int] = None):
+    def __init__(self, lo: int | None = None, hi: int | None = None,
+                 parity: int | None = None):
         if (lo is not None and type(lo) is not int) or (hi is not None and type(hi) is not int):
             raise TypeError(f"Val ends must be ints, got [{lo!r}, {hi!r}]")
         if lo is not None and hi is not None and lo > hi:
@@ -172,7 +169,7 @@ class Val(Record):
             return False
         return self.parity is None or x % 2 == self.parity
 
-    def candidates(self, limit: int) -> Optional[list[int]]:
+    def candidates(self, limit: int) -> list[int] | None:
         """Every integer this state admits, stepping by 2 under a parity
         constraint; None when it is unbounded or admits more than limit."""
         if self.lo is None or self.hi is None:

@@ -6,19 +6,17 @@ the registered routes (torus/twist/pretzel families, two-bridge surgery
 identities, and the constraint chain through the pretzel P(5,5,-3)).
 """
 
-from __future__ import annotations
-
 import json
 
 from .dimension import DimensionError, DimResult, branched_cover_dim, surgery_dim
 from .invariants import deduce
 from .knots import (
     Cable,
+    KnotError,
     Named,
     Pretzel,
     TwoBridge,
     Unknot,
-    alexander_zero_surgery_floor,
     equivalent_atoms,
     format_knot,
     parse_knot,
@@ -177,6 +175,16 @@ def rederive_r0(ds) -> tuple[dict, Report]:
         expected = (entry.payload["nu"], entry.payload["r0"])
         report.add("T1", key, "nu,r0", expected, got)
     return derived, report
+
+
+def alexander_zero_surgery_floor(coeffs: tuple[int, ...]) -> int:
+    """Lower bound for dim of the zero-surgery invariant (mu bundle) of a
+    genus <= 2 knot from its symmetric polynomial coefficients; the actual
+    dimension is this value plus a nonnegative multiple of 4."""
+    a = list(coeffs) + [0, 0, 0]
+    if any(c != 0 for c in a[3:]):
+        raise KnotError("floor formula needs genus <= 2 coefficients")
+    return 4 * abs(a[2]) + 2 * abs(a[1] + 2 * a[2])
 
 
 def _chain_r0(ds, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:

@@ -5,13 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isharp import cli
+from isharp import cli, cli_text
+from isharp.dimension import parse_manifold
+from isharp.knots import format_knot
+from test_knots import knot_exprs
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -64,6 +68,21 @@ def test_census_and_dcover():
     code, out, _ = run_cli("dcover", "9_49")
     assert code == 0
     assert json.loads(out)["dim"] == 25
+
+
+@pytest.mark.parametrize("index, message", [
+    ("20", "census index 20 out of range 0..19"),
+    ("-1", "census index -1 out of range 0..19"),
+    ("3_0", "expected ')' at position 8 in 'census(3_0)'"),
+    ("\u0661", "expected an integer at position 7 in 'census(\u0661)'"),  # Arabic-Indic 1
+    ("x", "expected an integer at position 7 in 'census(x)'"),
+])
+def test_census_reads_its_index_as_dim_does(index, message, capsys):
+    assert cli.main(["census", index]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert cli.main(["dim", f"census({index})"]) == 1
+    assert capsys.readouterr().err == err
 
 
 def test_cf_and_triad():
@@ -346,11 +365,13 @@ def test_public_names_resolve():
         isharp.no_such_name
 
 
-def _loaded_modules(code):
+def _loaded_modules(code, *flags):
+    import isharp
+    env = {**os.environ, "PYTHONPATH": str(Path(isharp.__file__).parent.parent)}
     proc = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, *flags, "-c",
          code + "\nimport json, sys; print(json.dumps(list(sys.modules)))"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=env)
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
 
 
@@ -358,29 +379,76 @@ def _isharp_modules(code):
     return {m for m in _loaded_modules(code) if m.startswith("isharp")}
 
 
+def _import_closure(names):
+    """isharp.<name> for each name and every isharp module they import at
+    module top, transitively (read from the source, not by importing)."""
+    import isharp
+    src = Path(isharp.__file__).parent
+    todo, seen = list(names), set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+            todo.extend(t for function, targets in _imports(tree) if function is None
+                        for t in targets)
+    return {f"isharp.{name}" for name in seen}
+
+
+# one well-formed call of each command, with the modules it loads besides
+# its command module and that module's top-level imports: the loader
+# (main() loads the data), and the function-local imports of a census
+# manifold (cmd_dim.run) and of the census cross-check
+# (Dataset.cross_check_census)
+_CALLS = [
+    (["cf", "1/3"], ()),
+    (["triad", "5/2"], ()),
+    (["dim", "surg(4_1; 1/2)"], ("datasets",)),
+    (["dim", "lens(9,2)"], ("datasets",)),
+    (["dim", "dcover(10_124)"], ("datasets",)),
+    (["dim", "census(7)"], ("datasets", "surgery")),
+    (["invariants", "m(5_2)"], ("datasets",)),
+    (["sum", "3_1", "m(3_1)"], ("datasets",)),
+    (["cable", "3", "2", "m(3_1)"], ("datasets",)),
+    (["census", "3"], ("datasets",)),
+    (["dcover", "10_124"], ("datasets",)),
+    (["identities", "m(3_1)", "7/4"], ("datasets",)),
+    (["verify", "T5"], ("datasets",)),
+    (["export", "T1"], ("datasets",)),
+    (["export", "T2"], ("datasets", "verify")),
+]
+
+
 def test_import_layout():
-    # a CLI call compiles only the modules its subcommand runs: the CLI
-    # itself needs values alone, and loading the dataset imports nothing
-    # above the loader
+    # a CLI call compiles only the modules its subcommand runs: the
+    # dispatcher itself needs values alone, and loading the dataset
+    # imports nothing above the loader
     base = {"isharp", "isharp.cli", "isharp.values"}
     assert _isharp_modules("import isharp.cli") == base
     assert _isharp_modules("import isharp.cli as c; c.datasets.default()") == {
         *base, "isharp.datasets"}
+    # each command: its own module and what that module imports, never
+    # another command's module nor the argparse/--pretty text (cli_text)
+    loaded = {}
+    for argv, extra in _CALLS:
+        loaded[" ".join(argv)] = _isharp_modules(
+            f"import isharp.cli as c; assert c.main({argv!r}) == 0")
+        assert loaded[" ".join(argv)] == base | _import_closure((f"cmd_{argv[0]}", *extra)), argv
     # cf and triad add the continued fractions and skip the loader
-    for argv in (['cf', '1/3'], ['triad', '5/2']):
-        loaded = _isharp_modules(f"import isharp.cli as c; assert c.main({argv!r}) == 0")
-        assert loaded == {*base, "isharp.slopes"}, argv
+    assert loaded["cf 1/3"] == {*base, "isharp.cmd_cf", "isharp.slopes"}
+    assert loaded["triad 5/2"] == {*base, "isharp.cmd_triad", "isharp.slopes"}
     # dim on a surgery, a lens space or a cover compiles neither the census
     # and identity code (surgery) nor the continued fractions (slopes)
-    for argv in (['dim', 'surg(4_1; 1/2)'], ['dim', 'lens(9,2)'], ['dim', 'dcover(10_124)']):
-        loaded = _isharp_modules(f"import isharp.cli as c; assert c.main({argv!r}) == 0")
-        assert loaded == {*base, "isharp.datasets", "isharp.knots", "isharp.invariants",
-                          "isharp.dimension"}, argv
+    for call in ("dim surg(4_1; 1/2)", "dim lens(9,2)", "dim dcover(10_124)"):
+        assert loaded[call] == {*base, "isharp.cmd_dim", "isharp.datasets", "isharp.knots",
+                                "isharp.invariants", "isharp.dimension"}, call
     # the knot commands stop below the dimension code
-    for argv in (['invariants', 'm(5_2)'], ['sum', '3_1', 'm(3_1)'], ['cable', '3', '2', 'm(3_1)']):
-        loaded = _isharp_modules(f"import isharp.cli as c; assert c.main({argv!r}) == 0")
-        assert "isharp.invariants" in loaded, argv
-        assert "isharp.dimension" not in loaded, argv
+    for call in ("invariants m(5_2)", "sum 3_1 m(3_1)", "cable 3 2 m(3_1)"):
+        assert "isharp.invariants" in loaded[call], call
+        assert "isharp.dimension" not in loaded[call], call
+    # --pretty renders through cli_text
+    assert "isharp.cli_text" in _isharp_modules(
+        "import isharp.cli as c; assert c.main(['--pretty', 'cf', '1/3']) == 0")
     # records are plain slotted classes, so no subcommand pays for the
     # dataclasses machinery and the inspect, ast and dis modules it loads
     for code in ("import isharp.cli",
@@ -418,11 +486,138 @@ def test_import_layout():
                              "except SystemExit:\n"
                              "    pass")
     assert "argparse" in loaded
+    # without site (whose .pth files may import anything), the hot calls
+    # import neither typing nor __future__: annotations are written
+    # X | None, and no module asks for postponed evaluation
+    for argv in (['cf', '1/3'], ['triad', '5/2'], ['dim', 'surg(4_1; 1/2)']):
+        loaded = _loaded_modules(f"import isharp.cli as c; assert c.main({argv!r}) == 0", "-S")
+        assert "isharp.cli" in loaded
+        assert loaded.isdisjoint({"typing", "__future__"}), argv
 
 
-# --- the argv matcher: cli._match against build_parser() ---------------------
+# --- the CLI contract -------------------------------------------------------
+# Every input, however malformed, deep or large, ends in exit 0-3 with at
+# most one stderr line and never a traceback.  The one exception is
+# argparse's usage error (exit 2), which prints the usage text and then
+# one "error:" line.  Every surgery answer is sound.
 
-_PARSER = cli.build_parser()
+_BIG = st.integers(-10**40, 10**40)
+_GRAMMAR = ["m(", ")", "(", ",", ";", " # ", "Cab(", "T(", "Tw(", "P(", "TB(", "U", "3_1",
+            "K11n118", "8_19", "2", "-3", "0", "99_42", "_", " ", "\u0661", "x"]
+_knot_texts = st.one_of(
+    knot_exprs.map(format_knot),
+    st.tuples(_BIG, _BIG).map(lambda pq: f"T({pq[0]},{pq[1]})"),
+    st.tuples(_BIG, _BIG, knot_exprs).map(lambda t: f"Cab({t[0]},{t[1]};{format_knot(t[2])})"),
+    _BIG.map(lambda n: f"Tw({n})"),
+    st.tuples(_BIG, _BIG, _BIG).map(lambda abc: "P({},{},{})".format(*abc)),
+    st.tuples(_BIG, _BIG).map(lambda ab: f"TB({ab[0]},{ab[1]})"),
+    st.lists(st.sampled_from(_GRAMMAR), max_size=8).map("".join),
+)
+_slope_texts = st.one_of(
+    st.tuples(st.integers(-60, 60), st.integers(0, 9)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    _BIG.map(str),
+    st.tuples(_BIG, _BIG).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from(["1/0", "0", "-0", "inf", "", "1/", "/2", "1//2", "0/0", "3/-2", "x"]),
+)
+
+
+def _command(name, *flags):
+    """argv for one command: any of its flags, then "--" and the
+    positionals, so that a negative number reaches the command."""
+    return lambda *positionals: [name, *flags, "--", *positionals]
+
+
+_CONTRACT_ARGVS = st.one_of(
+    st.builds(lambda k, s, rest: ["dim", "--", f"surg({k}; {s}{rest})"],
+              _knot_texts, _slope_texts, st.sampled_from(["", "; mu", "; x", ";"])),
+    st.builds(lambda a, b: ["dim", "--", f"lens({a},{b})"], _BIG | st.integers(-9, 9), _BIG),
+    st.builds(lambda k: ["dim", "--trace", "--", f"dcover({k})"], _knot_texts),
+    st.builds(lambda i: ["dim", "--graded", "--", f"census({i})"],
+              st.integers(-2, 22) | _BIG | st.sampled_from(["", "x", "3_0", "1)"])),
+    st.builds(_command("invariants", "--trace"), _knot_texts),
+    st.builds(_command("dcover"), _knot_texts),
+    st.builds(_command("census"), st.integers(-2, 22).map(str) | st.sampled_from(["all", "x"])),
+    st.builds(_command("identities"), _knot_texts, _slope_texts),
+    st.builds(_command("cable"), (_BIG | st.integers(-9, 9)).map(str),
+              (_BIG | st.integers(-9, 9)).map(str), _knot_texts),
+    st.lists(_knot_texts, min_size=1, max_size=3).map(lambda ks: _command("sum")(*ks)),
+    st.builds(_command("cf"), _slope_texts),
+    st.builds(_command("triad"), _slope_texts),
+    # malformed command lines: argparse's usage errors and -h
+    st.lists(st.sampled_from([*cli.COMMANDS, "--pretty", "--trace", "--graded", "--", "-h",
+                              "-9", "all", "T1", "T9", "3_1", "1/2", "x"]), max_size=6),
+)
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of an in-process cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse: 0 after -h, 2 on a usage error
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1000, deadline=timedelta(seconds=5))
+@given(_CONTRACT_ARGVS)
+def test_every_input_ends_in_a_documented_exit(argv):
+    code, _, err = _call(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, argv
+    lines = err.splitlines()
+    if code == 2:
+        assert lines[0].startswith("usage: isharp") and ": error: " in lines[-1], argv
+    else:
+        assert len(lines) <= 1, (argv, err)
+
+
+def _admitted(out):
+    """The dimensions a dim answer lists: the exact one, each candidate,
+    or the ends of an interval."""
+    if out["kind"] == "exact":
+        return [out["dim"]]
+    if out["kind"] == "candidates":
+        return out["candidates"]
+    return [out["lo"]] + ([] if out["hi"] is None else [out["hi"]])
+
+
+# a slope and the bundle of its surgery; the mu bundle needs slope 0
+_surgery_slopes = st.one_of(
+    st.tuples(st.integers(-60, 60) | _BIG, st.integers(1, 9) | _BIG.map(lambda n: abs(n) + 1))
+    .map(lambda pq: (f"{pq[0]}/{pq[1]}", "")),
+    st.sampled_from([("inf", ""), ("0", ""), ("0", "; mu")]),
+)
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=5))
+@given(knot_exprs, _surgery_slopes)
+def test_every_surgery_answer_is_sound(k, slope_bundle):
+    knot, (slope, bundle) = format_knot(k), slope_bundle
+    code, out, err = _call(["dim", "--", f"surg({knot}; {slope}{bundle})"])
+    assert code in (0, 1) and len(err.splitlines()) == code, err
+    if code:
+        return
+    answer = json.loads(out)
+    m = parse_manifold(answer["manifold"])  # the printed manifold parses back
+    assert str(m) == answer["manifold"]
+    p = m.slope.p  # reduced
+    for d in _admitted(answer):
+        assert d >= abs(p) and (d - p) % 2 == 0, (answer, p)
+    if answer["kind"] == "interval":
+        assert answer["parity"] == p % 2, answer
+    # S^3_{-p/q}(m(K)) is S^3_{p/q}(K) with its orientation reversed
+    slope = "inf" if m.slope.is_infinite else f"{-p}/{m.slope.q}"
+    code, mirrored, _ = _call(["dim", "--", f"surg(m({knot}); {slope}{bundle})"])
+    assert code == 0
+    mirrored = json.loads(mirrored)
+    assert {**mirrored, "manifold": None} == {**answer, "manifold": None}
+
+
+# --- the argv matcher: cli._match against cli_text.build_parser() --------
+
+_PARSER = cli_text.build_parser(cli.COMMANDS)
 
 
 def _parsed(argv):
@@ -481,7 +676,7 @@ def test_corpus_queries_take_the_matcher_path(monkeypatch):
 def test_help_and_usage_errors_print_the_parser_text(argv, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exit_:
-        cli.build_parser().parse_args(argv)
+        cli_text.build_parser(cli.COMMANDS).parse_args(argv)
     expected = capsys.readouterr()
     proc = _entry("-m", "isharp.cli", *argv, capture_output=True)
     assert proc.returncode == exit_.value.code == (0 if "-h" in argv else 2)
@@ -490,7 +685,7 @@ def test_help_and_usage_errors_print_the_parser_text(argv, capsys, monkeypatch):
 
 # the modules from the bottom layer up; each imports only those before it
 LAYERS = ("values", "slopes", "datasets", "knots", "invariants", "dimension", "surgery",
-          "verify", "cli")
+          "verify", *(f"cmd_{name}" for name in cli.COMMANDS), "cli_text", "cli")
 
 
 def _isharp_targets(node):
@@ -525,29 +720,43 @@ def _imports(tree):
 def test_layers_import_downward_at_module_top():
     import isharp
     src = Path(isharp.__file__).parent
-    # the one function-local import below the CLI: bench/layers.py times
-    # Dataset.cross_check_census, which runs the census routes of verify
-    allowed_local = {("datasets", "Dataset.cross_check_census")}
+    # every module is in LAYERS, and each command of the table has its module
+    assert {p.stem for p in src.glob("*.py")} - {"__init__"} == set(LAYERS)
+    # the two function-local imports: bench/layers.py times
+    # Dataset.cross_check_census, which runs the census routes of verify,
+    # and dim compiles the census routes only for census(i); cli imports
+    # the command modules and cli_text by name (cli._module)
+    allowed_local = {("datasets", "Dataset.cross_check_census"), ("cmd_dim", "run")}
     for i, name in enumerate(LAYERS):
         tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
         for function, targets in _imports(tree):
             if (name, function) in allowed_local:
                 continue
-            assert function is None or name == "cli", f"{name}.{function} imports {targets}"
+            assert function is None, f"{name}.{function} imports {targets}"
             assert targets <= set(LAYERS[:i]), f"{name} imports {targets}"
+    # the command modules and cli_text import nothing of each other
+    for name in LAYERS[LAYERS.index("verify") + 1:-1]:
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        for _, targets in _imports(tree):
+            assert targets <= set(LAYERS[:LAYERS.index("verify") + 1]), f"{name} imports {targets}"
 
 
-@pytest.mark.parametrize("manifold", ["surg(4_1; 1/2)", "census(7)"])
-def test_python_m_compiles_each_module_once(manifold):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["dim", "surg(4_1; 1/2)"], id="surg(4_1; 1/2)"),
+    pytest.param(["dim", "census(7)"], id="census(7)"),
+    pytest.param(["cf", "1/3"], id="cf 1/3"),
+])
+def test_python_m_compiles_each_module_once(argv):
     # under `python -m isharp.cli` the CLI runs as __main__, so an import
     # of isharp.cli by any module would compile it a second time
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "isharp.cli", "dim", manifold],
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "isharp.cli", *argv],
                           capture_output=True, text=True, check=True)
     names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:") and "|" in line]
     isharp_names = [n for n in names if n.split(".")[0] == "isharp"]
-    assert "isharp.dimension" in isharp_names
-    assert "isharp.cli" not in isharp_names
+    assert f"isharp.cmd_{argv[0]}" in isharp_names
+    assert "isharp.cli" not in isharp_names and "isharp.cli_text" not in isharp_names
+    assert "__future__" not in names
     assert len(isharp_names) == len(set(isharp_names)), isharp_names
 
 

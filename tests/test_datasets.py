@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from isharp import datasets
+from isharp.cmd_export import export_tsv
 from isharp.datasets import Dataset, DatasetError, TableEntry, parse_record_line
 
 
@@ -152,15 +153,15 @@ def test_serialization_roundtrip(tmp_path, ds):
 
 
 def test_export_tsv(ds):
-    tsv = ds.export_tsv("T1")
+    tsv = export_tsv(ds, "T1")
     lines = tsv.strip().split("\n")
     assert lines[0] == "key\tnu\tr0"
     assert "3_1\t-1\t1" in lines[1]
     assert len(lines) == 21  # header + 20 knots
-    t2 = ds.export_tsv("T2")
+    t2 = export_tsv(ds, "T2")
     assert '7\t"m003(-3,4)"\t10\t[10,12]' in t2
     with pytest.raises(DatasetError):
-        ds.export_tsv("KNOT")
+        export_tsv(ds, "KNOT")
 
 
 def test_env_var_override(tmp_path, monkeypatch, ds):

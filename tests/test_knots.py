@@ -24,7 +24,6 @@ from isharp.knots import (
     _is_mirror_paired,
     _two_bridge_from_twist,
     _twist_from_two_bridge,
-    alexander_zero_surgery_floor,
     canonical,
     format_knot,
     genus,
@@ -39,6 +38,7 @@ from isharp.knots import (
 from isharp.slopes import Slope, reduce
 from isharp.surgery import BranchedCover, Census, Lens, Surgery, parse_manifold
 from isharp.values import Inconsistency, Val
+from isharp.verify import alexander_zero_surgery_floor
 
 
 @pytest.fixture(scope="module")
