@@ -10,7 +10,6 @@ from importlib import import_module
 
 _EXPORTS = {
     "deduce": "invariants", "lspace_cable": "invariants",
-    "lspace_knot_invariants": "invariants",
     "format_knot": "knots", "genus": "knots", "mirror": "knots",
     "parse_knot": "knots", "structural": "knots",
     "Slope": "values", "parse_slope": "values", "reduce": "values",

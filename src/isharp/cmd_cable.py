@@ -1,7 +1,7 @@
 """isharp cable P Q KNOT: whether the (p,q)-cable is an instanton L-space
 knot, its genus, and its nu and r0 when it is."""
 
-from .invariants import lspace_cable, lspace_knot_invariants
+from .invariants import deduce, lspace_cable
 from .knots import format_knot, genus, make_cable, parse_knot
 
 
@@ -13,6 +13,7 @@ def run(args, ds, emit):
            "lspace": status,
            "genus": genus(cable, ds).to_json()}
     if status:
-        nu, r0 = lspace_knot_invariants(cable, ds)
-        out.update({"nu": nu, "r0": r0})
+        # True needs the companion's genus exact, so R9 pins nu = r0 = 2g - 1
+        b = deduce(cable, ds)
+        out.update({"nu": b.nu.value(), "r0": b.r0.value()})
     emit(out, args.pretty)

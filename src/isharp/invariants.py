@@ -5,7 +5,11 @@ Every narrowing step is recorded in a trace as (rule id, statement,
 detail).  Rule priority is fixed: stored table data (R1) outranks family
 formulas, which outrank bound-tightening (R14); contradictions between
 rules raise Inconsistency naming both trace entries, never resolve
-silently.
+silently.  The twelve rules are R1-R6 and R9-R14: R9 covers the
+positive torus knots and R14 the case |tau| = g_s, so ids R7 and R8
+stay unused.  R14 is one pass that reaches its fixed point, in the
+order _tighten gives; it runs nu from tau before and after tau from nu,
+since tau from nu can move tau's ends onto tau's parity.
 
 Every entry point takes the Dataset it reads as ds, and each dataset
 caches the bundles of deduce and the answers of lspace_cable once per
@@ -15,7 +19,6 @@ canonical form of the knot (knots.memo), the form a bundle names.
 
 from .knots import (
     Cable,
-    KnotError,
     KnotExpr,
     Pretzel,
     Sum,
@@ -41,8 +44,6 @@ RULES = {
     "R4": "amphichiral knots have nu = tau = 0",
     "R5": "quasipositive knots have tau equal to the slice genus",
     "R6": "alternating knots have tau = -signature/2",
-    "R7": "|tau| = g_s > 0 forces nu = sign(tau) (2 g_s - 1)",
-    "R8": "positive torus knots have nu = r0 = pq - p - q",
     "R9": "instanton L-space knots have nu = r0 = 2g - 1",
     "R10": "twist knots: r0 = n, nu = 0 (n even) or -1 (n odd)",
     "R11": "the slice pretzels P(n,3,-3) have nu = 0 and r0 = 4",
@@ -52,10 +53,6 @@ RULES = {
     "R14": "interval tightening via |2 tau - nu| <= 1, the slice-genus "
            "bound, r0 >= |nu|, and parity",
 }
-
-# R14 stops here even short of a fixed point, and says so in the trace;
-# no deduction of the bundled tables or identities needs more than two
-TIGHTEN_ROUNDS = 8
 
 
 class TraceEntry(Record):
@@ -192,7 +189,7 @@ def _deduce(k, ds, use_stored) -> Bundle:
             b.set_shape(mb.shape, "R2", f"(from {mb.knot})")
         if b.mu0_dim is None:
             b.mu0_dim = mb.mu0_dim
-    _tighten(b, k, ds)
+    _tighten(b, structural(k, ds).slice_genus)
     return b.freeze()
 
 
@@ -240,13 +237,8 @@ def _apply_family_rules(b: _Draft, k, s, ds, use_stored) -> None:
     if s.flag("alternating") and s.signature is not None:
         b.narrow("tau", Val.exact(-s.signature // 2), "R6")
 
-    # R8: torus knots (the mirror pass covers the negative ones)
-    if isinstance(k, Torus) and k.p > 0:
-        v = k.p * k.q - k.p - k.q
-        b.narrow("nu", Val.exact(v), "R8")
-        b.narrow("r0", Val.exact(v), "R8")
-
-    # R9: instanton L-space knots
+    # R9: instanton L-space knots; _lspace_status calls every T(p,q) with
+    # p > 0 one, and 2g - 1 = pq - p - q, so R9 covers the positive torus knots
     if _lspace_status(k, b, s, ds, use_stored) is True and s.genus.is_exact:
         v = 2 * s.genus.value() - 1
         b.narrow("nu", Val.exact(v), "R9")
@@ -305,55 +297,48 @@ def _deduce_sum(k: Sum, ds, use_stored) -> _Draft:
     return b
 
 
-def _tighten(b: _Draft, k, ds) -> None:
-    """R14 to a fixed point, or for TIGHTEN_ROUNDS rounds: mutual nu/tau
-    bounds, genus bound, r0 bounds."""
-    s = structural(k, ds)
-    for _ in range(TIGHTEN_ROUNDS):
-        before = (b.nu, b.tau, b.r0, b.shape)
+def _tighten(b: _Draft, slice_genus: Val) -> None:
+    """R14 in one pass, which reaches its fixed point:
+    1. |nu| <= 2 g_s - 1, or nu = 0 when g_s = 0 (with step 3 this gives
+       |tau| <= g_s too);
+    2. a W-shaped profile forces nu = 0;
+    3. |2 tau - nu| <= 1, as nu from tau, tau from nu, and nu from tau
+       again, since tau from nu can move tau's ends onto its parity;
+    4. r0 >= |nu| and r0 = nu (mod 2);
+    5. when r0 is exact, |nu| <= r0, and then step 3 again;
+    6. an exact nonzero nu forces a V-shaped profile."""
+    if slice_genus.hi is not None:
+        g = max(2 * slice_genus.hi - 1, 0)
+        b.narrow("nu", Val(-g, g), "R14", "(slice-genus bound)")
+    if b.shape == "W":
+        b.narrow("nu", Val.exact(0), "R14", "(W-shaped)")
+    _nu_tau(b)
+    b.narrow("r0", Val(b.nu.min_abs(), None, b.nu.parity), "R14", "(r0 >= |nu|, parity)")
+    if b.r0.is_exact:
+        b.narrow("nu", Val(-b.r0.value(), b.r0.value(), b.r0.parity),
+                 "R14", "(|nu| <= r0, parity)")
+        _nu_tau(b)
+    if b.nu.is_exact and b.nu.value() != 0:
+        b.set_shape("V", "R14", "(nu != 0)")
 
-        if s.slice_genus.hi is not None:
-            g = max(2 * s.slice_genus.hi - 1, 0)
-            b.narrow("nu", Val(-g, g), "R14", "(slice-genus bound)")
-        if not b.tau.is_unknown:
-            lo = None if b.tau.lo is None else 2 * b.tau.lo - 1
-            hi = None if b.tau.hi is None else 2 * b.tau.hi + 1
-            b.narrow("nu", Val(lo, hi), "R14", "(|2 tau - nu| <= 1)")
-        if not b.nu.is_unknown:
-            # tau is an integer, so (nu - 1)/2 <= tau <= (nu + 1)/2 rounds
-            # inward: ceil((nu.lo - 1)/2) = nu.lo // 2, floor((nu.hi + 1)/2)
-            lo = None if b.nu.lo is None else b.nu.lo // 2
-            hi = None if b.nu.hi is None else (b.nu.hi + 1) // 2
-            b.narrow("tau", Val(lo, hi), "R14", "(|2 tau - nu| <= 1)")
-        if s.slice_genus.hi is not None:
-            g = s.slice_genus.hi
-            b.narrow("tau", Val(-g, g), "R14", "(slice-genus bound)")
 
-        # r0 >= |nu|, r0 >= 0, parity r0 = parity nu
-        b.narrow("r0", Val(b.nu.min_abs(), None, b.nu.parity), "R14", "(r0 >= |nu|, parity)")
-        if b.r0.is_exact:
-            b.narrow("nu", Val(-b.r0.value(), b.r0.value(), b.r0.parity),
-                     "R14", "(|nu| <= r0, parity)")
+def _nu_tau(b: _Draft) -> None:
+    """|2 tau - nu| <= 1: nu from tau, tau from nu, nu from tau."""
+    _nu_from_tau(b)
+    if not b.nu.is_unknown:
+        # tau is an integer, so (nu - 1)/2 <= tau <= (nu + 1)/2 rounds
+        # inward: ceil((nu.lo - 1)/2) = nu.lo // 2, floor((nu.hi + 1)/2)
+        lo = None if b.nu.lo is None else b.nu.lo // 2
+        hi = None if b.nu.hi is None else (b.nu.hi + 1) // 2
+        b.narrow("tau", Val(lo, hi), "R14", "(|2 tau - nu| <= 1)")
+        _nu_from_tau(b)
 
-        # R7 (needs tau and g_s): |tau| = g_s > 0 pins nu
-        if (b.tau.is_exact and s.slice_genus.is_exact
-                and abs(b.tau.value()) == s.slice_genus.value() != 0):
-            g = s.slice_genus.value()
-            sign = 1 if b.tau.value() > 0 else -1
-            b.narrow("nu", Val.exact(sign * (2 * g - 1)), "R7")
 
-        # shape bookkeeping: nonzero nu forces a V-shaped profile,
-        # W-shaped forces nu = 0
-        if b.nu.is_exact and b.nu.value() != 0:
-            b.set_shape("V", "R14", "(nu != 0)")
-        if b.shape == "W":
-            b.narrow("nu", Val.exact(0), "R14", "(W-shaped)")
-
-        if (b.nu, b.tau, b.r0, b.shape) == before:
-            break
-    else:
-        b.trace.append(TraceEntry("R14", RULES["R14"],
-                                  f"(no fixed point after {TIGHTEN_ROUNDS} rounds)"))
+def _nu_from_tau(b: _Draft) -> None:
+    if not b.tau.is_unknown:
+        lo = None if b.tau.lo is None else 2 * b.tau.lo - 1
+        hi = None if b.tau.hi is None else 2 * b.tau.hi + 1
+        b.narrow("nu", Val(lo, hi), "R14", "(|2 tau - nu| <= 1)")
 
 
 def _lspace_status(k, b, s, ds, use_stored: bool = True):
@@ -412,14 +397,3 @@ def _lspace_cable(k, ds, p, q, use_stored):
     if status is None or not s.genus.is_exact:
         return None
     return p > q * (2 * s.genus.value() - 1)  # p/q > 2g - 1, with q >= 2
-
-
-def lspace_knot_invariants(k: KnotExpr, ds) -> tuple[int, int]:
-    """(nu, r0) = (2g - 1, 2g - 1) for an instanton L-space knot."""
-    b = deduce(k, ds)
-    s = structural(k, ds)
-    if _lspace_status(k, b, s, ds) is not True or not s.genus.is_exact:
-        raise KnotError(f"{format_knot(k)} is not a known instanton L-space knot "
-                        "with known genus")
-    v = 2 * s.genus.value() - 1
-    return (v, v)

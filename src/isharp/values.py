@@ -280,10 +280,14 @@ def reduce(p: int, q: int) -> Slope:
 
 
 def parse_slope(text: str) -> Slope:
-    """Parse "p/q", a bare integer, or "inf"."""
+    """Parse "p/q", a bare integer, or "inf".  Text that is not ASCII or
+    holds "_" is rejected: int() alone would read "_" separators and
+    non-ASCII digits, which the knot grammar does not."""
     text = text.strip()
     if text in ("inf", "1/0"):
         return INFINITY
+    if not text.isascii() or "_" in text:
+        raise SlopeError(f"bad slope {text!r}")
     if "/" in text:
         num, _, den = text.partition("/")
         try:

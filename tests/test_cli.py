@@ -85,6 +85,20 @@ def test_census_reads_its_index_as_dim_does(index, message, capsys):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["cf", "1_0/3"], "1_0/3"),
+    (["cf", "\u0661/\u0663"], "\u0661/\u0663"),  # Arabic-Indic 1/3
+    (["triad", "1_0"], "1_0"),
+    (["identities", "3_1", "1_0"], "1_0"),
+    (["dim", "surg(4_1; 1_0/3)"], "1_0/3"),
+    (["dim", "surg(4_1; \u0661/3)"], "\u0661/3"),
+])
+def test_slopes_read_integers_as_the_knot_grammar_does(argv, text, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: bad slope {text!r}\n"
+
+
 def test_cf_and_triad():
     code, out, _ = run_cli("cf", "1/3")
     assert json.loads(out)["cf"] == "[1,2,2]"

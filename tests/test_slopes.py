@@ -45,6 +45,13 @@ def test_slope_parse_print_roundtrip():
         parse_slope("x/y")
 
 
+@pytest.mark.parametrize("text", ["1_0/3", "1/3_0", "1_0", "\u0661/\u0663", "\u0661", "\uff11/3"])
+def test_parse_slope_reads_integers_as_the_knot_grammar_does(text):
+    # int() would read 1_0 as 10 and the Arabic-Indic or fullwidth digits as 1 and 3
+    with pytest.raises(SlopeError, match="^bad slope "):
+        parse_slope(text)
+
+
 def test_neg_cf_known_values():
     assert neg_cf(Slope(1, 3)) == [1, 2, 2]
     assert neg_cf(Slope(-1, 3)) == [0, 3]
