@@ -133,12 +133,16 @@ class DimResult(Record):
     __slots__ = ("state", "euler")
 
     def __init__(self, state: tuple[int, ...] | Val, euler: int = 0):
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "euler", euler)
+        _set_state(self, state)
+        _set_euler(self, euler)
 
     @staticmethod
     def exact(d: int, euler: int) -> "DimResult":
-        return DimResult.of_candidates((d,), euler)
+        """The one dimension d, checked as of_candidates((d,), euler) is."""
+        euler = abs(euler)
+        if d < euler or (d - euler) % 2 != 0:
+            raise Inconsistency(f"dimension {d} incompatible with euler {euler}")
+        return DimResult((d,), euler)
 
     @staticmethod
     def of_candidates(values, euler: int) -> "DimResult":
@@ -241,6 +245,9 @@ class DimResult(Record):
         return f"[{self.lo},{hi}]{par}"
 
 
+_set_state, _set_euler = DimResult.state.__set__, DimResult.euler.__set__
+
+
 # ---------------------------------------------------------------------------
 # The surgery formula
 # ---------------------------------------------------------------------------
@@ -255,7 +262,7 @@ def surgery_dim(k: KnotExpr, s: Slope, bundle: str, ds) -> DimResult:
     """Dimension of the p/q surgery: q * r0 + |p - q * nu| away from the
     zero-surgery exceptions; slope 0 dispatches to zero_surgery_dim and
     the infinite slope gives the 3-sphere."""
-    if s.is_infinite:
+    if not s.q:
         return DimResult.exact(1, 1)
     if s.p == 0:
         return zero_surgery_dim(k, bundle, ds)
@@ -263,22 +270,27 @@ def surgery_dim(k: KnotExpr, s: Slope, bundle: str, ds) -> DimResult:
 
 
 def _formula_dim(b: Bundle, s: Slope, knot=None) -> DimResult:
-    """The closed form at s; errors name knot, or else the knot b names."""
+    """The closed form at s; errors name knot, or else the knot b names.
+
+    One pinned (nu, r0) pair gives one number, several give the set of
+    their values, and without pairs the form runs on the intervals.  The
+    euler characteristic is |p|, which DimResult takes from p."""
     p, q = s.p, s.q
-    nu = _require_bounded(b.nu, "nu", knot or b.knot)
-    r0 = _require_bounded(b.r0, "r0", knot or b.knot)
-    euler = abs(p)
-    if b.pairs:
+    pairs = b.pairs
+    if pairs:  # nu and r0 are bounded
+        if len(pairs) == 1:
+            (n, r), = pairs
+            return DimResult.exact(q * r + abs(p - q * n), p)
         # enumeration over the admissible (nu, r0) lattice
-        return DimResult.of_candidates({q * r + abs(p - q * n) for n, r in b.pairs}, euler)
+        return DimResult.of_candidates({q * r + abs(p - q * n) for n, r in pairs}, p)
 
     # interval propagation: |p - q nu| is piecewise linear in nu, so its
     # extremes over an interval sit at the endpoints or at the interior
     # critical point p/q
+    nu = _require_bounded(b.nu, "nu", knot or b.knot)
+    r0 = _require_bounded(b.r0, "r0", knot or b.knot)
     lo_abs, hi_abs = _abs_range(p, q, nu)
-    lo = q * r0.lo + lo_abs
-    hi = None if r0.hi is None else q * r0.hi + hi_abs
-    return DimResult.of_interval(lo, hi, euler)
+    return DimResult.of_interval(q * r0.lo + lo_abs, q * r0.hi + hi_abs, p)
 
 
 def _abs_range(p: int, q: int, nu: Val) -> tuple[int, int]:

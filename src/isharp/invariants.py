@@ -9,7 +9,8 @@ silently.  The twelve rules are R1-R6 and R9-R14: R9 covers the
 positive torus knots and R14 the case |tau| = g_s, so ids R7 and R8
 stay unused.  R14 is one pass that reaches its fixed point, in the
 order _tighten gives; it runs nu from tau before and after tau from nu,
-since tau from nu can move tau's ends onto tau's parity.
+since tau from nu can move tau's ends onto tau's parity, and r0 >= |nu|
+again after |nu| <= r0.
 
 Every entry point takes the Dataset it reads as ds, and each dataset
 caches the bundles of deduce and the answers of lspace_cable once per
@@ -305,7 +306,8 @@ def _tighten(b: _Draft, slice_genus: Val) -> None:
     3. |2 tau - nu| <= 1, as nu from tau, tau from nu, and nu from tau
        again, since tau from nu can move tau's ends onto its parity;
     4. r0 >= |nu| and r0 = nu (mod 2);
-    5. when r0 is exact, |nu| <= r0, and then step 3 again;
+    5. when r0 has an upper bound, |nu| <= r0.hi with r0's parity, and
+       then steps 3 and 4 again, since step 3 can raise the least |nu|;
     6. an exact nonzero nu forces a V-shaped profile."""
     if slice_genus.hi is not None:
         g = max(2 * slice_genus.hi - 1, 0)
@@ -314,10 +316,10 @@ def _tighten(b: _Draft, slice_genus: Val) -> None:
         b.narrow("nu", Val.exact(0), "R14", "(W-shaped)")
     _nu_tau(b)
     b.narrow("r0", Val(b.nu.min_abs(), None, b.nu.parity), "R14", "(r0 >= |nu|, parity)")
-    if b.r0.is_exact:
-        b.narrow("nu", Val(-b.r0.value(), b.r0.value(), b.r0.parity),
-                 "R14", "(|nu| <= r0, parity)")
+    if b.r0.hi is not None:
+        b.narrow("nu", Val(-b.r0.hi, b.r0.hi, b.r0.parity), "R14", "(|nu| <= r0, parity)")
         _nu_tau(b)
+        b.narrow("r0", Val(b.nu.min_abs(), None, b.nu.parity), "R14", "(r0 >= |nu|, parity)")
     if b.nu.is_exact and b.nu.value() != 0:
         b.set_shape("V", "R14", "(nu != 0)")
 

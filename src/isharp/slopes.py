@@ -41,10 +41,10 @@ def neg_cf(s: Slope) -> list[int]:
     (k + 1) - p/q is q/(q - r), so each step is one divmod.  Raises
     SlopeError when the expansion is longer than MAX_CF_TERMS.
     """
-    if s.is_infinite:
+    p, q = s.p, s.q
+    if not q:
         raise SlopeError("no continued fraction for the infinite slope")
     coeffs = []
-    p, q = s.p, s.q
     for _ in range(MAX_CF_TERMS):
         a, r = divmod(p, q)
         if not r:
@@ -89,10 +89,14 @@ class Triad(Record):
     __slots__ = ("ab", "cd", "ef", "sum_case")
 
     def __init__(self, ab: Slope, cd: Slope, ef: Slope, sum_case: str):
-        object.__setattr__(self, "ab", ab)
-        object.__setattr__(self, "cd", cd)
-        object.__setattr__(self, "ef", ef)
-        object.__setattr__(self, "sum_case", sum_case)
+        _set_ab(self, ab)
+        _set_cd(self, cd)
+        _set_ef(self, ef)
+        _set_sum_case(self, sum_case)
+
+
+_set_ab, _set_cd, _set_ef, _set_sum_case = (
+    Triad.ab.__set__, Triad.cd.__set__, Triad.ef.__set__, Triad.sum_case.__set__)
 
 
 def triad(s: Slope) -> Triad:
@@ -109,9 +113,9 @@ def triad(s: Slope) -> Triad:
     increase (every tail coefficient is >= 2), so 0 < q_{n-1} < q_n = q;
     d is the one residue of (-p)^-1 mod q in that range.
     """
-    if s.is_infinite or s.is_integer:
-        raise SlopeError(f"no triad for integer or infinite slope {s}")
     p, q = s.p, s.q
+    if q <= 1:
+        raise SlopeError(f"no triad for integer or infinite slope {s}")
     d = pow(-p, -1, q)
     c = (1 + p * d) // q
     a, b = p - c, q - d

@@ -123,9 +123,9 @@ def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
         n = b // 2
         if a % 2 != 0:
             m2 = a  # odd twist region, 2m+1 crossings
-            if not s.is_infinite and s.is_integer and s.p == 4 * n - 1:
+            if s.is_integer and s.p == 4 * n - 1:
                 out.append((canonical(TwoBridge(2, m2), ds), reduce(4 * n - 1, n)))
-            if not s.is_infinite and s.is_integer and s.p == 4 * n + 1:
+            if s.is_integer and s.p == 4 * n + 1:
                 out.append((canonical(TwoBridge(-2, m2), ds), reduce(-(4 * n + 1), n)))
         else:
             m2 = a  # even twist region, 2m crossings
@@ -152,7 +152,7 @@ def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
             if s.p == k.p * k.q + eps:
                 out.append((k.companion, reduce(s.p, k.q * k.q)))
     # ... matches the corresponding fractional surgery on the companion
-    if not s.is_infinite and s.q >= 4:
+    if s.q >= 4:
         q = math.isqrt(s.q)
         if q * q == s.q:
             for eps in (-1, 1):

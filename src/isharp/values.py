@@ -22,10 +22,13 @@ fields (a knot expression's canonical text, a bundle's (nu, r0) pairs)
 that equality, hashing, repr, replace and pickling never see, and that
 is never a constructor argument.  Each record writes its own __init__, so
 its checks read as plain code and its constructor costs no more than the
-field stores.  Records live here, in the lowest layer, because every CLI
-call imports this module anyway: the class-generating machinery of
-`dataclasses` (which pulls in `inspect`, `ast` and `dis`) cost about a
-quarter of a short call's start-up.
+field stores.  The records a slope sweep builds for every slope (Slope,
+Triad, DimResult) store their fields through the slots' own descriptors,
+bound once per module, which costs less than object.__setattr__.  Records
+live here, in the lowest layer, because every CLI call imports this
+module anyway: the class-generating machinery of `dataclasses` (which
+pulls in `inspect`, `ast` and `dis`) cost about a quarter of a short
+call's start-up.
 
 Slope, the reduced surgery coefficient p/q, with reduce and parse_slope,
 and the record-file errors DatasetError and IntegrityError live here
@@ -33,7 +36,7 @@ too, so a `dim` call skips the continued fractions of `slopes`, and the
 CLI maps exit codes without compiling the loader.
 """
 
-import math
+from math import gcd
 from operator import attrgetter
 
 
@@ -45,10 +48,12 @@ class Record:
     under the same names and in the same order; replace, pickling and
     copying rebuild records through __init__, so they re-run its checks
     and recompute every derived slot.  __init__ stores the fields with
-    _fill, since ordinary assignment raises; the records built in bulk
-    while deducing or sweeping slopes (Val, Slope, Triad, DimResult,
-    StructuralData, the knot expressions and TraceEntry) store them with
-    object.__setattr__, which skips _fill's extra call and loop.
+    _fill, since ordinary assignment raises.  The records built in bulk
+    skip _fill's extra call and loop.  Those a slope sweep builds for
+    every slope (Slope, Triad, DimResult) call their slots' descriptors,
+    bound once at module level (_set_p = Slope.p.__set__), so they no
+    longer use object.__setattr__; those built while deducing (Val,
+    StructuralData, the knot expressions and TraceEntry) still do.
     """
 
     __slots__ = ()
@@ -174,8 +179,12 @@ class Val(Record):
         constraint; None when it is unbounded or admits more than limit."""
         if self.lo is None or self.hi is None:
             return None
-        ints = range(self.lo, self.hi + 1, 1 if self.parity is None else 2)
-        return list(ints) if len(ints) <= limit else None
+        step = 1 if self.parity is None else 2
+        # counted before the range is built: len() of a range longer than
+        # sys.maxsize raises OverflowError
+        if self.hi - self.lo >= limit * step:
+            return None
+        return list(range(self.lo, self.hi + 1, step))
 
     def __add__(self, other: "Val") -> "Val":
         lo = None if self.lo is None or other.lo is None else self.lo + other.lo
@@ -241,12 +250,12 @@ class Slope(Record):
     __slots__ = ("p", "q")
 
     def __init__(self, p: int, q: int):
-        if q < 0 or math.gcd(abs(p), q) != 1:
+        if q < 0 or gcd(p, q) != 1:
             raise SlopeError(f"not a reduced slope: {p}/{q}")
         if q == 0 and p != 1:
             raise SlopeError(f"infinite slope must be 1/0, got {p}/0")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _set_p(self, p)
+        _set_q(self, q)
 
     @property
     def is_infinite(self) -> bool:
@@ -265,6 +274,7 @@ class Slope(Record):
         return "inf" if self.is_infinite else f"{self.p}/{self.q}"
 
 
+_set_p, _set_q = Slope.p.__set__, Slope.q.__set__
 INFINITY = Slope(1, 0)
 
 
@@ -272,7 +282,7 @@ def reduce(p: int, q: int) -> Slope:
     """Canonical reduced slope for an arbitrary integer pair (p, q) != (0, 0)."""
     if p == 0 and q == 0:
         raise SlopeError("0/0 is not a slope")
-    g = math.gcd(abs(p), abs(q))
+    g = gcd(p, q)
     p, q = p // g, q // g
     if q < 0:
         p, q = -p, -q

@@ -317,6 +317,20 @@ def test_r14_gives_r0_the_parity_of_an_inexact_nu(tmp_path):
     assert bundle["r0"] == {"lo": 1, "hi": None, "parity": 1}
 
 
+def test_a_wide_stored_r0_gives_an_interval_at_a_huge_slope(tmp_path):
+    # r0 in [7, 201] takes the interval branch; at q = 10^19 the interval
+    # holds more than sys.maxsize dimensions, which once overflowed
+    wide_r0 = {"lo": 7, "hi": 201, "parity": 1}
+    data = _edited_copy(tmp_path, "KNOT", "10_139",
+                        lambda line: line["payload"]["instanton"].update(r0=wide_r0))
+    q = 10 ** 19
+    code, out, err = run_cli("--data", data, "dim", f"surg(10_139; 1/{q})")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"euler": 1, "kind": "interval", "lo": 7 * q + 7 * q - 1,
+                               "hi": 201 * q + 7 * q - 1, "parity": 1,
+                               "manifold": f"surg(10_139; 1/{q})"}
+
+
 def test_identities_of_an_unknown_name_exit_1():
     # like dcover, dim and invariants, not an empty list
     for argv in (("identities", "99_1", "1"), ("invariants", "99_1"),

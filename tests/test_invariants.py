@@ -3,7 +3,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isharp import datasets, invariants, knots
@@ -172,6 +172,22 @@ def test_r14_rounds_tau_inward_to_integers():
             b = bundle(text, ds, use_stored=use_stored)
             assert b.tau == (tau if use_stored else Val()), (text, use_stored)
             assert sl_upper_bound(parse_knot(text), ds) == (None, False)
+
+
+def test_r14_bounds_nu_by_any_upper_bound_on_r0():
+    # |nu| <= r0 <= 3 gives nu in [-3, 3], tau in [-2, 2] and delta <= 6
+    b = _Draft("K")
+    b.r0 = Val(0, 3)
+    _tighten(b, Val())
+    frozen = b.freeze()
+    assert (frozen.nu, frozen.tau, frozen.delta) == (Val(-3, 3), Val(-2, 2), Val(0, 6, 0))
+    ds = _with_knot_rows({"9_97": {"r0": {"lo": 0, "hi": 3}}})
+    for text, use_stored in (("9_97", True), ("m(9_97)", True), ("9_97", False)):
+        out = bundle(text, ds, use_stored=use_stored).to_json()
+        want = ({"nu": {"lo": -3, "hi": 3}, "tau": {"lo": -2, "hi": 2},
+                 "delta": {"lo": 0, "hi": 6, "parity": 0}} if use_stored
+                else {"nu": None, "tau": None, "delta": {"lo": 0, "hi": None, "parity": 0}})
+        assert {f: out[f] for f in want} == want, (text, use_stored)
 
 
 def test_lspace_knot_invariants(ds):
@@ -358,6 +374,8 @@ def _r14_triples(nu, tau, r0, shape, g_s):
 
 @given(_vals(), _vals(), _vals(-2, 9), st.sampled_from(["unknown", "V", "W"]),
        _vals(0, 4, parity=False))
+# |nu| <= r0 <= 2 and tau odd pin nu = 2, so r0 >= |nu| must run again
+@example(Val(-1, None), Val(None, None, 1), Val(0, 2, 0), "unknown", Val(0, None))
 @settings(max_examples=600, deadline=None)
 def test_r14_reaches_its_fixed_point_in_one_sound_pass(nu, tau, r0, shape, g_s):
     b = _Draft("K")

@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 from isharp import datasets
 from isharp.invariants import Bundle, deduce
 from isharp.knots import parse_knot
-from isharp.slopes import Slope
+from isharp.slopes import INFINITY, Slope
 from isharp.dimension import (DimensionError, DimResult, _abs_range, _formula_dim,
                               _require_bounded)
 from isharp.surgery import triad_bounds
 from isharp.values import Inconsistency, Val
+from test_slopes import uniform_slopes
 
 # wider than every finite bound the strategies below produce
 WINDOW = range(0, 500)
@@ -177,6 +178,14 @@ def test_val_candidates_lists_every_admitted_integer(lo, hi, parity, limit):
     assert all(type(n) is int for n in got or ())
 
 
+def test_val_candidates_of_a_state_wider_than_sys_maxsize():
+    # len() of such a range raises OverflowError, so candidates counts first
+    for v in (Val(0, 10 ** 20), Val(-10 ** 40, 10 ** 40, 1)):
+        assert v.candidates(64) is None
+    assert Val(10 ** 40, 10 ** 40 + 4, 0).candidates(3) == [10 ** 40, 10 ** 40 + 2, 10 ** 40 + 4]
+    assert DimResult.of_interval(1, 10 ** 40, 1).kind == "interval"
+
+
 DS = datasets.load(check=False)
 PRESENTATIONS = sorted({*DS.knot_names(), *DS.aliases})
 knot_texts = st.recursive(
@@ -301,6 +310,51 @@ def test_pairs_enumeration_equals_the_nested_loops(nu, r0, p, q):
     assume(math.gcd(abs(p), q) == 1)
     b = Bundle("K", nu=nu, r0=r0)
     assert _outcome(_formula_dim, b, Slope(p, q)) == _outcome(_nested_formula_dim, b, Slope(p, q))
+
+
+def _closed_form_reference(b: Bundle, s: Slope) -> DimResult:
+    """The closed form with no exact path: the set of its values over the
+    bundle's (nu, r0) pairs, or else its least and greatest value over
+    every admitted nu with r0 at its ends."""
+    p, q = s.p, s.q
+    if b.pairs:
+        return DimResult.of_candidates({q * r + abs(p - q * n) for n, r in b.pairs}, p)
+    for what, val in (("nu", b.nu), ("r0", b.r0)):
+        if val.lo is None or val.hi is None:
+            raise DimensionError(f"{what} of {b.knot} is not determined: {val}")
+    ends = [abs(p - q * n) for n in range(b.nu.lo, b.nu.hi + 1) if b.nu.contains(n)]
+    return DimResult.of_interval(q * b.r0.lo + min(ends), q * b.r0.hi + max(ends), p)
+
+
+@st.composite
+def one_pair_bundles(draw):
+    n = draw(st.integers(-60, 60))
+    return Bundle("K", nu=Val.exact(n), r0=Val.exact(abs(n) + 2 * draw(st.integers(0, 30))))
+
+
+closed_form_slopes = (st.sampled_from([Slope(0, 1), INFINITY])
+                      | st.integers(-10 ** 40, 10 ** 40).map(lambda p: Slope(p, 1))
+                      | uniform_slopes(st.integers(1, 40)))
+
+
+@given(one_pair_bundles()
+       | st.builds(lambda nu, r0: Bundle("K", nu=nu, r0=r0), lattice_states(), lattice_states()),
+       closed_form_slopes)
+# one pair, three pairs, intervals only (403 pairs), r0 unbounded
+@example(Bundle("K", nu=Val.exact(3), r0=Val(1, 3, 1)), Slope(10 ** 40 + 1, 10 ** 40))
+@example(Bundle("K", nu=Val.exact(1), r0=Val(1, 5, 1)), INFINITY)
+@example(Bundle("K", nu=Val(0, 12), r0=Val(0, 30)), Slope(0, 1))
+@example(Bundle("K", nu=Val(0, 12), r0=Val(0, None)), Slope(7, 2))
+@settings(max_examples=500, deadline=None)
+def test_fast_exact_path_is_the_closed_form(b, s):
+    assert _outcome(_formula_dim, b, s) == _outcome(_closed_form_reference, b, s)
+
+
+@given(st.integers(-10 ** 40, 10 ** 40) | st.integers(-20, 20),
+       st.integers(-10 ** 40, 10 ** 40) | st.integers(-20, 20))
+@settings(max_examples=300, deadline=None)
+def test_exact_is_one_candidate(d, euler):
+    assert _outcome(DimResult.exact, d, euler) == _outcome(DimResult.of_candidates, (d,), euler)
 
 
 def test_bundle_pairs_respect_the_caps():

@@ -115,6 +115,23 @@ def test_triad_rejects_integers_and_infinity():
         triad(INFINITY)
 
 
+def test_slope_checks_keep_their_messages():
+    for (p, q), message in (((2, 4), "not a reduced slope: 2/4"),
+                            ((1, -1), "not a reduced slope: 1/-1"),
+                            ((3, 0), "not a reduced slope: 3/0"),
+                            ((-1, 0), "infinite slope must be 1/0, got -1/0")):
+        with pytest.raises(SlopeError) as e:
+            Slope(p, q)
+        assert str(e.value) == message
+    for s in (Slope(3, 1), INFINITY):
+        with pytest.raises(SlopeError) as e:
+            triad(s)
+        assert str(e.value) == f"no triad for integer or infinite slope {s}"
+    with pytest.raises(SlopeError) as e:
+        neg_cf(INFINITY)
+    assert str(e.value) == "no continued fraction for the infinite slope"
+
+
 def check_triad_identities(s: Slope, t: Triad) -> None:
     a, b = t.ab.p, t.ab.q
     c, d = t.cd.p, t.cd.q
