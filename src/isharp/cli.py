@@ -80,8 +80,9 @@ def emit(obj, pretty: bool):
 
 
 # The command table: name -> (help, positionals, flags); the command runs
-# in cmd_<name>.  A positional is (dest, argparse keywords: type, nargs,
-# default, choices, help); a flag is a store_true option without help.
+# in cmd_<name>.  A positional is (dest, argparse keywords: nargs,
+# default, choices, help), and its value stays text, which the command
+# parses; a flag is a store_true option without help.
 # _match reads argv straight against it, and cli_text.build_parser turns
 # each row into a subparser.
 COMMANDS = {
@@ -93,7 +94,7 @@ COMMANDS = {
     "triad": ("surgery triad of a slope", (("slope", {}),), ()),
     "cf": ("negative continued fraction of a slope", (("slope", {}),), ()),
     "cable": ("is the (p,q)-cable an instanton L-space knot",
-              (("p", {"type": int}), ("q", {"type": int}), ("knot", {})), ()),
+              (("p", {}), ("q", {}), ("knot", {})), ()),
     "sum": ("invariants of a connected sum", (("knots", {"nargs": "+"}),), ("--trace",)),
     "census": ("census manifold dimension", (("index", {"help": "0..19 or 'all'"}),), ()),
     "dcover": ("branched double cover dimension", (("knot", {}),), ()),
@@ -152,11 +153,6 @@ def _match(argv):
             value = values.pop(0)
         else:
             return None
-        if "type" in kw:
-            try:
-                value = kw["type"](value)
-            except ValueError:
-                return None
         if "choices" in kw and value not in kw["choices"]:
             return None
         ns[dest] = value

@@ -2,13 +2,14 @@
 knot, its genus, and its nu and r0 when it is."""
 
 from .invariants import deduce, lspace_cable
-from .knots import format_knot, genus, make_cable, parse_knot
+from .knots import format_knot, genus, make_cable, parse_integer, parse_knot
 
 
 def run(args, ds, emit):
+    p, q = parse_integer(args.p), parse_integer(args.q)
     k = parse_knot(args.knot)
-    cable = make_cable(args.p, args.q, k)
-    status = lspace_cable(args.p, args.q, k, ds)
+    cable = make_cable(p, q, k)
+    status = lspace_cable(p, q, k, ds)
     out = {"cable": format_knot(cable),
            "lspace": status,
            "genus": genus(cable, ds).to_json()}

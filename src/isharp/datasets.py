@@ -6,7 +6,8 @@ The record file is UTF-8 JSON lines, one object per line, with fields
 {schema_version, table, key, payload, citation}.  Tables T1-T8 mirror the
 published computations this library reproduces; KNOT rows hold structural
 data per knot, and ALIAS rows hold the registered family identifications.
-A malformed row raises DatasetError while the file loads.
+A malformed row raises DatasetError while the file loads.  A T8 row may
+cite census(j) only for j below its own index, so that no route cycles.
 
 The alias registry (Dataset.aliases) maps each code, such as "T(3,5)" or
 "P(-2,3,7)", to the knot it presents; here the codes stay opaque text.
@@ -21,9 +22,9 @@ above it, from knots up to cli, takes the loaded Dataset as an argument.
 import json
 import os
 
-# the errors are defined in values, so the CLI maps exit codes without
-# compiling the loader; they are re-exported here
-from .values import DatasetError, IntegrityError, Record, Val
+# DatasetError is defined in values, so the CLI maps exit codes without
+# compiling the loader
+from .values import DatasetError, Record, Val
 
 SCHEMA_VERSION = 1
 KNOWN_TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "KNOT", "ALIAS")

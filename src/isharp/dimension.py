@@ -91,13 +91,12 @@ def parse_manifold(text: str) -> ManifoldDesc:
                  if text.startswith(h + "(", ps.pos)), None)
     if head is None:
         raise ValueError(f"cannot parse manifold description {text.strip()!r}")
-    ps.expect(head)
+    ps.expect(head + "(")
     if head == "lens":
         m = Lens(*ps.int_args(2))
     elif head == "census":
         m = Census(*ps.int_args(1))
     else:
-        ps.expect("(")
         knot = ps.sum_expr()
         if head == "dcover":
             m = BranchedCover(knot)

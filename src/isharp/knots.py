@@ -21,6 +21,11 @@ its knot records hold; it combines those records with the family
 formulas of every registered presentation of the knot.  Every function
 that reads the tables takes the Dataset as its ds argument.
 
+The grammar, _Parser (which dimension.parse_manifold extends), reads its
+input in place, by position, so a parse is linear in its length; the
+family atoms are one table, _FAMILIES, and every integer is read
+through values.INTEGER.
+
 Chirality follows the Rolfsen / Knot Atlas tables: 3_1 is the left-handed
 trefoil, and the signature of the right-handed trefoil is -2.
 """
@@ -31,7 +36,7 @@ import re
 from collections import Counter
 
 from .datasets import FLAG_NAMES, NO_FLAGS, StructuralData, make_flags
-from .values import DatasetError, Record, Val
+from .values import INTEGER, DatasetError, Record, Val
 
 
 class KnotError(ValueError):
@@ -202,6 +207,11 @@ def make_sum(summands: list[KnotExpr]) -> KnotExpr:
 
 _NAME_RE = re.compile(r"[0-9]+_[0-9]+|K[0-9]+[an][0-9]+|k[0-9]+_[0-9]+")
 
+# the family atoms: the head, the constructor its integer arguments are
+# passed to, and how many it takes
+_FAMILIES = (("Tw(", Twist, 1), ("TB(", TwoBridge, 2), ("T(", make_torus, 2),
+             ("P(", Pretzel, 3))
+
 # Deepest accepted nesting of m(...) and Cab(...) together.  The parser,
 # mirror() and the deduction engine all recurse once per level, and a
 # cable chain 100 deep still answers within the interpreter's default
@@ -235,25 +245,31 @@ class _Parser:
 
     def integer(self) -> int:
         self.skip_ws()
-        m = re.match(r"[+-]?[0-9]+", self.text[self.pos:])
+        m = INTEGER.match(self.text, self.pos)
         if not m:
             self.error("expected an integer")
-        self.pos += m.end()
+        self.pos = m.end()
         return int(m.group())
 
-    def int_args(self, n: int) -> list[int]:
-        self.expect("(")
+    def int_args(self, n: int, close: str = ")") -> list[int]:
+        """n integers after an opening "(", with "," between them and close
+        after them."""
         args = [self.integer()]
         for _ in range(n - 1):
             self.expect(",")
             args.append(self.integer())
-        self.expect(")")
+        self.expect(close)
         return args
 
-    def enter(self):
+    def nested(self) -> KnotExpr:
+        """The expression that m(...) or Cab(...;...) encloses, and its ")"."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.error(f"nesting deeper than {MAX_NESTING}")
+        inner = self.sum_expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
 
     def token(self) -> str:
         """The text up to the next ';' or ')', stripped."""
@@ -281,52 +297,35 @@ class _Parser:
 
     def atom_expr(self) -> KnotExpr:
         self.skip_ws()
-        rest = self.text[self.pos:]
-        if rest.startswith("m("):
-            self.pos += 1
-            self.expect("(")
-            self.enter()
-            inner = self.sum_expr()
-            self.expect(")")
-            self.depth -= 1
-            return mirror(inner)
-        if rest.startswith("Cab("):
-            self.pos += 3
-            self.expect("(")
-            p = self.integer()
-            self.expect(",")
-            q = self.integer()
-            self.expect(";")
-            self.enter()
-            companion = self.sum_expr()
-            self.expect(")")
-            self.depth -= 1
-            return make_cable(p, q, companion)
-        if rest.startswith("Tw("):
+        text, pos = self.text, self.pos
+        if text.startswith("m(", pos):
             self.pos += 2
-            (n,) = self.int_args(1)
-            return Twist(n)
-        if rest.startswith("TB("):
-            self.pos += 2
-            a, b = self.int_args(2)
-            return TwoBridge(a, b)
-        if rest.startswith("T("):
-            self.pos += 1
-            p, q = self.int_args(2)
-            return make_torus(p, q)
-        if rest.startswith("P("):
-            self.pos += 1
-            a, b, c = self.int_args(3)
-            return Pretzel(a, b, c)
-        if rest.startswith("U") and not _NAME_RE.match(rest):
+            return mirror(self.nested())
+        if text.startswith("Cab(", pos):
+            self.pos += 4
+            p, q = self.int_args(2, ";")
+            return make_cable(p, q, self.nested())
+        for head, build, arity in _FAMILIES:
+            if text.startswith(head, pos):
+                self.pos += len(head)
+                return build(*self.int_args(arity))
+        if text.startswith("U", pos):  # no table name starts with U
             self.pos += 1
             return Unknot()
-        m = _NAME_RE.match(rest)
+        m = _NAME_RE.match(text, pos)
         if m:
-            self.pos += m.end()
+            self.pos = m.end()
             name = m.group()
             return Unknot() if name == "0_1" else Named(name)
         self.error("expected a knot expression")
+
+
+def parse_integer(text: str) -> int:
+    """One integer of the grammar: the P and Q of `isharp cable P Q K`."""
+    ps = _Parser(text)
+    n = ps.integer()
+    ps.end()
+    return n
 
 
 def parse_knot(text: str) -> KnotExpr:

@@ -3,8 +3,8 @@ surgery-triad construction.
 
 Slopes are reduced pairs p/q with q >= 1, plus the single infinite slope
 1/0.  That core (Slope, SlopeError, INFINITY, reduce and parse_slope) is
-defined in values, which every call compiles anyway, and re-exported
-here; of the CLI commands only `cf` and `triad` compile this module.
+defined in values, which every call compiles anyway; of the CLI
+commands only `cf` and `triad` compile this module.
 Continued fractions here are the *negative* expansions
 
     [a0, a1, ..., an] = a0 - 1/(a1 - 1/(... - 1/an))
@@ -20,8 +20,7 @@ build the surgery triad from one modular inverse instead of the whole
 expansion.
 """
 
-# the slope core is defined in values and re-exported here
-from .values import INFINITY, Record, Slope, SlopeError, parse_slope, reduce
+from .values import Record, Slope, SlopeError, reduce
 
 
 # Longest negative continued fraction neg_cf writes out.  The expansion

@@ -7,16 +7,14 @@ and manifold_dim extends dimension.manifold_dim to census(i).  The
 identities re-describe one surgery as another, and verify_identity
 compares their dimensions.  The closed form, lens spaces and branched
 covers live one layer down, in dimension, which a `dim` call on a
-surgery compiles without this module; their names are re-exported here.
+surgery compiles without this module.
 """
 
 import math
 
 from . import dimension
-# re-exported: the closed-form names are defined in dimension
-from .dimension import (BranchedCover, Census, DimensionError, DimResult, Lens,
-                        ManifoldDesc, Surgery, _parse_cell, branched_cover_dim, lens_dim,
-                        parse_manifold, surgery_dim, zero_surgery_dim)
+from .dimension import (BranchedCover, Census, DimensionError, DimResult, Surgery,
+                        _parse_cell, branched_cover_dim, parse_manifold, surgery_dim)
 from .knots import (Cable, KnotExpr, Pretzel, Twist, TwoBridge, _pretzel_n33,
                     _two_bridge_from_twist, canonical, equivalent_atoms, format_knot,
                     make_cable, parse_knot)
@@ -53,15 +51,19 @@ def census_routes(index: int, ds) -> list[tuple[str, str, DimResult]]:
         out.append(("T7", str(desc), branched_cover_dim(desc.knot, ds)))
     t8 = ds.table("T8").get(str(index))
     if t8 is not None:
-        parts = [manifold_dim(_parse_cell(f"T8 row {index}", parse_manifold, c["desc"]), ds)
-                 for c in t8.payload["components"]]
-        computed = triad_bounds(parts[0], parts[1], t8.payload["h1"])
+        where = f"T8 row {index}"
+        parts = [_parse_cell(where, parse_manifold, c["desc"]) for c in t8.payload["components"]]
+        for m in parts:  # an earlier census manifold only, so that no route cycles
+            if isinstance(m, Census) and m.index >= index:
+                raise IntegrityError(f"{where}: component {m} does not come before "
+                                     f"census({index})")
+        computed = triad_bounds(*(manifold_dim(m, ds) for m in parts), t8.payload["h1"])
         label = " / ".join(c["desc"] for c in t8.payload["components"])
         out.append(("T8", f"triad({label})", computed))
     return out
 
 
-def manifold_dim(m: ManifoldDesc, ds) -> DimResult:
+def manifold_dim(m: dimension.ManifoldDesc, ds) -> DimResult:
     """dimension.manifold_dim, and census(i) through census_dim."""
     if isinstance(m, Census):
         return census_dim(m.index, ds)

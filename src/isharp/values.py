@@ -31,11 +31,14 @@ pulls in `inspect`, `ast` and `dis`) cost about a quarter of a short
 call's start-up.
 
 Slope, the reduced surgery coefficient p/q, with reduce and parse_slope,
-and the record-file errors DatasetError and IntegrityError live here
-too, so a `dim` call skips the continued fractions of `slopes`, and the
-CLI maps exit codes without compiling the loader.
+the record-file errors DatasetError and IntegrityError, and INTEGER, the
+one lexeme (a sign and ASCII digits) every integer in isharp's text is
+read through, live here too, so a `dim` call skips the continued
+fractions of `slopes`, and the CLI maps exit codes without compiling
+the loader.
 """
 
+import re
 from math import gcd
 from operator import attrgetter
 
@@ -232,6 +235,9 @@ class Val(Record):
         return out
 
 
+INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 class DatasetError(ValueError):
     """Parse failure or integrity violation in a record file."""
 
@@ -290,21 +296,17 @@ def reduce(p: int, q: int) -> Slope:
 
 
 def parse_slope(text: str) -> Slope:
-    """Parse "p/q", a bare integer, or "inf".  Text that is not ASCII or
-    holds "_" is rejected: int() alone would read "_" separators and
-    non-ASCII digits, which the knot grammar does not."""
+    """Parse "p/q", a bare integer, or "inf"; p and q are INTEGER
+    lexemes.  The text may begin and end with any whitespace, and ASCII
+    blanks may stand around the "/"."""
     text = text.strip()
-    if text in ("inf", "1/0"):
+    if text == "inf":
         return INFINITY
-    if not text.isascii() or "_" in text:
+    num, slash, den = text.partition("/")
+    num, den = num.rstrip(" \t\n\r\v\f"), den.lstrip(" \t\n\r\v\f")
+    if not INTEGER.fullmatch(num) or slash and not INTEGER.fullmatch(den):
         raise SlopeError(f"bad slope {text!r}")
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return reduce(int(num), int(den))
-        except ValueError as e:
-            raise SlopeError(f"bad slope {text!r}: {e}") from None
     try:
-        return Slope(int(text), 1)
-    except ValueError:
-        raise SlopeError(f"bad slope {text!r}") from None
+        return reduce(int(num), int(den) if slash else 1)
+    except SlopeError as e:  # 0/0, or a negative infinite slope
+        raise SlopeError(f"bad slope {text!r}: {e}") from None

@@ -10,8 +10,10 @@ import pytest
 from isharp import datasets
 from isharp.invariants import deduce
 from isharp.knots import Pretzel, Twist, mirror, parse_knot
-from isharp.slopes import Slope, eval_cf, neg_cf, reduce, triad
-from isharp.surgery import surgery_dim, verify_identity
+from isharp.dimension import surgery_dim
+from isharp.slopes import eval_cf, neg_cf, triad
+from isharp.surgery import verify_identity
+from isharp.values import Slope, reduce
 from isharp.verify import (
     check_census,
     check_identities,

@@ -127,6 +127,28 @@ def test_cable_answers_for_the_knot_the_cable_is():
     assert code == 1 and err.startswith("error: cable needs q >= 2")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1_0", "trailing input at position 1 in '1_0'"),
+    ("\u0661\u0660", "expected an integer at position 0 in '\u0661\u0660'"),  # Arabic-Indic 10
+    ("x", "expected an integer at position 0 in 'x'"),
+    ("3_", "trailing input at position 1 in '3_'"),
+])
+def test_cable_reads_p_and_q_as_the_knot_grammar_does(text, message, capsys):
+    for argv in (["cable", text, "3", "m(3_1)"], ["cable", "3", text, "m(3_1)"]):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+
+
+def test_cable_p_and_q_take_a_sign_and_blanks(capsys):
+    for argv in (["cable", "+3", "2", "m(3_1)"], ["cable", " 3 ", "2", "m(3_1)"],
+                 ["cable", "3", "+2", "m(3_1)"], ["cable", "3", " 2 ", "m(3_1)"]):
+        assert cli.main(argv) == 0, argv
+        assert json.loads(capsys.readouterr().out)["cable"] == "Cab(3,2;m(3_1))", argv
+    assert cli.main(["cable", "--", "-3", "2", "m(3_1)"]) == 0
+    assert json.loads(capsys.readouterr().out)["cable"] == "Cab(-3,2;m(3_1))"
+
+
 def test_exit_codes():
     code, _, err = run_cli("invariants", "99_42")
     assert code == 1 and "error" in err
@@ -163,7 +185,7 @@ def test_pretty_mode():
 
 def test_data_override(tmp_path):
     from isharp import datasets
-    ds = datasets.load(check=False)
+    ds = datasets.load()
     alt = tmp_path / "alt.jsonl"
     ds.save(str(alt))
     code, out, _ = run_cli("--data", str(alt), "dim", "surg(3_1; -5/1)")
@@ -182,7 +204,7 @@ def _edited_copy(tmp_path, table, key, edit):
     one row."""
     from isharp import datasets
     lines = []
-    for e in datasets.load(check=False).entries:
+    for e in datasets.load().entries:
         line = json.loads(e.to_json_line())
         if (e.table, e.key) == (table, key):
             edit(line)
@@ -198,6 +220,10 @@ def test_malformed_record_exits_3(tmp_path):
     assert code == 3 and out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("integrity error: line ")
+
+
+def _set_component_desc(line, desc):
+    line["payload"]["components"][1]["desc"] = desc
 
 
 @pytest.mark.parametrize("table, key, edit, argv, message", [
@@ -228,14 +254,15 @@ def test_malformed_record_exits_3(tmp_path):
     ("KNOT", "10_124", lambda line: line["payload"].update(sigma2="census(3)"),
      ("dim", "dcover(10_124)"),
      "knot record 10_124: sigma2 census(3) is not a surgery, lens or cover description"),
+    # a T8 route may cite only an earlier census manifold, or census_dim
+    # would call itself for ever
+    *[("T8", "2", lambda line: _set_component_desc(line, "census(2)"), argv,
+       "T8 row 2: component census(2) does not come before census(2)")
+      for argv in (("dim", "census(2)"), ("census", "2"), ("verify", "T8"), ("export", "T8"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
     assert (code, out, err) == (3, "", f"integrity error: {message}\n")
-
-
-def _set_component_desc(line, desc):
-    line["payload"]["components"][1]["desc"] = desc
 
 
 @pytest.mark.parametrize("table, key, edit, argvs, message", [
@@ -353,7 +380,7 @@ def _tampered_copy(tmp_path):
     from isharp import datasets
     from isharp.datasets import Dataset, TableEntry
     entries = []
-    for e in datasets.load(check=False).entries:
+    for e in datasets.load().entries:
         payload = dict(e.payload)
         if (e.table, e.key) == ("T2", "5"):
             payload["dim"] = 7

@@ -5,12 +5,13 @@ import pytest
 
 from isharp import datasets
 from isharp.cmd_export import export_tsv
-from isharp.datasets import Dataset, DatasetError, TableEntry, parse_record_line
+from isharp.datasets import Dataset, TableEntry, parse_record_line
+from isharp.values import DatasetError
 
 
 @pytest.fixture(scope="module")
 def ds():
-    return datasets.load(check=False)
+    return datasets.load()
 
 
 def test_bundled_dataset_loads_clean():
@@ -146,7 +147,7 @@ def test_serialization_roundtrip(tmp_path, ds):
     ds.save(str(out))
     bundled = resources.files("isharp").joinpath("data/tables.jsonl").read_bytes()
     assert out.read_bytes() == bundled
-    again = datasets.load(str(out), check=False)
+    again = datasets.load(str(out))
     assert len(again.entries) == len(ds.entries)
     assert [e.to_json_line() for e in again.entries] == \
            [e.to_json_line() for e in ds.entries]
@@ -168,7 +169,7 @@ def test_env_var_override(tmp_path, monkeypatch, ds):
     out = tmp_path / "alt.jsonl"
     ds.save(str(out))
     monkeypatch.setenv(datasets.ENV_DATA_PATH, str(out))
-    alt = datasets.load(check=False)
+    alt = datasets.load()
     assert len(alt.entries) == len(ds.entries)
 
 

@@ -14,7 +14,7 @@ from isharp.values import Inconsistency, Val
 
 @pytest.fixture(scope="module")
 def ds():
-    return datasets.load(check=False)
+    return datasets.load()
 
 
 def bundle(text, ds, **kw):
@@ -98,7 +98,7 @@ def test_deduce_hands_out_an_immutable_bundle(ds):
     with pytest.raises(AttributeError):
         b.trace.append(b.trace[0])
     assert bundle("m(5_2) # 8_19", ds) is b  # the cached bundle
-    fresh = deduce(parse_knot("m(5_2) # 8_19"), datasets.load(check=False))
+    fresh = deduce(parse_knot("m(5_2) # 8_19"), datasets.load())
     assert fresh is not b and fresh == b and fresh.to_json() == b.to_json()
 
 
@@ -108,7 +108,7 @@ def test_inconsistent_input_raises(ds):
     # pretend the table said nu = -5: the torus rule must then contradict it
     from isharp.datasets import InstantonFields
     bad = bad.replace(instanton=InstantonFields(nu=Val.exact(-5)))
-    ds2 = datasets.load(check=False)
+    ds2 = datasets.load()
     ds2._knots["8_19"] = bad
     with pytest.raises(Inconsistency):
         deduce(parse_knot("8_19"), ds2)
@@ -157,7 +157,7 @@ def _with_knot_rows(instanton: dict):
     only the stored invariants given for it."""
     rows = [datasets.TableEntry("KNOT", name, {"instanton": inv}, "test")
             for name, inv in instanton.items()]
-    return datasets.Dataset([*datasets.load(check=False).entries, *rows])
+    return datasets.Dataset([*datasets.load().entries, *rows])
 
 
 def test_r14_rounds_tau_inward_to_integers():
@@ -198,7 +198,7 @@ def test_lspace_knot_invariants(ds):
 
 
 def test_cold_cable_chain_checks_each_layer_once(monkeypatch):
-    ds = datasets.load(check=False)  # empty caches
+    ds = datasets.load()  # empty caches
     text = "T(2,3)"
     for _ in range(32):
         text = f"Cab(3,2;{text})"
@@ -247,7 +247,7 @@ def test_cold_cable_chain_builds_each_mirror_once(monkeypatch):
     for (depth, lspace), digest in CHAIN_DIGESTS.items():
         built.clear()
         chain = _cable_chain(depth, lspace)
-        b = deduce(parse_knot(chain), datasets.load(check=False))
+        b = deduce(parse_knot(chain), datasets.load())
         # the bundle names the canonical chain; label it as the CLI does
         out = {**b.to_json(), "knot": chain}
         out["trace"] = [t.to_json() for t in b.trace]
@@ -313,7 +313,7 @@ def _ablation_corpus(ds):
 
 
 def _answers(corpus):
-    ds = datasets.load(check=False)  # empty caches
+    ds = datasets.load()  # empty caches
     out = []
     for k in corpus:
         for use_stored in (True, False):

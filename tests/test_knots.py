@@ -35,15 +35,14 @@ from isharp.knots import (
     resolve_atom,
     structural,
 )
-from isharp.slopes import Slope, reduce
-from isharp.surgery import BranchedCover, Census, Lens, Surgery, parse_manifold
-from isharp.values import Inconsistency, Val
+from isharp.dimension import BranchedCover, Census, Lens, Surgery, parse_manifold
+from isharp.values import Inconsistency, Slope, Val, reduce
 from isharp.verify import alexander_zero_surgery_floor
 
 
 @pytest.fixture(scope="module")
 def ds():
-    return datasets.load(check=False)
+    return datasets.load()
 
 
 # --- records ------------------------------------------------------------------
@@ -160,6 +159,23 @@ def test_parse_bounds_nesting_depth():
                  + ")" * (MAX_NESTING + 1)):
         with pytest.raises(KnotError, match="nesting deeper than"):
             parse_knot(text)
+
+
+class _NoSlices(str):
+    """Text that refuses to be sliced: a parser that copies the rest of
+    its input at every atom does work quadratic in the input's length."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            raise AssertionError(f"the grammar sliced its input at {key}")
+        return str.__getitem__(self, key)
+
+
+def test_parse_reads_its_input_in_place():
+    atoms = ["T(2,3)", "Tw(3)", " TB( 2 , 4 )", "P(-2,3,7)", "Cab(3,2;m(3_1))", "U",
+             "K11n118", "m(4_1 # T(-3,5))", "0_1"]
+    text = " # ".join(atoms * 300)
+    assert parse_knot(_NoSlices(text)) == parse_knot(text)
 
 
 def test_mirror_normalization():
@@ -377,7 +393,7 @@ def test_structural_data_is_hashable_and_frozen(ds):
 
 
 def test_cold_deep_cable_builds_each_layer_once(monkeypatch):
-    ds = datasets.load(check=False)  # empty caches
+    ds = datasets.load()  # empty caches
     text = "T(2,3)"
     for _ in range(32):
         text = f"Cab(3,2;{text})"

@@ -20,11 +20,10 @@ from hypothesis import strategies as st
 from isharp import datasets
 from isharp.invariants import Bundle, deduce
 from isharp.knots import parse_knot
-from isharp.slopes import INFINITY, Slope
 from isharp.dimension import (DimensionError, DimResult, _abs_range, _formula_dim,
                               _require_bounded)
 from isharp.surgery import triad_bounds
-from isharp.values import Inconsistency, Val
+from isharp.values import INFINITY, Inconsistency, Slope, Val
 from test_slopes import uniform_slopes
 
 # wider than every finite bound the strategies below produce
@@ -186,7 +185,7 @@ def test_val_candidates_of_a_state_wider_than_sys_maxsize():
     assert DimResult.of_interval(1, 10 ** 40, 1).kind == "interval"
 
 
-DS = datasets.load(check=False)
+DS = datasets.load()
 PRESENTATIONS = sorted({*DS.knot_names(), *DS.aliases})
 knot_texts = st.recursive(
     st.sampled_from(PRESENTATIONS)
@@ -205,7 +204,7 @@ knot_texts = st.recursive(
 def test_deduction_commutes_with_the_mirror(text):
     # R2: nu and tau negate under the mirror; r0, the shape and the pinned
     # mu-bundle dimension are kept
-    fresh = datasets.load(check=False)
+    fresh = datasets.load()
     for use_stored in (True, False):
         b = deduce(parse_knot(text), fresh, use_stored)
         mb = deduce(parse_knot(f"m({text})"), fresh, use_stored)

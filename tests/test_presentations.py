@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 from isharp import datasets, invariants
 from isharp.invariants import deduce, sl_upper_bound
 from isharp.knots import KnotError, canonical, format_knot, mirror, parse_knot, structural
-from isharp.slopes import Slope
-from isharp.surgery import DimensionError, branched_cover_dim, surgery_dim
-from isharp.values import Inconsistency
+from isharp.dimension import DimensionError, branched_cover_dim, surgery_dim
+from isharp.values import Inconsistency, Slope
 
-DS = datasets.load(check=False)
+DS = datasets.load()
 
 
 # (name text, alias code) for every registered code
@@ -92,7 +91,7 @@ def test_sum_answers_ignore_the_order_of_summands(parts, rnd):
     a = parse_knot(" # ".join(texts))
     rnd.shuffle(texts)
     b = parse_knot(" # ".join(texts))
-    fresh = datasets.load(check=False)
+    fresh = datasets.load()
     for use_stored in (True, False):
         assert answers(a, DS, use_stored) == answers(b, fresh, use_stored)
 
@@ -114,7 +113,7 @@ def test_mirror_pairs_across_presentations_are_slice(text):
 def test_double_mirror_and_mirror_answers(texts):
     text = " # ".join(texts)
     k = parse_knot(text)
-    fresh = datasets.load(check=False)
+    fresh = datasets.load()
     for use_stored in (True, False):
         assert answers(parse_knot(f"m(m({text}))"), fresh, use_stored) \
             == answers(k, DS, use_stored)
@@ -143,7 +142,7 @@ UNKNOT_PRESENTATIONS = [
 @pytest.mark.parametrize("text, knot", UNKNOT_PRESENTATIONS)
 def test_unknot_presentations_drop_out(text, knot, use_stored):
     # each text and the knot it presents get one answer, mirrors included
-    fresh = datasets.load(check=False)
+    fresh = datasets.load()
     a, b = parse_knot(text), parse_knot(knot)
     assert canonical(a, DS) == canonical(b, DS)
     for x, y in ((a, b), (mirror(a), mirror(b))):
@@ -166,7 +165,7 @@ def test_presentations_of_one_knot_share_one_deduction(monkeypatch):
         return original(k, ds, use_stored)
 
     monkeypatch.setattr(invariants, "_deduce", counting)
-    fresh = datasets.load(check=False)
+    fresh = datasets.load()
     for use_stored in (True, False):
         first = deduce(parse_knot("T(3,5)"), fresh, use_stored)
         assert deduce(parse_knot("10_124"), fresh, use_stored) is first

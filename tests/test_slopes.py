@@ -1,23 +1,13 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from isharp.slopes import (
-    INFINITY,
-    MAX_CF_TERMS,
-    Slope,
-    SlopeError,
-    Triad,
-    eval_cf,
-    format_cf,
-    neg_cf,
-    parse_slope,
-    reduce,
-    triad,
-)
+from isharp.slopes import MAX_CF_TERMS, Triad, eval_cf, format_cf, neg_cf, triad
+from isharp.values import INFINITY, Slope, SlopeError, parse_slope, reduce
 
 
 def test_reduce_basic():
@@ -50,6 +40,49 @@ def test_parse_slope_reads_integers_as_the_knot_grammar_does(text):
     # int() would read 1_0 as 10 and the Arabic-Indic or fullwidth digits as 1 and 3
     with pytest.raises(SlopeError, match="^bad slope "):
         parse_slope(text)
+
+
+# slope text from the characters slopes are written in, "_", letters, a
+# tab, a no-break space and non-ASCII digits (Arabic-Indic 1 and 0,
+# fullwidth 1); int() alone reads "_", the digits and the no-break space
+_SLOPE_TEXT = st.lists(st.sampled_from([*"0123456789+-/_ ", "inf", *"infx", "\t",
+                                        "\u00a0", "\u0661", "\u0660", "\uff11"]),
+                       max_size=8).map("".join)
+
+
+def _reference_slope(text):
+    """The slope text reads as, None when it is no slope: after any
+    whitespace at its ends, "inf", or an optional sign and ASCII digits,
+    optionally "/" and another such integer, with ASCII blanks around the
+    "/"; the pair must reduce."""
+    text = text.strip()
+    if text == "inf":
+        return INFINITY
+    m = re.fullmatch(r"([+-]?[0-9]+)(?:[ \t]*/[ \t]*([+-]?[0-9]+))?", text)
+    if m is None:
+        return None
+    try:
+        return reduce(int(m[1]), int(m[2] or "1"))
+    except SlopeError:  # 0/0, and p/0 with p < 0
+        return None
+
+
+@settings(max_examples=2000)
+@given(_SLOPE_TEXT)
+@example("1_0/3")
+@example(" -12 / +8 ")
+@example("0/0")
+@example("-3/0")
+@example("\u0661\u0660")
+@example("3\u00a0/4")
+@example("\u00a03/4\u00a0")
+def test_parse_slope_reads_the_integer_lexeme(text):
+    expected = _reference_slope(text)
+    if expected is None:
+        with pytest.raises(SlopeError, match="^bad slope "):
+            parse_slope(text)
+    else:
+        assert parse_slope(text) == expected
 
 
 def test_neg_cf_known_values():

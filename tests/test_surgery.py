@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from isharp import datasets
 from isharp.invariants import Bundle, deduce
 from isharp.knots import Cable, Pretzel, mirror, parse_knot
-from isharp.slopes import Slope, reduce, triad
+from isharp.slopes import triad
 from isharp.dimension import (
     BranchedCover,
     Census,
@@ -26,16 +26,15 @@ from isharp.dimension import (
 )
 from isharp.surgery import (census_dim, homeo_identities, manifold_dim, triad_bounds,
                             verify_identity)
-from isharp.values import Inconsistency, Val
+from isharp.values import Inconsistency, Slope, Val, parse_slope, reduce
 
 
 @pytest.fixture(scope="module")
 def ds():
-    return datasets.load(check=False)
+    return datasets.load()
 
 
 def dim(text, slope_text, ds, bundle="trivial"):
-    from isharp.slopes import parse_slope
     return surgery_dim(parse_knot(text), parse_slope(slope_text), bundle, ds)
 
 
