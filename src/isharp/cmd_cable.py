@@ -2,7 +2,8 @@
 knot, its genus, and its nu and r0 when it is."""
 
 from .invariants import deduce, lspace_cable
-from .knots import format_knot, genus, make_cable, parse_integer, parse_knot
+from .knots import format_knot, genus, make_cable, parse_knot
+from .values import parse_integer
 
 
 def run(args, ds, emit):

@@ -7,9 +7,9 @@ description, are answered here too.  Results carry the Euler
 characteristic |H1| (for rational homology spheres) and the induced
 grading split.
 
-This is the module a `dim` call on a surgery, a lens space or a cover
-compiles.  The census routes, the triad bounds and the homeomorphism
-identities sit one layer up, in surgery, which answers census(i).
+A `dim` call on a surgery, a lens space or a cover compiles this module.
+parse_manifold reads with the knot grammar, its slope in place by the
+scanner's slope production; census(i) is answered one layer up, in surgery.
 """
 
 import math
@@ -17,7 +17,7 @@ import math
 from .invariants import Bundle, deduce
 from .knots import (KnotExpr, _Parser, canonical, format_knot, mirror, registered_record,
                     structural)
-from .values import Inconsistency, IntegrityError, Record, Slope, Val, parse_slope
+from .values import Inconsistency, IntegrityError, Record, Slope, Val
 
 
 class DimensionError(ValueError):
@@ -90,7 +90,7 @@ def parse_manifold(text: str) -> ManifoldDesc:
     head = next((h for h in ("surg", "lens", "dcover", "census")
                  if text.startswith(h + "(", ps.pos)), None)
     if head is None:
-        raise ValueError(f"cannot parse manifold description {text.strip()!r}")
+        ps.error("expected a manifold description")
     ps.expect(head + "(")
     if head == "lens":
         m = Lens(*ps.int_args(2))
@@ -102,7 +102,7 @@ def parse_manifold(text: str) -> ManifoldDesc:
             m = BranchedCover(knot)
         else:
             ps.expect(";")
-            slope = parse_slope(ps.token())
+            slope = ps.slope()
             bundle = "trivial"
             if ps.peek() == ";":
                 ps.expect(";")

@@ -21,10 +21,10 @@ its knot records hold; it combines those records with the family
 formulas of every registered presentation of the knot.  Every function
 that reads the tables takes the Dataset as its ds argument.
 
-The grammar, _Parser (which dimension.parse_manifold extends), reads its
-input in place, by position, so a parse is linear in its length; the
-family atoms are one table, _FAMILIES, and every integer is read
-through values.INTEGER.
+The grammar, _Parser, extends values.Scanner, and dimension.parse_manifold
+reads with it too.  It reads its input in place, by position, so a parse
+is linear in its length; its blanks, integers, slopes and error positions
+are the scanner's, and its family atoms are one table, _FAMILIES.
 
 Chirality follows the Rolfsen / Knot Atlas tables: 3_1 is the left-handed
 trefoil, and the signature of the right-handed trefoil is -2.
@@ -36,7 +36,7 @@ import re
 from collections import Counter
 
 from .datasets import FLAG_NAMES, NO_FLAGS, StructuralData, make_flags
-from .values import INTEGER, DatasetError, Record, Val
+from .values import DatasetError, Record, Scanner, Val
 
 
 class KnotError(ValueError):
@@ -220,36 +220,9 @@ _FAMILIES = (("Tw(", Twist, 1), ("TB(", TwoBridge, 2), ("T(", make_torus, 2),
 MAX_NESTING = 100
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def error(self, msg: str):
-        raise KnotError(f"{msg} at position {self.pos} in {self.text!r}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if not self.text.startswith(ch, self.pos):
-            self.error(f"expected {ch!r}")
-        self.pos += len(ch)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        m = INTEGER.match(self.text, self.pos)
-        if not m:
-            self.error("expected an integer")
-        self.pos = m.end()
-        return int(m.group())
+class _Parser(Scanner):
+    Error = KnotError
+    depth = 0  # the m(...) and Cab(...) levels open at pos
 
     def int_args(self, n: int, close: str = ")") -> list[int]:
         """n integers after an opening "(", with "," between them and close
@@ -270,23 +243,6 @@ class _Parser:
         self.expect(")")
         self.depth -= 1
         return inner
-
-    def token(self) -> str:
-        """The text up to the next ';' or ')', stripped."""
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in ";)":
-            self.pos += 1
-        return self.text[start:self.pos].strip()
-
-    def end(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-
-    def parse(self) -> KnotExpr:
-        expr = self.sum_expr()
-        self.end()
-        return expr
 
     def sum_expr(self) -> KnotExpr:
         parts = [self.atom_expr()]
@@ -320,19 +276,11 @@ class _Parser:
         self.error("expected a knot expression")
 
 
-def parse_integer(text: str) -> int:
-    """One integer of the grammar: the P and Q of `isharp cable P Q K`."""
-    ps = _Parser(text)
-    n = ps.integer()
-    ps.end()
-    return n
-
-
 def parse_knot(text: str) -> KnotExpr:
     """Parse the knot grammar: "3_1", "m(...)", "T(p,q)", "Tw(n)",
     "P(a,b,c)", "TB(a,b)", "Cab(p,q;K)", "K1 # K2", "U".  At most
     MAX_NESTING mirrors and cables may enclose one another."""
-    return _Parser(text).parse()
+    return _Parser(text).whole(_Parser.sum_expr)
 
 
 def format_knot(k: KnotExpr) -> str:

@@ -2,9 +2,9 @@
 surgery-triad construction.
 
 Slopes are reduced pairs p/q with q >= 1, plus the single infinite slope
-1/0.  That core (Slope, SlopeError, INFINITY, reduce and parse_slope) is
-defined in values, which every call compiles anyway; of the CLI
-commands only `cf` and `triad` compile this module.
+1/0, which p/0 reduces to for every p != 0.  That core (Slope, SlopeError,
+INFINITY, reduce, and parse_slope over values.Scanner) is defined in values,
+which every call compiles; only `cf` and `triad` compile this module.
 Continued fractions here are the *negative* expansions
 
     [a0, a1, ..., an] = a0 - 1/(a1 - 1/(... - 1/an))

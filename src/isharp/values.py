@@ -31,11 +31,13 @@ pulls in `inspect`, `ast` and `dis`) cost about a quarter of a short
 call's start-up.
 
 Slope, the reduced surgery coefficient p/q, with reduce and parse_slope,
-the record-file errors DatasetError and IntegrityError, and INTEGER, the
-one lexeme (a sign and ASCII digits) every integer in isharp's text is
-read through, live here too, so a `dim` call skips the continued
-fractions of `slopes`, and the CLI maps exit codes without compiling
-the loader.
+and the record-file errors DatasetError and IntegrityError live here too,
+so a `dim` call skips the continued fractions of `slopes`, and the CLI
+maps exit codes without compiling the loader.  So does Scanner, the one
+reader of all text isharp takes (knots, manifolds, slopes, `cable P Q`):
+BLANKS, the ASCII blanks, may stand between any two tokens, an integer
+is an INTEGER (a sign and ASCII digits), and a syntax error reads
+"<what> at position <i> in <text>".  knots._Parser adds the knot grammar to it.
 """
 
 import re
@@ -235,9 +237,6 @@ class Val(Record):
         return out
 
 
-INTEGER = re.compile(r"[+-]?[0-9]+")
-
-
 class DatasetError(ValueError):
     """Parse failure or integrity violation in a record file."""
 
@@ -290,23 +289,78 @@ def reduce(p: int, q: int) -> Slope:
         raise SlopeError("0/0 is not a slope")
     g = gcd(p, q)
     p, q = p // g, q // g
-    if q < 0:
+    if q < 0 or q == 0 and p < 0:  # -1/0 is inf, as -inf is
         p, q = -p, -q
     return Slope(p, q)
 
 
+BLANKS = " \t\n\r\v\f"
+INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+class Scanner:
+    """Reads text in place from pos; each production skips the BLANKS
+    before its token, and error raises Error (KnotError in knots)."""
+
+    Error = SlopeError
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg: str):
+        raise self.Error(f"{msg} at position {self.pos} in {self.text!r}")
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in BLANKS:
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        self.skip_ws()
+        if not self.text.startswith(ch, self.pos):
+            self.error(f"expected {ch!r}")
+        self.pos += len(ch)
+
+    def integer(self) -> int:
+        self.skip_ws()
+        m = INTEGER.match(self.text, self.pos)
+        if not m:
+            self.error("expected an integer")
+        self.pos = m.end()
+        return int(m.group())
+
+    def slope(self) -> Slope:
+        """"inf", or p or p/q with INTEGER p and q, reduced."""
+        if self.peek() == "i":
+            self.expect("inf")
+            return INFINITY
+        p, q = self.integer(), 1
+        if self.peek() == "/":
+            self.pos += 1
+            q = self.integer()
+        return reduce(p, q)
+
+    def end(self):
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error("trailing input")
+
+    def whole(self, production):
+        """production(self), which must read the text to its end."""
+        value = production(self)
+        self.end()
+        return value
+
+
 def parse_slope(text: str) -> Slope:
-    """Parse "p/q", a bare integer, or "inf"; p and q are INTEGER
-    lexemes.  The text may begin and end with any whitespace, and ASCII
-    blanks may stand around the "/"."""
-    text = text.strip()
-    if text == "inf":
-        return INFINITY
-    num, slash, den = text.partition("/")
-    num, den = num.rstrip(" \t\n\r\v\f"), den.lstrip(" \t\n\r\v\f")
-    if not INTEGER.fullmatch(num) or slash and not INTEGER.fullmatch(den):
-        raise SlopeError(f"bad slope {text!r}")
-    try:
-        return reduce(int(num), int(den) if slash else 1)
-    except SlopeError as e:  # 0/0, or a negative infinite slope
-        raise SlopeError(f"bad slope {text!r}: {e}") from None
+    """A slope alone, as Scanner.slope reads it: "inf", p or p/q."""
+    return Scanner(text).whole(Scanner.slope)
+
+
+def parse_integer(text: str) -> int:
+    """An integer alone: the P and Q of `isharp cable P Q K`."""
+    return Scanner(text).whole(Scanner.integer)

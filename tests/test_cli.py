@@ -96,7 +96,36 @@ def test_census_reads_its_index_as_dim_does(index, message, capsys):
 def test_slopes_read_integers_as_the_knot_grammar_does(argv, text, capsys):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: bad slope {text!r}\n"
+    # the scanner names where the integer lexeme ends in the text it read
+    where = {"1_0/3": "trailing input at position 1",
+             "\u0661/\u0663": "expected an integer at position 0",
+             "1_0": "trailing input at position 1",
+             "surg(4_1; 1_0/3)": "expected ')' at position 11",
+             "surg(4_1; \u0661/3)": "expected an integer at position 10"}[argv[-1]]
+    assert text in argv[-1]
+    assert captured.out == "" and captured.err == f"error: {where} in {argv[-1]!r}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dim", "lens(\x1c5,2)"], "expected an integer at position 5 in 'lens(\\x1c5,2)'"),
+    (["dim", "surg(T(\xa02,3); 1)"],
+     "expected an integer at position 7 in 'surg(T(\\xa02,3); 1)'"),
+    (["dim", "surg(4_1; 1\xa0/2)"], "expected ')' at position 11 in 'surg(4_1; 1\\xa0/2)'"),
+    (["invariants", "T(2,3)\u2003"], "trailing input at position 6 in 'T(2,3)\\u2003'"),
+    (["cf", "\xa01/3"], "expected an integer at position 0 in '\\xa01/3'"),
+])
+def test_only_ascii_blanks_separate_tokens(argv, message, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_blanks_and_the_sign_of_an_infinite_slope_do_not_change_an_answer():
+    same = run_cli("dim", "surg(4_1; inf)")
+    assert same[0] == 0
+    for manifold in ("surg(4_1; -5/0)", "surg(4_1;\t1/0 )", " surg( 4_1 ;inf) "):
+        assert run_cli("dim", "--", manifold) == same, manifold
+    assert run_cli("dim", "surg(4_1; 1 / 2)") == run_cli("dim", "surg(4_1; 1/2)")
 
 
 def test_cf_and_triad():
@@ -270,7 +299,8 @@ def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path)
      [("dim", "census(1)"), ("verify", "T6"), ("export", "T6"), ("census", "all")],
      "T6 row 1: expected a knot expression at position 0 in 'X_1'"),
     ("T6", "1", lambda line: line["payload"].update(slope="x"),
-     [("census", "1"), ("verify", "all")], "T6 row 1: bad slope 'x'"),
+     [("census", "1"), ("verify", "all")],
+     "T6 row 1: expected an integer at position 0 in 'x'"),
     ("T7", "0", lambda line: line["payload"].update(knot="Cab(3,2;3_1"),
      [("dim", "census(0)"), ("verify", "T7")],
      "T7 row 0: expected ')' at position 11 in 'Cab(3,2;3_1'"),

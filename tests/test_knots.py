@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from isharp.knots import (
     structural,
 )
 from isharp.dimension import BranchedCover, Census, Lens, Surgery, parse_manifold
-from isharp.values import Inconsistency, Slope, Val, reduce
+from isharp.values import BLANKS, Inconsistency, Slope, SlopeError, Val, parse_slope, reduce
 from isharp.verify import alexander_zero_surgery_floor
 
 
@@ -176,6 +177,9 @@ def test_parse_reads_its_input_in_place():
              "K11n118", "m(4_1 # T(-3,5))", "0_1"]
     text = " # ".join(atoms * 300)
     assert parse_knot(_NoSlices(text)) == parse_knot(text)
+    for desc in (f"surg({text}; -31 / 6)", f"dcover({text})", " lens( 9 , 2 ) "):
+        assert parse_manifold(_NoSlices(desc)) == parse_manifold(desc)
+    assert parse_slope(_NoSlices(" -31 / 6 ")) == Slope(-31, 6)
 
 
 def test_mirror_normalization():
@@ -315,6 +319,39 @@ manifold_descs = st.one_of(
 def test_manifold_print_parse_roundtrip(m):
     # cable knots carry their own ';' inside surg(K; p/q[; mu])
     assert parse_manifold(str(m)) == m
+
+
+# the tokens of a printed description: a head with its "(", a table name,
+# a word, an integer, or one punctuation mark
+_TOKEN = re.compile(r"[A-Za-z]+\(|[0-9]+_[0-9]+|K[0-9]+[an][0-9]+|k[0-9]+_[0-9]+|inf|mu|U"
+                    r"|[+-]?[0-9]+|[,;#/)]")
+
+
+@given(st.one_of(knot_exprs.map(lambda k: (format_knot(k), parse_knot, k)),
+                 manifold_descs.map(lambda m: (str(m), parse_manifold, m))),
+       st.data())
+@settings(max_examples=300)
+def test_blanks_may_stand_between_any_two_tokens(case, data):
+    text, parse, value = case
+    tokens = _TOKEN.findall(text)
+    assert "".join(tokens) == text.replace(" ", "")  # every character is in a token
+    runs = data.draw(st.lists(st.text(BLANKS, max_size=3), min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    spaced = "".join(run + token for run, token in zip(runs, tokens + [""]))
+    assert parse(spaced) == value
+
+
+@given(st.one_of(knot_exprs.map(lambda k: (format_knot(k), parse_knot, KnotError)),
+                 manifold_descs.map(lambda m: (str(m), parse_manifold, KnotError)),
+                 slopes.map(lambda s: (str(s), parse_slope, SlopeError))),
+       st.sampled_from(["\u00a0", "\x1c", "\u2003", "\x85"]), st.data())
+@settings(max_examples=300)
+def test_whitespace_that_is_not_ascii_is_refused_everywhere(case, space, data):
+    text, parse, error = case
+    i = data.draw(st.integers(0, len(text)))
+    spaced = text[:i] + space + text[i:]
+    with pytest.raises(error, match=f" at position [0-9]+ in {re.escape(repr(spaced))}$"):
+        parse(spaced)
 
 
 def test_twist_and_two_bridge_maps_invert_each_other():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from isharp.dimension import parse_manifold
 from isharp.slopes import MAX_CF_TERMS, Triad, eval_cf, format_cf, neg_cf, triad
 from isharp.values import INFINITY, Slope, SlopeError, parse_slope, reduce
 
@@ -20,8 +21,7 @@ def test_reduce_basic():
 def test_reduce_rejects_bad_pairs():
     with pytest.raises(SlopeError):
         reduce(0, 0)
-    with pytest.raises(SlopeError):
-        reduce(-2, 0)  # -1/0 is not the canonical infinite slope
+    assert reduce(-2, 0) == INFINITY  # -1/0 is the infinite slope, as -inf is
     with pytest.raises(SlopeError):
         Slope(4, 2)  # unreduced pair rejected by the constructor
 
@@ -35,36 +35,57 @@ def test_slope_parse_print_roundtrip():
         parse_slope("x/y")
 
 
+# where the scanner stops reading each text, and why
+_LEXEME_ERRORS = {
+    "1_0/3": "trailing input at position 1", "1/3_0": "trailing input at position 3",
+    "1_0": "trailing input at position 1",
+    "\u0661/\u0663": "expected an integer at position 0",
+    "\u0661": "expected an integer at position 0", "\uff11/3": "expected an integer at position 0",
+}
+
+
 @pytest.mark.parametrize("text", ["1_0/3", "1/3_0", "1_0", "\u0661/\u0663", "\u0661", "\uff11/3"])
 def test_parse_slope_reads_integers_as_the_knot_grammar_does(text):
     # int() would read 1_0 as 10 and the Arabic-Indic or fullwidth digits as 1 and 3
-    with pytest.raises(SlopeError, match="^bad slope "):
+    message = f"{_LEXEME_ERRORS[text]} in {text!r}"
+    with pytest.raises(SlopeError, match=f"^{re.escape(message)}$"):
         parse_slope(text)
 
 
-# slope text from the characters slopes are written in, "_", letters, a
-# tab, a no-break space and non-ASCII digits (Arabic-Indic 1 and 0,
-# fullwidth 1); int() alone reads "_", the digits and the no-break space
-_SLOPE_TEXT = st.lists(st.sampled_from([*"0123456789+-/_ ", "inf", *"infx", "\t",
-                                        "\u00a0", "\u0661", "\u0660", "\uff11"]),
+# slope text from the characters slopes are written in, "_", letters,
+# ASCII blanks, whitespace that is not ASCII (a no-break space, an em
+# space, a file separator, a next-line) and non-ASCII digits (Arabic-Indic
+# 1 and 0, fullwidth 1); int() alone reads "_", the digits and every
+# whitespace character
+_NON_ASCII_SPACES = ["\u00a0", "\u2003", "\x1c", "\x85"]
+_SLOPE_TEXT = st.lists(st.sampled_from([*"0123456789+-/_ ", "inf", *"infx", "\t", "\n",
+                                        *_NON_ASCII_SPACES, "\u0661", "\u0660", "\uff11"]),
                        max_size=8).map("".join)
+_BLANK = "[ \t\n\r\v\f]*"
 
 
 def _reference_slope(text):
-    """The slope text reads as, None when it is no slope: after any
-    whitespace at its ends, "inf", or an optional sign and ASCII digits,
-    optionally "/" and another such integer, with ASCII blanks around the
-    "/"; the pair must reduce."""
-    text = text.strip()
-    if text == "inf":
-        return INFINITY
-    m = re.fullmatch(r"([+-]?[0-9]+)(?:[ \t]*/[ \t]*([+-]?[0-9]+))?", text)
+    """The slope text reads as, None when it is no slope: "inf", or an
+    optional sign and ASCII digits, optionally "/" and another such
+    integer, with runs of ASCII blanks at the ends and around the "/";
+    the pair must not be 0/0."""
+    m = re.fullmatch(f"{_BLANK}(?:(inf)|([+-]?[0-9]+)(?:{_BLANK}/{_BLANK}([+-]?[0-9]+))?){_BLANK}",
+                     text)
     if m is None:
         return None
+    if m[1]:
+        return INFINITY
     try:
-        return reduce(int(m[1]), int(m[2] or "1"))
-    except SlopeError:  # 0/0, and p/0 with p < 0
+        return reduce(int(m[2]), int(m[3] or "1"))
+    except SlopeError:  # 0/0
         return None
+
+
+def _refusal(text):
+    """The one-line refusal of a slope text: where the scanner stopped,
+    or, for 0/0, the pair itself."""
+    return (r"^((expected an integer|expected 'inf'|trailing input) at position \d+ in "
+            f"{re.escape(repr(text))}|0/0 is not a slope)$")
 
 
 @settings(max_examples=2000)
@@ -76,13 +97,31 @@ def _reference_slope(text):
 @example("\u0661\u0660")
 @example("3\u00a0/4")
 @example("\u00a03/4\u00a0")
+@example("\x1c3/4")
 def test_parse_slope_reads_the_integer_lexeme(text):
     expected = _reference_slope(text)
     if expected is None:
-        with pytest.raises(SlopeError, match="^bad slope "):
+        with pytest.raises(SlopeError, match=_refusal(text)):
             parse_slope(text)
     else:
         assert parse_slope(text) == expected
+
+
+def _slope_or_refusal(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=1000)
+@given(_SLOPE_TEXT)
+@example(" 1 / 2 ")
+@example("1\u00a0/2")
+@example("-5/0")
+def test_a_slope_reads_alike_alone_and_in_a_surgery(text):
+    in_surgery = lambda t: parse_manifold(f"surg(U; {t})").slope
+    assert _slope_or_refusal(parse_slope, text) == _slope_or_refusal(in_surgery, text)
 
 
 def test_neg_cf_known_values():
