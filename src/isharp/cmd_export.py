@@ -2,11 +2,8 @@
 
 import json
 
-from .datasets import TABLE_FIELD_TYPES
+from .datasets import CENSUS_TABLES, TABLE_FIELD_TYPES
 from .values import DatasetError
-
-# the tables whose rows the census cross-check compares
-CENSUS_TABLES = ("T2", "T6", "T7", "T8")
 
 
 def run(args, ds, emit):

@@ -6,8 +6,10 @@ The record file is UTF-8 JSON lines, one object per line, with fields
 {schema_version, table, key, payload, citation}.  Tables T1-T8 mirror the
 published computations this library reproduces; KNOT rows hold structural
 data per knot, and ALIAS rows hold the registered family identifications.
-A malformed row raises DatasetError while the file loads.  A T8 row may
+A malformed row raises DatasetError while the file loads.  A census row
+(T2, T6, T7, T8) is keyed by its index, "0" to "19", and a T8 row may
 cite census(j) only for j below its own index, so that no route cycles.
+Dataset.untabulated() holds the rows without the tabulated invariants.
 
 The alias registry (Dataset.aliases) maps each code, such as "T(3,5)" or
 "P(-2,3,7)", to the knot it presents; here the codes stay opaque text.
@@ -28,6 +30,9 @@ from .values import DatasetError, Record, Val
 
 SCHEMA_VERSION = 1
 KNOWN_TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "KNOT", "ALIAS")
+# the census tables, whose rows are keyed by census index
+CENSUS_TABLES = ("T2", "T6", "T7", "T8")
+CENSUS_KEYS = frozenset(map(str, range(20)))
 
 ENV_DATA_PATH = "ISHARP_DATA"
 # read as a plain file: importlib.resources costs a fresh interpreter
@@ -265,6 +270,8 @@ class Dataset:
             bucket[e.key] = e
         for table, types in TABLE_FIELD_TYPES.items():
             for key, e in self._by_table.get(table, {}).items():
+                if table in CENSUS_TABLES and key not in CENSUS_KEYS:
+                    raise DatasetError(f"{table} row {key}: key is not a census index 0..19")
                 _check_row(f"{table} row {key}", e.payload, types)
         self._knots = {
             key: _knot_record_from_entry(e)
@@ -284,6 +291,7 @@ class Dataset:
         self.structural_cache: dict = {}
         self.lspace_cache: dict = {}
         self.alias_index = None
+        self._untabulated = None
 
     # -- lookups ------------------------------------------------------------
 
@@ -301,6 +309,14 @@ class Dataset:
 
     def knot_names(self) -> list[str]:
         return sorted(self._knots)
+
+    def untabulated(self) -> "Dataset":
+        """These rows without the tabulated invariants (each KNOT row's
+        instanton payload), built on first use, with caches of its own."""
+        if self._untabulated is None:
+            self._untabulated = Dataset([e.replace(payload={**e.payload, "instanton": None})
+                                         if e.table == "KNOT" else e for e in self.entries])
+        return self._untabulated
 
     # -- integrity ----------------------------------------------------------
 

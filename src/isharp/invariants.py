@@ -14,7 +14,8 @@ again after |nu| <= r0.
 
 Every entry point takes the Dataset it reads as ds, and each dataset
 caches the bundles of deduce and the answers of lspace_cable once per
-canonical form of the knot (knots.memo), the form a bundle names.
+canonical form of the knot (knots.memo), the form a bundle names.  On
+ds.untabulated() R1 finds no stored value, and deduction re-derives.
 """
 
 
@@ -155,74 +156,59 @@ class _Draft:
         self.shape = shape
         self.trace.append(TraceEntry(rule, RULES[rule], f"shape = {shape} {detail}".rstrip()))
 
+    def adopt(self, src, mirrored: bool, rule: str, detail: str) -> None:
+        """Narrow to src, a record's InstantonFields or a draft, negating nu
+        and tau when src is the mirror's: r0 and the shape are kept."""
+        for fieldname in ("nu", "tau", "r0"):
+            v = getattr(src, fieldname)
+            if not v.is_unknown:
+                self.narrow(fieldname, -v if mirrored and fieldname != "r0" else v, rule, detail)
+        self.set_shape(src.shape or "unknown", rule, detail)
+        if self.mu0_dim is None:
+            self.mu0_dim = src.mu0_dim
 
-def deduce(k: KnotExpr, ds, use_stored: bool = True) -> Bundle:
+
+def deduce(k: KnotExpr, ds) -> Bundle:
     """Run the rules to a fixed point over the expression.
 
-    With use_stored=False the engine ignores every tabulated nu/tau/r0
-    (structural flags stay available); this is the re-derivation mode the
-    table verifier runs in.  The result is cached per dataset under the
-    canonical form of k, which the Bundle names, and every caller gets
-    the same immutable Bundle.
+    On ds.untabulated() no tabulated nu/tau/r0 is read (structural flags
+    stay available); the table verifier re-derives the tables there.
+    The result is cached per dataset under the canonical form of k,
+    which the Bundle names, and every caller gets the same immutable
+    Bundle.
     """
-    return memo(ds.deduce_cache, k, ds, _deduce, use_stored)
+    return memo(ds.deduce_cache, k, ds, _deduce)
 
 
-def _deduce(k, ds, use_stored) -> Bundle:
+def _deduce(k, ds) -> Bundle:
     if isinstance(k, Sum):
-        b = _deduce_sum(k, ds, use_stored)
+        b = _deduce_sum(k, ds)
     else:
         b = _Draft(format_knot(k))
-        _apply_atom_rules(b, k, ds, use_stored)
-        # the mirror pass: every rule applies to the mirror as well, and
-        # nu, tau negate while r0 is preserved
+        _apply_atom_rules(b, k, ds)
+        # the mirror pass: every rule applies to the mirror as well
         mk = mirror(k)
         mb = _Draft(format_knot(mk))
-        _apply_atom_rules(mb, mk, ds, use_stored)
-        for fieldname in ("nu", "tau"):
-            v = getattr(mb, fieldname)
-            if not v.is_unknown:
-                b.narrow(fieldname, -v, "R2", f"(from {mb.knot})")
-        if not mb.r0.is_unknown:
-            b.narrow("r0", mb.r0, "R2", f"(from {mb.knot})")
-        if mb.shape != "unknown":
-            # the profile reflects under mirroring, so the shape is preserved
-            b.set_shape(mb.shape, "R2", f"(from {mb.knot})")
-        if b.mu0_dim is None:
-            b.mu0_dim = mb.mu0_dim
+        _apply_atom_rules(mb, mk, ds)
+        b.adopt(mb, True, "R2", f"(from {mb.knot})")
     _tighten(b, structural(k, ds).slice_genus)
     return b.freeze()
 
 
-def _apply_atom_rules(b: _Draft, k, ds, use_stored) -> None:
+def _apply_atom_rules(b: _Draft, k, ds) -> None:
     s = structural(k, ds)
 
     # R1: stored table values of the record the canonical atom names
     rec, mirrored = registered_record(k, ds)
-    if use_stored and rec is not None:
-        inst, name = rec.instanton, rec.name
-        if not inst.nu.is_unknown:
-            b.narrow("nu", -inst.nu if mirrored else inst.nu, "R1", f"({name})")
-        if not inst.tau.is_unknown:
-            b.narrow("tau", -inst.tau if mirrored else inst.tau, "R1", f"({name})")
-        if not inst.r0.is_unknown:
-            b.narrow("r0", inst.r0, "R1", f"({name})")
-        if inst.shape is not None:
-            b.set_shape(inst.shape, "R1", f"({name})")
-        if inst.mu0_dim is not None:
-            b.mu0_dim = inst.mu0_dim
+    if rec is not None:
+        b.adopt(rec.instanton, mirrored, "R1", f"({rec.name})")
 
     for expr in equivalent_atoms(k, ds):
-        _apply_family_rules(b, expr, s, ds, use_stored)
+        _apply_family_rules(b, expr, s, ds)
 
 
-def _apply_family_rules(b: _Draft, k, s, ds, use_stored) -> None:
-
-    # R3: slice
-    if s.flag("slice") or (s.slice_genus.is_exact and s.slice_genus.value() == 0):
-        b.narrow("nu", Val.exact(0), "R3")
-        b.narrow("tau", Val.exact(0), "R3")
-        b.set_shape("W", "R3")
+def _apply_family_rules(b: _Draft, k, s, ds) -> None:
+    _slice_rule(b, s)
 
     # R4: amphichiral
     if s.flag("amphichiral"):
@@ -240,7 +226,7 @@ def _apply_family_rules(b: _Draft, k, s, ds, use_stored) -> None:
 
     # R9: instanton L-space knots; _lspace_status calls every T(p,q) with
     # p > 0 one, and 2g - 1 = pq - p - q, so R9 covers the positive torus knots
-    if _lspace_status(k, b, s, ds, use_stored) is True and s.genus.is_exact:
+    if _lspace_status(k, b, s, ds) is True and s.genus.is_exact:
         v = 2 * s.genus.value() - 1
         b.narrow("nu", Val.exact(v), "R9")
         b.narrow("r0", Val.exact(v), "R9")
@@ -264,8 +250,16 @@ def _apply_family_rules(b: _Draft, k, s, ds, use_stored) -> None:
                 b.narrow("r0", Val.exact(6 * n - 1), "R12")
 
 
-def _deduce_sum(k: Sum, ds, use_stored) -> _Draft:
-    parts = [deduce(s, ds, use_stored) for s in k.summands]
+def _slice_rule(b: _Draft, s) -> None:
+    """R3; a sum's structural data has slice genus 0 just when it is slice."""
+    if s.flag("slice") or (s.slice_genus.is_exact and s.slice_genus.value() == 0):
+        b.narrow("nu", Val.exact(0), "R3")
+        b.narrow("tau", Val.exact(0), "R3")
+        b.set_shape("W", "R3")
+
+
+def _deduce_sum(k: Sum, ds) -> _Draft:
+    parts = [deduce(s, ds) for s in k.summands]
     b = _Draft(format_knot(k))
 
     tau = Val.exact(0)
@@ -290,11 +284,7 @@ def _deduce_sum(k: Sum, ds, use_stored) -> _Draft:
             None if total.hi is None else total.hi + slack), "R13",
             f"(sum with slack {slack})")
 
-    st = structural(k, ds)
-    if st.flag("slice"):
-        b.narrow("nu", Val.exact(0), "R3")
-        b.narrow("tau", Val.exact(0), "R3")
-        b.set_shape("W", "R3")
+    _slice_rule(b, structural(k, ds))
     return b
 
 
@@ -343,7 +333,7 @@ def _nu_from_tau(b: _Draft) -> None:
         b.narrow("nu", Val(lo, hi), "R14", "(|2 tau - nu| <= 1)")
 
 
-def _lspace_status(k, b, s, ds, use_stored: bool = True):
+def _lspace_status(k, b, s, ds):
     """instanton L-space knot status: True / False / None (unknown)."""
     if isinstance(k, Unknot):
         return False
@@ -352,7 +342,7 @@ def _lspace_status(k, b, s, ds, use_stored: bool = True):
     if isinstance(k, Torus):
         return k.p > 0
     if isinstance(k, Cable):
-        return lspace_cable(k.p, k.q, k.companion, ds, use_stored)
+        return lspace_cable(k.p, k.q, k.companion, ds)
     # nu = r0 = 2g - 1 > 0 is equivalent to having a positive L-space surgery
     if b.nu.is_exact and b.r0.is_exact and s.genus.is_exact:
         target = 2 * s.genus.value() - 1
@@ -378,22 +368,22 @@ def sl_upper_bound(k: KnotExpr, ds):
     return bound, violation
 
 
-def lspace_cable(p: int, q: int, k: KnotExpr, ds, use_stored: bool = True):
+def lspace_cable(p: int, q: int, k: KnotExpr, ds):
     """Whether the (p,q)-cable of k is an instanton L-space knot:
     true iff k is one and p/q > 2g(k) - 1.  None when undecidable.
 
     The answer is cached per dataset under the canonical form of k: it
     reads only the cached bundle and structural data of k, so a cable
     chain checks each layer once."""
-    return memo(ds.lspace_cache, k, ds, _lspace_cable, p, q, use_stored)
+    return memo(ds.lspace_cache, k, ds, _lspace_cable, p, q)
 
 
-def _lspace_cable(k, ds, p, q, use_stored):
+def _lspace_cable(k, ds, p, q):
     if isinstance(k, Unknot):
         return p > 1  # the cable is T(p,q): positive, or the unknot when p = 1
-    b = deduce(k, ds, use_stored)
+    b = deduce(k, ds)
     s = structural(k, ds)
-    status = _lspace_status(k, b, s, ds, use_stored)
+    status = _lspace_status(k, b, s, ds)
     if status is False:
         return False
     if status is None or not s.genus.is_exact:

@@ -1,9 +1,9 @@
 """Re-derivation of every derivable table cell, plus cross-checks.
 
-The re-derivation mode never reads stored nu/tau/r0 values: nu and tau
-come from structural flags through the deduction rules, and r0 comes from
-the registered routes (torus/twist/pretzel families, two-bridge surgery
-identities, and the constraint chain through the pretzel P(5,5,-3)).
+The re-derivations run on ds.untabulated(), which holds no stored
+nu/tau/r0: nu and tau come from structural flags through the deduction
+rules, and r0 from the registered routes (torus/twist/pretzel families,
+two-bridge surgery identities, and the chain through P(5,5,-3)).
 """
 
 import json
@@ -105,7 +105,7 @@ def rederive_nu_tau(ds) -> Report:
     report = Report()
     for key, entry in ds.table("T3").items():
         expr = Unknot() if key == "0_1" else Named(key)
-        b = deduce(expr, ds, use_stored=False)
+        b = deduce(expr, ds.untabulated())
         stored_nu = entry.payload["nu"]
         stored_tau = entry.payload["tau"]
         if stored_nu is None:
@@ -137,14 +137,12 @@ def rederive_r0(ds) -> tuple[dict, Report]:
     instanton data; returns {name: (nu, r0)} and the comparison report."""
     report = Report()
     derived: dict[str, tuple[int, int]] = {}
-
-    def flags_bundle(name):
-        return deduce(Named(name), ds, use_stored=False)
+    view = ds.untabulated()
 
     # family routes resolve through aliases inside the rule engine
     for name in ("3_1", "4_1", "5_1", "5_2", "6_1", "7_1", "7_2", "8_1",
                  "8_5", "8_19", "8_20"):
-        b = flags_bundle(name)
+        b = deduce(Named(name), view)
         if not (b.nu.is_exact and b.r0.is_exact):
             report.add("T1", name, "r0", "exact family value", b.r0, False)
             continue
@@ -153,8 +151,7 @@ def rederive_r0(ds) -> tuple[dict, Report]:
     # two-bridge identity routes
     for name, (n, partner_text) in IDENTITY_ROUTES.items():
         partner = parse_knot(partner_text)
-        b = flags_bundle(name)
-        nu = b.nu.value()
+        nu = deduce(Named(name), view).nu.value()
         slope = Slope(n, 1)
         matches = [rhs for rhs in homeo_identities(Named(name), slope, ds)
                    if rhs[0] == partner or format_knot(rhs[0]) == partner_text]
@@ -162,12 +159,12 @@ def rederive_r0(ds) -> tuple[dict, Report]:
             report.add("T1", name, "r0", f"identity with {partner_text}", "no match", False)
             continue
         rhs_knot, rhs_slope = matches[0]
-        pb = deduce(rhs_knot, ds, use_stored=False)
+        pb = deduce(rhs_knot, view)
         dim = rhs_slope.q * pb.r0.value() + abs(rhs_slope.p - rhs_slope.q * pb.nu.value())
         derived[name] = (nu, dim - abs(n - nu))
 
     # the chain through P(5,5,-3)
-    chain = _chain_r0(ds, derived["6_2"])
+    chain = _chain_r0(view, derived["6_2"])
     derived.update(chain)
 
     for key, entry in ds.table("T1").items():
@@ -191,7 +188,7 @@ def _chain_r0(ds, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
     """Derive r0 for 6_3, 8_6, 8_8 from the homeomorphisms
     S^3_{-1}(K_n) = S^3_{-1/n}(P(5,5,-3)) (K_1, K_-1, K_2, K_-2 being
     6_2, 6_3, 8_6, 8_8) together with exact-triangle bounds and the
-    polynomial floor for the zero-surgery of 8_8."""
+    polynomial floor for the zero-surgery of 8_8; ds holds no stored values."""
     nu62, r062 = inv_6_2
     d_minus1 = r062 + abs(-1 - nu62)  # = dim of -1-surgery on 6_2 = on P
 
@@ -228,11 +225,11 @@ def _chain_r0(ds, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
     d_mhalf = 2 * d0 - 1
 
     out = {}
-    nu63 = deduce(Named("6_3"), ds, use_stored=False).nu.value()
+    nu63 = deduce(Named("6_3"), ds).nu.value()
     out["6_3"] = (nu63, d1 - abs(-1 - nu63))
-    nu86 = deduce(Named("8_6"), ds, use_stored=False).nu.value()
+    nu86 = deduce(Named("8_6"), ds).nu.value()
     out["8_6"] = (nu86, d_mhalf - abs(-1 - nu86))
-    nu88 = deduce(Named("8_8"), ds, use_stored=False).nu.value()
+    nu88 = deduce(Named("8_8"), ds).nu.value()
     out["8_8"] = (nu88, d_half - abs(-1 - nu88))
     return out
 

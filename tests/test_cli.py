@@ -288,6 +288,10 @@ def _set_component_desc(line, desc):
     *[("T8", "2", lambda line: _set_component_desc(line, "census(2)"), argv,
        "T8 row 2: component census(2) does not come before census(2)")
       for argv in (("dim", "census(2)"), ("census", "2"), ("verify", "T8"), ("export", "T8"))],
+    # a census table row is keyed by its census index, written canonically
+    *[("T2", "3", lambda line, key=key: line.update(key=key), argv,
+       f"T2 row {key}: key is not a census index 0..19")
+      for key in ("x", "1_0", "03", "20") for argv in (("verify", "T2"), ("export", "T2"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)

@@ -17,8 +17,8 @@ def ds():
     return datasets.load()
 
 
-def bundle(text, ds, **kw):
-    return deduce(parse_knot(text), ds, **kw)
+def bundle(text, ds):
+    return deduce(parse_knot(text), ds)
 
 
 # --- deduce -----------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_inconsistent_input_raises(ds):
 
 def test_rederive_matches_stored_for_every_small_knot(ds):
     for key, entry in ds.table("T3").items():
-        b = bundle(key if key != "0_1" else "U", ds, use_stored=False)
+        b = bundle(key if key != "0_1" else "U", ds.untabulated())
         nu, tau = entry.payload["nu"], entry.payload["tau"]
         assert b.tau == Val.exact(tau), key
         if nu is None:
@@ -168,9 +168,9 @@ def test_r14_rounds_tau_inward_to_integers():
         assert b.tau == Val.exact(tau) and type(b.tau.value()) is int, text
         assert sl_upper_bound(parse_knot(text), ds) == (2 * tau - 1, False)
     for text, tau in (("9_98", Val(-2, 0)), ("m(9_98)", Val(0, 2))):
-        for use_stored in (True, False):
-            b = bundle(text, ds, use_stored=use_stored)
-            assert b.tau == (tau if use_stored else Val()), (text, use_stored)
+        for tabulated in (True, False):
+            b = bundle(text, ds if tabulated else ds.untabulated())
+            assert b.tau == (tau if tabulated else Val()), (text, tabulated)
             assert sl_upper_bound(parse_knot(text), ds) == (None, False)
 
 
@@ -182,12 +182,12 @@ def test_r14_bounds_nu_by_any_upper_bound_on_r0():
     frozen = b.freeze()
     assert (frozen.nu, frozen.tau, frozen.delta) == (Val(-3, 3), Val(-2, 2), Val(0, 6, 0))
     ds = _with_knot_rows({"9_97": {"r0": {"lo": 0, "hi": 3}}})
-    for text, use_stored in (("9_97", True), ("m(9_97)", True), ("9_97", False)):
-        out = bundle(text, ds, use_stored=use_stored).to_json()
+    for text, tabulated in (("9_97", True), ("m(9_97)", True), ("9_97", False)):
+        out = bundle(text, ds if tabulated else ds.untabulated()).to_json()
         want = ({"nu": {"lo": -3, "hi": 3}, "tau": {"lo": -2, "hi": 2},
-                 "delta": {"lo": 0, "hi": 6, "parity": 0}} if use_stored
+                 "delta": {"lo": 0, "hi": 6, "parity": 0}} if tabulated
                 else {"nu": None, "tau": None, "delta": {"lo": 0, "hi": None, "parity": 0}})
-        assert {f: out[f] for f in want} == want, (text, use_stored)
+        assert {f: out[f] for f in want} == want, (text, tabulated)
 
 
 def test_lspace_knot_invariants(ds):
@@ -205,9 +205,9 @@ def test_cold_cable_chain_checks_each_layer_once(monkeypatch):
     keys = []
     original = invariants._lspace_cable
 
-    def counting(k, ds, p, q, use_stored):
-        keys.append((p, q, format_knot(k), use_stored))
-        return original(k, ds, p, q, use_stored)
+    def counting(k, ds, p, q):
+        keys.append((p, q, format_knot(k)))
+        return original(k, ds, p, q)
 
     monkeypatch.setattr(invariants, "_lspace_cable", counting)
     deduce(parse_knot(text), ds)
@@ -312,13 +312,39 @@ def _ablation_corpus(ds):
     return atoms + [make_sum([a, b]) for a, b in itertools.combinations(atoms[:25], 2)]
 
 
+def test_the_untabulated_view_is_the_data_without_stored_invariants(tmp_path):
+    # the view deduces as the record file with every KNOT row's instanton
+    # payload deleted does, cites no stored value and has caches of its own
+    ds = datasets.load()
+    path = tmp_path / "untabulated.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for e in ds.entries:
+            line = json.loads(e.to_json_line())
+            if e.table == "KNOT":
+                line["payload"].pop("instanton", None)
+            fh.write(json.dumps(line) + "\n")
+    stripped = datasets.load(str(path))
+    deduce(parse_knot("Cab(3,2;8_19) # 7_7"), ds)
+    caches = [dict(ds.deduce_cache), dict(ds.structural_cache), dict(ds.lspace_cache)]
+    view = ds.untabulated()
+    assert view is ds.untabulated()
+    corpus = _ablation_corpus(ds) + [parse_knot(code) for code in ds.aliases]
+    for k in corpus + [mirror(k) for k in corpus]:
+        b = deduce(k, view)
+        assert b == deduce(k, stripped), format_knot(k)
+        assert "R1" not in {t.rule for t in b.trace}, format_knot(k)
+        for p, q in ((3, 2), (5, 2), (-3, 2), (7, 3)):
+            assert lspace_cable(p, q, k, view) == lspace_cable(p, q, k, stripped)
+    assert [ds.deduce_cache, ds.structural_cache, ds.lspace_cache] == caches
+
+
 def _answers(corpus):
     ds = datasets.load()  # empty caches
     out = []
     for k in corpus:
-        for use_stored in (True, False):
+        for data in (ds, ds.untabulated()):
             try:
-                b = deduce(k, ds, use_stored)
+                b = deduce(k, data)
                 out.append((b.nu, b.tau, b.r0, b.shape))
             except Inconsistency as e:
                 out.append(str(e))

@@ -2,7 +2,7 @@
 
 A registered alias code and the name it resolves to are one knot, so
 they get the same deduction, structural data, self-linking bound and
-dimensions, under both use_stored modes.  So do a connected sum with its
+dimensions, with and without the tabulated invariants.  So do a connected sum with its
 summands in any order, and m(m(K)); the mirror m(K) gets the negated nu
 and tau, and a sum whose summands pair with presentations of their
 mirrors is slice.  A presentation of the unknot drops out of a sum, and
@@ -38,10 +38,13 @@ def _attempt(f):
         return type(e)
 
 
-def answers(k, ds, use_stored):
-    b = deduce(k, ds, use_stored)
+def answers(k, ds, tabulated):
+    """The answers on ds, or on ds.untabulated() unless tabulated."""
+    if not tabulated:
+        ds = ds.untabulated()
+    b = deduce(k, ds)
     return ((b.nu, b.tau, b.r0, b.shape, b.mu0_dim), structural(k, ds),
-            sl_upper_bound(k, ds) if use_stored else None)
+            sl_upper_bound(k, ds) if tabulated else None)
 
 
 def test_the_registry_has_every_family():
@@ -50,12 +53,12 @@ def test_the_registry_has_every_family():
     assert ("10_124", "T(3,5)") in PAIRS and ("m(5_2)", "TB(2,-3)") in PAIRS
 
 
-@pytest.mark.parametrize("use_stored", [True, False])
+@pytest.mark.parametrize("tabulated", [True, False])
 @pytest.mark.parametrize("name, code", PAIRS)
-def test_alias_and_name_give_one_answer(name, code, use_stored):
+def test_alias_and_name_give_one_answer(name, code, tabulated):
     a, b = parse_knot(name), parse_knot(code)
-    assert answers(a, DS, use_stored) == answers(b, DS, use_stored)
-    assert answers(mirror(a), DS, use_stored) == answers(mirror(b), DS, use_stored)
+    assert answers(a, DS, tabulated) == answers(b, DS, tabulated)
+    assert answers(mirror(a), DS, tabulated) == answers(mirror(b), DS, tabulated)
     cover = lambda k: _attempt(lambda: branched_cover_dim(k, DS))
     assert cover(a) == cover(b)
 
@@ -92,8 +95,8 @@ def test_sum_answers_ignore_the_order_of_summands(parts, rnd):
     rnd.shuffle(texts)
     b = parse_knot(" # ".join(texts))
     fresh = datasets.load()
-    for use_stored in (True, False):
-        assert answers(a, DS, use_stored) == answers(b, fresh, use_stored)
+    for tabulated in (True, False):
+        assert answers(a, DS, tabulated) == answers(b, fresh, tabulated)
 
 
 @pytest.mark.parametrize("text", ["T(2,3) # 3_1", "m(Tw(1)) # TB(2,2)", "4_1 # 4_1",
@@ -114,10 +117,10 @@ def test_double_mirror_and_mirror_answers(texts):
     text = " # ".join(texts)
     k = parse_knot(text)
     fresh = datasets.load()
-    for use_stored in (True, False):
-        assert answers(parse_knot(f"m(m({text}))"), fresh, use_stored) \
-            == answers(k, DS, use_stored)
-        b, mb = deduce(k, DS, use_stored), deduce(mirror(k), DS, use_stored)
+    for tabulated, data in ((True, DS), (False, DS.untabulated())):
+        assert answers(parse_knot(f"m(m({text}))"), fresh, tabulated) \
+            == answers(k, DS, tabulated)
+        b, mb = deduce(k, data), deduce(mirror(k), data)
         assert (mb.nu, mb.tau, mb.r0, mb.shape) == (-b.nu, -b.tau, b.r0, b.shape)
 
 
@@ -138,15 +141,15 @@ UNKNOT_PRESENTATIONS = [
 ]
 
 
-@pytest.mark.parametrize("use_stored", [True, False])
+@pytest.mark.parametrize("tabulated", [True, False])
 @pytest.mark.parametrize("text, knot", UNKNOT_PRESENTATIONS)
-def test_unknot_presentations_drop_out(text, knot, use_stored):
+def test_unknot_presentations_drop_out(text, knot, tabulated):
     # each text and the knot it presents get one answer, mirrors included
     fresh = datasets.load()
     a, b = parse_knot(text), parse_knot(knot)
     assert canonical(a, DS) == canonical(b, DS)
     for x, y in ((a, b), (mirror(a), mirror(b))):
-        assert answers(x, DS, use_stored) == answers(y, fresh, use_stored)
+        assert answers(x, DS, tabulated) == answers(y, fresh, tabulated)
         assert dimensions(x, DS) == dimensions(y, fresh)
 
 
@@ -160,16 +163,17 @@ def test_presentations_of_one_knot_share_one_deduction(monkeypatch):
     ran = []
     original = invariants._deduce
 
-    def counting(k, ds, use_stored):
-        ran.append((format_knot(k), use_stored))
-        return original(k, ds, use_stored)
+    fresh = datasets.load()
+
+    def counting(k, ds):
+        ran.append((format_knot(k), ds is fresh))
+        return original(k, ds)
 
     monkeypatch.setattr(invariants, "_deduce", counting)
-    fresh = datasets.load()
-    for use_stored in (True, False):
-        first = deduce(parse_knot("T(3,5)"), fresh, use_stored)
-        assert deduce(parse_knot("10_124"), fresh, use_stored) is first
-        assert deduce(parse_knot("T(3,5)"), fresh, use_stored) is first
+    for data in (fresh, fresh.untabulated()):
+        first = deduce(parse_knot("T(3,5)"), data)
+        assert deduce(parse_knot("10_124"), data) is first
+        assert deduce(parse_knot("T(3,5)"), data) is first
     assert ran == [("10_124", True), ("10_124", False)]
 
 
