@@ -9,6 +9,8 @@ data per knot, and ALIAS rows hold the registered family identifications.
 A malformed row raises DatasetError while the file loads.  A census row
 (T2, T6, T7, T8) is keyed by its index, "0" to "19", and a T8 row may
 cite census(j) only for j below its own index, so that no route cycles.
+T2 holds a row for every index; T6, T7 and T8 list only the manifolds
+they have a route for.
 Dataset.untabulated() holds the rows without the tabulated invariants.
 
 The alias registry (Dataset.aliases) maps each code, such as "T(3,5)" or
@@ -97,16 +99,21 @@ class StructuralData(Record):
                  signature: int | None = None, determinant: int | None = None,
                  alexander: tuple[int, ...] | None = None, sl_max: int | None = None,
                  flags: tuple[Tri, ...] = NO_FLAGS):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "slice_genus", slice_genus)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "determinant", determinant)
-        object.__setattr__(self, "alexander", alexander)
-        object.__setattr__(self, "sl_max", sl_max)
-        object.__setattr__(self, "flags", flags)
+        _set_genus(self, genus)
+        _set_slice_genus(self, slice_genus)
+        _set_signature(self, signature)
+        _set_determinant(self, determinant)
+        _set_alexander(self, alexander)
+        _set_sl_max(self, sl_max)
+        _set_flags(self, flags)
 
     def flag(self, name: str) -> Tri:
         return self.flags[_FLAG_INDEX[name]]
+
+
+(_set_genus, _set_slice_genus, _set_signature, _set_determinant, _set_alexander,
+ _set_sl_max, _set_flags) = (getattr(StructuralData, name).__set__
+                             for name in StructuralData.__slots__)
 
 
 def alexander_at_minus_one(coeffs: tuple[int, ...]) -> int:
@@ -321,7 +328,8 @@ class Dataset:
     # -- integrity ----------------------------------------------------------
 
     def check_integrity(self) -> None:
-        """Bound checks on every knot record; raises on the first violation."""
+        """Bound checks on every knot record, then a T2 row for every census
+        index; raises DatasetError on the first violation."""
         for rec in self._knots.values():
             inst = rec.instanton
             nu, tau, r0 = inst.nu, inst.tau, inst.r0
@@ -352,6 +360,9 @@ class Dataset:
             if alex is not None and det is not None:
                 if abs(alexander_at_minus_one(alex)) != det:
                     raise DatasetError(f"{where}: |Delta(-1)| != determinant")
+        missing = sorted(CENSUS_KEYS.difference(self.table("T2")), key=int)
+        if missing:
+            raise DatasetError(f"T2 has no row for census index {', '.join(missing)}")
 
     def cross_check_census(self) -> None:
         """Recompute every registered census route and compare to the

@@ -61,12 +61,16 @@ class TraceEntry(Record):
     __slots__ = ("rule", "statement", "detail")
 
     def __init__(self, rule: str, statement: str, detail: str):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "statement", statement)
-        object.__setattr__(self, "detail", detail)
+        _set_rule(self, rule)
+        _set_statement(self, statement)
+        _set_detail(self, detail)
 
     def to_json(self):
         return {"rule": self.rule, "statement": self.statement, "detail": self.detail}
+
+
+_set_rule, _set_statement, _set_detail = (
+    TraceEntry.rule.__set__, TraceEntry.statement.__set__, TraceEntry.detail.__set__)
 
 
 class Bundle(Record):

@@ -68,8 +68,8 @@ class Named(KnotExpr):
     __slots__ = ("name", "mirrored")
 
     def __init__(self, name: str, mirrored: bool = False):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "mirrored", mirrored)
+        _named_name(self, name)
+        _named_mirrored(self, mirrored)
 
 
 class Torus(KnotExpr):
@@ -80,8 +80,8 @@ class Torus(KnotExpr):
     def __init__(self, p: int, q: int):
         if not (2 <= abs(p) < q) or math.gcd(abs(p), q) != 1:
             raise KnotError(f"bad torus parameters ({p},{q})")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _torus_p(self, p)
+        _torus_q(self, q)
 
 
 class Twist(KnotExpr):
@@ -92,18 +92,18 @@ class Twist(KnotExpr):
     def __init__(self, n: int, mirrored: bool = False):
         if n < 1:
             raise KnotError(f"twist knot needs n >= 1, got {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mirrored", mirrored)
+        _twist_n(self, n)
+        _twist_mirrored(self, mirrored)
 
 
 class Pretzel(KnotExpr):
     __slots__ = ("a", "b", "c", "mirrored")
 
     def __init__(self, a: int, b: int, c: int, mirrored: bool = False):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "mirrored", mirrored)
+        _pretzel_a(self, a)
+        _pretzel_b(self, b)
+        _pretzel_c(self, c)
+        _pretzel_mirrored(self, mirrored)
 
 
 class TwoBridge(KnotExpr):
@@ -114,8 +114,8 @@ class TwoBridge(KnotExpr):
     def __init__(self, a: int, b: int):
         if a % 2 == 1 and b % 2 == 1:
             raise KnotError(f"two-bridge code ({a},{b}) has both entries odd")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _two_bridge_a(self, a)
+        _two_bridge_b(self, b)
 
 
 class Cable(KnotExpr):
@@ -126,9 +126,9 @@ class Cable(KnotExpr):
     def __init__(self, p: int, q: int, companion: KnotExpr):
         if q < 2 or math.gcd(abs(p), q) != 1:
             raise KnotError(f"cable needs q >= 2 and gcd(p,q)=1, got ({p},{q})")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "companion", companion)
+        _cable_p(self, p)
+        _cable_q(self, q)
+        _cable_companion(self, companion)
 
 
 class Sum(KnotExpr):
@@ -137,7 +137,18 @@ class Sum(KnotExpr):
     def __init__(self, summands: tuple[KnotExpr, ...]):
         if len(summands) < 2:
             raise KnotError("connected sum needs at least two summands")
-        object.__setattr__(self, "summands", summands)
+        _sum_summands(self, summands)
+
+
+# the fields are stored through the slots' own descriptors, bound once here
+_named_name, _named_mirrored = Named.name.__set__, Named.mirrored.__set__
+_torus_p, _torus_q = Torus.p.__set__, Torus.q.__set__
+_twist_n, _twist_mirrored = Twist.n.__set__, Twist.mirrored.__set__
+_pretzel_a, _pretzel_b, _pretzel_c, _pretzel_mirrored = (
+    Pretzel.a.__set__, Pretzel.b.__set__, Pretzel.c.__set__, Pretzel.mirrored.__set__)
+_two_bridge_a, _two_bridge_b = TwoBridge.a.__set__, TwoBridge.b.__set__
+_cable_p, _cable_q, _cable_companion = Cable.p.__set__, Cable.q.__set__, Cable.companion.__set__
+_sum_summands = Sum.summands.__set__
 
 
 def make_torus(p: int, q: int) -> KnotExpr:

@@ -17,10 +17,11 @@ denominators strictly increase because the tail coefficients are >= 2.
 So the penultimate convergent c/d of p/q (q >= 2) is the unique solution
 of q c - p d = 1 with 0 < d < q: d = (-p)^-1 mod q.  `triad` uses this to
 build the surgery triad from one modular inverse instead of the whole
-expansion.
+expansion, and checks that identity once: it proves all three slopes of
+the triad reduced, so they are built without Slope's gcd.
 """
 
-from .values import Record, Slope, SlopeError, reduce
+from .values import Record, Slope, SlopeError, _coprime, reduce
 
 
 # Longest negative continued fraction neg_cf writes out.  The expansion
@@ -111,12 +112,24 @@ def triad(s: Slope) -> Triad:
     identity gives q c - p d = 1, and the convergent denominators strictly
     increase (every tail coefficient is >= 2), so 0 < q_{n-1} < q_n = q;
     d is the one residue of (-p)^-1 mod q in that range.
+
+    c comes from divmod(1 + p d, q), and a non-zero remainder raises
+    SlopeError: that one check is q c - p d = 1 itself, and it proves
+    every slope of the triad reduced.  With a = p - c and b = q - d,
+    b c - a d = q c - p d = 1; and d e - c f = -1 when b > d, +1 when
+    b < d, while e/f = 1/0 when b = d.  So a common divisor of (a, b),
+    (c, d) or (e, f) divides 1.  The signs hold by construction:
+    0 < d < q gives b, d >= 1, and f = |b - d| >= 0, with f = 0 only at
+    1/0.  So the three slopes are stored as they are, without the gcd
+    Slope(p, q) would run on each.
     """
     p, q = s.p, s.q
     if q <= 1:
         raise SlopeError(f"no triad for integer or infinite slope {s}")
     d = pow(-p, -1, q)
-    c = (1 + p * d) // q
+    c, r = divmod(1 + p * d, q)
+    if r:
+        raise SlopeError(f"determinant check q c - p d = 1 fails for {s} at d = {d}")
     a, b = p - c, q - d
     if b == d:
         e, f = 1, 0
@@ -127,4 +140,4 @@ def triad(s: Slope) -> Triad:
     else:
         e, f = c - a, d - b
         case = "cd=ab+ef"
-    return Triad(Slope(a, b), Slope(c, d), Slope(e, f), case)
+    return Triad(_coprime(a, b), _coprime(c, d), _coprime(e, f), case)

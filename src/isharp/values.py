@@ -22,9 +22,13 @@ fields (a knot expression's canonical text, a bundle's (nu, r0) pairs)
 that equality, hashing, repr, replace and pickling never see, and that
 is never a constructor argument.  Each record writes its own __init__, so
 its checks read as plain code and its constructor costs no more than the
-field stores.  The records a slope sweep builds for every slope (Slope,
-Triad, DimResult) store their fields through the slots' own descriptors,
-bound once per module, which costs less than object.__setattr__.  Records
+field stores.  The records built in bulk (Slope, Triad and DimResult for
+every slope of a sweep; Val, StructuralData, the knot expressions and
+TraceEntry while deducing) store their fields through the slots' own
+descriptors, bound once per module, which costs less than
+object.__setattr__.  A slope whose pair the caller's arithmetic proves
+reduced (reduce, negation, the three slopes of slopes.triad) is built by
+_coprime, which stores p and q without Slope's gcd and checks.  Records
 live here, in the lowest layer, because every CLI call imports this
 module anyway: the class-generating machinery of `dataclasses` (which
 pulls in `inspect`, `ast` and `dis`) cost about a quarter of a short
@@ -54,11 +58,13 @@ class Record:
     copying rebuild records through __init__, so they re-run its checks
     and recompute every derived slot.  __init__ stores the fields with
     _fill, since ordinary assignment raises.  The records built in bulk
-    skip _fill's extra call and loop.  Those a slope sweep builds for
-    every slope (Slope, Triad, DimResult) call their slots' descriptors,
-    bound once at module level (_set_p = Slope.p.__set__), so they no
-    longer use object.__setattr__; those built while deducing (Val,
-    StructuralData, the knot expressions and TraceEntry) still do.
+    skip _fill's extra call and loop, and call their slots' descriptors,
+    bound once at module level (_set_p = Slope.p.__set__): Slope, Triad
+    and DimResult, built for every slope of a sweep, and Val,
+    StructuralData, the knot expressions and TraceEntry, built while
+    deducing.  The derived slots of the knot expressions and of Bundle
+    are still written with object.__setattr__.  _coprime builds a Slope
+    without running __init__, for a pair already proved reduced.
     """
 
     __slots__ = ()
@@ -140,9 +146,9 @@ class Val(Record):
                 lo += 1
             if hi is not None and hi % 2 != parity:
                 hi -= 1
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "parity", parity)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_parity(self, parity)
 
     @staticmethod
     def exact(x: int) -> "Val":
@@ -237,6 +243,9 @@ class Val(Record):
         return out
 
 
+_set_lo, _set_hi, _set_parity = Val.lo.__set__, Val.hi.__set__, Val.parity.__set__
+
+
 class DatasetError(ValueError):
     """Parse failure or integrity violation in a record file."""
 
@@ -273,14 +282,26 @@ class Slope(Record):
     def __neg__(self) -> "Slope":
         if self.is_infinite:
             return self
-        return Slope(-self.p, self.q)
+        return _coprime(-self.p, self.q)  # gcd(-p, q) = gcd(p, q) = 1
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else f"{self.p}/{self.q}"
 
 
 _set_p, _set_q = Slope.p.__set__, Slope.q.__set__
+_new = object.__new__
 INFINITY = Slope(1, 0)
+
+
+def _coprime(p: int, q: int) -> Slope:
+    """The slope p/q built without Slope's checks, for a caller whose
+    arithmetic proves the pair reduced: gcd(p, q) = 1, q >= 0, and
+    q = 0 only at p = 1.  reduce, negation and slopes.triad prove it;
+    every other pair goes through the checked Slope(p, q)."""
+    s = _new(Slope)
+    _set_p(s, p)
+    _set_q(s, q)
+    return s
 
 
 def reduce(p: int, q: int) -> Slope:
@@ -291,7 +312,7 @@ def reduce(p: int, q: int) -> Slope:
     p, q = p // g, q // g
     if q < 0 or q == 0 and p < 0:  # -1/0 is inf, as -inf is
         p, q = -p, -q
-    return Slope(p, q)
+    return _coprime(p, q)  # divided by their gcd, and 1/0 is the one q = 0
 
 
 BLANKS = " \t\n\r\v\f"

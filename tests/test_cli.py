@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from datetime import timedelta
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isharp import cli, cli_text
+from isharp import cli, cli_text, datasets
 from isharp.dimension import parse_manifold
 from isharp.knots import format_knot
 from test_knots import knot_exprs
@@ -230,14 +231,14 @@ def test_missing_data_file_exits_3(tmp_path):
 
 def _edited_copy(tmp_path, table, key, edit):
     """The bundled record file with edit applied to the JSON object of
-    one row."""
-    from isharp import datasets
+    one row; a row the edit empties is left out."""
     lines = []
     for e in datasets.load().entries:
         line = json.loads(e.to_json_line())
         if (e.table, e.key) == (table, key):
             edit(line)
-        lines.append(json.dumps(line))
+        if line:
+            lines.append(json.dumps(line))
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(bad)
@@ -292,6 +293,10 @@ def _set_component_desc(line, desc):
     *[("T2", "3", lambda line, key=key: line.update(key=key), argv,
        f"T2 row {key}: key is not a census index 0..19")
       for key in ("x", "1_0", "03", "20") for argv in (("verify", "T2"), ("export", "T2"))],
+    # T2 holds a row for every census index
+    *[("T2", "3", dict.clear, argv, "T2 has no row for census index 3")
+      for argv in (("verify", "T2"), ("verify", "all"), ("export", "T2"), ("census", "all"),
+                   ("census", "3"), ("dim", "census(3)"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -660,6 +665,62 @@ def test_every_input_ends_in_a_documented_exit(argv):
         assert lines[0].startswith("usage: isharp") and ": error: " in lines[-1], argv
     else:
         assert len(lines) <= 1, (argv, err)
+
+
+# --- the data contract: a record file with one cell changed --------------
+# Whatever one cell of the record file holds, or with one row deleted, a
+# command that reads the file ends in exit 0, 1 or 3 with at most one
+# stderr line and never a traceback.
+
+def _cells(node, path=()):
+    """The path of every cell in a row's payload: each field, and each
+    item of a list or object inside one."""
+    items = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for name, value in items:
+        yield (*path, name)
+        yield from _cells(value, (*path, name))
+
+
+_DATA_LINES = [line for line in Path(datasets.BUNDLED_PATH).read_text(encoding="utf-8")
+               .splitlines() if line.strip()]
+_DATA_ROWS = [json.loads(line) for line in _DATA_LINES]
+_DATA_CELLS = [(i, cell) for i, row in enumerate(_DATA_ROWS)
+               for cell in (("key",), *(("payload", *p) for p in _cells(row["payload"])))]
+# what the cell becomes: null, a string, a 31-digit integer, a reversed
+# interval, a census or a surgery description; ... deletes the cell's row
+_CELL_VALUES = [None, "x", 10 ** 30 + 7, {"lo": 5, "hi": 1}, "census(3)", "surg(4_1; 1/2)", ...]
+_DATA_COMMANDS = [("dim", "surg(8_19; 3/2)"), ("dim", "census(7)"), ("dim", "dcover(10_124)"),
+                  ("invariants", "m(5_2)"), ("cable", "3", "2", "3_1"), ("sum", "3_1", "m(4_1)"),
+                  ("census", "all"), ("identities", "6_2", "1"), ("export", "T2"),
+                  ("verify", "T2")]
+_T2_ROW_3 = next(i for i, row in enumerate(_DATA_ROWS) if (row["table"], row["key"]) == ("T2", "3"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_DATA_CELLS), st.sampled_from(_CELL_VALUES))
+@example((_T2_ROW_3, ("key",)), ...)
+@example((_T2_ROW_3, ("payload", "dim")), {"lo": 5, "hi": 1})
+@example((_T2_ROW_3, ("key",)), 10 ** 30 + 7)
+def test_a_record_file_with_one_cell_changed_keeps_the_exit_contract(cell, value):
+    i, path = cell
+    lines = list(_DATA_LINES)
+    if value is ...:
+        del lines[i]
+    else:
+        row = json.loads(lines[i])
+        node = row
+        for name in path[:-1]:
+            node = node[name]
+        node[path[-1]] = value
+        lines[i] = json.dumps(row)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "tables.jsonl")
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        for argv in _DATA_COMMANDS:
+            code, _, err = _call(["--data", data, *argv])
+            assert code in (0, 1, 3), (argv, code, err)
+            assert "Traceback" not in err and len(err.splitlines()) <= 1, (argv, err)
 
 
 def _admitted(out):

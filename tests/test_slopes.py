@@ -26,6 +26,30 @@ def test_reduce_rejects_bad_pairs():
         Slope(4, 2)  # unreduced pair rejected by the constructor
 
 
+_PAIR_PARTS = st.integers(-50, 50) | st.integers(-10 ** 40, 10 ** 40)
+
+
+@settings(max_examples=400)
+@given(_PAIR_PARTS, _PAIR_PARTS)
+@example(5, 0)
+@example(-5, 0)
+@example(0, 7)
+@example(0, -7)
+@example(6, -4)
+@example(-10 ** 40, -10 ** 20)
+def test_reduce_builds_the_reduced_slope_of_every_pair(p, q):
+    # reduce stores its pair unchecked, so rebuild it through the checked
+    # constructor, which raises on a pair that is not reduced
+    if p == q == 0:
+        with pytest.raises(SlopeError, match="^0/0 is not a slope$"):
+            reduce(p, q)
+        return
+    s = reduce(p, q)
+    assert type(s) is Slope and s == Slope(s.p, s.q)
+    assert s.p * q == s.q * p  # the same rational, or both infinite
+    assert s.is_infinite == (q == 0)
+
+
 def test_slope_parse_print_roundtrip():
     for text in ["5/2", "-3/1", "0/1", "inf", "7/13"]:
         assert str(parse_slope(text)) == text
@@ -388,3 +412,38 @@ def test_neg_cf_refuses_expansions_past_the_bound():
     for s in (Slope(1, MAX_CF_TERMS + 1), Slope(1, 10 ** 20), Slope(10 ** 40 + 1, 10 ** 40)):
         with pytest.raises(SlopeError, match=f"more than {MAX_CF_TERMS} terms"):
             neg_cf(s)
+
+
+# -- the slopes stored without Slope's checks ----------------------------------
+
+def _unchecked_slopes(s: Slope) -> list[Slope]:
+    """Every slope triad and negation build without Slope's checks."""
+    t = triad(s)
+    return [t.ab, t.cd, t.ef, -s, -t.ab, -t.cd, -t.ef]
+
+
+# q = 2 is the only denominator with b == d in triad (b = d and
+# gcd(d, q) = 1 give d = 1), where ef is 1/0
+_HALVES = st.integers(-10 ** 40, 10 ** 40).map(lambda n: Slope(2 * n + 1, 2))
+
+
+@settings(max_examples=400)
+@given(big_slopes() | _HALVES)
+@example(Slope(1, 2))
+@example(Slope(-1, 2))
+@example(Slope(-31, 6))
+@example(Slope(-(10 ** 40) - 1, 10 ** 40))
+def test_slopes_built_unchecked_pass_the_checks(s):
+    for x in _unchecked_slopes(s):
+        assert type(x) is Slope and x == Slope(x.p, x.q), (s, x)
+
+
+def test_triad_checks_the_determinant_identity(monkeypatch):
+    # a wrong inverse d breaks q c - p d = 1; the check must catch it,
+    # since the three slopes are then stored without a gcd
+    import isharp.slopes
+    monkeypatch.setattr(isharp.slopes, "pow", lambda b, e, m: (pow(b, e, m) + 1) % m,
+                        raising=False)
+    for s in (Slope(5, 7), Slope(1, 2), Slope(-31, 6), Slope(10 ** 40 + 1, 10 ** 40)):
+        with pytest.raises(SlopeError, match=f"^determinant check q c - p d = 1 fails for {s} "):
+            triad(s)
