@@ -10,7 +10,8 @@ A malformed row raises DatasetError while the file loads.  A census row
 (T2, T6, T7, T8) is keyed by its index, "0" to "19", and a T8 row may
 cite census(j) only for j below its own index, so that no route cycles.
 T2 holds a row for every index; T6, T7 and T8 list only the manifolds
-they have a route for.
+they have a route for.  A knot-table row (T1, T3, T4, T5) is keyed by
+the name of a KNOT row.
 Dataset.untabulated() holds the rows without the tabulated invariants.
 
 The alias registry (Dataset.aliases) maps each code, such as "T(3,5)" or
@@ -35,6 +36,8 @@ KNOWN_TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "KNOT", "ALIAS")
 # the census tables, whose rows are keyed by census index
 CENSUS_TABLES = ("T2", "T6", "T7", "T8")
 CENSUS_KEYS = frozenset(map(str, range(20)))
+# the knot tables, whose rows are keyed by the name of a KNOT row
+KNOT_TABLES = ("T1", "T3", "T4", "T5")
 
 ENV_DATA_PATH = "ISHARP_DATA"
 # read as a plain file: importlib.resources costs a fresh interpreter
@@ -328,8 +331,9 @@ class Dataset:
     # -- integrity ----------------------------------------------------------
 
     def check_integrity(self) -> None:
-        """Bound checks on every knot record, then a T2 row for every census
-        index; raises DatasetError on the first violation."""
+        """Bound checks on every knot record, then a KNOT row for every key
+        of a knot table and a T2 row for every census index; raises
+        DatasetError on the first violation."""
         for rec in self._knots.values():
             inst = rec.instanton
             nu, tau, r0 = inst.nu, inst.tau, inst.r0
@@ -360,16 +364,22 @@ class Dataset:
             if alex is not None and det is not None:
                 if abs(alexander_at_minus_one(alex)) != det:
                     raise DatasetError(f"{where}: |Delta(-1)| != determinant")
+        for table in KNOT_TABLES:
+            for key in self.table(table):
+                if key not in self._knots:
+                    raise DatasetError(f"{table} row {key}: no knot record {key}")
         missing = sorted(CENSUS_KEYS.difference(self.table("T2")), key=int)
         if missing:
             raise DatasetError(f"T2 has no row for census index {', '.join(missing)}")
 
     def cross_check_census(self) -> None:
-        """Recompute every registered census route and compare to the
-        stored dimensions (raises DatasetError on mismatch)."""
-        from .verify import census_route_failures
+        """Meet every registered census route with the stored dimensions, as
+        verify.check_census does; raises DatasetError naming each route
+        that disagrees."""
+        from .verify import check_census
 
-        failures = census_route_failures(self)
+        failures = [f"census {c.key} via {c.cell}: expected {c.expected}, computed {c.got}"
+                    for c in check_census(self).failed if c.section != "T2"]
         if failures:
             raise DatasetError("; ".join(failures))
 

@@ -5,9 +5,9 @@ census_dim meets a census manifold's stored dimension with every
 registered route (a T6 surgery, a T7 branched cover, a T8 exact triad),
 and manifold_dim extends dimension.manifold_dim to census(i).  The
 identities re-describe one surgery as another, and verify_identity
-compares their dimensions.  The closed form, lens spaces and branched
-covers live one layer down, in dimension, which a `dim` call on a
-surgery compiles without this module.
+compares their dimensions, naming each side as its Surgery prints.  The
+closed form, lens spaces and branched covers live one layer down, in
+dimension, which a `dim` call on a surgery compiles without this module.
 """
 
 import math
@@ -16,8 +16,8 @@ from . import dimension
 from .dimension import (BranchedCover, Census, DimensionError, DimResult, Surgery,
                         _parse_cell, branched_cover_dim, parse_manifold, surgery_dim)
 from .knots import (Cable, KnotExpr, Pretzel, Twist, TwoBridge, _pretzel_n33,
-                    _two_bridge_from_twist, canonical, equivalent_atoms, format_knot,
-                    make_cable, parse_knot)
+                    _two_bridge_from_twist, canonical, equivalent_atoms, make_cable,
+                    parse_knot)
 from .values import Inconsistency, IntegrityError, Record, Slope, parse_slope, reduce
 
 
@@ -186,5 +186,4 @@ def verify_identity(lhs: tuple[KnotExpr, Slope], rhs: tuple[KnotExpr, Slope],
         status = "equal" if ld.is_exact and ld == rd else "compatible"
     except Inconsistency:
         status = "contradiction"
-    name = lambda pair: f"surg({format_knot(pair[0])}; {pair[1]})"
-    return IdentityReport(name(lhs), name(rhs), ld, rd, status)
+    return IdentityReport(str(Surgery(*lhs)), str(Surgery(*rhs)), ld, rd, status)

@@ -1,14 +1,20 @@
 """Re-derivation of every derivable table cell, plus cross-checks.
 
-The re-derivations run on ds.untabulated(), which holds no stored
+CHECKS names each check of `verify all` once, in report order, with the
+tables it verifies; each check reads its table in one pass.  The
+re-derivations run on ds.untabulated(), which holds no stored
 nu/tau/r0: nu and tau come from structural flags through the deduction
 rules, and r0 from the registered routes (torus/twist/pretzel families,
-two-bridge surgery identities, and the chain through P(5,5,-3)).
+two-bridge surgery identities, and the chain through P(5,5,-3)).  A
+route input the data do not supply or leave inexact fails its T1 cell
+or raises IntegrityError naming it.  check_census meets the census
+routes in turn, as surgery.census_dim does.
 """
 
 import json
 
-from .dimension import DimensionError, DimResult, branched_cover_dim, surgery_dim
+from .datasets import CENSUS_TABLES
+from .dimension import DimensionError, DimResult, Surgery, branched_cover_dim, surgery_dim
 from .invariants import deduce
 from .knots import (
     Cable,
@@ -66,9 +72,6 @@ class Report:
     def passed(self) -> int:
         return len(self.cells) - len(self.failed)
 
-    def extend(self, other: "Report"):
-        self.cells.extend(other.cells)
-
     def to_json(self):
         return {
             "total": len(self.cells),
@@ -80,17 +83,6 @@ class Report:
         """One line per cell, then the notes, then the pass count."""
         return "\n".join([*(c.line() for c in self.cells), *self.notes,
                           f"{self.passed}/{len(self.cells)} passed"])
-
-
-# ---------------------------------------------------------------------------
-# Census routes (the cross-check behind Dataset.cross_check_census)
-# ---------------------------------------------------------------------------
-
-def census_route_failures(ds) -> list[str]:
-    """One line per registered census route that disagrees with the
-    stored row (the route cells of check_census)."""
-    return [f"census {c.key} via {c.cell}: stored {c.expected}, computed {c.got}"
-            for c in check_census(ds).failed if c.section != "T2"]
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +124,23 @@ IDENTITY_ROUTES = {
 }
 
 
-def rederive_r0(ds) -> tuple[dict, Report]:
-    """Re-derive (nu, r0) for every knot in the main table without stored
-    instanton data; returns {name: (nu, r0)} and the comparison report."""
+def _route_bundle(view, name: str):
+    """What view deduces for a knot that a T1 route names."""
+    if view.knot_record(name) is None:
+        raise IntegrityError(f"T1 route: no knot record {name}")
+    return deduce(Named(name), view)
+
+
+def _exact(value, what: str):
+    """value, a Val or a DimResult, when it is exact: no route runs on an inexact input."""
+    if not value.is_exact:
+        raise IntegrityError(f"T1 route: {what} is not exact: {value}")
+    return value
+
+
+def rederive_r0(ds) -> Report:
+    """Re-derive (nu, r0) for every T1 knot without stored instanton data,
+    and compare them with the table."""
     report = Report()
     derived: dict[str, tuple[int, int]] = {}
     view = ds.untabulated()
@@ -142,36 +148,35 @@ def rederive_r0(ds) -> tuple[dict, Report]:
     # family routes resolve through aliases inside the rule engine
     for name in ("3_1", "4_1", "5_1", "5_2", "6_1", "7_1", "7_2", "8_1",
                  "8_5", "8_19", "8_20"):
-        b = deduce(Named(name), view)
+        b = _route_bundle(view, name)
         if not (b.nu.is_exact and b.r0.is_exact):
             report.add("T1", name, "r0", "exact family value", b.r0, False)
             continue
         derived[name] = (b.nu.value(), b.r0.value())
 
-    # two-bridge identity routes
+    # two-bridge identity routes: n-surgery on the knot is a surgery on
+    # its partner, whose dimension the closed form gives
     for name, (n, partner_text) in IDENTITY_ROUTES.items():
-        partner = parse_knot(partner_text)
-        nu = deduce(Named(name), view).nu.value()
-        slope = Slope(n, 1)
-        matches = [rhs for rhs in homeo_identities(Named(name), slope, ds)
-                   if rhs[0] == partner or format_knot(rhs[0]) == partner_text]
+        nu = _exact(_route_bundle(view, name).nu, f"nu of {name}").value()
+        matches = [Surgery(*rhs) for rhs in homeo_identities(Named(name), Slope(n, 1), ds)
+                   if format_knot(rhs[0]) == partner_text]
         if not matches:
             report.add("T1", name, "r0", f"identity with {partner_text}", "no match", False)
             continue
-        rhs_knot, rhs_slope = matches[0]
-        pb = deduce(rhs_knot, view)
-        dim = rhs_slope.q * pb.r0.value() + abs(rhs_slope.p - rhs_slope.q * pb.nu.value())
-        derived[name] = (nu, dim - abs(n - nu))
+        rhs = matches[0]
+        try:
+            dim = _exact(surgery_dim(rhs.knot, rhs.slope, rhs.bundle, view), f"dim of {rhs}")
+        except DimensionError as e:
+            raise IntegrityError(f"T1 route: {e}") from None
+        derived[name] = (nu, dim.dim - abs(n - nu))
 
-    # the chain through P(5,5,-3)
-    chain = _chain_r0(view, derived["6_2"])
-    derived.update(chain)
+    if "6_2" in derived:  # the chain through P(5,5,-3) starts at 6_2
+        derived.update(_chain_r0(view, derived["6_2"]))
 
     for key, entry in ds.table("T1").items():
-        got = derived.get(key)
-        expected = (entry.payload["nu"], entry.payload["r0"])
-        report.add("T1", key, "nu,r0", expected, got)
-    return derived, report
+        report.add("T1", key, "nu,r0", (entry.payload["nu"], entry.payload["r0"]),
+                   derived.get(key))
+    return report
 
 
 def alexander_zero_surgery_floor(coeffs: tuple[int, ...]) -> int:
@@ -184,11 +189,13 @@ def alexander_zero_surgery_floor(coeffs: tuple[int, ...]) -> int:
     return 4 * abs(a[2]) + 2 * abs(a[1] + 2 * a[2])
 
 
-def _chain_r0(ds, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
+def _chain_r0(view, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
     """Derive r0 for 6_3, 8_6, 8_8 from the homeomorphisms
     S^3_{-1}(K_n) = S^3_{-1/n}(P(5,5,-3)) (K_1, K_-1, K_2, K_-2 being
     6_2, 6_3, 8_6, 8_8) together with exact-triangle bounds and the
-    polynomial floor for the zero-surgery of 8_8; ds holds no stored values."""
+    polynomial floor for the zero-surgery of 8_8; view holds no stored values."""
+    nus = {name: _exact(_route_bundle(view, name).nu, f"nu of {name}").value()
+           for name in ("6_3", "8_6", "8_8")}
     nu62, r062 = inv_6_2
     d_minus1 = r062 + abs(-1 - nu62)  # = dim of -1-surgery on 6_2 = on P
 
@@ -196,8 +203,10 @@ def _chain_r0(ds, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
     d0_candidates = [d for d in (d_minus1 - 1, d_minus1 + 1) if d % 2 == 0 and d >= 0]
 
     # zero-surgery floor for 8_8: slice, genus 2, known polynomial
-    rec = ds.knot_record("8_8")
-    floor = alexander_zero_surgery_floor(rec.structural.alexander)  # mu bundle
+    alexander = view.knot_record("8_8").structural.alexander
+    if alexander is None or any(alexander[3:]):
+        raise IntegrityError(f"T1 route: 8_8 has no genus <= 2 alexander polynomial: {alexander}")
+    floor = alexander_zero_surgery_floor(alexander)  # mu bundle
     d_half_min = floor + 2 - 1  # trivial bundle adds 2, the triangle drops 1
 
     solutions = []
@@ -224,14 +233,8 @@ def _chain_r0(ds, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
     # giving r0 - nu = d0 and dim at -1/2 equal to 2 d0 - 1
     d_mhalf = 2 * d0 - 1
 
-    out = {}
-    nu63 = deduce(Named("6_3"), ds).nu.value()
-    out["6_3"] = (nu63, d1 - abs(-1 - nu63))
-    nu86 = deduce(Named("8_6"), ds).nu.value()
-    out["8_6"] = (nu86, d_mhalf - abs(-1 - nu86))
-    nu88 = deduce(Named("8_8"), ds).nu.value()
-    out["8_8"] = (nu88, d_half - abs(-1 - nu88))
-    return out
+    return {name: (nus[name], d - abs(-1 - nus[name]))
+            for name, d in (("6_3", d1), ("8_6", d_mhalf), ("8_8", d_half))}
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +253,20 @@ def check_integer_surgery_table(ds) -> Report:
 
 
 def check_census(ds) -> Report:
+    """One cell per census route, met in turn with the stored dimension as
+    census_dim meets them: each route is compared with what the stored
+    value and the routes before it leave."""
     report = Report()
     for key, entry in sorted(ds.table("T2").items(), key=lambda kv: int(kv[0])):
-        stored = DimResult.of_stored(entry.payload["dim"], entry.payload["h1"])
+        known = DimResult.of_stored(entry.payload["dim"], entry.payload["h1"])
         routes = census_routes(int(key), ds)
         for table, route, computed in routes:
             try:
-                stored.meet(computed)
-                ok = True
+                met, ok = known.meet(computed), True
             except Inconsistency:
-                ok = False
-            report.add(table, key, route, stored, computed, ok)
+                met, ok = known, False
+            report.add(table, key, route, known, computed, ok)
+            known = met
         report.add("T2", key, "routes", entry.payload["dim"],
                    entry.payload["dim"], bool(routes))
     return report
@@ -279,43 +285,15 @@ def _noncollapse(result: DimResult, khbar_dim: int) -> str:
     return "open"
 
 
-def spectral_covers(ds) -> dict:
-    """The branched-double-cover dimension of every T5 knot, by key; pass
-    it to check_spectral and spectral_rows to compute each cover once."""
-    return {key: branched_cover_dim(parse_knot(key), ds) for key in ds.table("T5")}
-
-
-def spectral_rows(ds, covers: dict) -> list[dict]:
-    """Per-knot status for the branched-double-cover comparison table."""
-    rows = []
+def check_spectral(ds) -> Report:
+    """Two cells per T5 knot, its cover dimension and whether the spectral
+    sequence is shown not to collapse; the notes print each cover next to
+    the reduced odd Khovanov rank.  Each cover is computed once."""
+    report = Report(notes=["branched double covers of the non-thin knots:"])
     for key, entry in ds.table("T5").items():
-        p = entry.payload
-        result = covers[key]
-        values = result.values()
-        row = {
-            "knot": key,
-            "det": p["det"],
-            "khbar_dim": p["khbar_dim"],
-            "dim": result.to_json(),
-            "noncollapse": _noncollapse(result, p["khbar_dim"]),
-        }
-        if values is not None and len(values) > 1:
-            # candidate values are possible, not confirmed; flag the tightest
-            row["tight_candidate"] = {
-                "value": max(values),
-                "khbar_dim": p["khbar_dim"],
-                "status": "possible",
-            }
-        rows.append(row)
-    return rows
-
-
-def check_spectral(ds, covers: dict) -> Report:
-    report = Report()
-    for key, entry in ds.table("T5").items():
-        stored = entry.payload["dim"]
-        computed = covers[key]
-        noncollapse = _noncollapse(computed, entry.payload["khbar_dim"])
+        stored, khbar_dim = entry.payload["dim"], entry.payload["khbar_dim"]
+        computed = branched_cover_dim(Named(key), ds)
+        noncollapse = _noncollapse(computed, khbar_dim)
         if stored is None:
             ok = computed.values() is None and computed.hi is None
             report.add("T5", key, "dim", "undetermined", computed, ok)
@@ -326,6 +304,13 @@ def check_spectral(ds, covers: dict) -> Report:
                   and computed.euler == expected.euler)
             report.add("T5", key, "dim", expected, computed, ok)
             report.add("T5", key, "noncollapse", "confirmed", noncollapse)
+        values = computed.values()
+        # candidate values are possible, not confirmed; flag the tightest
+        tight = (f"  (candidate {max(values)} vs {khbar_dim}: possible)"
+                 if values is not None and len(values) > 1 else "")
+        dim = json.dumps(computed.to_json(), sort_keys=True, separators=(",", ":"))
+        report.notes.append(f"  {key}: dim {dim}  vs reduced odd Khovanov {khbar_dim}"
+                            f"  -> {noncollapse}{tight}")
     return report
 
 
@@ -406,45 +391,27 @@ def check_identities(ds) -> Report:
     return report
 
 
-def _spectral_line(row: dict) -> str:
-    t = row.get("tight_candidate")
-    extra = f"  (candidate {t['value']} vs {t['khbar_dim']}: {t['status']})" if t else ""
-    dim = json.dumps(row["dim"], sort_keys=True, separators=(",", ":"))
-    return (f"  {row['knot']}: dim {dim}  vs reduced odd Khovanov {row['khbar_dim']}"
-            f"  -> {row['noncollapse']}{extra}")
+# the checks of `verify all`, in report order, each with the tables it verifies
+CHECKS = ((("T3",), rederive_nu_tau), (("T1",), rederive_r0),
+          (("T4",), check_integer_surgery_table), (CENSUS_TABLES, check_census),
+          (("T5",), check_spectral))
 
 
 def verify_target(target: str, ds) -> Report:
     """The report of `isharp verify TARGET`: "all", "identities", or one
-    table T1-T8.  The T5 report's notes are the branched-double-cover
-    rows of the non-thin knots."""
+    table T1-T8, whose cells its check gives, with the check's notes (the
+    T5 report's are the branched-double-cover rows of the non-thin knots)."""
     if target == "all":
         return verify_all(ds)
     if target == "identities":
         return check_identities(ds)
-    if target == "T1":
-        return rederive_r0(ds)[1]
-    if target == "T3":
-        return rederive_nu_tau(ds)
-    if target == "T4":
-        return check_integer_surgery_table(ds)
-    if target == "T5":
-        covers = spectral_covers(ds)
-        return Report(check_spectral(ds, covers).cells,
-                      ["branched double covers of the non-thin knots:",
-                       *map(_spectral_line, spectral_rows(ds, covers))])
-    if target in ("T2", "T6", "T7", "T8"):
-        return Report([c for c in check_census(ds).cells if c.section == target])
+    for tables, check in CHECKS:
+        if target in tables:
+            report = check(ds)
+            return Report([c for c in report.cells if c.section == target], report.notes)
     raise DatasetError(f"nothing to verify for {target!r}")
 
 
 def verify_all(ds) -> Report:
     """Every re-derivable cell of every table, one pass/fail row per cell."""
-    report = Report()
-    report.extend(rederive_nu_tau(ds))
-    _, t1 = rederive_r0(ds)
-    report.extend(t1)
-    report.extend(check_integer_surgery_table(ds))
-    report.extend(check_census(ds))
-    report.extend(check_spectral(ds, spectral_covers(ds)))
-    return report
+    return Report([c for _, check in CHECKS for c in check(ds).cells])

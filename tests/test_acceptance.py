@@ -10,7 +10,7 @@ import pytest
 from isharp import datasets
 from isharp.invariants import deduce
 from isharp.knots import Pretzel, Twist, mirror, parse_knot
-from isharp.dimension import surgery_dim
+from isharp.dimension import branched_cover_dim, surgery_dim
 from isharp.slopes import eval_cf, neg_cf, triad
 from isharp.surgery import verify_identity
 from isharp.values import Slope, reduce
@@ -18,10 +18,9 @@ from isharp.verify import (
     check_census,
     check_identities,
     check_integer_surgery_table,
+    check_spectral,
     rederive_nu_tau,
     rederive_r0,
-    spectral_covers,
-    spectral_rows,
     verify_all,
 )
 
@@ -46,9 +45,9 @@ def test_criterion_1_table_reproduction(ds):
     open_nu = [c.key for c in t3.cells if c.cell == "nu" and "interval" in c.expected]
     assert sorted(open_nu) == ["7_7", "8_13"]
 
-    derived, t1 = rederive_r0(ds)
+    t1 = rederive_r0(ds)
     assert not t1.failed, [c.line() for c in t1.failed]
-    assert len(derived) == 20
+    assert len(t1.cells) == 20
 
     t4 = check_integer_surgery_table(ds)
     assert not t4.failed, [c.line() for c in t4.failed]
@@ -140,27 +139,31 @@ def test_criterion_3_family_formulas(ds):
 # -- criterion 4: spectral-sequence table ----------------------------------------
 
 def test_criterion_4_spectral_table(ds):
-    rows = {r["knot"]: r for r in spectral_rows(ds, spectral_covers(ds))}
     expected = {
         "10_124": 1, "10_139": 5, "10_145": 5, "10_152": None,
         "10_153": 5, "10_154": (13, 15), "10_161": 7,
     }
     for knot, want in expected.items():
-        got = rows[knot]["dim"]
+        got = branched_cover_dim(parse_knot(knot), ds).to_json()
         if want is None:
             assert got["kind"] == "interval" and got["hi"] is None, knot
         elif isinstance(want, tuple):
             assert tuple(got.get("candidates", ())) == want, knot
         else:
             assert got.get("dim") == want, knot
-    for knot in expected:
-        status = rows[knot]["noncollapse"]
+    t5 = check_spectral(ds)
+    assert not t5.failed, [c.line() for c in t5.failed]
+    noncollapse = {c.key: c.got for c in t5.cells if c.cell == "noncollapse"}
+    assert set(noncollapse) == set(expected)
+    for knot, status in noncollapse.items():
         if knot == "10_152":
             assert status == "open"
         else:
             assert status == "confirmed", knot
-    tight = rows["10_154"]["tight_candidate"]
-    assert tight == {"value": 15, "khbar_dim": 17, "status": "possible"}
+    tight = [note for note in t5.notes if "(candidate" in note]
+    assert len(tight) == 1
+    assert tight[0].startswith("  10_154: ")
+    assert tight[0].endswith("  (candidate 15 vs 17: possible)")
     report(4, "cover dimensions (1, 5, 5, open, 5, {13,15}, 7); the strict "
               "inequality is confirmed except 10_152, with 15 vs 17 only possible")
 

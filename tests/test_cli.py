@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -60,6 +61,30 @@ def test_verify_all_passes():
     obj = json.loads(out)
     assert obj["passed"] == obj["total"] > 0
     assert obj["failed"] == []
+
+
+# sha256 prefixes of the stdout of `verify TARGET` on the bundled data,
+# as JSON and under --pretty; T1, T2 and T4 pass 20 of 20 cells alike
+_VERIFY_DIGESTS = {
+    "T1": ("c4553837a4619d96", "74c9f96fc8bfea6a"),
+    "T2": ("c4553837a4619d96", "365b606770a78364"),
+    "T3": ("1e11371e835e188a", "b982975c6d41dbb1"),
+    "T4": ("c4553837a4619d96", "6a9ecdd99c8c69c9"),
+    "T5": ("fe1d44e449ffcd96", "e6c9d09fe8fba684"),
+    "T6": ("63f6b0706e0cd202", "ddaee39e77cf15db"),
+    "T7": ("dee07cb785fdecc4", "2984c1136088d474"),
+    "T8": ("8a17f15e72ca721d", "bc43b391cbd9e1a8"),
+    "all": ("6607ba554370ee23", "c53f57657130c617"),
+    "identities": ("093c217393f8580d", "79daf1f8ab8df8e6"),
+}
+
+
+@pytest.mark.parametrize("target", _VERIFY_DIGESTS)
+def test_verify_reports_keep_their_bytes(target):
+    for flags, digest in zip(([], ["--pretty"]), _VERIFY_DIGESTS[target]):
+        code, out, err = _call([*flags, "verify", target])
+        assert (code, err) == (0, ""), (flags, err)
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, flags
 
 
 def test_census_and_dcover():
@@ -231,11 +256,12 @@ def test_missing_data_file_exits_3(tmp_path):
 
 def _edited_copy(tmp_path, table, key, edit):
     """The bundled record file with edit applied to the JSON object of
-    one row; a row the edit empties is left out."""
+    one row, or of every row when table is None; a row the edit empties
+    is left out."""
     lines = []
     for e in datasets.load().entries:
         line = json.loads(e.to_json_line())
-        if (e.table, e.key) == (table, key):
+        if table is None or (e.table, e.key) == (table, key):
             edit(line)
         if line:
             lines.append(json.dumps(line))
@@ -254,6 +280,15 @@ def test_malformed_record_exits_3(tmp_path):
 
 def _set_component_desc(line, desc):
     line["payload"]["components"][1]["desc"] = desc
+
+
+def _census_12_routes_disagree(line):
+    """T2 row 12 stores [35,37] and its T6 route reads 35/4, at which
+    P(-2,3,7) gives 37; its T7 route, the cover of 10_156, gives 35."""
+    if (line["table"], line["key"]) == ("T2", "12"):
+        line["payload"]["dim"] = [35, 37]
+    if (line["table"], line["key"]) == ("T6", "12"):
+        line["payload"]["slope"] = "35/4"
 
 
 @pytest.mark.parametrize("table, key, edit, argv, message", [
@@ -297,10 +332,49 @@ def _set_component_desc(line, desc):
     *[("T2", "3", dict.clear, argv, "T2 has no row for census index 3")
       for argv in (("verify", "T2"), ("verify", "all"), ("export", "T2"), ("census", "all"),
                    ("census", "3"), ("dim", "census(3)"))],
+    # census routes are met in turn, as `census 12` meets them: each one
+    # narrows what the next must meet
+    (None, None, _census_12_routes_disagree, ("export", "T2"),
+     "census 12 via dcover(10_156): expected 37, computed 35"),
+    # a knot table row is keyed by the name of a KNOT row
+    *[(table, key, lambda line, name=name: line.update(key=name), argv,
+       f"{table} row {name}: no knot record {name}")
+      for table, key, name in (("T4", "6_2", "9_99"), ("T5", "10_124", "X_1"))
+      for argv in (("verify", table), ("export", table))],
+    ("KNOT", "8_8", dict.clear, ("verify", "T1"), "T1 row 8_8: no knot record 8_8"),
+    # the chain through P(5,5,-3) reads the polynomial of 8_8
+    *[("KNOT", "8_8", lambda line: line["payload"].update(alexander=None), argv,
+       "T1 route: 8_8 has no genus <= 2 alexander polynomial: None")
+      for argv in (("verify", "T1"), ("verify", "all"))],
+    # the T1 routes need a record, an exact nu and an exact partner dimension
+    (None, None, lambda line: line.clear() if line["key"] == "8_20" else None,
+     ("verify", "T1"), "T1 route: no knot record 8_20"),
+    ("KNOT", "6_3", lambda line: line["payload"].update(flags={}), ("verify", "T1"),
+     "T1 route: nu of 6_3 is not exact: [-1,1]"),
+    ("KNOT", "5_2", lambda line: line["payload"].update(flags={}, aliases=[]), ("verify", "T1"),
+     "T1 route: r0 of m(5_2) is not determined: [1,+inf] (odd)"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
     assert (code, out, err) == (3, "", f"integrity error: {message}\n")
+
+
+@pytest.mark.parametrize("table, key, edit, argv, failed", [
+    # T7 meets what T2 and the T6 route leave, as census_dim does
+    *[(None, None, _census_12_routes_disagree, argv, [("T7", "12", "dcover(10_156)")])
+      for argv in (("verify", "T7"), ("verify", "all"))],
+    # without its two-bridge alias 6_2 matches no identity, so neither
+    # 6_2 nor the chain that starts at it derives r0
+    ("KNOT", "6_2", lambda line: line["payload"].update(aliases=[]), ("verify", "T1"),
+     [("T1", "6_2", "r0"), *(("T1", k, "nu,r0") for k in ("6_2", "6_3", "8_6", "8_8"))]),
+])
+def test_a_cell_the_data_fail_exits_3_after_the_report(table, key, edit, argv, failed,
+                                                       tmp_path):
+    code, out, err = _call(["--data", _edited_copy(tmp_path, table, key, edit), *argv])
+    report = json.loads(out)
+    assert [(c["section"], c["key"], c["cell"]) for c in report["failed"]] == failed
+    assert (code, err) == (3, f"integrity error: {len(failed)} of {report['total']} "
+                              "cells failed\n")
 
 
 @pytest.mark.parametrize("table, key, edit, argvs, message", [
@@ -692,7 +766,7 @@ _CELL_VALUES = [None, "x", 10 ** 30 + 7, {"lo": 5, "hi": 1}, "census(3)", "surg(
 _DATA_COMMANDS = [("dim", "surg(8_19; 3/2)"), ("dim", "census(7)"), ("dim", "dcover(10_124)"),
                   ("invariants", "m(5_2)"), ("cable", "3", "2", "3_1"), ("sum", "3_1", "m(4_1)"),
                   ("census", "all"), ("identities", "6_2", "1"), ("export", "T2"),
-                  ("verify", "T2")]
+                  ("verify", "T2"), ("verify", "T1")]
 _T2_ROW_3 = next(i for i, row in enumerate(_DATA_ROWS) if (row["table"], row["key"]) == ("T2", "3"))
 
 

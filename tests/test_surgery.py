@@ -233,10 +233,10 @@ def test_check_spectral_computes_each_cover_once(ds, monkeypatch):
         return branched_cover_dim(k, dataset)
 
     monkeypatch.setattr(verify, "branched_cover_dim", counting)
-    report = verify.check_spectral(ds, verify.spectral_covers(ds))
+    report = verify.check_spectral(ds)
     assert len(calls) == len(ds.table("T5")) == 7
     assert report.passed == len(report.cells) == 14
-    # the pretty report prints the spectral rows from the same covers
+    # the pretty report prints the spectral notes from the same covers
     from isharp.cli import main
     calls.clear()
     assert main(["--pretty", "verify", "T5"]) == 0
