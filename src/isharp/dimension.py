@@ -3,9 +3,8 @@
 The closed form for a p/q surgery is  q * r0 + |p - q * nu|  (with the
 zero-surgery exceptions for W-shaped knots); lens spaces and branched
 double covers of thin knots, or of knots with a registered surgery
-description, are answered here too.  Results carry the Euler
-characteristic |H1| (for rational homology spheres) and the induced
-grading split.
+description, are answered here too.  Each answer is a DimResult, read
+through its state and euler (|H1|), values(), is_exact, dim or to_json().
 
 A `dim` call on a surgery, a lens space or a cover compiles this module.
 parse_manifold reads with the knot grammar, its slope in place by the
@@ -121,12 +120,13 @@ def parse_manifold(text: str) -> ManifoldDesc:
 class DimResult(Record):
     """Exact dimension, finite candidate set, or interval with parity.
 
-    The state is either the sorted tuple of admissible dimensions (one
-    value when exact) or, when there are too many to list, a Val
-    interval.  euler is |H1| for rational homology spheres and 0
-    otherwise; every admissible d satisfies d >= euler and
-    d = euler (mod 2), and the grading splits as ((d + euler)/2,
-    (d - euler)/2) when d is exact.
+    state is the sorted tuple of admissible dimensions (one value when
+    exact) or, for more than 64 of them or no upper end, a Val interval.
+    euler is |H1| for rational homology spheres and 0 otherwise; every
+    admissible d satisfies d >= euler and d = euler (mod 2).  A result is
+    read through state, values() (None for an interval), is_exact, dim
+    and to_json(), which adds the kind and the grading split
+    ((d + euler)/2, (d - euler)/2) of an exact d.
     """
 
     __slots__ = ("state", "euler")
@@ -160,11 +160,11 @@ class DimResult(Record):
         return DimResult.of_candidates(dim if isinstance(dim, list) else (dim,), euler)
 
     @staticmethod
-    def of_interval(lo, hi, euler: int) -> "DimResult":
+    def of_interval(lo: int, hi: int | None, euler: int) -> "DimResult":
         """The dimensions in [lo, hi] (hi None: unbounded) that euler admits;
         listed as candidates when there are at most 64 of them."""
         euler = abs(euler)
-        val = Val(euler if lo is None or lo < euler else lo, hi, euler % 2)
+        val = Val(max(lo, euler), hi, euler % 2)
         cands = val.candidates(64)  # sorted, and each one euler admits
         return DimResult(val if cands is None else tuple(cands), euler)
 
@@ -172,76 +172,45 @@ class DimResult(Record):
         return None if isinstance(self.state, Val) else self.state
 
     @property
-    def kind(self) -> str:
-        if isinstance(self.state, Val):
-            return "interval"
-        return "exact" if len(self.state) == 1 else "candidates"
-
-    @property
     def is_exact(self) -> bool:
-        return self.kind == "exact"
+        return isinstance(self.state, tuple) and len(self.state) == 1
 
     @property
     def dim(self) -> int | None:
         return self.state[0] if self.is_exact else None
 
-    @property
-    def candidates(self) -> tuple[int, ...] | None:
-        return self.state if self.kind == "candidates" else None
-
-    @property
-    def lo(self) -> int | None:
-        return self.state.lo if self.kind == "interval" else None
-
-    @property
-    def hi(self) -> int | None:
-        return self.state.hi if self.kind == "interval" else None
-
-    @property
-    def parity(self) -> int | None:
-        return self.state.parity if self.kind == "interval" else None
-
-    @property
-    def graded(self) -> tuple[int, int] | None:
-        if not self.is_exact:
-            return None
-        return ((self.dim + self.euler) // 2, (self.dim - self.euler) // 2)
-
     def contains(self, d: int) -> bool:
-        return self.state.contains(d) if self.kind == "interval" else d in self.state
+        return self.state.contains(d) if isinstance(self.state, Val) else d in self.state
 
     def meet(self, other: "DimResult") -> "DimResult":
         if self.euler != other.euler:
             raise Inconsistency(f"euler mismatch: {self.euler} vs {other.euler}")
-        if self.kind == other.kind == "interval":
+        interval = isinstance(self.state, Val)
+        if interval and isinstance(other.state, Val):
             val = self.state.meet(other.state)
             return DimResult.of_interval(val.lo, val.hi, self.euler)
-        a, b = (other, self) if self.kind == "interval" else (self, other)
+        a, b = (other, self) if interval else (self, other)
         keep = [d for d in a.state if b.contains(d)]
         if not keep:
             raise Inconsistency(f"no dimension in {a} lies in {b}")
         return DimResult.of_candidates(keep, self.euler)
 
     def to_json(self):
-        kind = self.kind
-        out = {"kind": kind, "euler": self.euler}
-        if kind == "exact":
-            out["dim"] = self.dim
-            out["graded"] = list(self.graded)
-        elif kind == "candidates":
-            out["candidates"] = list(self.state)
-        else:
-            out.update(self.state.to_json())
-        return out
+        state, euler = self.state, self.euler
+        if isinstance(state, Val):
+            return {"kind": "interval", "euler": euler, **state.to_json()}
+        if len(state) > 1:
+            return {"kind": "candidates", "euler": euler, "candidates": list(state)}
+        d, = state
+        return {"kind": "exact", "euler": euler, "dim": d,
+                "graded": [(d + euler) // 2, (d - euler) // 2]}
 
     def __str__(self):
-        if self.kind == "exact":
-            return str(self.dim)
-        if self.kind == "candidates":
-            return "{" + ",".join(map(str, self.candidates)) + "}"
-        hi = "inf" if self.hi is None else str(self.hi)
-        par = " even" if self.parity == 0 else " odd"
-        return f"[{self.lo},{hi}]{par}"
+        state = self.state
+        if isinstance(state, Val):
+            hi = "inf" if state.hi is None else state.hi
+            return f"[{state.lo},{hi}] {'odd' if state.parity else 'even'}"
+        return str(state[0]) if len(state) == 1 else "{" + ",".join(map(str, state)) + "}"
 
 
 _set_state, _set_euler = DimResult.state.__set__, DimResult.euler.__set__

@@ -36,7 +36,7 @@ from .knots import (
     registered_record,
     structural,
 )
-from .values import Inconsistency, Record, Val
+from .values import Inconsistency, IntegrityError, Record, Val
 
 # rule id -> statement it applies
 RULES = {
@@ -185,17 +185,25 @@ def deduce(k: KnotExpr, ds) -> Bundle:
 
 
 def _deduce(k, ds) -> Bundle:
-    if isinstance(k, Sum):
-        b = _deduce_sum(k, ds)
-    else:
-        b = _Draft(format_knot(k))
-        _apply_atom_rules(b, k, ds)
-        # the mirror pass: every rule applies to the mirror as well
-        mk = mirror(k)
-        mb = _Draft(format_knot(mk))
-        _apply_atom_rules(mb, mk, ds)
-        b.adopt(mb, True, "R2", f"(from {mb.knot})")
-    _tighten(b, structural(k, ds).slice_genus)
+    try:
+        if isinstance(k, Sum):
+            b = _deduce_sum(k, ds)
+        else:
+            b = _Draft(format_knot(k))
+            _apply_atom_rules(b, k, ds)
+            # the mirror pass: every rule applies to the mirror as well
+            mk = mirror(k)
+            mb = _Draft(format_knot(mk))
+            _apply_atom_rules(mb, mk, ds)
+            b.adopt(mb, True, "R2", f"(from {mb.knot})")
+        _tighten(b, structural(k, ds).slice_genus)
+    except Inconsistency as e:
+        # the rules are theorems: on a registered knot they contradict
+        # one another only when its record or its aliases are wrong
+        rec = registered_record(k, ds)[0]
+        if rec is None:
+            raise
+        raise IntegrityError(f"knot record {rec.name} or its aliases: {e}") from None
     return b.freeze()
 
 

@@ -36,7 +36,7 @@ import re
 from collections import Counter
 
 from .datasets import FLAG_NAMES, NO_FLAGS, StructuralData, make_flags
-from .values import DatasetError, Record, Scanner, Val
+from .values import DatasetError, Inconsistency, IntegrityError, Record, Scanner, Val
 
 
 class KnotError(ValueError):
@@ -516,22 +516,33 @@ def _structural(k: KnotExpr, ds) -> StructuralData:
         return _cable_structural(k, ds)
 
     # the table record, then the family data of every presentation, so
-    # that each presentation of one knot gets the same answer
+    # that each presentation of one knot gets the same answer; only a
+    # registered knot has more than one, so rec names a contradiction
     rec, mirrored = registered_record(k, ds)
     if rec is not None:
         s = _mirror_structural(rec.structural, rec) if mirrored else rec.structural
     else:
         s = StructuralData()
     for expr in equivalent_atoms(k, ds):
-        s = _merge_structural(s, _family_structural(expr))
+        try:
+            s = _merge_structural(s, _family_structural(expr))
+        except Inconsistency as e:
+            raise IntegrityError(f"knot record {rec.name}: {e} of {expr}") from None
     return s
 
 
 def _merge_structural(a: StructuralData, b: StructuralData) -> StructuralData:
+    """a's data, completed by b's; a contradicted genus is an Inconsistency naming it."""
+    genera = {}
+    for field in ("genus", "slice_genus"):
+        x, y = getattr(a, field), getattr(b, field)
+        try:
+            genera[field] = x.meet(y)
+        except Inconsistency:
+            raise Inconsistency(f"{field} {x} contradicts the {field} {y}") from None
     flags = tuple(y if x is None else x for x, y in zip(a.flags, b.flags))
     return StructuralData(
-        genus=a.genus.meet(b.genus),
-        slice_genus=a.slice_genus.meet(b.slice_genus),
+        **genera,
         signature=a.signature if a.signature is not None else b.signature,
         determinant=a.determinant if a.determinant is not None else b.determinant,
         alexander=a.alexander if a.alexander is not None else b.alexander,

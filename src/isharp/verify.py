@@ -275,14 +275,11 @@ def check_census(ds) -> Report:
 def _noncollapse(result: DimResult, khbar_dim: int) -> str:
     """Whether every admitted cover dimension lies below the reduced odd
     Khovanov rank ("confirmed"), none does ("collapses"), or it is open."""
-    values = result.values()
-    if values is None:
-        return "open"
-    if all(v < khbar_dim for v in values):
+    ends = result.values() or (result.state.lo, result.state.hi)
+    lo, hi = ends[0], ends[-1]
+    if hi is not None and hi < khbar_dim:
         return "confirmed"
-    if all(v >= khbar_dim for v in values):
-        return "collapses"
-    return "open"
+    return "collapses" if lo >= khbar_dim else "open"
 
 
 def check_spectral(ds) -> Report:
@@ -295,7 +292,7 @@ def check_spectral(ds) -> Report:
         computed = branched_cover_dim(Named(key), ds)
         noncollapse = _noncollapse(computed, khbar_dim)
         if stored is None:
-            ok = computed.values() is None and computed.hi is None
+            ok = computed.values() is None and computed.state.hi is None
             report.add("T5", key, "dim", "undetermined", computed, ok)
             report.add("T5", key, "noncollapse", "open", noncollapse)
         else:

@@ -70,10 +70,10 @@ def test_criterion_2_census(ds):
         stored = ds.lookup("T2", i).payload["dim"]
         got = census_dim(i, ds)
         if isinstance(stored, list):
-            assert list(got.candidates) == stored, i
+            assert list(got.values()) == stored, i
         else:
             assert got.dim == stored, i
-    assert census_dim(7, ds).candidates == (10, 12)
+    assert census_dim(7, ds).values() == (10, 12)
 
     routes = check_census(ds)
     assert not routes.failed, [c.line() for c in routes.failed]

@@ -238,6 +238,17 @@ def test_pretty_mode():
     assert out.endswith("14/14 passed\n")
 
 
+@pytest.mark.parametrize("manifold, text", [
+    ("surg(6_2; -9/1)", "kind: exact\neuler: 9\ndim: 13\ngraded:\n  - 11\n  - 2\n"),
+    ("census(7)", "kind: candidates\neuler: 10\ncandidates:\n  - 10\n  - 12\n"),
+    ("dcover(10_152)", "kind: interval\neuler: 11\nlo: 11\nhi: None\nparity: 1\n"),
+])
+def test_pretty_dim_prints_each_kind_in_key_order(manifold, text):
+    # --pretty prints the keys of to_json in insertion order
+    assert run_cli("--pretty", "dim", manifold, "--graded") == (
+        0, f"{text}manifold: {manifold}\n", "")
+
+
 def test_data_override(tmp_path):
     from isharp import datasets
     ds = datasets.load()
@@ -353,6 +364,20 @@ def _census_12_routes_disagree(line):
      "T1 route: nu of 6_3 is not exact: [-1,1]"),
     ("KNOT", "5_2", lambda line: line["payload"].update(flags={}, aliases=[]), ("verify", "T1"),
      "T1 route: r0 of m(5_2) is not determined: [1,+inf] (odd)"),
+    # a record that contradicts the family data of its aliases names the
+    # record, and the field it contradicts
+    *[("KNOT", "3_1", lambda line: line["payload"].update(genus=10 ** 30 + 7), argv,
+       "knot record 3_1: genus 1000000000000000000000000000007 contradicts the genus 1 "
+       "of T(-2,3)")
+      for argv in (("invariants", "3_1"), ("verify", "T1"), ("dim", "surg(3_1; 1/2)"))],
+    # an alias that calls the record the positive trefoil makes the rules
+    # contradict its stored tau, or, re-derived, one another
+    *[("ALIAS", "T(2,3)", lambda line: line["payload"].update(mirrored=None), argv,
+       f"knot record 3_1 or its aliases: 3_1: rule {rules}: disjoint: {ends}")
+      for argv, rules, ends in (
+          (("invariants", "3_1"), "R5 gives tau = 1, contradicting R1 (-1)", "-1 vs 1"),
+          (("verify", "T1"), "R6 gives tau = -1, contradicting R5 (1)", "1 vs -1"),
+          (("dim", "surg(3_1; 1/2)"), "R5 gives tau = 1, contradicting R1 (-1)", "-1 vs 1"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from isharp import datasets, invariants, knots
 from isharp.invariants import RULES, _Draft, _tighten, deduce, lspace_cable, sl_upper_bound
 from isharp.knots import Unknot, format_knot, make_sum, mirror, parse_knot
-from isharp.values import Inconsistency, Val
+from isharp.values import Inconsistency, IntegrityError, Val
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,8 @@ def test_inconsistent_input_raises(ds):
     bad = bad.replace(instanton=InstantonFields(nu=Val.exact(-5)))
     ds2 = datasets.load()
     ds2._knots["8_19"] = bad
-    with pytest.raises(Inconsistency):
+    # a rule that contradicts a record is a fault in the data, named by record
+    with pytest.raises(IntegrityError, match=r"^knot record 8_19 or its aliases: 8_19: rule R9 "):
         deduce(parse_knot("8_19"), ds2)
 
 

@@ -49,7 +49,7 @@ def test_surgery_dim_table_values(ds):
 
 def test_surgery_dim_euler_and_grading(ds):
     r = dim("6_2", "-9/1", ds)
-    assert (r.dim, r.euler, r.graded) == (13, 9, (11, 2))
+    assert (r.dim, r.euler, tuple(r.to_json()["graded"])) == (13, 9, (11, 2))
     r = dim("4_1", "1/2", ds)
     assert (r.dim, r.euler) == (5, 1)
 
@@ -62,7 +62,7 @@ def test_surgery_dim_infinite_slope(ds):
 def test_surgery_dim_interval_inputs(ds):
     # r0 of 10_139 is only pinned to {7, 9}
     r = dim("10_139", "13/1", ds)
-    assert r.candidates == (13, 15)
+    assert r.values() == (13, 15)
     with pytest.raises(DimensionError):
         dim("7_7", "3/1", ds)  # r0 unknown
 
@@ -71,18 +71,18 @@ def test_zero_surgery_cases(ds):
     assert zero_surgery_dim(parse_knot("6_1"), "trivial", ds).dim == 6
     assert zero_surgery_dim(parse_knot("6_1"), "mu", ds).dim == 4
     assert zero_surgery_dim(parse_knot("4_1"), "mu", ds).dim == 2
-    assert zero_surgery_dim(parse_knot("4_1"), "trivial", ds).candidates == (2, 4)
+    assert zero_surgery_dim(parse_knot("4_1"), "trivial", ds).values() == (2, 4)
     # V-shaped with nu != 0: both bundles agree
     assert zero_surgery_dim(parse_knot("3_1"), "trivial", ds).dim == 2
     r = zero_surgery_dim(parse_knot("Tw(8)"), "mu", ds)  # shape unknown, no pin
-    assert r.kind == "interval" and r.hi is None
+    assert r.values() is None and r.state.hi is None
 
 
 def test_lens_dim(ds):
     assert lens_dim(9, 2).dim == 9
     assert lens_dim(5, 1).dim == 5
     assert lens_dim(2, 1).dim == 2
-    assert lens_dim(9, 2).graded == (9, 0)
+    assert tuple(lens_dim(9, 2).to_json()["graded"]) == (9, 0)
     with pytest.raises(ValueError):
         lens_dim(2, 2)
 
@@ -95,11 +95,48 @@ def test_lens_agrees_with_unknot_surgery(ds):
 def test_branched_cover_dim(ds):
     assert branched_cover_dim(parse_knot("9_49"), ds).dim == 25
     assert branched_cover_dim(parse_knot("10_139"), ds).dim == 5
-    assert branched_cover_dim(parse_knot("10_154"), ds).candidates == (13, 15)
+    assert branched_cover_dim(parse_knot("10_154"), ds).values() == (13, 15)
     r = branched_cover_dim(parse_knot("10_152"), ds)
-    assert r.kind == "interval" and (r.lo, r.hi, r.parity) == (11, None, 1)
+    assert r.values() is None and (r.state.lo, r.state.hi, r.state.parity) == (11, None, 1)
     # thin knots: dimension equals the determinant
     assert branched_cover_dim(parse_knot("8_21"), ds).dim == 15
+
+
+def test_a_mirror_has_the_cover_dimension_of_its_knot(ds, monkeypatch):
+    # the cover of m(K) is the cover of K with its orientation reversed;
+    # a registered surgery description runs mirrored, at the negated slope
+    from isharp import dimension
+    mirrored = []
+
+    def counting(k):
+        mirrored.append(k)
+        return mirror(k)
+
+    monkeypatch.setattr(dimension, "mirror", counting)
+    texts = [*ds.table("T5"), *(row.payload["knot"] for row in ds.table("T7").values())]
+    assert len(texts) == 15
+    for text in texts:
+        k = parse_knot(text)
+        assert branched_cover_dim(mirror(k), ds) == branched_cover_dim(k, ds), text
+    # the six T5 knots that a registered description answers take it mirrored
+    assert len(mirrored) == 6
+
+
+def test_noncollapse_compares_every_admitted_dimension_with_khbar():
+    from isharp.verify import _noncollapse
+    assert _noncollapse(DimResult.exact(15, 1), 17) == "confirmed"
+    assert _noncollapse(DimResult.of_candidates([13, 15], 1), 17) == "confirmed"
+    assert _noncollapse(DimResult.exact(17, 1), 17) == "collapses"
+    assert _noncollapse(DimResult.of_candidates([17, 19], 1), 17) == "collapses"
+    assert _noncollapse(DimResult.of_candidates([15, 17], 1), 17) == "open"
+    # an interval (more than 64 values, or no upper end) answers by its ends
+    for lo, hi, khbar, answer in ((11, None, 17, "open"), (101, None, 17, "collapses"),
+                                  (1, 1001, 17, "open"), (101, 1001, 17, "collapses"),
+                                  (1, 1001, 1003, "confirmed")):
+        r = DimResult.of_interval(lo, hi, 1)
+        assert r.values() is None and _noncollapse(r, khbar) == answer, (lo, hi, khbar)
+    # a bounded interval of at most 64 values is a candidate set
+    assert _noncollapse(DimResult.of_interval(19, 25, 1), 17) == "collapses"
 
 
 def test_interval_branch_reaches_parity_shifted_minimum():
@@ -131,19 +168,19 @@ def test_abs_range_lower_bound_is_the_exact_minimum(nu, p, q):
 
 def test_census_dim_rows(ds):
     assert census_dim(5, ds).dim == 5
-    assert census_dim(7, ds).candidates == (10, 12)
+    assert census_dim(7, ds).values() == (10, 12)
     assert census_dim(0, ds).dim == 25
     for i in range(20):
         r = census_dim(i, ds)
         stored = ds.lookup("T2", i).payload["dim"]
         if isinstance(stored, list):
-            assert list(r.candidates) == stored
+            assert list(r.values()) == stored
         else:
             assert r.dim == stored
 
 
 def test_triad_bounds(ds):
-    assert triad_bounds(DimResult.exact(5, 5), DimResult.exact(7, 5), 10).candidates == (10, 12)
+    assert triad_bounds(DimResult.exact(5, 5), DimResult.exact(7, 5), 10).values() == (10, 12)
     assert triad_bounds(DimResult.exact(3, 3), DimResult.exact(15, 15), 18).dim == 18
     assert triad_bounds(DimResult.exact(5, 5), DimResult.exact(25, 25), 30).dim == 30
     with pytest.raises(Inconsistency):
