@@ -11,7 +11,9 @@ A malformed row raises DatasetError while the file loads.  A census row
 cite census(j) only for j below its own index, so that no route cycles.
 T2 holds a row for every index; T6, T7 and T8 list only the manifolds
 they have a route for.  A knot-table row (T1, T3, T4, T5) is keyed by
-the name of a KNOT row.
+the name of a KNOT row, and T4 repeats T1's (nu, r0).  Every stored
+dimension is one that its row's |H1| (T5: det) admits, and a stored
+list of dimensions holds two or more distinct values.
 Dataset.untabulated() holds the rows without the tabulated invariants.
 
 The alias registry (Dataset.aliases) maps each code, such as "T(3,5)" or
@@ -179,8 +181,8 @@ _NULL = type(None)
 # the JSON types each instanton field may take; a stored shape is "V" or "W"
 _INSTANTON_FIELD_TYPES = {"shape": (str, _NULL), "mu0_dim": (int, _NULL)}
 # the JSON types each T-table and ALIAS payload field may take (a field
-# left out counts as null); a list of dimensions is a non-empty list of
-# ints, and a T8 row lists the two manifolds of its triad
+# left out counts as null); a list of dimensions holds two or more
+# distinct ints, and a T8 row lists the two manifolds of its triad
 TABLE_FIELD_TYPES = {
     "T1": {"nu": (int,), "r0": (int,)},
     "T2": {"name": (str,), "h1": (int,), "dim": (int, list)},
@@ -194,6 +196,8 @@ TABLE_FIELD_TYPES = {
     "ALIAS": {"name": (str,), "mirrored": (bool, _NULL)},
 }
 _COMPONENT_FIELD_TYPES = {"desc": (str,), "dim": (int,), "h1": (int,)}
+# the |H1| field that every stored dimension of a row must be admitted by
+_EULER_FIELDS = {"T2": "h1", "T5": "det", "T6": "h1", "T7": "h1", "T8": "h1"}
 
 
 def _check_row(where: str, payload: dict, types: dict) -> None:
@@ -208,8 +212,22 @@ def _check_row(where: str, payload: dict, types: dict) -> None:
                 raise DatasetError(f"{where}: components {v!r} are not two JSON objects")
             for c in v:
                 _check_row(where, c, _COMPONENT_FIELD_TYPES)
-        elif type(v) is list and not (v and all(type(x) is int for x in v)):
-            raise DatasetError(f"{where}: {field} {v!r} is not a non-empty list of ints")
+        elif type(v) is list and not (all(type(x) is int for x in v) and len(set(v)) > 1):
+            raise DatasetError(f"{where}: {field} {v!r} is not a list of two or more "
+                               "distinct ints")
+
+
+def _check_dims(where: str, payload: dict, euler_field: str) -> None:
+    """Raise DatasetError unless every stored dimension d of a row whose
+    types _check_row passed is one that the row's |H1| (its euler_field)
+    admits: d >= |H1| and d = |H1| (mod 2), as DimResult requires; and
+    so for each component of a T8 row, against the component's h1."""
+    dims, euler = payload.get("dim"), payload[euler_field]
+    for d in [dims] if type(dims) is int else dims or ():
+        if d < abs(euler) or (d - euler) % 2:
+            raise DatasetError(f"{where}: dim {d} incompatible with {euler_field} {euler}")
+    for c in payload.get("components", ()):
+        _check_dims(f"{where}: component {c['desc']}", c, "h1")
 
 
 def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
@@ -282,7 +300,10 @@ class Dataset:
             for key, e in self._by_table.get(table, {}).items():
                 if table in CENSUS_TABLES and key not in CENSUS_KEYS:
                     raise DatasetError(f"{table} row {key}: key is not a census index 0..19")
-                _check_row(f"{table} row {key}", e.payload, types)
+                where = f"{table} row {key}"
+                _check_row(where, e.payload, types)
+                if table in _EULER_FIELDS:
+                    _check_dims(where, e.payload, _EULER_FIELDS[table])
         self._knots = {
             key: _knot_record_from_entry(e)
             for key, e in self._by_table.get("KNOT", {}).items()
@@ -332,8 +353,9 @@ class Dataset:
 
     def check_integrity(self) -> None:
         """Bound checks on every knot record, then a KNOT row for every key
-        of a knot table and a T2 row for every census index; raises
-        DatasetError on the first violation."""
+        of a knot table and every ALIAS name, T4's (nu, r0) equal to T1's,
+        and a T2 row for every census index; raises DatasetError on the
+        first violation."""
         for rec in self._knots.values():
             inst = rec.instanton
             nu, tau, r0 = inst.nu, inst.tau, inst.r0
@@ -368,6 +390,17 @@ class Dataset:
             for key in self.table(table):
                 if key not in self._knots:
                     raise DatasetError(f"{table} row {key}: no knot record {key}")
+        for key, e in self.table("ALIAS").items():
+            if e.payload["name"] not in self._knots:
+                raise DatasetError(f"ALIAS row {key}: no knot record {e.payload['name']}")
+        # T4 repeats the (nu, r0) of T1
+        t1 = self.table("T1")
+        for key, e in self.table("T4").items():
+            if key not in t1:
+                raise DatasetError(f"T4 row {key}: no T1 row {key}")
+            pair, t1_pair = ((row.payload["nu"], row.payload["r0"]) for row in (e, t1[key]))
+            if pair != t1_pair:
+                raise DatasetError(f"T4 row {key}: (nu, r0) = {pair} differs from T1's {t1_pair}")
         missing = sorted(CENSUS_KEYS.difference(self.table("T2")), key=int)
         if missing:
             raise DatasetError(f"T2 has no row for census index {', '.join(missing)}")

@@ -14,9 +14,9 @@ scanner's slope production; census(i) is answered one layer up, in surgery.
 import math
 
 from .invariants import Bundle, deduce
-from .knots import (KnotExpr, _Parser, canonical, format_knot, mirror, registered_record,
-                    structural)
-from .values import Inconsistency, IntegrityError, Record, Slope, Val
+from .knots import (Cable, KnotExpr, Named, Sum, _Parser, canonical, format_knot, mirror,
+                    registered_record, structural)
+from .values import Inconsistency, IntegrityError, Record, Slope, Val, _new
 
 
 class DimensionError(ValueError):
@@ -238,19 +238,30 @@ def surgery_dim(k: KnotExpr, s: Slope, bundle: str, ds) -> DimResult:
 
 
 def _formula_dim(b: Bundle, s: Slope, knot=None) -> DimResult:
-    """The closed form at s; errors name knot, or else the knot b names.
+    """The closed form at a finite slope s with p != 0; errors name knot,
+    or else the knot b names.
 
     One pinned (nu, r0) pair gives one number, several give the set of
     their values, and without pairs the form runs on the intervals.  The
-    euler characteristic is |p|, which DimResult takes from p."""
+    euler characteristic is |p|.
+
+    A value from pairs is built without the checks of exact() and
+    of_candidates(): Bundle admits a pair only with r0 = nu (mod 2) and
+    r0 >= |nu|, so with q >= 1 every d = q r0 + |p - q nu| satisfies
+    d >= q |nu| + |p - q nu| >= |p| and d = q (r0 - nu) + p = p (mod 2),
+    which are the two conditions those checks test."""
     p, q = s.p, s.q
     pairs = b.pairs
     if pairs:  # nu and r0 are bounded
         if len(pairs) == 1:
             (n, r), = pairs
-            return DimResult.exact(q * r + abs(p - q * n), p)
-        # enumeration over the admissible (nu, r0) lattice
-        return DimResult.of_candidates({q * r + abs(p - q * n) for n, r in pairs}, p)
+            state = (q * r + abs(p - q * n),)
+        else:  # enumeration over the admissible (nu, r0) lattice
+            state = tuple(sorted({q * r + abs(p - q * n) for n, r in pairs}))
+        result = _new(DimResult)
+        _set_state(result, state)
+        _set_euler(result, abs(p))
+        return result
 
     # interval propagation: |p - q nu| is piecewise linear in nu, so its
     # extremes over an interval sit at the endpoints or at the interior
@@ -329,7 +340,7 @@ def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
     if rec is not None and rec.sigma2 is not None:
         # the registered surgery description, mirrored with the knot
         where = f"knot record {rec.name}: sigma2"
-        route = _parse_cell(where, parse_manifold, rec.sigma2)
+        route = _parse_cell(where, parse_manifold, rec.sigma2, ds)
         if isinstance(route, Census):
             raise IntegrityError(f"{where} {route} is not a surgery, lens or cover description")
         if mirrored and isinstance(route, Surgery):
@@ -345,13 +356,26 @@ def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
     return DimResult.of_interval(det, None, det)
 
 
-def _parse_cell(where: str, parse, text: str):
-    """parse(text) for a stored cell; a cell that does not parse is an
-    IntegrityError that names its row."""
+def _parse_cell(where: str, parse, text: str, ds):
+    """parse(text) for a stored cell; a cell that does not parse, or that
+    names a knot with no KNOT row in ds, is an IntegrityError that names
+    its row."""
     try:
-        return parse(text)
+        cell = parse(text)
     except ValueError as e:
         raise IntegrityError(f"{where}: {e}") from None
+    parts = [cell]
+    while parts:
+        x = parts.pop()
+        if isinstance(x, (Surgery, BranchedCover)):
+            parts.append(x.knot)
+        elif isinstance(x, Cable):
+            parts.append(x.companion)
+        elif isinstance(x, Sum):
+            parts.extend(x.summands)
+        elif isinstance(x, Named) and ds.knot_record(x.name) is None:
+            raise IntegrityError(f"{where}: no knot record {x.name}")
+    return cell
 
 
 def manifold_dim(m: ManifoldDesc, ds) -> DimResult:

@@ -18,10 +18,10 @@ So the penultimate convergent c/d of p/q (q >= 2) is the unique solution
 of q c - p d = 1 with 0 < d < q: d = (-p)^-1 mod q.  `triad` uses this to
 build the surgery triad from one modular inverse instead of the whole
 expansion, and checks that identity once: it proves all three slopes of
-the triad reduced, so they are built without Slope's gcd.
+the triad reduced, so they, and the Triad, are built without __init__.
 """
 
-from .values import Record, Slope, SlopeError, _coprime, reduce
+from .values import Record, Slope, SlopeError, _coprime, _new, reduce
 
 
 # Longest negative continued fraction neg_cf writes out.  The expansion
@@ -121,7 +121,8 @@ def triad(s: Slope) -> Triad:
     (c, d) or (e, f) divides 1.  The signs hold by construction:
     0 < d < q gives b, d >= 1, and f = |b - d| >= 0, with f = 0 only at
     1/0.  So the three slopes are stored as they are, without the gcd
-    Slope(p, q) would run on each.
+    Slope(p, q) would run on each, and the Triad through its slots, since
+    Triad.__init__ checks nothing.
     """
     p, q = s.p, s.q
     if q <= 1:
@@ -140,4 +141,9 @@ def triad(s: Slope) -> Triad:
     else:
         e, f = c - a, d - b
         case = "cd=ab+ef"
-    return Triad(_coprime(a, b), _coprime(c, d), _coprime(e, f), case)
+    t = _new(Triad)
+    _set_ab(t, _coprime(a, b))
+    _set_cd(t, _coprime(c, d))
+    _set_ef(t, _coprime(e, f))
+    _set_sum_case(t, case)
+    return t

@@ -42,17 +42,18 @@ def census_routes(index: int, ds) -> list[tuple[str, str, DimResult]]:
     t6 = ds.table("T6").get(str(index))
     if t6 is not None:
         where = f"T6 row {index}"
-        desc = Surgery(_parse_cell(where, parse_knot, t6.payload["knot"]),
-                       _parse_cell(where, parse_slope, t6.payload["slope"]))
+        desc = Surgery(_parse_cell(where, parse_knot, t6.payload["knot"], ds),
+                       _parse_cell(where, parse_slope, t6.payload["slope"], ds))
         out.append(("T6", str(desc), surgery_dim(desc.knot, desc.slope, desc.bundle, ds)))
     t7 = ds.table("T7").get(str(index))
     if t7 is not None:
-        desc = BranchedCover(_parse_cell(f"T7 row {index}", parse_knot, t7.payload["knot"]))
+        desc = BranchedCover(_parse_cell(f"T7 row {index}", parse_knot, t7.payload["knot"], ds))
         out.append(("T7", str(desc), branched_cover_dim(desc.knot, ds)))
     t8 = ds.table("T8").get(str(index))
     if t8 is not None:
         where = f"T8 row {index}"
-        parts = [_parse_cell(where, parse_manifold, c["desc"]) for c in t8.payload["components"]]
+        parts = [_parse_cell(where, parse_manifold, c["desc"], ds)
+                 for c in t8.payload["components"]]
         for m in parts:  # an earlier census manifold only, so that no route cycles
             if isinstance(m, Census) and m.index >= index:
                 raise IntegrityError(f"{where}: component {m} does not come before "

@@ -26,9 +26,15 @@ field stores.  The records built in bulk (Slope, Triad and DimResult for
 every slope of a sweep; Val, StructuralData, the knot expressions and
 TraceEntry while deducing) store their fields through the slots' own
 descriptors, bound once per module, which costs less than
-object.__setattr__.  A slope whose pair the caller's arithmetic proves
-reduced (reduce, negation, the three slopes of slopes.triad) is built by
-_coprime, which stores p and q without Slope's gcd and checks.  Records
+object.__setattr__.  Three records are built without __init__, by
+_new (object.__new__) and those descriptors, where the caller's
+arithmetic already proves what __init__ would check: a Slope whose pair
+is proved reduced (reduce, negation, the three slopes of slopes.triad),
+by _coprime, without Slope's gcd and checks; the Triad of slopes.triad,
+whose one determinant check proves its three slopes; and the DimResult
+that dimension._formula_dim builds from a bundle's (nu, r0) pairs, whose
+admissibility proves every value of the closed form admitted by |p|, so
+that exact() and of_candidates() would re-check nothing.  Records
 live here, in the lowest layer, because every CLI call imports this
 module anyway: the class-generating machinery of `dataclasses` (which
 pulls in `inspect`, `ast` and `dis`) cost about a quarter of a short
@@ -63,8 +69,11 @@ class Record:
     and DimResult, built for every slope of a sweep, and Val,
     StructuralData, the knot expressions and TraceEntry, built while
     deducing.  The derived slots of the knot expressions and of Bundle
-    are still written with object.__setattr__.  _coprime builds a Slope
-    without running __init__, for a pair already proved reduced.
+    are still written with object.__setattr__.  Three records are built
+    without running __init__, where the arithmetic proves its checks:
+    _coprime builds a Slope for a pair already proved reduced,
+    slopes.triad its Triad, and dimension._formula_dim the DimResult of
+    a bundle's (nu, r0) pairs.
     """
 
     __slots__ = ()

@@ -357,7 +357,10 @@ def identity_instances(ds):
     # cable identities on instanton L-space companions
     for companion_text in ("m(3_1)", "m(5_1)", "T(3,4)", "P(-2,3,7)"):
         companion = parse_knot(companion_text)
-        g = structural(companion, ds).genus.value()
+        genus = structural(companion, ds).genus
+        if not genus.is_exact:
+            raise IntegrityError(f"identity sweep: genus of {companion_text} is not exact: {genus}")
+        g = genus.value()
         for q in (2, 3):
             for p in range(q * (2 * g - 1) + 1, q * (2 * g - 1) + bound):
                 if p % q == 0:

@@ -378,6 +378,40 @@ def _census_12_routes_disagree(line):
           (("invariants", "3_1"), "R5 gives tau = 1, contradicting R1 (-1)", "-1 vs 1"),
           (("verify", "T1"), "R6 gives tau = -1, contradicting R5 (1)", "1 vs -1"),
           (("dim", "surg(3_1; 1/2)"), "R5 gives tau = 1, contradicting R1 (-1)", "-1 vs 1"))],
+    # a census route, a cover description and an alias name a KNOT row
+    # too (KNOT 9_47 keyed by null is a KNOT row named "None")
+    *[("KNOT", "9_47", lambda line: line.update(key=None), argv,
+       "T7 row 15: no knot record 9_47")
+      for argv in (("verify", "all"), ("verify", "T2"), ("census", "all"))],
+    ("T6", "12", lambda line: line["payload"].update(knot="m(9_99)"), ("census", "12"),
+     "T6 row 12: no knot record 9_99"),
+    ("T8", "2", lambda line: _set_component_desc(line, "dcover(Cab(3,2;8_21 # 9_99))"),
+     ("dim", "census(2)"), "T8 row 2: no knot record 9_99"),
+    ("KNOT", "10_124", lambda line: line["payload"].update(sigma2="surg(9_99; -1/1)"),
+     ("dim", "dcover(10_124)"), "knot record 10_124: sigma2: no knot record 9_99"),
+    *[("ALIAS", "T(2,3)", lambda line: line["payload"].update(name="9_99"), argv,
+       "ALIAS row T(2,3): no knot record 9_99")
+      for argv in (("invariants", "3_1"), ("verify", "all"))],
+    # the identity sweep reads the genus of its cable companions
+    ("KNOT", "K12n242", dict.clear, ("verify", "identities"),
+     "identity sweep: genus of P(-2,3,7) is not exact: [0,+inf]"),
+    # a stored list of dimensions holds two or more distinct ones
+    *[("T2", "7", lambda line, dims=dims: line["payload"].update(dim=dims), argv,
+       f"T2 row 7: dim {dims} is not a list of two or more distinct ints")
+      for dims in ([12, 12], [12]) for argv in (("verify", "all"), ("dim", "census(7)"))],
+    # every stored dimension is one that its row's |H1| admits
+    *[(table, key, lambda line, field=field, value=value: line["payload"].update({field: value}),
+       ("verify", "all"), f"{table} row {key}: dim {dim} incompatible with {field} {value}")
+      for table, key, field, value, dim in (
+          ("T2", "7", "h1", 10 ** 30 + 7, 10), ("T6", "12", "h1", 36, 35),
+          ("T7", "15", "h1", 29, 27), ("T8", "2", "h1", 19, 18), ("T5", "10_139", "det", 7, 5))],
+    ("T8", "2", lambda line: line["payload"]["components"][1].update(h1=17),
+     ("dim", "census(2)"), "T8 row 2: component dcover(8_21): dim 15 incompatible with h1 17"),
+    # T4 repeats T1's (nu, r0)
+    *[("T4", "3_1", lambda line: line["payload"].update(nu=1), argv,
+       "T4 row 3_1: (nu, r0) = (1, 1) differs from T1's (-1, 1)")
+      for argv in (("verify", "all"), ("export", "T4"))],
+    ("T1", "3_1", dict.clear, ("export", "T4"), "T4 row 3_1: no T1 row 3_1"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)

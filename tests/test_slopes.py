@@ -438,6 +438,16 @@ def test_slopes_built_unchecked_pass_the_checks(s):
         assert type(x) is Slope and x == Slope(x.p, x.q), (s, x)
 
 
+@settings(max_examples=400)
+@given(big_slopes() | _HALVES)
+@example(Slope(1, 2))
+@example(Slope(-(10 ** 40) - 1, 10 ** 40))
+def test_a_triad_built_unchecked_equals_the_checked_build(s):
+    t = triad(s)
+    checked = Triad(*(Slope(x.p, x.q) for x in (t.ab, t.cd, t.ef)), t.sum_case)
+    assert type(t) is Triad and t == checked and repr(t) == repr(checked)
+
+
 def test_triad_checks_the_determinant_identity(monkeypatch):
     # a wrong inverse d breaks q c - p d = 1; the check must catch it,
     # since the three slopes are then stored without a gcd

@@ -1,14 +1,15 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isharp import datasets
 from isharp.invariants import Bundle, deduce
 from isharp.knots import Cable, Pretzel, mirror, parse_knot
-from isharp.slopes import triad
+from isharp.slopes import neg_cf, triad
 from isharp.dimension import (
     BranchedCover,
     Census,
@@ -164,6 +165,68 @@ def _bounded_nu(draw):
 def test_abs_range_lower_bound_is_the_exact_minimum(nu, p, q):
     admissible = [n for n in range(int(nu.lo), int(nu.hi) + 1) if nu.contains(n)]
     assert _abs_range(p, q, nu)[0] == min(abs(p - q * n) for n in admissible)
+
+
+# digit counts of the pair lattices and slopes the closed-form property draws
+_DIGITS = st.sampled_from([1, 2, 5, 30, 35, 40])
+
+
+@st.composite
+def _pair_lattices(draw):
+    """A bundle whose (nu, r0) states are short intervals, possibly with a
+    parity and up to 40 digits wide, and a nonzero finite slope."""
+    def end(digits):
+        return draw(st.integers(-10 ** digits, 10 ** digits))
+
+    nu_lo = end(draw(_DIGITS))
+    nu = Val(nu_lo, nu_lo + draw(st.integers(0, 6)))
+    r0_lo = abs(nu_lo) + draw(st.integers(-8, 8) | st.integers(0, 10 ** draw(_DIGITS)))
+    r0 = Val(r0_lo, r0_lo + draw(st.integers(0, 6)), draw(st.sampled_from([None, r0_lo % 2])))
+    q = draw(st.integers(1, 10 ** draw(_DIGITS)))
+    p = draw(st.integers(1, 10 ** draw(_DIGITS))) * draw(st.sampled_from([-1, 1]))
+    return Bundle("K", nu=nu, r0=r0), reduce(p, q)
+
+
+@given(_pair_lattices())
+@settings(max_examples=400, deadline=None)
+def test_the_unchecked_closed_form_equals_the_checked_build(bundle_slope):
+    # _formula_dim builds a result from (nu, r0) pairs without the checks
+    # of exact() and of_candidates(); those checks must pass on it
+    b, s = bundle_slope
+    assume(b.pairs)
+    values = {s.q * r + abs(s.p - s.q * n) for n, r in b.pairs}
+    checked = (DimResult.exact(*values, s.p) if len(values) == 1
+               else DimResult.of_candidates(values, s.p))
+    result = _formula_dim(b, s)
+    assert type(result) is DimResult and result == checked
+    assert result.to_json() == checked.to_json()
+
+
+def _python_calls(f, *args) -> list[str]:
+    """The Python functions one call of f runs, f included, in call order."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_warm_fractional_step_runs_nine_python_calls(ds):
+    # a warm one-pair surgery_dim is a cache hit and the closed form, and
+    # triad builds its record and its slopes without __init__
+    k, s = parse_knot("3_1"), Slope(7, 3)
+    surgery_dim(k, s, "trivial", ds)
+    assert _python_calls(surgery_dim, k, s, "trivial", ds) == [
+        "surgery_dim", "deduce", "memo", "_formula_dim"]
+    assert _python_calls(triad, s) == ["triad", "_coprime", "_coprime", "_coprime"]
+    assert _python_calls(neg_cf, s) == ["neg_cf"]
 
 
 def test_census_dim_rows(ds):
