@@ -71,7 +71,6 @@ SMALL = {
     "8_21": (2, 1, None, 15, -1, -1, None),
 }
 
-SLICE = {"0_1", "6_1", "8_8", "8_9", "8_20"}
 AMPHICHIRAL = {"4_1", "6_3", "8_3", "8_12", "8_17", "8_18"}
 NON_ALTERNATING = {"8_19", "8_20", "8_21"}
 ALEXANDER = {
@@ -86,10 +85,9 @@ MIRROR_POSITIVE = {"3_1": 1, "5_1": 3, "7_1": 5, "5_2": 1, "7_2": 1}
 
 
 def small_knot_payload(name):
-    g, gs, sigma, det, nu, tau, r0 = SMALL[name]
+    g, gs, sigma, det = SMALL[name][:4]
     flags = {
         "alternating": name not in NON_ALTERNATING,
-        "slice": name in SLICE,
         "amphichiral": name in AMPHICHIRAL,
         "thin_odd_khovanov": True,
     }
@@ -102,10 +100,10 @@ def small_knot_payload(name):
         "determinant": det,
         "alexander": ALEXANDER.get(name),
         "flags": flags,
-        "instanton": {"nu": nu, "tau": tau, "r0": r0},
     }
-    if name in SLICE:
-        payload["instanton"]["shape"] = "W"
+    # nu, tau and r0 live in T1 and T3; the payload keeps what no table holds
+    if gs == 0:  # a slice knot is W-shaped
+        payload["instanton"] = {"shape": "W"}
     if name in MIRROR_POSITIVE:
         payload["mirror_flags"] = {"positive": True, "quasipositive": True}
         payload["mirror_sl_max"] = MIRROR_POSITIVE[name]
@@ -122,9 +120,10 @@ def build_entries():
     add("KNOT", "0_1", {
         "genus": 0, "slice_genus": 0, "signature": 0, "determinant": 1,
         "alexander": [1], "sl_max": -1,
-        "flags": {"alternating": True, "slice": True, "amphichiral": True,
+        "flags": {"alternating": True, "amphichiral": True,
                   "thin_odd_khovanov": True, "homogeneous": True},
-        "instanton": {"nu": 0, "tau": 0, "r0": 0, "shape": "W"},
+        # 0_1 has a T3 row but no T1 row, so its r0 is stored here
+        "instanton": {"r0": 0, "shape": "W"},
     })
     for name in SMALL:
         payload = small_knot_payload(name)
@@ -132,7 +131,7 @@ def build_entries():
             payload["aliases"] = ["TB(2,2)", "Tw(1)"]
         if name == "4_1":
             payload["aliases"] = ["Tw(2)", "TB(-2,2)", "TB(-2,-3)"]
-            payload["instanton"]["mu0_dim"] = 2  # zero-surgery is a torus bundle
+            payload["instanton"] = {"mu0_dim": 2}  # zero-surgery is a torus bundle
         if name == "5_2":
             payload["aliases"] = ["Tw(3)"]
         if name == "6_1":

@@ -20,7 +20,7 @@ values (the errors main() maps to exit codes), a call compiles:
 
   cf, triad               cmd_cf or cmd_triad, slopes
   invariants, sum, cable  its cmd_ module, datasets, knots, invariants
-  dim, dcover             its cmd_ module, datasets, knots, invariants,
+  dim                     cmd_dim, datasets, knots, invariants,
                           dimension; dim "census(i)" adds surgery
   census, identities      its cmd_ module, the modules of dim, surgery
   verify                  cmd_verify, verify and everything below it
@@ -97,7 +97,6 @@ COMMANDS = {
               (("p", {}), ("q", {}), ("knot", {})), ()),
     "sum": ("invariants of a connected sum", (("knots", {"nargs": "+"}),), ("--trace",)),
     "census": ("census manifold dimension", (("index", {"help": "0..19 or 'all'"}),), ()),
-    "dcover": ("branched double cover dimension", (("knot", {}),), ()),
     "verify": ("re-derive table cells and cross-checks",
                (("target", {"nargs": "?", "default": "all",
                             "choices": ("all", "identities", *TABLES)}),), ()),

@@ -11,10 +11,15 @@ A malformed row raises DatasetError while the file loads.  A census row
 cite census(j) only for j below its own index, so that no route cycles.
 T2 holds a row for every index; T6, T7 and T8 list only the manifolds
 they have a route for.  A knot-table row (T1, T3, T4, T5) is keyed by
-the name of a KNOT row, and T4 repeats T1's (nu, r0).  Every stored
-dimension is one that its row's |H1| (T5: det) admits, and a stored
-list of dimensions holds two or more distinct values.
-Dataset.untabulated() holds the rows without the tabulated invariants.
+the name of a KNOT row.  Every stored dimension is one that its row's
+|H1| (T5: det) admits, and a stored list of dimensions holds two or
+more distinct values.  Each fact has one home: T3 holds nu and tau and
+T1 r0, from which each KnotRecord.instanton is built, so a KNOT row's
+instanton payload repeats no T1 or T3 cell (it holds 0_1's and 10_139's
+r0, which no T1 row does).  _REPEATS lists the copies that stay, each
+equal to its home row: T4's (nu, r0) to T1, T1's nu to T3, and the
+name, h1 and dim of T6, T7 and T8 to T2.  Dataset.untabulated() holds
+the rows without T1, T3, T4 and the instanton payloads.
 
 The alias registry (Dataset.aliases) maps each code, such as "T(3,5)" or
 "P(-2,3,7)", to the knot it presents; here the codes stay opaque text.
@@ -27,6 +32,7 @@ above it, from knots up to cli, takes the loaded Dataset as an argument.
 """
 
 import json
+import operator
 import os
 
 # DatasetError is defined in values, so the CLI maps exit codes without
@@ -74,7 +80,6 @@ FLAG_NAMES = (
     "alternating",
     "quasipositive",
     "positive",
-    "slice",
     "amphichiral",
     "homogeneous",
     "instanton_lspace",
@@ -130,9 +135,9 @@ def alexander_at_minus_one(coeffs: tuple[int, ...]) -> int:
 
 
 class InstantonFields(Record):
-    """Tabulated invariants stored on a knot record: nu, tau, r0, the
-    shape ("V" / "W" / None) and the pinned zero-surgery dimension of the
-    mu bundle."""
+    """Tabulated invariants of a knot record: nu and tau from its T3 row,
+    r0 from its T1 row, and from the KNOT row's instanton payload the rest:
+    shape ("V" / "W" / None) and the pinned mu-bundle zero-surgery dim."""
 
     __slots__ = ("nu", "tau", "r0", "shape", "mu0_dim")
 
@@ -198,6 +203,13 @@ TABLE_FIELD_TYPES = {
 _COMPONENT_FIELD_TYPES = {"desc": (str,), "dim": (int,), "h1": (int,)}
 # the |H1| field that every stored dimension of a row must be admitted by
 _EULER_FIELDS = {"T2": "h1", "T5": "det", "T6": "h1", "T7": "h1", "T8": "h1"}
+# the table whose row holds each invariant; the payload may hold it only without one
+_HOMES = {"nu": "T3", "tau": "T3", "r0": "T1"}
+# the copies that stay, as (table, home table, columns compared as one):
+# each row must have a home row under its key, with equal cells there
+_REPEATS = (("T1", "T3", ("nu",)), ("T4", "T1", ("nu", "r0")),
+            *((table, "T2", (column,)) for table in ("T6", "T7", "T8")
+              for column in ("name", "h1", "dim")))
 
 
 def _check_row(where: str, payload: dict, types: dict) -> None:
@@ -230,7 +242,8 @@ def _check_dims(where: str, payload: dict, euler_field: str) -> None:
         _check_dims(f"{where}: component {c['desc']}", c, "h1")
 
 
-def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
+def _knot_record_from_entry(entry: TableEntry, ds: "Dataset") -> KnotRecord:
+    """A KNOT row's record, its invariants read from ds's T1 and T3 rows."""
     p = entry.payload
     for field, kind in _KNOT_FIELD_TYPES.items():
         if p.get(field) is not None and type(p[field]) is not kind:
@@ -265,13 +278,15 @@ def _knot_record_from_entry(entry: TableEntry) -> KnotRecord:
     if inst.get("shape") not in (None, "V", "W"):
         raise DatasetError(f"knot record {entry.key}: instanton shape {inst['shape']!r} "
                            "is not V or W")
-    instanton = InstantonFields(
-        nu=_val_from_payload(inst.get("nu")),
-        tau=_val_from_payload(inst.get("tau")),
-        r0=_val_from_payload(inst.get("r0")),
-        shape=inst.get("shape"),
-        mu0_dim=inst.get("mu0_dim"),
-    )
+    cells = []
+    for field, home in _HOMES.items():
+        row = ds.table(home).get(entry.key)
+        if row is not None and inst.get(field) is not None:
+            raise DatasetError(f"knot record {entry.key}: instanton {field} repeats "
+                               f"its {home} row")
+        cells.append(inst.get(field) if row is None else row.payload[field])
+    instanton = InstantonFields(*map(_val_from_payload, cells), shape=inst.get("shape"),
+                                mu0_dim=inst.get("mu0_dim"))
     return KnotRecord(
         name=entry.key,
         structural=structural,
@@ -304,10 +319,8 @@ class Dataset:
                 _check_row(where, e.payload, types)
                 if table in _EULER_FIELDS:
                     _check_dims(where, e.payload, _EULER_FIELDS[table])
-        self._knots = {
-            key: _knot_record_from_entry(e)
-            for key, e in self._by_table.get("KNOT", {}).items()
-        }
+        self._knots = {key: _knot_record_from_entry(e, self)
+                       for key, e in self._by_table.get("KNOT", {}).items()}
         # the alias registry, code -> (name, mirrored): the ALIAS rows,
         # then the codes the KNOT rows list; the codes stay opaque text
         self.aliases: dict[str, tuple[str, bool]] = {}
@@ -342,20 +355,21 @@ class Dataset:
         return sorted(self._knots)
 
     def untabulated(self) -> "Dataset":
-        """These rows without the tabulated invariants (each KNOT row's
-        instanton payload), built on first use, with caches of its own."""
+        """These rows without the tabulated invariants (T1, T3, T4, each KNOT
+        row's instanton payload), built on first use, with caches of its own."""
         if self._untabulated is None:
             self._untabulated = Dataset([e.replace(payload={**e.payload, "instanton": None})
-                                         if e.table == "KNOT" else e for e in self.entries])
+                                         if e.table == "KNOT" else e for e in self.entries
+                                         if e.table not in ("T1", "T3", "T4")])
         return self._untabulated
 
     # -- integrity ----------------------------------------------------------
 
     def check_integrity(self) -> None:
         """Bound checks on every knot record, then a KNOT row for every key
-        of a knot table and every ALIAS name, T4's (nu, r0) equal to T1's,
-        and a T2 row for every census index; raises DatasetError on the
-        first violation."""
+        of a knot table and every ALIAS name, a T2 row for every census
+        index, and each copy in _REPEATS equal to its home row; raises
+        DatasetError on the first violation."""
         for rec in self._knots.values():
             inst = rec.instanton
             nu, tau, r0 = inst.nu, inst.tau, inst.r0
@@ -393,17 +407,19 @@ class Dataset:
         for key, e in self.table("ALIAS").items():
             if e.payload["name"] not in self._knots:
                 raise DatasetError(f"ALIAS row {key}: no knot record {e.payload['name']}")
-        # T4 repeats the (nu, r0) of T1
-        t1 = self.table("T1")
-        for key, e in self.table("T4").items():
-            if key not in t1:
-                raise DatasetError(f"T4 row {key}: no T1 row {key}")
-            pair, t1_pair = ((row.payload["nu"], row.payload["r0"]) for row in (e, t1[key]))
-            if pair != t1_pair:
-                raise DatasetError(f"T4 row {key}: (nu, r0) = {pair} differs from T1's {t1_pair}")
         missing = sorted(CENSUS_KEYS.difference(self.table("T2")), key=int)
         if missing:
             raise DatasetError(f"T2 has no row for census index {', '.join(missing)}")
+        for table, home, fields in _REPEATS:
+            home_rows, cells = self.table(home), operator.itemgetter(*fields)
+            for key, e in self.table(table).items():
+                if key not in home_rows:
+                    raise DatasetError(f"{table} row {key}: no {home} row {key}")
+                copy, kept = cells(e.payload), cells(home_rows[key].payload)
+                if copy != kept:  # one cell, or a tuple of several
+                    name = fields[0] if len(fields) == 1 else f"({', '.join(fields)})"
+                    raise DatasetError(f"{table} row {key}: {name} = {copy!r} differs "
+                                       f"from {home}'s {kept!r}")
 
     def cross_check_census(self) -> None:
         """Meet every registered census route with the stored dimensions, as

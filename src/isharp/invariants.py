@@ -263,8 +263,8 @@ def _apply_family_rules(b: _Draft, k, s, ds) -> None:
 
 
 def _slice_rule(b: _Draft, s) -> None:
-    """R3; a sum's structural data has slice genus 0 just when it is slice."""
-    if s.flag("slice") or (s.slice_genus.is_exact and s.slice_genus.value() == 0):
+    """R3: slice genus 0."""
+    if s.slice_genus == Val.exact(0):
         b.narrow("nu", Val.exact(0), "R3")
         b.narrow("tau", Val.exact(0), "R3")
         b.set_shape("W", "R3")

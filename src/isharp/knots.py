@@ -575,8 +575,7 @@ def _family_structural(k: KnotExpr) -> StructuralData:
     if isinstance(k, Pretzel):
         if _pretzel_n33(k) is not None:
             # the P(n,3,-3) family is smoothly slice (band to the unlink)
-            return StructuralData(slice_genus=Val.exact(0), genus=nonneg,
-                                  flags=make_flags(slice=True))
+            return StructuralData(slice_genus=Val.exact(0), genus=nonneg)
         n = _pretzel_odd32(k)
         if n is not None:
             # alternating diagrams with signature -2n and slice genus n
@@ -631,12 +630,10 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
     gs_hi = None if None in his else sum(his)
     sigma = None if None in sigmas else sum(sigmas)
     det = None if None in dets else math.prod(dets)
-    all_slice = all(p.flag("slice") for p in parts)
-    is_slice = True if (all_slice or _is_mirror_paired(k, ds)) else None
+    is_slice = all(p.slice_genus == Val.exact(0) for p in parts) or _is_mirror_paired(k, ds)
     gs = Val.exact(0) if is_slice else Val(0, gs_hi)
     # sums of alternating knots need not be alternating: that flag stays unknown
-    flags = make_flags(slice=is_slice,
-                       quasipositive=all(p.flag("quasipositive") for p in parts) or None,
+    flags = make_flags(quasipositive=all(p.flag("quasipositive") for p in parts) or None,
                        positive=all(p.flag("positive") for p in parts) or None)
     return StructuralData(genus=g, slice_genus=gs, signature=sigma, determinant=det,
                           flags=flags)

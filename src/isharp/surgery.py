@@ -37,30 +37,37 @@ def census_dim(index: int, ds) -> DimResult:
 
 def census_routes(index: int, ds) -> list[tuple[str, str, DimResult]]:
     """Every registered computation route for one census manifold, as
-    (table, label, dimension)."""
+    (table, label, dimension); a route the data leave undetermined, or a
+    T8 component whose stored dim it does not admit, names its row."""
     out = []
-    t6 = ds.table("T6").get(str(index))
-    if t6 is not None:
-        where = f"T6 row {index}"
-        desc = Surgery(_parse_cell(where, parse_knot, t6.payload["knot"], ds),
-                       _parse_cell(where, parse_slope, t6.payload["slope"], ds))
-        out.append(("T6", str(desc), surgery_dim(desc.knot, desc.slope, desc.bundle, ds)))
-    t7 = ds.table("T7").get(str(index))
-    if t7 is not None:
-        desc = BranchedCover(_parse_cell(f"T7 row {index}", parse_knot, t7.payload["knot"], ds))
-        out.append(("T7", str(desc), branched_cover_dim(desc.knot, ds)))
-    t8 = ds.table("T8").get(str(index))
-    if t8 is not None:
-        where = f"T8 row {index}"
-        parts = [_parse_cell(where, parse_manifold, c["desc"], ds)
-                 for c in t8.payload["components"]]
-        for m in parts:  # an earlier census manifold only, so that no route cycles
-            if isinstance(m, Census) and m.index >= index:
-                raise IntegrityError(f"{where}: component {m} does not come before "
-                                     f"census({index})")
-        computed = triad_bounds(*(manifold_dim(m, ds) for m in parts), t8.payload["h1"])
-        label = " / ".join(c["desc"] for c in t8.payload["components"])
-        out.append(("T8", f"triad({label})", computed))
+    t6, t7, t8 = (ds.table(table).get(str(index)) for table in ("T6", "T7", "T8"))
+    try:
+        if t6 is not None:
+            where = f"T6 row {index}"
+            desc = Surgery(_parse_cell(where, parse_knot, t6.payload["knot"], ds),
+                           _parse_cell(where, parse_slope, t6.payload["slope"], ds))
+            out.append(("T6", str(desc), surgery_dim(desc.knot, desc.slope, desc.bundle, ds)))
+        if t7 is not None:
+            where = f"T7 row {index}"
+            desc = BranchedCover(_parse_cell(where, parse_knot, t7.payload["knot"], ds))
+            out.append(("T7", str(desc), branched_cover_dim(desc.knot, ds)))
+        if t8 is not None:
+            where = f"T8 row {index}"
+            components = t8.payload["components"]
+            parts = [_parse_cell(where, parse_manifold, c["desc"], ds) for c in components]
+            for m in parts:  # an earlier census manifold only, so that no route cycles
+                if isinstance(m, Census) and m.index >= index:
+                    raise IntegrityError(f"{where}: component {m} does not come before "
+                                         f"census({index})")
+            dims = [manifold_dim(m, ds) for m in parts]
+            for c, d in zip(components, dims):
+                if not d.contains(c["dim"]):
+                    raise IntegrityError(f"{where}: component {c['desc']}: stored dim "
+                                         f"{c['dim']}, computed {d}")
+            label = " / ".join(c["desc"] for c in components)
+            out.append(("T8", f"triad({label})", triad_bounds(*dims, t8.payload["h1"])))
+    except DimensionError as e:
+        raise IntegrityError(f"{where}: {e}") from None
     return out
 
 

@@ -91,7 +91,7 @@ def test_census_and_dcover():
     code, out, _ = run_cli("census", "7")
     assert code == 0
     assert json.loads(out)["candidates"] == [10, 12]
-    code, out, _ = run_cli("dcover", "9_49")
+    code, out, _ = run_cli("dim", "dcover(9_49)")
     assert code == 0
     assert json.loads(out)["dim"] == 25
 
@@ -294,6 +294,16 @@ def _set_component_desc(line, desc):
 
 
 def _census_12_routes_disagree(line):
+    """T2 row 12 and its T6 and T7 copies store 37, and its T6 route reads
+    35/4, at which P(-2,3,7) gives 37; its T7 route, the cover of 10_156,
+    gives 35."""
+    if line["table"] in ("T2", "T6", "T7") and line["key"] == "12":
+        line["payload"]["dim"] = 37
+    if (line["table"], line["key"]) == ("T6", "12"):
+        line["payload"]["slope"] = "35/4"
+
+
+def _census_12_routes_met_in_turn(line):
     """T2 row 12 stores [35,37] and its T6 route reads 35/4, at which
     P(-2,3,7) gives 37; its T7 route, the cover of 10_156, gives 35."""
     if (line["table"], line["key"]) == ("T2", "12"):
@@ -307,8 +317,8 @@ def _census_12_routes_disagree(line):
      "T4 row 3_1: n 'x' is not of type int"),
     ("T2", "0", lambda line: line["payload"].update(dim="x"), ("dim", "census(0)"),
      "T2 row 0: dim 'x' is not of type int or list"),
-    ("KNOT", "3_1", lambda line: line["payload"]["instanton"].update(shape=5),
-     ("verify", "all"), "knot record 3_1: instanton: shape 5 is not of type str or null"),
+    ("KNOT", "6_1", lambda line: line["payload"]["instanton"].update(shape=5),
+     ("verify", "all"), "knot record 6_1: instanton: shape 5 is not of type str or null"),
     ("KNOT", "3_1", lambda line: line["payload"].update(aliases=[5]), ("invariants", "3_1"),
      "knot record 3_1: aliases [5] is not a list of strings"),
     ("ALIAS", "T(2,3)", lambda line: line["payload"].update(mirrored="no"),
@@ -322,9 +332,9 @@ def _census_12_routes_disagree(line):
      "alias 'Cab(3,2;5_1)' is not a torus, twist, pretzel or two-bridge knot"),
     ("ALIAS", "T(2,3)", lambda line: line.update(key="T(1,3)"), ("invariants", "5_2"),
      "alias 'T(1,3)' is not a torus, twist, pretzel or two-bridge knot"),
-    # a flag that is not a bool would read as true (7_7 is not slice)
-    ("KNOT", "7_7", lambda line: line["payload"]["flags"].update(slice="no"),
-     ("invariants", "7_7"), "knot record 7_7: flag slice 'no' is not of type bool or null"),
+    # a flag that is not a bool would read as true (7_7 is not amphichiral)
+    ("KNOT", "7_7", lambda line: line["payload"]["flags"].update(amphichiral="no"),
+     ("invariants", "7_7"), "knot record 7_7: flag amphichiral 'no' is not of type bool or null"),
     # a census manifold's dimension comes from its census routes, a layer
     # above the covers
     ("KNOT", "10_124", lambda line: line["payload"].update(sigma2="census(3)"),
@@ -343,8 +353,8 @@ def _census_12_routes_disagree(line):
     *[("T2", "3", dict.clear, argv, "T2 has no row for census index 3")
       for argv in (("verify", "T2"), ("verify", "all"), ("export", "T2"), ("census", "all"),
                    ("census", "3"), ("dim", "census(3)"))],
-    # census routes are met in turn, as `census 12` meets them: each one
-    # narrows what the next must meet
+    # a census route that disagrees with the stored dimension fails the
+    # cross-check that export runs
     (None, None, _census_12_routes_disagree, ("export", "T2"),
      "census 12 via dcover(10_156): expected 37, computed 35"),
     # a knot table row is keyed by the name of a KNOT row
@@ -412,6 +422,32 @@ def _census_12_routes_disagree(line):
        "T4 row 3_1: (nu, r0) = (1, 1) differs from T1's (-1, 1)")
       for argv in (("verify", "all"), ("export", "T4"))],
     ("T1", "3_1", dict.clear, ("export", "T4"), "T4 row 3_1: no T1 row 3_1"),
+    # T3 is the home of nu and tau, and T1 of r0: a KNOT row that repeats
+    # one is refused, and the copies that stay must equal their home row
+    *[("KNOT", "7_7", lambda line: line["payload"].update(instanton={"nu": 0}), argv,
+       "knot record 7_7: instanton nu repeats its T3 row")
+      for argv in (("invariants", "7_7"), ("dim", "surg(7_7; 3/2)"), ("verify", "all"))],
+    ("T1", "3_1", lambda line: line["payload"].update(nu=1), ("verify", "all"),
+     "T1 row 3_1: nu = 1 differs from T3's -1"),
+    # R1 reads T3, so a tau that R6 contradicts names the record
+    ("T3", "3_1", lambda line: line["payload"].update(tau=0), ("invariants", "3_1"),
+     "knot record 3_1 or its aliases: 3_1: rule R6 gives tau = -1, contradicting R1 (0): "
+     "parity clash: 0 vs -1"),
+    *[("T6", "12", lambda line: line["payload"].update(dim=37), argv,
+       "T6 row 12: dim = 37 differs from T2's 35")
+      for argv in (("census", "12"), ("verify", "all"), ("dim", "surg(3_1; 1)"))],
+    ("T7", "0", lambda line: line["payload"].update(h1=23), ("census", "0"),
+     "T7 row 0: h1 = 23 differs from T2's 25"),
+    # slice genus 0 is the one statement that a knot is slice
+    ("KNOT", "6_1", lambda line: line["payload"]["flags"].update(slice=True),
+     ("invariants", "6_1"), "knot record 6_1: unknown flag 'slice'"),
+    # a census route that the data do not determine names its row
+    *[("KNOT", "K12n242", dict.clear, argv, "T6 row 12: nu of P(-2,3,7) is not determined: ?")
+      for argv in (("verify", "all"), ("verify", "T2"), ("census", "all"))],
+    # a T8 component's stored dim must be one its route computes
+    *[("T8", "2", lambda line: line["payload"]["components"][1].update(dim=17), argv,
+       "T8 row 2: component dcover(8_21): stored dim 17, computed 15")
+      for argv in (("dim", "census(2)"), ("verify", "all"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -434,6 +470,28 @@ def test_a_cell_the_data_fail_exits_3_after_the_report(table, key, edit, argv, f
     assert [(c["section"], c["key"], c["cell"]) for c in report["failed"]] == failed
     assert (code, err) == (3, f"integrity error: {len(failed)} of {report['total']} "
                               "cells failed\n")
+
+
+def test_census_routes_are_met_in_turn(tmp_path):
+    # T2 row 12 stored as [35,37] differs from its T6 copy, so every load
+    # refuses it; without the load check, census_dim and check_census
+    # meet the routes in turn: T6 leaves 37, which T7's 35 misses, though
+    # each route alone meets [35,37]
+    from isharp.surgery import census_dim
+    from isharp.values import DatasetError, IntegrityError
+    from isharp.verify import check_census
+    data = _edited_copy(tmp_path, None, None, _census_12_routes_met_in_turn)
+    for argv in (("export", "T2"), ("verify", "T7"), ("verify", "all"), ("census", "12")):
+        assert _call(["--data", data, *argv]) == (
+            3, "", "integrity error: T6 row 12: dim = 35 differs from T2's [35, 37]\n"), argv
+    ds = datasets.load(data, check=False)
+    with pytest.raises(IntegrityError, match=r"^census 12: route dcover\(10_156\) disagrees"):
+        census_dim(12, ds)
+    failed = [(c.section, c.key, c.cell) for c in check_census(ds).failed]
+    assert failed == [("T7", "12", "dcover(10_156)")]
+    with pytest.raises(DatasetError, match=r"^census 12 via dcover\(10_156\): expected 37, "
+                                           "computed 35$"):
+        ds.cross_check_census()
 
 
 @pytest.mark.parametrize("table, key, edit, argvs, message", [
@@ -505,11 +563,15 @@ def test_r14_tau_bound_is_an_integer(tmp_path):
 
 
 def test_r14_gives_r0_the_parity_of_an_inexact_nu(tmp_path):
-    # r0 - nu is always even, so a stored odd nu in [-1, 1] makes r0 odd
+    # r0 - nu is always even, so a stored odd nu in [-1, 1] makes r0 odd;
+    # 9_99 has no T1 or T3 row, so its KNOT row may store nu
+    from isharp import datasets
     odd_nu = {"lo": -1, "hi": 1, "parity": 1}
-    data = _edited_copy(tmp_path, "KNOT", "7_7",
-                        lambda line: line["payload"]["instanton"].update(nu=odd_nu))
-    code, out, err = run_cli("--data", data, "invariants", "7_7")
+    row = datasets.TableEntry("KNOT", "9_99", {"instanton": {"nu": odd_nu}}, "test")
+    data = tmp_path / "extra.jsonl"
+    data.write_text(Path(datasets.BUNDLED_PATH).read_text(encoding="utf-8")
+                    + row.to_json_line() + "\n", encoding="utf-8")
+    code, out, err = run_cli("--data", str(data), "invariants", "9_99")
     assert (code, err) == (0, "")
     bundle = json.loads(out)
     assert bundle["nu"] == odd_nu
@@ -531,9 +593,9 @@ def test_a_wide_stored_r0_gives_an_interval_at_a_huge_slope(tmp_path):
 
 
 def test_identities_of_an_unknown_name_exit_1():
-    # like dcover, dim and invariants, not an empty list
+    # like dim and invariants, not an empty list
     for argv in (("identities", "99_1", "1"), ("invariants", "99_1"),
-                 ("dcover", "99_1"), ("dim", "surg(99_1; 1)")):
+                 ("dim", "dcover(99_1)"), ("dim", "surg(99_1; 1)")):
         code, out, err = run_cli(*argv)
         assert (code, out, err) == (1, "", "error: unknown knot name '99_1'\n"), argv
 
@@ -548,13 +610,14 @@ def test_deep_nesting_is_refused_cleanly():
 
 
 def _tampered_copy(tmp_path):
-    """The bundled records with census row 5 stored as 7 (its routes give 5)."""
+    """The bundled records with census row 5 stored as 7 in T2 and in its
+    T6 copy (its routes give 5)."""
     from isharp import datasets
     from isharp.datasets import Dataset, TableEntry
     entries = []
     for e in datasets.load().entries:
         payload = dict(e.payload)
-        if (e.table, e.key) == ("T2", "5"):
+        if e.table in ("T2", "T6") and e.key == "5":
             payload["dim"] = 7
         entries.append(TableEntry(e.table, e.key, payload, e.citation))
     path = tmp_path / "tampered.jsonl"
@@ -638,7 +701,7 @@ _CALLS = [
     (["sum", "3_1", "m(3_1)"], ("datasets",)),
     (["cable", "3", "2", "m(3_1)"], ("datasets",)),
     (["census", "3"], ("datasets",)),
-    (["dcover", "10_124"], ("datasets",)),
+    (["dim", "--graded", "dcover(10_124)"], ("datasets",)),
     (["identities", "m(3_1)", "7/4"], ("datasets",)),
     (["verify", "T5"], ("datasets",)),
     (["export", "T1"], ("datasets",)),
@@ -762,7 +825,7 @@ _CONTRACT_ARGVS = st.one_of(
     st.builds(lambda i: ["dim", "--graded", "--", f"census({i})"],
               st.integers(-2, 22) | _BIG | st.sampled_from(["", "x", "3_0", "1)"])),
     st.builds(_command("invariants", "--trace"), _knot_texts),
-    st.builds(_command("dcover"), _knot_texts),
+    st.builds(lambda k: ["dim", "--graded", "--", f"dcover({k})"], _knot_texts),
     st.builds(_command("census"), st.integers(-2, 22).map(str) | st.sampled_from(["all", "x"])),
     st.builds(_command("identities"), _knot_texts, _slope_texts),
     st.builds(_command("cable"), (_BIG | st.integers(-9, 9)).map(str),

@@ -6,7 +6,7 @@ import pytest
 from isharp import datasets
 from isharp.cmd_export import export_tsv
 from isharp.datasets import Dataset, TableEntry, parse_record_line
-from isharp.values import DatasetError
+from isharp.values import DatasetError, Val
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ def test_loader_rejects_bad_schema_and_duplicates():
             ({"signature": "x"}, "signature"),
             ({"determinant": 1.0}, "determinant"),
             ({"flags": ["slice"]}, "flags"),
-            ({"flags": {"slice": "no"}}, "flag slice 'no' is not of type bool or null"),
+            ({"flags": {"amphichiral": "no"}}, "flag amphichiral 'no' is not of type bool or null"),
             ({"mirror_flags": {"positive": 1}}, "flag positive 1 is not of type bool or null"),
             ({"instanton": [1]}, "instanton"),
             ({"aliases": 5}, "aliases")):
@@ -98,6 +98,29 @@ def test_loader_rejects_bad_schema_and_duplicates():
     for payload in ({}, {"name": 3}):
         with pytest.raises(DatasetError, match="name"):
             Dataset([TableEntry("ALIAS", "T(2,3)", payload, "test")])
+
+
+def test_each_record_reads_its_invariants_from_t1_and_t3(ds):
+    # nu and tau live in T3 and r0 in T1; only a knot without the row keeps
+    # a payload value (0_1's r0, 10_139's r0 interval), and no KNOT row
+    # repeats a table cell or states slice as a flag
+    t1, t3 = ds.table("T1"), ds.table("T3")
+
+    def cell(row, field):
+        value = None if row is None else row.payload[field]
+        return Val() if value is None else Val.exact(value)
+
+    payload_r0 = {"0_1": Val.exact(0), "10_139": Val(7, 9, 1)}
+    for name in ds.knot_names():
+        inst = ds.knot_record(name).instanton
+        r0 = cell(t1[name], "r0") if name in t1 else payload_r0.get(name, Val())
+        assert (inst.nu, inst.tau, inst.r0) == (cell(t3.get(name), "nu"),
+                                                cell(t3.get(name), "tau"), r0), name
+    for name, e in ds.table("KNOT").items():
+        stored = e.payload.get("instanton") or {}
+        assert not {"nu", "tau"} & stored.keys() or name not in t3, name
+        assert "r0" not in stored or name not in t1, name
+        assert "slice" not in e.payload.get("flags", {}), name
 
 
 def test_loader_type_checks_every_table_cell(ds):

@@ -395,7 +395,7 @@ def test_cable_genus_identity(ds):
 def test_structural_examples(ds):
     s = structural(parse_knot("8_8"), ds)
     assert s.alexander == (9, -6, 2)
-    assert s.flag("slice") is True
+    assert s.slice_genus == Val.exact(0)
 
     u = structural(Unknot(), ds)
     assert u.genus == Val.exact(0)
@@ -426,7 +426,7 @@ def test_structural_data_is_hashable_and_frozen(ds):
         s.flags[0] = False
     with pytest.raises(AttributeError):
         s.flags = make_flags()
-    assert s.flag("slice") is True
+    assert s.slice_genus == Val.exact(0)
 
 
 def test_cold_deep_cable_builds_each_layer_once(monkeypatch):

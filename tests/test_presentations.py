@@ -20,7 +20,7 @@ from isharp import datasets, invariants
 from isharp.invariants import deduce, sl_upper_bound
 from isharp.knots import KnotError, canonical, format_knot, mirror, parse_knot, structural
 from isharp.dimension import DimensionError, branched_cover_dim, surgery_dim
-from isharp.values import Inconsistency, Slope
+from isharp.values import Inconsistency, Slope, Val
 
 DS = datasets.load()
 
@@ -106,7 +106,7 @@ def test_mirror_pairs_across_presentations_are_slice(text):
     # each summand pairs with a presentation of its mirror, which may be
     # written differently (an amphichiral knot is its own mirror)
     k = parse_knot(text)
-    assert structural(k, DS).flag("slice") is True
+    assert structural(k, DS).slice_genus == Val.exact(0)
     b = deduce(k, DS)
     assert (b.nu.value(), b.tau.value(), b.shape) == (0, 0, "W")
 
