@@ -380,6 +380,9 @@ class Dataset:
                     raise DatasetError(f"{where}: r0 = {r} < |nu| = {abs(n)}")
                 if (r - n) % 2 != 0:
                     raise DatasetError(f"{where}: r0 = {r} and nu = {n} differ in parity")
+            # genus 0 is the unknot, whose surgeries are lens spaces
+            if rec.structural.genus == Val.exact(0) and not r0.contains(0):
+                raise DatasetError(f"{where}: genus 0, so r0 is 0, not {r0}")
             if nu.is_exact and tau.is_exact:
                 if abs(2 * tau.value() - nu.value()) > 1:
                     raise DatasetError(f"{where}: |2 tau - nu| > 1")

@@ -4,17 +4,18 @@ CHECKS names each check of `verify all` once, in report order, with the
 tables it verifies; each check reads its table in one pass.  The
 re-derivations run on ds.untabulated(), which holds no stored
 nu/tau/r0: nu and tau come from structural flags through the deduction
-rules, and r0 from the registered routes (torus/twist/pretzel families,
-two-bridge surgery identities, and the chain through P(5,5,-3)).  A
-route input the data do not supply or leave inexact fails its T1 cell
-or raises IntegrityError naming it.  check_census meets the census
-routes in turn, as surgery.census_dim does.
+rules, and r0 from the rules where they pin it, else from every
+registered identity of an integer surgery on the knot, and for 6_3, 8_6
+and 8_8 from the chain through P(5,5,-3).  A T1 cell that no route pins
+fails; a route input the data cannot give raises IntegrityError naming
+it.  check_census meets the census routes in turn, as
+surgery.census_dim does.
 """
 
 import json
 
 from .datasets import CENSUS_TABLES
-from .dimension import DimensionError, DimResult, Surgery, branched_cover_dim, surgery_dim
+from .dimension import DimensionError, DimResult, branched_cover_dim, surgery_dim
 from .invariants import deduce
 from .knots import (
     Cable,
@@ -24,7 +25,6 @@ from .knots import (
     TwoBridge,
     Unknot,
     equivalent_atoms,
-    format_knot,
     parse_knot,
     structural,
 )
@@ -110,65 +110,37 @@ def rederive_nu_tau(ds) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Re-derivation of r0 through the registered routes
+# Re-derivation of r0: the rules, then every registered identity
 # ---------------------------------------------------------------------------
 
-# two-bridge surgery identities pinning r0: knot -> (integer slope, partner)
-IDENTITY_ROUTES = {
-    "6_2": (-9, "m(5_2)"),
-    "7_3": (7, "m(5_2)"),
-    "7_4": (1, "m(5_2)"),
-    "8_2": (-13, "m(5_2)"),
-    "8_3": (1, "m(5_2)"),
-    "8_4": (-7, "m(6_1)"),
-}
-
-
-def _route_bundle(view, name: str):
-    """What view deduces for a knot that a T1 route names."""
-    if view.knot_record(name) is None:
-        raise IntegrityError(f"T1 route: no knot record {name}")
-    return deduce(Named(name), view)
-
-
-def _exact(value, what: str):
-    """value, a Val or a DimResult, when it is exact: no route runs on an inexact input."""
-    if not value.is_exact:
-        raise IntegrityError(f"T1 route: {what} is not exact: {value}")
-    return value
-
-
 def rederive_r0(ds) -> Report:
-    """Re-derive (nu, r0) for every T1 knot without stored instanton data,
-    and compare them with the table."""
+    """Deduce (nu, r0) for every T1 knot on ds.untabulated() and compare
+    them with the table.  Where the rules leave r0 inexact, each identity
+    of n-surgery on the knot, 0 < |n| <= IDENTITY_BOUND, whose partner has
+    an exact dimension d gives r0 = d - |n - nu|, pinned when all agree;
+    6_3, 8_6 and 8_8 come from the chain through P(5,5,-3)."""
     report = Report()
     derived: dict[str, tuple[int, int]] = {}
     view = ds.untabulated()
-
-    # family routes resolve through aliases inside the rule engine
-    for name in ("3_1", "4_1", "5_1", "5_2", "6_1", "7_1", "7_2", "8_1",
-                 "8_5", "8_19", "8_20"):
-        b = _route_bundle(view, name)
-        if not (b.nu.is_exact and b.r0.is_exact):
-            report.add("T1", name, "r0", "exact family value", b.r0, False)
+    for key in ds.table("T1"):
+        b = deduce(Named(key), view)
+        if not b.nu.is_exact:
             continue
-        derived[name] = (b.nu.value(), b.r0.value())
-
-    # two-bridge identity routes: n-surgery on the knot is a surgery on
-    # its partner, whose dimension the closed form gives
-    for name, (n, partner_text) in IDENTITY_ROUTES.items():
-        nu = _exact(_route_bundle(view, name).nu, f"nu of {name}").value()
-        matches = [Surgery(*rhs) for rhs in homeo_identities(Named(name), Slope(n, 1), ds)
-                   if format_knot(rhs[0]) == partner_text]
-        if not matches:
-            report.add("T1", name, "r0", f"identity with {partner_text}", "no match", False)
+        nu = b.nu.value()
+        if b.r0.is_exact:
+            derived[key] = (nu, b.r0.value())
             continue
-        rhs = matches[0]
-        try:
-            dim = _exact(surgery_dim(rhs.knot, rhs.slope, rhs.bundle, view), f"dim of {rhs}")
-        except DimensionError as e:
-            raise IntegrityError(f"T1 route: {e}") from None
-        derived[name] = (nu, dim.dim - abs(n - nu))
+        r0s = set()
+        for n in (*range(-IDENTITY_BOUND, 0), *range(1, IDENTITY_BOUND + 1)):
+            for partner, slope in homeo_identities(Named(key), Slope(n, 1), view):
+                try:
+                    dim = surgery_dim(partner, slope, "trivial", view)
+                except DimensionError as e:
+                    raise IntegrityError(f"T1 route: {e}") from None
+                if dim.is_exact:
+                    r0s.add(dim.dim - abs(n - nu))
+        if len(r0s) == 1:
+            derived[key] = (nu, r0s.pop())
 
     if "6_2" in derived:  # the chain through P(5,5,-3) starts at 6_2
         derived.update(_chain_r0(view, derived["6_2"]))
@@ -194,8 +166,12 @@ def _chain_r0(view, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
     S^3_{-1}(K_n) = S^3_{-1/n}(P(5,5,-3)) (K_1, K_-1, K_2, K_-2 being
     6_2, 6_3, 8_6, 8_8) together with exact-triangle bounds and the
     polynomial floor for the zero-surgery of 8_8; view holds no stored values."""
-    nus = {name: _exact(_route_bundle(view, name).nu, f"nu of {name}").value()
-           for name in ("6_3", "8_6", "8_8")}
+    nus = {}
+    for name in ("6_3", "8_6", "8_8"):
+        nu = deduce(Named(name), view).nu
+        if not nu.is_exact:
+            raise IntegrityError(f"T1 route: nu of {name} is not exact: {nu}")
+        nus[name] = nu.value()
     nu62, r062 = inv_6_2
     d_minus1 = r062 + abs(-1 - nu62)  # = dim of -1-surgery on 6_2 = on P
 
@@ -315,7 +291,7 @@ def check_spectral(ds) -> Report:
 # Homeomorphism identity sweep
 # ---------------------------------------------------------------------------
 
-# the parameter bound of the identity sweep
+# the parameter bound of the identity sweep, and of the slopes rederive_r0 scans
 IDENTITY_BOUND = 50
 
 

@@ -303,6 +303,19 @@ def _census_12_routes_disagree(line):
         line["payload"]["slope"] = "35/4"
 
 
+def _unknot_r0_2(line):
+    line["payload"]["instanton"].update(r0=2)
+
+
+def _6_2_unpresented(line):
+    """KNOT 6_2 without its alias TB(-3,-4), and ALIAS P(1,3,2), which
+    presents 6_2, deleted: no rule and no identity reaches 6_2."""
+    if (line["table"], line["key"]) == ("KNOT", "6_2"):
+        line["payload"].update(aliases=[])
+    if (line["table"], line["key"]) == ("ALIAS", "P(1,3,2)"):
+        line.clear()
+
+
 def _census_12_routes_met_in_turn(line):
     """T2 row 12 stores [35,37] and its T6 route reads 35/4, at which
     P(-2,3,7) gives 37; its T7 route, the cover of 10_156, gives 35."""
@@ -367,9 +380,10 @@ def _census_12_routes_met_in_turn(line):
     *[("KNOT", "8_8", lambda line: line["payload"].update(alexander=None), argv,
        "T1 route: 8_8 has no genus <= 2 alexander polynomial: None")
       for argv in (("verify", "T1"), ("verify", "all"))],
-    # the T1 routes need a record, an exact nu and an exact partner dimension
-    (None, None, lambda line: line.clear() if line["key"] == "8_20" else None,
-     ("verify", "T1"), "T1 route: no knot record 8_20"),
+    # a record of genus 0 is the unknot, whose r0 is 0
+    ("KNOT", "0_1", _unknot_r0_2, ("verify", "all"),
+     "knot record 0_1: genus 0, so r0 is 0, not 2"),
+    # the T1 routes need an exact nu and an exact partner dimension
     ("KNOT", "6_3", lambda line: line["payload"].update(flags={}), ("verify", "T1"),
      "T1 route: nu of 6_3 is not exact: [-1,1]"),
     ("KNOT", "5_2", lambda line: line["payload"].update(flags={}, aliases=[]), ("verify", "T1"),
@@ -448,6 +462,8 @@ def _census_12_routes_met_in_turn(line):
     *[("T8", "2", lambda line: line["payload"]["components"][1].update(dim=17), argv,
        "T8 row 2: component dcover(8_21): stored dim 17, computed 15")
       for argv in (("dim", "census(2)"), ("verify", "all"))],
+    ("KNOT", "0_1", _unknot_r0_2, ("dim", "surg(U; 1/2)"),
+     "knot record 0_1: genus 0, so r0 is 0, not 2"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -458,10 +474,10 @@ def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path)
     # T7 meets what T2 and the T6 route leave, as census_dim does
     *[(None, None, _census_12_routes_disagree, argv, [("T7", "12", "dcover(10_156)")])
       for argv in (("verify", "T7"), ("verify", "all"))],
-    # without its two-bridge alias 6_2 matches no identity, so neither
-    # 6_2 nor the chain that starts at it derives r0
-    ("KNOT", "6_2", lambda line: line["payload"].update(aliases=[]), ("verify", "T1"),
-     [("T1", "6_2", "r0"), *(("T1", k, "nu,r0") for k in ("6_2", "6_3", "8_6", "8_8"))]),
+    # with no presentation of 6_2 left, neither 6_2 nor the chain that
+    # starts at it derives r0
+    (None, None, _6_2_unpresented, ("verify", "T1"),
+     [("T1", k, "nu,r0") for k in ("6_2", "6_3", "8_6", "8_8")]),
 ])
 def test_a_cell_the_data_fail_exits_3_after_the_report(table, key, edit, argv, failed,
                                                        tmp_path):
@@ -470,6 +486,14 @@ def test_a_cell_the_data_fail_exits_3_after_the_report(table, key, edit, argv, f
     assert [(c["section"], c["key"], c["cell"]) for c in report["failed"]] == failed
     assert (code, err) == (3, f"integrity error: {len(failed)} of {report['total']} "
                               "cells failed\n")
+
+
+def test_t1_asks_only_for_the_knots_its_rows_name(tmp_path):
+    # with every 8_20 row deleted, T1 re-derives its 19 rows without 8_20
+    data = _edited_copy(tmp_path, None, None,
+                        lambda line: line.clear() if line["key"] == "8_20" else None)
+    assert _call(["--data", data, "verify", "T1"]) == (
+        0, '{"failed":[],"passed":19,"total":19}\n', "")
 
 
 def test_census_routes_are_met_in_turn(tmp_path):

@@ -343,6 +343,21 @@ def test_check_spectral_computes_each_cover_once(ds, monkeypatch):
     assert len(calls) == 7
 
 
+def test_rules_and_identities_pin_every_t1_key_but_the_chain(ds, monkeypatch):
+    # without the chain through P(5,5,-3), rederive_r0 pins the other 17
+    # T1 keys, also when 6_2 loses its two-bridge alias: the rules still
+    # reach 6_2 through its pretzel alias P(1,3,2)
+    from isharp import verify
+    monkeypatch.setattr(verify, "_chain_r0", lambda view, inv_6_2: {})
+    for aliases in (["TB(-3,-4)"], []):
+        entries = [e.replace(payload={**e.payload, "aliases": aliases})
+                   if (e.table, e.key) == ("KNOT", "6_2") else e for e in ds.entries]
+        report = verify.rederive_r0(datasets.Dataset(entries))
+        failed = [(c.key, c.got) for c in report.failed]
+        assert failed == [(k, "None") for k in ("6_3", "8_6", "8_8")], aliases
+        assert report.passed == 17
+
+
 def test_twist_chain(ds):
     for n in range(1, 101):
         r = verify_identity((parse_knot(f"Tw({2 * n - 1})"), Slope(-1, 1)),
