@@ -532,23 +532,26 @@ def _structural(k: KnotExpr, ds) -> StructuralData:
 
 
 def _merge_structural(a: StructuralData, b: StructuralData) -> StructuralData:
-    """a's data, completed by b's; a contradicted genus is an Inconsistency naming it."""
-    genera = {}
+    """a's data, completed by b's; a field that b contradicts is an
+    Inconsistency naming it."""
+    met = {}
     for field in ("genus", "slice_genus"):
         x, y = getattr(a, field), getattr(b, field)
         try:
-            genera[field] = x.meet(y)
+            met[field] = x.meet(y)
         except Inconsistency:
             raise Inconsistency(f"{field} {x} contradicts the {field} {y}") from None
-    flags = tuple(y if x is None else x for x, y in zip(a.flags, b.flags))
-    return StructuralData(
-        **genera,
-        signature=a.signature if a.signature is not None else b.signature,
-        determinant=a.determinant if a.determinant is not None else b.determinant,
-        alexander=a.alexander if a.alexander is not None else b.alexander,
-        sl_max=a.sl_max if a.sl_max is not None else b.sl_max,
-        flags=flags,
-    )
+    for field in ("signature", "determinant", "alexander", "sl_max"):
+        met[field] = _meet_known(field, getattr(a, field), getattr(b, field))
+    flags = tuple(map(_meet_known, FLAG_NAMES, a.flags, b.flags))
+    return StructuralData(**met, flags=flags)
+
+
+def _meet_known(field: str, x, y):
+    """x, or y where x is unknown (None); two known values must be equal."""
+    if None not in (x, y) and x != y:
+        raise Inconsistency(f"{field} {x} contradicts the {field} {y}")
+    return y if x is None else x
 
 
 def _family_structural(k: KnotExpr) -> StructuralData:

@@ -4,8 +4,10 @@ dimension routes that read the census tables or compare two surgeries.
 census_dim meets a census manifold's stored dimension with every
 registered route (a T6 surgery, a T7 branched cover, a T8 exact triad),
 and manifold_dim extends dimension.manifold_dim to census(i).  The
-identities re-describe one surgery as another, and verify_identity
-compares their dimensions, naming each side as its Surgery prints.  The
+identities re-describe one surgery as another: integer_identities lists
+those of every integer surgery on a knot, each slope written there once,
+homeo_identities those of one surgery, and verify_identity compares
+their dimensions, naming each side as its Surgery prints.  The
 closed form, lens spaces and branched covers live one layer down, in
 dimension, which a `dim` call on a surgery compiles without this module.
 """
@@ -117,51 +119,48 @@ def _tb_codes_for(atoms: list[KnotExpr]) -> list[tuple[int, int]]:
     return list(dict.fromkeys(codes))  # first occurrence order
 
 
-def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
-    """All registered re-descriptions of the surgery (k, s): the three
-    two-bridge twist-region identities, the pretzel shift
-    (-2 on P(n,3,-3) vs +2 on P(n+3,3,-3)), and the two cable identities
-    relating slopes (pq +- 1)/q^2 on a companion to pq +- 1 on its cable.
-    """
-    out: list[tuple[KnotExpr, Slope]] = []
+def integer_identities(k: KnotExpr, ds) -> list[tuple[int, KnotExpr, Slope]]:
+    """(n, partner, slope) for every registered re-description of
+    n-surgery on k, the one place each identity states its slope: the
+    two-bridge twist-region identities, then the pretzel shift (-2 on
+    P(n,3,-3) vs +2 on P(n+3,3,-3)), then pq +- 1 on a cable vs
+    (pq +- 1)/q^2 on its companion."""
+    out: list[tuple[int, KnotExpr, Slope]] = []
     atoms = equivalent_atoms(k, ds)
 
-    # two-bridge identities
     for a, b in _tb_codes_for(atoms):
         if b == 0 or b % 2 != 0:
             continue
         n = b // 2
-        if a % 2 != 0:
-            m2 = a  # odd twist region, 2m+1 crossings
-            if s.is_integer and s.p == 4 * n - 1:
-                out.append((canonical(TwoBridge(2, m2), ds), reduce(4 * n - 1, n)))
-            if s.is_integer and s.p == 4 * n + 1:
-                out.append((canonical(TwoBridge(-2, m2), ds), reduce(-(4 * n + 1), n)))
-        else:
-            m2 = a  # even twist region, 2m crossings
-            if s == Slope(1, 1):
-                out.append((canonical(TwoBridge(-2, m2), ds), reduce(-1, n)))
-            if s == Slope(-1, 1):
-                out.append((canonical(TwoBridge(2, m2), ds), reduce(-1, n)))
+        if a % 2 != 0:  # odd twist region, 2m+1 crossings
+            out += [(4 * n - 1, canonical(TwoBridge(2, a), ds), reduce(4 * n - 1, n)),
+                    (4 * n + 1, canonical(TwoBridge(-2, a), ds), reduce(-(4 * n + 1), n))]
+        else:  # even twist region, 2m crossings
+            out += [(1, canonical(TwoBridge(-2, a), ds), reduce(-1, n)),
+                    (-1, canonical(TwoBridge(2, a), ds), reduce(-1, n))]
 
-    # pretzel shift, once per P(n,3,-3) presentation
+    # once per P(n,3,-3) presentation
     shifts = []
     for x in atoms:
         n = _pretzel_n33(x) if isinstance(x, Pretzel) else None
         if n is not None:
             shifts.append(-n if x.mirrored else n)
     for n in dict.fromkeys(shifts):
-        if s == Slope(-2, 1):
-            out.append((Pretzel(n + 3, 3, -3), Slope(2, 1)))
-        if s == Slope(2, 1):
-            out.append((Pretzel(n - 3, 3, -3), Slope(-2, 1)))
+        out += [(-2, Pretzel(n + 3, 3, -3), Slope(2, 1)),
+                (2, Pretzel(n - 3, 3, -3), Slope(-2, 1))]
 
-    # cable identities: integer surgery on the cable ...
-    if isinstance(k, Cable) and s.is_integer:
-        for eps in (-1, 1):
-            if s.p == k.p * k.q + eps:
-                out.append((k.companion, reduce(s.p, k.q * k.q)))
-    # ... matches the corresponding fractional surgery on the companion
+    if isinstance(k, Cable):
+        out += [(k.p * k.q + eps, k.companion, reduce(k.p * k.q + eps, k.q * k.q))
+                for eps in (-1, 1)]
+    return out
+
+
+def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
+    """All registered re-descriptions of the surgery (k, s): those of
+    integer_identities at s, then, for s = (pq +- 1)/q^2, pq +- 1 on the
+    (p, q) cable of k."""
+    out = [(partner, slope) for n, partner, slope in integer_identities(k, ds)
+           if s.is_integer and s.p == n]
     if s.q >= 4:
         q = math.isqrt(s.q)
         if q * q == s.q:
@@ -170,7 +169,6 @@ def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
                     p = (s.p - eps) // q
                     if math.gcd(abs(p), q) == 1:
                         out.append((make_cable(p, q, k), Slope(s.p, 1)))
-
     return out
 
 

@@ -5,11 +5,12 @@ tables it verifies; each check reads its table in one pass.  The
 re-derivations run on ds.untabulated(), which holds no stored
 nu/tau/r0: nu and tau come from structural flags through the deduction
 rules, and r0 from the rules where they pin it, else from every
-registered identity of an integer surgery on the knot, and for 6_3, 8_6
-and 8_8 from the chain through P(5,5,-3).  A T1 cell that no route pins
-fails; a route input the data cannot give raises IntegrityError naming
-it.  check_census meets the census routes in turn, as
-surgery.census_dim does.
+identity that surgery.integer_identities registers for the knot, and
+for 6_3, 8_6 and 8_8 from the chain through P(5,5,-3).  A T1 cell that
+no route pins fails; a route input the data cannot give raises
+IntegrityError naming it.  check_census meets the census routes in
+turn, as surgery.census_dim does.  The identity sweep reads its
+instances from integer_identities too.
 """
 
 import json
@@ -28,7 +29,7 @@ from .knots import (
     parse_knot,
     structural,
 )
-from .surgery import census_routes, homeo_identities, verify_identity
+from .surgery import census_routes, integer_identities, verify_identity
 from .values import DatasetError, Inconsistency, IntegrityError, Record, Slope
 
 
@@ -116,9 +117,9 @@ def rederive_nu_tau(ds) -> Report:
 def rederive_r0(ds) -> Report:
     """Deduce (nu, r0) for every T1 knot on ds.untabulated() and compare
     them with the table.  Where the rules leave r0 inexact, each identity
-    of n-surgery on the knot, 0 < |n| <= IDENTITY_BOUND, whose partner has
-    an exact dimension d gives r0 = d - |n - nu|, pinned when all agree;
-    6_3, 8_6 and 8_8 come from the chain through P(5,5,-3)."""
+    of n-surgery on the knot that integer_identities lists, whose partner
+    has an exact dimension d, gives r0 = d - |n - nu|, pinned when all
+    agree; 6_3, 8_6 and 8_8 come from the chain through P(5,5,-3)."""
     report = Report()
     derived: dict[str, tuple[int, int]] = {}
     view = ds.untabulated()
@@ -131,14 +132,13 @@ def rederive_r0(ds) -> Report:
             derived[key] = (nu, b.r0.value())
             continue
         r0s = set()
-        for n in (*range(-IDENTITY_BOUND, 0), *range(1, IDENTITY_BOUND + 1)):
-            for partner, slope in homeo_identities(Named(key), Slope(n, 1), view):
-                try:
-                    dim = surgery_dim(partner, slope, "trivial", view)
-                except DimensionError as e:
-                    raise IntegrityError(f"T1 route: {e}") from None
-                if dim.is_exact:
-                    r0s.add(dim.dim - abs(n - nu))
+        for n, partner, slope in integer_identities(Named(key), view):
+            try:
+                dim = surgery_dim(partner, slope, "trivial", view)
+            except DimensionError as e:
+                raise IntegrityError(f"T1 route: {e}") from None
+            if dim.is_exact:
+                r0s.add(dim.dim - abs(n - nu))
         if len(r0s) == 1:
             derived[key] = (nu, r0s.pop())
 
@@ -291,62 +291,37 @@ def check_spectral(ds) -> Report:
 # Homeomorphism identity sweep
 # ---------------------------------------------------------------------------
 
-# the parameter bound of the identity sweep, and of the slopes rederive_r0 scans
+# the parameter bound of the identity sweep
 IDENTITY_BOUND = 50
 
 
 def identity_instances(ds):
-    """Instances of every registered identity, with parameters up to
-    IDENTITY_BOUND; check_identities skips the ones with a side whose
-    dimension the data do not determine."""
+    """Every registered identity of an integer surgery on the swept knots:
+    the two-bridge codes (a, b), b even, of the alias registry and of the
+    twist family, P(n,3,-3), and cables of instanton L-space companions,
+    with parameters up to IDENTITY_BOUND; check_identities skips the ones
+    with a side whose dimension the data do not determine."""
     bound = IDENTITY_BOUND
-    out = []
-    # two-bridge codes from the alias registry, plus the twist-knot family
     codes = set()
     for name in ds.knot_names():
         for x in equivalent_atoms(Named(name), ds):
             if isinstance(x, TwoBridge):
                 codes.update(((x.a, x.b), (-x.a, -x.b)))
     for n in range(1, bound + 1):
-        codes.add((2, 2 * n))
-        codes.add((-2, 2 * n))
-        codes.add((-2, -2 * n))
-        codes.add((2, -2 * n))
-    for a, b in sorted(codes):
-        if b == 0 or b % 2:
-            continue
-        n = b // 2
-        if abs(n) > bound or abs(a) > 2 * bound:
-            continue
-        k = TwoBridge(a, b)
-        slopes = ([Slope(4 * n - 1, 1), Slope(4 * n + 1, 1)] if a % 2
-                  else [Slope(1, 1), Slope(-1, 1)])
-        for s in slopes:
-            for rhs in homeo_identities(k, s, ds):
-                out.append(((k, s), rhs))
-    # pretzel shift
-    for n in range(-bound, bound + 1):
-        k = Pretzel(n, 3, -3)
-        for s in (Slope(-2, 1), Slope(2, 1)):
-            for rhs in homeo_identities(k, s, ds):
-                out.append(((k, s), rhs))
-    # cable identities on instanton L-space companions
+        codes.update(((2, 2 * n), (-2, 2 * n), (-2, -2 * n), (2, -2 * n)))
+    swept = [TwoBridge(a, b) for a, b in sorted(codes)
+             if b != 0 and b % 2 == 0 and abs(b) <= 2 * bound and abs(a) <= 2 * bound]
+    swept += [Pretzel(n, 3, -3) for n in range(-bound, bound + 1)]
     for companion_text in ("m(3_1)", "m(5_1)", "T(3,4)", "P(-2,3,7)"):
         companion = parse_knot(companion_text)
         genus = structural(companion, ds).genus
         if not genus.is_exact:
             raise IntegrityError(f"identity sweep: genus of {companion_text} is not exact: {genus}")
         g = genus.value()
-        for q in (2, 3):
-            for p in range(q * (2 * g - 1) + 1, q * (2 * g - 1) + bound):
-                if p % q == 0:
-                    continue
-                cable = Cable(p, q, companion)
-                for eps in (-1, 1):
-                    s = Slope(p * q + eps, 1)
-                    for rhs in homeo_identities(cable, s, ds):
-                        out.append((((cable, s)), rhs))
-    return out
+        swept += [Cable(p, q, companion) for q in (2, 3)
+                  for p in range(q * (2 * g - 1) + 1, q * (2 * g - 1) + bound) if p % q]
+    return [((k, Slope(n, 1)), (partner, slope)) for k in swept
+            for n, partner, slope in integer_identities(k, ds)]
 
 
 def check_identities(ds) -> Report:

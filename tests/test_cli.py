@@ -75,7 +75,7 @@ _VERIFY_DIGESTS = {
     "T7": ("dee07cb785fdecc4", "2984c1136088d474"),
     "T8": ("8a17f15e72ca721d", "bc43b391cbd9e1a8"),
     "all": ("6607ba554370ee23", "c53f57657130c617"),
-    "identities": ("093c217393f8580d", "79daf1f8ab8df8e6"),
+    "identities": ("093c217393f8580d", "d4bed232b91514b6"),
 }
 
 
@@ -464,6 +464,11 @@ def _census_12_routes_met_in_turn(line):
       for argv in (("dim", "census(2)"), ("verify", "all"))],
     ("KNOT", "0_1", _unknot_r0_2, ("dim", "surg(U; 1/2)"),
      "knot record 0_1: genus 0, so r0 is 0, not 2"),
+    # a stored flag, like a genus, must agree with the family data of the
+    # record's aliases: two-bridge knots are alternating
+    *[("KNOT", "3_1", lambda line: line["payload"]["flags"].update(alternating=False), argv,
+       "knot record 3_1: alternating False contradicts the alternating True of TB(2,2)")
+      for argv in (("verify", "all"), ("invariants", "3_1"), ("dim", "surg(3_1; 1/2)"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)

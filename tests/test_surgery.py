@@ -25,8 +25,8 @@ from isharp.dimension import (
     surgery_dim,
     zero_surgery_dim,
 )
-from isharp.surgery import (census_dim, homeo_identities, manifold_dim, triad_bounds,
-                            verify_identity)
+from isharp.surgery import (census_dim, homeo_identities, integer_identities, manifold_dim,
+                            triad_bounds, verify_identity)
 from isharp.values import Inconsistency, Slope, Val, parse_slope, reduce
 
 
@@ -356,6 +356,28 @@ def test_rules_and_identities_pin_every_t1_key_but_the_chain(ds, monkeypatch):
         failed = [(c.key, c.got) for c in report.failed]
         assert failed == [(k, "None") for k in ("6_3", "8_6", "8_8")], aliases
         assert report.passed == 17
+
+
+def test_t1_reads_the_identities_without_the_sweep_bound(ds, monkeypatch):
+    # each T1 knot's identities come with their slopes, so the sweep's
+    # parameter bound does not limit the T1 route
+    from isharp import verify
+    monkeypatch.setattr(verify, "IDENTITY_BOUND", 0)
+    report = verify.rederive_r0(ds)
+    assert (report.passed, report.failed) == (20, [])
+
+
+def test_integer_identities_list_every_family_with_its_slope(ds):
+    # 6_1 is TB(-2,4) and P(1,3,-3): two twist-region identities, then
+    # the pretzel shift; a cable has its two at pq - 1 and pq + 1
+    def listed(text):
+        return [(n, str(k), str(s)) for n, k, s in integer_identities(parse_knot(text), ds)]
+    assert listed("6_1") == [(1, "m(3_1)", "-1/2"), (-1, "4_1", "-1/2"),
+                             (-2, "P(4,3,-3)", "2/1"), (2, "P(-2,3,-3)", "-2/1")]
+    assert listed("Cab(5,2;T(2,3))") == [(9, "T(2,3)", "9/4"), (11, "T(2,3)", "11/4")]
+    for text in ("6_1", "7_3", "Cab(5,2;T(2,3))"):
+        for n, k, s in integer_identities(parse_knot(text), ds):
+            assert (k, s) in homeo_identities(parse_knot(text), Slope(n, 1), ds)
 
 
 def test_twist_chain(ds):
