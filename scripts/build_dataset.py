@@ -83,6 +83,41 @@ ALEXANDER = {
 # knots whose mirror is positive (left-handed torus knots, odd twist knots)
 MIRROR_POSITIVE = {"3_1": 1, "5_1": 3, "7_1": 5, "5_2": 1, "7_2": 1}
 
+# the seven low-crossing knots with non-thin reduced odd Khovanov homology:
+# name: (determinant, reduced odd Khovanov rank, registered surgery
+# description of the branched double cover, its dimension); the KNOT row
+# holds the determinant, and T5 the rest with a copy of it
+NON_THIN = {
+    "10_124": (1, 3, "surg(3_1; -1/1)", 1),
+    "10_139": (3, 7, "surg(4_1; -3/1)", 5),
+    "10_145": (3, 7, "surg(5_2; -3/1)", 5),
+    "10_152": (11, 15, None, None),
+    "10_153": (1, 9, "surg(P(7,3,-3); 1/1)", 5),
+    "10_154": (13, 17, "surg(10_139; 13/1)", [13, 15]),
+    "10_161": (5, 9, "surg(4_1; 5/1)", 7),
+}
+
+# the codes presenting a knot in its own chirality, in knot-row order
+PRESENTATIONS = {
+    "3_1": ["TB(2,2)", "Tw(1)"],
+    "4_1": ["Tw(2)", "TB(-2,2)", "TB(-2,-3)"],
+    "5_2": ["Tw(3)"],
+    "6_1": ["Tw(4)", "P(1,3,-3)"],
+    "6_2": ["TB(-3,-4)"],
+    "7_2": ["Tw(5)"],
+    "7_3": ["TB(-3,4)"],
+    "7_4": ["TB(-4,-4)"],
+    "8_1": ["Tw(6)"],
+    "8_2": ["TB(-3,-6)"],
+    "8_3": ["TB(-4,4)"],
+    "8_4": ["TB(-5,-4)"],
+    "8_5": ["P(3,3,2)"],
+    "8_19": ["T(3,4)"],
+    "8_20": ["P(2,3,-3)"],
+    "10_124": ["T(3,5)"],
+    "K12n242": ["P(-2,3,7)"],
+}
+
 
 def small_knot_payload(name):
     g, gs, sigma, det = SMALL[name][:4]
@@ -127,40 +162,13 @@ def build_entries():
     })
     for name in SMALL:
         payload = small_knot_payload(name)
-        if name == "3_1":
-            payload["aliases"] = ["TB(2,2)", "Tw(1)"]
         if name == "4_1":
-            payload["aliases"] = ["Tw(2)", "TB(-2,2)", "TB(-2,-3)"]
             payload["instanton"] = {"mu0_dim": 2}  # zero-surgery is a torus bundle
-        if name == "5_2":
-            payload["aliases"] = ["Tw(3)"]
-        if name == "6_1":
-            payload["aliases"] = ["Tw(4)", "P(1,3,-3)"]
-        if name == "6_2":
-            payload["aliases"] = ["TB(-3,-4)"]
-        if name == "7_2":
-            payload["aliases"] = ["Tw(5)"]
-        if name == "7_3":
-            payload["aliases"] = ["TB(-3,4)"]
-        if name == "7_4":
-            payload["aliases"] = ["TB(-4,-4)"]
-        if name == "8_1":
-            payload["aliases"] = ["Tw(6)"]
-        if name == "8_2":
-            payload["aliases"] = ["TB(-3,-6)"]
-        if name == "8_3":
-            payload["aliases"] = ["TB(-4,4)"]
-        if name == "8_4":
-            payload["aliases"] = ["TB(-5,-4)"]
-        if name == "8_5":
-            payload["aliases"] = ["P(3,3,2)"]
         if name == "8_19":
-            payload["aliases"] = ["T(3,4)"]
             payload["flags"].update({"quasipositive": True, "positive": True,
                                      "homogeneous": True, "instanton_lspace": True})
             payload["sl_max"] = 5
         if name == "8_20":
-            payload["aliases"] = ["P(2,3,-3)"]
             payload["flags"]["quasipositive"] = True
             payload["sl_max"] = -1
         if name == "8_21":
@@ -178,46 +186,26 @@ def build_entries():
         }, "reduced odd Khovanov homology of these knots is thin")
 
     # the seven low-crossing knots with non-thin reduced odd Khovanov homology
-    add("KNOT", "10_124", {
-        "determinant": 1, "khbar_dim": 3, "sigma2": "surg(3_1; -1/1)",
-        "aliases": ["T(3,5)"],
-        "flags": {"thin_odd_khovanov": False},
-    })
-    add("KNOT", "10_139", {
-        "genus": 4, "slice_genus": 4, "determinant": 3, "khbar_dim": 7,
-        "sigma2": "surg(4_1; -3/1)",
-        "flags": {"thin_odd_khovanov": False, "positive": True,
-                  "quasipositive": True},
-        # r0 is pinned to {7, 9} by the surgery triad through the lens space
-        # L(9,2) and 5-surgery on the figure eight
-        "instanton": {"r0": {"lo": 7, "hi": 9, "parity": 1}},
-    }, "triad bound through L(9,2) and 5-surgery on 4_1")
-    add("KNOT", "10_145", {
-        "determinant": 3, "khbar_dim": 7, "sigma2": "surg(5_2; -3/1)",
-        "flags": {"thin_odd_khovanov": False},
-    })
-    add("KNOT", "10_152", {
-        "determinant": 11, "khbar_dim": 15,
-        "flags": {"thin_odd_khovanov": False},
-    })
-    add("KNOT", "10_153", {
-        "determinant": 1, "khbar_dim": 9, "sigma2": "surg(P(7,3,-3); 1/1)",
-        "flags": {"thin_odd_khovanov": False},
-    })
-    add("KNOT", "10_154", {
-        "genus": 3, "slice_genus": 3, "determinant": 13, "khbar_dim": 17,
-        "sigma2": "surg(10_139; 13/1)",
-        "flags": {"thin_odd_khovanov": False, "positive": True,
-                  "quasipositive": True},
-    })
-    add("KNOT", "10_161", {
-        "determinant": 5, "khbar_dim": 9, "sigma2": "surg(4_1; 5/1)",
-        "flags": {"thin_odd_khovanov": False},
-    })
+    # the seven low-crossing knots with non-thin reduced odd Khovanov homology
+    positive = {"positive": True, "quasipositive": True}
+    for name, (det, *_) in NON_THIN.items():
+        payload = {"determinant": det, "flags": {"thin_odd_khovanov": False}}
+        citation = None
+        if name == "10_139":
+            payload.update(genus=4, slice_genus=4)
+            payload["flags"].update(positive)
+            # r0 is pinned to {7, 9} by the surgery triad through the lens
+            # space L(9,2) and 5-surgery on the figure eight
+            payload["instanton"] = {"r0": {"lo": 7, "hi": 9, "parity": 1}}
+            citation = "triad bound through L(9,2) and 5-surgery on 4_1"
+        if name == "10_154":
+            payload.update(genus=3, slice_genus=3)
+            payload["flags"].update(positive)
+        add("KNOT", name, payload, citation)
 
     # census workhorses with positive instanton L-space surgeries
     add("KNOT", "K12n242", {
-        "genus": 5, "slice_genus": 5, "aliases": ["P(-2,3,7)"],
+        "genus": 5, "slice_genus": 5,
         "flags": {"instanton_lspace": True, "positive": True, "quasipositive": True},
     }, "pretzel with lens-space surgeries (18-surgery is cyclic)")
     add("KNOT", "k5_1", {
@@ -225,7 +213,7 @@ def build_entries():
         "flags": {"instanton_lspace": True, "positive": True, "quasipositive": True},
     }, "braid-positive twisted torus knot with a cyclic 31-surgery")
 
-    # ---- ALIAS rows not already carried on knot records ----
+    # ---- ALIAS rows: the alias registry, in the order it resolves ----
     torus_mirror = {"T(2,3)": "3_1", "T(2,5)": "5_1", "T(2,7)": "7_1"}
     for code, name in torus_mirror.items():
         add("ALIAS", code, {"name": name, "mirrored": True},
@@ -237,6 +225,9 @@ def build_entries():
         ("P(1,3,2)", "6_2", True), ("P(-1,3,2)", "0_1", False),
     ]:
         add("ALIAS", code, {"name": name, "mirrored": mirrored})
+    for name, codes in PRESENTATIONS.items():
+        for code in codes:
+            add("ALIAS", code, {"name": name, "mirrored": False})
 
     # ---- T1: nu / r0 ----
     for name, (_, _, _, _, nu, _, r0) in SMALL.items():
@@ -326,16 +317,7 @@ def build_entries():
         add("T8", i, {"name": name, "h1": h1, "components": components, "dim": dim})
 
     # ---- T5: branched double covers of the non-thin knots ----
-    t5 = [
-        ("10_124", 1, 3, "surg(3_1; -1/1)", 1),
-        ("10_139", 3, 7, "surg(4_1; -3/1)", 5),
-        ("10_145", 3, 7, "surg(5_2; -3/1)", 5),
-        ("10_152", 11, 15, None, None),
-        ("10_153", 1, 9, "surg(P(7,3,-3); 1/1)", 5),
-        ("10_154", 13, 17, "surg(10_139; 13/1)", [13, 15]),
-        ("10_161", 5, 9, "surg(4_1; 5/1)", 7),
-    ]
-    for name, det, khbar, sigma2, dim in t5:
+    for name, (det, khbar, sigma2, dim) in NON_THIN.items():
         add("T5", name, {"det": det, "khbar_dim": khbar, "sigma2": sigma2, "dim": dim})
 
     return entries

@@ -12,19 +12,22 @@ cite census(j) only for j below its own index, so that no route cycles.
 T2 holds a row for every index; T6, T7 and T8 list only the manifolds
 they have a route for.  A knot-table row (T1, T3, T4, T5) is keyed by
 the name of a KNOT row.  Every stored dimension is one that its row's
-|H1| (T5: det) admits, and a stored list of dimensions holds two or
-more distinct values.  Each fact has one home: T3 holds nu and tau and
-T1 r0, from which each KnotRecord.instanton is built, so a KNOT row's
-instanton payload repeats no T1 or T3 cell (it holds 0_1's and 10_139's
-r0, which no T1 row does).  _REPEATS lists the copies that stay, each
-equal to its home row: T4's (nu, r0) to T1, T1's nu to T3, and the
-name, h1 and dim of T6, T7 and T8 to T2.  Dataset.untabulated() holds
-the rows without T1, T3, T4 and the instanton payloads.
+|H1| (T5: det) admits, a stored list of dimensions holds two or more
+distinct values, and a payload field its table's schema does not name is
+refused.  Each fact has one home: T3 holds nu and tau and T1 r0, from
+which each KnotRecord.instanton is built, so a KNOT row's instanton
+payload repeats no T1 or T3 cell (it holds 0_1's and 10_139's r0, which
+no T1 row does), and T5 alone holds a non-thin knot's reduced odd
+Khovanov rank and cover route (sigma2).  _REPEATS lists the copies that
+stay, each equal to its home row: T4's (nu, r0) to T1, T1's nu to T3,
+T5's det to the KNOT determinant, and the name, h1 and dim of T6, T7
+and T8 to T2.  Dataset.untabulated() holds the rows without T1, T3, T4
+and the instanton payloads.
 
-The alias registry (Dataset.aliases) maps each code, such as "T(3,5)" or
-"P(-2,3,7)", to the knot it presents; here the codes stay opaque text.
-knots parses them, once per dataset, into the index that resolves every
-family atom.
+The ALIAS rows are the alias registry: each maps its code, such as
+"T(3,5)" or "P(-2,3,7)", to the knot it presents; here the codes stay
+opaque text.  knots parses them, once per dataset, into the index that
+resolves every family atom.
 
 The knot-level records (StructuralData, its flags and KnotRecord) live
 here, below knots, so the loader imports nothing but values: every module
@@ -32,7 +35,6 @@ above it, from knots up to cli, takes the loaded Dataset as an argument.
 """
 
 import json
-import operator
 import os
 
 # DatasetError is defined in values, so the CLI maps exit codes without
@@ -147,19 +149,14 @@ class InstantonFields(Record):
 
 
 class KnotRecord(Record):
-    """One KNOT row; sigma2 is the registered double-branched-cover
-    description, and mirror_flags the mirror's flags as make_flags
+    """One KNOT row; mirror_flags is the mirror's flags as make_flags
     builds them."""
 
-    __slots__ = ("name", "structural", "instanton", "aliases", "sigma2", "khbar_dim",
-                 "mirror_flags", "mirror_sl_max", "citation")
+    __slots__ = ("name", "structural", "instanton", "mirror_flags", "mirror_sl_max")
 
     def __init__(self, name: str, structural: StructuralData, instanton: InstantonFields,
-                 aliases: tuple[str, ...], sigma2: str | None = None,
-                 khbar_dim: int | None = None, mirror_flags: tuple = (),
-                 mirror_sl_max: int | None = None, citation: str = ""):
-        self._fill(name, structural, instanton, aliases, sigma2, khbar_dim,
-                   mirror_flags, mirror_sl_max, citation)
+                 mirror_flags: tuple = (), mirror_sl_max: int | None = None):
+        self._fill(name, structural, instanton, mirror_flags, mirror_sl_max)
 
 
 def _val_from_payload(x) -> Val:
@@ -178,10 +175,11 @@ def _val_from_payload(x) -> Val:
         raise DatasetError(f"bad value encoding {x!r}: {e}") from None
 
 
-# the JSON type of each KNOT payload field that is not null
-_KNOT_FIELD_TYPES = {"signature": int, "determinant": int, "sl_max": int, "khbar_dim": int,
-                     "mirror_sl_max": int, "sigma2": str, "aliases": list, "flags": dict,
-                     "mirror_flags": dict, "instanton": dict}
+# the JSON type of each non-null KNOT payload field; _KNOT_FIELDS names all it may hold
+_KNOT_FIELD_TYPES = {"signature": int, "determinant": int, "sl_max": int,
+                     "mirror_sl_max": int, "flags": dict, "mirror_flags": dict,
+                     "instanton": dict}
+_KNOT_FIELDS = (*_KNOT_FIELD_TYPES, "genus", "slice_genus", "alexander")
 _NULL = type(None)
 # the JSON types each instanton field may take; a stored shape is "V" or "W"
 _INSTANTON_FIELD_TYPES = {"shape": (str, _NULL), "mu0_dim": (int, _NULL)}
@@ -205,15 +203,21 @@ _COMPONENT_FIELD_TYPES = {"desc": (str,), "dim": (int,), "h1": (int,)}
 _EULER_FIELDS = {"T2": "h1", "T5": "det", "T6": "h1", "T7": "h1", "T8": "h1"}
 # the table whose row holds each invariant; the payload may hold it only without one
 _HOMES = {"nu": "T3", "tau": "T3", "r0": "T1"}
-# the copies that stay, as (table, home table, columns compared as one):
-# each row must have a home row under its key, with equal cells there
-_REPEATS = (("T1", "T3", ("nu",)), ("T4", "T1", ("nu", "r0")),
-            *((table, "T2", (column,)) for table in ("T6", "T7", "T8")
+# the copies that stay, as (table, columns, home table, home columns),
+# each list compared as one: each row must have a home row under its key,
+# with equal cells there
+_REPEATS = (("T1", ("nu",), "T3", ("nu",)), ("T4", ("nu", "r0"), "T1", ("nu", "r0")),
+            ("T5", ("det",), "KNOT", ("determinant",)),
+            *((table, (column,), "T2", (column,)) for table in ("T6", "T7", "T8")
               for column in ("name", "h1", "dim")))
 
 
-def _check_row(where: str, payload: dict, types: dict) -> None:
-    """Raise DatasetError unless every field has one of its JSON types."""
+def _check_row(where: str, payload: dict, types: dict, also: tuple = ()) -> None:
+    """Raise DatasetError unless every field has one of its JSON types and
+    every field present is one that types or also names."""
+    for field in payload:
+        if field not in types and field not in also:
+            raise DatasetError(f"{where}: unknown field {field!r}")
     for field, kinds in types.items():
         v = payload.get(field)
         if type(v) not in kinds:
@@ -227,6 +231,12 @@ def _check_row(where: str, payload: dict, types: dict) -> None:
         elif type(v) is list and not (all(type(x) is int for x in v) and len(set(v)) > 1):
             raise DatasetError(f"{where}: {field} {v!r} is not a list of two or more "
                                "distinct ints")
+
+
+def _cells(payload: dict, columns: tuple):
+    """A row's cells in columns, one cell bare; a left-out cell is null."""
+    cells = tuple(map(payload.get, columns))
+    return cells[0] if len(cells) == 1 else cells
 
 
 def _check_dims(where: str, payload: dict, euler_field: str) -> None:
@@ -245,6 +255,7 @@ def _check_dims(where: str, payload: dict, euler_field: str) -> None:
 def _knot_record_from_entry(entry: TableEntry, ds: "Dataset") -> KnotRecord:
     """A KNOT row's record, its invariants read from ds's T1 and T3 rows."""
     p = entry.payload
+    _check_row(f"knot record {entry.key}", p, {}, _KNOT_FIELDS)
     for field, kind in _KNOT_FIELD_TYPES.items():
         if p.get(field) is not None and type(p[field]) is not kind:
             raise DatasetError(f"knot record {entry.key}: {field} {p[field]!r} "
@@ -256,9 +267,6 @@ def _knot_record_from_entry(entry: TableEntry, ds: "Dataset") -> KnotRecord:
         if value is not None and type(value) is not bool:
             raise DatasetError(f"knot record {entry.key}: flag {name} {value!r} "
                                "is not of type bool or null")
-    if any(type(code) is not str for code in p.get("aliases") or ()):
-        raise DatasetError(f"knot record {entry.key}: aliases {p['aliases']!r} "
-                           "is not a list of strings")
     alexander = p.get("alexander")
     if alexander is not None and not (isinstance(alexander, list) and alexander
                                       and all(type(a) is int for a in alexander)):
@@ -274,7 +282,7 @@ def _knot_record_from_entry(entry: TableEntry, ds: "Dataset") -> KnotRecord:
         flags=make_flags(**flags),
     )
     inst = p.get("instanton") or {}
-    _check_row(f"knot record {entry.key}: instanton", inst, _INSTANTON_FIELD_TYPES)
+    _check_row(f"knot record {entry.key}: instanton", inst, _INSTANTON_FIELD_TYPES, _HOMES)
     if inst.get("shape") not in (None, "V", "W"):
         raise DatasetError(f"knot record {entry.key}: instanton shape {inst['shape']!r} "
                            "is not V or W")
@@ -284,19 +292,15 @@ def _knot_record_from_entry(entry: TableEntry, ds: "Dataset") -> KnotRecord:
         if row is not None and inst.get(field) is not None:
             raise DatasetError(f"knot record {entry.key}: instanton {field} repeats "
                                f"its {home} row")
-        cells.append(inst.get(field) if row is None else row.payload[field])
+        cells.append(inst.get(field) if row is None else row.payload.get(field))
     instanton = InstantonFields(*map(_val_from_payload, cells), shape=inst.get("shape"),
                                 mu0_dim=inst.get("mu0_dim"))
     return KnotRecord(
         name=entry.key,
         structural=structural,
         instanton=instanton,
-        aliases=tuple(p.get("aliases") or ()),
-        sigma2=p.get("sigma2"),
-        khbar_dim=p.get("khbar_dim"),
         mirror_flags=make_flags(**mirror_flags),
         mirror_sl_max=p.get("mirror_sl_max"),
-        citation=entry.citation,
     )
 
 
@@ -321,14 +325,6 @@ class Dataset:
                     _check_dims(where, e.payload, _EULER_FIELDS[table])
         self._knots = {key: _knot_record_from_entry(e, self)
                        for key, e in self._by_table.get("KNOT", {}).items()}
-        # the alias registry, code -> (name, mirrored): the ALIAS rows,
-        # then the codes the KNOT rows list; the codes stay opaque text
-        self.aliases: dict[str, tuple[str, bool]] = {}
-        for key, e in self._by_table.get("ALIAS", {}).items():
-            self.aliases[key] = (e.payload["name"], e.payload.get("mirrored") is True)
-        for rec in self._knots.values():
-            for code in rec.aliases:
-                self.aliases.setdefault(code, (rec.name, False))
         # deduce, structural and lspace_cable results, keyed by canonical
         # knot forms (knots.memo), and the alias index knots builds on first use
         self.deduce_cache: dict = {}
@@ -413,16 +409,17 @@ class Dataset:
         missing = sorted(CENSUS_KEYS.difference(self.table("T2")), key=int)
         if missing:
             raise DatasetError(f"T2 has no row for census index {', '.join(missing)}")
-        for table, home, fields in _REPEATS:
-            home_rows, cells = self.table(home), operator.itemgetter(*fields)
+        for table, fields, home, home_fields in _REPEATS:
+            home_rows = self.table(home)
             for key, e in self.table(table).items():
                 if key not in home_rows:
                     raise DatasetError(f"{table} row {key}: no {home} row {key}")
-                copy, kept = cells(e.payload), cells(home_rows[key].payload)
-                if copy != kept:  # one cell, or a tuple of several
+                copy, kept = _cells(e.payload, fields), _cells(home_rows[key].payload, home_fields)
+                if copy != kept:
                     name = fields[0] if len(fields) == 1 else f"({', '.join(fields)})"
+                    of = "" if home_fields == fields else f"{home_fields[0]} "
                     raise DatasetError(f"{table} row {key}: {name} = {copy!r} differs "
-                                       f"from {home}'s {kept!r}")
+                                       f"from {home}'s {of}{kept!r}")
 
     def cross_check_census(self) -> None:
         """Meet every registered census route with the stored dimensions, as

@@ -2,7 +2,7 @@
 
 The closed form for a p/q surgery is  q * r0 + |p - q * nu|  (with the
 zero-surgery exceptions for W-shaped knots); lens spaces and branched
-double covers of thin knots, or of knots with a registered surgery
+double covers of thin knots, or of knots whose T5 row registers a surgery
 description, are answered here too.  Each answer is a DimResult, read
 through its state and euler (|H1|), values(), is_exact, dim or to_json().
 
@@ -327,20 +327,22 @@ def lens_dim(p: int, q: int) -> DimResult:
 def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
     """Dimension for the double cover of the 3-sphere branched over k.
 
-    Thin reduced odd Khovanov homology forces the dimension to equal the
-    determinant; otherwise a registered surgery description is used; with
-    neither, only the Euler-characteristic bound remains."""
+    Thin reduced odd Khovanov homology, or a T5 rank equal to det, forces
+    the dimension to equal the determinant; otherwise the surgery
+    description sigma2 of the knot's T5 row is used; with neither, only
+    the Euler-characteristic bound remains."""
     st = structural(k, ds)
     det = st.determinant
     thin = st.flag("thin_odd_khovanov")
     rec, mirrored = registered_record(canonical(k, ds), ds)
-    khbar = rec.khbar_dim if rec is not None else None
-    if det is not None and (thin or (khbar is not None and khbar == det)):
+    row = ds.table("T5").get(rec.name) if rec is not None else None
+    cover = row.payload if row is not None else {}
+    if det is not None and (thin or cover.get("khbar_dim") == det):
         return DimResult.exact(det, det)
-    if rec is not None and rec.sigma2 is not None:
+    if cover.get("sigma2") is not None:
         # the registered surgery description, mirrored with the knot
-        where = f"knot record {rec.name}: sigma2"
-        route = _parse_cell(where, parse_manifold, rec.sigma2, ds)
+        where = f"T5 row {rec.name}: sigma2"
+        route = _parse_cell(where, parse_manifold, cover["sigma2"], ds)
         if isinstance(route, Census):
             raise IntegrityError(f"{where} {route} is not a surgery, lens or cover description")
         if mirrored and isinstance(route, Surgery):

@@ -360,15 +360,15 @@ def _atom_key(k: KnotExpr):
 
 
 def _alias_index(ds) -> tuple[dict, dict]:
-    """The alias registry of ds, parsed once: atom key -> (name, mirrored),
-    the first code in registry order winning a key, and name -> its
-    presentations [(expression, mirrored)] in registry order.  A code
-    that is not a torus, twist, pretzel or two-bridge atom is a
-    DatasetError."""
+    """The ALIAS rows of ds parsed once: atom key -> (name, mirrored), the
+    first code in row order winning a key, and name -> its presentations
+    [(expression, mirrored)] in row order.  A code that is not a torus,
+    twist, pretzel or two-bridge atom is a DatasetError."""
     if ds.alias_index is None:
         by_key: dict = {}
         by_name: dict = {}
-        for code, (name, mirrored) in ds.aliases.items():
+        for code, row in ds.table("ALIAS").items():
+            name, mirrored = row.payload["name"], row.payload.get("mirrored") is True
             try:
                 expr = parse_knot(code)
             except KnotError as e:

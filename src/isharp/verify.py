@@ -297,10 +297,10 @@ IDENTITY_BOUND = 50
 
 def identity_instances(ds):
     """Every registered identity of an integer surgery on the swept knots:
-    the two-bridge codes (a, b), b even, of the alias registry and of the
-    twist family, P(n,3,-3), and cables of instanton L-space companions,
-    with parameters up to IDENTITY_BOUND; check_identities skips the ones
-    with a side whose dimension the data do not determine."""
+    the two-bridge codes of the alias registry and of the twist family,
+    P(n,3,-3), and cables of instanton L-space companions, with
+    parameters up to IDENTITY_BOUND; check_identities skips the ones with
+    a side whose dimension the data do not determine."""
     bound = IDENTITY_BOUND
     codes = set()
     for name in ds.knot_names():
@@ -310,7 +310,7 @@ def identity_instances(ds):
     for n in range(1, bound + 1):
         codes.update(((2, 2 * n), (-2, 2 * n), (-2, -2 * n), (2, -2 * n)))
     swept = [TwoBridge(a, b) for a, b in sorted(codes)
-             if b != 0 and b % 2 == 0 and abs(b) <= 2 * bound and abs(a) <= 2 * bound]
+             if b != 0 and abs(b) <= 2 * bound and abs(a) <= 2 * bound]
     swept += [Pretzel(n, 3, -3) for n in range(-bound, bound + 1)]
     for companion_text in ("m(3_1)", "m(5_1)", "T(3,4)", "P(-2,3,7)"):
         companion = parse_knot(companion_text)

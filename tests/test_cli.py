@@ -75,7 +75,7 @@ _VERIFY_DIGESTS = {
     "T7": ("dee07cb785fdecc4", "2984c1136088d474"),
     "T8": ("8a17f15e72ca721d", "bc43b391cbd9e1a8"),
     "all": ("6607ba554370ee23", "c53f57657130c617"),
-    "identities": ("093c217393f8580d", "d4bed232b91514b6"),
+    "identities": ("093c217393f8580d", "7aa9649d9a0d8b7d"),
 }
 
 
@@ -268,16 +268,21 @@ def test_missing_data_file_exits_3(tmp_path):
 def _edited_copy(tmp_path, table, key, edit):
     """The bundled record file with edit applied to the JSON object of
     one row, or of every row when table is None; a row the edit empties
-    is left out."""
-    lines = []
+    is left out, and with a KNOT row the ALIAS rows that register its
+    codes go too."""
+    lines, deleted = [], set()
     for e in datasets.load().entries:
         line = json.loads(e.to_json_line())
         if table is None or (e.table, e.key) == (table, key):
             edit(line)
         if line:
-            lines.append(json.dumps(line))
+            lines.append(line)
+        elif e.table == "KNOT":
+            deleted.add(e.key)
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bad.write_text("".join(json.dumps(line) + "\n" for line in lines
+                           if line["table"] != "ALIAS" or line["payload"]["name"] not in deleted),
+                   encoding="utf-8")
     return str(bad)
 
 
@@ -308,11 +313,17 @@ def _unknot_r0_2(line):
 
 
 def _6_2_unpresented(line):
-    """KNOT 6_2 without its alias TB(-3,-4), and ALIAS P(1,3,2), which
-    presents 6_2, deleted: no rule and no identity reaches 6_2."""
-    if (line["table"], line["key"]) == ("KNOT", "6_2"):
-        line["payload"].update(aliases=[])
-    if (line["table"], line["key"]) == ("ALIAS", "P(1,3,2)"):
+    """The ALIAS rows TB(-3,-4) and P(1,3,2), which present 6_2, deleted:
+    no rule and no identity reaches 6_2."""
+    if line["table"] == "ALIAS" and line["key"] in ("TB(-3,-4)", "P(1,3,2)"):
+        line.clear()
+
+
+def _5_2_unflagged_and_untwisted(line):
+    """KNOT 5_2 with no flags, and its ALIAS row Tw(3) deleted."""
+    if (line["table"], line["key"]) == ("KNOT", "5_2"):
+        line["payload"].update(flags={})
+    if (line["table"], line["key"]) == ("ALIAS", "Tw(3)"):
         line.clear()
 
 
@@ -332,15 +343,15 @@ def _census_12_routes_met_in_turn(line):
      "T2 row 0: dim 'x' is not of type int or list"),
     ("KNOT", "6_1", lambda line: line["payload"]["instanton"].update(shape=5),
      ("verify", "all"), "knot record 6_1: instanton: shape 5 is not of type str or null"),
-    ("KNOT", "3_1", lambda line: line["payload"].update(aliases=[5]), ("invariants", "3_1"),
-     "knot record 3_1: aliases [5] is not a list of strings"),
+    ("ALIAS", "TB(2,2)", lambda line: line.update(key=5), ("invariants", "3_1"),
+     "alias '5': expected a knot expression at position 0 in '5'"),
     ("ALIAS", "T(2,3)", lambda line: line["payload"].update(mirrored="no"),
      ("invariants", "3_1"), "ALIAS row T(2,3): mirrored 'no' is not of type bool or null"),
-    ("KNOT", "3_1", lambda line: line["payload"].update(aliases=["X(1)"]),
+    ("ALIAS", "TB(2,2)", lambda line: line.update(key="X(1)"),
      ("invariants", "3_1"), "alias 'X(1)': expected a knot expression at position 0 in 'X(1)'"),
-    ("KNOT", "3_1", lambda line: line["payload"].update(aliases=["Tw(0)"]),
+    ("ALIAS", "TB(2,2)", lambda line: line.update(key="Tw(0)"),
      ("dim", "surg(T(2,5); 1)"), "alias 'Tw(0)': twist knot needs n >= 1, got 0"),
-    ("KNOT", "3_1", lambda line: line["payload"].update(aliases=["Cab(3,2;5_1)"]),
+    ("ALIAS", "TB(2,2)", lambda line: line.update(key="Cab(3,2;5_1)"),
      ("identities", "6_2", "1"),
      "alias 'Cab(3,2;5_1)' is not a torus, twist, pretzel or two-bridge knot"),
     ("ALIAS", "T(2,3)", lambda line: line.update(key="T(1,3)"), ("invariants", "5_2"),
@@ -350,9 +361,9 @@ def _census_12_routes_met_in_turn(line):
      ("invariants", "7_7"), "knot record 7_7: flag amphichiral 'no' is not of type bool or null"),
     # a census manifold's dimension comes from its census routes, a layer
     # above the covers
-    ("KNOT", "10_124", lambda line: line["payload"].update(sigma2="census(3)"),
+    ("T5", "10_124", lambda line: line["payload"].update(sigma2="census(3)"),
      ("dim", "dcover(10_124)"),
-     "knot record 10_124: sigma2 census(3) is not a surgery, lens or cover description"),
+     "T5 row 10_124: sigma2 census(3) is not a surgery, lens or cover description"),
     # a T8 route may cite only an earlier census manifold, or census_dim
     # would call itself for ever
     *[("T8", "2", lambda line: _set_component_desc(line, "census(2)"), argv,
@@ -386,7 +397,7 @@ def _census_12_routes_met_in_turn(line):
     # the T1 routes need an exact nu and an exact partner dimension
     ("KNOT", "6_3", lambda line: line["payload"].update(flags={}), ("verify", "T1"),
      "T1 route: nu of 6_3 is not exact: [-1,1]"),
-    ("KNOT", "5_2", lambda line: line["payload"].update(flags={}, aliases=[]), ("verify", "T1"),
+    (None, None, _5_2_unflagged_and_untwisted, ("verify", "T1"),
      "T1 route: r0 of m(5_2) is not determined: [1,+inf] (odd)"),
     # a record that contradicts the family data of its aliases names the
     # record, and the field it contradicts
@@ -411,8 +422,8 @@ def _census_12_routes_met_in_turn(line):
      "T6 row 12: no knot record 9_99"),
     ("T8", "2", lambda line: _set_component_desc(line, "dcover(Cab(3,2;8_21 # 9_99))"),
      ("dim", "census(2)"), "T8 row 2: no knot record 9_99"),
-    ("KNOT", "10_124", lambda line: line["payload"].update(sigma2="surg(9_99; -1/1)"),
-     ("dim", "dcover(10_124)"), "knot record 10_124: sigma2: no knot record 9_99"),
+    ("T5", "10_124", lambda line: line["payload"].update(sigma2="surg(9_99; -1/1)"),
+     ("dim", "dcover(10_124)"), "T5 row 10_124: sigma2: no knot record 9_99"),
     *[("ALIAS", "T(2,3)", lambda line: line["payload"].update(name="9_99"), argv,
        "ALIAS row T(2,3): no knot record 9_99")
       for argv in (("invariants", "3_1"), ("verify", "all"))],
@@ -469,6 +480,23 @@ def _census_12_routes_met_in_turn(line):
     *[("KNOT", "3_1", lambda line: line["payload"]["flags"].update(alternating=False), argv,
        "knot record 3_1: alternating False contradicts the alternating True of TB(2,2)")
       for argv in (("verify", "all"), ("invariants", "3_1"), ("dim", "surg(3_1; 1/2)"))],
+    # T5 repeats the determinant of its knot's KNOT row
+    *[("T5", "10_145", lambda line: line["payload"].update(det=1), argv,
+       "T5 row 10_145: det = 1 differs from KNOT's determinant 3")
+      for argv in (("verify", "T5"), ("export", "T5"), ("dim", "dcover(10_145)"))],
+    # a payload field that its schema does not name is refused, not skipped
+    ("T1", "3_1", lambda line: line["payload"].update(tau=5), ("verify", "all"),
+     "T1 row 3_1: unknown field 'tau'"),
+    ("KNOT", "5_2", lambda line: line["payload"].update(signatur=4), ("invariants", "5_2"),
+     "knot record 5_2: unknown field 'signatur'"),
+    ("KNOT", "8_8", lambda line: line["payload"].update(khbar_dim=25), ("dim", "dcover(8_8)"),
+     "knot record 8_8: unknown field 'khbar_dim'"),
+    ("KNOT", "7_7", lambda line: line["payload"].update(instanton={"nu0": 0}),
+     ("invariants", "7_7"), "knot record 7_7: instanton: unknown field 'nu0'"),
+    ("ALIAS", "Tw(1)", lambda line: line["payload"].update(mirror=True), ("invariants", "3_1"),
+     "ALIAS row Tw(1): unknown field 'mirror'"),
+    ("T8", "2", lambda line: line["payload"]["components"][0].update(dims=3),
+     ("dim", "census(2)"), "T8 row 2: unknown field 'dims'"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -494,11 +522,33 @@ def test_a_cell_the_data_fail_exits_3_after_the_report(table, key, edit, argv, f
 
 
 def test_t1_asks_only_for_the_knots_its_rows_name(tmp_path):
-    # with every 8_20 row deleted, T1 re-derives its 19 rows without 8_20
+    # with every 8_20 row deleted, and so its ALIAS row P(2,3,-3), T1
+    # re-derives its 19 rows without 8_20
     data = _edited_copy(tmp_path, None, None,
                         lambda line: line.clear() if line["key"] == "8_20" else None)
     assert _call(["--data", data, "verify", "T1"]) == (
         0, '{"failed":[],"passed":19,"total":19}\n', "")
+
+
+def test_each_registration_has_one_home(tmp_path):
+    # the ALIAS rows are the one alias registry, in the order it resolves,
+    # and T5 the one home of a non-thin knot's Khovanov rank and cover route
+    ds = datasets.load()
+    for name, e in ds.table("KNOT").items():
+        assert not {"aliases", "sigma2", "khbar_dim"} & e.payload.keys(), name
+    assert not {"aliases", "sigma2", "khbar_dim"} & set(datasets.KnotRecord.__slots__)
+    assert not hasattr(ds, "aliases")
+    assert list(ds.table("ALIAS")) == [
+        "T(2,3)", "T(2,5)", "T(2,7)", "TB(2,-3)", "TB(-2,-4)", "TB(2,-4)", "TB(-2,-5)",
+        "TB(2,-5)", "P(1,3,2)", "P(-1,3,2)", "TB(2,2)", "Tw(1)", "Tw(2)", "TB(-2,2)",
+        "TB(-2,-3)", "Tw(3)", "Tw(4)", "P(1,3,-3)", "TB(-3,-4)", "Tw(5)", "TB(-3,4)",
+        "TB(-4,-4)", "Tw(6)", "TB(-3,-6)", "TB(-4,4)", "TB(-5,-4)", "P(3,3,2)", "T(3,4)",
+        "P(2,3,-3)", "T(3,5)", "P(-2,3,7)"]
+    # a KNOT row that still lists its codes is refused, not merged
+    data = _edited_copy(tmp_path, "KNOT", "3_1",
+                        lambda line: line["payload"].update(aliases=["TB(2,2)", "Tw(1)"]))
+    assert _call(["--data", data, "invariants", "3_1"]) == (
+        3, "", "integrity error: knot record 3_1: unknown field 'aliases'\n")
 
 
 def test_census_routes_are_met_in_turn(tmp_path):
@@ -536,10 +586,9 @@ def test_census_routes_are_met_in_turn(tmp_path):
     ("T8", "2", lambda line: _set_component_desc(line, "dcover(X_1)"),
      [("dim", "census(2)"), ("export", "T8")],
      "T8 row 2: expected a knot expression at position 7 in 'dcover(X_1)'"),
-    ("KNOT", "10_124", lambda line: line["payload"].update(sigma2="surg(X_1; 1)"),
+    ("T5", "10_124", lambda line: line["payload"].update(sigma2="surg(X_1; 1)"),
      [("dim", "dcover(10_124)"), ("verify", "T5")],
-     "knot record 10_124: sigma2: expected a knot expression at position 5 "
-     "in 'surg(X_1; 1)'"),
+     "T5 row 10_124: sigma2: expected a knot expression at position 5 in 'surg(X_1; 1)'"),
 ])
 def test_unparseable_route_cell_exits_3_naming_its_row(table, key, edit, argvs, message,
                                                        tmp_path):

@@ -100,6 +100,16 @@ def test_loader_rejects_bad_schema_and_duplicates():
             Dataset([TableEntry("ALIAS", "T(2,3)", payload, "test")])
 
 
+def test_a_left_out_nullable_cell_reads_as_null(ds):
+    # T3's nu may be null, and a field left out counts as null: 7_7's T3
+    # row without nu builds the record that its stored null builds
+    entries = [e.replace(payload={"tau": e.payload["tau"]}) if (e.table, e.key) == ("T3", "7_7")
+               else e for e in ds.entries]
+    stripped = Dataset(entries)
+    stripped.check_integrity()
+    assert stripped.knot_record("7_7") == ds.knot_record("7_7")
+
+
 def test_each_record_reads_its_invariants_from_t1_and_t3(ds):
     # nu and tau live in T3 and r0 in T1; only a knot without the row keeps
     # a payload value (0_1's r0, 10_139's r0 interval), and no KNOT row

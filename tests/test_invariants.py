@@ -332,7 +332,7 @@ def test_the_untabulated_view_is_the_data_without_stored_invariants(tmp_path):
     caches = [dict(ds.deduce_cache), dict(ds.structural_cache), dict(ds.lspace_cache)]
     view = ds.untabulated()
     assert view is ds.untabulated()
-    corpus = _ablation_corpus(ds) + [parse_knot(code) for code in ds.aliases]
+    corpus = _ablation_corpus(ds) + [parse_knot(code) for code in ds.table("ALIAS")]
     for k in corpus + [mirror(k) for k in corpus]:
         b = deduce(k, view)
         assert b == deduce(k, stripped), format_knot(k)

@@ -186,7 +186,7 @@ def test_val_candidates_of_a_state_wider_than_sys_maxsize():
 
 
 DS = datasets.load()
-PRESENTATIONS = sorted({*DS.knot_names(), *DS.aliases})
+PRESENTATIONS = sorted({*DS.knot_names(), *DS.table("ALIAS")})
 knot_texts = st.recursive(
     st.sampled_from(PRESENTATIONS)
     | st.integers(1, 12).map(lambda n: f"T(2,{2 * n + 1})")

@@ -26,8 +26,8 @@ DS = datasets.load()
 
 
 # (name text, alias code) for every registered code
-PAIRS = [(f"m({name})" if mirrored else name, code)
-         for code, (name, mirrored) in DS.aliases.items()]
+PAIRS = [(f"m({e.payload['name']})" if e.payload.get("mirrored") else e.payload["name"], code)
+         for code, e in DS.table("ALIAS").items()]
 PRESENTATIONS = sorted({t for pair in PAIRS for t in pair})
 
 
