@@ -2,7 +2,7 @@
 
 import json
 
-from .datasets import CENSUS_TABLES, TABLE_FIELD_TYPES
+from .datasets import CENSUS_TABLES, KNOT_TABLES, SCHEMA
 from .values import DatasetError
 
 
@@ -14,10 +14,10 @@ def run(args, ds, emit):
 
 def export_tsv(ds, table: str) -> str:
     """Tab-separated dump of one published table, T1-T8: the key, then
-    the payload fields in the order TABLE_FIELD_TYPES declares them."""
-    if table == "ALIAS" or table not in TABLE_FIELD_TYPES:
+    the payload fields in the order SCHEMA declares them."""
+    if table not in CENSUS_TABLES + KNOT_TABLES:
         raise DatasetError(f"no export format for table {table!r}")
-    columns = ["key", *TABLE_FIELD_TYPES[table]]
+    columns = ["key", *SCHEMA[table]]
     lines = ["\t".join(columns)]
     entries = ds.table(table)
     for key in sorted(entries, key=_entry_sort_key):

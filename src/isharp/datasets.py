@@ -2,27 +2,26 @@
 record file, the records it builds, lookup by (table, key), and the
 writer that saves them.
 
-The record file is UTF-8 JSON lines, one object per line, with fields
-{schema_version, table, key, payload, citation}.  Tables T1-T8 mirror the
-published computations this library reproduces; KNOT rows hold structural
-data per knot, and ALIAS rows hold the registered family identifications.
-A malformed row raises DatasetError while the file loads.  A census row
-(T2, T6, T7, T8) is keyed by its index, "0" to "19", and a T8 row may
-cite census(j) only for j below its own index, so that no route cycles.
-T2 holds a row for every index; T6, T7 and T8 list only the manifolds
-they have a route for.  A knot-table row (T1, T3, T4, T5) is keyed by
-the name of a KNOT row.  Every stored dimension is one that its row's
-|H1| (T5: det) admits, a stored list of dimensions holds two or more
-distinct values, and a payload field its table's schema does not name is
-refused.  Each fact has one home: T3 holds nu and tau and T1 r0, from
-which each KnotRecord.instanton is built, so a KNOT row's instanton
-payload repeats no T1 or T3 cell (it holds 0_1's and 10_139's r0, which
-no T1 row does), and T5 alone holds a non-thin knot's reduced odd
-Khovanov rank and cover route (sigma2).  _REPEATS lists the copies that
-stay, each equal to its home row: T4's (nu, r0) to T1, T1's nu to T3,
-T5's det to the KNOT determinant, and the name, h1 and dim of T6, T7
-and T8 to T2.  Dataset.untabulated() holds the rows without T1, T3, T4
-and the instanton payloads.
+The record file is UTF-8 JSON lines, one object per line.  Tables T1-T8
+mirror the published computations this library reproduces; KNOT rows hold
+structural data per knot, and ALIAS rows the registered family
+identifications.  SCHEMA is the one schema of every level of a line: the
+line {schema_version, table, key, payload, citation}, each table's
+payload, a KNOT row's flags and instanton objects and a T8 row's
+components.  A line or row that does not fit it, or stores a dimension
+that its |H1| (T5: det) does not admit, raises DatasetError naming it
+while the file loads.  A census row (T2, T6, T7, T8) is keyed by its
+index, "0" to "19", and a T8 row may cite census(j) only for j below its
+own index, so that no route cycles.  T2 holds a row for every index; T6,
+T7 and T8 list only the manifolds they have a route for.  A knot-table
+row (T1, T3, T4, T5) is keyed by the name of a KNOT row.  Each fact has
+one home: T3 holds nu and tau and T1 r0, from which each
+KnotRecord.instanton is built, so a KNOT row's instanton payload repeats
+no T1 or T3 cell (it holds 0_1's and 10_139's r0, which no T1 row does),
+and T5 alone holds a non-thin knot's reduced odd Khovanov rank and cover
+route (sigma2); _REPEATS lists the copies that stay, each equal to its
+home row.  Dataset.untabulated() holds the rows without T1, T3, T4 and
+the instanton payloads.
 
 The ALIAS rows are the alias registry: each maps its code, such as
 "T(3,5)" or "P(-2,3,7)", to the knot it presents; here the codes stay
@@ -42,7 +41,7 @@ import os
 from .values import DatasetError, Record, Val
 
 SCHEMA_VERSION = 1
-KNOWN_TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "KNOT", "ALIAS")
+KNOWN_TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "ALIAS", "KNOT")
 # the census tables, whose rows are keyed by census index
 CENSUS_TABLES = ("T2", "T6", "T7", "T8")
 CENSUS_KEYS = frozenset(map(str, range(20)))
@@ -159,34 +158,37 @@ class KnotRecord(Record):
         self._fill(name, structural, instanton, mirror_flags, mirror_sl_max)
 
 
-def _val_from_payload(x) -> Val:
+def _val_from_payload(x, where: str) -> Val:
     """Payload encodings: null (unknown), an int, or {lo, hi, parity}
     with int ends and null for an unbounded end.  Every stored value is
-    an integer invariant."""
+    an integer invariant; where names the record and field of x."""
     if x is None:
         return Val()
     try:
         if not isinstance(x, dict):
             return Val.exact(x)
-        return Val(x.get("lo"), x.get("hi"), x.get("parity"))
-    except TypeError:  # an end that is not an int
-        raise DatasetError(f"bad value encoding {x!r}") from None
+        return Val(**x)
+    except TypeError:  # an end that is not an int, or a field other than lo, hi, parity
+        raise DatasetError(f"{where}: bad value encoding {x!r}") from None
     except ValueError as e:  # a bad parity, or lo > hi
-        raise DatasetError(f"bad value encoding {x!r}: {e}") from None
+        raise DatasetError(f"{where}: bad value encoding {x!r}: {e}") from None
 
 
-# the JSON type of each non-null KNOT payload field; _KNOT_FIELDS names all it may hold
-_KNOT_FIELD_TYPES = {"signature": int, "determinant": int, "sl_max": int,
-                     "mirror_sl_max": int, "flags": dict, "mirror_flags": dict,
-                     "instanton": dict}
-_KNOT_FIELDS = (*_KNOT_FIELD_TYPES, "genus", "slice_genus", "alexander")
 _NULL = type(None)
-# the JSON types each instanton field may take; a stored shape is "V" or "W"
-_INSTANTON_FIELD_TYPES = {"shape": (str, _NULL), "mu0_dim": (int, _NULL)}
-# the JSON types each T-table and ALIAS payload field may take (a field
-# left out counts as null); a list of dimensions holds two or more
-# distinct ints, and a T8 row lists the two manifolds of its triad
-TABLE_FIELD_TYPES = {
+# the table whose row holds each invariant; the payload may hold it only without one
+_HOMES = {"nu": "T3", "tau": "T3", "r0": "T1"}
+# any JSON value: a value encoding, which _val_from_payload checks as it decodes
+_VAL = (int, dict, _NULL, list, str, float, bool)
+_FLAG_TYPES = dict.fromkeys(FLAG_NAMES, (bool, _NULL))
+# The one schema of a record line: the JSON types that each field of the
+# line, of each table's payload and of each object nested in a payload
+# (keyed by the field that holds it) may take.  A field left out counts
+# as null, and a field the schema does not name is refused.  A T8 row
+# lists the two components of its triad.  The T1-T8 entries give export
+# its columns.
+SCHEMA = {
+    "line": {"schema_version": (int,), "table": (str,), "key": (str,), "payload": (dict,),
+             "citation": (str,)},
     "T1": {"nu": (int,), "r0": (int,)},
     "T2": {"name": (str,), "h1": (int,), "dim": (int, list)},
     "T3": {"nu": (int, _NULL), "tau": (int,)},
@@ -197,12 +199,20 @@ TABLE_FIELD_TYPES = {
     "T7": {"name": (str,), "knot": (str,), "qa": (str,), "h1": (int,), "dim": (int,)},
     "T8": {"name": (str,), "h1": (int,), "components": (list,), "dim": (int, list)},
     "ALIAS": {"name": (str,), "mirrored": (bool, _NULL)},
+    "KNOT": {"signature": (int, _NULL), "determinant": (int, _NULL), "sl_max": (int, _NULL),
+             "mirror_sl_max": (int, _NULL), "flags": (dict, _NULL), "mirror_flags": (dict, _NULL),
+             "instanton": (dict, _NULL), "alexander": (list, _NULL), "genus": _VAL,
+             "slice_genus": _VAL},
+    "flags": _FLAG_TYPES,
+    "mirror_flags": _FLAG_TYPES,
+    "instanton": {"shape": (str, _NULL), "mu0_dim": (int, _NULL), **dict.fromkeys(_HOMES, _VAL)},
+    "components": {"desc": (str,), "dim": (int,), "h1": (int,)},
 }
-_COMPONENT_FIELD_TYPES = {"desc": (str,), "dim": (int,), "h1": (int,)}
-# the |H1| field that every stored dimension of a row must be admitted by
-_EULER_FIELDS = {"T2": "h1", "T5": "det", "T6": "h1", "T7": "h1", "T8": "h1"}
-# the table whose row holds each invariant; the payload may hold it only without one
-_HOMES = {"nu": "T3", "tau": "T3", "r0": "T1"}
+# the rule of each list field: the least number of distinct ints it holds
+_LISTS = {"dim": (2, "a list of two or more distinct ints"),
+          "alexander": (1, "a non-empty list of ints")}
+# the |H1| field that every stored dimension of an object must be admitted by
+_EULER_FIELDS = {"T2": "h1", "T5": "det", "T6": "h1", "T7": "h1", "T8": "h1", "components": "h1"}
 # the copies that stay, as (table, columns, home table, home columns),
 # each list compared as one: each row must have a home row under its key,
 # with equal cells there
@@ -212,25 +222,39 @@ _REPEATS = (("T1", ("nu",), "T3", ("nu",)), ("T4", ("nu", "r0"), "T1", ("nu", "r
               for column in ("name", "h1", "dim")))
 
 
-def _check_row(where: str, payload: dict, types: dict, also: tuple = ()) -> None:
-    """Raise DatasetError unless every field has one of its JSON types and
-    every field present is one that types or also names."""
-    for field in payload:
-        if field not in types and field not in also:
-            raise DatasetError(f"{where}: unknown field {field!r}")
-    for field, kinds in types.items():
-        v = payload.get(field)
-        if type(v) not in kinds:
+def _check_row(where: str, obj: dict, name: str) -> None:
+    """Raise DatasetError unless obj fits SCHEMA[name]: every field one it
+    names, of one of its JSON types, each nested object and list by its
+    rule, and every stored dimension d one that the object's |H1| admits:
+    d >= |H1| and d = |H1| (mod 2), as DimResult requires."""
+    fields = SCHEMA[name]
+    if not obj.keys() <= fields.keys():
+        field = next(field for field in obj if field not in fields)
+        raise DatasetError(f"{where}: unknown field {field!r}")
+    for field, kinds in fields.items():
+        v = obj.get(field)
+        kind = type(v)
+        if kind not in kinds:
             names = " or ".join("null" if k is _NULL else k.__name__ for k in kinds)
             raise DatasetError(f"{where}: {field} {v!r} is not of type {names}")
-        if field == "components":
+        if kind is dict and field in SCHEMA:
+            _check_row(f"{where}: {field}", v, field)
+        elif kind is list and field == "components":
             if len(v) != 2 or any(type(c) is not dict for c in v):
                 raise DatasetError(f"{where}: components {v!r} are not two JSON objects")
             for c in v:
-                _check_row(where, c, _COMPONENT_FIELD_TYPES)
-        elif type(v) is list and not (all(type(x) is int for x in v) and len(set(v)) > 1):
-            raise DatasetError(f"{where}: {field} {v!r} is not a list of two or more "
-                               "distinct ints")
+                _check_row(where, c, field)
+        elif kind is list and field in _LISTS:
+            least, rule = _LISTS[field]
+            if not (all(type(x) is int for x in v) and len(set(v)) >= least):
+                raise DatasetError(f"{where}: {field} {v!r} is not {rule}")
+    euler_field = _EULER_FIELDS.get(name)
+    if euler_field is not None:
+        dims, euler = obj.get("dim"), obj[euler_field]
+        for d in [dims] if type(dims) is int else dims or ():
+            if d < abs(euler) or (d - euler) % 2:
+                at = f"{where}: component {obj['desc']}" if name == "components" else where
+                raise DatasetError(f"{at}: dim {d} incompatible with {euler_field} {euler}")
 
 
 def _cells(payload: dict, columns: tuple):
@@ -239,67 +263,36 @@ def _cells(payload: dict, columns: tuple):
     return cells[0] if len(cells) == 1 else cells
 
 
-def _check_dims(where: str, payload: dict, euler_field: str) -> None:
-    """Raise DatasetError unless every stored dimension d of a row whose
-    types _check_row passed is one that the row's |H1| (its euler_field)
-    admits: d >= |H1| and d = |H1| (mod 2), as DimResult requires; and
-    so for each component of a T8 row, against the component's h1."""
-    dims, euler = payload.get("dim"), payload[euler_field]
-    for d in [dims] if type(dims) is int else dims or ():
-        if d < abs(euler) or (d - euler) % 2:
-            raise DatasetError(f"{where}: dim {d} incompatible with {euler_field} {euler}")
-    for c in payload.get("components", ()):
-        _check_dims(f"{where}: component {c['desc']}", c, "h1")
-
-
 def _knot_record_from_entry(entry: TableEntry, ds: "Dataset") -> KnotRecord:
-    """A KNOT row's record, its invariants read from ds's T1 and T3 rows."""
-    p = entry.payload
-    _check_row(f"knot record {entry.key}", p, {}, _KNOT_FIELDS)
-    for field, kind in _KNOT_FIELD_TYPES.items():
-        if p.get(field) is not None and type(p[field]) is not kind:
-            raise DatasetError(f"knot record {entry.key}: {field} {p[field]!r} "
-                               f"is not of type {kind.__name__}")
-    flags, mirror_flags = p.get("flags") or {}, p.get("mirror_flags") or {}
-    for name, value in (*flags.items(), *mirror_flags.items()):
-        if name not in FLAG_NAMES:
-            raise DatasetError(f"knot record {entry.key}: unknown flag {name!r}")
-        if value is not None and type(value) is not bool:
-            raise DatasetError(f"knot record {entry.key}: flag {name} {value!r} "
-                               "is not of type bool or null")
-    alexander = p.get("alexander")
-    if alexander is not None and not (isinstance(alexander, list) and alexander
-                                      and all(type(a) is int for a in alexander)):
-        raise DatasetError(f"knot record {entry.key}: alexander {alexander!r} "
-                           "is not a non-empty list of integers")
+    """A KNOT row's record, from a payload that _check_row passed, its
+    invariants read from ds's T1 and T3 rows."""
+    p, where = entry.payload, f"knot record {entry.key}"
+    alexander, inst = p.get("alexander"), p.get("instanton") or {}
     structural = StructuralData(
-        genus=_val_from_payload(p.get("genus")),
-        slice_genus=_val_from_payload(p.get("slice_genus")),
+        genus=_val_from_payload(p.get("genus"), f"{where}: genus"),
+        slice_genus=_val_from_payload(p.get("slice_genus"), f"{where}: slice_genus"),
         signature=p.get("signature"),
         determinant=p.get("determinant"),
         alexander=None if alexander is None else tuple(alexander),
         sl_max=p.get("sl_max"),
-        flags=make_flags(**flags),
+        flags=make_flags(**p.get("flags") or {}),
     )
-    inst = p.get("instanton") or {}
-    _check_row(f"knot record {entry.key}: instanton", inst, _INSTANTON_FIELD_TYPES, _HOMES)
     if inst.get("shape") not in (None, "V", "W"):
-        raise DatasetError(f"knot record {entry.key}: instanton shape {inst['shape']!r} "
-                           "is not V or W")
+        raise DatasetError(f"{where}: instanton shape {inst['shape']!r} is not V or W")
     cells = []
     for field, home in _HOMES.items():
         row = ds.table(home).get(entry.key)
         if row is not None and inst.get(field) is not None:
-            raise DatasetError(f"knot record {entry.key}: instanton {field} repeats "
-                               f"its {home} row")
+            raise DatasetError(f"{where}: instanton {field} repeats its {home} row")
         cells.append(inst.get(field) if row is None else row.payload.get(field))
-    instanton = InstantonFields(*map(_val_from_payload, cells), shape=inst.get("shape"),
-                                mu0_dim=inst.get("mu0_dim"))
+    instanton = InstantonFields(*(_val_from_payload(x, f"{where}: instanton: {field}")
+                                  for field, x in zip(_HOMES, cells)),
+                                shape=inst.get("shape"), mu0_dim=inst.get("mu0_dim"))
     return KnotRecord(
         name=entry.key,
         structural=structural,
         instanton=instanton,
-        mirror_flags=make_flags(**mirror_flags),
+        mirror_flags=make_flags(**p.get("mirror_flags") or {}),
         mirror_sl_max=p.get("mirror_sl_max"),
     )
 
@@ -315,14 +308,12 @@ class Dataset:
             if e.key in bucket:
                 raise DatasetError(f"duplicate key {e.key!r} in table {e.table}")
             bucket[e.key] = e
-        for table, types in TABLE_FIELD_TYPES.items():
+        for table in KNOWN_TABLES:
             for key, e in self._by_table.get(table, {}).items():
                 if table in CENSUS_TABLES and key not in CENSUS_KEYS:
                     raise DatasetError(f"{table} row {key}: key is not a census index 0..19")
-                where = f"{table} row {key}"
-                _check_row(where, e.payload, types)
-                if table in _EULER_FIELDS:
-                    _check_dims(where, e.payload, _EULER_FIELDS[table])
+                where = f"knot record {key}" if table == "KNOT" else f"{table} row {key}"
+                _check_row(where, e.payload, table)
         self._knots = {key: _knot_record_from_entry(e, self)
                        for key, e in self._by_table.get("KNOT", {}).items()}
         # deduce, structural and lspace_cable results, keyed by canonical
@@ -441,22 +432,19 @@ class Dataset:
 
 
 def parse_record_line(line: str, lineno: int) -> TableEntry:
+    where = f"line {lineno}"
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
-        raise DatasetError(f"line {lineno}: invalid JSON ({e})") from None
+        raise DatasetError(f"{where}: invalid JSON ({e})") from None
     if not isinstance(obj, dict):
-        raise DatasetError(f"line {lineno}: not a JSON object")
+        raise DatasetError(f"{where}: not a JSON object")
     if obj.get("schema_version") != SCHEMA_VERSION:
-        raise DatasetError(f"line {lineno}: unsupported schema_version {obj.get('schema_version')!r}")
-    for fieldname in ("table", "key", "payload", "citation"):
-        if fieldname not in obj:
-            raise DatasetError(f"line {lineno}: missing field {fieldname!r}")
+        raise DatasetError(f"{where}: unsupported schema_version {obj.get('schema_version')!r}")
+    _check_row(where, obj, "line")
     if obj["table"] not in KNOWN_TABLES:
-        raise DatasetError(f"line {lineno}: unknown table {obj['table']!r}")
-    if not isinstance(obj["payload"], dict):
-        raise DatasetError(f"line {lineno}: payload is not a JSON object")
-    return TableEntry(obj["table"], str(obj["key"]), obj["payload"], obj["citation"])
+        raise DatasetError(f"{where}: unknown table {obj['table']!r}")
+    return TableEntry(obj["table"], obj["key"], obj["payload"], obj["citation"])
 
 
 def load(path: str | None = None, check: bool = True) -> Dataset:
@@ -475,11 +463,8 @@ def load(path: str | None = None, check: bool = True) -> Dataset:
         raise DatasetError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise DatasetError(f"cannot read {path}: {e}") from None
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        entries.append(parse_record_line(line, lineno))
+    entries = [parse_record_line(line, lineno)
+               for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
     ds = Dataset(entries)
     if check:
         ds.check_integrity()

@@ -40,7 +40,7 @@ def census_dim(index: int, ds) -> DimResult:
 def census_routes(index: int, ds) -> list[tuple[str, str, DimResult]]:
     """Every registered computation route for one census manifold, as
     (table, label, dimension); a route the data leave undetermined, or a
-    T8 component whose stored dim it does not admit, names its row."""
+    T8 component whose stored dim or h1 its route rules out, names its row."""
     out = []
     t6, t7, t8 = (ds.table(table).get(str(index)) for table in ("T6", "T7", "T8"))
     try:
@@ -63,9 +63,11 @@ def census_routes(index: int, ds) -> list[tuple[str, str, DimResult]]:
                                          f"census({index})")
             dims = [manifold_dim(m, ds) for m in parts]
             for c, d in zip(components, dims):
-                if not d.contains(c["dim"]):
-                    raise IntegrityError(f"{where}: component {c['desc']}: stored dim "
-                                         f"{c['dim']}, computed {d}")
+                for field, ok, computed in (("dim", d.contains(c["dim"]), d),
+                                            ("h1", c["h1"] == d.euler, d.euler)):
+                    if not ok:
+                        raise IntegrityError(f"{where}: component {c['desc']}: stored "
+                                             f"{field} {c[field]}, computed {computed}")
             label = " / ".join(c["desc"] for c in components)
             out.append(("T8", f"triad({label})", triad_bounds(*dims, t8.payload["h1"])))
     except DimensionError as e:

@@ -343,7 +343,7 @@ def _census_12_routes_met_in_turn(line):
      "T2 row 0: dim 'x' is not of type int or list"),
     ("KNOT", "6_1", lambda line: line["payload"]["instanton"].update(shape=5),
      ("verify", "all"), "knot record 6_1: instanton: shape 5 is not of type str or null"),
-    ("ALIAS", "TB(2,2)", lambda line: line.update(key=5), ("invariants", "3_1"),
+    ("ALIAS", "TB(2,2)", lambda line: line.update(key="5"), ("invariants", "3_1"),
      "alias '5': expected a knot expression at position 0 in '5'"),
     ("ALIAS", "T(2,3)", lambda line: line["payload"].update(mirrored="no"),
      ("invariants", "3_1"), "ALIAS row T(2,3): mirrored 'no' is not of type bool or null"),
@@ -358,7 +358,7 @@ def _census_12_routes_met_in_turn(line):
      "alias 'T(1,3)' is not a torus, twist, pretzel or two-bridge knot"),
     # a flag that is not a bool would read as true (7_7 is not amphichiral)
     ("KNOT", "7_7", lambda line: line["payload"]["flags"].update(amphichiral="no"),
-     ("invariants", "7_7"), "knot record 7_7: flag amphichiral 'no' is not of type bool or null"),
+     ("invariants", "7_7"), "knot record 7_7: flags: amphichiral 'no' is not of type bool or null"),
     # a census manifold's dimension comes from its census routes, a layer
     # above the covers
     ("T5", "10_124", lambda line: line["payload"].update(sigma2="census(3)"),
@@ -414,8 +414,8 @@ def _census_12_routes_met_in_turn(line):
           (("verify", "T1"), "R6 gives tau = -1, contradicting R5 (1)", "1 vs -1"),
           (("dim", "surg(3_1; 1/2)"), "R5 gives tau = 1, contradicting R1 (-1)", "-1 vs 1"))],
     # a census route, a cover description and an alias name a KNOT row
-    # too (KNOT 9_47 keyed by null is a KNOT row named "None")
-    *[("KNOT", "9_47", lambda line: line.update(key=None), argv,
+    # too (KNOT 9_47 renamed to 9_99)
+    *[("KNOT", "9_47", lambda line: line.update(key="9_99"), argv,
        "T7 row 15: no knot record 9_47")
       for argv in (("verify", "all"), ("verify", "T2"), ("census", "all"))],
     ("T6", "12", lambda line: line["payload"].update(knot="m(9_99)"), ("census", "12"),
@@ -465,7 +465,7 @@ def _census_12_routes_met_in_turn(line):
      "T7 row 0: h1 = 23 differs from T2's 25"),
     # slice genus 0 is the one statement that a knot is slice
     ("KNOT", "6_1", lambda line: line["payload"]["flags"].update(slice=True),
-     ("invariants", "6_1"), "knot record 6_1: unknown flag 'slice'"),
+     ("invariants", "6_1"), "knot record 6_1: flags: unknown field 'slice'"),
     # a census route that the data do not determine names its row
     *[("KNOT", "K12n242", dict.clear, argv, "T6 row 12: nu of P(-2,3,7) is not determined: ?")
       for argv in (("verify", "all"), ("verify", "T2"), ("census", "all"))],
@@ -497,6 +497,19 @@ def _census_12_routes_met_in_turn(line):
      "ALIAS row Tw(1): unknown field 'mirror'"),
     ("T8", "2", lambda line: line["payload"]["components"][0].update(dims=3),
      ("dim", "census(2)"), "T8 row 2: unknown field 'dims'"),
+    # a T8 component's stored h1 must be the |H1| its route computes
+    *[("T8", "2", lambda line: line["payload"]["components"][1].update(h1=13), argv,
+       "T8 row 2: component dcover(8_21): stored h1 13, computed 15")
+      for argv in (("verify", "all"), ("dim", "census(2)"), ("export", "T8"))],
+    # a value that is not a value encoding names its record and field
+    ("KNOT", "5_2", lambda line: line["payload"].update(genus="x"), ("invariants", "5_2"),
+     "knot record 5_2: genus: bad value encoding 'x'"),
+    ("KNOT", "7_7", lambda line: line["payload"].update(instanton={"r0": "x"}),
+     ("invariants", "7_7"), "knot record 7_7: instanton: r0: bad value encoding 'x'"),
+    # so does a value encoding with a field other than lo, hi and parity
+    ("KNOT", "10_139", lambda line: line["payload"]["instanton"].update(
+        r0={"high": 9, "lo": 7, "parity": 1}), ("invariants", "10_139"),
+     "knot record 10_139: instanton: r0: bad value encoding {'high': 9, 'lo': 7, 'parity': 1}"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)

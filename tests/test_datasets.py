@@ -46,7 +46,8 @@ def test_integrity_rejects_tau_bound_violation():
 def test_loader_rejects_unknown_flag_names():
     for field in ("flags", "mirror_flags"):
         entry = TableEntry("KNOT", "bogus", {field: {"slcie": True}}, "test")
-        with pytest.raises(DatasetError, match="unknown flag 'slcie'"):
+        with pytest.raises(DatasetError, match=f"knot record bogus: {field}: "
+                                               "unknown field 'slcie'"):
             Dataset([entry])
 
 
@@ -59,6 +60,19 @@ def test_loader_rejects_bad_schema_and_duplicates():
                                       "key": "x", "payload": {}, "citation": ""}), 1)
     with pytest.raises(DatasetError, match="invalid JSON"):
         parse_record_line("{nope", 3)
+    # the line itself is checked against its schema, as payloads are
+    line = {"schema_version": 1, "table": "T1", "key": "3_1", "payload": {}, "citation": ""}
+    for edit, message in (({"extra": 1}, "line 4: unknown field 'extra'"),
+                          ({"key": ["3_1"]}, r"line 4: key \['3_1'\] is not of type str"),
+                          ({"key": 5}, "line 4: key 5 is not of type str"),
+                          ({"citation": 7}, "line 4: citation 7 is not of type str"),
+                          ({"schema_version": True},
+                           "line 4: schema_version True is not of type int")):
+        with pytest.raises(DatasetError, match=message):
+            parse_record_line(json.dumps({**line, **edit}), 4)
+    # a field left out counts as null, as in a payload
+    with pytest.raises(DatasetError, match="line 4: citation None is not of type str"):
+        parse_record_line(json.dumps({k: v for k, v in line.items() if k != "citation"}), 4)
     e = TableEntry("T1", "3_1", {}, "")
     with pytest.raises(DatasetError, match="duplicate"):
         Dataset([e, e])
@@ -66,7 +80,7 @@ def test_loader_rejects_bad_schema_and_duplicates():
     with pytest.raises(DatasetError, match="not a JSON object"):
         parse_record_line("[1, 2]", 1)
     for table, payload in (("KNOT", [1, 2]), ("T4", "x")):
-        with pytest.raises(DatasetError, match="payload is not a JSON object"):
+        with pytest.raises(DatasetError, match="line 1: payload .* is not of type dict"):
             parse_record_line(json.dumps({"schema_version": 1, "table": table, "key": "x",
                                           "payload": payload, "citation": ""}), 1)
     for payload, message in (
@@ -77,6 +91,8 @@ def test_loader_rejects_bad_schema_and_duplicates():
             # every stored value is an integer invariant: no [num, den] cell
             ({"genus": [3, 2]}, "bad value encoding"),
             ({"instanton": {"tau": {"lo": [1, 2]}}}, "bad value encoding"),
+            ({"instanton": {"r0": {"lo": 7, "high": 9}}},
+             r"instanton: r0: bad value encoding \{'lo': 7, 'high': 9\}"),
             ({"slice_genus": {"lo": 3, "hi": 1}}, "empty interval"),
             ({"instanton": {"r0": {"lo": 1, "parity": "x"}}}, "parity"),
             ({"instanton": {"r0": {"lo": 1, "parity": True}}}, "parity must be 0 or 1"),
@@ -87,8 +103,10 @@ def test_loader_rejects_bad_schema_and_duplicates():
             ({"signature": "x"}, "signature"),
             ({"determinant": 1.0}, "determinant"),
             ({"flags": ["slice"]}, "flags"),
-            ({"flags": {"amphichiral": "no"}}, "flag amphichiral 'no' is not of type bool or null"),
-            ({"mirror_flags": {"positive": 1}}, "flag positive 1 is not of type bool or null"),
+            ({"flags": {"amphichiral": "no"}},
+             "flags: amphichiral 'no' is not of type bool or null"),
+            ({"mirror_flags": {"positive": 1}},
+             "mirror_flags: positive 1 is not of type bool or null"),
             ({"instanton": [1]}, "instanton"),
             ({"aliases": 5}, "aliases")):
         with pytest.raises(DatasetError, match=message):
