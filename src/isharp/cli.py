@@ -173,7 +173,7 @@ def main(argv=None) -> int:
             command.run(args, emit)
         else:
             datasets = _module("datasets")
-            ds = datasets.load(args.data) if args.data else datasets.default()
+            ds = datasets.default() if args.data is None else datasets.load(args.data)
             command.run(args, ds, emit)
     except DatasetError as e:  # IntegrityError included
         print(f"integrity error: {e}", file=sys.stderr)

@@ -38,7 +38,9 @@ def pretty(obj, indent=0):
                 lines.append(f"{pad}{k}: {v}")
         return "\n".join(lines)
     if isinstance(obj, list):
+        # a record opens with "- " on its first key, its other keys under it
         return "\n".join(
-            pretty(v, indent) if isinstance(v, (dict, list)) else f"{pad}- {v}"
+            f"{pad}- {pretty(v, indent + 1).lstrip()}" if isinstance(v, dict)
+            else pretty(v, indent) if isinstance(v, list) else f"{pad}- {v}"
             for v in obj)
     return f"{pad}{obj}"

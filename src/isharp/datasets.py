@@ -8,20 +8,20 @@ structural data per knot, and ALIAS rows the registered family
 identifications.  SCHEMA is the one schema of every level of a line: the
 line {schema_version, table, key, payload, citation}, each table's
 payload, a KNOT row's flags and instanton objects and a T8 row's
-components.  A line or row that does not fit it, or stores a dimension
-that its |H1| (T5: det) does not admit, raises DatasetError naming it
-while the file loads.  A census row (T2, T6, T7, T8) is keyed by its
-index, "0" to "19", and a T8 row may cite census(j) only for j below its
-own index, so that no route cycles.  T2 holds a row for every index; T6,
-T7 and T8 list only the manifolds they have a route for.  A knot-table
-row (T1, T3, T4, T5) is keyed by the name of a KNOT row.  Each fact has
-one home: T3 holds nu and tau and T1 r0, from which each
-KnotRecord.instanton is built, so a KNOT row's instanton payload repeats
-no T1 or T3 cell (it holds 0_1's and 10_139's r0, which no T1 row does),
-and T5 alone holds a non-thin knot's reduced odd Khovanov rank and cover
-route (sigma2); _REPEATS lists the copies that stay, each equal to its
-home row.  Dataset.untabulated() holds the rows without T1, T3, T4 and
-the instanton payloads.
+components.  A line or row that does not fit it, or stores an |H1|
+(T5: det) below 1 or a dimension that its |H1| does not admit, raises
+DatasetError naming it while the file loads.  A census row (T2, T6, T7,
+T8) is keyed by its index, "0" to "19", and a T8 row may cite census(j)
+only for j below its own index, so that no route cycles.  T2 holds a row
+for every index; T6, T7 and T8 list only the manifolds they have a route
+for.  A knot-table row (T1, T3, T4, T5) is keyed by the name of a KNOT
+row.  Each fact has one home: T3 holds nu and tau and T1 r0, from which
+each KnotRecord.instanton is built, so a KNOT row's instanton payload
+repeats no T1 or T3 cell (it holds 0_1's and 10_139's r0, which no T1
+row does), and T5 alone holds a non-thin knot's reduced odd Khovanov
+rank and cover route (sigma2); _REPEATS lists the copies that stay, each
+equal to its home row.  Dataset.untabulated() holds the rows without T1,
+T3, T4 and the instanton payloads.
 
 The ALIAS rows are the alias registry: each maps its code, such as
 "T(3,5)" or "P(-2,3,7)", to the knot it presents; here the codes stay
@@ -225,8 +225,8 @@ _REPEATS = (("T1", ("nu",), "T3", ("nu",)), ("T4", ("nu", "r0"), "T1", ("nu", "r
 def _check_row(where: str, obj: dict, name: str) -> None:
     """Raise DatasetError unless obj fits SCHEMA[name]: every field one it
     names, of one of its JSON types, each nested object and list by its
-    rule, and every stored dimension d one that the object's |H1| admits:
-    d >= |H1| and d = |H1| (mod 2), as DimResult requires."""
+    rule, its |H1| at least 1, and every stored dimension d one that the
+    |H1| admits: d >= |H1| and d = |H1| (mod 2), as DimResult requires."""
     fields = SCHEMA[name]
     if not obj.keys() <= fields.keys():
         field = next(field for field in obj if field not in fields)
@@ -251,9 +251,11 @@ def _check_row(where: str, obj: dict, name: str) -> None:
     euler_field = _EULER_FIELDS.get(name)
     if euler_field is not None:
         dims, euler = obj.get("dim"), obj[euler_field]
+        at = f"{where}: component {obj['desc']}" if name == "components" else where
+        if euler < 1:
+            raise DatasetError(f"{at}: {euler_field} {euler} is not positive")
         for d in [dims] if type(dims) is int else dims or ():
-            if d < abs(euler) or (d - euler) % 2:
-                at = f"{where}: component {obj['desc']}" if name == "components" else where
+            if d < euler or (d - euler) % 2:
                 raise DatasetError(f"{at}: dim {d} incompatible with {euler_field} {euler}")
 
 

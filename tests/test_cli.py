@@ -249,6 +249,16 @@ def test_pretty_dim_prints_each_kind_in_key_order(manifold, text):
         0, f"{text}manifold: {manifold}\n", "")
 
 
+def test_pretty_marks_each_record_of_a_list():
+    # YAML style: "- " opens each record, its other keys indented under it
+    code, out, err = run_cli("--pretty", "census", "all")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert sum(line.startswith("- kind:") for line in lines) == 20
+    assert lines[:8] == ["- kind: exact", "  euler: 25", "  dim: 25", "  graded:", "    - 25",
+                         "    - 0", "  index: 0", "  name: m003(-3,1)"]
+
+
 def test_data_override(tmp_path):
     from isharp import datasets
     ds = datasets.load()
@@ -256,6 +266,18 @@ def test_data_override(tmp_path):
     ds.save(str(alt))
     code, out, _ = run_cli("--data", str(alt), "dim", "surg(3_1; -5/1)")
     assert code == 0 and json.loads(out)["dim"] == 5
+
+
+@pytest.mark.parametrize("flag", [["--data", ""], ["--data="]])
+def test_an_empty_data_path_is_read_not_skipped(flag):
+    # an empty --data names no file, as an empty ISHARP_DATA does; it is
+    # not the default
+    expected = (3, "", "integrity error: cannot read : No such file or directory\n")
+    assert run_cli(*flag, "invariants", "3_1") == expected
+    env = {**os.environ, "ISHARP_DATA": ""}
+    proc = subprocess.run([sys.executable, "-m", "isharp.cli", "invariants", "3_1"],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 def test_missing_data_file_exits_3(tmp_path):
@@ -325,6 +347,13 @@ def _5_2_unflagged_and_untwisted(line):
         line["payload"].update(flags={})
     if (line["table"], line["key"]) == ("ALIAS", "Tw(3)"):
         line.clear()
+
+
+def _census_13_h1_negative(line):
+    """T2 row 13 and its T6 and T7 copies store h1 -21, which admits
+    their dim 21 by its absolute value."""
+    if line["table"] in ("T2", "T6", "T7") and line["key"] == "13":
+        line["payload"]["h1"] = -21
 
 
 def _census_12_routes_met_in_turn(line):
@@ -510,6 +539,22 @@ def _census_12_routes_met_in_turn(line):
     ("KNOT", "10_139", lambda line: line["payload"]["instanton"].update(
         r0={"high": 9, "lo": 7, "parity": 1}), ("invariants", "10_139"),
      "knot record 10_139: instanton: r0: bad value encoding {'high': 9, 'lo': 7, 'parity': 1}"),
+    # the verify targets of cases above that another command reaches first
+    ("KNOT", "3_1", lambda line: line["payload"]["flags"].update(alternating=False),
+     ("verify", "T1"),
+     "knot record 3_1: alternating False contradicts the alternating True of TB(2,2)"),
+    ("T8", "2", lambda line: line["payload"]["components"][1].update(h1=13), ("verify", "T8"),
+     "T8 row 2: component dcover(8_21): stored h1 13, computed 15"),
+    ("KNOT", "5_2", lambda line: line["payload"].update(genus="x"), ("verify", "T1"),
+     "knot record 5_2: genus: bad value encoding 'x'"),
+    # an |H1| (T5: det) is at least 1, so no stored order passes by its
+    # absolute value
+    *[(None, None, _census_13_h1_negative, argv, "T2 row 13: h1 -21 is not positive")
+      for argv in (("verify", "all"), ("dim", "census(13)"))],
+    ("T8", "2", lambda line: line["payload"]["components"][1].update(h1=-15),
+     ("dim", "census(2)"), "T8 row 2: component dcover(8_21): h1 -15 is not positive"),
+    ("T5", "10_145", lambda line: line["payload"].update(det=0), ("verify", "T5"),
+     "T5 row 10_145: det 0 is not positive"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -560,8 +605,9 @@ def test_each_registration_has_one_home(tmp_path):
     # a KNOT row that still lists its codes is refused, not merged
     data = _edited_copy(tmp_path, "KNOT", "3_1",
                         lambda line: line["payload"].update(aliases=["TB(2,2)", "Tw(1)"]))
-    assert _call(["--data", data, "invariants", "3_1"]) == (
-        3, "", "integrity error: knot record 3_1: unknown field 'aliases'\n")
+    for argv in (("invariants", "3_1"), ("verify", "T1")):
+        assert _call(["--data", data, *argv]) == (
+            3, "", "integrity error: knot record 3_1: unknown field 'aliases'\n"), argv
 
 
 def test_census_routes_are_met_in_turn(tmp_path):
@@ -617,6 +663,14 @@ def test_non_utf8_data_file_exits_3(tmp_path):
     assert code == 3 and out == ""
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"integrity error: cannot read {binary}: 'utf-8' codec")
+
+
+def test_ten_thousand_summands_are_answered():
+    # about 90 KB of argv, under Linux's 128 KB per argument
+    code, out, err = run_cli("invariants", " # ".join(["T(2,3)"] * 10_000))
+    assert (code, err) == (0, "")
+    tau = json.loads(run_cli("invariants", "T(2,3)")[1])["tau"]
+    assert json.loads(out)["tau"] == 10_000 * tau
 
 
 def test_astronomically_long_expansions_exit_1():
@@ -874,6 +928,16 @@ def test_import_layout():
         loaded = _loaded_modules(f"import isharp.cli as c; assert c.main({argv!r}) == 0", "-S")
         assert "isharp.cli" in loaded
         assert loaded.isdisjoint({"typing", "__future__"}), argv
+
+
+@pytest.mark.parametrize("stem", sorted(
+    p.stem for p in Path(cli.__file__).parent.glob("[a-z]*.py")))
+def test_each_module_imports_first_without_fractions(stem):
+    # no import cycle hides behind the order of imports, and no module
+    # needs fractions, nor the decimal module fractions loads
+    loaded = _loaded_modules(f"import isharp.{stem}")
+    assert f"isharp.{stem}" in loaded
+    assert loaded.isdisjoint({"fractions", "decimal"})
 
 
 # --- the CLI contract -------------------------------------------------------
@@ -1182,6 +1246,7 @@ def test_layers_import_downward_at_module_top():
     pytest.param(["dim", "surg(4_1; 1/2)"], id="surg(4_1; 1/2)"),
     pytest.param(["dim", "census(7)"], id="census(7)"),
     pytest.param(["cf", "1/3"], id="cf 1/3"),
+    pytest.param(["triad", "5/2"], id="triad 5/2"),
 ])
 def test_python_m_compiles_each_module_once(argv):
     # under `python -m isharp.cli` the CLI runs as __main__, so an import

@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,20 @@ def test_bundled_dataset_loads_clean():
     ds.cross_check_census()  # run where census rows are read, not on load
     assert len(ds.entries) > 150
     assert ds.knot_record("8_19") is not None
+
+
+def test_bundled_file_is_what_its_generator_writes(monkeypatch):
+    # the generator's rows, checked as scripts/build_dataset.py checks
+    # them, are the bundled file byte for byte; nothing is written
+    script = Path(__file__).resolve().parent.parent / "scripts" / "build_dataset.py"
+    spec = importlib.util.spec_from_file_location("build_dataset", script)
+    build = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ first
+    spec.loader.exec_module(build)
+    ds = Dataset(build.build_entries())
+    ds.check_integrity()
+    text = "".join(e.to_json_line() + "\n" for e in ds.entries)
+    assert text.encode("utf-8") == Path(datasets.BUNDLED_PATH).read_bytes()
 
 
 def _record(name, instanton):
