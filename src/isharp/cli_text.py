@@ -27,20 +27,21 @@ def build_parser(commands):
 
 def pretty(obj, indent=0):
     pad = "  " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and obj:
         lines = []
         for k in obj:
             v = obj[k]
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list)) and v:
                 lines.append(f"{pad}{k}:")
                 lines.append(pretty(v, indent + 1))
             else:
                 lines.append(f"{pad}{k}: {v}")
         return "\n".join(lines)
-    if isinstance(obj, list):
+    if isinstance(obj, list) and obj:
         # a record opens with "- " on its first key, its other keys under it
         return "\n".join(
             f"{pad}- {pretty(v, indent + 1).lstrip()}" if isinstance(v, dict)
             else pretty(v, indent) if isinstance(v, list) else f"{pad}- {v}"
             for v in obj)
+    # a scalar, or an empty list or record as JSON writes it: [] or {}
     return f"{pad}{obj}"

@@ -1,6 +1,5 @@
 """Bundled table data: an integrity-checked loader for the line-delimited
-record file, the records it builds, lookup by (table, key), and the
-writer that saves them.
+record file, the records it builds, and lookup by (table, key).
 
 The record file is UTF-8 JSON lines, one object per line.  Tables T1-T8
 mirror the published computations this library reproduces; KNOT rows hold
@@ -59,16 +58,6 @@ class TableEntry(Record):
 
     def __init__(self, table: str, key: str, payload: dict, citation: str):
         self._fill(table, key, payload, citation)
-
-    def to_json_line(self) -> str:
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "table": self.table,
-            "key": self.key,
-            "payload": self.payload,
-            "citation": self.citation,
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +414,6 @@ class Dataset:
         if failures:
             raise DatasetError("; ".join(failures))
 
-    # -- serialization ------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(e.to_json_line() + "\n")
-
 
 def parse_record_line(line: str, lineno: int) -> TableEntry:
     where = f"line {lineno}"
@@ -465,8 +447,10 @@ def load(path: str | None = None, check: bool = True) -> Dataset:
         raise DatasetError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:
         raise DatasetError(f"cannot read {path}: {e}") from None
+    # a line ends at "\n" only: str.splitlines also breaks at U+0085,
+    # U+2028 and U+2029, which JSON allows raw inside a string
     entries = [parse_record_line(line, lineno)
-               for lineno, line in enumerate(text.splitlines(), start=1) if line.strip()]
+               for lineno, line in enumerate(text.split("\n"), start=1) if line.strip()]
     ds = Dataset(entries)
     if check:
         ds.check_integrity()

@@ -361,12 +361,14 @@ def _atom_key(k: KnotExpr):
 
 def _alias_index(ds) -> tuple[dict, dict]:
     """The ALIAS rows of ds parsed once: atom key -> (name, mirrored), the
-    first code in row order winning a key, and name -> its presentations
+    first code in row order holding a key, and name -> its presentations
     [(expression, mirrored)] in row order.  A code that is not a torus,
-    twist, pretzel or two-bridge atom is a DatasetError."""
+    twist, pretzel or two-bridge atom, or that presents its key's atom as
+    another knot than the first code does, is a DatasetError."""
     if ds.alias_index is None:
         by_key: dict = {}
         by_name: dict = {}
+        first_code: dict = {}
         for code, row in ds.table("ALIAS").items():
             name, mirrored = row.payload["name"], row.payload.get("mirrored") is True
             try:
@@ -377,7 +379,12 @@ def _alias_index(ds) -> tuple[dict, dict]:
             if key is None:
                 raise DatasetError(f"alias {code!r} is not a torus, twist, pretzel "
                                    "or two-bridge knot")
-            by_key.setdefault(key, (name, mirrored))
+            now = (name, mirrored)
+            was = by_key.setdefault(key, now)
+            first = first_code.setdefault(key, code)
+            if was != now and _chiral(*was, ds) != _chiral(*now, ds):
+                raise DatasetError(f"ALIAS rows {first} and {code} present one knot as "
+                                   f"{format_knot(Named(*was))} and {format_knot(Named(*now))}")
             by_name.setdefault(name, []).append((expr, mirrored))
         ds.alias_index = (by_key, by_name)
     return ds.alias_index
@@ -405,10 +412,13 @@ def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
             if hit is None:
                 return None
             name, mirrored = hit[0], not hit[1]
+    return _chiral(name, mirrored, ds)
+
+
+def _chiral(name: str, mirrored: bool, ds) -> tuple[str, bool]:
+    """(name, mirrored), with mirrored False when the knot is amphichiral."""
     rec = ds.knot_record(name)
-    if rec is not None and rec.structural.flag("amphichiral"):
-        mirrored = False
-    return (name, mirrored)
+    return (name, mirrored and not (rec is not None and rec.structural.flag("amphichiral")))
 
 
 def equivalent_atoms(k: KnotExpr, ds) -> list[KnotExpr]:

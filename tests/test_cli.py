@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,9 @@ from isharp.knots import format_knot
 from test_knots import knot_exprs
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# the bundled record file, one JSON object per line
+_DATA_LINES = [line for line in Path(datasets.BUNDLED_PATH).read_text(encoding="utf-8")
+               .split("\n") if line.strip()]
 
 
 def run_cli(*args):
@@ -259,13 +263,30 @@ def test_pretty_marks_each_record_of_a_list():
                          "    - 0", "  index: 0", "  name: m003(-3,1)"]
 
 
+def test_pretty_prints_an_empty_list_as_json_does():
+    assert run_cli("--pretty", "identities", "5_2", "7") == (0, "[]\n", "")
+    assert cli_text.pretty({"failed": [], "passed": 3}) == "failed: []\npassed: 3"
+
+
 def test_data_override(tmp_path):
-    from isharp import datasets
-    ds = datasets.load()
     alt = tmp_path / "alt.jsonl"
-    ds.save(str(alt))
+    shutil.copyfile(datasets.BUNDLED_PATH, alt)
     code, out, _ = run_cli("--data", str(alt), "dim", "surg(3_1; -5/1)")
     assert code == 0 and json.loads(out)["dim"] == 5
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+def test_a_raw_line_separator_in_a_string_ends_no_record_line(char, tmp_path):
+    # JSON allows U+2028, U+2029 and U+0085 raw in a string, and a record
+    # line ends at "\n" only
+    rows = [json.loads(line) for line in _DATA_LINES]
+    rows[0]["citation"] += char
+    data = tmp_path / "raw.jsonl"
+    data.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
+                    encoding="utf-8")
+    assert char in data.read_text(encoding="utf-8")
+    for argv in (["invariants", "3_1"], ["verify", "all"]):
+        assert _call(["--data", str(data), *argv]) == _call(argv), argv
 
 
 @pytest.mark.parametrize("flag", [["--data", ""], ["--data="]])
@@ -293,14 +314,14 @@ def _edited_copy(tmp_path, table, key, edit):
     is left out, and with a KNOT row the ALIAS rows that register its
     codes go too."""
     lines, deleted = [], set()
-    for e in datasets.load().entries:
-        line = json.loads(e.to_json_line())
-        if table is None or (e.table, e.key) == (table, key):
+    for line in map(json.loads, _DATA_LINES):
+        row = (line["table"], line["key"])
+        if table is None or row == (table, key):
             edit(line)
         if line:
             lines.append(line)
-        elif e.table == "KNOT":
-            deleted.add(e.key)
+        elif row[0] == "KNOT":
+            deleted.add(row[1])
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(line) + "\n" for line in lines
                            if line["table"] != "ALIAS" or line["payload"]["name"] not in deleted),
@@ -555,6 +576,10 @@ def _census_12_routes_met_in_turn(line):
      ("dim", "census(2)"), "T8 row 2: component dcover(8_21): h1 -15 is not positive"),
     ("T5", "10_145", lambda line: line["payload"].update(det=0), ("verify", "T5"),
      "T5 row 10_145: det 0 is not positive"),
+    # TB(2,2) and Tw(1) are one atom, the trefoil, so they present one knot
+    *[("ALIAS", "TB(2,2)", lambda line: line["payload"].update(name="5_2"), argv,
+       "ALIAS rows TB(2,2) and Tw(1) present one knot as 5_2 and 3_1")
+      for argv in (("invariants", "Tw(1)"), ("verify", "all"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -694,14 +719,21 @@ def test_identities_listing():
     assert any(r["slope"] == "9/2" for r in rows)
 
 
+def _copy_with_9_99(tmp_path, instanton):
+    """The bundled record file and a KNOT row 9_99 that stores only the
+    instanton payload given."""
+    row = {"schema_version": 1, "table": "KNOT", "key": "9_99",
+           "payload": {"instanton": instanton}, "citation": "test"}
+    data = tmp_path / "extra.jsonl"
+    data.write_text("".join(line + "\n" for line in [*_DATA_LINES, json.dumps(row)]),
+                    encoding="utf-8")
+    return str(data)
+
+
 def test_r14_tau_bound_is_an_integer(tmp_path):
     # stored nu = r0 = 2 and |2 tau - nu| <= 1 leave only tau = 1
-    from isharp import datasets
-    row = datasets.TableEntry("KNOT", "9_99", {"instanton": {"nu": 2, "r0": 2}}, "test")
-    data = tmp_path / "extra.jsonl"
-    data.write_text(Path(datasets.BUNDLED_PATH).read_text(encoding="utf-8")
-                    + row.to_json_line() + "\n", encoding="utf-8")
-    code, out, err = run_cli("--data", str(data), "invariants", "9_99")
+    data = _copy_with_9_99(tmp_path, {"nu": 2, "r0": 2})
+    code, out, err = run_cli("--data", data, "invariants", "9_99")
     assert (code, err) == (0, "")
     assert json.loads(out) == {"delta": 0, "knot": "9_99", "nu": 2, "r0": 2, "shape": "V",
                                "sl_max_bound": 1, "tau": 1}
@@ -710,13 +742,9 @@ def test_r14_tau_bound_is_an_integer(tmp_path):
 def test_r14_gives_r0_the_parity_of_an_inexact_nu(tmp_path):
     # r0 - nu is always even, so a stored odd nu in [-1, 1] makes r0 odd;
     # 9_99 has no T1 or T3 row, so its KNOT row may store nu
-    from isharp import datasets
     odd_nu = {"lo": -1, "hi": 1, "parity": 1}
-    row = datasets.TableEntry("KNOT", "9_99", {"instanton": {"nu": odd_nu}}, "test")
-    data = tmp_path / "extra.jsonl"
-    data.write_text(Path(datasets.BUNDLED_PATH).read_text(encoding="utf-8")
-                    + row.to_json_line() + "\n", encoding="utf-8")
-    code, out, err = run_cli("--data", str(data), "invariants", "9_99")
+    data = _copy_with_9_99(tmp_path, {"nu": odd_nu})
+    code, out, err = run_cli("--data", data, "invariants", "9_99")
     assert (code, err) == (0, "")
     bundle = json.loads(out)
     assert bundle["nu"] == odd_nu
@@ -754,24 +782,14 @@ def test_deep_nesting_is_refused_cleanly():
         assert "nesting deeper than" in err
 
 
-def _tampered_copy(tmp_path):
-    """The bundled records with census row 5 stored as 7 in T2 and in its
-    T6 copy (its routes give 5)."""
-    from isharp import datasets
-    from isharp.datasets import Dataset, TableEntry
-    entries = []
-    for e in datasets.load().entries:
-        payload = dict(e.payload)
-        if e.table in ("T2", "T6") and e.key == "5":
-            payload["dim"] = 7
-        entries.append(TableEntry(e.table, e.key, payload, e.citation))
-    path = tmp_path / "tampered.jsonl"
-    Dataset(entries).save(str(path))
-    return str(path)
+def _census_5_stored_as_7(line):
+    """T2 row 5 and its T6 copy store 7; its routes give 5."""
+    if line["table"] in ("T2", "T6") and line["key"] == "5":
+        line["payload"]["dim"] = 7
 
 
 def test_tampered_census_row_fails_where_census_rows_are_read(tmp_path):
-    data = _tampered_copy(tmp_path)
+    data = _edited_copy(tmp_path, None, None, _census_5_stored_as_7)
     for args in (("dim", "census(5)"), ("census", "5"), ("verify", "all"),
                  ("export", "T2")):
         code, _, err = run_cli("--data", data, *args)
@@ -1032,8 +1050,6 @@ def _cells(node, path=()):
         yield from _cells(value, (*path, name))
 
 
-_DATA_LINES = [line for line in Path(datasets.BUNDLED_PATH).read_text(encoding="utf-8")
-               .splitlines() if line.strip()]
 _DATA_ROWS = [json.loads(line) for line in _DATA_LINES]
 _DATA_CELLS = [(i, cell) for i, row in enumerate(_DATA_ROWS)
                for cell in (("key",), *(("payload", *p) for p in _cells(row["payload"])))]
