@@ -15,11 +15,11 @@ _EXPORTS = {
     "Slope": "values", "parse_slope": "values", "reduce": "values",
     "eval_cf": "slopes", "neg_cf": "slopes", "triad": "slopes",
     "DimResult": "dimension", "branched_cover_dim": "dimension",
-    "lens_dim": "dimension", "parse_manifold": "dimension",
-    "surgery_dim": "dimension", "zero_surgery_dim": "dimension",
-    "census_dim": "surgery", "homeo_identities": "surgery",
-    "manifold_dim": "surgery", "triad_bounds": "surgery",
-    "verify_identity": "surgery",
+    "census_dim": "dimension", "lens_dim": "dimension",
+    "manifold_dim": "dimension", "parse_manifold": "dimension",
+    "surgery_dim": "dimension", "triad_bounds": "dimension",
+    "zero_surgery_dim": "dimension",
+    "homeo_identities": "surgery", "verify_identity": "surgery",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -20,9 +20,9 @@ values (the errors main() maps to exit codes), a call compiles:
 
   cf, triad               cmd_cf or cmd_triad, slopes
   invariants, sum, cable  its cmd_ module, datasets, knots, invariants
-  dim                     cmd_dim, datasets, knots, invariants,
-                          dimension; dim "census(i)" adds surgery
-  census, identities      its cmd_ module, the modules of dim, surgery
+  dim, census             its cmd_ module, datasets, knots, invariants,
+                          dimension
+  identities              cmd_identities, the modules of dim, surgery
   verify                  cmd_verify, verify and everything below it
   export                  cmd_export, datasets; a census table adds verify
 
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     except DatasetError as e:  # IntegrityError included
         print(f"integrity error: {e}", file=sys.stderr)
         return 3
-    except (KeyError, ValueError) as e:  # every module's domain errors
+    except ValueError as e:  # every module's domain errors
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

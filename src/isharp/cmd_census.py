@@ -1,8 +1,7 @@
 """isharp census INDEX|all: the dimension of census manifold INDEX, or of
 all twenty, through census_dim.  INDEX reads as in dim "census(INDEX)"."""
 
-from .dimension import parse_manifold
-from .surgery import census_dim
+from .dimension import census_dim, parse_manifold
 
 
 def run(args, ds, emit):

@@ -435,9 +435,9 @@ def load(path: str | None = None, check: bool = True) -> Dataset:
     """Load a record file (default: the bundled dataset) and run the
     integrity checks.
 
-    The census routes are not re-derived here: census_dim meets every
-    route of the row it reads, and `verify` and `export` of the census
-    tables run the full cross-check."""
+    The census routes are not re-derived here: dimension.census_dim
+    meets every route of the row it reads, and `verify` and `export` of
+    the census tables run the full cross-check."""
     if path is None:
         path = os.environ.get(ENV_DATA_PATH, BUNDLED_PATH)
     try:

@@ -1,22 +1,26 @@
-"""Dimensions of surgeries, lens spaces and branched double covers.
+"""Dimensions of every manifold description: surgeries, lens spaces,
+branched double covers and census manifolds.
 
 The closed form for a p/q surgery is  q * r0 + |p - q * nu|  (with the
-zero-surgery exceptions for W-shaped knots); lens spaces and branched
-double covers of thin knots, or of knots whose T5 row registers a surgery
-description, are answered here too.  Each answer is a DimResult, read
-through its state and euler (|H1|), values(), is_exact, dim or to_json().
+zero-surgery exceptions for W-shaped knots); lens spaces are L-spaces;
+a branched double cover has dimension det when its knot's reduced odd
+Khovanov homology is thin, or else that of the surgery description its
+T5 row registers.  census_dim meets a census manifold's stored dimension
+with every registered route (a T6 surgery, a T7 branched cover, a T8
+exact triangle through triad_bounds), and manifold_dim answers each of
+the four kinds.  Each answer is a DimResult, read through its state and
+euler (|H1|), values(), is_exact, dim or to_json().
 
-A `dim` call on a surgery, a lens space or a cover compiles this module.
 parse_manifold reads with the knot grammar, its slope in place by the
-scanner's slope production; census(i) is answered one layer up, in surgery.
+scanner's slope production.
 """
 
 import math
 
 from .invariants import Bundle, deduce
 from .knots import (Cable, KnotExpr, Named, Sum, _Parser, canonical, format_knot, mirror,
-                    registered_record, structural)
-from .values import Inconsistency, IntegrityError, Record, Slope, Val, _new
+                    parse_knot, registered_record, structural)
+from .values import Inconsistency, IntegrityError, Record, Slope, Val, _new, parse_slope
 
 
 class DimensionError(ValueError):
@@ -343,11 +347,11 @@ def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
         # the registered surgery description, mirrored with the knot
         where = f"T5 row {rec.name}: sigma2"
         route = _parse_cell(where, parse_manifold, cover["sigma2"], ds)
-        if isinstance(route, Census):
-            raise IntegrityError(f"{where} {route} is not a surgery, lens or cover description")
-        if mirrored and isinstance(route, Surgery):
+        if not isinstance(route, Surgery):
+            raise IntegrityError(f"{where} {route} is not a surgery description")
+        if mirrored:
             route = Surgery(mirror(route.knot), -route.slope, route.bundle)
-        result = manifold_dim(route, ds)
+        result = surgery_dim(route.knot, route.slope, route.bundle, ds)
         if det is not None and result.euler != det:
             raise IntegrityError(
                 f"registered cover description {route} has euler {result.euler}, "
@@ -380,13 +384,89 @@ def _parse_cell(where: str, parse, text: str, ds):
     return cell
 
 
+# ---------------------------------------------------------------------------
+# Census manifolds
+# ---------------------------------------------------------------------------
+
+def census_dim(index: int, ds) -> DimResult:
+    """Dimension of a census manifold via its registered routes, cross
+    checked against the stored value."""
+    Census(index)  # validates the range
+    stored = ds.lookup("T2", index)
+    result = DimResult.of_stored(stored.payload["dim"], stored.payload["h1"])
+    for _, route, computed in census_routes(index, ds):
+        try:
+            result = result.meet(computed)
+        except Inconsistency as e:
+            raise IntegrityError(f"census {index}: route {route} disagrees: {e}") from None
+    return result
+
+
+def census_routes(index: int, ds) -> list[tuple[str, str, DimResult]]:
+    """Every registered computation route for one census manifold, as
+    (table, label, dimension); a route the data leave undetermined, or a
+    T8 component whose stored dim or h1 its route rules out, names its row."""
+    out = []
+    t6, t7, t8 = (ds.table(table).get(str(index)) for table in ("T6", "T7", "T8"))
+    try:
+        if t6 is not None:
+            where = f"T6 row {index}"
+            desc = Surgery(_parse_cell(where, parse_knot, t6.payload["knot"], ds),
+                           _parse_cell(where, parse_slope, t6.payload["slope"], ds))
+            out.append(("T6", str(desc), surgery_dim(desc.knot, desc.slope, desc.bundle, ds)))
+        if t7 is not None:
+            where = f"T7 row {index}"
+            desc = BranchedCover(_parse_cell(where, parse_knot, t7.payload["knot"], ds))
+            out.append(("T7", str(desc), branched_cover_dim(desc.knot, ds)))
+        if t8 is not None:
+            where = f"T8 row {index}"
+            components = t8.payload["components"]
+            parts = [_parse_cell(where, parse_manifold, c["desc"], ds) for c in components]
+            for m in parts:  # an earlier census manifold only, so that no route cycles
+                if isinstance(m, Census) and m.index >= index:
+                    raise IntegrityError(f"{where}: component {m} does not come before "
+                                         f"census({index})")
+            dims = [manifold_dim(m, ds) for m in parts]
+            for c, d in zip(components, dims):
+                for field, ok, computed in (("dim", d.contains(c["dim"]), d),
+                                            ("h1", c["h1"] == d.euler, d.euler)):
+                    if not ok:
+                        raise IntegrityError(f"{where}: component {c['desc']}: stored "
+                                             f"{field} {c[field]}, computed {computed}")
+            label = " / ".join(c["desc"] for c in components)
+            out.append(("T8", f"triad({label})", triad_bounds(*dims, t8.payload["h1"])))
+    except DimensionError as e:
+        raise IntegrityError(f"{where}: {e}") from None
+    return out
+
+
+def triad_bounds(dA: DimResult, dB: DimResult, h1C: int) -> DimResult:
+    """Constrain the third dimension of a surgery triad.
+
+    Exactness gives |dA - dB| <= dC <= dA + dB; the Euler characteristic
+    forces dC >= h1C and dC = h1C (mod 2).  Returns an exact value when a
+    single candidate survives; an empty intersection is an inconsistency.
+    """
+    a_vals, b_vals = dA.values(), dB.values()
+    if a_vals is None or b_vals is None:
+        raise DimensionError("triad propagation needs exact or candidate inputs")
+    lo = min(abs(a - b) for a in a_vals for b in b_vals)
+    hi = max(a + b for a in a_vals for b in b_vals)
+    lo = max(lo, h1C)
+    try:
+        return DimResult.of_interval(lo, hi, h1C)
+    except Inconsistency:
+        raise Inconsistency(
+            f"no dimension in [{lo},{hi}] matches |H1| = {h1C} and its parity") from None
+
+
 def manifold_dim(m: ManifoldDesc, ds) -> DimResult:
-    """Dimension of a surgery, a lens space or a branched double cover;
-    surgery.manifold_dim answers census(i) too, from its routes."""
+    """Dimension of a surgery, a lens space, a branched double cover or a
+    census manifold."""
     if isinstance(m, Surgery):
         return surgery_dim(m.knot, m.slope, m.bundle, ds)
     if isinstance(m, Lens):
         return lens_dim(m.p, m.q)
     if isinstance(m, BranchedCover):
         return branched_cover_dim(m.knot, ds)
-    raise TypeError(f"not a surgery, lens or cover description: {m!r}")
+    return census_dim(m.index, ds)

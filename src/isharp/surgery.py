@@ -1,114 +1,21 @@
-"""Census manifolds, surgery triads and homeomorphism identities: the
-dimension routes that read the census tables or compare two surgeries.
+"""Homeomorphism identities: the registry of surgery re-descriptions.
 
-census_dim meets a census manifold's stored dimension with every
-registered route (a T6 surgery, a T7 branched cover, a T8 exact triad),
-and manifold_dim extends dimension.manifold_dim to census(i).  The
-identities re-describe one surgery as another: integer_identities lists
-those of every integer surgery on a knot, each slope written there once,
-homeo_identities those of one surgery, and verify_identity compares
-their dimensions, naming each side as its Surgery prints.  The
-closed form, lens spaces and branched covers live one layer down, in
-dimension, which a `dim` call on a surgery compiles without this module.
+integer_identities lists those of every integer surgery on a knot, each
+slope written there once; homeo_identities lists those of one surgery;
+verify_identity compares the dimensions of the two sides, naming each
+side as its Surgery prints.  Every dimension route, census manifolds
+included, lives one layer down, in dimension.
 """
 
 import math
 
-from . import dimension
-from .dimension import (BranchedCover, Census, DimensionError, DimResult, Surgery,
-                        _parse_cell, branched_cover_dim, parse_manifold, surgery_dim)
+# this module uses neither branched_cover_dim nor census_dim: they stay
+# importable from it only because bench/layers.py imports them from here
+from .dimension import DimResult, Surgery, branched_cover_dim, census_dim, surgery_dim
 from .knots import (Cable, KnotExpr, Pretzel, Twist, TwoBridge, _pretzel_n33,
-                    _two_bridge_from_twist, canonical, equivalent_atoms, make_cable,
-                    parse_knot)
-from .values import Inconsistency, IntegrityError, Record, Slope, parse_slope, reduce
+                    _two_bridge_from_twist, canonical, equivalent_atoms, make_cable)
+from .values import Inconsistency, Record, Slope, reduce
 
-
-def census_dim(index: int, ds) -> DimResult:
-    """Dimension of a census manifold via its registered routes, cross
-    checked against the stored value."""
-    Census(index)  # validates the range
-    stored = ds.lookup("T2", index)
-    result = DimResult.of_stored(stored.payload["dim"], stored.payload["h1"])
-    for _, route, computed in census_routes(index, ds):
-        try:
-            result = result.meet(computed)
-        except Inconsistency as e:
-            raise IntegrityError(f"census {index}: route {route} disagrees: {e}") from None
-    return result
-
-
-def census_routes(index: int, ds) -> list[tuple[str, str, DimResult]]:
-    """Every registered computation route for one census manifold, as
-    (table, label, dimension); a route the data leave undetermined, or a
-    T8 component whose stored dim or h1 its route rules out, names its row."""
-    out = []
-    t6, t7, t8 = (ds.table(table).get(str(index)) for table in ("T6", "T7", "T8"))
-    try:
-        if t6 is not None:
-            where = f"T6 row {index}"
-            desc = Surgery(_parse_cell(where, parse_knot, t6.payload["knot"], ds),
-                           _parse_cell(where, parse_slope, t6.payload["slope"], ds))
-            out.append(("T6", str(desc), surgery_dim(desc.knot, desc.slope, desc.bundle, ds)))
-        if t7 is not None:
-            where = f"T7 row {index}"
-            desc = BranchedCover(_parse_cell(where, parse_knot, t7.payload["knot"], ds))
-            out.append(("T7", str(desc), branched_cover_dim(desc.knot, ds)))
-        if t8 is not None:
-            where = f"T8 row {index}"
-            components = t8.payload["components"]
-            parts = [_parse_cell(where, parse_manifold, c["desc"], ds) for c in components]
-            for m in parts:  # an earlier census manifold only, so that no route cycles
-                if isinstance(m, Census) and m.index >= index:
-                    raise IntegrityError(f"{where}: component {m} does not come before "
-                                         f"census({index})")
-            dims = [manifold_dim(m, ds) for m in parts]
-            for c, d in zip(components, dims):
-                for field, ok, computed in (("dim", d.contains(c["dim"]), d),
-                                            ("h1", c["h1"] == d.euler, d.euler)):
-                    if not ok:
-                        raise IntegrityError(f"{where}: component {c['desc']}: stored "
-                                             f"{field} {c[field]}, computed {computed}")
-            label = " / ".join(c["desc"] for c in components)
-            out.append(("T8", f"triad({label})", triad_bounds(*dims, t8.payload["h1"])))
-    except DimensionError as e:
-        raise IntegrityError(f"{where}: {e}") from None
-    return out
-
-
-def manifold_dim(m: dimension.ManifoldDesc, ds) -> DimResult:
-    """dimension.manifold_dim, and census(i) through census_dim."""
-    if isinstance(m, Census):
-        return census_dim(m.index, ds)
-    return dimension.manifold_dim(m, ds)
-
-
-# ---------------------------------------------------------------------------
-# Exact-triangle propagation
-# ---------------------------------------------------------------------------
-
-def triad_bounds(dA: DimResult, dB: DimResult, h1C: int) -> DimResult:
-    """Constrain the third dimension of a surgery triad.
-
-    Exactness gives |dA - dB| <= dC <= dA + dB; the Euler characteristic
-    forces dC >= h1C and dC = h1C (mod 2).  Returns an exact value when a
-    single candidate survives; an empty intersection is an inconsistency.
-    """
-    a_vals, b_vals = dA.values(), dB.values()
-    if a_vals is None or b_vals is None:
-        raise DimensionError("triad propagation needs exact or candidate inputs")
-    lo = min(abs(a - b) for a in a_vals for b in b_vals)
-    hi = max(a + b for a in a_vals for b in b_vals)
-    lo = max(lo, h1C)
-    try:
-        return DimResult.of_interval(lo, hi, h1C)
-    except Inconsistency:
-        raise Inconsistency(
-            f"no dimension in [{lo},{hi}] matches |H1| = {h1C} and its parity") from None
-
-
-# ---------------------------------------------------------------------------
-# Homeomorphism identities between surgery descriptions
-# ---------------------------------------------------------------------------
 
 def _tb_codes_for(atoms: list[KnotExpr]) -> list[tuple[int, int]]:
     """Two-bridge codes (a, b) among atoms, the presentations of one knot:

@@ -6,17 +6,21 @@ re-derivations run on ds.untabulated(), which holds no stored
 nu/tau/r0: nu and tau come from structural flags through the deduction
 rules, and r0 from the rules where they pin it, else from every
 identity that surgery.integer_identities registers for the knot, and
-for 6_3, 8_6 and 8_8 from the chain through P(5,5,-3).  A T1 cell that
-no route pins fails; a route input the data cannot give raises
-IntegrityError naming it.  check_census meets the census routes in
-turn, as surgery.census_dim does.  The identity sweep reads its
-instances from integer_identities too.
+for 6_3, 8_6 and 8_8 from the chain through P(5,5,-3), three exact
+triangles that dimension.triad_bounds bounds.  A T1 cell that no route
+pins fails; a route input the data cannot give raises IntegrityError
+naming it.  check_census meets the census routes in turn, as
+dimension.census_dim does.  The identity sweep reads its instances from
+integer_identities too.  verify_all first deduces every KNOT record on
+the tabulated data, so a record its own rules contradict raises
+IntegrityError naming it.
 """
 
 import json
 
 from .datasets import CENSUS_TABLES
-from .dimension import DimensionError, DimResult, branched_cover_dim, surgery_dim
+from .dimension import (DimensionError, DimResult, branched_cover_dim, census_routes,
+                        surgery_dim, triad_bounds)
 from .invariants import deduce
 from .knots import (
     Cable,
@@ -29,7 +33,7 @@ from .knots import (
     parse_knot,
     structural,
 )
-from .surgery import census_routes, integer_identities, verify_identity
+from .surgery import integer_identities, verify_identity
 from .values import DatasetError, Inconsistency, IntegrityError, Record, Slope
 
 
@@ -164,7 +168,7 @@ def alexander_zero_surgery_floor(coeffs: tuple[int, ...]) -> int:
 def _chain_r0(view, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
     """Derive r0 for 6_3, 8_6, 8_8 from the homeomorphisms
     S^3_{-1}(K_n) = S^3_{-1/n}(P(5,5,-3)) (K_1, K_-1, K_2, K_-2 being
-    6_2, 6_3, 8_6, 8_8) together with exact-triangle bounds and the
+    6_2, 6_3, 8_6, 8_8) together with three exact triangles of P and the
     polynomial floor for the zero-surgery of 8_8; view holds no stored values."""
     nus = {}
     for name in ("6_3", "8_6", "8_8"):
@@ -175,9 +179,6 @@ def _chain_r0(view, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
     nu62, r062 = inv_6_2
     d_minus1 = r062 + abs(-1 - nu62)  # = dim of -1-surgery on 6_2 = on P
 
-    # exact triangles through the 3-sphere bound consecutive integer slopes
-    d0_candidates = [d for d in (d_minus1 - 1, d_minus1 + 1) if d % 2 == 0 and d >= 0]
-
     # zero-surgery floor for 8_8: slice, genus 2, known polynomial
     alexander = view.knot_record("8_8").structural.alexander
     if alexander is None or any(alexander[3:]):
@@ -185,17 +186,21 @@ def _chain_r0(view, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
     floor = alexander_zero_surgery_floor(alexander)  # mu bundle
     d_half_min = floor + 2 - 1  # trivial bundle adds 2, the triangle drops 1
 
+    # the triangles (S^3, S^3_{-1}(P), S^3_0(P)), (S^3, S^3_0, S^3_1) and
+    # (S^3_0, S^3_1, S^3_{1/2}); the floor forces d_half in {d_half_min + 4k}
+    sphere = DimResult.exact(1, 1)
+    try:
+        minus1 = DimResult.exact(d_minus1, 1)
+    except Inconsistency as e:  # 6_2's r0 came from an identity the data break
+        raise IntegrityError(f"T1 route: -1-surgery on 6_2: {e}") from None
     solutions = []
-    for d0 in d0_candidates:
-        for d1 in (d0 - 1, d0 + 1):
-            if d1 < 1:
-                continue
-            # triangle (0-, 1/2-, 1-surgery of P): d_half <= d0 + d1, and
-            # the floor forces d_half in {d_half_min + 4k}
-            for k in range(0, 4):
-                d_half = d_half_min + 4 * k
-                if abs(d0 - d1) <= d_half <= d0 + d1:
-                    solutions.append((d0, d1, d_half))
+    for d0 in triad_bounds(sphere, minus1, 0).values():
+        zero = DimResult.exact(d0, 0)
+        for d1 in triad_bounds(sphere, zero, 1).values():
+            half = triad_bounds(zero, DimResult.exact(d1, 1), 1)
+            top = (half.values() or (half.state.hi,))[-1]  # listed or an interval, bounded
+            solutions += [(d0, d1, d_half) for d_half in range(d_half_min, top + 1, 4)
+                          if half.contains(d_half)]
     if len(solutions) != 1:
         raise IntegrityError(f"chain through P(5,5,-3) is not forced: {solutions}")
     d0, d1, d_half = solutions[0]
@@ -364,5 +369,9 @@ def verify_target(target: str, ds) -> Report:
 
 
 def verify_all(ds) -> Report:
-    """Every re-derivable cell of every table, one pass/fail row per cell."""
+    """Every re-derivable cell of every table, one pass/fail row per cell,
+    after deducing every KNOT record on the tabulated data (a record the
+    rules contradict raises IntegrityError naming it)."""
+    for name in ds.knot_names():
+        deduce(Named(name), ds)
     return Report([c for _, check in CHECKS for c in check(ds).cells])

@@ -10,7 +10,7 @@ import pytest
 from isharp import datasets
 from isharp.invariants import deduce
 from isharp.knots import Pretzel, Twist, mirror, parse_knot
-from isharp.dimension import branched_cover_dim, surgery_dim
+from isharp.dimension import branched_cover_dim, census_dim, surgery_dim
 from isharp.slopes import eval_cf, neg_cf, triad
 from isharp.surgery import verify_identity
 from isharp.values import Slope, reduce
@@ -64,8 +64,6 @@ def test_criterion_1_table_reproduction(ds):
 # -- criterion 2: census reproduction -----------------------------------------
 
 def test_criterion_2_census(ds):
-    from isharp.surgery import census_dim, census_routes
-
     for i in range(20):
         stored = ds.lookup("T2", i).payload["dim"]
         got = census_dim(i, ds)

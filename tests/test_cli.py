@@ -377,6 +377,12 @@ def _census_13_h1_negative(line):
         line["payload"]["h1"] = -21
 
 
+def _9_47_alternating_and_quasipositive(line):
+    """R6 reads tau = 1 from signature -2, R5 tau = 3 from slice genus 3."""
+    line["payload"].update(signature=-2, slice_genus=3)
+    line["payload"]["flags"].update(alternating=True, quasipositive=True)
+
+
 def _census_12_routes_met_in_turn(line):
     """T2 row 12 stores [35,37] and its T6 route reads 35/4, at which
     P(-2,3,7) gives 37; its T7 route, the cover of 10_156, gives 35."""
@@ -409,11 +415,10 @@ def _census_12_routes_met_in_turn(line):
     # a flag that is not a bool would read as true (7_7 is not amphichiral)
     ("KNOT", "7_7", lambda line: line["payload"]["flags"].update(amphichiral="no"),
      ("invariants", "7_7"), "knot record 7_7: flags: amphichiral 'no' is not of type bool or null"),
-    # a census manifold's dimension comes from its census routes, a layer
-    # above the covers
+    # a cover route is a surgery description
     ("T5", "10_124", lambda line: line["payload"].update(sigma2="census(3)"),
      ("dim", "dcover(10_124)"),
-     "T5 row 10_124: sigma2 census(3) is not a surgery, lens or cover description"),
+     "T5 row 10_124: sigma2 census(3) is not a surgery description"),
     # a T8 route may cite only an earlier census manifold, or census_dim
     # would call itself for ever
     *[("T8", "2", lambda line: _set_component_desc(line, "census(2)"), argv,
@@ -580,6 +585,14 @@ def _census_12_routes_met_in_turn(line):
     *[("ALIAS", "TB(2,2)", lambda line: line["payload"].update(name="5_2"), argv,
        "ALIAS rows TB(2,2) and Tw(1) present one knot as 5_2 and 3_1")
       for argv in (("invariants", "Tw(1)"), ("verify", "all"))],
+    # a cover route that is a lens space would answer with its own order
+    ("T5", "10_161", lambda line: line["payload"].update(sigma2="lens(5,1)"),
+     ("dim", "dcover(10_161)"), "T5 row 10_161: sigma2 lens(5,1) is not a surgery description"),
+    # verify all deduces every record, also one (9_47) that only a cover
+    # route reads, which deduces nothing
+    ("KNOT", "9_47", _9_47_alternating_and_quasipositive, ("verify", "all"),
+     "knot record 9_47 or its aliases: 9_47: rule R6 gives tau = 1, contradicting R5 (3): "
+     "disjoint: 3 vs 1"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -640,7 +653,7 @@ def test_census_routes_are_met_in_turn(tmp_path):
     # refuses it; without the load check, census_dim and check_census
     # meet the routes in turn: T6 leaves 37, which T7's 35 misses, though
     # each route alone meets [35,37]
-    from isharp.surgery import census_dim
+    from isharp.dimension import census_dim
     from isharp.values import DatasetError, IntegrityError
     from isharp.verify import check_census
     data = _edited_copy(tmp_path, None, None, _census_12_routes_met_in_turn)
@@ -850,16 +863,15 @@ def _import_closure(names):
 
 # one well-formed call of each command, with the modules it loads besides
 # its command module and that module's top-level imports: the loader
-# (main() loads the data), and the function-local imports of a census
-# manifold (cmd_dim.run) and of the census cross-check
-# (Dataset.cross_check_census)
+# (main() loads the data), and the function-local import of the census
+# cross-check (Dataset.cross_check_census)
 _CALLS = [
     (["cf", "1/3"], ()),
     (["triad", "5/2"], ()),
     (["dim", "surg(4_1; 1/2)"], ("datasets",)),
     (["dim", "lens(9,2)"], ("datasets",)),
     (["dim", "dcover(10_124)"], ("datasets",)),
-    (["dim", "census(7)"], ("datasets", "surgery")),
+    (["dim", "census(7)"], ("datasets",)),
     (["invariants", "m(5_2)"], ("datasets",)),
     (["sum", "3_1", "m(3_1)"], ("datasets",)),
     (["cable", "3", "2", "m(3_1)"], ("datasets",)),
@@ -890,11 +902,15 @@ def test_import_layout():
     # cf and triad add the continued fractions and skip the loader
     assert loaded["cf 1/3"] == {*base, "isharp.cmd_cf", "isharp.slopes"}
     assert loaded["triad 5/2"] == {*base, "isharp.cmd_triad", "isharp.slopes"}
-    # dim on a surgery, a lens space or a cover compiles neither the census
-    # and identity code (surgery) nor the continued fractions (slopes)
-    for call in ("dim surg(4_1; 1/2)", "dim lens(9,2)", "dim dcover(10_124)"):
+    # dim on every kind of manifold compiles neither the identity registry
+    # (surgery) nor the continued fractions (slopes), and census does as
+    # dim "census(i)" does
+    for call in ("dim surg(4_1; 1/2)", "dim lens(9,2)", "dim dcover(10_124)",
+                 "dim census(7)"):
         assert loaded[call] == {*base, "isharp.cmd_dim", "isharp.datasets", "isharp.knots",
                                 "isharp.invariants", "isharp.dimension"}, call
+    assert loaded["census 3"] == {*base, "isharp.cmd_census", "isharp.datasets",
+                                  "isharp.knots", "isharp.invariants", "isharp.dimension"}
     # the knot commands stop below the dimension code
     for call in ("invariants m(5_2)", "sum 3_1 m(3_1)", "cable 3 2 m(3_1)"):
         assert "isharp.invariants" in loaded[call], call
@@ -1034,6 +1050,23 @@ def test_every_input_ends_in_a_documented_exit(argv):
         assert lines[0].startswith("usage: isharp") and ": error: " in lines[-1], argv
     else:
         assert len(lines) <= 1, (argv, err)
+
+
+def test_main_maps_domain_errors_and_lets_programming_errors_through(monkeypatch):
+    # a ValueError is a domain error, exit 1; no input reaches a KeyError,
+    # so one is a programming error and leaves main() as it is
+    import isharp.cmd_cf as cmd_cf
+
+    def raising(error):
+        def run(args, emit):
+            raise error
+        return run
+
+    monkeypatch.setattr(cmd_cf, "run", raising(ValueError("bad slope")))
+    assert _call(["cf", "1/3"]) == (1, "", "error: bad slope\n")
+    monkeypatch.setattr(cmd_cf, "run", raising(KeyError("x")))
+    with pytest.raises(KeyError):
+        cli.main(["cf", "1/3"])
 
 
 # --- the data contract: a record file with one cell changed --------------
@@ -1239,11 +1272,10 @@ def test_layers_import_downward_at_module_top():
     src = Path(isharp.__file__).parent
     # every module is in LAYERS, and each command of the table has its module
     assert {p.stem for p in src.glob("*.py")} - {"__init__"} == set(LAYERS)
-    # the two function-local imports: bench/layers.py times
-    # Dataset.cross_check_census, which runs the census routes of verify,
-    # and dim compiles the census routes only for census(i); cli imports
-    # the command modules and cli_text by name (cli._module)
-    allowed_local = {("datasets", "Dataset.cross_check_census"), ("cmd_dim", "run")}
+    # the one function-local import: bench/layers.py times
+    # Dataset.cross_check_census, which runs the census routes of verify;
+    # cli imports the command modules and cli_text by name (cli._module)
+    allowed_local = {("datasets", "Dataset.cross_check_census")}
     for i, name in enumerate(LAYERS):
         tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
         for function, targets in _imports(tree):

@@ -21,8 +21,7 @@ from isharp import datasets
 from isharp.invariants import Bundle, deduce
 from isharp.knots import parse_knot
 from isharp.dimension import (DimensionError, DimResult, _abs_range, _formula_dim,
-                              _require_bounded)
-from isharp.surgery import triad_bounds
+                              _require_bounded, triad_bounds)
 from isharp.values import INFINITY, Inconsistency, Slope, Val
 from test_slopes import uniform_slopes
 

@@ -20,14 +20,16 @@ from isharp.dimension import (
     _abs_range,
     _formula_dim,
     branched_cover_dim,
+    census_dim,
     lens_dim,
+    manifold_dim,
     parse_manifold,
     surgery_dim,
+    triad_bounds,
     zero_surgery_dim,
 )
-from isharp.surgery import (census_dim, homeo_identities, integer_identities, manifold_dim,
-                            triad_bounds, verify_identity)
-from isharp.values import Inconsistency, Slope, Val, parse_slope, reduce
+from isharp.surgery import homeo_identities, integer_identities, verify_identity
+from isharp.values import Inconsistency, IntegrityError, Slope, Val, parse_slope, reduce
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +244,12 @@ def test_census_dim_rows(ds):
             assert r.dim == stored
 
 
+def test_manifold_dim_answers_each_census_manifold_as_census_dim_does(ds):
+    for i in range(20):
+        assert manifold_dim(Census(i), ds) == census_dim(i, ds), i
+        assert manifold_dim(parse_manifold(f"census({i})"), ds) == census_dim(i, ds), i
+
+
 def test_triad_bounds(ds):
     assert triad_bounds(DimResult.exact(5, 5), DimResult.exact(7, 5), 10).values() == (10, 12)
     assert triad_bounds(DimResult.exact(3, 3), DimResult.exact(15, 15), 18).dim == 18
@@ -355,6 +363,27 @@ def test_rules_and_identities_pin_every_t1_key_but_the_chain(ds, monkeypatch):
         failed = [(c.key, c.got) for c in report.failed]
         assert failed == [(k, "None") for k in ("6_3", "8_6", "8_8")], dropped
         assert report.passed == 17
+
+
+def test_the_chain_through_p553_is_forced_by_three_triad_bounds(ds):
+    # the triangles of P(5,5,-3) at slopes (inf, -1, 0), (inf, 0, 1) and
+    # (0, 1, 1/2) leave one solution (d0, d1, d_half) = (6, 7, 13): the
+    # dimensions of -1-surgery on 6_3 (d1), 8_6 (2 d0 - 1) and 8_8 (d_half)
+    from isharp import verify
+    view = ds.untabulated()
+    b = deduce(parse_knot("6_2"), view)
+    r0s = verify._chain_r0(view, (b.nu.value(), b.r0.value()))
+    dims = {name: r0 + abs(-1 - nu) for name, (nu, r0) in r0s.items()}
+    d0, d1, d_half = 6, 7, 13
+    assert dims == {"6_3": d1, "8_6": 2 * d0 - 1, "8_8": d_half}
+    for name, d in dims.items():
+        assert dim(name, "-1", ds).dim == d, name
+        assert r0s[name] == (ds.lookup("T1", name).payload["nu"],
+                             ds.lookup("T1", name).payload["r0"]), name
+    # an r0 of 6_2 that no -1-surgery dimension admits names the route
+    with pytest.raises(IntegrityError, match=r"^T1 route: -1-surgery on 6_2: dimension -1 "
+                                             "incompatible with euler 1$"):
+        verify._chain_r0(view, (-1, -1))
 
 
 def test_t1_reads_the_identities_without_the_sweep_bound(ds, monkeypatch):
