@@ -25,7 +25,6 @@ from .knots import (
     Pretzel,
     Sum,
     Torus,
-    Twist,
     Unknot,
     _pretzel_n33,
     _pretzel_odd32,
@@ -35,6 +34,7 @@ from .knots import (
     mirror,
     registered_record,
     structural,
+    twist_form,
 )
 from .values import Inconsistency, IntegrityError, Record, Val
 
@@ -244,9 +244,11 @@ def _apply_family_rules(b: _Draft, k, s, ds) -> None:
         b.narrow("r0", Val.exact(v), "R9")
 
     # R10: twist knots
-    if isinstance(k, Twist) and not k.mirrored:
-        b.narrow("r0", Val.exact(k.n), "R10")
-        b.narrow("nu", Val.exact(0 if k.n % 2 == 0 else -1), "R10")
+    tw = twist_form(k)
+    if tw is not None and not tw[1]:
+        n = tw[0]
+        b.narrow("r0", Val.exact(n), "R10")
+        b.narrow("nu", Val.exact(0 if n % 2 == 0 else -1), "R10")
 
     # R11 / R12: pretzel families
     if isinstance(k, Pretzel):
@@ -255,11 +257,10 @@ def _apply_family_rules(b: _Draft, k, s, ds) -> None:
             b.narrow("nu", Val.exact(0), "R11")
             b.narrow("r0", Val.exact(4), "R11")
             b.set_shape("W", "R11")
-        if not k.mirrored:
-            n = _pretzel_odd32(k)
-            if n is not None:
-                b.narrow("nu", Val.exact(2 * n - 1), "R12")
-                b.narrow("r0", Val.exact(6 * n - 1), "R12")
+        n = _pretzel_odd32(k)
+        if n is not None and n > 0:
+            b.narrow("nu", Val.exact(2 * n - 1), "R12")
+            b.narrow("r0", Val.exact(6 * n - 1), "R12")
 
 
 def _slice_rule(b: _Draft, s) -> None:

@@ -1,12 +1,15 @@
 """Algebraic knot descriptions and their structural invariants.
 
-Expressions are immutable trees built from named atoms, torus / twist /
-pretzel / two-bridge family atoms, cables, and connected sums.  Mirrors
-are normalized down to the atoms (a chirality flag or a sign), so a
-normalized expression never contains an explicit mirror node, and a
-cable of the unknot is the torus knot it is.  Each expression keeps its
-text once format_knot has rendered it; that text parses back to an
-equal expression.
+Expressions are immutable trees built from named atoms, torus /
+pretzel / two-bridge family atoms, cables, and connected sums.  Each
+family knot has one expression: Tw(n) parses to its two-bridge code
+(make_twist), which twist_form reads back, so the code prints as Tw(n).
+Mirrors are normalized down to the atoms: a name's chirality flag, or
+the signs of a torus knot's p, a two-bridge code and a pretzel's
+strands.  So a normalized expression never contains an explicit mirror
+node, and a cable of the unknot is the torus knot it is.  Each
+expression keeps its text once format_knot has rendered it; that text
+parses back to an equal expression.
 
 The dataset keeps its alias codes ("T(3,5)", "P(-2,3,7)", ...) as text;
 this module alone parses them, once per dataset, into an index that
@@ -84,30 +87,20 @@ class Torus(KnotExpr):
         _torus_q(self, q)
 
 
-class Twist(KnotExpr):
-    """Twist knot with a positive clasp and n >= 1 positive half-twists."""
-
-    __slots__ = ("n", "mirrored")
-
-    def __init__(self, n: int, mirrored: bool = False):
-        if n < 1:
-            raise KnotError(f"twist knot needs n >= 1, got {n}")
-        _twist_n(self, n)
-        _twist_mirrored(self, mirrored)
-
-
 class Pretzel(KnotExpr):
-    __slots__ = ("a", "b", "c", "mirrored")
+    """P(a, b, c), its strands in the order written; a mirror negates them."""
 
-    def __init__(self, a: int, b: int, c: int, mirrored: bool = False):
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
         _pretzel_a(self, a)
         _pretzel_b(self, b)
         _pretzel_c(self, c)
-        _pretzel_mirrored(self, mirrored)
 
 
 class TwoBridge(KnotExpr):
-    """Two twist regions with a and b signed crossings; not both odd."""
+    """Two twist regions with a and b signed crossings; not both odd.
+    The twist knots are the codes that twist_form reads."""
 
     __slots__ = ("a", "b")
 
@@ -143,9 +136,7 @@ class Sum(KnotExpr):
 # the fields are stored through the slots' own descriptors, bound once here
 _named_name, _named_mirrored = Named.name.__set__, Named.mirrored.__set__
 _torus_p, _torus_q = Torus.p.__set__, Torus.q.__set__
-_twist_n, _twist_mirrored = Twist.n.__set__, Twist.mirrored.__set__
-_pretzel_a, _pretzel_b, _pretzel_c, _pretzel_mirrored = (
-    Pretzel.a.__set__, Pretzel.b.__set__, Pretzel.c.__set__, Pretzel.mirrored.__set__)
+_pretzel_a, _pretzel_b, _pretzel_c = Pretzel.a.__set__, Pretzel.b.__set__, Pretzel.c.__set__
 _two_bridge_a, _two_bridge_b = TwoBridge.a.__set__, TwoBridge.b.__set__
 _cable_p, _cable_q, _cable_companion = Cable.p.__set__, Cable.q.__set__, Cable.companion.__set__
 _sum_summands = Sum.summands.__set__
@@ -160,6 +151,25 @@ def make_torus(p: int, q: int) -> KnotExpr:
     sign = 1 if p * q > 0 else -1
     a, b = sorted((abs(p), abs(q)))
     return Torus(sign * a, b)
+
+
+def make_twist(n: int) -> TwoBridge:
+    """Tw(n), the twist knot with a positive clasp and n >= 1 positive
+    half-twists, as its two-bridge code: TB(2, n+1) for odd n, TB(-2, n)
+    for even n."""
+    if n < 1:
+        raise KnotError(f"twist knot needs n >= 1, got {n}")
+    return TwoBridge(2, n + 1) if n % 2 == 1 else TwoBridge(-2, n)
+
+
+def twist_form(k: KnotExpr) -> tuple[int, bool] | None:
+    """(n, mirrored) when k is the two-bridge code of Tw(n) or of its
+    mirror, else None: the inverse of make_twist, mirrors included."""
+    if isinstance(k, TwoBridge):
+        for a, b, mirrored in ((k.a, k.b, False), (-k.a, -k.b, True)):
+            if abs(a) == 2 and b >= 2 and b % 2 == 0:
+                return (b - 1 if a == 2 else b, mirrored)
+    return None
 
 
 def make_cable(p: int, q: int, companion: KnotExpr) -> KnotExpr:
@@ -184,8 +194,10 @@ def mirror(k: KnotExpr) -> KnotExpr:
 def _mirror(k: KnotExpr) -> KnotExpr:
     if isinstance(k, Unknot):
         return k
-    if isinstance(k, (Named, Twist, Pretzel)):
+    if isinstance(k, Named):
         return k.replace(mirrored=not k.mirrored)
+    if isinstance(k, Pretzel):
+        return Pretzel(-k.a, -k.b, -k.c)
     if isinstance(k, Torus):
         return Torus(-k.p, k.q)
     if isinstance(k, TwoBridge):
@@ -220,7 +232,7 @@ _NAME_RE = re.compile(r"[0-9]+_[0-9]+|K[0-9]+[an][0-9]+|k[0-9]+_[0-9]+")
 
 # the family atoms: the head, the constructor its integer arguments are
 # passed to, and how many it takes
-_FAMILIES = (("Tw(", Twist, 1), ("TB(", TwoBridge, 2), ("T(", make_torus, 2),
+_FAMILIES = (("Tw(", make_twist, 1), ("TB(", TwoBridge, 2), ("T(", make_torus, 2),
              ("P(", Pretzel, 3))
 
 # Deepest accepted nesting of m(...) and Cab(...) together.  The parser,
@@ -311,14 +323,13 @@ def _format(k: KnotExpr) -> str:
         return f"m({k.name})" if k.mirrored else k.name
     if isinstance(k, Torus):
         return f"T({k.p},{k.q})"
-    if isinstance(k, Twist):
-        s = f"Tw({k.n})"
-        return f"m({s})" if k.mirrored else s
     if isinstance(k, Pretzel):
-        s = f"P({k.a},{k.b},{k.c})"
-        return f"m({s})" if k.mirrored else s
+        return f"P({k.a},{k.b},{k.c})"
     if isinstance(k, TwoBridge):
-        return f"TB({k.a},{k.b})"
+        tw = twist_form(k)
+        if tw is None:
+            return f"TB({k.a},{k.b})"
+        return f"m(Tw({tw[0]}))" if tw[1] else f"Tw({tw[0]})"
     if isinstance(k, Cable):
         return f"Cab({k.p},{k.q};{format_knot(k.companion)})"
     if isinstance(k, Sum):
@@ -330,41 +341,29 @@ def _format(k: KnotExpr) -> str:
 # The presentation index: alias codes resolved against the loaded dataset
 # ---------------------------------------------------------------------------
 
-def _twist_from_two_bridge(k: TwoBridge):
-    """K(2, 2n) is the twist knot with 2n-1 half-twists, K(-2, 2n) the one
-    with 2n; mirrors for negated codes."""
-    for a, b, mirrored in ((k.a, k.b, False), (-k.a, -k.b, True)):
-        if a == 2 and b >= 2 and b % 2 == 0:
-            return Twist(b - 1, mirrored)
-        if a == -2 and b >= 2 and b % 2 == 0:
-            return Twist(b, mirrored)
-    return None
-
-
-def _two_bridge_from_twist(tw: Twist) -> TwoBridge:
-    """The inverse of _twist_from_two_bridge: 2n-1 half-twists give
-    K(2, 2n), 2n give K(-2, 2n); a mirror negates the code."""
-    a, b = (2, tw.n + 1) if tw.n % 2 == 1 else (-2, tw.n)
-    return TwoBridge(-a, -b) if tw.mirrored else TwoBridge(a, b)
-
-
 def _atom_key(k: KnotExpr):
-    """The index key of a family atom, None for any other expression: the
-    atom itself, a two-bridge code in twist form as its twist knot, and a
-    pretzel as its sorted strands, negated when it is mirrored."""
-    if isinstance(k, TwoBridge):
-        return _twist_from_two_bridge(k) or k
+    """The index key of a family atom, None for any other expression: a
+    pretzel as its sorted strands, a torus or two-bridge code itself."""
     if isinstance(k, Pretzel):
-        return Pretzel(*sorted((-k.a, -k.b, -k.c) if k.mirrored else (k.a, k.b, k.c)))
-    return k if isinstance(k, (Torus, Twist)) else None
+        return Pretzel(*sorted((k.a, k.b, k.c)))
+    return k if isinstance(k, (Torus, TwoBridge)) else None
+
+
+def _mirror_key(key):
+    """The index key of the mirror of the atom keyed key, built without
+    mirror(), so that the index mirrors none of its codes."""
+    if isinstance(key, Pretzel):
+        return Pretzel(*sorted((-key.a, -key.b, -key.c)))
+    return Torus(-key.p, key.q) if isinstance(key, Torus) else TwoBridge(-key.a, -key.b)
 
 
 def _alias_index(ds) -> tuple[dict, dict]:
     """The ALIAS rows of ds parsed once: atom key -> (name, mirrored), the
     first code in row order holding a key, and name -> its presentations
     [(expression, mirrored)] in row order.  A code that is not a torus,
-    twist, pretzel or two-bridge atom, or that presents its key's atom as
-    another knot than the first code does, is a DatasetError."""
+    twist, pretzel or two-bridge atom, that presents its key's atom as
+    another knot than the first code does, or whose mirror code presents
+    no mirror image of its knot, is a DatasetError."""
     if ds.alias_index is None:
         by_key: dict = {}
         by_name: dict = {}
@@ -385,6 +384,12 @@ def _alias_index(ds) -> tuple[dict, dict]:
             if was != now and _chiral(*was, ds) != _chiral(*now, ds):
                 raise DatasetError(f"ALIAS rows {first} and {code} present one knot as "
                                    f"{format_knot(Named(*was))} and {format_knot(Named(*now))}")
+            mkey = _mirror_key(key)
+            image = by_key.get(mkey) if mkey != key else None
+            if image is not None and _chiral(image[0], not image[1], ds) != _chiral(*now, ds):
+                raise DatasetError(f"ALIAS rows {first_code[mkey]} and {code} are mirror "
+                                   f"images but present {format_knot(Named(*image))} and "
+                                   f"{format_knot(Named(*now))}")
             by_name.setdefault(name, []).append((expr, mirrored))
         ds.alias_index = (by_key, by_name)
     return ds.alias_index
@@ -408,7 +413,7 @@ def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
         if hit is not None:
             name, mirrored = hit
         else:
-            hit = by_key.get(_atom_key(mirror(k)))
+            hit = by_key.get(_mirror_key(key))
             if hit is None:
                 return None
             name, mirrored = hit[0], not hit[1]
@@ -423,7 +428,7 @@ def _chiral(name: str, mirrored: bool, ds) -> tuple[str, bool]:
 
 def equivalent_atoms(k: KnotExpr, ds) -> list[KnotExpr]:
     """k, then every registered presentation of the knot that k presents,
-    in its chirality; the presentations equal to k are left out."""
+    in its chirality, each once; the presentations equal to k are left out."""
     out = [k]
     hit = resolve_atom(k, ds)
     if hit is not None:
@@ -431,7 +436,7 @@ def equivalent_atoms(k: KnotExpr, ds) -> list[KnotExpr]:
         for expr, code_mirrored in _alias_index(ds)[1].get(name, ()):
             if code_mirrored != mirrored:
                 expr = mirror(expr)
-            if expr != k:
+            if expr not in out:
                 out.append(expr)
     return out
 
@@ -574,34 +579,31 @@ def _family_structural(k: KnotExpr) -> StructuralData:
                                instanton_lspace=True)
         return StructuralData(genus=Val.exact(g), slice_genus=Val.exact(g),
                               determinant=_torus_det(abs(k.p), k.q), flags=flags)
-    if isinstance(k, Twist):
-        # twist knots are alternating with Seifert genus 1; the odd ones have
-        # a positive mirror, so their slice genus is exactly 1
-        flags = {"alternating": True, "homogeneous": True}
-        if k.n % 2 == 1:
-            if k.mirrored:
-                flags.update({"positive": True, "quasipositive": True})
-            return StructuralData(genus=Val.exact(1), slice_genus=Val.exact(1),
-                                  flags=make_flags(**flags))
-        return StructuralData(genus=Val.exact(1), slice_genus=Val(0, 1),
-                              flags=make_flags(**flags))
     if isinstance(k, Pretzel):
         if _pretzel_n33(k) is not None:
             # the P(n,3,-3) family is smoothly slice (band to the unlink)
             return StructuralData(slice_genus=Val.exact(0), genus=nonneg)
         n = _pretzel_odd32(k)
         if n is not None:
-            # alternating diagrams with signature -2n and slice genus n
-            # (an n-fold crossing change reaches the unknot)
-            sigma = -2 * n if not k.mirrored else 2 * n
-            return StructuralData(slice_genus=Val.exact(n), genus=nonneg,
-                                  signature=sigma,
+            # alternating diagrams with signature -2n and slice genus |n|
+            # (an |n|-fold crossing change reaches the unknot)
+            return StructuralData(slice_genus=Val.exact(abs(n)), genus=nonneg,
+                                  signature=-2 * n,
                                   flags=make_flags(alternating=True, homogeneous=True))
         return StructuralData(genus=nonneg, slice_genus=nonneg)
     if isinstance(k, TwoBridge):
-        # two-bridge knots are alternating
-        return StructuralData(genus=nonneg, slice_genus=nonneg,
-                              flags=make_flags(alternating=True, homogeneous=True))
+        # two-bridge knots are alternating; twist knots have Seifert genus
+        # 1, and the odd ones a positive mirror, so slice genus exactly 1
+        flags = {"alternating": True, "homogeneous": True}
+        tw = twist_form(k)
+        if tw is None:
+            return StructuralData(genus=nonneg, slice_genus=nonneg, flags=make_flags(**flags))
+        n, mirrored = tw
+        if n % 2 == 1 and mirrored:
+            flags.update({"positive": True, "quasipositive": True})
+        # slice genus 1 for odd n, at most 1 for even n
+        return StructuralData(genus=Val.exact(1), slice_genus=Val(n % 2, 1),
+                              flags=make_flags(**flags))
     return StructuralData(genus=nonneg, slice_genus=nonneg)
 
 
@@ -623,12 +625,14 @@ def _pretzel_n33(k: Pretzel) -> int | None:
 
 
 def _pretzel_odd32(k: Pretzel) -> int | None:
-    """Match P(2n-1, 3, 2) with n >= 1 up to permutation; returns n."""
-    args = [k.a, k.b, k.c]
-    for i in range(3):
-        rest = sorted(args[:i] + args[i + 1:])
-        if rest == [2, 3] and args[i] % 2 == 1 and args[i] >= 1:
-            return (args[i] + 1) // 2
+    """Match P(2n-1, 3, 2) with n >= 1 up to permutation, returning n, or
+    its mirror P(1-2n, -3, -2), returning -n."""
+    for sign in (1, -1):
+        args = [sign * k.a, sign * k.b, sign * k.c]
+        for i in range(3):
+            rest = sorted(args[:i] + args[i + 1:])
+            if rest == [2, 3] and args[i] % 2 == 1 and args[i] >= 1:
+                return sign * ((args[i] + 1) // 2)
     return None
 
 

@@ -12,20 +12,9 @@ import math
 # this module uses neither branched_cover_dim nor census_dim: they stay
 # importable from it only because bench/layers.py imports them from here
 from .dimension import DimResult, Surgery, branched_cover_dim, census_dim, surgery_dim
-from .knots import (Cable, KnotExpr, Pretzel, Twist, TwoBridge, _pretzel_n33,
-                    _two_bridge_from_twist, canonical, equivalent_atoms, make_cable)
+from .knots import (Cable, KnotExpr, Pretzel, TwoBridge, _pretzel_n33, canonical,
+                    equivalent_atoms, make_cable)
 from .values import Inconsistency, Record, Slope, reduce
-
-
-def _tb_codes_for(atoms: list[KnotExpr]) -> list[tuple[int, int]]:
-    """Two-bridge codes (a, b) among atoms, the presentations of one knot:
-    its two-bridge presentations, then the code of its first twist one."""
-    codes = [(x.a, x.b) for x in atoms if isinstance(x, TwoBridge)]
-    tw = next((x for x in atoms if isinstance(x, Twist)), None)
-    if tw is not None:
-        tb = _two_bridge_from_twist(tw)
-        codes.append((tb.a, tb.b))
-    return list(dict.fromkeys(codes))  # first occurrence order
 
 
 def integer_identities(k: KnotExpr, ds) -> list[tuple[int, KnotExpr, Slope]]:
@@ -37,10 +26,10 @@ def integer_identities(k: KnotExpr, ds) -> list[tuple[int, KnotExpr, Slope]]:
     out: list[tuple[int, KnotExpr, Slope]] = []
     atoms = equivalent_atoms(k, ds)
 
-    for a, b in _tb_codes_for(atoms):
-        if b == 0 or b % 2 != 0:
+    for x in atoms:
+        if not isinstance(x, TwoBridge) or x.b == 0 or x.b % 2 != 0:
             continue
-        n = b // 2
+        a, n = x.a, x.b // 2
         if a % 2 != 0:  # odd twist region, 2m+1 crossings
             out += [(4 * n - 1, canonical(TwoBridge(2, a), ds), reduce(4 * n - 1, n)),
                     (4 * n + 1, canonical(TwoBridge(-2, a), ds), reduce(-(4 * n + 1), n))]
@@ -49,12 +38,8 @@ def integer_identities(k: KnotExpr, ds) -> list[tuple[int, KnotExpr, Slope]]:
                     (-1, canonical(TwoBridge(2, a), ds), reduce(-1, n))]
 
     # once per P(n,3,-3) presentation
-    shifts = []
-    for x in atoms:
-        n = _pretzel_n33(x) if isinstance(x, Pretzel) else None
-        if n is not None:
-            shifts.append(-n if x.mirrored else n)
-    for n in dict.fromkeys(shifts):
+    shifts = [_pretzel_n33(x) for x in atoms if isinstance(x, Pretzel)]
+    for n in dict.fromkeys(n for n in shifts if n is not None):
         out += [(-2, Pretzel(n + 3, 3, -3), Slope(2, 1)),
                 (2, Pretzel(n - 3, 3, -3), Slope(-2, 1))]
 

@@ -9,7 +9,7 @@ import pytest
 
 from isharp import datasets
 from isharp.invariants import deduce
-from isharp.knots import Pretzel, Twist, mirror, parse_knot
+from isharp.knots import Pretzel, make_twist, mirror, parse_knot
 from isharp.dimension import branched_cover_dim, census_dim, surgery_dim
 from isharp.slopes import eval_cf, neg_cf, triad
 from isharp.surgery import verify_identity
@@ -102,7 +102,7 @@ def test_criterion_3_family_formulas(ds):
     checked = 0
     for n in range(1, 101):
         slopes = _random_slopes(rng, 200)
-        tw, p33, p32 = Twist(n), Pretzel(n, 3, -3), Pretzel(2 * n - 1, 3, 2)
+        tw, p33, p32 = make_twist(n), Pretzel(n, 3, -3), Pretzel(2 * n - 1, 3, 2)
         torus = parse_knot(f"T(2,{2 * n + 1})")  # an instanton L-space knot
         g = n  # genus of T(2, 2n+1)
         for s in slopes:
@@ -127,7 +127,7 @@ def test_criterion_3_family_formulas(ds):
             checked += 1
     # the formulas with nonzero nu also cover the zero slope
     for n in (1, 3, 9):
-        assert surgery_dim(Twist(2 * n - 1), Slope(0, 1), "trivial", ds).dim == 2 * n
+        assert surgery_dim(make_twist(2 * n - 1), Slope(0, 1), "trivial", ds).dim == 2 * n
         assert surgery_dim(Pretzel(2 * n - 1, 3, 2), Slope(0, 1), "trivial", ds).dim \
             == (6 * n - 1) + (2 * n - 1)
         checked += 2
@@ -294,7 +294,7 @@ def test_criterion_5f_triad_splitting(ds):
 def test_criterion_5g_bundle_bounds(ds):
     checked = 0
     exprs = [parse_knot(n) for n in ds.knot_names()]
-    exprs += [Twist(n) for n in range(1, 101)]
+    exprs += [make_twist(n) for n in range(1, 101)]
     exprs += [Pretzel(n, 3, -3) for n in range(-50, 51)]
     exprs += [Pretzel(2 * n - 1, 3, 2) for n in range(1, 51)]
     exprs += [mirror(parse_knot(n)) for n in TABLE_KNOTS]
@@ -320,7 +320,7 @@ def test_criterion_6_homeo_identities(ds):
     assert not rep.failed, [c.line() for c in rep.failed]
     sweep = rep.cells[-1]
     for n in range(1, 51):
-        r = verify_identity((Twist(2 * n - 1), Slope(-1, 1)),
+        r = verify_identity((make_twist(2 * n - 1), Slope(-1, 1)),
                             (parse_knot("3_1"), reduce(-1, n)), ds)
         assert r.status == "equal" and r.lhs_dim.dim == 2 * n - 1, n
     report(6, f"identity sweep ({sweep.got}) plus the twist chain at every n <= 50")

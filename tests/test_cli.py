@@ -79,7 +79,7 @@ _VERIFY_DIGESTS = {
     "T7": ("dee07cb785fdecc4", "2984c1136088d474"),
     "T8": ("8a17f15e72ca721d", "bc43b391cbd9e1a8"),
     "all": ("6607ba554370ee23", "c53f57657130c617"),
-    "identities": ("093c217393f8580d", "7aa9649d9a0d8b7d"),
+    "identities": ("093c217393f8580d", "b9885b69af58ccb4"),
 }
 
 
@@ -363,10 +363,11 @@ def _6_2_unpresented(line):
 
 
 def _5_2_unflagged_and_untwisted(line):
-    """KNOT 5_2 with no flags, and its ALIAS row Tw(3) deleted."""
+    """KNOT 5_2 with no flags, and its twist codes, the ALIAS rows Tw(3)
+    and TB(-2,-4) (m(Tw(3))), deleted."""
     if (line["table"], line["key"]) == ("KNOT", "5_2"):
         line["payload"].update(flags={})
-    if (line["table"], line["key"]) == ("ALIAS", "Tw(3)"):
+    if line["table"] == "ALIAS" and line["key"] in ("Tw(3)", "TB(-2,-4)"):
         line.clear()
 
 
@@ -533,7 +534,7 @@ def _census_12_routes_met_in_turn(line):
     # a stored flag, like a genus, must agree with the family data of the
     # record's aliases: two-bridge knots are alternating
     *[("KNOT", "3_1", lambda line: line["payload"]["flags"].update(alternating=False), argv,
-       "knot record 3_1: alternating False contradicts the alternating True of TB(2,2)")
+       "knot record 3_1: alternating False contradicts the alternating True of Tw(1)")
       for argv in (("verify", "all"), ("invariants", "3_1"), ("dim", "surg(3_1; 1/2)"))],
     # T5 repeats the determinant of its knot's KNOT row
     *[("T5", "10_145", lambda line: line["payload"].update(det=1), argv,
@@ -568,7 +569,7 @@ def _census_12_routes_met_in_turn(line):
     # the verify targets of cases above that another command reaches first
     ("KNOT", "3_1", lambda line: line["payload"]["flags"].update(alternating=False),
      ("verify", "T1"),
-     "knot record 3_1: alternating False contradicts the alternating True of TB(2,2)"),
+     "knot record 3_1: alternating False contradicts the alternating True of Tw(1)"),
     ("T8", "2", lambda line: line["payload"]["components"][1].update(h1=13), ("verify", "T8"),
      "T8 row 2: component dcover(8_21): stored h1 13, computed 15"),
     ("KNOT", "5_2", lambda line: line["payload"].update(genus="x"), ("verify", "T1"),
@@ -593,6 +594,11 @@ def _census_12_routes_met_in_turn(line):
     ("KNOT", "9_47", _9_47_alternating_and_quasipositive, ("verify", "all"),
      "knot record 9_47 or its aliases: 9_47: rule R6 gives tau = 1, contradicting R5 (3): "
      "disjoint: 3 vs 1"),
+    # TB(-2,-4) is the mirror code of Tw(3), so the two cannot present one
+    # chirality of the chiral 5_2
+    *[("ALIAS", "TB(-2,-4)", lambda line: line["payload"].update(mirrored=False), argv,
+       "ALIAS rows TB(-2,-4) and Tw(3) are mirror images but present 5_2 and 5_2")
+      for argv in (("invariants", "m(Tw(3))"), ("verify", "all"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)

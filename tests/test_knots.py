@@ -20,21 +20,20 @@ from isharp.knots import (
     Sum,
     Torus,
     TwoBridge,
-    Twist,
     Unknot,
     _is_mirror_paired,
-    _two_bridge_from_twist,
-    _twist_from_two_bridge,
     canonical,
     format_knot,
     genus,
     make_cable,
     make_sum,
     make_torus,
+    make_twist,
     mirror,
     parse_knot,
     resolve_atom,
     structural,
+    twist_form,
 )
 from isharp.dimension import BranchedCover, Census, Lens, Surgery, parse_manifold
 from isharp.values import BLANKS, Inconsistency, Slope, SlopeError, Val, parse_slope, reduce
@@ -113,16 +112,16 @@ def test_derived_mirror_is_invisible():
 
 
 def test_replace_reruns_the_constructor_checks():
-    assert Twist(3).replace(mirrored=True) == Twist(3, True)
+    assert TwoBridge(2, 4).replace(a=-2) == TwoBridge(-2, 4)
     assert Val(1, 3).replace(hi=1) == Val.exact(1)  # parity 1 filled in
     with pytest.raises(KnotError):
-        Twist(3).replace(n=0)
+        TwoBridge(2, 4).replace(a=3, b=5)  # both entries odd
     with pytest.raises(KnotError):
         Cable(3, 2, Unknot()).replace(p=4)
     with pytest.raises(Inconsistency):
         Val(1, 3).replace(lo=5)
     with pytest.raises(TypeError):
-        Twist(3).replace(crossings=5)
+        TwoBridge(2, 4).replace(crossings=5)
 
 
 # --- parsing and normalization ---------------------------------------------
@@ -135,7 +134,7 @@ def test_parse_basic_forms():
     assert parse_knot("0_1") == Unknot()
     assert parse_knot("K11n118") == Named("K11n118")
     assert parse_knot("k5_1") == Named("k5_1")
-    assert parse_knot("Tw(4)") == Twist(4)
+    assert parse_knot("Tw(4)") == make_twist(4)
     assert parse_knot("P(2,3,-3)") == Pretzel(2, 3, -3)
 
 
@@ -214,7 +213,7 @@ knot_exprs = st.deferred(lambda: st.one_of(
     .filter(lambda pq: abs(pq[0]) != pq[1] and math.gcd(abs(pq[0]), pq[1]) == 1
             and abs(pq[0]) > 1)
     .map(lambda pq: make_torus(*pq)).filter(lambda k: not isinstance(k, Unknot)),
-    st.integers(1, 9).map(Twist),
+    st.integers(1, 9).map(make_twist),
     st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)).map(
         lambda abc: Pretzel(*abc)),
     st.tuples(st.sampled_from([2, 3, 5]), st.sampled_from([2, 4, -2, -4])).map(
@@ -356,12 +355,12 @@ def test_whitespace_that_is_not_ascii_is_refused_everywhere(case, space, data):
 
 def test_twist_and_two_bridge_maps_invert_each_other():
     for n in range(1, 51):
-        for mirrored in (False, True):
-            tw = Twist(n, mirrored)
-            assert _twist_from_two_bridge(_two_bridge_from_twist(tw)) == tw
+        assert twist_form(make_twist(n)) == (n, False)
+        assert twist_form(mirror(make_twist(n))) == (n, True)
         for a, b in ((2, 2 * n), (-2, 2 * n), (-2, -2 * n), (2, -2 * n)):
             tb = TwoBridge(a, b)
-            assert _two_bridge_from_twist(_twist_from_two_bridge(tb)) == tb
+            tw, mirrored = twist_form(tb)
+            assert (mirror(make_twist(tw)) if mirrored else make_twist(tw)) == tb
 
 
 # --- genus ------------------------------------------------------------------
@@ -369,7 +368,7 @@ def test_twist_and_two_bridge_maps_invert_each_other():
 def test_genus_examples(ds):
     assert genus(Torus(3, 5), ds) == Val.exact(4)
     assert genus(Cable(3, 2, Torus(2, 3)), ds) == Val.exact(3)
-    assert genus(Twist(7), ds) == Val.exact(1)
+    assert genus(make_twist(7), ds) == Val.exact(1)
     assert genus(Unknot(), ds) == Val.exact(0)
     assert genus(parse_knot("8_8"), ds) == Val.exact(2)
 

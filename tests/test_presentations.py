@@ -2,7 +2,10 @@
 
 A registered alias code and the name it resolves to are one knot, so
 they get the same deduction, structural data, self-linking bound and
-dimensions, with and without the tabulated invariants.  So do a connected sum with its
+dimensions, with and without the tabulated invariants.  So do the
+presentations of a family knot, registered or not: Tw(n) and its
+two-bridge code, and a pretzel's strands in any order, where the mirror
+m(P(a,b,c)) is P(-a,-b,-c).  So do a connected sum with its
 summands in any order, and m(m(K)); the mirror m(K) gets the negated nu
 and tau, and a sum whose summands pair with presentations of their
 mirrors is slice.  A presentation of the unknot drops out of a sum, and
@@ -10,6 +13,7 @@ a cable of it is the torus knot it is.  All of them share one canonical
 form, and with it one deduction.
 """
 
+import itertools
 import math
 
 import pytest
@@ -61,6 +65,42 @@ def test_alias_and_name_give_one_answer(name, code, tabulated):
     assert answers(mirror(a), DS, tabulated) == answers(mirror(b), DS, tabulated)
     cover = lambda k: _attempt(lambda: branched_cover_dim(k, DS))
     assert cover(a) == cover(b)
+
+
+def _twist_group(n):
+    """The presentations of Tw(n), then those of its mirror."""
+    a, b = (2, n + 1) if n % 2 == 1 else (-2, n)
+    return ([f"Tw({n})", f"TB({a},{b})"],
+            [f"m(Tw({n}))", f"m(TB({a},{b}))", f"TB({-a},{-b})"])
+
+
+def _pretzel_group(strands):
+    """The presentations of P(a,b,c), its strands in every order, then
+    those of its mirror, written m(...) and with negated strands."""
+    text = "P({},{},{})".format
+    orders = sorted(set(itertools.permutations(strands)))
+    return ([text(*p) for p in orders],
+            [f"m({text(*p)})" for p in orders] + [text(*(-x for x in p)) for p in orders])
+
+
+family_groups = st.one_of(
+    st.integers(1, 40).map(_twist_group),
+    st.integers(1, 20).map(lambda n: _pretzel_group((2 * n - 1, 3, 2))),
+    st.integers(-20, 20).map(lambda n: _pretzel_group((n, 3, -3))),
+    st.tuples(*[st.integers(-7, 7)] * 3).map(_pretzel_group))
+
+
+@given(family_groups)
+@settings(max_examples=200, deadline=None)
+def test_every_presentation_of_a_family_knot_gives_one_answer(groups):
+    for texts in groups:
+        knots = [parse_knot(t) for t in texts]
+        for tabulated in (True, False):
+            got = [answers(k, DS, tabulated) for k in knots]
+            assert all(a == got[0] for a in got), (texts, tabulated, got)
+        for data in (DS, DS.untabulated()):
+            got = [dimensions(k, data) for k in knots]
+            assert all(d == got[0] for d in got), (texts, got)
 
 
 def test_torus_presentation_pins_tau_of_its_name():
