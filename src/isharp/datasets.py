@@ -23,9 +23,9 @@ equal to its home row.  Dataset.untabulated() holds the rows without T1,
 T3, T4 and the instanton payloads.
 
 The ALIAS rows are the alias registry: each maps its code, such as
-"T(3,5)" or "P(-2,3,7)", to the knot it presents; here the codes stay
-opaque text.  knots parses them, once per dataset, into the index that
-resolves every family atom.
+"T(3,5)" or "T(-2,3)", to the knot it presents, in that knot's own
+chirality; here the codes stay opaque text.  knots parses them, once
+per dataset, into the index that resolves every family atom.
 
 The knot-level records (StructuralData, its flags and KnotRecord) live
 here, below knots, so the loader imports nothing but values: every module
@@ -187,7 +187,7 @@ SCHEMA = {
     "T6": {"name": (str,), "knot": (str,), "slope": (str,), "h1": (int,), "dim": (int,)},
     "T7": {"name": (str,), "knot": (str,), "qa": (str,), "h1": (int,), "dim": (int,)},
     "T8": {"name": (str,), "h1": (int,), "components": (list,), "dim": (int, list)},
-    "ALIAS": {"name": (str,), "mirrored": (bool, _NULL)},
+    "ALIAS": {"name": (str,)},
     "KNOT": {"signature": (int, _NULL), "determinant": (int, _NULL), "sl_max": (int, _NULL),
              "mirror_sl_max": (int, _NULL), "flags": (dict, _NULL), "mirror_flags": (dict, _NULL),
              "instanton": (dict, _NULL), "alexander": (list, _NULL), "genus": _VAL,

@@ -333,8 +333,9 @@ def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
 
     Thin reduced odd Khovanov homology, or a T5 rank equal to det, forces
     the dimension to equal the determinant; otherwise the surgery
-    description sigma2 of the knot's T5 row is used; with neither, only
-    the Euler-characteristic bound remains."""
+    description sigma2 of the knot's T5 row is used, and a route the data
+    leave undetermined names that row; with neither, only the
+    Euler-characteristic bound remains."""
     st = structural(k, ds)
     det = st.determinant
     thin = st.flag("thin_odd_khovanov")
@@ -349,9 +350,13 @@ def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
         route = _parse_cell(where, parse_manifold, cover["sigma2"], ds)
         if not isinstance(route, Surgery):
             raise IntegrityError(f"{where} {route} is not a surgery description")
+        where = f"{where} {route}"
         if mirrored:
             route = Surgery(mirror(route.knot), -route.slope, route.bundle)
-        result = surgery_dim(route.knot, route.slope, route.bundle, ds)
+        try:
+            result = surgery_dim(route.knot, route.slope, route.bundle, ds)
+        except DimensionError as e:  # a route the data leave undetermined
+            raise IntegrityError(f"{where}: {e}") from None
         if det is not None and result.euler != det:
             raise IntegrityError(
                 f"registered cover description {route} has euler {result.euler}, "

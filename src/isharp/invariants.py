@@ -215,11 +215,7 @@ def _apply_atom_rules(b: _Draft, k, ds) -> None:
     if rec is not None:
         b.adopt(rec.instanton, mirrored, "R1", f"({rec.name})")
 
-    for expr in equivalent_atoms(k, ds):
-        _apply_family_rules(b, expr, s, ds)
-
-
-def _apply_family_rules(b: _Draft, k, s, ds) -> None:
+    # R3 - R6 read only the structural data, which every presentation shares
     _slice_rule(b, s)
 
     # R4: amphichiral
@@ -236,6 +232,11 @@ def _apply_family_rules(b: _Draft, k, s, ds) -> None:
     if s.flag("alternating") and s.signature is not None:
         b.narrow("tau", Val.exact(-s.signature // 2), "R6")
 
+    for expr in equivalent_atoms(k, ds):
+        _apply_family_rules(b, expr, s, ds)
+
+
+def _apply_family_rules(b: _Draft, k, s, ds) -> None:
     # R9: instanton L-space knots; _lspace_status calls every T(p,q) with
     # p > 0 one, and 2g - 1 = pq - p - q, so R9 covers the positive torus knots
     if _lspace_status(k, b, s, ds) is True and s.genus.is_exact:

@@ -11,13 +11,15 @@ node, and a cable of the unknot is the torus knot it is.  Each
 expression keeps its text once format_knot has rendered it; that text
 parses back to an equal expression.
 
-The dataset keeps its alias codes ("T(3,5)", "P(-2,3,7)", ...) as text;
-this module alone parses them, once per dataset, into an index that
-resolve_atom and equivalent_atoms read.  canonical writes every
-presentation of a registered knot as its name (U for the unknot), and
-memo keys the per-dataset caches of structural here and of deduce and
-lspace_cable in invariants on that form: T(3,5) and 10_124 share one
-computation, and an alias input gets its registered knot's trace.
+The dataset keeps its alias codes ("T(3,5)", "T(-2,3)", ...) as text,
+one row per code, in the chirality of the knot it names; this module
+alone parses them, once per dataset, into an index that resolve_atom
+and equivalent_atoms read, where the mirror of a code resolves to the
+mirror of its knot.  canonical writes every presentation of a
+registered knot as its name (U for the unknot), and memo keys the
+per-dataset caches of structural here and of deduce and lspace_cable in
+invariants on that form: T(3,5) and 10_124 share one computation, and
+an alias input gets its registered knot's trace.
 
 structural returns the StructuralData record that datasets defines and
 its knot records hold; it combines those records with the family
@@ -358,18 +360,16 @@ def _mirror_key(key):
 
 
 def _alias_index(ds) -> tuple[dict, dict]:
-    """The ALIAS rows of ds parsed once: atom key -> (name, mirrored), the
-    first code in row order holding a key, and name -> its presentations
-    [(expression, mirrored)] in row order.  A code that is not a torus,
-    twist, pretzel or two-bridge atom, that presents its key's atom as
-    another knot than the first code does, or whose mirror code presents
-    no mirror image of its knot, is a DatasetError."""
+    """The ALIAS rows of ds parsed once: atom key -> the row that registers
+    it, and name -> its presentations in row order.  Each row writes its
+    code in the chirality of the knot it names, so the mirror of a code
+    needs no row of its own.  A code that is not a torus, twist, pretzel or
+    two-bridge atom, or whose key or mirror key an earlier row registers,
+    is a DatasetError."""
     if ds.alias_index is None:
         by_key: dict = {}
         by_name: dict = {}
-        first_code: dict = {}
         for code, row in ds.table("ALIAS").items():
-            name, mirrored = row.payload["name"], row.payload.get("mirrored") is True
             try:
                 expr = parse_knot(code)
             except KnotError as e:
@@ -378,26 +378,18 @@ def _alias_index(ds) -> tuple[dict, dict]:
             if key is None:
                 raise DatasetError(f"alias {code!r} is not a torus, twist, pretzel "
                                    "or two-bridge knot")
-            now = (name, mirrored)
-            was = by_key.setdefault(key, now)
-            first = first_code.setdefault(key, code)
-            if was != now and _chiral(*was, ds) != _chiral(*now, ds):
-                raise DatasetError(f"ALIAS rows {first} and {code} present one knot as "
-                                   f"{format_knot(Named(*was))} and {format_knot(Named(*now))}")
-            mkey = _mirror_key(key)
-            image = by_key.get(mkey) if mkey != key else None
-            if image is not None and _chiral(image[0], not image[1], ds) != _chiral(*now, ds):
-                raise DatasetError(f"ALIAS rows {first_code[mkey]} and {code} are mirror "
-                                   f"images but present {format_knot(Named(*image))} and "
-                                   f"{format_knot(Named(*now))}")
-            by_name.setdefault(name, []).append((expr, mirrored))
+            first = by_key.get(key) or by_key.get(_mirror_key(key))
+            if first is not None:
+                raise DatasetError(f"ALIAS rows {first.key} and {code} register one code")
+            by_key[key] = row
+            by_name.setdefault(row.payload["name"], []).append(expr)
         ds.alias_index = (by_key, by_name)
     return ds.alias_index
 
 
 def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
     """Resolve an atomic expression to (canonical name, mirrored), if known:
-    a family atom by its index key, or else by its mirror's."""
+    a family atom by its index key, or else, mirrored, by its mirror's."""
     if isinstance(k, Unknot):
         return ("0_1", False)
     if isinstance(k, Named):
@@ -409,14 +401,12 @@ def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
         if key is None:
             return None
         by_key = _alias_index(ds)[0]
-        hit = by_key.get(key)
-        if hit is not None:
-            name, mirrored = hit
-        else:
-            hit = by_key.get(_mirror_key(key))
-            if hit is None:
+        row, mirrored = by_key.get(key), False
+        if row is None:
+            row, mirrored = by_key.get(_mirror_key(key)), True
+            if row is None:
                 return None
-            name, mirrored = hit[0], not hit[1]
+        name = row.payload["name"]
     return _chiral(name, mirrored, ds)
 
 
@@ -433,9 +423,8 @@ def equivalent_atoms(k: KnotExpr, ds) -> list[KnotExpr]:
     hit = resolve_atom(k, ds)
     if hit is not None:
         name, mirrored = hit
-        for expr, code_mirrored in _alias_index(ds)[1].get(name, ()):
-            if code_mirrored != mirrored:
-                expr = mirror(expr)
+        for expr in _alias_index(ds)[1].get(name, ()):
+            expr = mirror(expr) if mirrored else expr
             if expr not in out:
                 out.append(expr)
     return out

@@ -310,11 +310,16 @@ def test_missing_data_file_exits_3(tmp_path):
 
 def _edited_copy(tmp_path, table, key, edit):
     """The bundled record file with edit applied to the JSON object of
-    one row, or of every row when table is None; a row the edit empties
-    is left out, and with a KNOT row the ALIAS rows that register its
-    codes go too."""
+    one row, or of every row when table is None; a row the file lacks is
+    appended with an empty payload first.  A row the edit empties is left
+    out, and with a KNOT row the ALIAS rows that register its codes go
+    too."""
     lines, deleted = [], set()
-    for line in map(json.loads, _DATA_LINES):
+    rows = list(map(json.loads, _DATA_LINES))
+    if table is not None and not any((r["table"], r["key"]) == (table, key) for r in rows):
+        rows.append({"schema_version": 1, "table": table, "key": key, "payload": {},
+                     "citation": "test"})
+    for line in rows:
         row = (line["table"], line["key"])
         if table is None or row == (table, key):
             edit(line)
@@ -356,18 +361,18 @@ def _unknot_r0_2(line):
 
 
 def _6_2_unpresented(line):
-    """The ALIAS rows TB(-3,-4) and P(1,3,2), which present 6_2, deleted:
-    no rule and no identity reaches 6_2."""
-    if line["table"] == "ALIAS" and line["key"] in ("TB(-3,-4)", "P(1,3,2)"):
+    """The ALIAS rows TB(-3,-4) and P(-1,-3,-2), which present 6_2,
+    deleted: no rule and no identity reaches 6_2."""
+    if line["table"] == "ALIAS" and line["key"] in ("TB(-3,-4)", "P(-1,-3,-2)"):
         line.clear()
 
 
 def _5_2_unflagged_and_untwisted(line):
-    """KNOT 5_2 with no flags, and its twist codes, the ALIAS rows Tw(3)
-    and TB(-2,-4) (m(Tw(3))), deleted."""
+    """KNOT 5_2 with no flags, and its twist code, the ALIAS row Tw(3),
+    deleted."""
     if (line["table"], line["key"]) == ("KNOT", "5_2"):
         line["payload"].update(flags={})
-    if line["table"] == "ALIAS" and line["key"] in ("Tw(3)", "TB(-2,-4)"):
+    if line["table"] == "ALIAS" and line["key"] == "Tw(3)":
         line.clear()
 
 
@@ -402,8 +407,8 @@ def _census_12_routes_met_in_turn(line):
      ("verify", "all"), "knot record 6_1: instanton: shape 5 is not of type str or null"),
     ("ALIAS", "TB(2,2)", lambda line: line.update(key="5"), ("invariants", "3_1"),
      "alias '5': expected a knot expression at position 0 in '5'"),
-    ("ALIAS", "T(2,3)", lambda line: line["payload"].update(mirrored="no"),
-     ("invariants", "3_1"), "ALIAS row T(2,3): mirrored 'no' is not of type bool or null"),
+    ("ALIAS", "T(-2,3)", lambda line: line["payload"].update(mirrored=False),
+     ("invariants", "3_1"), "ALIAS row T(-2,3): unknown field 'mirrored'"),
     ("ALIAS", "TB(2,2)", lambda line: line.update(key="X(1)"),
      ("invariants", "3_1"), "alias 'X(1)': expected a knot expression at position 0 in 'X(1)'"),
     ("ALIAS", "TB(2,2)", lambda line: line.update(key="Tw(0)"),
@@ -411,7 +416,7 @@ def _census_12_routes_met_in_turn(line):
     ("ALIAS", "TB(2,2)", lambda line: line.update(key="Cab(3,2;5_1)"),
      ("identities", "6_2", "1"),
      "alias 'Cab(3,2;5_1)' is not a torus, twist, pretzel or two-bridge knot"),
-    ("ALIAS", "T(2,3)", lambda line: line.update(key="T(1,3)"), ("invariants", "5_2"),
+    ("ALIAS", "T(-2,3)", lambda line: line.update(key="T(1,3)"), ("invariants", "5_2"),
      "alias 'T(1,3)' is not a torus, twist, pretzel or two-bridge knot"),
     # a flag that is not a bool would read as true (7_7 is not amphichiral)
     ("KNOT", "7_7", lambda line: line["payload"]["flags"].update(amphichiral="no"),
@@ -463,7 +468,7 @@ def _census_12_routes_met_in_turn(line):
       for argv in (("invariants", "3_1"), ("verify", "T1"), ("dim", "surg(3_1; 1/2)"))],
     # an alias that calls the record the positive trefoil makes the rules
     # contradict its stored tau, or, re-derived, one another
-    *[("ALIAS", "T(2,3)", lambda line: line["payload"].update(mirrored=None), argv,
+    *[("ALIAS", "T(-2,3)", lambda line: line.update(key="T(2,3)"), argv,
        f"knot record 3_1 or its aliases: 3_1: rule {rules}: disjoint: {ends}")
       for argv, rules, ends in (
           (("invariants", "3_1"), "R5 gives tau = 1, contradicting R1 (-1)", "-1 vs 1"),
@@ -480,8 +485,8 @@ def _census_12_routes_met_in_turn(line):
      ("dim", "census(2)"), "T8 row 2: no knot record 9_99"),
     ("T5", "10_124", lambda line: line["payload"].update(sigma2="surg(9_99; -1/1)"),
      ("dim", "dcover(10_124)"), "T5 row 10_124: sigma2: no knot record 9_99"),
-    *[("ALIAS", "T(2,3)", lambda line: line["payload"].update(name="9_99"), argv,
-       "ALIAS row T(2,3): no knot record 9_99")
+    *[("ALIAS", "T(-2,3)", lambda line: line["payload"].update(name="9_99"), argv,
+       "ALIAS row T(-2,3): no knot record 9_99")
       for argv in (("invariants", "3_1"), ("verify", "all"))],
     # the identity sweep reads the genus of its cable companions
     ("KNOT", "K12n242", dict.clear, ("verify", "identities"),
@@ -549,8 +554,8 @@ def _census_12_routes_met_in_turn(line):
      "knot record 8_8: unknown field 'khbar_dim'"),
     ("KNOT", "7_7", lambda line: line["payload"].update(instanton={"nu0": 0}),
      ("invariants", "7_7"), "knot record 7_7: instanton: unknown field 'nu0'"),
-    ("ALIAS", "Tw(1)", lambda line: line["payload"].update(mirror=True), ("invariants", "3_1"),
-     "ALIAS row Tw(1): unknown field 'mirror'"),
+    ("ALIAS", "TB(2,2)", lambda line: line["payload"].update(mirror=True), ("invariants", "3_1"),
+     "ALIAS row TB(2,2): unknown field 'mirror'"),
     ("T8", "2", lambda line: line["payload"]["components"][0].update(dims=3),
      ("dim", "census(2)"), "T8 row 2: unknown field 'dims'"),
     # a T8 component's stored h1 must be the |H1| its route computes
@@ -582,9 +587,10 @@ def _census_12_routes_met_in_turn(line):
      ("dim", "census(2)"), "T8 row 2: component dcover(8_21): h1 -15 is not positive"),
     ("T5", "10_145", lambda line: line["payload"].update(det=0), ("verify", "T5"),
      "T5 row 10_145: det 0 is not positive"),
-    # TB(2,2) and Tw(1) are one atom, the trefoil, so they present one knot
-    *[("ALIAS", "TB(2,2)", lambda line: line["payload"].update(name="5_2"), argv,
-       "ALIAS rows TB(2,2) and Tw(1) present one knot as 5_2 and 3_1")
+    # Tw(1) is the code TB(2,2), so a second row for it is refused, even
+    # one that names the same knot
+    *[("ALIAS", "Tw(1)", lambda line: line["payload"].update(name="3_1"), argv,
+       "ALIAS rows TB(2,2) and Tw(1) register one code")
       for argv in (("invariants", "Tw(1)"), ("verify", "all"))],
     # a cover route that is a lens space would answer with its own order
     ("T5", "10_161", lambda line: line["payload"].update(sigma2="lens(5,1)"),
@@ -594,11 +600,19 @@ def _census_12_routes_met_in_turn(line):
     ("KNOT", "9_47", _9_47_alternating_and_quasipositive, ("verify", "all"),
      "knot record 9_47 or its aliases: 9_47: rule R6 gives tau = 1, contradicting R5 (3): "
      "disjoint: 3 vs 1"),
-    # TB(-2,-4) is the mirror code of Tw(3), so the two cannot present one
-    # chirality of the chiral 5_2
-    *[("ALIAS", "TB(-2,-4)", lambda line: line["payload"].update(mirrored=False), argv,
-       "ALIAS rows TB(-2,-4) and Tw(3) are mirror images but present 5_2 and 5_2")
+    # TB(-2,-4) is the mirror code of Tw(3), which the row Tw(3) resolves
+    # already, so a row for it is refused, even one that names 5_2
+    *[("ALIAS", "TB(-2,-4)", lambda line: line["payload"].update(name="5_2"), argv,
+       "ALIAS rows Tw(3) and TB(-2,-4) register one code")
       for argv in (("invariants", "m(Tw(3))"), ("verify", "all"))],
+    # a cover route that the data leave undetermined names its T5 row:
+    # 10_154's runs through 10_139, whose r0 is an axiom cell
+    *[("KNOT", "10_139", edit, argv, "T5 row 10_154: sigma2 surg(10_139; 13/1): r0 of "
+       "10_139 is not determined: [7,+inf] (odd)")
+      for edit in (lambda line: line["payload"].update(instanton=None),
+                   lambda line: line["payload"]["instanton"].update(r0=None),
+                   lambda line: line["payload"]["instanton"]["r0"].update(hi=None))
+      for argv in (("verify", "all"), ("verify", "T5"), ("dim", "dcover(10_154)"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -641,11 +655,11 @@ def test_each_registration_has_one_home(tmp_path):
     assert not {"aliases", "sigma2", "khbar_dim"} & set(datasets.KnotRecord.__slots__)
     assert not hasattr(ds, "aliases")
     assert list(ds.table("ALIAS")) == [
-        "T(2,3)", "T(2,5)", "T(2,7)", "TB(2,-3)", "TB(-2,-4)", "TB(2,-4)", "TB(-2,-5)",
-        "TB(2,-5)", "P(1,3,2)", "P(-1,3,2)", "TB(2,2)", "Tw(1)", "Tw(2)", "TB(-2,2)",
-        "TB(-2,-3)", "Tw(3)", "Tw(4)", "P(1,3,-3)", "TB(-3,-4)", "Tw(5)", "TB(-3,4)",
-        "TB(-4,-4)", "Tw(6)", "TB(-3,-6)", "TB(-4,4)", "TB(-5,-4)", "P(3,3,2)", "T(3,4)",
-        "P(2,3,-3)", "T(3,5)", "P(-2,3,7)"]
+        "T(-2,3)", "T(-2,5)", "T(-2,7)", "TB(-2,3)", "TB(-2,5)", "P(-1,-3,-2)", "P(-1,3,2)",
+        "TB(2,2)", "Tw(2)", "TB(-2,-3)", "Tw(3)", "Tw(4)", "TB(2,5)", "P(1,3,-3)",
+        "TB(-3,-4)", "Tw(5)", "TB(-3,4)", "TB(-4,-4)", "Tw(6)", "TB(-3,-6)", "TB(-4,4)",
+        "TB(-5,-4)", "P(3,3,2)", "T(3,4)", "P(2,3,-3)", "T(3,5)", "P(-2,3,7)"]
+    assert all(e.payload.keys() == {"name"} for e in ds.table("ALIAS").values())
     # a KNOT row that still lists its codes is refused, not merged
     data = _edited_copy(tmp_path, "KNOT", "3_1",
                         lambda line: line["payload"].update(aliases=["TB(2,2)", "Tw(1)"]))
@@ -1077,8 +1091,8 @@ def test_main_maps_domain_errors_and_lets_programming_errors_through(monkeypatch
 
 # --- the data contract: a record file with one cell changed --------------
 # Whatever one cell of the record file holds, or with one row deleted, a
-# command that reads the file ends in exit 0, 1 or 3 with at most one
-# stderr line and never a traceback.
+# command that reads the file answers (exit 0) or names the data fault
+# (exit 3), with at most one stderr line and never a traceback.
 
 def _cells(node, path=()):
     """The path of every cell in a row's payload: each field, and each
@@ -1098,7 +1112,7 @@ _CELL_VALUES = [None, "x", 10 ** 30 + 7, {"lo": 5, "hi": 1}, "census(3)", "surg(
 _DATA_COMMANDS = [("dim", "surg(8_19; 3/2)"), ("dim", "census(7)"), ("dim", "dcover(10_124)"),
                   ("invariants", "m(5_2)"), ("cable", "3", "2", "3_1"), ("sum", "3_1", "m(4_1)"),
                   ("census", "all"), ("identities", "6_2", "1"), ("export", "T2"),
-                  ("verify", "T2"), ("verify", "T1")]
+                  ("verify", "T2"), ("verify", "T1"), ("verify", "all")]
 _T2_ROW_3 = next(i for i, row in enumerate(_DATA_ROWS) if (row["table"], row["key"]) == ("T2", "3"))
 
 
@@ -1125,7 +1139,7 @@ def test_a_record_file_with_one_cell_changed_keeps_the_exit_contract(cell, value
             fh.write("\n".join(lines) + "\n")
         for argv in _DATA_COMMANDS:
             code, _, err = _call(["--data", data, *argv])
-            assert code in (0, 1, 3), (argv, code, err)
+            assert code in (0, 3), (argv, code, err)
             assert "Traceback" not in err and len(err.splitlines()) <= 1, (argv, err)
 
 

@@ -21,6 +21,17 @@ def test_bundled_dataset_loads_clean():
     assert ds.knot_record("8_19") is not None
 
 
+def test_the_record_file_keeps_its_format():
+    # the file is edited by hand: each line is the canonical dump of its
+    # object, and the file ends in exactly one newline
+    with open(datasets.BUNDLED_PATH, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    for line in text[:-1].split("\n"):
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"),
+                                  ensure_ascii=False), line
+
+
 def _record(name, instanton):
     return TableEntry("KNOT", name, {"instanton": instanton}, "test")
 

@@ -22,17 +22,66 @@ from hypothesis import strategies as st
 
 from isharp import datasets, invariants
 from isharp.invariants import deduce, sl_upper_bound
-from isharp.knots import KnotError, canonical, format_knot, mirror, parse_knot, structural
+from isharp.knots import (KnotError, Named, canonical, equivalent_atoms, format_knot, mirror,
+                          parse_knot, resolve_atom, structural)
 from isharp.dimension import DimensionError, branched_cover_dim, surgery_dim
 from isharp.values import Inconsistency, Slope, Val
 
 DS = datasets.load()
 
 
-# (name text, alias code) for every registered code
-PAIRS = [(f"m({e.payload['name']})" if e.payload.get("mirrored") else e.payload["name"], code)
-         for code, e in DS.table("ALIAS").items()]
+# The (name, mirrored) that resolve_atom gives each of 31 family codes
+# and its mirror.  The ALIAS rows register one code per knot, in the
+# knot's own chirality; the other codes here are a row's mirror (T(2,3),
+# the mirror of the row T(-2,3)) or the same expression as a row (Tw(1)
+# is TB(2,2)), and resolve as the row does.
+RESOLVED = {
+    "T(2,3)": (("3_1", True), ("3_1", False)),
+    "T(2,5)": (("5_1", True), ("5_1", False)),
+    "T(2,7)": (("7_1", True), ("7_1", False)),
+    "TB(2,-3)": (("5_2", True), ("5_2", False)),
+    "TB(-2,-4)": (("5_2", True), ("5_2", False)),
+    "TB(2,-4)": (("6_1", True), ("6_1", False)),
+    "TB(-2,-5)": (("6_1", True), ("6_1", False)),
+    "TB(2,-5)": (("7_2", True), ("7_2", False)),
+    "P(1,3,2)": (("6_2", True), ("6_2", False)),
+    "P(-1,3,2)": (("0_1", False), ("0_1", False)),
+    "TB(2,2)": (("3_1", False), ("3_1", True)),
+    "Tw(1)": (("3_1", False), ("3_1", True)),
+    "Tw(2)": (("4_1", False), ("4_1", False)),
+    "TB(-2,2)": (("4_1", False), ("4_1", False)),
+    "TB(-2,-3)": (("4_1", False), ("4_1", False)),
+    "Tw(3)": (("5_2", False), ("5_2", True)),
+    "Tw(4)": (("6_1", False), ("6_1", True)),
+    "P(1,3,-3)": (("6_1", False), ("6_1", True)),
+    "TB(-3,-4)": (("6_2", False), ("6_2", True)),
+    "Tw(5)": (("7_2", False), ("7_2", True)),
+    "TB(-3,4)": (("7_3", False), ("7_3", True)),
+    "TB(-4,-4)": (("7_4", False), ("7_4", True)),
+    "Tw(6)": (("8_1", False), ("8_1", True)),
+    "TB(-3,-6)": (("8_2", False), ("8_2", True)),
+    "TB(-4,4)": (("8_3", False), ("8_3", False)),
+    "TB(-5,-4)": (("8_4", False), ("8_4", True)),
+    "P(3,3,2)": (("8_5", False), ("8_5", True)),
+    "T(3,4)": (("8_19", False), ("8_19", True)),
+    "P(2,3,-3)": (("8_20", False), ("8_20", True)),
+    "T(3,5)": (("10_124", False), ("10_124", True)),
+    "P(-2,3,7)": (("K12n242", False), ("K12n242", True)),
+}
+# (name text, code) for every code in RESOLVED
+PAIRS = [(f"m({name})" if mirrored else name, code)
+         for code, ((name, mirrored), _) in RESOLVED.items()]
 PRESENTATIONS = sorted({t for pair in PAIRS for t in pair})
+# the presentations of each KNOT name that has any, in the order
+# equivalent_atoms lists them after the name
+EQUIVALENT = {
+    "0_1": ["P(-1,3,2)"], "3_1": ["T(-2,3)", "Tw(1)"], "4_1": ["Tw(2)", "TB(-2,-3)"],
+    "5_1": ["T(-2,5)"], "5_2": ["TB(-2,3)", "Tw(3)"], "6_1": ["Tw(4)", "TB(2,5)", "P(1,3,-3)"],
+    "6_2": ["P(-1,-3,-2)", "TB(-3,-4)"], "7_1": ["T(-2,7)"], "7_2": ["TB(-2,5)", "Tw(5)"],
+    "7_3": ["TB(-3,4)"], "7_4": ["TB(-4,-4)"], "8_1": ["Tw(6)"], "8_2": ["TB(-3,-6)"],
+    "8_3": ["TB(-4,4)"], "8_4": ["TB(-5,-4)"], "8_5": ["P(3,3,2)"], "8_19": ["T(3,4)"],
+    "8_20": ["P(2,3,-3)"], "10_124": ["T(3,5)"], "K12n242": ["P(-2,3,7)"],
+}
 
 
 def _attempt(f):
@@ -52,9 +101,27 @@ def answers(k, ds, tabulated):
 
 
 def test_the_registry_has_every_family():
-    kinds = {code.split("(")[0] for _, code in PAIRS}
+    registered = [(e.payload["name"], code) for code, e in DS.table("ALIAS").items()]
+    kinds = {code.split("(")[0] for _, code in registered}
     assert kinds == {"T", "Tw", "P", "TB"}
-    assert ("10_124", "T(3,5)") in PAIRS and ("m(5_2)", "TB(2,-3)") in PAIRS
+    assert ("10_124", "T(3,5)") in registered and ("5_2", "TB(-2,3)") in registered
+    # each row's code is in its knot's chirality, and RESOLVED covers it
+    covered = {k for code in RESOLVED for k in (parse_knot(code), mirror(parse_knot(code)))}
+    for name, code in registered:
+        assert resolve_atom(parse_knot(code), DS) == (name, False), code
+        assert parse_knot(code) in covered, code
+
+
+@pytest.mark.parametrize("code", RESOLVED)
+def test_each_code_and_its_mirror_resolve_to_one_knot(code):
+    k = parse_knot(code)
+    assert (resolve_atom(k, DS), resolve_atom(mirror(k), DS)) == RESOLVED[code]
+
+
+def test_each_name_lists_its_presentations_in_order():
+    for name in DS.knot_names():
+        got = [format_knot(k) for k in equivalent_atoms(Named(name), DS)]
+        assert got == [name, *EQUIVALENT.get(name, [])], name
 
 
 @pytest.mark.parametrize("tabulated", [True, False])

@@ -354,7 +354,7 @@ def test_check_spectral_computes_each_cover_once(ds, monkeypatch):
 def test_rules_and_identities_pin_every_t1_key_but_the_chain(ds, monkeypatch):
     # without the chain through P(5,5,-3), rederive_r0 pins the other 17
     # T1 keys, also when 6_2 loses its two-bridge alias: the rules still
-    # reach 6_2 through its pretzel alias P(1,3,2)
+    # reach 6_2 through its pretzel alias P(-1,-3,-2)
     from isharp import verify
     monkeypatch.setattr(verify, "_chain_r0", lambda view, inv_6_2: {})
     for dropped in ((), ("ALIAS", "TB(-3,-4)")):
