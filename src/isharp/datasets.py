@@ -71,7 +71,6 @@ FLAG_NAMES = (
     "quasipositive",
     "positive",
     "amphichiral",
-    "homogeneous",
     "instanton_lspace",
     "thin_odd_khovanov",
 )

@@ -24,7 +24,6 @@ from .knots import (
     KnotExpr,
     Pretzel,
     Sum,
-    Torus,
     Unknot,
     _pretzel_n33,
     _pretzel_odd32,
@@ -215,7 +214,8 @@ def _apply_atom_rules(b: _Draft, k, ds) -> None:
     if rec is not None:
         b.adopt(rec.instanton, mirrored, "R1", f"({rec.name})")
 
-    # R3 - R6 read only the structural data, which every presentation shares
+    # R3 - R6 and R9 run once per knot: they read the structural data,
+    # which every presentation shares, not the presentations
     _slice_rule(b, s)
 
     # R4: amphichiral
@@ -232,18 +232,18 @@ def _apply_atom_rules(b: _Draft, k, ds) -> None:
     if s.flag("alternating") and s.signature is not None:
         b.narrow("tau", Val.exact(-s.signature // 2), "R6")
 
-    for expr in equivalent_atoms(k, ds):
-        _apply_family_rules(b, expr, s, ds)
-
-
-def _apply_family_rules(b: _Draft, k, s, ds) -> None:
-    # R9: instanton L-space knots; _lspace_status calls every T(p,q) with
-    # p > 0 one, and 2g - 1 = pq - p - q, so R9 covers the positive torus knots
+    # R9: instanton L-space knots; the family data flag every T(p,q) with
+    # p > 0 as one, and 2g - 1 = pq - p - q, so R9 covers the positive torus knots
     if _lspace_status(k, b, s, ds) is True and s.genus.is_exact:
         v = 2 * s.genus.value() - 1
         b.narrow("nu", Val.exact(v), "R9")
         b.narrow("r0", Val.exact(v), "R9")
 
+    for expr in equivalent_atoms(k, ds):
+        _apply_family_rules(b, expr)
+
+
+def _apply_family_rules(b: _Draft, k) -> None:
     # R10: twist knots
     tw = twist_form(k)
     if tw is not None and not tw[1]:
@@ -353,8 +353,6 @@ def _lspace_status(k, b, s, ds):
         return False
     if s.flag("instanton_lspace") is not None:
         return s.flag("instanton_lspace")
-    if isinstance(k, Torus):
-        return k.p > 0
     if isinstance(k, Cable):
         return lspace_cable(k.p, k.q, k.companion, ds)
     # nu = r0 = 2g - 1 > 0 is equivalent to having a positive L-space surgery

@@ -12,10 +12,10 @@ expression keeps its text once format_knot has rendered it; that text
 parses back to an equal expression.
 
 The dataset keeps its alias codes ("T(3,5)", "T(-2,3)", ...) as text,
-one row per code, in the chirality of the knot it names; this module
-alone parses them, once per dataset, into an index that resolve_atom
-and equivalent_atoms read, where the mirror of a code resolves to the
-mirror of its knot.  canonical writes every presentation of a
+one row per knot class; this module alone parses them, once per
+dataset, into an index that resolve_atom and equivalent_atoms read,
+where each code of a row's family that presents its knot, or the
+mirror, resolves through the row's class (_atom_key).  canonical writes every presentation of a
 registered knot as its name (U for the unknot), and memo keys the
 per-dataset caches of structural here and of deduce and lspace_cable in
 invariants on that form: T(3,5) and 10_124 share one computation, and
@@ -40,7 +40,7 @@ import operator
 import re
 from collections import Counter
 
-from .datasets import FLAG_NAMES, NO_FLAGS, StructuralData, make_flags
+from .datasets import FLAG_NAMES, StructuralData, make_flags
 from .values import DatasetError, Inconsistency, IntegrityError, Record, Scanner, Val
 
 
@@ -166,9 +166,11 @@ def make_twist(n: int) -> TwoBridge:
 
 def twist_form(k: KnotExpr) -> tuple[int, bool] | None:
     """(n, mirrored) when k is the two-bridge code of Tw(n) or of its
-    mirror, else None: the inverse of make_twist, mirrors included."""
+    mirror, or that diagram turned over (TB(b,a) for TB(a,b)), else None:
+    the inverse of make_twist, mirrors included."""
     if isinstance(k, TwoBridge):
-        for a, b, mirrored in ((k.a, k.b, False), (-k.a, -k.b, True)):
+        for a, b, mirrored in ((k.a, k.b, False), (-k.a, -k.b, True),
+                               (k.b, k.a, False), (-k.b, -k.a, True)):
             if abs(a) == 2 and b >= 2 and b % 2 == 0:
                 return (b - 1 if a == 2 else b, mirrored)
     return None
@@ -329,7 +331,7 @@ def _format(k: KnotExpr) -> str:
         return f"P({k.a},{k.b},{k.c})"
     if isinstance(k, TwoBridge):
         tw = twist_form(k)
-        if tw is None:
+        if tw is None or abs(k.a) != 2:  # TB(b,a) prints as written
             return f"TB({k.a},{k.b})"
         return f"m(Tw({tw[0]}))" if tw[1] else f"Tw({tw[0]})"
     if isinstance(k, Cable):
@@ -344,30 +346,36 @@ def _format(k: KnotExpr) -> str:
 # ---------------------------------------------------------------------------
 
 def _atom_key(k: KnotExpr):
-    """The index key of a family atom, None for any other expression: a
-    pretzel as its sorted strands, a torus or two-bridge code itself."""
+    """(class, mirrored) of a family atom, None for any other expression:
+    one class per knot up to mirror image, and the chirality of k in it.
+    TB(a,b) is the two-bridge knot of p/q = a - 1/b; by Schubert, two
+    codes present one knot iff q' = q^+-1 (mod p), and the mirror has -q.
+    Of a pretzel's strands and their negation, and of +-q^+-1 mod p, the
+    lesser names the class.  Built without mirror(), so that the index
+    mirrors none of its codes."""
+    if isinstance(k, Torus):
+        return ("T", abs(k.p), k.q), k.p < 0
     if isinstance(k, Pretzel):
-        return Pretzel(*sorted((k.a, k.b, k.c)))
-    return k if isinstance(k, (Torus, TwoBridge)) else None
-
-
-def _mirror_key(key):
-    """The index key of the mirror of the atom keyed key, built without
-    mirror(), so that the index mirrors none of its codes."""
-    if isinstance(key, Pretzel):
-        return Pretzel(*sorted((-key.a, -key.b, -key.c)))
-    return Torus(-key.p, key.q) if isinstance(key, Torus) else TwoBridge(-key.a, -key.b)
+        strands = sorted((k.a, k.b, k.c))
+        negated = sorted(-x for x in strands)
+        return ("P", *min(strands, negated)), negated < strands
+    if isinstance(k, TwoBridge):
+        n = k.a * k.b - 1  # gcd(b, n) = 1, so q has an inverse mod p
+        p, q = abs(n), k.b if n > 0 else -k.b
+        qi = pow(q, -1, p)
+        ours, theirs = min(q % p, qi), min(-q % p, -qi % p)
+        return ("TB", p, min(ours, theirs)), theirs < ours
+    return None
 
 
 def _alias_index(ds) -> tuple[dict, dict]:
-    """The ALIAS rows of ds parsed once: atom key -> the row that registers
-    it, and name -> its presentations in row order.  Each row writes its
-    code in the chirality of the knot it names, so the mirror of a code
-    needs no row of its own.  A code that is not a torus, twist, pretzel or
-    two-bridge atom, or whose key or mirror key an earlier row registers,
+    """The ALIAS rows of ds parsed once: knot class -> (the row that
+    registers it, the chirality of its code), and name -> its
+    presentations in row order.  A code that is not a torus, twist,
+    pretzel or two-bridge atom, or whose class an earlier row registers,
     is a DatasetError."""
     if ds.alias_index is None:
-        by_key: dict = {}
+        by_class: dict = {}
         by_name: dict = {}
         for code, row in ds.table("ALIAS").items():
             try:
@@ -378,18 +386,19 @@ def _alias_index(ds) -> tuple[dict, dict]:
             if key is None:
                 raise DatasetError(f"alias {code!r} is not a torus, twist, pretzel "
                                    "or two-bridge knot")
-            first = by_key.get(key) or by_key.get(_mirror_key(key))
+            first = by_class.get(key[0])
             if first is not None:
-                raise DatasetError(f"ALIAS rows {first.key} and {code} register one code")
-            by_key[key] = row
+                raise DatasetError(f"ALIAS rows {first[0].key} and {code} register one code")
+            by_class[key[0]] = (row, key[1])
             by_name.setdefault(row.payload["name"], []).append(expr)
-        ds.alias_index = (by_key, by_name)
+        ds.alias_index = (by_class, by_name)
     return ds.alias_index
 
 
 def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
     """Resolve an atomic expression to (canonical name, mirrored), if known:
-    a family atom by its index key, or else, mirrored, by its mirror's."""
+    a family atom by its class, mirrored when its chirality is not that
+    of the row's code."""
     if isinstance(k, Unknot):
         return ("0_1", False)
     if isinstance(k, Named):
@@ -398,15 +407,10 @@ def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
             raise KnotError(f"unknown knot name {name!r}")
     else:
         key = _atom_key(k)
-        if key is None:
+        hit = None if key is None else _alias_index(ds)[0].get(key[0])
+        if hit is None:
             return None
-        by_key = _alias_index(ds)[0]
-        row, mirrored = by_key.get(key), False
-        if row is None:
-            row, mirrored = by_key.get(_mirror_key(key)), True
-            if row is None:
-                return None
-        name = row.payload["name"]
+        name, mirrored = hit[0].payload["name"], key[1] != hit[1]
     return _chiral(name, mirrored, ds)
 
 
@@ -562,10 +566,8 @@ def _family_structural(k: KnotExpr) -> StructuralData:
     nonneg = Val(0, None)
     if isinstance(k, Torus):
         g = (abs(k.p) - 1) * (k.q - 1) // 2
-        flags = NO_FLAGS
-        if k.p > 0:
-            flags = make_flags(positive=True, quasipositive=True, homogeneous=True,
-                               instanton_lspace=True)
+        positive = k.p > 0 or None  # T(p,q), p > 0: positive, an instanton L-space knot
+        flags = make_flags(positive=positive, quasipositive=positive, instanton_lspace=k.p > 0)
         return StructuralData(genus=Val.exact(g), slice_genus=Val.exact(g),
                               determinant=_torus_det(abs(k.p), k.q), flags=flags)
     if isinstance(k, Pretzel):
@@ -578,12 +580,12 @@ def _family_structural(k: KnotExpr) -> StructuralData:
             # (an |n|-fold crossing change reaches the unknot)
             return StructuralData(slice_genus=Val.exact(abs(n)), genus=nonneg,
                                   signature=-2 * n,
-                                  flags=make_flags(alternating=True, homogeneous=True))
+                                  flags=make_flags(alternating=True))
         return StructuralData(genus=nonneg, slice_genus=nonneg)
     if isinstance(k, TwoBridge):
         # two-bridge knots are alternating; twist knots have Seifert genus
         # 1, and the odd ones a positive mirror, so slice genus exactly 1
-        flags = {"alternating": True, "homogeneous": True}
+        flags = {"alternating": True}
         tw = twist_form(k)
         if tw is None:
             return StructuralData(genus=nonneg, slice_genus=nonneg, flags=make_flags(**flags))
@@ -605,23 +607,17 @@ def _torus_det(p: int, q: int) -> int:
 
 def _pretzel_n33(k: Pretzel) -> int | None:
     """Match P(n, 3, -3) up to permutation; returns n."""
-    args = [k.a, k.b, k.c]
-    for i in range(3):
-        rest = args[:i] + args[i + 1:]
-        if sorted(rest) == [-3, 3]:
-            return args[i]
-    return None
+    return k.a + k.b + k.c if {3, -3} <= {k.a, k.b, k.c} else None
 
 
 def _pretzel_odd32(k: Pretzel) -> int | None:
     """Match P(2n-1, 3, 2) with n >= 1 up to permutation, returning n, or
     its mirror P(1-2n, -3, -2), returning -n."""
     for sign in (1, -1):
-        args = [sign * k.a, sign * k.b, sign * k.c]
-        for i in range(3):
-            rest = sorted(args[:i] + args[i + 1:])
-            if rest == [2, 3] and args[i] % 2 == 1 and args[i] >= 1:
-                return sign * ((args[i] + 1) // 2)
+        strands = {sign * k.a, sign * k.b, sign * k.c}
+        x = sign * (k.a + k.b + k.c) - 5
+        if {2, 3} <= strands and x % 2 == 1 and x >= 1:
+            return sign * ((x + 1) // 2)
     return None
 
 

@@ -3,14 +3,16 @@
 A registered alias code and the name it resolves to are one knot, so
 they get the same deduction, structural data, self-linking bound and
 dimensions, with and without the tabulated invariants.  So do the
-presentations of a family knot, registered or not: Tw(n) and its
-two-bridge code, and a pretzel's strands in any order, where the mirror
-m(P(a,b,c)) is P(-a,-b,-c).  So do a connected sum with its
-summands in any order, and m(m(K)); the mirror m(K) gets the negated nu
-and tau, and a sum whose summands pair with presentations of their
-mirrors is slice.  A presentation of the unknot drops out of a sum, and
-a cable of it is the torus knot it is.  All of them share one canonical
-form, and with it one deduction.
+presentations of a family knot, registered or not: Tw(n), its
+two-bridge code TB(a,b) and that diagram turned over, TB(b,a); and a
+pretzel's strands in any order, where the mirror m(P(a,b,c)) is
+P(-a,-b,-c).  So do a connected sum with its summands in any order, and
+m(m(K)); the mirror m(K) gets the negated nu and tau, and a sum whose
+summands pair with presentations of their mirrors is slice.  A
+presentation of the unknot drops out of a sum, and a cable of it is the
+torus knot it is.  All of them share one canonical form, and with it
+one deduction, but for TB(b,a) of an unregistered knot, which keeps its
+own.
 """
 
 import itertools
@@ -30,11 +32,12 @@ from isharp.values import Inconsistency, Slope, Val
 DS = datasets.load()
 
 
-# The (name, mirrored) that resolve_atom gives each of 31 family codes
-# and its mirror.  The ALIAS rows register one code per knot, in the
-# knot's own chirality; the other codes here are a row's mirror (T(2,3),
-# the mirror of the row T(-2,3)) or the same expression as a row (Tw(1)
-# is TB(2,2)), and resolve as the row does.
+# The (name, mirrored) that resolve_atom gives each of 44 family codes
+# and its mirror.  The ALIAS rows register one code per knot class; the
+# other codes here present a row's knot or its mirror (T(2,3), the mirror
+# of the row T(-2,3); TB(-2,3), the knot of p/q = 7/4 that Tw(3) is), or
+# are the same expression as a row (Tw(1) is TB(2,2)), and resolve
+# through the row's class.
 RESOLVED = {
     "T(2,3)": (("3_1", True), ("3_1", False)),
     "T(2,5)": (("5_1", True), ("5_1", False)),
@@ -67,6 +70,20 @@ RESOLVED = {
     "P(2,3,-3)": (("8_20", False), ("8_20", True)),
     "T(3,5)": (("10_124", False), ("10_124", True)),
     "P(-2,3,7)": (("K12n242", False), ("K12n242", True)),
+    # TB(b,a) is the diagram of TB(a,b) turned over, one knot
+    "TB(4,2)": (("5_2", False), ("5_2", True)),
+    "TB(3,-2)": (("5_2", False), ("5_2", True)),
+    "TB(-3,2)": (("5_2", True), ("5_2", False)),
+    "TB(-4,-2)": (("5_2", True), ("5_2", False)),
+    "TB(-3,-2)": (("4_1", False), ("4_1", False)),
+    "TB(5,2)": (("6_1", False), ("6_1", True)),
+    "TB(5,-2)": (("7_2", False), ("7_2", True)),
+    "TB(-5,2)": (("7_2", True), ("7_2", False)),
+    "TB(6,-2)": (("8_1", False), ("8_1", True)),
+    "TB(4,-3)": (("7_3", False), ("7_3", True)),
+    "TB(-4,3)": (("7_3", True), ("7_3", False)),
+    "TB(4,3)": (("6_2", True), ("6_2", False)),
+    "TB(-4,-5)": (("8_4", False), ("8_4", True)),
 }
 # (name text, code) for every code in RESOLVED
 PAIRS = [(f"m({name})" if mirrored else name, code)
@@ -75,9 +92,9 @@ PRESENTATIONS = sorted({t for pair in PAIRS for t in pair})
 # the presentations of each KNOT name that has any, in the order
 # equivalent_atoms lists them after the name
 EQUIVALENT = {
-    "0_1": ["P(-1,3,2)"], "3_1": ["T(-2,3)", "Tw(1)"], "4_1": ["Tw(2)", "TB(-2,-3)"],
-    "5_1": ["T(-2,5)"], "5_2": ["TB(-2,3)", "Tw(3)"], "6_1": ["Tw(4)", "TB(2,5)", "P(1,3,-3)"],
-    "6_2": ["P(-1,-3,-2)", "TB(-3,-4)"], "7_1": ["T(-2,7)"], "7_2": ["TB(-2,5)", "Tw(5)"],
+    "0_1": ["P(-1,3,2)"], "3_1": ["T(-2,3)", "Tw(1)"], "4_1": ["Tw(2)"],
+    "5_1": ["T(-2,5)"], "5_2": ["Tw(3)"], "6_1": ["Tw(4)", "P(1,3,-3)"],
+    "6_2": ["P(-1,-3,-2)", "TB(-3,-4)"], "7_1": ["T(-2,7)"], "7_2": ["Tw(5)"],
     "7_3": ["TB(-3,4)"], "7_4": ["TB(-4,-4)"], "8_1": ["Tw(6)"], "8_2": ["TB(-3,-6)"],
     "8_3": ["TB(-4,4)"], "8_4": ["TB(-5,-4)"], "8_5": ["P(3,3,2)"], "8_19": ["T(3,4)"],
     "8_20": ["P(2,3,-3)"], "10_124": ["T(3,5)"], "K12n242": ["P(-2,3,7)"],
@@ -104,7 +121,7 @@ def test_the_registry_has_every_family():
     registered = [(e.payload["name"], code) for code, e in DS.table("ALIAS").items()]
     kinds = {code.split("(")[0] for _, code in registered}
     assert kinds == {"T", "Tw", "P", "TB"}
-    assert ("10_124", "T(3,5)") in registered and ("5_2", "TB(-2,3)") in registered
+    assert ("10_124", "T(3,5)") in registered and ("5_2", "Tw(3)") in registered
     # each row's code is in its knot's chirality, and RESOLVED covers it
     covered = {k for code in RESOLVED for k in (parse_knot(code), mirror(parse_knot(code)))}
     for name, code in registered:
@@ -135,10 +152,11 @@ def test_alias_and_name_give_one_answer(name, code, tabulated):
 
 
 def _twist_group(n):
-    """The presentations of Tw(n), then those of its mirror."""
+    """The presentations of Tw(n), its code TB(a,b) turned over as
+    TB(b,a) too, then those of its mirror."""
     a, b = (2, n + 1) if n % 2 == 1 else (-2, n)
-    return ([f"Tw({n})", f"TB({a},{b})"],
-            [f"m(Tw({n}))", f"m(TB({a},{b}))", f"TB({-a},{-b})"])
+    return ([f"Tw({n})", f"TB({a},{b})", f"TB({b},{a})"],
+            [f"m(Tw({n}))", f"m(TB({a},{b}))", f"TB({-a},{-b})", f"TB({-b},{-a})"])
 
 
 def _pretzel_group(strands):
