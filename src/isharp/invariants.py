@@ -1,16 +1,16 @@
 """Rule-based deduction of the concordance invariants nu, tau, r0, the
 shape of the integer-surgery dimension profile, and delta = r0 - nu.
 
-Every narrowing step is recorded in a trace as (rule id, statement,
-detail).  Rule priority is fixed: stored table data (R1) outranks family
-formulas, which outrank bound-tightening (R14); contradictions between
-rules raise Inconsistency naming both trace entries, never resolve
-silently.  The twelve rules are R1-R6 and R9-R14: R9 covers the
-positive torus knots and R14 the case |tau| = g_s, so ids R7 and R8
-stay unused.  R14 is one pass that reaches its fixed point, in the
-order _tighten gives; it runs nu from tau before and after tau from nu,
-since tau from nu can move tau's ends onto tau's parity, and r0 >= |nu|
-again after |nu| <= r0.
+Every narrowing step is recorded in a trace as (rule id, detail), and
+RULES holds each rule's statement.  Rule priority is fixed: stored table
+data (R1) outranks family formulas, which outrank bound-tightening (R14);
+contradictions between rules raise Inconsistency naming both trace
+entries, never resolve silently.  The twelve rules are R1-R6 and
+R9-R14: R9 covers the positive torus knots and R14 the case |tau| = g_s,
+so ids R7 and R8 stay unused.  R14 is one pass that reaches its fixed
+point, in the order _tighten gives; it runs nu from tau before and after
+tau from nu, since tau from nu can move tau's ends onto tau's parity,
+and r0 >= |nu| again after |nu| <= r0.
 
 Every entry point takes the Dataset it reads as ds, and each dataset
 caches the bundles of deduce and the answers of lspace_cable once per
@@ -57,19 +57,17 @@ RULES = {
 
 
 class TraceEntry(Record):
-    __slots__ = ("rule", "statement", "detail")
+    __slots__ = ("rule", "detail")
 
-    def __init__(self, rule: str, statement: str, detail: str):
+    def __init__(self, rule: str, detail: str):
         _set_rule(self, rule)
-        _set_statement(self, statement)
         _set_detail(self, detail)
 
     def to_json(self):
-        return {"rule": self.rule, "statement": self.statement, "detail": self.detail}
+        return {"rule": self.rule, "statement": RULES[self.rule], "detail": self.detail}
 
 
-_set_rule, _set_statement, _set_detail = (
-    TraceEntry.rule.__set__, TraceEntry.statement.__set__, TraceEntry.detail.__set__)
+_set_rule, _set_detail = TraceEntry.rule.__set__, TraceEntry.detail.__set__
 
 
 class Bundle(Record):
@@ -147,8 +145,7 @@ class _Draft:
             ) from None
         if merged != current:
             setattr(self, fieldname, merged)
-            self.trace.append(TraceEntry(rule, RULES[rule],
-                                         f"{fieldname} = {merged} {detail}".rstrip()))
+            self.trace.append(TraceEntry(rule, f"{fieldname} = {merged} {detail}".rstrip()))
 
     def set_shape(self, shape: str, rule: str, detail: str = "") -> None:
         if shape == "unknown" or shape == self.shape:
@@ -157,7 +154,7 @@ class _Draft:
             raise Inconsistency(f"{self.knot}: rule {rule} gives shape {shape}, "
                                 f"contradicting earlier {self.shape}")
         self.shape = shape
-        self.trace.append(TraceEntry(rule, RULES[rule], f"shape = {shape} {detail}".rstrip()))
+        self.trace.append(TraceEntry(rule, f"shape = {shape} {detail}".rstrip()))
 
     def adopt(self, src, mirrored: bool, rule: str, detail: str) -> None:
         """Narrow to src, a record's InstantonFields or a draft, negating nu
@@ -284,8 +281,7 @@ def _deduce_sum(k: Sum, ds) -> _Draft:
     live = [p for p in parts if p.shape != "W"]
     absorbed = len(parts) - len(live)
     if absorbed:
-        b.trace.append(TraceEntry("R13", RULES["R13"],
-                                  f"absorbed {absorbed} W-shaped summand(s)"))
+        b.trace.append(TraceEntry("R13", f"absorbed {absorbed} W-shaped summand(s)"))
     if not live:
         b.narrow("nu", Val.exact(0), "R13", "(all summands W-shaped)")
     else:

@@ -2,8 +2,8 @@
 
 Expressions are immutable trees built from named atoms, torus /
 pretzel / two-bridge family atoms, cables, and connected sums.  Each
-family knot has one expression: Tw(n) parses to its two-bridge code
-(make_twist), which twist_form reads back, so the code prints as Tw(n).
+family knot has one expression: Tw(n) parses to make_twist's code, which
+alone prints as Tw(n); twist_form reads any code by its fraction's class.
 Mirrors are normalized down to the atoms: a name's chirality flag, or
 the signs of a torus knot's p, a two-bridge code and a pretzel's
 strands.  So a normalized expression never contains an explicit mirror
@@ -102,7 +102,7 @@ class Pretzel(KnotExpr):
 
 class TwoBridge(KnotExpr):
     """Two twist regions with a and b signed crossings; not both odd.
-    The twist knots are the codes that twist_form reads."""
+    It presents the knot of the fraction a - 1/b (_atom_key, twist_form)."""
 
     __slots__ = ("a", "b")
 
@@ -165,14 +165,15 @@ def make_twist(n: int) -> TwoBridge:
 
 
 def twist_form(k: KnotExpr) -> tuple[int, bool] | None:
-    """(n, mirrored) when k is the two-bridge code of Tw(n) or of its
-    mirror, or that diagram turned over (TB(b,a) for TB(a,b)), else None:
-    the inverse of make_twist, mirrors included."""
+    """(n, mirrored) when the two-bridge code k presents Tw(n) or its
+    mirror, else None: Tw(n) has p = 2n + 1 >= 3, so k is Tw(n) when its
+    class (_atom_key) is that of make_twist(n), mirrored when the
+    chiralities differ.  An amphichiral Tw(n) (4_1) is never mirrored."""
     if isinstance(k, TwoBridge):
-        for a, b, mirrored in ((k.a, k.b, False), (-k.a, -k.b, True),
-                               (k.b, k.a, False), (-k.b, -k.a, True)):
-            if abs(a) == 2 and b >= 2 and b % 2 == 0:
-                return (b - 1 if a == 2 else b, mirrored)
+        cls, mirrored = _atom_key(k)
+        twist_cls, twist_mirrored = _atom_key(make_twist(max(cls[1] // 2, 1)))
+        if cls == twist_cls:
+            return cls[1] // 2, mirrored != twist_mirrored
     return None
 
 
@@ -330,10 +331,11 @@ def _format(k: KnotExpr) -> str:
     if isinstance(k, Pretzel):
         return f"P({k.a},{k.b},{k.c})"
     if isinstance(k, TwoBridge):
-        tw = twist_form(k)
-        if tw is None or abs(k.a) != 2:  # TB(b,a) prints as written
-            return f"TB({k.a},{k.b})"
-        return f"m(Tw({tw[0]}))" if tw[1] else f"Tw({tw[0]})"
+        n = max(abs(k.a * k.b - 1) // 2, 1)  # Tw(n) has p = 2n + 1 >= 3
+        tw = make_twist(n)  # its b is positive
+        if (k.a, k.b) in ((tw.a, tw.b), (-tw.a, -tw.b)):
+            return f"m(Tw({n}))" if k.b < 0 else f"Tw({n})"
+        return f"TB({k.a},{k.b})"
     if isinstance(k, Cable):
         return f"Cab({k.p},{k.q};{format_knot(k.companion)})"
     if isinstance(k, Sum):
@@ -583,17 +585,20 @@ def _family_structural(k: KnotExpr) -> StructuralData:
                                   flags=make_flags(alternating=True))
         return StructuralData(genus=nonneg, slice_genus=nonneg)
     if isinstance(k, TwoBridge):
-        # two-bridge knots are alternating; twist knots have Seifert genus
-        # 1, and the odd ones a positive mirror, so slice genus exactly 1
-        flags = {"alternating": True}
+        # two-bridge knots are alternating, so quasi-alternating and thin
+        # in odd Khovanov homology, and their double branched cover is
+        # L(p,q), p = |ab - 1|; twist knots have Seifert genus 1, and the
+        # odd ones a positive mirror, so slice genus exactly 1
+        flags = {"alternating": True, "thin_odd_khovanov": True}
+        g = gs = nonneg
         tw = twist_form(k)
-        if tw is None:
-            return StructuralData(genus=nonneg, slice_genus=nonneg, flags=make_flags(**flags))
-        n, mirrored = tw
-        if n % 2 == 1 and mirrored:
-            flags.update({"positive": True, "quasipositive": True})
-        # slice genus 1 for odd n, at most 1 for even n
-        return StructuralData(genus=Val.exact(1), slice_genus=Val(n % 2, 1),
+        if tw is not None:
+            n, mirrored = tw
+            if n % 2 == 1 and mirrored:
+                flags.update({"positive": True, "quasipositive": True})
+            # slice genus 1 for odd n, at most 1 for even n
+            g, gs = Val.exact(1), Val(n % 2, 1)
+        return StructuralData(genus=g, slice_genus=gs, determinant=abs(k.a * k.b - 1),
                               flags=make_flags(**flags))
     return StructuralData(genus=nonneg, slice_genus=nonneg)
 

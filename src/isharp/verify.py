@@ -30,6 +30,7 @@ from .knots import (
     TwoBridge,
     Unknot,
     equivalent_atoms,
+    make_twist,
     parse_knot,
     structural,
 )
@@ -307,13 +308,9 @@ def identity_instances(ds):
     parameters up to IDENTITY_BOUND; check_identities skips the ones with
     a side whose dimension the data do not determine."""
     bound = IDENTITY_BOUND
-    codes = set()
-    for name in ds.knot_names():
-        for x in equivalent_atoms(Named(name), ds):
-            if isinstance(x, TwoBridge):
-                codes.update(((x.a, x.b), (-x.a, -x.b)))
-    for n in range(1, bound + 1):
-        codes.update(((2, 2 * n), (-2, 2 * n), (-2, -2 * n), (2, -2 * n)))
+    atoms = [x for name in ds.knot_names() for x in equivalent_atoms(Named(name), ds)]
+    atoms += [make_twist(n) for n in range(1, 2 * bound + 1)]
+    codes = {c for x in atoms if isinstance(x, TwoBridge) for c in ((x.a, x.b), (-x.a, -x.b))}
     swept = [TwoBridge(a, b) for a, b in sorted(codes)
              if b != 0 and abs(b) <= 2 * bound and abs(a) <= 2 * bound]
     swept += [Pretzel(n, 3, -3) for n in range(-bound, bound + 1)]

@@ -369,7 +369,7 @@ def _6_2_unpresented(line):
 
 def _5_2_unflagged_and_untwisted(line):
     """KNOT 5_2 with no flags, and its one code, the ALIAS row Tw(3),
-    deleted: no presentation of 5_2 is left."""
+    deleted: no registered presentation of 5_2 is left."""
     if (line["table"], line["key"]) == ("KNOT", "5_2"):
         line["payload"].update(flags={})
     if line["table"] == "ALIAS" and line["key"] == "Tw(3)":
@@ -458,8 +458,10 @@ def _census_12_routes_met_in_turn(line):
     # the T1 routes need an exact nu and an exact partner dimension
     ("KNOT", "6_3", lambda line: line["payload"].update(flags={}), ("verify", "T1"),
      "T1 route: nu of 6_3 is not exact: [-1,1]"),
-    (None, None, _5_2_unflagged_and_untwisted, ("verify", "T1"),
-     "T1 route: nu of TB(2,-3) is not determined: ?"),
+    # a two-bridge record's determinant is its fraction's p: verify T1
+    # deduces the record before it takes any route
+    ("KNOT", "6_2", lambda line: line["payload"].update(determinant=13), ("verify", "T1"),
+     "knot record 6_2: determinant 13 contradicts the determinant 11 of TB(-3,-4)"),
     # a record that contradicts the family data of its aliases names the
     # record, and the field it contradicts
     *[("KNOT", "3_1", lambda line: line["payload"].update(genus=10 ** 30 + 7), argv,
@@ -616,6 +618,15 @@ def _census_12_routes_met_in_turn(line):
     # no rule reads a homogeneous flag, so the record file stores none
     ("KNOT", "3_1", lambda line: line["payload"]["flags"].update(homogeneous=True),
      ("invariants", "3_1"), "knot record 3_1: flags: unknown field 'homogeneous'"),
+    # a two-bridge knot's determinant is its fraction's p, and it is
+    # alternating, so thin in odd Khovanov homology
+    *[("KNOT", "6_2", lambda line: line["payload"].update(determinant=13), argv,
+       "knot record 6_2: determinant 13 contradicts the determinant 11 of TB(-3,-4)")
+      for argv in (("dim", "dcover(6_2)"), ("verify", "all"))],
+    *[("KNOT", "7_4", lambda line: line["payload"]["flags"].update(thin_odd_khovanov=False),
+       argv, "knot record 7_4: thin_odd_khovanov False contradicts the thin_odd_khovanov True "
+       "of TB(-4,-4)")
+      for argv in (("dim", "dcover(7_4)"), ("verify", "all"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -630,6 +641,9 @@ def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path)
     # starts at it derives r0
     (None, None, _6_2_unpresented, ("verify", "T1"),
      [("T1", k, "nu,r0") for k in ("6_2", "6_3", "8_6", "8_8")]),
+    # with no presentation of 5_2 registered, only 5_2 fails: the route
+    # from 6_2 reaches TB(2,-3), which its class makes m(Tw(3))
+    (None, None, _5_2_unflagged_and_untwisted, ("verify", "T1"), [("T1", "5_2", "nu,r0")]),
 ])
 def test_a_cell_the_data_fail_exits_3_after_the_report(table, key, edit, argv, failed,
                                                        tmp_path):

@@ -71,7 +71,7 @@ def test_deduce_trace_has_rules_and_statements(ds):
     b = bundle("8_19", ds)
     rules = {t.rule for t in b.trace}
     assert "R1" in rules
-    assert all(t.statement for t in b.trace)
+    assert all(t.to_json()["statement"] for t in b.trace)
 
 
 def test_deduce_sum_intervals(ds):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import re
@@ -21,6 +22,7 @@ from isharp.knots import (
     Torus,
     TwoBridge,
     Unknot,
+    _atom_key,
     _is_mirror_paired,
     canonical,
     format_knot,
@@ -356,11 +358,16 @@ def test_whitespace_that_is_not_ascii_is_refused_everywhere(case, space, data):
 def test_twist_and_two_bridge_maps_invert_each_other():
     for n in range(1, 51):
         assert twist_form(make_twist(n)) == (n, False)
-        assert twist_form(mirror(make_twist(n))) == (n, True)
-        for a, b in ((2, 2 * n), (-2, 2 * n), (-2, -2 * n), (2, -2 * n)):
-            tb = TwoBridge(a, b)
-            tw, mirrored = twist_form(tb)
-            assert (mirror(make_twist(tw)) if mirrored else make_twist(tw)) == tb
+        # 4_1 is amphichiral, so TB(2,-2) is Tw(2), not mirrored
+        assert twist_form(mirror(make_twist(n))) == (n, n != 2)
+    # every code below has p = |ab - 1| <= 401, so it is Tw(n) for n <= 200 or no twist knot
+    twist_classes = {_atom_key(make_twist(n))[0] for n in range(1, 201)}
+    for a, b in itertools.product(range(-20, 21), repeat=2):
+        if a % 2 == 1 and b % 2 == 1:
+            continue
+        code = TwoBridge(a, b)
+        assert (twist_form(code) is not None) == (_atom_key(code)[0] in twist_classes), code
+        assert parse_knot(format_knot(code)) == code
 
 
 # --- genus ------------------------------------------------------------------

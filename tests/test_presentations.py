@@ -4,15 +4,16 @@ A registered alias code and the name it resolves to are one knot, so
 they get the same deduction, structural data, self-linking bound and
 dimensions, with and without the tabulated invariants.  So do the
 presentations of a family knot, registered or not: Tw(n), its
-two-bridge code TB(a,b) and that diagram turned over, TB(b,a); and a
+two-bridge code TB(a,b), that diagram turned over, TB(b,a), and the
+other codes of its fraction (TB(-2,7) and TB(7,-2) are Tw(7)); and a
 pretzel's strands in any order, where the mirror m(P(a,b,c)) is
 P(-a,-b,-c).  So do a connected sum with its summands in any order, and
 m(m(K)); the mirror m(K) gets the negated nu and tau, and a sum whose
 summands pair with presentations of their mirrors is slice.  A
 presentation of the unknot drops out of a sum, and a cable of it is the
 torus knot it is.  All of them share one canonical form, and with it
-one deduction, but for TB(b,a) of an unregistered knot, which keeps its
-own.
+one deduction, but for the other codes of an unregistered knot, each of
+which keeps its own.
 """
 
 import itertools
@@ -152,11 +153,14 @@ def test_alias_and_name_give_one_answer(name, code, tabulated):
 
 
 def _twist_group(n):
-    """The presentations of Tw(n), its code TB(a,b) turned over as
-    TB(b,a) too, then those of its mirror."""
+    """The presentations of Tw(n): its code TB(a,b), the other code of
+    its fraction with a twist region of 2 (TB(-2,n) for odd n, TB(2,n+1)
+    for even n), each turned over as TB(b,a) too; then those of its mirror."""
     a, b = (2, n + 1) if n % 2 == 1 else (-2, n)
-    return ([f"Tw({n})", f"TB({a},{b})", f"TB({b},{a})"],
-            [f"m(Tw({n}))", f"m(TB({a},{b}))", f"TB({-a},{-b})", f"TB({-b},{-a})"])
+    c, d = (-2, n) if n % 2 == 1 else (2, n + 1)
+    return ([f"Tw({n})", f"TB({a},{b})", f"TB({b},{a})", f"TB({c},{d})", f"TB({d},{c})"],
+            [f"m(Tw({n}))", f"m(TB({a},{b}))", f"TB({-a},{-b})", f"TB({-b},{-a})",
+             f"TB({-c},{-d})", f"TB({-d},{-c})"])
 
 
 def _pretzel_group(strands):
