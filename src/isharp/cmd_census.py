@@ -6,7 +6,7 @@ from .dimension import census_dim, parse_manifold
 
 def run(args, ds, emit):
     def row(i):
-        name = ds.lookup("T2", i).payload["name"]
+        name = ds.table("T2")[str(i)].payload["name"]
         return {**census_dim(i, ds).to_json(), "index": i, "name": name}
 
     if args.index == "all":

@@ -1,5 +1,5 @@
 """Bundled table data: an integrity-checked loader for the line-delimited
-record file, the records it builds, and lookup by (table, key).
+record file, the records it builds, and its rows by table and key.
 
 The record file is UTF-8 JSON lines, one object per line.  Tables T1-T8
 mirror the published computations this library reproduces; KNOT rows hold
@@ -14,10 +14,10 @@ T8) is keyed by its index, "0" to "19", and a T8 row may cite census(j)
 only for j below its own index, so that no route cycles.  T2 holds a row
 for every index; T6, T7 and T8 list only the manifolds they have a route
 for.  A knot-table row (T1, T3, T4, T5) is keyed by the name of a KNOT
-row.  Each fact has one home: T3 holds nu and tau and T1 r0, from which
-each KnotRecord.instanton is built, so a KNOT row's instanton payload
-repeats no T1 or T3 cell (it holds 0_1's and 10_139's r0, which no T1
-row does), and T5 alone holds a non-thin knot's reduced odd Khovanov
+row.  Each fact has one home: T3 holds nu and tau and T1 r0, which a
+KnotRecord holds beside the rest of its row, so a KNOT row's instanton
+payload repeats no T1 or T3 cell (it holds 0_1's and 10_139's r0, which
+no T1 row does), and T5 alone holds a non-thin knot's reduced odd Khovanov
 rank and cover route (sigma2); _REPEATS lists the copies that stay, each
 equal to its home row.  Dataset.untabulated() holds the rows without T1,
 T3, T4 and the instanton payloads.
@@ -123,27 +123,20 @@ def alexander_at_minus_one(coeffs: tuple[int, ...]) -> int:
     return total
 
 
-class InstantonFields(Record):
-    """Tabulated invariants of a knot record: nu and tau from its T3 row,
-    r0 from its T1 row, and from the KNOT row's instanton payload the rest:
-    shape ("V" / "W" / None) and the pinned mu-bundle zero-surgery dim."""
-
-    __slots__ = ("nu", "tau", "r0", "shape", "mu0_dim")
-
-    def __init__(self, nu: Val = Val(), tau: Val = Val(), r0: Val = Val(),
-                 shape: str | None = None, mu0_dim: int | None = None):
-        self._fill(nu, tau, r0, shape, mu0_dim)
-
-
 class KnotRecord(Record):
-    """One KNOT row; mirror_flags is the mirror's flags as make_flags
-    builds them."""
+    """One KNOT row: its structural data; nu and tau from its T3 row, r0
+    from its T1 row, and from the row's instanton payload the rest (shape
+    "V" / "W" / None, and the pinned mu-bundle zero-surgery dim); and
+    mirror_flags, the mirror's flags as make_flags builds them."""
 
-    __slots__ = ("name", "structural", "instanton", "mirror_flags", "mirror_sl_max")
+    __slots__ = ("name", "structural", "nu", "tau", "r0", "shape", "mu0_dim",
+                 "mirror_flags", "mirror_sl_max")
 
-    def __init__(self, name: str, structural: StructuralData, instanton: InstantonFields,
-                 mirror_flags: tuple = (), mirror_sl_max: int | None = None):
-        self._fill(name, structural, instanton, mirror_flags, mirror_sl_max)
+    def __init__(self, name: str, structural: StructuralData, nu: Val = Val(),
+                 tau: Val = Val(), r0: Val = Val(), shape: str | None = None,
+                 mu0_dim: int | None = None, mirror_flags: tuple = (),
+                 mirror_sl_max: int | None = None):
+        self._fill(name, structural, nu, tau, r0, shape, mu0_dim, mirror_flags, mirror_sl_max)
 
 
 def _val_from_payload(x, where: str) -> Val:
@@ -275,16 +268,12 @@ def _knot_record_from_entry(entry: TableEntry, ds: "Dataset") -> KnotRecord:
         if row is not None and inst.get(field) is not None:
             raise DatasetError(f"{where}: instanton {field} repeats its {home} row")
         cells.append(inst.get(field) if row is None else row.payload.get(field))
-    instanton = InstantonFields(*(_val_from_payload(x, f"{where}: instanton: {field}")
-                                  for field, x in zip(_HOMES, cells)),
-                                shape=inst.get("shape"), mu0_dim=inst.get("mu0_dim"))
-    return KnotRecord(
-        name=entry.key,
-        structural=structural,
-        instanton=instanton,
-        mirror_flags=make_flags(**p.get("mirror_flags") or {}),
-        mirror_sl_max=p.get("mirror_sl_max"),
-    )
+    return KnotRecord(entry.key, structural,
+                      *(_val_from_payload(x, f"{where}: instanton: {field}")
+                        for field, x in zip(_HOMES, cells)),
+                      shape=inst.get("shape"), mu0_dim=inst.get("mu0_dim"),
+                      mirror_flags=make_flags(**p.get("mirror_flags") or {}),
+                      mirror_sl_max=p.get("mirror_sl_max"))
 
 
 class Dataset:
@@ -319,12 +308,6 @@ class Dataset:
     def table(self, table: str) -> dict[str, TableEntry]:
         return self._by_table.get(table, {})
 
-    def lookup(self, table: str, key) -> TableEntry:
-        entry = self.table(table).get(str(key))
-        if entry is None:
-            raise KeyError(f"no entry {key!r} in table {table}")
-        return entry
-
     def knot_record(self, name: str) -> KnotRecord | None:
         return self._knots.get(name)
 
@@ -348,8 +331,7 @@ class Dataset:
         index, and each copy in _REPEATS equal to its home row; raises
         DatasetError on the first violation."""
         for rec in self._knots.values():
-            inst = rec.instanton
-            nu, tau, r0 = inst.nu, inst.tau, inst.r0
+            nu, tau, r0 = rec.nu, rec.tau, rec.r0
             where = f"knot record {rec.name}"
             if nu.is_exact and r0.is_exact:
                 n, r = nu.value(), r0.value()
@@ -368,7 +350,7 @@ class Dataset:
                 bound = max(2 * gs.value() - 1, 0)
                 if abs(nu.value()) > bound:
                     raise DatasetError(f"{where}: |nu| exceeds max(2 g_s - 1, 0) = {bound}")
-            if inst.shape == "W" and nu.is_exact and nu.value() != 0:
+            if rec.shape == "W" and nu.is_exact and nu.value() != 0:
                 raise DatasetError(f"{where}: W-shaped but nu != 0")
             sig = rec.structural.signature
             if sig is not None and sig % 2 != 0:

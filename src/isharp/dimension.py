@@ -397,7 +397,7 @@ def census_dim(index: int, ds) -> DimResult:
     """Dimension of a census manifold via its registered routes, cross
     checked against the stored value."""
     Census(index)  # validates the range
-    stored = ds.lookup("T2", index)
+    stored = ds.table("T2")[str(index)]
     result = DimResult.of_stored(stored.payload["dim"], stored.payload["h1"])
     for _, route, computed in census_routes(index, ds):
         try:

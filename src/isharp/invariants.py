@@ -157,8 +157,8 @@ class _Draft:
         self.trace.append(TraceEntry(rule, f"shape = {shape} {detail}".rstrip()))
 
     def adopt(self, src, mirrored: bool, rule: str, detail: str) -> None:
-        """Narrow to src, a record's InstantonFields or a draft, negating nu
-        and tau when src is the mirror's: r0 and the shape are kept."""
+        """Narrow to src, a KnotRecord or a draft, negating nu and tau
+        when src is the mirror's: r0 and the shape are kept."""
         for fieldname in ("nu", "tau", "r0"):
             v = getattr(src, fieldname)
             if not v.is_unknown:
@@ -209,7 +209,7 @@ def _apply_atom_rules(b: _Draft, k, ds) -> None:
     # R1: stored table values of the record the canonical atom names
     rec, mirrored = registered_record(k, ds)
     if rec is not None:
-        b.adopt(rec.instanton, mirrored, "R1", f"({rec.name})")
+        b.adopt(rec, mirrored, "R1", f"({rec.name})")
 
     # R3 - R6 and R9 run once per knot: they read the structural data,
     # which every presentation shares, not the presentations

@@ -587,9 +587,12 @@ def _family_structural(k: KnotExpr) -> StructuralData:
     if isinstance(k, TwoBridge):
         # two-bridge knots are alternating, so quasi-alternating and thin
         # in odd Khovanov homology, and their double branched cover is
-        # L(p,q), p = |ab - 1|; twist knots have Seifert genus 1, and the
-        # odd ones a positive mirror, so slice genus exactly 1
-        flags = {"alternating": True, "thin_odd_khovanov": True}
+        # L(p,q), p = |ab - 1|, q = +-b; by Schubert, the knot is its own
+        # mirror iff q^2 = -1 (mod p).  Twist knots have Seifert genus 1,
+        # and the odd ones a positive mirror, so slice genus exactly 1
+        p = abs(k.a * k.b - 1)  # never 0: a code is never both odd
+        flags = {"alternating": True, "thin_odd_khovanov": True,
+                 "amphichiral": (k.b * k.b + 1) % p == 0}
         g = gs = nonneg
         tw = twist_form(k)
         if tw is not None:
@@ -598,7 +601,7 @@ def _family_structural(k: KnotExpr) -> StructuralData:
                 flags.update({"positive": True, "quasipositive": True})
             # slice genus 1 for odd n, at most 1 for even n
             g, gs = Val.exact(1), Val(n % 2, 1)
-        return StructuralData(genus=g, slice_genus=gs, determinant=abs(k.a * k.b - 1),
+        return StructuralData(genus=g, slice_genus=gs, determinant=p,
                               flags=make_flags(**flags))
     return StructuralData(genus=nonneg, slice_genus=nonneg)
 

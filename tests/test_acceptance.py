@@ -65,7 +65,7 @@ def test_criterion_1_table_reproduction(ds):
 
 def test_criterion_2_census(ds):
     for i in range(20):
-        stored = ds.lookup("T2", i).payload["dim"]
+        stored = ds.table("T2")[str(i)].payload["dim"]
         got = census_dim(i, ds)
         if isinstance(stored, list):
             assert list(got.values()) == stored, i

@@ -627,6 +627,13 @@ def _census_12_routes_met_in_turn(line):
        argv, "knot record 7_4: thin_odd_khovanov False contradicts the thin_odd_khovanov True "
        "of TB(-4,-4)")
       for argv in (("dim", "dcover(7_4)"), ("verify", "all"))],
+    # by Schubert, a two-bridge knot is amphichiral iff q^2 = -1 (mod p)
+    *[("KNOT", "4_1", lambda line: line["payload"]["flags"].update(amphichiral=False), argv,
+       f"knot record 4_1: amphichiral False contradicts the amphichiral True of {code}")
+      for argv, code in ((("verify", "all"), "Tw(2)"), (("invariants", "m(4_1)"), "m(Tw(2))"))],
+    *[("KNOT", "6_1", lambda line: line["payload"]["flags"].update(amphichiral=True), argv,
+       "knot record 6_1: amphichiral True contradicts the amphichiral False of Tw(4)")
+      for argv in (("verify", "all"), ("invariants", "m(6_1)"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)

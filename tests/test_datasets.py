@@ -151,10 +151,10 @@ def test_each_record_reads_its_invariants_from_t1_and_t3(ds):
 
     payload_r0 = {"0_1": Val.exact(0), "10_139": Val(7, 9, 1)}
     for name in ds.knot_names():
-        inst = ds.knot_record(name).instanton
+        rec = ds.knot_record(name)
         r0 = cell(t1[name], "r0") if name in t1 else payload_r0.get(name, Val())
-        assert (inst.nu, inst.tau, inst.r0) == (cell(t3.get(name), "nu"),
-                                                cell(t3.get(name), "tau"), r0), name
+        assert (rec.nu, rec.tau, rec.r0) == (cell(t3.get(name), "nu"),
+                                             cell(t3.get(name), "tau"), r0), name
     for name, e in ds.table("KNOT").items():
         stored = e.payload.get("instanton") or {}
         assert not {"nu", "tau"} & stored.keys() or name not in t3, name
@@ -191,17 +191,17 @@ def test_loader_type_checks_every_table_cell(ds):
 
 
 def test_lookup_examples(ds):
-    e = ds.lookup("T1", "8_5")
+    e = ds.table("T1")["8_5"]
     assert (e.payload["nu"], e.payload["r0"]) == (3, 11)
-    e = ds.lookup("T2", 13)
+    e = ds.table("T2")["13"]
     assert e.payload["name"] == "m007(1,2)"
     assert (e.payload["h1"], e.payload["dim"]) == (21, 21)
-    e = ds.lookup("T5", "10_153")
+    e = ds.table("T5")["10_153"]
     assert (e.payload["det"], e.payload["khbar_dim"]) == (1, 9)
     assert e.payload["sigma2"] == "surg(P(7,3,-3); 1/1)"
     assert e.payload["dim"] == 5
     with pytest.raises(KeyError):
-        ds.lookup("T1", "9_1")
+        ds.table("T1")["9_1"]
 
 
 def test_export_tsv(ds):

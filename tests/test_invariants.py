@@ -106,8 +106,7 @@ def test_inconsistent_input_raises(ds):
     import copy
     bad = copy.deepcopy(ds.knot_record("8_19"))
     # pretend the table said nu = -5: the torus rule must then contradict it
-    from isharp.datasets import InstantonFields
-    bad = bad.replace(instanton=InstantonFields(nu=Val.exact(-5)))
+    bad = bad.replace(nu=Val.exact(-5), tau=Val(), r0=Val(), shape=None, mu0_dim=None)
     ds2 = datasets.load()
     ds2._knots["8_19"] = bad
     # a rule that contradicts a record is a fault in the data, named by record

@@ -64,7 +64,7 @@ def test_records_compare_by_exact_type_and_fields():
 
 def test_records_are_immutable(ds):
     for record, field in ((Named("3_1"), "name"), (Val.exact(1), "lo"),
-                          (Slope(1, 2), "q"), (ds.knot_record("3_1"), "instanton")):
+                          (Slope(1, 2), "q"), (ds.knot_record("3_1"), "nu")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
@@ -368,6 +368,17 @@ def test_twist_and_two_bridge_maps_invert_each_other():
         code = TwoBridge(a, b)
         assert (twist_form(code) is not None) == (_atom_key(code)[0] in twist_classes), code
         assert parse_knot(format_knot(code)) == code
+
+
+def test_a_two_bridge_code_is_amphichiral_iff_its_mirror_has_its_chirality(ds):
+    # Schubert: b(p,q) is its own mirror iff q^2 = -1 (mod p), which is
+    # when the code and its mirror code name one chirality of the class
+    for a, b in itertools.product(range(-20, 21), repeat=2):
+        if a % 2 == 1 and b % 2 == 1:
+            continue
+        code = TwoBridge(a, b)
+        assert structural(code, ds).flag("amphichiral") is (
+            _atom_key(code)[1] == _atom_key(TwoBridge(-a, -b))[1]), code
 
 
 # --- genus ------------------------------------------------------------------

@@ -237,7 +237,7 @@ def test_census_dim_rows(ds):
     assert census_dim(0, ds).dim == 25
     for i in range(20):
         r = census_dim(i, ds)
-        stored = ds.lookup("T2", i).payload["dim"]
+        stored = ds.table("T2")[str(i)].payload["dim"]
         if isinstance(stored, list):
             assert list(r.values()) == stored
         else:
@@ -378,8 +378,8 @@ def test_the_chain_through_p553_is_forced_by_three_triad_bounds(ds):
     assert dims == {"6_3": d1, "8_6": 2 * d0 - 1, "8_8": d_half}
     for name, d in dims.items():
         assert dim(name, "-1", ds).dim == d, name
-        assert r0s[name] == (ds.lookup("T1", name).payload["nu"],
-                             ds.lookup("T1", name).payload["r0"]), name
+        assert r0s[name] == (ds.table("T1")[name].payload["nu"],
+                             ds.table("T1")[name].payload["r0"]), name
     # an r0 of 6_2 that no -1-surgery dimension admits names the route
     with pytest.raises(IntegrityError, match=r"^T1 route: -1-surgery on 6_2: dimension -1 "
                                              "incompatible with euler 1$"):
