@@ -6,11 +6,11 @@ mirror the published computations this library reproduces; KNOT rows hold
 structural data per knot, and ALIAS rows the registered family
 identifications.  SCHEMA is the one schema of every level of a line: the
 line {schema_version, table, key, payload, citation}, each table's
-payload, a KNOT row's flags and instanton objects and a T8 row's
-components.  A line or row that does not fit it, or stores an |H1|
-(T5: det) below 1 or a dimension that its |H1| does not admit, raises
-DatasetError naming it while the file loads.  A census row (T2, T6, T7,
-T8) is keyed by its index, "0" to "19", and a T8 row may cite census(j)
+payload, a KNOT row's flags, mirror_flags and instanton objects and a
+T8 row's components.  A line or row that does not fit it, or stores an
+|H1| (T5: det) below 1 or a dimension that its |H1| does not admit,
+raises DatasetError naming it while the file loads.  A census row (T2,
+T6, T7, T8) is keyed by its index, "0" to "19", and a T8 row may cite census(j)
 only for j below its own index, so that no route cycles.  T2 holds a row
 for every index; T6, T7 and T8 list only the manifolds they have a route
 for.  A knot-table row (T1, T3, T4, T5) is keyed by the name of a KNOT
@@ -27,9 +27,10 @@ The ALIAS rows are the alias registry: each maps its code, such as
 chirality; here the codes stay opaque text.  knots parses them, once
 per dataset, into the index that resolves every family atom.
 
-The knot-level records (StructuralData, its flags and KnotRecord) live
-here, below knots, so the loader imports nothing but values: every module
-above it, from knots up to cli, takes the loaded Dataset as an argument.
+The knot-level records, StructuralData with its six flags as fields and
+KnotRecord, live here, below knots, so the loader imports nothing but
+values: every module above it, from knots up to cli, takes the loaded
+Dataset as an argument.
 """
 
 import json
@@ -64,8 +65,6 @@ class TableEntry(Record):
 # Knot records: structural data, tabulated invariants, one KNOT row
 # ---------------------------------------------------------------------------
 
-Tri = bool | None  # True / False / unknown
-
 FLAG_NAMES = (
     "alternating",
     "quasipositive",
@@ -74,45 +73,25 @@ FLAG_NAMES = (
     "instanton_lspace",
     "thin_odd_khovanov",
 )
-_FLAG_INDEX = {name: i for i, name in enumerate(FLAG_NAMES)}
-NO_FLAGS = (None,) * len(FLAG_NAMES)
-
-
-def make_flags(**values: Tri) -> tuple[Tri, ...]:
-    """The flags tuple: one value per FLAG_NAMES entry, in that order,
-    unknown (None) where no value is given.  Names outside FLAG_NAMES
-    are not read; the loader rejects them in a record file."""
-    return tuple(map(values.get, FLAG_NAMES))
 
 
 class StructuralData(Record):
     """alexander holds the coefficients (a0, a1, a2, ...) of the symmetric
-    polynomial, and stays unknown on a connected sum; flags is the tuple
-    make_flags builds, so structural data is hashable and, like every
-    record, cannot be changed once built."""
+    polynomial, and stays unknown on a connected sum; each FLAG_NAMES
+    field is True, False or unknown (None).  Like every record, structural
+    data is hashable and cannot be changed once built."""
 
     __slots__ = ("genus", "slice_genus", "signature", "determinant", "alexander",
-                 "sl_max", "flags")
+                 "sl_max", *FLAG_NAMES)
 
     def __init__(self, genus: Val = Val(), slice_genus: Val = Val(),
                  signature: int | None = None, determinant: int | None = None,
                  alexander: tuple[int, ...] | None = None, sl_max: int | None = None,
-                 flags: tuple[Tri, ...] = NO_FLAGS):
-        _set_genus(self, genus)
-        _set_slice_genus(self, slice_genus)
-        _set_signature(self, signature)
-        _set_determinant(self, determinant)
-        _set_alexander(self, alexander)
-        _set_sl_max(self, sl_max)
-        _set_flags(self, flags)
-
-    def flag(self, name: str) -> Tri:
-        return self.flags[_FLAG_INDEX[name]]
-
-
-(_set_genus, _set_slice_genus, _set_signature, _set_determinant, _set_alexander,
- _set_sl_max, _set_flags) = (getattr(StructuralData, name).__set__
-                             for name in StructuralData.__slots__)
+                 alternating: bool | None = None, quasipositive: bool | None = None,
+                 positive: bool | None = None, amphichiral: bool | None = None,
+                 instanton_lspace: bool | None = None, thin_odd_khovanov: bool | None = None):
+        self._fill(genus, slice_genus, signature, determinant, alexander, sl_max, alternating,
+                   quasipositive, positive, amphichiral, instanton_lspace, thin_odd_khovanov)
 
 
 def alexander_at_minus_one(coeffs: tuple[int, ...]) -> int:
@@ -127,16 +106,18 @@ class KnotRecord(Record):
     """One KNOT row: its structural data; nu and tau from its T3 row, r0
     from its T1 row, and from the row's instanton payload the rest (shape
     "V" / "W" / None, and the pinned mu-bundle zero-surgery dim); and
-    mirror_flags, the mirror's flags as make_flags builds them."""
+    the mirror's quasipositivity, positivity and sl_max, the structural
+    data a mirror does not share."""
 
     __slots__ = ("name", "structural", "nu", "tau", "r0", "shape", "mu0_dim",
-                 "mirror_flags", "mirror_sl_max")
+                 "mirror_quasipositive", "mirror_positive", "mirror_sl_max")
 
     def __init__(self, name: str, structural: StructuralData, nu: Val = Val(),
                  tau: Val = Val(), r0: Val = Val(), shape: str | None = None,
-                 mu0_dim: int | None = None, mirror_flags: tuple = (),
-                 mirror_sl_max: int | None = None):
-        self._fill(name, structural, nu, tau, r0, shape, mu0_dim, mirror_flags, mirror_sl_max)
+                 mu0_dim: int | None = None, mirror_quasipositive: bool | None = None,
+                 mirror_positive: bool | None = None, mirror_sl_max: int | None = None):
+        self._fill(name, structural, nu, tau, r0, shape, mu0_dim, mirror_quasipositive,
+                   mirror_positive, mirror_sl_max)
 
 
 def _val_from_payload(x, where: str) -> Val:
@@ -160,7 +141,6 @@ _NULL = type(None)
 _HOMES = {"nu": "T3", "tau": "T3", "r0": "T1"}
 # any JSON value: a value encoding, which _val_from_payload checks as it decodes
 _VAL = (int, dict, _NULL, list, str, float, bool)
-_FLAG_TYPES = dict.fromkeys(FLAG_NAMES, (bool, _NULL))
 # The one schema of a record line: the JSON types that each field of the
 # line, of each table's payload and of each object nested in a payload
 # (keyed by the field that holds it) may take.  A field left out counts
@@ -184,8 +164,9 @@ SCHEMA = {
              "mirror_sl_max": (int, _NULL), "flags": (dict, _NULL), "mirror_flags": (dict, _NULL),
              "instanton": (dict, _NULL), "alexander": (list, _NULL), "genus": _VAL,
              "slice_genus": _VAL},
-    "flags": _FLAG_TYPES,
-    "mirror_flags": _FLAG_TYPES,
+    "flags": dict.fromkeys(FLAG_NAMES, (bool, _NULL)),
+    # the two flags a mirror does not share; knots derives its others
+    "mirror_flags": {"quasipositive": (bool, _NULL), "positive": (bool, _NULL)},
     "instanton": {"shape": (str, _NULL), "mu0_dim": (int, _NULL), **dict.fromkeys(_HOMES, _VAL)},
     "components": {"desc": (str,), "dim": (int,), "h1": (int,)},
 }
@@ -251,6 +232,7 @@ def _knot_record_from_entry(entry: TableEntry, ds: "Dataset") -> KnotRecord:
     invariants read from ds's T1 and T3 rows."""
     p, where = entry.payload, f"knot record {entry.key}"
     alexander, inst = p.get("alexander"), p.get("instanton") or {}
+    mirror = p.get("mirror_flags") or {}
     structural = StructuralData(
         genus=_val_from_payload(p.get("genus"), f"{where}: genus"),
         slice_genus=_val_from_payload(p.get("slice_genus"), f"{where}: slice_genus"),
@@ -258,7 +240,7 @@ def _knot_record_from_entry(entry: TableEntry, ds: "Dataset") -> KnotRecord:
         determinant=p.get("determinant"),
         alexander=None if alexander is None else tuple(alexander),
         sl_max=p.get("sl_max"),
-        flags=make_flags(**p.get("flags") or {}),
+        **(p.get("flags") or {}),
     )
     if inst.get("shape") not in (None, "V", "W"):
         raise DatasetError(f"{where}: instanton shape {inst['shape']!r} is not V or W")
@@ -272,8 +254,8 @@ def _knot_record_from_entry(entry: TableEntry, ds: "Dataset") -> KnotRecord:
                       *(_val_from_payload(x, f"{where}: instanton: {field}")
                         for field, x in zip(_HOMES, cells)),
                       shape=inst.get("shape"), mu0_dim=inst.get("mu0_dim"),
-                      mirror_flags=make_flags(**p.get("mirror_flags") or {}),
-                      mirror_sl_max=p.get("mirror_sl_max"))
+                      mirror_quasipositive=mirror.get("quasipositive"),
+                      mirror_positive=mirror.get("positive"), mirror_sl_max=p.get("mirror_sl_max"))
 
 
 class Dataset:

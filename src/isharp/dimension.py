@@ -338,7 +338,7 @@ def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
     Euler-characteristic bound remains."""
     st = structural(k, ds)
     det = st.determinant
-    thin = st.flag("thin_odd_khovanov")
+    thin = st.thin_odd_khovanov
     rec, mirrored = registered_record(canonical(k, ds), ds)
     row = ds.table("T5").get(rec.name) if rec is not None else None
     cover = row.payload if row is not None else {}

@@ -216,17 +216,17 @@ def _apply_atom_rules(b: _Draft, k, ds) -> None:
     _slice_rule(b, s)
 
     # R4: amphichiral
-    if s.flag("amphichiral"):
+    if s.amphichiral:
         b.narrow("nu", Val.exact(0), "R4")
         b.narrow("tau", Val.exact(0), "R4")
 
     # R5: quasipositive (positive knots are quasipositive)
-    if s.flag("quasipositive") or s.flag("positive"):
+    if s.quasipositive or s.positive:
         if s.slice_genus.is_exact:
             b.narrow("tau", Val.exact(s.slice_genus.value()), "R5")
 
     # R6: alternating (a knot's signature is even: the loader rejects an odd one)
-    if s.flag("alternating") and s.signature is not None:
+    if s.alternating and s.signature is not None:
         b.narrow("tau", Val.exact(-s.signature // 2), "R6")
 
     # R9: instanton L-space knots; the family data flag every T(p,q) with
@@ -347,8 +347,8 @@ def _lspace_status(k, b, s, ds):
     """instanton L-space knot status: True / False / None (unknown)."""
     if isinstance(k, Unknot):
         return False
-    if s.flag("instanton_lspace") is not None:
-        return s.flag("instanton_lspace")
+    if s.instanton_lspace is not None:
+        return s.instanton_lspace
     if isinstance(k, Cable):
         return lspace_cable(k.p, k.q, k.companion, ds)
     # nu = r0 = 2g - 1 > 0 is equivalent to having a positive L-space surgery

@@ -40,7 +40,7 @@ import operator
 import re
 from collections import Counter
 
-from .datasets import FLAG_NAMES, StructuralData, make_flags
+from .datasets import FLAG_NAMES, StructuralData
 from .values import DatasetError, Inconsistency, IntegrityError, Record, Scanner, Val
 
 
@@ -400,7 +400,8 @@ def _alias_index(ds) -> tuple[dict, dict]:
 def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
     """Resolve an atomic expression to (canonical name, mirrored), if known:
     a family atom by its class, mirrored when its chirality is not that
-    of the row's code."""
+    of the row's code, and a two-bridge code with p = |ab - 1| = 1 as
+    the unknot."""
     if isinstance(k, Unknot):
         return ("0_1", False)
     if isinstance(k, Named):
@@ -409,6 +410,8 @@ def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
             raise KnotError(f"unknown knot name {name!r}")
     else:
         key = _atom_key(k)
+        if key is not None and key[0] == ("TB", 1, 0):
+            return ("0_1", False)
         hit = None if key is None else _alias_index(ds)[0].get(key[0])
         if hit is None:
             return None
@@ -419,7 +422,7 @@ def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
 def _chiral(name: str, mirrored: bool, ds) -> tuple[str, bool]:
     """(name, mirrored), with mirrored False when the knot is amphichiral."""
     rec = ds.knot_record(name)
-    return (name, mirrored and not (rec is not None and rec.structural.flag("amphichiral")))
+    return (name, mirrored and not (rec is not None and rec.structural.amphichiral))
 
 
 def equivalent_atoms(k: KnotExpr, ds) -> list[KnotExpr]:
@@ -493,20 +496,11 @@ def genus(k: KnotExpr, ds) -> Val:
 
 
 def _mirror_structural(s: StructuralData, rec) -> StructuralData:
-    # the record stores its mirror's quasipositivity and positivity;
+    # the record stores its mirror's quasipositivity, positivity and sl_max;
     # instanton L-space surgeries are positive surgeries, not mirror-invariant
-    stored = dict(zip(FLAG_NAMES, rec.mirror_flags))
-    flags = dict(zip(FLAG_NAMES, s.flags), quasipositive=stored.get("quasipositive"),
-                 positive=stored.get("positive"), instanton_lspace=None)
-    return StructuralData(
-        genus=s.genus,
-        slice_genus=s.slice_genus,
-        signature=None if s.signature is None else -s.signature,
-        determinant=s.determinant,
-        alexander=s.alexander,
-        sl_max=rec.mirror_sl_max,
-        flags=make_flags(**flags),
-    )
+    return s.replace(signature=None if s.signature is None else -s.signature,
+                     sl_max=rec.mirror_sl_max, quasipositive=rec.mirror_quasipositive,
+                     positive=rec.mirror_positive, instanton_lspace=None)
 
 
 def structural(k: KnotExpr, ds) -> StructuralData:
@@ -551,10 +545,9 @@ def _merge_structural(a: StructuralData, b: StructuralData) -> StructuralData:
             met[field] = x.meet(y)
         except Inconsistency:
             raise Inconsistency(f"{field} {x} contradicts the {field} {y}") from None
-    for field in ("signature", "determinant", "alexander", "sl_max"):
+    for field in ("signature", "determinant", "alexander", "sl_max", *FLAG_NAMES):
         met[field] = _meet_known(field, getattr(a, field), getattr(b, field))
-    flags = tuple(map(_meet_known, FLAG_NAMES, a.flags, b.flags))
-    return StructuralData(**met, flags=flags)
+    return StructuralData(**met)
 
 
 def _meet_known(field: str, x, y):
@@ -569,9 +562,9 @@ def _family_structural(k: KnotExpr) -> StructuralData:
     if isinstance(k, Torus):
         g = (abs(k.p) - 1) * (k.q - 1) // 2
         positive = k.p > 0 or None  # T(p,q), p > 0: positive, an instanton L-space knot
-        flags = make_flags(positive=positive, quasipositive=positive, instanton_lspace=k.p > 0)
         return StructuralData(genus=Val.exact(g), slice_genus=Val.exact(g),
-                              determinant=_torus_det(abs(k.p), k.q), flags=flags)
+                              determinant=_torus_det(abs(k.p), k.q), positive=positive,
+                              quasipositive=positive, instanton_lspace=k.p > 0)
     if isinstance(k, Pretzel):
         if _pretzel_n33(k) is not None:
             # the P(n,3,-3) family is smoothly slice (band to the unlink)
@@ -581,8 +574,7 @@ def _family_structural(k: KnotExpr) -> StructuralData:
             # alternating diagrams with signature -2n and slice genus |n|
             # (an |n|-fold crossing change reaches the unknot)
             return StructuralData(slice_genus=Val.exact(abs(n)), genus=nonneg,
-                                  signature=-2 * n,
-                                  flags=make_flags(alternating=True))
+                                  signature=-2 * n, alternating=True)
         return StructuralData(genus=nonneg, slice_genus=nonneg)
     if isinstance(k, TwoBridge):
         # two-bridge knots are alternating, so quasi-alternating and thin
@@ -601,8 +593,7 @@ def _family_structural(k: KnotExpr) -> StructuralData:
                 flags.update({"positive": True, "quasipositive": True})
             # slice genus 1 for odd n, at most 1 for even n
             g, gs = Val.exact(1), Val(n % 2, 1)
-        return StructuralData(genus=g, slice_genus=gs, determinant=p,
-                              flags=make_flags(**flags))
+        return StructuralData(genus=g, slice_genus=gs, determinant=p, **flags)
     return StructuralData(genus=nonneg, slice_genus=nonneg)
 
 
@@ -643,10 +634,9 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
     is_slice = all(p.slice_genus == Val.exact(0) for p in parts) or _is_mirror_paired(k, ds)
     gs = Val.exact(0) if is_slice else Val(0, gs_hi)
     # sums of alternating knots need not be alternating: that flag stays unknown
-    flags = make_flags(quasipositive=all(p.flag("quasipositive") for p in parts) or None,
-                       positive=all(p.flag("positive") for p in parts) or None)
     return StructuralData(genus=g, slice_genus=gs, signature=sigma, determinant=det,
-                          flags=flags)
+                          quasipositive=all(p.quasipositive for p in parts) or None,
+                          positive=all(p.positive for p in parts) or None)
 
 
 def _is_mirror_paired(k: Sum, ds) -> bool:

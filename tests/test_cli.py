@@ -634,6 +634,14 @@ def _census_12_routes_met_in_turn(line):
     *[("KNOT", "6_1", lambda line: line["payload"]["flags"].update(amphichiral=True), argv,
        "knot record 6_1: amphichiral True contradicts the amphichiral False of Tw(4)")
       for argv in (("verify", "all"), ("invariants", "m(6_1)"))],
+    # a mirror's stored positivity and quasipositivity meet its family data
+    *[("KNOT", "3_1", lambda line: line["payload"]["mirror_flags"].update(positive=False),
+       argv, "knot record 3_1: positive False contradicts the positive True of T(2,3)")
+      for argv in (("invariants", "m(3_1)"), ("verify", "all"))],
+    *[("KNOT", "5_2", lambda line: line["payload"]["mirror_flags"].update(quasipositive=False),
+       argv, "knot record 5_2: quasipositive False contradicts the quasipositive True of "
+       "m(Tw(3))")
+      for argv in (("invariants", "m(5_2)"), ("verify", "all"))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)

@@ -55,10 +55,12 @@ def test_integrity_rejects_tau_bound_violation():
 
 
 def test_loader_rejects_unknown_flag_names():
-    for field in ("flags", "mirror_flags"):
-        entry = TableEntry("KNOT", "bogus", {field: {"slcie": True}}, "test")
+    # mirror_flags names only the flags a mirror does not share
+    for field, name in (("flags", "slcie"), ("mirror_flags", "slcie"),
+                        ("mirror_flags", "instanton_lspace")):
+        entry = TableEntry("KNOT", "bogus", {field: {name: True}}, "test")
         with pytest.raises(DatasetError, match=f"knot record bogus: {field}: "
-                                               "unknown field 'slcie'"):
+                                               f"unknown field '{name}'"):
             Dataset([entry])
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isharp import datasets, knots
-from isharp.datasets import alexander_at_minus_one, make_flags
+from isharp.datasets import alexander_at_minus_one
 from isharp.invariants import deduce
 from isharp.knots import (
     Cable,
@@ -267,8 +267,8 @@ pairing_atoms = st.one_of(
     st.sampled_from([(2, 3), (-2, 3), (3, 5)]).map(lambda pq: Torus(*pq)),
     st.sampled_from([(3, 2, "3_1"), (-3, 2, "3_1"), (5, 2, "4_1")]).map(
         lambda t: Cable(t[0], t[1], Named(t[2]))),
-    # its own mirror: it pairs only with a second copy
-    st.just(TwoBridge(0, 0)),
+    # amphichiral, so its own mirror: it pairs only with a second copy
+    st.just(Named("6_3")),
 )
 
 
@@ -289,8 +289,8 @@ def test_mirror_pairing_counts_agree_with_list_pairing(ds, atoms, mirrored, rnd)
 
 
 def test_mirror_pairing_of_a_self_mirror_summand(ds):
-    a, b = TwoBridge(0, 0), Named("4_1")  # 4_1 is amphichiral
-    assert mirror(a) == a
+    a, b = Named("6_3"), Named("4_1")  # both amphichiral
+    assert canonical(mirror(a), ds) == a
     paired = lambda *summands: _is_mirror_paired(canonical(Sum(summands), ds), ds)
     assert not paired(a, b, mirror(b))
     assert paired(a, a, b, mirror(b))
@@ -377,7 +377,7 @@ def test_a_two_bridge_code_is_amphichiral_iff_its_mirror_has_its_chirality(ds):
         if a % 2 == 1 and b % 2 == 1:
             continue
         code = TwoBridge(a, b)
-        assert structural(code, ds).flag("amphichiral") is (
+        assert structural(code, ds).amphichiral is (
             _atom_key(code)[1] == _atom_key(TwoBridge(-a, -b))[1]), code
 
 
@@ -420,7 +420,7 @@ def test_structural_examples(ds):
     assert u.alexander == (1,)
 
     t = structural(parse_knot("10_139"), ds)
-    assert t.flag("positive") is True
+    assert t.positive is True
     assert t.genus == Val.exact(4)
 
 
@@ -429,7 +429,7 @@ def test_structural_mirror_negates_signature(ds):
     m = structural(parse_knot("m(3_1)"), ds)
     assert s.signature == 2 and m.signature == -2
     assert s.determinant == m.determinant == 3
-    assert m.flag("positive") is True  # the right-handed trefoil
+    assert m.positive is True  # the right-handed trefoil
 
 
 def test_structural_data_is_hashable_and_frozen(ds):
@@ -439,10 +439,8 @@ def test_structural_data_is_hashable_and_frozen(ds):
     # memoised: every caller shares one result, so nobody may change it
     assert structural(parse_knot("8_8"), ds) is s
     assert structural(Unknot(), ds) is ds.knot_record("0_1").structural
-    with pytest.raises(TypeError):
-        s.flags[0] = False
     with pytest.raises(AttributeError):
-        s.flags = make_flags()
+        s.amphichiral = False
     assert s.slice_genus == Val.exact(0)
 
 

@@ -10,8 +10,9 @@ pretzel's strands in any order, where the mirror m(P(a,b,c)) is
 P(-a,-b,-c).  So do a connected sum with its summands in any order, and
 m(m(K)); the mirror m(K) gets the negated nu and tau, and a sum whose
 summands pair with presentations of their mirrors is slice.  A
-presentation of the unknot drops out of a sum, and a cable of it is the
-torus knot it is.  All of them share one canonical form, and with it
+presentation of the unknot (P(-1,3,2), or a two-bridge code with
+|ab - 1| = 1) gets the unknot's answers, drops out of a sum, and a
+cable of it is the torus knot it is.  All of them share one canonical form, and with it
 one deduction, but for the other codes of an unregistered knot, each of
 which keeps its own.
 """
@@ -25,8 +26,8 @@ from hypothesis import strategies as st
 
 from isharp import datasets, invariants
 from isharp.invariants import deduce, sl_upper_bound
-from isharp.knots import (KnotError, Named, canonical, equivalent_atoms, format_knot, mirror,
-                          parse_knot, resolve_atom, structural)
+from isharp.knots import (KnotError, Named, TwoBridge, Unknot, canonical, equivalent_atoms,
+                          format_knot, mirror, parse_knot, resolve_atom, structural)
 from isharp.dimension import DimensionError, branched_cover_dim, surgery_dim
 from isharp.values import Inconsistency, Slope, Val
 
@@ -280,6 +281,20 @@ def test_unknot_presentations_drop_out(text, knot, tabulated):
     for x, y in ((a, b), (mirror(a), mirror(b))):
         assert answers(x, DS, tabulated) == answers(y, fresh, tabulated)
         assert dimensions(x, DS) == dimensions(y, fresh)
+
+
+def test_two_bridge_codes_with_p_1_are_the_unknot():
+    # TB(a,b) is the knot of p/q = a - 1/b, and p = |ab - 1| = 1 is the unknot
+    codes = [TwoBridge(a, b) for a, b in itertools.product(range(-20, 21), repeat=2)
+             if abs(a * b - 1) == 1 and (a % 2 == 0 or b % 2 == 0)]
+    assert len(codes) == 85
+    dims = lambda k: [_attempt(lambda: surgery_dim(k, Slope(p, q), "trivial", DS))
+                      for p, q in ((1, 1), (-7, 2), (0, 1))]
+    u = Unknot()
+    for k in codes:
+        assert canonical(k, DS) == u, k
+        assert answers(k, DS, True) == answers(u, DS, True), k
+        assert dims(k) == dims(u), k
 
 
 def test_a_cable_of_the_unknot_keeps_the_cable_checks():
