@@ -48,7 +48,6 @@ CENSUS_KEYS = frozenset(map(str, range(20)))
 # the knot tables, whose rows are keyed by the name of a KNOT row
 KNOT_TABLES = ("T1", "T3", "T4", "T5")
 
-ENV_DATA_PATH = "ISHARP_DATA"
 # read as a plain file: importlib.resources costs a fresh interpreter
 # about 30 ms of imports (and, from Python 3.12, `inspect`)
 BUNDLED_PATH = os.path.join(os.path.dirname(__file__), "data", "tables.jsonl")
@@ -394,15 +393,13 @@ def parse_record_line(line: str, lineno: int) -> TableEntry:
     return TableEntry(obj["table"], obj["key"], obj["payload"], obj["citation"])
 
 
-def load(path: str | None = None, check: bool = True) -> Dataset:
+def load(path: str = BUNDLED_PATH, check: bool = True) -> Dataset:
     """Load a record file (default: the bundled dataset) and run the
     integrity checks.
 
     The census routes are not re-derived here: dimension.census_dim
     meets every route of the row it reads, and `verify` and `export` of
     the census tables run the full cross-check."""
-    if path is None:
-        path = os.environ.get(ENV_DATA_PATH, BUNDLED_PATH)
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -424,7 +421,7 @@ _default: Dataset | None = None
 
 
 def default() -> Dataset:
-    """The process-wide dataset (bundled unless overridden)."""
+    """The process-wide bundled dataset, loaded on the first call."""
     global _default
     if _default is None:
         _default = load()

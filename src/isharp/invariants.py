@@ -60,14 +60,10 @@ class TraceEntry(Record):
     __slots__ = ("rule", "detail")
 
     def __init__(self, rule: str, detail: str):
-        _set_rule(self, rule)
-        _set_detail(self, detail)
+        self._fill(rule, detail)
 
     def to_json(self):
         return {"rule": self.rule, "statement": RULES[self.rule], "detail": self.detail}
-
-
-_set_rule, _set_detail = TraceEntry.rule.__set__, TraceEntry.detail.__set__
 
 
 class Bundle(Record):

@@ -73,8 +73,7 @@ class Named(KnotExpr):
     __slots__ = ("name", "mirrored")
 
     def __init__(self, name: str, mirrored: bool = False):
-        _named_name(self, name)
-        _named_mirrored(self, mirrored)
+        self._fill(name, mirrored)
 
 
 class Torus(KnotExpr):
@@ -85,8 +84,7 @@ class Torus(KnotExpr):
     def __init__(self, p: int, q: int):
         if not (2 <= abs(p) < q) or math.gcd(abs(p), q) != 1:
             raise KnotError(f"bad torus parameters ({p},{q})")
-        _torus_p(self, p)
-        _torus_q(self, q)
+        self._fill(p, q)
 
 
 class Pretzel(KnotExpr):
@@ -95,9 +93,7 @@ class Pretzel(KnotExpr):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int):
-        _pretzel_a(self, a)
-        _pretzel_b(self, b)
-        _pretzel_c(self, c)
+        self._fill(a, b, c)
 
 
 class TwoBridge(KnotExpr):
@@ -109,8 +105,7 @@ class TwoBridge(KnotExpr):
     def __init__(self, a: int, b: int):
         if a % 2 == 1 and b % 2 == 1:
             raise KnotError(f"two-bridge code ({a},{b}) has both entries odd")
-        _two_bridge_a(self, a)
-        _two_bridge_b(self, b)
+        self._fill(a, b)
 
 
 class Cable(KnotExpr):
@@ -121,9 +116,7 @@ class Cable(KnotExpr):
     def __init__(self, p: int, q: int, companion: KnotExpr):
         if q < 2 or math.gcd(abs(p), q) != 1:
             raise KnotError(f"cable needs q >= 2 and gcd(p,q)=1, got ({p},{q})")
-        _cable_p(self, p)
-        _cable_q(self, q)
-        _cable_companion(self, companion)
+        self._fill(p, q, companion)
 
 
 class Sum(KnotExpr):
@@ -132,16 +125,7 @@ class Sum(KnotExpr):
     def __init__(self, summands: tuple[KnotExpr, ...]):
         if len(summands) < 2:
             raise KnotError("connected sum needs at least two summands")
-        _sum_summands(self, summands)
-
-
-# the fields are stored through the slots' own descriptors, bound once here
-_named_name, _named_mirrored = Named.name.__set__, Named.mirrored.__set__
-_torus_p, _torus_q = Torus.p.__set__, Torus.q.__set__
-_pretzel_a, _pretzel_b, _pretzel_c = Pretzel.a.__set__, Pretzel.b.__set__, Pretzel.c.__set__
-_two_bridge_a, _two_bridge_b = TwoBridge.a.__set__, TwoBridge.b.__set__
-_cable_p, _cable_q, _cable_companion = Cable.p.__set__, Cable.q.__set__, Cable.companion.__set__
-_sum_summands = Sum.summands.__set__
+        self._fill(summands)
 
 
 def make_torus(p: int, q: int) -> KnotExpr:

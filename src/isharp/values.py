@@ -21,20 +21,8 @@ base class or left out of _fields, is derived: a value computed from the
 fields (a knot expression's canonical text, a bundle's (nu, r0) pairs)
 that equality, hashing, repr, replace and pickling never see, and that
 is never a constructor argument.  Each record writes its own __init__,
-so its checks read as plain code and its constructor costs no more than
-the field stores.  The records built in bulk (Slope, Triad and DimResult
-for every slope of a sweep; Val, the knot expressions and TraceEntry
-while deducing) store their fields through the slots' own descriptors,
-bound once per module, which costs less than object.__setattr__.  Three
-records are built without __init__, by _new (object.__new__) and those
-descriptors, where the caller's arithmetic already proves what __init__
-would check: a Slope whose pair is proved reduced (reduce, negation, the
-three slopes of slopes.triad), by _coprime, without Slope's gcd and
-checks; the Triad of slopes.triad, whose one determinant check proves
-its three slopes; and the DimResult that dimension._formula_dim builds
-from a bundle's (nu, r0) pairs, whose admissibility proves every value
-of the closed form admitted by |p|, so that exact() and of_candidates()
-would re-check nothing.  Records live here, in the lowest layer, because
+so its checks read as plain code; Record's docstring says how the fields
+are stored.  Records live here, in the lowest layer, because
 every CLI call imports this module anyway: the class-generating
 machinery of `dataclasses` (which pulls in `inspect`, `ast` and `dis`)
 cost about a quarter of a short call's start-up.
@@ -62,16 +50,18 @@ class Record:
     under the same names and in the same order; replace, pickling and
     copying rebuild records through __init__, so they re-run its checks
     and recompute every derived slot.  __init__ stores the fields with
-    _fill, since ordinary assignment raises.  The records built in bulk
-    skip _fill's extra call and loop, and call their slots' descriptors,
-    bound once at module level (_set_p = Slope.p.__set__): Slope, Triad
-    and DimResult, built for every slope of a sweep, and Val, the knot
-    expressions and TraceEntry, built while deducing.  The derived slots of the knot expressions and of Bundle
-    are still written with object.__setattr__.  Three records are built
-    without running __init__, where the arithmetic proves its checks:
-    _coprime builds a Slope for a pair already proved reduced,
-    slopes.triad its Triad, and dimension._formula_dim the DimResult of
-    a bundle's (nu, r0) pairs.
+    _fill, since ordinary assignment raises, and derived slots are
+    written with object.__setattr__.  Only the four value types built at
+    every arithmetic step skip _fill's call and loop, and store through
+    their slots' descriptors, bound once at module level (_set_p =
+    Slope.p.__set__): Val and Slope here, slopes.Triad and
+    dimension.DimResult.  The last three are also built without running
+    __init__, by _new (object.__new__), where the caller's arithmetic
+    proves its checks: _coprime builds the Slope of a pair proved reduced
+    (reduce, negation, the slopes of a triad); slopes.triad its Triad,
+    whose one determinant check proves its three slopes; and
+    dimension._formula_dim the DimResult of a bundle's (nu, r0) pairs,
+    whose admissibility proves every value it admits.
     """
 
     __slots__ = ()

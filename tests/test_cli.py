@@ -291,14 +291,15 @@ def test_a_raw_line_separator_in_a_string_ends_no_record_line(char, tmp_path):
 
 @pytest.mark.parametrize("flag", [["--data", ""], ["--data="]])
 def test_an_empty_data_path_is_read_not_skipped(flag):
-    # an empty --data names no file, as an empty ISHARP_DATA does; it is
-    # not the default
+    # an empty --data names no file; it is not the default
     expected = (3, "", "integrity error: cannot read : No such file or directory\n")
     assert run_cli(*flag, "invariants", "3_1") == expected
+    # --data is the one way to name a record file: the environment names none
     env = {**os.environ, "ISHARP_DATA": ""}
     proc = subprocess.run([sys.executable, "-m", "isharp.cli", "invariants", "3_1"],
                           capture_output=True, text=True, timeout=300, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    bundled = run_cli("invariants", "3_1")
+    assert bundled[0] == 0 and (proc.returncode, proc.stdout, proc.stderr) == bundled
 
 
 def test_missing_data_file_exits_3(tmp_path):

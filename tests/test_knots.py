@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from isharp import datasets, knots
 from isharp.datasets import alexander_at_minus_one
-from isharp.invariants import deduce
+from isharp.invariants import TraceEntry, deduce
 from isharp.knots import (
     Cable,
     MAX_NESTING,
@@ -63,8 +63,9 @@ def test_records_compare_by_exact_type_and_fields():
 
 
 def test_records_are_immutable(ds):
-    for record, field in ((Named("3_1"), "name"), (Val.exact(1), "lo"),
-                          (Slope(1, 2), "q"), (ds.knot_record("3_1"), "nu")):
+    for record, field in ((Named("3_1"), "name"), (Torus(2, 3), "q"), (Val.exact(1), "lo"),
+                          (Slope(1, 2), "q"), (ds.knot_record("3_1"), "nu"),
+                          (TraceEntry("R1", "table"), "detail")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
@@ -74,7 +75,9 @@ def test_records_are_immutable(ds):
 
 def test_records_survive_deepcopy_and_pickle(ds):
     for record in (ds.knot_record("8_19"), Val(1, 7, 1),
-                   parse_knot("Cab(3,2;m(3_1) # 4_1)"), Unknot()):
+                   parse_knot("Cab(3,2;m(3_1) # 4_1)"), Unknot(), Named("3_1", True),
+                   Torus(-2, 5), Pretzel(-2, 3, 7), TwoBridge(-3, 4),
+                   Sum((Named("3_1"), TwoBridge(-3, 4))), TraceEntry("R1", "table")):
         for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(copied) is type(record) and copied == record
 
@@ -120,6 +123,10 @@ def test_replace_reruns_the_constructor_checks():
         TwoBridge(2, 4).replace(a=3, b=5)  # both entries odd
     with pytest.raises(KnotError):
         Cable(3, 2, Unknot()).replace(p=4)
+    with pytest.raises(KnotError):
+        Torus(2, 3).replace(p=4)  # gcd(4, 3) = 1 but 4 >= 3
+    with pytest.raises(KnotError):
+        Sum((Named("3_1"), Named("4_1"))).replace(summands=(Named("3_1"),))
     with pytest.raises(Inconsistency):
         Val(1, 3).replace(lo=5)
     with pytest.raises(TypeError):
