@@ -1,4 +1,5 @@
-"""isharp export TABLE: a tab-separated dump of one published table."""
+"""isharp export TABLE: a tab-separated dump of one published table,
+its rows in the order of the record file."""
 
 import json
 
@@ -13,15 +14,14 @@ def run(args, ds, emit):
 
 
 def export_tsv(ds, table: str) -> str:
-    """Tab-separated dump of one published table, T1-T8: the key, then
-    the payload fields in the order SCHEMA declares them."""
+    """Tab-separated dump of one published table, T1-T8: one line per
+    row in record-file order, the key, then the payload fields in the
+    order SCHEMA declares them."""
     if table not in CENSUS_TABLES + KNOT_TABLES:
         raise DatasetError(f"no export format for table {table!r}")
     columns = ["key", *SCHEMA[table]]
     lines = ["\t".join(columns)]
-    entries = ds.table(table)
-    for key in sorted(entries, key=_entry_sort_key):
-        e = entries[key]
+    for e in ds.table(table).values():
         row = []
         for col in columns:
             if col == "key":
@@ -31,14 +31,3 @@ def export_tsv(ds, table: str) -> str:
                 row.append("" if v is None else json.dumps(v, separators=(",", ":")))
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
-
-
-def _entry_sort_key(key: str):
-    try:
-        return (0, int(key), "")
-    except ValueError:
-        parts = key.split("_")
-        try:
-            return (1, int(parts[0]), f"{int(parts[1]):04d}" if len(parts) > 1 else key)
-        except ValueError:
-            return (2, 0, key)

@@ -8,9 +8,7 @@ from .knots import format_knot, parse_knot
 def run(args, ds, emit):
     k = parse_knot(args.knot)
     out = {**deduce(k, ds).to_json(args.trace), "knot": format_knot(k)}
-    bound, violation = sl_upper_bound(k, ds)
+    bound = sl_upper_bound(k, ds)
     if bound is not None:
         out["sl_max_bound"] = bound
-        if violation:
-            out["sl_max_violation"] = True
     emit(out, args.pretty)

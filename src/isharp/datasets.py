@@ -293,7 +293,7 @@ class Dataset:
         return self._knots.get(name)
 
     def knot_names(self) -> list[str]:
-        return sorted(self._knots)
+        return list(self._knots)
 
     def untabulated(self) -> "Dataset":
         """These rows without the tabulated invariants (T1, T3, T4, each KNOT

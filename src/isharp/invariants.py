@@ -27,6 +27,7 @@ from .knots import (
     Unknot,
     _pretzel_n33,
     _pretzel_odd32,
+    canonical,
     equivalent_atoms,
     format_knot,
     memo,
@@ -358,18 +359,21 @@ def _lspace_status(k, b, s, ds):
 # Direct operations on the invariants
 # ---------------------------------------------------------------------------
 
-def sl_upper_bound(k: KnotExpr, ds):
-    """Upper bound 2 tau - 1 for the maximum self-linking number.
-
-    Returns (bound, violation) where violation is True when a stored
-    maximum self-linking number exceeds the bound."""
-    b = deduce(k, ds)
-    if not b.tau.is_exact:
-        return None, False
-    bound = 2 * b.tau.value() - 1
-    s = structural(k, ds)
-    violation = s.sl_max is not None and s.sl_max > bound
-    return bound, violation
+def sl_upper_bound(k: KnotExpr, ds) -> int | None:
+    """The upper bound 2 tau - 1 on the maximum self-linking number, or
+    None when tau is not exact.  Only KNOT records store sl_max, so a
+    stored value above the bound is an IntegrityError naming its record."""
+    tau = deduce(k, ds).tau
+    if not tau.is_exact:
+        return None
+    bound = 2 * tau.value() - 1
+    sl_max = structural(k, ds).sl_max
+    if sl_max is not None and sl_max > bound:
+        rec, mirrored = registered_record(canonical(k, ds), ds)
+        field = "mirror_sl_max" if mirrored else "sl_max"
+        raise IntegrityError(f"knot record {rec.name}: {field} {sl_max} exceeds "
+                             f"2 tau - 1 = {bound}")
+    return bound
 
 
 def lspace_cable(p: int, q: int, k: KnotExpr, ds):

@@ -239,7 +239,7 @@ def check_census(ds) -> Report:
     census_dim meets them: each route is compared with what the stored
     value and the routes before it leave."""
     report = Report()
-    for key, entry in sorted(ds.table("T2").items(), key=lambda kv: int(kv[0])):
+    for key, entry in ds.table("T2").items():
         known = DimResult.of_stored(entry.payload["dim"], entry.payload["h1"])
         routes = census_routes(int(key), ds)
         for table, route, computed in routes:

@@ -643,6 +643,11 @@ def _census_12_routes_met_in_turn(line):
        argv, "knot record 5_2: quasipositive False contradicts the quasipositive True of "
        "m(Tw(3))")
       for argv in (("invariants", "m(5_2)"), ("verify", "all"))],
+    # a stored sl_max, or a mirror's, above the bound 2 tau - 1
+    ("KNOT", "8_19", lambda line: line["payload"].update(sl_max=7), ("invariants", "8_19"),
+     "knot record 8_19: sl_max 7 exceeds 2 tau - 1 = 5"),
+    ("KNOT", "3_1", lambda line: line["payload"].update(mirror_sl_max=3),
+     ("invariants", "m(3_1)"), "knot record 3_1: mirror_sl_max 3 exceeds 2 tau - 1 = 1"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -677,6 +682,24 @@ def test_t1_asks_only_for_the_knots_its_rows_name(tmp_path):
                         lambda line: line.clear() if line["key"] == "8_20" else None)
     assert _call(["--data", data, "verify", "T1"]) == (
         0, '{"failed":[],"passed":19,"total":19}\n', "")
+
+
+def test_rows_keep_the_record_file_order(tmp_path):
+    # with the T1 rows and the T2 rows each reversed in the record file,
+    # export T1 and the T2 report list them reversed
+    rows = list(map(json.loads, _DATA_LINES))
+    t1 = [r["key"] for r in rows if r["table"] == "T1"]
+    for table in ("T1", "T2"):
+        at = [i for i, r in enumerate(rows) if r["table"] == table]
+        for i, r in zip(at, [rows[i] for i in reversed(at)]):
+            rows[i] = r
+    data = tmp_path / "reversed.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    code, out, err = _call(["--data", str(data), "export", "T1"])
+    assert (code, err) == (0, "")
+    assert [line.split("\t")[0] for line in out.splitlines()[1:]] == t1[::-1]
+    code, out, err = _call(["--data", str(data), "--pretty", "verify", "T2"])
+    assert (code, err) == (0, "") and out.startswith("[pass] T2 19 routes:")
 
 
 def test_each_registration_has_one_home(tmp_path):

@@ -128,12 +128,9 @@ def test_rederive_matches_stored_for_every_small_knot(ds):
 # --- direct operations --------------------------------------------------------
 
 def test_sl_upper_bound(ds):
-    bound, violation = sl_upper_bound(parse_knot("8_19"), ds)
-    assert bound == 5 and not violation
-    bound, violation = sl_upper_bound(parse_knot("U"), ds)
-    assert bound == -1 and not violation
-    bound, violation = sl_upper_bound(parse_knot("m(3_1)"), ds)
-    assert bound == 1 and not violation
+    assert sl_upper_bound(parse_knot("8_19"), ds) == 5
+    assert sl_upper_bound(parse_knot("U"), ds) == -1
+    assert sl_upper_bound(parse_knot("m(3_1)"), ds) == 1
 
 
 def test_lspace_cable(ds):
@@ -166,12 +163,12 @@ def test_r14_rounds_tau_inward_to_integers():
     for text, tau in (("9_99", 1), ("m(9_99)", -1)):
         b = bundle(text, ds)
         assert b.tau == Val.exact(tau) and type(b.tau.value()) is int, text
-        assert sl_upper_bound(parse_knot(text), ds) == (2 * tau - 1, False)
+        assert sl_upper_bound(parse_knot(text), ds) == 2 * tau - 1
     for text, tau in (("9_98", Val(-2, 0)), ("m(9_98)", Val(0, 2))):
         for tabulated in (True, False):
             b = bundle(text, ds if tabulated else ds.untabulated())
             assert b.tau == (tau if tabulated else Val()), (text, tabulated)
-            assert sl_upper_bound(parse_knot(text), ds) == (None, False)
+            assert sl_upper_bound(parse_knot(text), ds) is None
 
 
 def test_r14_bounds_nu_by_any_upper_bound_on_r0():

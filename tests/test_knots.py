@@ -37,7 +37,16 @@ from isharp.knots import (
     structural,
     twist_form,
 )
-from isharp.dimension import BranchedCover, Census, Lens, Surgery, parse_manifold
+from isharp.dimension import (
+    BranchedCover,
+    Census,
+    DimResult,
+    Lens,
+    Surgery,
+    census_dim,
+    parse_manifold,
+)
+from isharp.slopes import triad
 from isharp.values import BLANKS, Inconsistency, Slope, SlopeError, Val, parse_slope, reduce
 from isharp.verify import alexander_zero_surgery_floor
 
@@ -65,7 +74,8 @@ def test_records_compare_by_exact_type_and_fields():
 def test_records_are_immutable(ds):
     for record, field in ((Named("3_1"), "name"), (Torus(2, 3), "q"), (Val.exact(1), "lo"),
                           (Slope(1, 2), "q"), (ds.knot_record("3_1"), "nu"),
-                          (TraceEntry("R1", "table"), "detail")):
+                          (TraceEntry("R1", "table"), "detail"), (triad(Slope(5, 2)), "ab"),
+                          (DimResult.exact(13, 9), "state")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
@@ -77,7 +87,11 @@ def test_records_survive_deepcopy_and_pickle(ds):
     for record in (ds.knot_record("8_19"), Val(1, 7, 1),
                    parse_knot("Cab(3,2;m(3_1) # 4_1)"), Unknot(), Named("3_1", True),
                    Torus(-2, 5), Pretzel(-2, 3, 7), TwoBridge(-3, 4),
-                   Sum((Named("3_1"), TwoBridge(-3, 4))), TraceEntry("R1", "table")):
+                   Sum((Named("3_1"), TwoBridge(-3, 4))), TraceEntry("R1", "table"),
+                   triad(Slope(5, 2)), DimResult.exact(13, 9), census_dim(7, ds),
+                   DimResult.of_interval(3, None, 3), Slope(-7, 2),
+                   parse_manifold("surg(6_2; -9/1)"), deduce(parse_knot("8_19"), ds),
+                   ds.knot_record("3_1").structural, ds.table("T2")["7"]):
         for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(copied) is type(record) and copied == record
 

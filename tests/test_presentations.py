@@ -198,7 +198,7 @@ def test_torus_presentation_pins_tau_of_its_name():
     # is quasipositive with slice genus 4
     b = deduce(parse_knot("10_124"), DS)
     assert b.tau.is_exact and b.tau.value() == 4
-    assert sl_upper_bound(parse_knot("10_124"), DS) == (7, False)
+    assert sl_upper_bound(parse_knot("10_124"), DS) == 7
     assert deduce(parse_knot("m(10_124)"), DS).tau.value() == -4
 
 
