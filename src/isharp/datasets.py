@@ -277,7 +277,7 @@ class Dataset:
         self._knots = {key: _knot_record_from_entry(e, self)
                        for key, e in self._by_table.get("KNOT", {}).items()}
         # deduce, structural and lspace_cable results, keyed by canonical
-        # knot forms (knots.memo), and the alias index knots builds on first use
+        # knot texts (knots.memo), and the alias index knots builds on first use
         self.deduce_cache: dict = {}
         self.structural_cache: dict = {}
         self.lspace_cache: dict = {}

@@ -218,6 +218,8 @@ class DimResult(Record):
 
 
 _set_state, _set_euler = DimResult.state.__set__, DimResult.euler.__set__
+# the 3-sphere, an L-space: built once and shared, since results are immutable
+SPHERE = DimResult.exact(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +235,9 @@ def _require_bounded(val: Val, what: str, knot) -> Val:
 def surgery_dim(k: KnotExpr, s: Slope, bundle: str, ds) -> DimResult:
     """Dimension of the p/q surgery: q * r0 + |p - q * nu| away from the
     zero-surgery exceptions; slope 0 dispatches to zero_surgery_dim and
-    the infinite slope gives the 3-sphere."""
+    the infinite slope gives the 3-sphere, SPHERE."""
     if not s.q:
-        return DimResult.exact(1, 1)
+        return SPHERE
     if s.p == 0:
         return zero_surgery_dim(k, bundle, ds)
     return _formula_dim(deduce(k, ds), s, k)

@@ -13,8 +13,9 @@ tau from nu, since tau from nu can move tau's ends onto tau's parity,
 and r0 >= |nu| again after |nu| <= r0.
 
 Every entry point takes the Dataset it reads as ds, and each dataset
-caches the bundles of deduce and the answers of lspace_cable once per
-canonical form of the knot (knots.memo), the form a bundle names.  On
+caches the bundles of deduce once per canonical form of the knot, the
+form a bundle names, and the answers of lspace_cable once per canonical
+form of the cable, each under its text (knots.memo).  On
 ds.untabulated() R1 finds no stored value, and deduction re-derives.
 """
 
@@ -30,6 +31,7 @@ from .knots import (
     canonical,
     equivalent_atoms,
     format_knot,
+    make_cable,
     memo,
     mirror,
     registered_record,
@@ -170,11 +172,16 @@ def deduce(k: KnotExpr, ds) -> Bundle:
 
     On ds.untabulated() no tabulated nu/tau/r0 is read (structural flags
     stay available); the table verifier re-derives the tables there.
-    The result is cached per dataset under the canonical form of k,
-    which the Bundle names, and every caller gets the same immutable
-    Bundle.
+    The result is cached per dataset under the canonical text of k and
+    of its canonical form, which the Bundle names, and every caller gets
+    the same immutable Bundle.  A warm call is one probe of that cache
+    under k's text; memo runs only when k has no text rendered yet, or
+    the cache no entry under it.
     """
-    return memo(ds.deduce_cache, k, ds, _deduce)
+    try:
+        return ds.deduce_cache[k._text]
+    except (AttributeError, KeyError):
+        return memo(ds.deduce_cache, k, ds, _deduce)
 
 
 def _deduce(k, ds) -> Bundle:
@@ -379,16 +386,21 @@ def sl_upper_bound(k: KnotExpr, ds) -> int | None:
 def lspace_cable(p: int, q: int, k: KnotExpr, ds):
     """Whether the (p,q)-cable of k is an instanton L-space knot:
     true iff k is one and p/q > 2g(k) - 1.  None when undecidable.
+    Raises KnotError, as make_cable does, unless q >= 2 and
+    gcd(p, q) = 1.
 
-    The answer is cached per dataset under the canonical form of k: it
-    reads only the cached bundle and structural data of k, so a cable
-    chain checks each layer once."""
-    return memo(ds.lspace_cache, k, ds, _lspace_cable, p, q)
+    The answer is cached per dataset under the canonical text of the
+    cable make_cable(p, q, k): it reads only the cached bundle and
+    structural data of k, so a cable chain checks each layer once."""
+    return memo(ds.lspace_cache, make_cable(p, q, k), ds, _lspace_cable)
 
 
-def _lspace_cable(k, ds, p, q):
-    if isinstance(k, Unknot):
-        return p > 1  # the cable is T(p,q): positive, or the unknot when p = 1
+def _lspace_cable(c, ds):
+    if not isinstance(c, Cable):
+        # a cable of U is T(p,q), or U when |p| = 1: the family data flag
+        # T(p,q) an instanton L-space knot exactly when p > 0
+        return not isinstance(c, Unknot) and structural(c, ds).instanton_lspace
+    k = c.companion
     b = deduce(k, ds)
     s = structural(k, ds)
     status = _lspace_status(k, b, s, ds)
@@ -396,4 +408,4 @@ def _lspace_cable(k, ds, p, q):
         return False
     if status is None or not s.genus.is_exact:
         return None
-    return p > q * (2 * s.genus.value() - 1)  # p/q > 2g - 1, with q >= 2
+    return c.p > c.q * (2 * s.genus.value() - 1)  # p/q > 2g - 1, with q >= 2

@@ -18,8 +18,8 @@ where each code of a row's family that presents its knot, or the
 mirror, resolves through the row's class (_atom_key).  canonical writes every presentation of a
 registered knot as its name (U for the unknot), and memo keys the
 per-dataset caches of structural here and of deduce and lspace_cable in
-invariants on that form: T(3,5) and 10_124 share one computation, and
-an alias input gets its registered knot's trace.
+invariants on the text of that form alone: T(3,5) and 10_124 share one
+computation, and an alias input gets its registered knot's trace.
 
 structural returns the StructuralData record that datasets defines and
 its knot records hold; it combines those records with the family
@@ -454,18 +454,19 @@ def registered_record(k: KnotExpr, ds):
     return (ds.knot_record(k.name), k.mirrored) if isinstance(k, Named) else (None, False)
 
 
-def memo(cache: dict, k: KnotExpr, ds, compute, *args):
-    """compute(c, ds, *args) for the canonical form c of k, kept in cache
-    under the texts of k and of c, each followed by args: presentations of
-    one knot share one computation, and a warm call is one dict lookup."""
+def memo(cache: dict, k: KnotExpr, ds, compute):
+    """compute(c, ds) for the canonical form c of k, kept in cache under
+    the canonical texts of k and of c, the one key of every cache:
+    presentations of one knot share one computation, and a warm call is
+    one dict lookup."""
     try:
-        return cache[(k._text,) + args]
+        return cache[k._text]
     except (AttributeError, KeyError):  # no text rendered yet, or no entry
         pass
-    key = (format_knot(k),) + args
+    key = format_knot(k)
     c = canonical(k, ds)
-    ckey = (format_knot(c),) + args
-    value = cache[ckey] if ckey in cache else compute(c, ds, *args)
+    ckey = format_knot(c)
+    value = cache[ckey] if ckey in cache else compute(c, ds)
     cache[key] = cache[ckey] = value
     return value
 

@@ -18,10 +18,11 @@ So the penultimate convergent c/d of p/q (q >= 2) is the unique solution
 of q c - p d = 1 with 0 < d < q: d = (-p)^-1 mod q.  `triad` uses this to
 build the surgery triad from one modular inverse instead of the whole
 expansion, and checks that identity once: it proves all three slopes of
-the triad reduced, so they, and the Triad, are built without __init__.
+the triad reduced, so they, and the Triad, are built in place through
+their slots, with no __init__ and no helper call.
 """
 
-from .values import Record, Slope, SlopeError, _coprime, _new, reduce
+from .values import Record, Slope, SlopeError, _new, _set_p, _set_q, reduce
 
 
 # Longest negative continued fraction neg_cf writes out.  The expansion
@@ -120,9 +121,9 @@ def triad(s: Slope) -> Triad:
     b < d, while e/f = 1/0 when b = d.  So a common divisor of (a, b),
     (c, d) or (e, f) divides 1.  The signs hold by construction:
     0 < d < q gives b, d >= 1, and f = |b - d| >= 0, with f = 0 only at
-    1/0.  So the three slopes are stored as they are, without the gcd
-    Slope(p, q) would run on each, and the Triad through its slots, since
-    Triad.__init__ checks nothing.
+    1/0.  So the three slopes and the Triad are built in place, by _new
+    and the bound slot setters, without the gcd Slope(p, q) would run on
+    each slope; Triad.__init__ checks nothing.
     """
     p, q = s.p, s.q
     if q <= 1:
@@ -141,9 +142,15 @@ def triad(s: Slope) -> Triad:
     else:
         e, f = c - a, d - b
         case = "cd=ab+ef"
-    t = _new(Triad)
-    _set_ab(t, _coprime(a, b))
-    _set_cd(t, _coprime(c, d))
-    _set_ef(t, _coprime(e, f))
+    ab, cd, ef, t = _new(Slope), _new(Slope), _new(Slope), _new(Triad)
+    _set_p(ab, a)
+    _set_q(ab, b)
+    _set_p(cd, c)
+    _set_q(cd, d)
+    _set_p(ef, e)
+    _set_q(ef, f)
+    _set_ab(t, ab)
+    _set_cd(t, cd)
+    _set_ef(t, ef)
     _set_sum_case(t, case)
     return t

@@ -58,10 +58,10 @@ class Record:
     dimension.DimResult.  The last three are also built without running
     __init__, by _new (object.__new__), where the caller's arithmetic
     proves its checks: _coprime builds the Slope of a pair proved reduced
-    (reduce, negation, the slopes of a triad); slopes.triad its Triad,
-    whose one determinant check proves its three slopes; and
-    dimension._formula_dim the DimResult of a bundle's (nu, r0) pairs,
-    whose admissibility proves every value it admits.
+    (reduce, negation); slopes.triad its Triad and the Triad's three
+    slopes in place, since its one determinant check proves them
+    reduced; and dimension._formula_dim the DimResult of a bundle's
+    (nu, r0) pairs, whose admissibility proves every value it admits.
     """
 
     __slots__ = ()
@@ -293,8 +293,9 @@ INFINITY = Slope(1, 0)
 def _coprime(p: int, q: int) -> Slope:
     """The slope p/q built without Slope's checks, for a caller whose
     arithmetic proves the pair reduced: gcd(p, q) = 1, q >= 0, and
-    q = 0 only at p = 1.  reduce, negation and slopes.triad prove it;
-    every other pair goes through the checked Slope(p, q)."""
+    q = 0 only at p = 1.  reduce and negation prove it; slopes.triad
+    builds its three slopes in place, as it builds its Triad, and every
+    other pair goes through the checked Slope(p, q)."""
     s = _new(Slope)
     _set_p(s, p)
     _set_q(s, q)

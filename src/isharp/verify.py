@@ -12,16 +12,17 @@ pins fails; a route input the data cannot give raises IntegrityError
 naming it.  check_census meets the census routes in turn, as
 dimension.census_dim does.  The identity sweep reads its instances from
 integer_identities too.  verify_all first deduces every KNOT record on
-the tabulated data, so a record its own rules contradict raises
-IntegrityError naming it.
+the tabulated data and bounds its sl_max and its mirror's by 2 tau - 1,
+so a record its own rules contradict, or whose sl_max exceeds that
+bound, raises IntegrityError naming it.
 """
 
 import json
 
 from .datasets import CENSUS_TABLES
-from .dimension import (DimensionError, DimResult, branched_cover_dim, census_routes,
-                        surgery_dim, triad_bounds)
-from .invariants import deduce
+from .dimension import (SPHERE, DimensionError, DimResult, branched_cover_dim,
+                        census_routes, surgery_dim, triad_bounds)
+from .invariants import deduce, sl_upper_bound
 from .knots import (
     Cable,
     KnotError,
@@ -189,15 +190,14 @@ def _chain_r0(view, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
 
     # the triangles (S^3, S^3_{-1}(P), S^3_0(P)), (S^3, S^3_0, S^3_1) and
     # (S^3_0, S^3_1, S^3_{1/2}); the floor forces d_half in {d_half_min + 4k}
-    sphere = DimResult.exact(1, 1)
     try:
         minus1 = DimResult.exact(d_minus1, 1)
     except Inconsistency as e:  # 6_2's r0 came from an identity the data break
         raise IntegrityError(f"T1 route: -1-surgery on 6_2: {e}") from None
     solutions = []
-    for d0 in triad_bounds(sphere, minus1, 0).values():
+    for d0 in triad_bounds(SPHERE, minus1, 0).values():
         zero = DimResult.exact(d0, 0)
-        for d1 in triad_bounds(sphere, zero, 1).values():
+        for d1 in triad_bounds(SPHERE, zero, 1).values():
             half = triad_bounds(zero, DimResult.exact(d1, 1), 1)
             top = (half.values() or (half.state.hi,))[-1]  # listed or an interval, bounded
             solutions += [(d0, d1, d_half) for d_half in range(d_half_min, top + 1, 4)
@@ -367,8 +367,11 @@ def verify_target(target: str, ds) -> Report:
 
 def verify_all(ds) -> Report:
     """Every re-derivable cell of every table, one pass/fail row per cell,
-    after deducing every KNOT record on the tabulated data (a record the
-    rules contradict raises IntegrityError naming it)."""
+    after deducing every KNOT record on the tabulated data and checking
+    its stored sl_max, and its mirror's, against 2 tau - 1 (a record the
+    rules contradict, or whose sl_max exceeds that bound, raises
+    IntegrityError naming it)."""
     for name in ds.knot_names():
-        deduce(Named(name), ds)
+        sl_upper_bound(Named(name), ds)  # deduces the record first
+        sl_upper_bound(Named(name, True), ds)
     return Report([c for _, check in CHECKS for c in check(ds).cells])

@@ -648,6 +648,11 @@ def _census_12_routes_met_in_turn(line):
      "knot record 8_19: sl_max 7 exceeds 2 tau - 1 = 5"),
     ("KNOT", "3_1", lambda line: line["payload"].update(mirror_sl_max=3),
      ("invariants", "m(3_1)"), "knot record 3_1: mirror_sl_max 3 exceeds 2 tau - 1 = 1"),
+    # verify all bounds every record's sl_max, and its mirror's, as well
+    ("KNOT", "8_19", lambda line: line["payload"].update(sl_max=7), ("verify", "all"),
+     "knot record 8_19: sl_max 7 exceeds 2 tau - 1 = 5"),
+    ("KNOT", "3_1", lambda line: line["payload"].update(mirror_sl_max=3), ("verify", "all"),
+     "knot record 3_1: mirror_sl_max 3 exceeds 2 tau - 1 = 1"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from isharp import datasets, invariants, knots
 from isharp.invariants import RULES, _Draft, _tighten, deduce, lspace_cable, sl_upper_bound
-from isharp.knots import Unknot, format_knot, make_sum, mirror, parse_knot
+from isharp.knots import KnotError, Unknot, format_knot, make_sum, mirror, parse_knot
 from isharp.values import Inconsistency, IntegrityError, Val
 
 
@@ -142,11 +143,17 @@ def test_lspace_cable(ds):
 def test_lspace_cable_of_the_unknot_is_its_torus_knot(ds):
     # Cab(p,q;U) is T(p,q): an L-space knot when positive, not the unknot
     for companion in (Unknot(), parse_knot("P(-1,3,2)")):
-        assert lspace_cable(3, 2, companion, ds) is True
-        assert lspace_cable(5, 3, companion, ds) is True
-        assert lspace_cable(1, 2, companion, ds) is False
-        assert lspace_cable(-3, 2, companion, ds) is False
-        assert lspace_cable(-1, 2, companion, ds) is False
+        for p, q in itertools.product(range(-9, 10), range(2, 6)):
+            if math.gcd(p, q) == 1:
+                assert lspace_cable(p, q, companion, ds) is (p > 1), (p, q, companion)
+
+
+def test_lspace_cable_of_no_cable_raises(ds):
+    # the parameters of a cable that does not exist fail make_cable's check
+    for p, q in ((3, 1), (3, 0), (3, -2), (4, 2), (0, 3), (6, 9)):
+        for companion in (Unknot(), parse_knot("m(3_1)")):
+            with pytest.raises(KnotError, match="cable needs q >= 2 and gcd"):
+                lspace_cable(p, q, companion, ds)
 
 
 def _with_knot_rows(instanton: dict):
@@ -202,9 +209,9 @@ def test_cold_cable_chain_checks_each_layer_once(monkeypatch):
     keys = []
     original = invariants._lspace_cable
 
-    def counting(k, ds, p, q):
-        keys.append((p, q, format_knot(k)))
-        return original(k, ds, p, q)
+    def counting(c, ds):
+        keys.append(format_knot(c))
+        return original(c, ds)
 
     monkeypatch.setattr(invariants, "_lspace_cable", counting)
     deduce(parse_knot(text), ds)

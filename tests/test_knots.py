@@ -38,6 +38,7 @@ from isharp.knots import (
     twist_form,
 )
 from isharp.dimension import (
+    SPHERE,
     BranchedCover,
     Census,
     DimResult,
@@ -75,7 +76,7 @@ def test_records_are_immutable(ds):
     for record, field in ((Named("3_1"), "name"), (Torus(2, 3), "q"), (Val.exact(1), "lo"),
                           (Slope(1, 2), "q"), (ds.knot_record("3_1"), "nu"),
                           (TraceEntry("R1", "table"), "detail"), (triad(Slope(5, 2)), "ab"),
-                          (DimResult.exact(13, 9), "state")):
+                          (DimResult.exact(13, 9), "state"), (SPHERE, "state")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):

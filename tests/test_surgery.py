@@ -29,7 +29,7 @@ from isharp.dimension import (
     zero_surgery_dim,
 )
 from isharp.surgery import homeo_identities, integer_identities, verify_identity
-from isharp.values import Inconsistency, IntegrityError, Slope, Val, parse_slope, reduce
+from isharp.values import INFINITY, Inconsistency, IntegrityError, Slope, Val, parse_slope, reduce
 
 
 @pytest.fixture(scope="module")
@@ -220,15 +220,17 @@ def _python_calls(f, *args) -> list[str]:
     return calls
 
 
-def test_a_warm_fractional_step_runs_nine_python_calls(ds):
-    # a warm one-pair surgery_dim is a cache hit and the closed form, and
-    # triad builds its record and its slopes without __init__
+def test_a_warm_fractional_step_runs_five_python_calls(ds):
+    # a warm one-pair surgery_dim is one probe of the deduce cache and the
+    # closed form, triad builds its record and its slopes in place, and
+    # the infinite slope answers the one shared 3-sphere result
     k, s = parse_knot("3_1"), Slope(7, 3)
     surgery_dim(k, s, "trivial", ds)
     assert _python_calls(surgery_dim, k, s, "trivial", ds) == [
-        "surgery_dim", "deduce", "memo", "_formula_dim"]
-    assert _python_calls(triad, s) == ["triad", "_coprime", "_coprime", "_coprime"]
+        "surgery_dim", "deduce", "_formula_dim"]
+    assert _python_calls(triad, s) == ["triad"]
     assert _python_calls(neg_cf, s) == ["neg_cf"]
+    assert _python_calls(surgery_dim, k, INFINITY, "trivial", ds) == ["surgery_dim"]
 
 
 def test_census_dim_rows(ds):
