@@ -19,7 +19,7 @@ _EXPORTS = {
     "manifold_dim": "dimension", "parse_manifold": "dimension",
     "surgery_dim": "dimension", "triad_bounds": "dimension",
     "zero_surgery_dim": "dimension",
-    "homeo_identities": "surgery", "verify_identity": "surgery",
+    "homeo_identities": "surgery", "verify_identity": "verify",
 }
 
 __all__ = sorted(_EXPORTS)

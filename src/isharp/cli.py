@@ -20,10 +20,10 @@ values (the errors main() maps to exit codes), a call compiles:
 
   cf, triad               cmd_cf or cmd_triad, slopes
   invariants, sum, cable  its cmd_ module, datasets, knots, invariants
-  dim, census             its cmd_ module, datasets, knots, invariants,
-                          dimension
-  identities              cmd_identities, the modules of dim, surgery
-  verify                  cmd_verify, verify and everything below it
+  dim, census             its cmd_ module, those of invariants, dimension
+  identities              cmd_identities, datasets, knots, surgery
+  verify                  cmd_verify, verify (the identity check too) and
+                          everything below it
   export                  cmd_export, datasets; a census table adds verify
 
 A well-formed argv is matched straight against COMMANDS (the global

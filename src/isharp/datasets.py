@@ -42,9 +42,10 @@ from .values import DatasetError, Record, Val
 
 SCHEMA_VERSION = 1
 KNOWN_TABLES = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "ALIAS", "KNOT")
-# the census tables, whose rows are keyed by census index
+# the census tables, whose rows are keyed by census index, 0..19
 CENSUS_TABLES = ("T2", "T6", "T7", "T8")
-CENSUS_KEYS = frozenset(map(str, range(20)))
+CENSUS_INDICES = range(20)
+CENSUS_KEYS = frozenset(map(str, CENSUS_INDICES))
 # the knot tables, whose rows are keyed by the name of a KNOT row
 KNOT_TABLES = ("T1", "T3", "T4", "T5")
 
@@ -89,6 +90,10 @@ class StructuralData(Record):
                  alternating: bool | None = None, quasipositive: bool | None = None,
                  positive: bool | None = None, amphichiral: bool | None = None,
                  instanton_lspace: bool | None = None, thin_odd_khovanov: bool | None = None):
+        # alternating knots are quasi-alternating (Ozsvath-Szabo), so thin in odd
+        # Khovanov homology (Ozsvath-Rasmussen-Szabo); check_integrity refuses False
+        if alternating and thin_odd_khovanov is None:
+            thin_odd_khovanov = True
         self._fill(genus, slice_genus, signature, determinant, alexander, sl_max, alternating,
                    quasipositive, positive, amphichiral, instanton_lspace, thin_odd_khovanov)
 
@@ -333,6 +338,8 @@ class Dataset:
                     raise DatasetError(f"{where}: |nu| exceeds max(2 g_s - 1, 0) = {bound}")
             if rec.shape == "W" and nu.is_exact and nu.value() != 0:
                 raise DatasetError(f"{where}: W-shaped but nu != 0")
+            if rec.structural.alternating and rec.structural.thin_odd_khovanov is False:
+                raise DatasetError(f"{where}: thin_odd_khovanov False contradicts alternating True")
             sig = rec.structural.signature
             if sig is not None and sig % 2 != 0:
                 raise DatasetError(f"{where}: odd signature {sig}")

@@ -17,6 +17,7 @@ scanner's slope production.
 
 import math
 
+from .datasets import CENSUS_INDICES
 from .invariants import Bundle, deduce
 from .knots import (Cable, KnotExpr, Named, Sum, _Parser, canonical, format_knot, mirror,
                     parse_knot, registered_record, structural)
@@ -74,7 +75,7 @@ class Census(Record):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
-        if not 0 <= index <= 19:
+        if index not in CENSUS_INDICES:
             raise ValueError(f"census index {index} out of range 0..19")
         self._fill(index)
 

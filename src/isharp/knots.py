@@ -562,14 +562,12 @@ def _family_structural(k: KnotExpr) -> StructuralData:
                                   signature=-2 * n, alternating=True)
         return StructuralData(genus=nonneg, slice_genus=nonneg)
     if isinstance(k, TwoBridge):
-        # two-bridge knots are alternating, so quasi-alternating and thin
-        # in odd Khovanov homology, and their double branched cover is
-        # L(p,q), p = |ab - 1|, q = +-b; by Schubert, the knot is its own
-        # mirror iff q^2 = -1 (mod p).  Twist knots have Seifert genus 1,
-        # and the odd ones a positive mirror, so slice genus exactly 1
+        # two-bridge knots are alternating, and their double branched
+        # cover is L(p,q), p = |ab - 1|, q = +-b; by Schubert, the knot is
+        # its own mirror iff q^2 = -1 (mod p).  Twist knots have Seifert
+        # genus 1, and the odd ones a positive mirror, so slice genus exactly 1
         p = abs(k.a * k.b - 1)  # never 0: a code is never both odd
-        flags = {"alternating": True, "thin_odd_khovanov": True,
-                 "amphichiral": (k.b * k.b + 1) % p == 0}
+        flags = {"alternating": True, "amphichiral": (k.b * k.b + 1) % p == 0}
         g = gs = nonneg
         tw = twist_form(k)
         if tw is not None:

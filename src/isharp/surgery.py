@@ -1,20 +1,25 @@
 """Homeomorphism identities: the registry of surgery re-descriptions.
 
 integer_identities lists those of every integer surgery on a knot, each
-slope written there once; homeo_identities lists those of one surgery;
-verify_identity compares the dimensions of the two sides, naming each
-side as its Surgery prints.  Every dimension route, census manifolds
-included, lives one layer down, in dimension.
+slope written there once; homeo_identities lists those of one surgery.
+They are facts about the knots alone, so this module imports knots and
+values only; verify.verify_identity compares the two sides.  For the
+benchmark, branched_cover_dim, census_dim and surgery_dim resolve to
+dimension's on first access (PEP 562).
 """
 
 import math
+from importlib import import_module
 
-# this module uses neither branched_cover_dim nor census_dim: they stay
-# importable from it only because bench/layers.py imports them from here
-from .dimension import DimResult, Surgery, branched_cover_dim, census_dim, surgery_dim
 from .knots import (Cable, KnotExpr, Pretzel, TwoBridge, _pretzel_n33, canonical,
                     equivalent_atoms, make_cable)
-from .values import Inconsistency, Record, Slope, reduce
+from .values import Slope, reduce
+
+
+def __getattr__(name):
+    if name in ("branched_cover_dim", "census_dim", "surgery_dim"):
+        return getattr(import_module(".dimension", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def integer_identities(k: KnotExpr, ds) -> list[tuple[int, KnotExpr, Slope]]:
@@ -64,26 +69,3 @@ def homeo_identities(k: KnotExpr, s: Slope, ds) -> list[tuple[KnotExpr, Slope]]:
                     if math.gcd(abs(p), q) == 1:
                         out.append((make_cable(p, q, k), Slope(s.p, 1)))
     return out
-
-
-class IdentityReport(Record):
-    """status is "equal", "compatible" or "contradiction"."""
-
-    __slots__ = ("lhs", "rhs", "lhs_dim", "rhs_dim", "status")
-
-    def __init__(self, lhs: str, rhs: str, lhs_dim: DimResult, rhs_dim: DimResult,
-                 status: str):
-        self._fill(lhs, rhs, lhs_dim, rhs_dim, status)
-
-
-def verify_identity(lhs: tuple[KnotExpr, Slope], rhs: tuple[KnotExpr, Slope],
-                    ds) -> IdentityReport:
-    """Compare the dimensions and |H1| of two surgery descriptions."""
-    ld = surgery_dim(lhs[0], lhs[1], "trivial", ds)
-    rd = surgery_dim(rhs[0], rhs[1], "trivial", ds)
-    try:
-        ld.meet(rd)  # raises on different euler or disjoint dimensions
-        status = "equal" if ld.is_exact and ld == rd else "compatible"
-    except Inconsistency:
-        status = "contradiction"
-    return IdentityReport(str(Surgery(*lhs)), str(Surgery(*rhs)), ld, rd, status)

@@ -55,13 +55,14 @@ class Record:
     every arithmetic step skip _fill's call and loop, and store through
     their slots' descriptors, bound once at module level (_set_p =
     Slope.p.__set__): Val and Slope here, slopes.Triad and
-    dimension.DimResult.  The last three are also built without running
-    __init__, by _new (object.__new__), where the caller's arithmetic
-    proves its checks: _coprime builds the Slope of a pair proved reduced
-    (reduce, negation); slopes.triad its Triad and the Triad's three
-    slopes in place, since its one determinant check proves them
-    reduced; and dimension._formula_dim the DimResult of a bundle's
-    (nu, r0) pairs, whose admissibility proves every value it admits.
+    dimension.DimResult.  Only the two builders that the slope sweep
+    times build records without running __init__, by _new
+    (object.__new__), where their arithmetic proves the checks:
+    slopes.triad builds its Triad and the Triad's three slopes in place,
+    since its one determinant check proves them reduced, and
+    dimension._formula_dim the DimResult of a bundle's (nu, r0) pairs,
+    whose admissibility proves every value it admits.  Every other
+    record, every other Slope included, is built through its __init__.
     """
 
     __slots__ = ()
@@ -279,7 +280,7 @@ class Slope(Record):
     def __neg__(self) -> "Slope":
         if self.is_infinite:
             return self
-        return _coprime(-self.p, self.q)  # gcd(-p, q) = gcd(p, q) = 1
+        return Slope(-self.p, self.q)
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else f"{self.p}/{self.q}"
@@ -290,18 +291,6 @@ _new = object.__new__
 INFINITY = Slope(1, 0)
 
 
-def _coprime(p: int, q: int) -> Slope:
-    """The slope p/q built without Slope's checks, for a caller whose
-    arithmetic proves the pair reduced: gcd(p, q) = 1, q >= 0, and
-    q = 0 only at p = 1.  reduce and negation prove it; slopes.triad
-    builds its three slopes in place, as it builds its Triad, and every
-    other pair goes through the checked Slope(p, q)."""
-    s = _new(Slope)
-    _set_p(s, p)
-    _set_q(s, q)
-    return s
-
-
 def reduce(p: int, q: int) -> Slope:
     """Canonical reduced slope for an arbitrary integer pair (p, q) != (0, 0)."""
     if p == 0 and q == 0:
@@ -310,7 +299,7 @@ def reduce(p: int, q: int) -> Slope:
     p, q = p // g, q // g
     if q < 0 or q == 0 and p < 0:  # -1/0 is inf, as -inf is
         p, q = -p, -q
-    return _coprime(p, q)  # divided by their gcd, and 1/0 is the one q = 0
+    return Slope(p, q)
 
 
 BLANKS = " \t\n\r\v\f"

@@ -11,31 +11,22 @@ triangles that dimension.triad_bounds bounds.  A T1 cell that no route
 pins fails; a route input the data cannot give raises IntegrityError
 naming it.  check_census meets the census routes in turn, as
 dimension.census_dim does.  The identity sweep reads its instances from
-integer_identities too.  verify_all first deduces every KNOT record on
-the tabulated data and bounds its sl_max and its mirror's by 2 tau - 1,
-so a record its own rules contradict, or whose sl_max exceeds that
-bound, raises IntegrityError naming it.
+integer_identities too, and verify_identity compares their sides.
+verify_all first deduces every KNOT record on the tabulated data and
+bounds its sl_max and its mirror's by 2 tau - 1, so a record its own
+rules contradict, or whose sl_max exceeds that bound, raises
+IntegrityError naming it.
 """
 
 import json
 
 from .datasets import CENSUS_TABLES
-from .dimension import (SPHERE, DimensionError, DimResult, branched_cover_dim,
+from .dimension import (SPHERE, DimensionError, DimResult, Surgery, branched_cover_dim,
                         census_routes, surgery_dim, triad_bounds)
 from .invariants import deduce, sl_upper_bound
-from .knots import (
-    Cable,
-    KnotError,
-    Named,
-    Pretzel,
-    TwoBridge,
-    Unknot,
-    equivalent_atoms,
-    make_twist,
-    parse_knot,
-    structural,
-)
-from .surgery import integer_identities, verify_identity
+from .knots import (Cable, KnotError, KnotExpr, Named, Pretzel, TwoBridge, Unknot,
+                    equivalent_atoms, make_twist, parse_knot, structural)
+from .surgery import integer_identities
 from .values import DatasetError, Inconsistency, IntegrityError, Record, Slope
 
 
@@ -324,6 +315,29 @@ def identity_instances(ds):
                   for p in range(q * (2 * g - 1) + 1, q * (2 * g - 1) + bound) if p % q]
     return [((k, Slope(n, 1)), (partner, slope)) for k in swept
             for n, partner, slope in integer_identities(k, ds)]
+
+
+class IdentityReport(Record):
+    """status is "equal", "compatible" or "contradiction"."""
+
+    __slots__ = ("lhs", "rhs", "lhs_dim", "rhs_dim", "status")
+
+    def __init__(self, lhs: str, rhs: str, lhs_dim: DimResult, rhs_dim: DimResult,
+                 status: str):
+        self._fill(lhs, rhs, lhs_dim, rhs_dim, status)
+
+
+def verify_identity(lhs: tuple[KnotExpr, Slope], rhs: tuple[KnotExpr, Slope],
+                    ds) -> IdentityReport:
+    """Compare the dimensions and |H1| of two surgery descriptions."""
+    ld = surgery_dim(lhs[0], lhs[1], "trivial", ds)
+    rd = surgery_dim(rhs[0], rhs[1], "trivial", ds)
+    try:
+        ld.meet(rd)  # raises on different euler or disjoint dimensions
+        status = "equal" if ld.is_exact and ld == rd else "compatible"
+    except Inconsistency:
+        status = "contradiction"
+    return IdentityReport(str(Surgery(*lhs)), str(Surgery(*rhs)), ld, rd, status)
 
 
 def check_identities(ds) -> Report:

@@ -12,7 +12,6 @@ from isharp.invariants import deduce
 from isharp.knots import Pretzel, make_twist, mirror, parse_knot
 from isharp.dimension import branched_cover_dim, census_dim, surgery_dim
 from isharp.slopes import eval_cf, neg_cf, triad
-from isharp.surgery import verify_identity
 from isharp.values import Slope, reduce
 from isharp.verify import (
     check_census,
@@ -22,6 +21,7 @@ from isharp.verify import (
     rederive_nu_tau,
     rederive_r0,
     verify_all,
+    verify_identity,
 )
 
 SEED = 20260810

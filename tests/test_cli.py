@@ -620,13 +620,13 @@ def _census_12_routes_met_in_turn(line):
     ("KNOT", "3_1", lambda line: line["payload"]["flags"].update(homogeneous=True),
      ("invariants", "3_1"), "knot record 3_1: flags: unknown field 'homogeneous'"),
     # a two-bridge knot's determinant is its fraction's p, and it is
-    # alternating, so thin in odd Khovanov homology
+    # alternating, so thin in odd Khovanov homology: its row says so, and
+    # the load refuses a row that says alternating but not thin
     *[("KNOT", "6_2", lambda line: line["payload"].update(determinant=13), argv,
        "knot record 6_2: determinant 13 contradicts the determinant 11 of TB(-3,-4)")
       for argv in (("dim", "dcover(6_2)"), ("verify", "all"))],
     *[("KNOT", "7_4", lambda line: line["payload"]["flags"].update(thin_odd_khovanov=False),
-       argv, "knot record 7_4: thin_odd_khovanov False contradicts the thin_odd_khovanov True "
-       "of TB(-4,-4)")
+       argv, "knot record 7_4: thin_odd_khovanov False contradicts alternating True")
       for argv in (("dim", "dcover(7_4)"), ("verify", "all"))],
     # by Schubert, a two-bridge knot is amphichiral iff q^2 = -1 (mod p)
     *[("KNOT", "4_1", lambda line: line["payload"]["flags"].update(amphichiral=False), argv,
@@ -653,10 +653,29 @@ def _census_12_routes_met_in_turn(line):
      "knot record 8_19: sl_max 7 exceeds 2 tau - 1 = 5"),
     ("KNOT", "3_1", lambda line: line["payload"].update(mirror_sl_max=3), ("verify", "all"),
      "knot record 3_1: mirror_sl_max 3 exceeds 2 tau - 1 = 1"),
+    # alternating knots are quasi-alternating, so thin in odd Khovanov
+    # homology, also where no family data said so: a torus knot (5_1), a
+    # pretzel (8_5) and knots no code presents (7_5, 8_16); the load
+    # refuses the flipped flag, whatever the call reads
+    *[("KNOT", key, lambda line: line["payload"]["flags"].update(thin_odd_khovanov=False),
+       argv, f"knot record {key}: thin_odd_khovanov False contradicts alternating True")
+      for key, argv in (("5_1", ("dim", "dcover(5_1)")), ("5_1", ("verify", "all")),
+                        ("8_5", ("dim", "dcover(8_5)")), ("7_5", ("invariants", "7_5")),
+                        ("8_16", ("dim", "surg(3_1; 1)")), ("8_16", ("cable", "3", "2", "8_16")))],
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
     assert (code, out, err) == (3, "", f"integrity error: {message}\n")
+
+
+def test_an_alternating_record_with_a_null_thin_flag_reads_thin(tmp_path):
+    # no family code presents 8_16, so only the rule that alternating
+    # knots are thin keeps its cover's dimension at its determinant
+    data = _edited_copy(tmp_path, "KNOT", "8_16",
+                        lambda line: line["payload"]["flags"].update(thin_odd_khovanov=None))
+    answer = (0, '{"dim":35,"euler":35,"kind":"exact","manifold":"dcover(8_16)"}\n', "")
+    assert run_cli("dim", "dcover(8_16)") == answer
+    assert run_cli("--data", data, "dim", "dcover(8_16)") == answer
 
 
 @pytest.mark.parametrize("table, key, edit, argv, failed", [
@@ -992,6 +1011,11 @@ def test_import_layout():
                                 "isharp.invariants", "isharp.dimension"}, call
     assert loaded["census 3"] == {*base, "isharp.cmd_census", "isharp.datasets",
                                   "isharp.knots", "isharp.invariants", "isharp.dimension"}
+    # the identity registry stands on the knots: identities compiles
+    # neither the deduction engine nor the dimension code
+    assert loaded["identities m(3_1) 7/4"] == {*base, "isharp.cmd_identities",
+                                               "isharp.datasets", "isharp.knots",
+                                               "isharp.surgery"}
     # the knot commands stop below the dimension code
     for call in ("invariants m(5_2)", "sum 3_1 m(3_1)", "cable 3 2 m(3_1)"):
         assert "isharp.invariants" in loaded[call], call
@@ -1372,11 +1396,8 @@ def test_layers_import_downward_at_module_top():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # the one exemption: surgery uses neither branched_cover_dim nor
-    # census_dim, but bench/layers.py imports both from it
     import isharp
     src = Path(isharp.__file__).parent
-    exempt = {("surgery", "branched_cover_dim"), ("surgery", "census_dim")}
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -1384,8 +1405,29 @@ def test_no_module_imports_a_name_it_never_uses():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
                     name = (alias.asname or alias.name).split(".")[0]
-                    assert name in used or (path.stem, name) in exempt, \
-                        f"{path.stem} imports {name} and never uses it"
+                    assert name in used, f"{path.stem} imports {name} and never uses it"
+
+
+def test_only_the_two_timed_builders_skip_init():
+    # values._new builds a record without its __init__, so its caller's
+    # arithmetic must prove the checks: only slopes.triad and
+    # dimension._formula_dim, the builders the slope sweep times, call it
+    import isharp
+    src = Path(isharp.__file__).parent
+    callers = set()
+
+    def visit(node, stem, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and "_new" in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+            callers.add((stem, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, stem, function)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert callers == {("slopes", "triad"), ("dimension", "_formula_dim")}
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,8 +28,9 @@ from isharp.dimension import (
     triad_bounds,
     zero_surgery_dim,
 )
-from isharp.surgery import homeo_identities, integer_identities, verify_identity
+from isharp.surgery import homeo_identities, integer_identities
 from isharp.values import INFINITY, Inconsistency, IntegrityError, Slope, Val, parse_slope, reduce
+from isharp.verify import verify_identity
 
 
 @pytest.fixture(scope="module")
