@@ -21,7 +21,7 @@ from .datasets import CENSUS_INDICES
 from .invariants import Bundle, deduce
 from .knots import (Cable, KnotExpr, Named, Sum, _Parser, canonical, format_knot, mirror,
                     parse_knot, registered_record, structural)
-from .values import Inconsistency, IntegrityError, Record, Slope, Val, _new, parse_slope
+from .values import Inconsistency, IntegrityError, Record, Slope, Val, Value, parse_slope
 
 
 class DimensionError(ValueError):
@@ -122,7 +122,7 @@ def parse_manifold(text: str) -> ManifoldDesc:
 # Dimension results
 # ---------------------------------------------------------------------------
 
-class DimResult(Record):
+class DimResult(Value):
     """Exact dimension, finite candidate set, or interval with parity.
 
     state is the sorted tuple of admissible dimensions (one value when
@@ -134,11 +134,11 @@ class DimResult(Record):
     ((d + euler)/2, (d - euler)/2) of an exact d.
     """
 
-    __slots__ = ("state", "euler")
+    _fields = ("state", "euler")
+    __slots__ = ()
 
-    def __init__(self, state: tuple[int, ...] | Val, euler: int = 0):
-        _set_state(self, state)
-        _set_euler(self, euler)
+    def __new__(cls, state: tuple[int, ...] | Val, euler: int = 0):
+        return super().__new__(cls, (state, euler))
 
     @staticmethod
     def exact(d: int, euler: int) -> "DimResult":
@@ -218,7 +218,6 @@ class DimResult(Record):
         return str(state[0]) if len(state) == 1 else "{" + ",".join(map(str, state)) + "}"
 
 
-_set_state, _set_euler = DimResult.state.__set__, DimResult.euler.__set__
 # the 3-sphere, an L-space: built once and shared, since results are immutable
 SPHERE = DimResult.exact(1, 1)
 
@@ -237,9 +236,10 @@ def surgery_dim(k: KnotExpr, s: Slope, bundle: str, ds) -> DimResult:
     """Dimension of the p/q surgery: q * r0 + |p - q * nu| away from the
     zero-surgery exceptions; slope 0 dispatches to zero_surgery_dim and
     the infinite slope gives the 3-sphere, SPHERE."""
-    if not s.q:
+    p, q = s[0], s[1]
+    if not q:
         return SPHERE
-    if s.p == 0:
+    if p == 0:
         return zero_surgery_dim(k, bundle, ds)
     return _formula_dim(deduce(k, ds), s, k)
 
@@ -252,12 +252,12 @@ def _formula_dim(b: Bundle, s: Slope, knot=None) -> DimResult:
     their values, and without pairs the form runs on the intervals.  The
     euler characteristic is |p|.
 
-    A value from pairs is built without the checks of exact() and
-    of_candidates(): Bundle admits a pair only with r0 = nu (mod 2) and
-    r0 >= |nu|, so with q >= 1 every d = q r0 + |p - q nu| satisfies
-    d >= q |nu| + |p - q nu| >= |p| and d = q (r0 - nu) + p = p (mod 2),
-    which are the two conditions those checks test."""
-    p, q = s.p, s.q
+    A value from pairs is built by one tuple.__new__ call, skipping the
+    checks of exact() and of_candidates(): Bundle admits a pair only
+    with r0 = nu (mod 2) and r0 >= |nu|, so with q >= 1 every
+    d = q r0 + |p - q nu| satisfies d >= q |nu| + |p - q nu| >= |p| and
+    d = q (r0 - nu) + p = p (mod 2), the two conditions those checks test."""
+    p, q = s[0], s[1]
     pairs = b.pairs
     if pairs:  # nu and r0 are bounded
         if len(pairs) == 1:
@@ -265,10 +265,7 @@ def _formula_dim(b: Bundle, s: Slope, knot=None) -> DimResult:
             state = (q * r + abs(p - q * n),)
         else:  # enumeration over the admissible (nu, r0) lattice
             state = tuple(sorted({q * r + abs(p - q * n) for n, r in pairs}))
-        result = _new(DimResult)
-        _set_state(result, state)
-        _set_euler(result, abs(p))
-        return result
+        return tuple.__new__(DimResult, (state, abs(p)))
 
     # interval propagation: |p - q nu| is piecewise linear in nu, so its
     # extremes over an interval sit at the endpoints or at the interior

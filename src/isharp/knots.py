@@ -551,16 +551,18 @@ def _family_structural(k: KnotExpr) -> StructuralData:
                               determinant=_torus_det(abs(k.p), k.q), positive=positive,
                               quasipositive=positive, instanton_lspace=k.p > 0)
     if isinstance(k, Pretzel):
+        # det |ab + bc + ca| (Goeritz); the diagram alternates if all strands twist one way
+        known = {"determinant": abs(k.a * k.b + k.b * k.c + k.c * k.a),
+                 "alternating": 0 < k.a * k.b and 0 < k.b * k.c or None}
         if _pretzel_n33(k) is not None:
             # the P(n,3,-3) family is smoothly slice (band to the unlink)
-            return StructuralData(slice_genus=Val.exact(0), genus=nonneg)
+            return StructuralData(slice_genus=Val.exact(0), genus=nonneg, **known)
         n = _pretzel_odd32(k)
         if n is not None:
-            # alternating diagrams with signature -2n and slice genus |n|
-            # (an |n|-fold crossing change reaches the unknot)
+            # signature -2n and slice genus |n| (|n| crossing changes reach the unknot)
             return StructuralData(slice_genus=Val.exact(abs(n)), genus=nonneg,
-                                  signature=-2 * n, alternating=True)
-        return StructuralData(genus=nonneg, slice_genus=nonneg)
+                                  signature=-2 * n, **known)
+        return StructuralData(genus=nonneg, slice_genus=nonneg, **known)
     if isinstance(k, TwoBridge):
         # two-bridge knots are alternating, and their double branched
         # cover is L(p,q), p = |ab - 1|, q = +-b; by Schubert, the knot is
@@ -616,8 +618,9 @@ def _sum_structural(k: Sum, ds) -> StructuralData:
     det = None if None in dets else math.prod(dets)
     is_slice = all(p.slice_genus == Val.exact(0) for p in parts) or _is_mirror_paired(k, ds)
     gs = Val.exact(0) if is_slice else Val(0, gs_hi)
-    # sums of alternating knots need not be alternating: that flag stays unknown
+    # a sum of alternating diagrams, joined at an outer edge, alternates
     return StructuralData(genus=g, slice_genus=gs, signature=sigma, determinant=det,
+                          alternating=all(p.alternating for p in parts) or None,
                           quasipositive=all(p.quasipositive for p in parts) or None,
                           positive=all(p.positive for p in parts) or None)
 

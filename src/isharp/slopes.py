@@ -18,11 +18,13 @@ So the penultimate convergent c/d of p/q (q >= 2) is the unique solution
 of q c - p d = 1 with 0 < d < q: d = (-p)^-1 mod q.  `triad` uses this to
 build the surgery triad from one modular inverse instead of the whole
 expansion, and checks that identity once: it proves all three slopes of
-the triad reduced, so they, and the Triad, are built in place through
-their slots, with no __init__ and no helper call.
+the triad reduced.  Slope and Triad are values.Values, records stored as
+tuples, so triad builds each of the three slopes and the Triad with one
+tuple.__new__ call, skipping the checks of Slope.__new__ that the
+identity proves.
 """
 
-from .values import Record, Slope, SlopeError, _new, _set_p, _set_q, reduce
+from .values import Slope, SlopeError, Value, reduce
 
 
 # Longest negative continued fraction neg_cf writes out.  The expansion
@@ -42,7 +44,7 @@ def neg_cf(s: Slope) -> list[int]:
     (k + 1) - p/q is q/(q - r), so each step is one divmod.  Raises
     SlopeError when the expansion is longer than MAX_CF_TERMS.
     """
-    p, q = s.p, s.q
+    p, q = s[0], s[1]
     if not q:
         raise SlopeError("no continued fraction for the infinite slope")
     coeffs = []
@@ -78,7 +80,7 @@ def format_cf(coeffs: list[int]) -> str:
     return "[" + ",".join(str(a) for a in coeffs) + "]"
 
 
-class Triad(Record):
+class Triad(Value):
     """The surgery triad of a non-integral finite slope p/q.
 
     ab and cd are the slopes sitting in exact triangles with p/q, and ef is
@@ -87,17 +89,11 @@ class Triad(Record):
     holds.
     """
 
-    __slots__ = ("ab", "cd", "ef", "sum_case")
+    _fields = ("ab", "cd", "ef", "sum_case")
+    __slots__ = ()
 
-    def __init__(self, ab: Slope, cd: Slope, ef: Slope, sum_case: str):
-        _set_ab(self, ab)
-        _set_cd(self, cd)
-        _set_ef(self, ef)
-        _set_sum_case(self, sum_case)
-
-
-_set_ab, _set_cd, _set_ef, _set_sum_case = (
-    Triad.ab.__set__, Triad.cd.__set__, Triad.ef.__set__, Triad.sum_case.__set__)
+    def __new__(cls, ab: Slope, cd: Slope, ef: Slope, sum_case: str):
+        return super().__new__(cls, (ab, cd, ef, sum_case))
 
 
 def triad(s: Slope) -> Triad:
@@ -121,11 +117,11 @@ def triad(s: Slope) -> Triad:
     b < d, while e/f = 1/0 when b = d.  So a common divisor of (a, b),
     (c, d) or (e, f) divides 1.  The signs hold by construction:
     0 < d < q gives b, d >= 1, and f = |b - d| >= 0, with f = 0 only at
-    1/0.  So the three slopes and the Triad are built in place, by _new
-    and the bound slot setters, without the gcd Slope(p, q) would run on
-    each slope; Triad.__init__ checks nothing.
+    1/0.  So each of the three slopes and the Triad is built by one
+    tuple.__new__ call, without the gcd Slope(p, q) would run on each
+    slope; Triad's own constructor checks nothing.
     """
-    p, q = s.p, s.q
+    p, q = s[0], s[1]
     if q <= 1:
         raise SlopeError(f"no triad for integer or infinite slope {s}")
     d = pow(-p, -1, q)
@@ -142,15 +138,5 @@ def triad(s: Slope) -> Triad:
     else:
         e, f = c - a, d - b
         case = "cd=ab+ef"
-    ab, cd, ef, t = _new(Slope), _new(Slope), _new(Slope), _new(Triad)
-    _set_p(ab, a)
-    _set_q(ab, b)
-    _set_p(cd, c)
-    _set_q(cd, d)
-    _set_p(ef, e)
-    _set_q(ef, f)
-    _set_ab(t, ab)
-    _set_cd(t, cd)
-    _set_ef(t, ef)
-    _set_sum_case(t, case)
-    return t
+    new = tuple.__new__
+    return new(Triad, (new(Slope, (a, b)), new(Slope, (c, d)), new(Slope, (e, f)), case))

@@ -12,20 +12,10 @@ genera, the dimensions) is an integer, so every end is a Python int:
 deduction runs on exact int arithmetic, and an end of any other type (a
 Fraction, a float, a bool) raises TypeError.
 
-Record gives a slotted class value semantics: equality by exact type and
-field tuple, a matching hash, the usual Name(field=value, ...) repr,
-assignment that raises, replace(**changes), and pickling and deep copies
-that rebuild through __init__.  A record's fields are its _fields, by
-default the __slots__ its class declares.  Any other slot, declared by a
-base class or left out of _fields, is derived: a value computed from the
-fields (a knot expression's canonical text, a bundle's (nu, r0) pairs)
-that equality, hashing, repr, replace and pickling never see, and that
-is never a constructor argument.  Each record writes its own __init__,
-so its checks read as plain code; Record's docstring says how the fields
-are stored.  Records live here, in the lowest layer, because
-every CLI call imports this module anyway: the class-generating
-machinery of `dataclasses` (which pulls in `inspect`, `ast` and `dis`)
-cost about a quarter of a short call's start-up.
+Record, the base of the immutable records, and Value, a record stored
+as a tuple, live here, in the lowest layer, since every CLI call imports
+it: `dataclasses`, which pulls in `inspect`, `ast` and `dis`, cost about
+a quarter of a short call's start-up.
 
 Slope, the reduced surgery coefficient p/q, with reduce and parse_slope,
 and the record-file errors DatasetError and IntegrityError live here too,
@@ -39,30 +29,31 @@ is an INTEGER (a sign and ASCII digits), and a syntax error reads
 
 import re
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 
 class Record:
-    """Base of the immutable records.
+    """Base of the immutable records: equality by exact type and fields,
+    a matching hash, the repr Name(field=value, ...), assignment that
+    raises, and replace(**changes).
 
     A record's fields are its class's _fields, in order (by default the
-    __slots__ the class itself declares), and its __init__ takes them
-    under the same names and in the same order; replace, pickling and
-    copying rebuild records through __init__, so they re-run its checks
-    and recompute every derived slot.  __init__ stores the fields with
-    _fill, since ordinary assignment raises, and derived slots are
-    written with object.__setattr__.  Only the four value types built at
-    every arithmetic step skip _fill's call and loop, and store through
-    their slots' descriptors, bound once at module level (_set_p =
-    Slope.p.__set__): Val and Slope here, slopes.Triad and
-    dimension.DimResult.  Only the two builders that the slope sweep
-    times build records without running __init__, by _new
-    (object.__new__), where their arithmetic proves the checks:
-    slopes.triad builds its Triad and the Triad's three slopes in place,
-    since its one determinant check proves them reduced, and
-    dimension._formula_dim the DimResult of a bundle's (nu, r0) pairs,
-    whose admissibility proves every value it admits.  Every other
-    record, every other Slope included, is built through its __init__.
+    __slots__ its class declares), and its constructor takes them under
+    the same names and in the same order, checking them as plain code;
+    replace, pickling and copying rebuild records through it.  Any other
+    slot is derived from the fields (a knot expression's canonical text,
+    a bundle's (nu, r0) pairs): recomputed on each rebuild, and never seen
+    by equality, hashing, repr, replace or pickling.  __init__ stores the
+    fields with _fill, since assignment raises, and derived slots with
+    object.__setattr__.
+
+    Slope, slopes.Triad and dimension.DimResult, built at every step of
+    the slope sweep, are Values, stored as tuples and checked by __new__:
+    one C call builds a tuple, where a slotted record pays a setter call
+    per field, as __setattr__ blocks the fast slot store.  The sweep's two
+    timed builders, slopes.triad and dimension._formula_dim, alone call
+    tuple.__new__ itself, skipping the checks their arithmetic proves;
+    its timed readers index a slope, cheaper than a property or unpack.
     """
 
     __slots__ = ()
@@ -101,7 +92,7 @@ class Record:
         return (type(self), tuple(getattr(self, name) for name in self._fields))
 
     def replace(self, **changes):
-        """A copy with the given fields changed, checked by __init__."""
+        """A copy with the given fields changed, checked by the constructor."""
         fields = {name: getattr(self, name) for name in self._fields}
         fields.update(changes)
         return type(self)(**fields)
@@ -256,18 +247,37 @@ class SlopeError(ValueError):
     """Invalid slope or continued-fraction input."""
 
 
-class Slope(Record):
+class Value(Record, tuple):
+    """A record stored as the tuple of its fields, each read by a property;
+    a subclass declares _fields and empty __slots__, and checks in __new__.
+    It equals only a value of its class with equal items, never a plain
+    tuple, and hashes as its tuple; ordering, + and * are undefined."""
+
+    __slots__ = ()
+    __hash__, __ne__ = tuple.__hash__, object.__ne__  # object's __ne__ negates __eq__
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = lambda s, o: NotImplemented
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+class Slope(Value):
     """A reduced rational surgery coefficient p/q; q == 0 encodes infinity."""
 
-    __slots__ = ("p", "q")
+    _fields = ("p", "q")
+    __slots__ = ()
 
-    def __init__(self, p: int, q: int):
+    def __new__(cls, p: int, q: int):
         if q < 0 or gcd(p, q) != 1:
             raise SlopeError(f"not a reduced slope: {p}/{q}")
         if q == 0 and p != 1:
             raise SlopeError(f"infinite slope must be 1/0, got {p}/0")
-        _set_p(self, p)
-        _set_q(self, q)
+        return super().__new__(cls, (p, q))
 
     @property
     def is_infinite(self) -> bool:
@@ -278,16 +288,12 @@ class Slope(Record):
         return self.q == 1
 
     def __neg__(self) -> "Slope":
-        if self.is_infinite:
-            return self
-        return Slope(-self.p, self.q)
+        return self if self.is_infinite else Slope(-self.p, self.q)
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else f"{self.p}/{self.q}"
 
 
-_set_p, _set_q = Slope.p.__set__, Slope.q.__set__
-_new = object.__new__
 INFINITY = Slope(1, 0)
 
 

@@ -459,10 +459,11 @@ def _census_12_routes_met_in_turn(line):
     # the T1 routes need an exact nu and an exact partner dimension
     ("KNOT", "6_3", lambda line: line["payload"].update(flags={}), ("verify", "T1"),
      "T1 route: nu of 6_3 is not exact: [-1,1]"),
-    # a two-bridge record's determinant is its fraction's p: verify T1
-    # deduces the record before it takes any route
+    # a record's determinant is that of each presentation (the pretzel
+    # P(-1,-3,-2), which the ALIAS table lists first, and TB(-3,-4) of
+    # 6_2): verify T1 deduces the record before it takes any route
     ("KNOT", "6_2", lambda line: line["payload"].update(determinant=13), ("verify", "T1"),
-     "knot record 6_2: determinant 13 contradicts the determinant 11 of TB(-3,-4)"),
+     "knot record 6_2: determinant 13 contradicts the determinant 11 of P(-1,-3,-2)"),
     # a record that contradicts the family data of its aliases names the
     # record, and the field it contradicts
     *[("KNOT", "3_1", lambda line: line["payload"].update(genus=10 ** 30 + 7), argv,
@@ -619,11 +620,12 @@ def _census_12_routes_met_in_turn(line):
     # no rule reads a homogeneous flag, so the record file stores none
     ("KNOT", "3_1", lambda line: line["payload"]["flags"].update(homogeneous=True),
      ("invariants", "3_1"), "knot record 3_1: flags: unknown field 'homogeneous'"),
-    # a two-bridge knot's determinant is its fraction's p, and it is
-    # alternating, so thin in odd Khovanov homology: its row says so, and
-    # the load refuses a row that says alternating but not thin
+    # a pretzel's determinant is |ab + bc + ca|, a two-bridge knot's its
+    # fraction's p; 6_2 is both, and the message names its first ALIAS
+    # row.  It is alternating, so thin in odd Khovanov homology: its row
+    # says so, and the load refuses a row that says alternating but not thin
     *[("KNOT", "6_2", lambda line: line["payload"].update(determinant=13), argv,
-       "knot record 6_2: determinant 13 contradicts the determinant 11 of TB(-3,-4)")
+       "knot record 6_2: determinant 13 contradicts the determinant 11 of P(-1,-3,-2)")
       for argv in (("dim", "dcover(6_2)"), ("verify", "all"))],
     *[("KNOT", "7_4", lambda line: line["payload"]["flags"].update(thin_odd_khovanov=False),
        argv, "knot record 7_4: thin_odd_khovanov False contradicts alternating True")
@@ -662,6 +664,9 @@ def _census_12_routes_met_in_turn(line):
       for key, argv in (("5_1", ("dim", "dcover(5_1)")), ("5_1", ("verify", "all")),
                         ("8_5", ("dim", "dcover(8_5)")), ("7_5", ("invariants", "7_5")),
                         ("8_16", ("dim", "surg(3_1; 1)")), ("8_16", ("cable", "3", "2", "8_16")))],
+    # a pretzel P(a,b,c) has determinant |ab + bc + ca|: 9 for P(2,3,-3)
+    ("KNOT", "8_20", lambda line: line["payload"].update(determinant=11), ("dim", "dcover(8_20)"),
+     "knot record 8_20: determinant 11 contradicts the determinant 9 of P(2,3,-3)"),
 ])
 def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path):
     code, out, err = run_cli("--data", _edited_copy(tmp_path, table, key, edit), *argv)
@@ -1409,9 +1414,9 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def test_only_the_two_timed_builders_skip_init():
-    # values._new builds a record without its __init__, so its caller's
-    # arithmetic must prove the checks: only slopes.triad and
-    # dimension._formula_dim, the builders the slope sweep times, call it
+    # tuple.__new__ builds a values.Value without its checked __new__, so
+    # its caller's arithmetic must prove the checks: only slopes.triad and
+    # dimension._formula_dim, the builders the slope sweep times, name it
     import isharp
     src = Path(isharp.__file__).parent
     callers = set()
@@ -1419,8 +1424,8 @@ def test_only_the_two_timed_builders_skip_init():
     def visit(node, stem, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, ast.Call) and "_new" in (getattr(node.func, "id", None),
-                                                       getattr(node.func, "attr", None)):
+        elif (isinstance(node, ast.Attribute) and node.attr == "__new__"
+              and getattr(node.value, "id", None) == "tuple"):
             callers.add((stem, function))
         for child in ast.iter_child_nodes(node):
             visit(child, stem, function)

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import operator
 import pickle
 import re
 from fractions import Fraction
@@ -146,6 +147,26 @@ def test_replace_reruns_the_constructor_checks():
         Val(1, 3).replace(lo=5)
     with pytest.raises(TypeError):
         TwoBridge(2, 4).replace(crossings=5)
+
+
+def test_values_are_not_plain_tuples():
+    # Slope, Triad and DimResult store their fields as tuple items, yet a
+    # value neither equals, orders, adds nor repeats as a tuple does
+    s = Slope(1, 2)
+    assert s != (1, 2) and (1, 2) != s and not s == (1, 2)
+    assert hash(s) == hash((1, 2)) and len({s, (1, 2), Slope(1, 2)}) == 2
+    assert s == Slope(1, 2) and not s != Slope(1, 2) and s != Slope(1, 3)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add):
+        with pytest.raises(TypeError):
+            op(s, Slope(1, 3))
+    for a, b in ((s, 2), (2, s)):
+        with pytest.raises(TypeError):
+            a * b
+    with pytest.raises(SlopeError):
+        Slope(2, 3).replace(q=4)  # 2/4 is not reduced
+    for value in (triad(Slope(-31, 6)), DimResult.exact(13, 9), DimResult.of_interval(3, None, 3)):
+        for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value) and copied == value
 
 
 # --- parsing and normalization ---------------------------------------------
@@ -506,6 +527,31 @@ def test_determinant_multiplies_over_sums(ds):
     alex = alexander_convolve(ds.knot_record("3_1").structural.alexander,
                               ds.knot_record("4_1").structural.alexander)
     assert alexander_at_minus_one(alex) in (15, -15)
+
+
+def test_a_sum_of_alternating_knots_is_alternating(ds):
+    assert structural(parse_knot("3_1 # 4_1"), ds).alternating is True
+    assert structural(parse_knot("3_1 # 3_1 # m(5_2)"), ds).thin_odd_khovanov is True
+    assert structural(parse_knot("3_1 # 8_19"), ds).alternating is None  # 8_19 is not
+
+
+def test_a_pretzel_has_the_goeritz_determinant(ds):
+    # det P(a,b,c) = |ab + bc + ca|, stored by each registered pretzel's record
+    names = set()
+    for code, row in ds.table("ALIAS").items():
+        k = parse_knot(code)
+        if isinstance(k, Pretzel):
+            det = abs(k.a * k.b + k.b * k.c + k.c * k.a)
+            assert structural(k, ds).determinant == det, code
+            stored = ds.knot_record(row.payload["name"]).structural.determinant
+            if stored is not None:
+                assert stored == det, code
+                names.add(row.payload["name"])
+    assert names >= {"6_1", "6_2", "8_5", "8_20"}
+    # the pretzel diagram alternates when its strands twist one way
+    assert structural(Pretzel(3, 5, 7), ds).alternating is True
+    assert structural(Pretzel(-3, -5, -7), ds).thin_odd_khovanov is True
+    assert structural(Pretzel(-3, 5, 7), ds).alternating is None
 
 
 def test_alexander_convolution():

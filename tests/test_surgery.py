@@ -106,6 +106,18 @@ def test_branched_cover_dim(ds):
     assert branched_cover_dim(parse_knot("8_21"), ds).dim == 15
 
 
+def test_a_sum_of_alternating_knots_and_a_pretzel_have_their_determinant_covers(ds):
+    # a sum of alternating knots alternates, so its cover has dimension det
+    cover = lambda text: branched_cover_dim(parse_knot(text), ds).to_json()
+    assert cover("3_1 # 4_1") == {"kind": "exact", "euler": 15, "dim": 15, "graded": [15, 0]}
+    assert cover("3_1 # 3_1") == {"kind": "exact", "euler": 9, "dim": 9, "graded": [9, 0]}
+    # 8_19 is not alternating: only the euler bound of det 9 remains
+    interval = lambda lo: {"kind": "interval", "euler": lo, "lo": lo, "hi": None, "parity": 1}
+    assert cover("3_1 # 8_19") == interval(9)
+    # K12n242 = P(-2,3,7): det |-6 + 21 - 14| = 1, its strands of both signs
+    assert cover("K12n242") == cover("P(-2,3,7)") == interval(1)
+
+
 def test_a_mirror_has_the_cover_dimension_of_its_knot(ds, monkeypatch):
     # the cover of m(K) is the cover of K with its orientation reversed;
     # a registered surgery description runs mirrored, at the negated slope
