@@ -251,11 +251,17 @@ class Value(Record, tuple):
     """A record stored as the tuple of its fields, each read by a property;
     a subclass declares _fields and empty __slots__, and checks in __new__.
     It equals only a value of its class with equal items, never a plain
-    tuple, and hashes as its tuple; ordering, + and * are undefined."""
+    tuple, and hashes as its tuple.  Ordering, + and * raise TypeError
+    with a tuple on either side, as Python tries a subclass's reflected
+    method first ((1, 2) < v calls v.__gt__)."""
 
     __slots__ = ()
     __hash__, __ne__ = tuple.__hash__, object.__ne__  # object's __ne__ negates __eq__
-    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = lambda s, o: NotImplemented
+
+    def _refuse(self, other):
+        raise TypeError(f"{type(self).__name__} values are not ordered, added or repeated")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _refuse
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -4,10 +4,10 @@ CHECKS names each check of `verify all` once, in report order, with the
 tables it verifies; each check reads its table in one pass.  The
 re-derivations run on ds.untabulated(), which holds no stored
 nu/tau/r0: nu and tau come from structural flags through the deduction
-rules, and r0 from the rules where they pin it, else from every
-identity that surgery.integer_identities registers for the knot, and
-for 6_3, 8_6 and 8_8 from the chain through P(5,5,-3), three exact
-triangles that dimension.triad_bounds bounds.  A T1 cell that no route
+rules, and r0 from the rules where they pin it, else from solve_pairs,
+which inverts the closed form on known dimensions: the exact partners
+of the identities that surgery.integer_identities registers, and for
+6_3, 8_6 and 8_8 the chain through P(5,5,-3).  A T1 cell that no route
 pins fails; a route input the data cannot give raises IntegrityError
 naming it.  check_census meets the census routes in turn, as
 dimension.census_dim does.  The identity sweep reads its instances from
@@ -21,9 +21,9 @@ IntegrityError naming it.
 import json
 
 from .datasets import CENSUS_TABLES
-from .dimension import (SPHERE, DimensionError, DimResult, Surgery, branched_cover_dim,
-                        census_routes, surgery_dim, triad_bounds)
-from .invariants import deduce, sl_upper_bound
+from .dimension import (DimensionError, DimResult, Surgery, branched_cover_dim, census_routes,
+                        surgery_dim)
+from .invariants import Bundle, deduce, sl_upper_bound
 from .knots import (Cable, KnotError, KnotExpr, Named, Pretzel, TwoBridge, Unknot,
                     equivalent_atoms, make_twist, parse_knot, structural)
 from .surgery import integer_identities
@@ -108,36 +108,47 @@ def rederive_nu_tau(ds) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Re-derivation of r0: the rules, then every registered identity
+# Re-derivation of r0: the rules, then the solver over known dimensions
 # ---------------------------------------------------------------------------
+
+def solve_pairs(b: Bundle, known) -> list[tuple[int, int]]:
+    """Every admissible (nu, r0) in b, in order of r0, whose closed form
+    q r0 + |p - q nu| passes each (slope, admits) in known: a non-zero
+    slope, and a DimResult or a predicate on d.  As d >= q r0 >= q |nu|,
+    r0 runs up to d/q for the least top d of a finite DimResult; with
+    none, the answer is empty."""
+    tops = [a.values()[-1] // s.q for s, a in known if isinstance(a, DimResult) and a.values()]
+    tests = [(s, a.contains if isinstance(a, DimResult) else a) for s, a in known]
+    return [(n, r) for r in range(min(tops, default=-1) + 1) for n in range(-r, r + 1, 2)
+            if b.nu.contains(n) and b.r0.contains(r)
+            and all(test(s.q * r + abs(s.p - s.q * n)) for s, test in tests)]
+
 
 def rederive_r0(ds) -> Report:
     """Deduce (nu, r0) for every T1 knot on ds.untabulated() and compare
-    them with the table.  Where the rules leave r0 inexact, each identity
-    of n-surgery on the knot that integer_identities lists, whose partner
-    has an exact dimension d, gives r0 = d - |n - nu|, pinned when all
-    agree; 6_3, 8_6 and 8_8 come from the chain through P(5,5,-3)."""
+    them with the table.  Where the rules leave one inexact, each
+    identity of n-surgery on the knot whose partner has an exact
+    dimension is a constraint at n, and one surviving pair pins both;
+    6_3, 8_6 and 8_8 come from the chain through P(5,5,-3)."""
     report = Report()
     derived: dict[str, tuple[int, int]] = {}
     view = ds.untabulated()
     for key in ds.table("T1"):
         b = deduce(Named(key), view)
-        if not b.nu.is_exact:
+        if b.nu.is_exact and b.r0.is_exact:
+            derived[key] = (b.nu.value(), b.r0.value())
             continue
-        nu = b.nu.value()
-        if b.r0.is_exact:
-            derived[key] = (nu, b.r0.value())
-            continue
-        r0s = set()
+        known = []
         for n, partner, slope in integer_identities(Named(key), view):
             try:
                 dim = surgery_dim(partner, slope, "trivial", view)
             except DimensionError as e:
                 raise IntegrityError(f"T1 route: {e}") from None
             if dim.is_exact:
-                r0s.add(dim.dim - abs(n - nu))
-        if len(r0s) == 1:
-            derived[key] = (nu, r0s.pop())
+                known.append((Slope(n, 1), dim))
+        pairs = solve_pairs(b, known)
+        if len(pairs) == 1:
+            derived[key] = pairs[0]
 
     if "6_2" in derived:  # the chain through P(5,5,-3) starts at 6_2
         derived.update(_chain_r0(view, derived["6_2"]))
@@ -159,55 +170,35 @@ def alexander_zero_surgery_floor(coeffs: tuple[int, ...]) -> int:
 
 
 def _chain_r0(view, inv_6_2: tuple[int, int]) -> dict[str, tuple[int, int]]:
-    """Derive r0 for 6_3, 8_6, 8_8 from the homeomorphisms
-    S^3_{-1}(K_n) = S^3_{-1/n}(P(5,5,-3)) (K_1, K_-1, K_2, K_-2 being
-    6_2, 6_3, 8_6, 8_8) together with three exact triangles of P and the
-    polynomial floor for the zero-surgery of 8_8; view holds no stored values."""
-    nus = {}
-    for name in ("6_3", "8_6", "8_8"):
-        nu = deduce(Named(name), view).nu
-        if not nu.is_exact:
-            raise IntegrityError(f"T1 route: nu of {name} is not exact: {nu}")
-        nus[name] = nu.value()
+    """Derive r0 for 6_3, 8_6, 8_8 from S^3_{-1}(K_n) = S^3_{-1/n}(P(5,5,-3))
+    (K_1, K_-1, K_2, K_-2 being 6_2, 6_3, 8_6, 8_8): solve_pairs keeps
+    each (nu, r0) of P whose dimension is that of -1-surgery on 6_2 at -1
+    and passes 8_8's polynomial floor at 1/2, and K_n has r0 = d - |-1 - nu|
+    for P's one dimension d at -1/n.  view holds no stored values."""
     nu62, r062 = inv_6_2
-    d_minus1 = r062 + abs(-1 - nu62)  # = dim of -1-surgery on 6_2 = on P
-
-    # zero-surgery floor for 8_8: slice, genus 2, known polynomial
     alexander = view.knot_record("8_8").structural.alexander
     if alexander is None or any(alexander[3:]):
         raise IntegrityError(f"T1 route: 8_8 has no genus <= 2 alexander polynomial: {alexander}")
-    floor = alexander_zero_surgery_floor(alexander)  # mu bundle
-    d_half_min = floor + 2 - 1  # trivial bundle adds 2, the triangle drops 1
-
-    # the triangles (S^3, S^3_{-1}(P), S^3_0(P)), (S^3, S^3_0, S^3_1) and
-    # (S^3_0, S^3_1, S^3_{1/2}); the floor forces d_half in {d_half_min + 4k}
+    # the mu-bundle floor of 8_8's zero-surgery, then steps of 4; the
+    # trivial bundle adds 2, the triangle to -1-surgery drops 1
+    d_half_min = alexander_zero_surgery_floor(alexander) + 2 - 1
     try:
-        minus1 = DimResult.exact(d_minus1, 1)
+        minus1 = DimResult.exact(r062 + abs(-1 - nu62), 1)
     except Inconsistency as e:  # 6_2's r0 came from an identity the data break
         raise IntegrityError(f"T1 route: -1-surgery on 6_2: {e}") from None
-    solutions = []
-    for d0 in triad_bounds(SPHERE, minus1, 0).values():
-        zero = DimResult.exact(d0, 0)
-        for d1 in triad_bounds(SPHERE, zero, 1).values():
-            half = triad_bounds(zero, DimResult.exact(d1, 1), 1)
-            top = (half.values() or (half.state.hi,))[-1]  # listed or an interval, bounded
-            solutions += [(d0, d1, d_half) for d_half in range(d_half_min, top + 1, 4)
-                          if half.contains(d_half)]
-    if len(solutions) != 1:
-        raise IntegrityError(f"chain through P(5,5,-3) is not forced: {solutions}")
-    d0, d1, d_half = solutions[0]
-
-    # a W-shaped P would make every nonzero-slope dimension q*r0 + |p|,
-    # which is inconsistent with the values just forced
-    r0_w = d_minus1 - 1
-    if 2 * r0_w + 1 == d_half:
-        raise IntegrityError("chain cannot decide the shape of P(5,5,-3)")
-    # so P is V-shaped with nu <= -1 (the profile falls from 0 to -1),
-    # giving r0 - nu = d0 and dim at -1/2 equal to 2 d0 - 1
-    d_mhalf = 2 * d0 - 1
-
-    return {name: (nus[name], d - abs(-1 - nus[name]))
-            for name, d in (("6_3", d1), ("8_6", d_mhalf), ("8_8", d_half))}
+    pairs = solve_pairs(deduce(Pretzel(5, 5, -3), view), [
+        (Slope(-1, 1), minus1),
+        (Slope(1, 2), lambda d: d >= d_half_min and (d - d_half_min) % 4 == 0)])
+    out = {}
+    for name, s in (("6_3", Slope(1, 1)), ("8_6", Slope(-1, 2)), ("8_8", Slope(1, 2))):
+        nu = deduce(Named(name), view).nu
+        if not nu.is_exact:
+            raise IntegrityError(f"T1 route: nu of {name} is not exact: {nu}")
+        dims = {s.q * r + abs(s.p - s.q * n) for n, r in pairs}
+        if len(dims) != 1:
+            raise IntegrityError(f"chain through P(5,5,-3) is not forced at {s}: {pairs}")
+        out[name] = (nu.value(), dims.pop() - abs(-1 - nu.value()))
+    return out
 
 
 # ---------------------------------------------------------------------------

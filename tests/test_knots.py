@@ -162,6 +162,12 @@ def test_values_are_not_plain_tuples():
     for a, b in ((s, 2), (2, s)):
         with pytest.raises(TypeError):
             a * b
+    # from the right too: Python tries the value's reflected method first
+    for op in (operator.lt, operator.ge):
+        with pytest.raises(TypeError):
+            op((1, 2), s)
+    with pytest.raises(TypeError):
+        (1,) + s
     with pytest.raises(SlopeError):
         Slope(2, 3).replace(q=4)  # 2/4 is not reduced
     for value in (triad(Slope(-31, 6)), DimResult.exact(13, 9), DimResult.of_interval(3, None, 3)):

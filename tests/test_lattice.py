@@ -23,6 +23,7 @@ from isharp.knots import parse_knot
 from isharp.dimension import (DimensionError, DimResult, _abs_range, _formula_dim,
                               _require_bounded, triad_bounds)
 from isharp.values import INFINITY, Inconsistency, Slope, Val
+from isharp.verify import solve_pairs
 from test_slopes import uniform_slopes
 
 # wider than every finite bound the strategies below produce
@@ -378,3 +379,89 @@ def test_bundle_pairs_are_invisible():
         Bundle("K", pairs=())
     with pytest.raises(AttributeError):
         b.pairs = ()
+
+
+# --- the solver that inverts the closed form ------------------------------
+
+solver_slopes = (st.tuples(st.integers(-12, 12).filter(bool), st.integers(1, 4))
+                 .filter(lambda t: math.gcd(abs(t[0]), t[1]) == 1).map(lambda t: Slope(*t)))
+
+
+@st.composite
+def around(draw, x):
+    """A state that admits x: either end open or a few steps away, with
+    or without x's parity."""
+    lo = draw(st.none() | st.integers(0, 6).map(lambda w: x - w))
+    hi = draw(st.none() | st.integers(0, 6).map(lambda w: x + w))
+    return Val(lo, hi, draw(st.sampled_from([None, x % 2])))
+
+
+@st.composite
+def known_at_truth(draw, n, r):
+    """A constraint at a random non-zero slope that the pair (n, r)
+    passes: its exact dimension, a candidate set, an open interval or a
+    predicate."""
+    s = draw(solver_slopes)
+    d = _formula_dim(Bundle("K", nu=Val.exact(n), r0=Val.exact(r)), s).dim
+    kind = draw(st.sampled_from(["exact", "candidates", "interval", "predicate"]))
+    if kind == "exact":
+        return s, DimResult.exact(d, s.p)
+    if kind == "candidates":
+        more = draw(st.sets(st.integers(0, 10).map(lambda k: abs(s.p) + 2 * k), max_size=4))
+        return s, DimResult.of_candidates({d, *more}, s.p)
+    if kind == "interval":
+        return s, DimResult.of_interval(d - 2 * draw(st.integers(0, 5)), None, s.p)
+    return s, lambda x, d=d: x % 4 == d % 4
+
+
+@st.composite
+def solver_cases(draw):
+    """An admissible pair (n, r), bundle states that admit it, and
+    constraints that it passes."""
+    n = draw(st.integers(-20, 20))
+    r = abs(n) + 2 * draw(st.integers(0, 10))
+    return ((n, r), draw(around(n)), draw(around(r)),
+            draw(st.lists(known_at_truth(n, r), min_size=1, max_size=3)))
+
+
+@given(solver_cases())
+@settings(max_examples=300, deadline=None)
+def test_solver_keeps_the_true_pair(case):
+    # every dimension computed forward from (nu, r0) admits it, so the
+    # answer holds the pair once one constraint is exact at its slope
+    (n, r), nu, r0, known = case
+    s = known[0][0]
+    exact = (s, _formula_dim(Bundle("K", nu=Val.exact(n), r0=Val.exact(r)), s))
+    assert (n, r) in solve_pairs(Bundle("K", nu=nu, r0=r0), [exact, *known])
+
+
+@st.composite
+def small_known(draw):
+    """A constraint of dimension at most 42 at a slope with |p| <= 12:
+    a finite DimResult, an open interval or a predicate."""
+    s = draw(solver_slopes)
+    dims = st.integers(0, 15).map(lambda k: abs(s.p) + 2 * k)
+    kind = draw(st.sampled_from(["finite", "interval", "predicate"]))
+    if kind == "finite":
+        return s, DimResult.of_candidates(draw(st.sets(dims, min_size=1, max_size=4)), s.p)
+    if kind == "interval":
+        return s, DimResult.of_interval(draw(dims), None, s.p)
+    m = draw(st.integers(2, 5))
+    return s, lambda x, m=m, k=draw(st.integers(0, 4)): x % m == k % m
+
+
+@given(lattice_states(), lattice_states(), st.lists(small_known(), min_size=1, max_size=3))
+@example(Val(), Val(0, None), [(Slope(-1, 1), DimResult.exact(5, 1)),
+                               (Slope(1, 2), lambda d: d >= 13 and (d - 13) % 4 == 0)])
+@settings(max_examples=300, deadline=None)
+def test_solver_is_brute_force_over_the_lattice(nu, r0, known):
+    # d >= q r0 >= r0 >= |nu| and every finite top is at most 42, so the
+    # window below holds every pair a bounded constraint admits
+    def admits(a, d):
+        return a.contains(d) if isinstance(a, DimResult) else a(d)
+
+    brute = [(n, r) for r in range(45) for n in range(-r, r + 1, 2)
+             if nu.contains(n) and r0.contains(r)
+             and all(admits(a, s.q * r + abs(s.p - s.q * n)) for s, a in known)]
+    bounded = any(isinstance(a, DimResult) and a.values() for _, a in known)
+    assert solve_pairs(Bundle("K", nu=nu, r0=r0), known) == (brute if bounded else [])

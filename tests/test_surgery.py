@@ -380,17 +380,25 @@ def test_rules_and_identities_pin_every_t1_key_but_the_chain(ds, monkeypatch):
         assert report.passed == 17
 
 
-def test_the_chain_through_p553_is_forced_by_three_triad_bounds(ds):
-    # the triangles of P(5,5,-3) at slopes (inf, -1, 0), (inf, 0, 1) and
-    # (0, 1, 1/2) leave one solution (d0, d1, d_half) = (6, 7, 13): the
-    # dimensions of -1-surgery on 6_3 (d1), 8_6 (2 d0 - 1) and 8_8 (d_half)
+def test_the_chain_through_p553_is_forced_by_the_solver(ds, monkeypatch):
+    # 6_2's dimension 5 at -1 and 8_8's floor at 1/2 leave three (nu, r0)
+    # of P(5,5,-3), all V-shaped (nu != 0); the W candidate (0, 4) gives
+    # 9 at 1/2, below the floor 13.  All three give one dimension at 1,
+    # -1/2 and 1/2: that of -1-surgery on 6_3, 8_6 and 8_8
     from isharp import verify
+    solve, survivors = verify.solve_pairs, []
+
+    def recording(b, known):
+        survivors.append(solve(b, known))
+        return survivors[-1]
+
+    monkeypatch.setattr(verify, "solve_pairs", recording)
     view = ds.untabulated()
     b = deduce(parse_knot("6_2"), view)
     r0s = verify._chain_r0(view, (b.nu.value(), b.r0.value()))
+    assert survivors == [[(-3, 3), (-2, 4), (-1, 5)]]
     dims = {name: r0 + abs(-1 - nu) for name, (nu, r0) in r0s.items()}
-    d0, d1, d_half = 6, 7, 13
-    assert dims == {"6_3": d1, "8_6": 2 * d0 - 1, "8_8": d_half}
+    assert dims == {"6_3": 7, "8_6": 11, "8_8": 13}
     for name, d in dims.items():
         assert dim(name, "-1", ds).dim == d, name
         assert r0s[name] == (ds.table("T1")[name].payload["nu"],
