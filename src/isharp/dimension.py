@@ -20,7 +20,7 @@ import math
 from .datasets import CENSUS_INDICES
 from .invariants import Bundle, deduce
 from .knots import (Cable, KnotExpr, Named, Sum, _Parser, canonical, format_knot, mirror,
-                    parse_knot, registered_record, structural)
+                    parse_knot, resolve, structural)
 from .values import Inconsistency, IntegrityError, Record, Slope, Val, Value, parse_slope
 
 
@@ -339,7 +339,7 @@ def branched_cover_dim(k: KnotExpr, ds) -> DimResult:
     st = structural(k, ds)
     det = st.determinant
     thin = st.thin_odd_khovanov
-    rec, mirrored = registered_record(canonical(k, ds), ds)
+    rec, mirrored, _ = resolve(canonical(k, ds), ds)
     row = ds.table("T5").get(rec.name) if rec is not None else None
     cover = row.payload if row is not None else {}
     if det is not None and (thin or cover.get("khbar_dim") == det):

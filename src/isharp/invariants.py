@@ -29,12 +29,11 @@ from .knots import (
     _pretzel_n33,
     _pretzel_odd32,
     canonical,
-    equivalent_atoms,
     format_knot,
     make_cable,
     memo,
     mirror,
-    registered_record,
+    resolve,
     structural,
     twist_form,
 )
@@ -200,7 +199,7 @@ def _deduce(k, ds) -> Bundle:
     except Inconsistency as e:
         # the rules are theorems: on a registered knot they contradict
         # one another only when its record or its aliases are wrong
-        rec = registered_record(k, ds)[0]
+        rec = resolve(k, ds)[0]
         if rec is None:
             raise
         raise IntegrityError(f"knot record {rec.name} or its aliases: {e}") from None
@@ -210,8 +209,8 @@ def _deduce(k, ds) -> Bundle:
 def _apply_atom_rules(b: _Draft, k, ds) -> None:
     s = structural(k, ds)
 
-    # R1: stored table values of the record the canonical atom names
-    rec, mirrored = registered_record(k, ds)
+    # R1: stored table values of the record the atom presents
+    rec, mirrored, atoms = resolve(k, ds)
     if rec is not None:
         b.adopt(rec, mirrored, "R1", f"({rec.name})")
 
@@ -240,7 +239,7 @@ def _apply_atom_rules(b: _Draft, k, ds) -> None:
         b.narrow("nu", Val.exact(v), "R9")
         b.narrow("r0", Val.exact(v), "R9")
 
-    for expr in equivalent_atoms(k, ds):
+    for expr in atoms:
         _apply_family_rules(b, expr)
 
 
@@ -376,7 +375,7 @@ def sl_upper_bound(k: KnotExpr, ds) -> int | None:
     bound = 2 * tau.value() - 1
     sl_max = structural(k, ds).sl_max
     if sl_max is not None and sl_max > bound:
-        rec, mirrored = registered_record(canonical(k, ds), ds)
+        rec, mirrored, _ = resolve(canonical(k, ds), ds)
         field = "mirror_sl_max" if mirrored else "sl_max"
         raise IntegrityError(f"knot record {rec.name}: {field} {sl_max} exceeds "
                              f"2 tau - 1 = {bound}")

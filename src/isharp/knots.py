@@ -13,13 +13,15 @@ parses back to an equal expression.
 
 The dataset keeps its alias codes ("T(3,5)", "T(-2,3)", ...) as text,
 one row per knot class; this module alone parses them, once per
-dataset, into an index that resolve_atom and equivalent_atoms read,
-where each code of a row's family that presents its knot, or the
-mirror, resolves through the row's class (_atom_key).  canonical writes every presentation of a
-registered knot as its name (U for the unknot), and memo keys the
-per-dataset caches of structural here and of deduce and lspace_cable in
-invariants on the text of that form alone: T(3,5) and 10_124 share one
-computation, and an alias input gets its registered knot's trace.
+dataset, into an index that resolve reads, where each code of a row's
+family that presents its knot, or the mirror, resolves through the
+row's class (_atom_key).  So one lookup gives an atom's record, its
+chirality and its registered presentations.  canonical writes every
+presentation of a registered knot as its name (U for the unknot), and
+memo keys the per-dataset caches of structural here and of deduce and
+lspace_cable in invariants on the text of that form alone: T(3,5) and
+10_124 share one computation, and an alias input gets its registered
+knot's trace.
 
 structural returns the StructuralData record that datasets defines and
 its knot records hold; it combines those records with the family
@@ -381,50 +383,39 @@ def _alias_index(ds) -> tuple[dict, dict]:
     return ds.alias_index
 
 
-def resolve_atom(k: KnotExpr, ds) -> tuple[str, bool] | None:
-    """Resolve an atomic expression to (canonical name, mirrored), if known:
-    a family atom by its class, mirrored when its chirality is not that
-    of the row's code, and a two-bridge code with p = |ab - 1| = 1 as
-    the unknot."""
-    if isinstance(k, Unknot):
-        return ("0_1", False)
+def resolve(k: KnotExpr, ds) -> tuple:
+    """(record, mirrored, atoms) for the atom k: the KNOT record of the
+    knot that k presents, whether k presents its mirror, and k followed
+    by every registered presentation of that knot in k's chirality, each
+    once.  A name resolves by its row, a family atom by its class, and
+    mirrored when its chirality is not that of the row's code; U and a
+    two-bridge code with p = |ab - 1| = 1 resolve to 0_1.  An amphichiral
+    knot is never mirrored.  (None, False, [k]) for any other expression;
+    an unknown name is a KnotError."""
     if isinstance(k, Named):
-        name, mirrored = k.name, k.mirrored
-        if ds.knot_record(name) is None:
-            raise KnotError(f"unknown knot name {name!r}")
+        rec, mirrored = ds.knot_record(k.name), k.mirrored
+        if rec is None:
+            raise KnotError(f"unknown knot name {k.name!r}")
     else:
         key = _atom_key(k)
-        if key is not None and key[0] == ("TB", 1, 0):
-            return ("0_1", False)
-        hit = None if key is None else _alias_index(ds)[0].get(key[0])
-        if hit is None:
-            return None
-        name, mirrored = hit[0].payload["name"], key[1] != hit[1]
-    return _chiral(name, mirrored, ds)
-
-
-def _chiral(name: str, mirrored: bool, ds) -> tuple[str, bool]:
-    """(name, mirrored), with mirrored False when the knot is amphichiral."""
-    rec = ds.knot_record(name)
-    return (name, mirrored and not (rec is not None and rec.structural.amphichiral))
-
-
-def equivalent_atoms(k: KnotExpr, ds) -> list[KnotExpr]:
-    """k, then every registered presentation of the knot that k presents,
-    in its chirality, each once; the presentations equal to k are left out."""
-    out = [k]
-    hit = resolve_atom(k, ds)
-    if hit is not None:
-        name, mirrored = hit
-        for expr in _alias_index(ds)[1].get(name, ()):
-            expr = mirror(expr) if mirrored else expr
-            if expr not in out:
-                out.append(expr)
-    return out
+        if isinstance(k, Unknot) or key is not None and key[0] == ("TB", 1, 0):
+            rec, mirrored = ds.knot_record("0_1"), False
+        else:
+            hit = None if key is None else _alias_index(ds)[0].get(key[0])
+            if hit is None:
+                return None, False, [k]
+            rec, mirrored = ds.knot_record(hit[0].payload["name"]), key[1] != hit[1]
+    mirrored = mirrored and not rec.structural.amphichiral
+    atoms = [k]
+    for expr in _alias_index(ds)[1].get(rec.name, ()):
+        expr = mirror(expr) if mirrored else expr
+        if expr not in atoms:
+            atoms.append(expr)
+    return rec, mirrored, atoms
 
 
 def canonical(k: KnotExpr, ds) -> KnotExpr:
-    """The canonical form of k against ds: every atom that resolve_atom
+    """The canonical form of k against ds: every atom that resolve
     resolves written as its registered name (U for 0_1), sums rebuilt
     by make_sum, so unknot summands drop out, and cables by make_cable.
     k itself when nothing changes, so its memoised text and mirror stay."""
@@ -438,20 +429,12 @@ def canonical(k: KnotExpr, ds) -> KnotExpr:
         c = k if companion is k.companion else make_cable(k.p, k.q, companion)
         c = c if isinstance(c, Cable) else canonical(c, ds)
     else:
-        hit = resolve_atom(k, ds)
-        c = k if hit is None else Unknot() if hit[0] == "0_1" else Named(*hit)
+        rec, mirrored, _ = resolve(k, ds)
+        c = k if rec is None else Unknot() if rec.name == "0_1" else Named(rec.name, mirrored)
         c = k if c == k else c
     if c is k:
         object.__setattr__(k, "_canonical_in", ds)
     return c
-
-
-def registered_record(k: KnotExpr, ds):
-    """(record, mirrored) of the table knot that the canonical atom k
-    names, U naming 0_1; (None, False) for any other expression."""
-    if isinstance(k, Unknot):
-        return ds.knot_record("0_1"), False
-    return (ds.knot_record(k.name), k.mirrored) if isinstance(k, Named) else (None, False)
 
 
 def memo(cache: dict, k: KnotExpr, ds, compute):
@@ -507,12 +490,10 @@ def _structural(k: KnotExpr, ds) -> StructuralData:
     # the table record, then the family data of every presentation, so
     # that each presentation of one knot gets the same answer; only a
     # registered knot has more than one, so rec names a contradiction
-    rec, mirrored = registered_record(k, ds)
-    if rec is not None:
-        s = _mirror_structural(rec.structural, rec) if mirrored else rec.structural
-    else:
-        s = StructuralData()
-    for expr in equivalent_atoms(k, ds):
+    rec, mirrored, atoms = resolve(k, ds)
+    s = (StructuralData() if rec is None else
+         _mirror_structural(rec.structural, rec) if mirrored else rec.structural)
+    for expr in atoms:
         try:
             s = _merge_structural(s, _family_structural(expr))
         except Inconsistency as e:

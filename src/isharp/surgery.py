@@ -12,7 +12,7 @@ import math
 from importlib import import_module
 
 from .knots import (Cable, KnotExpr, Pretzel, TwoBridge, _pretzel_n33, canonical,
-                    equivalent_atoms, make_cable)
+                    make_cable, resolve)
 from .values import Slope, reduce
 
 
@@ -29,7 +29,7 @@ def integer_identities(k: KnotExpr, ds) -> list[tuple[int, KnotExpr, Slope]]:
     P(n,3,-3) vs +2 on P(n+3,3,-3)), then pq +- 1 on a cable vs
     (pq +- 1)/q^2 on its companion."""
     out: list[tuple[int, KnotExpr, Slope]] = []
-    atoms = equivalent_atoms(k, ds)
+    atoms = resolve(k, ds)[2]
 
     for x in atoms:
         if not isinstance(x, TwoBridge) or x.b == 0 or x.b % 2 != 0:

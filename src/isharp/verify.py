@@ -25,7 +25,7 @@ from .dimension import (DimensionError, DimResult, Surgery, branched_cover_dim, 
                         surgery_dim)
 from .invariants import Bundle, deduce, sl_upper_bound
 from .knots import (Cable, KnotError, KnotExpr, Named, Pretzel, TwoBridge, Unknot,
-                    equivalent_atoms, make_twist, parse_knot, structural)
+                    make_twist, parse_knot, resolve, structural)
 from .surgery import integer_identities
 from .values import DatasetError, Inconsistency, IntegrityError, Record, Slope
 
@@ -290,7 +290,7 @@ def identity_instances(ds):
     parameters up to IDENTITY_BOUND; check_identities skips the ones with
     a side whose dimension the data do not determine."""
     bound = IDENTITY_BOUND
-    atoms = [x for name in ds.knot_names() for x in equivalent_atoms(Named(name), ds)]
+    atoms = [x for name in ds.knot_names() for x in resolve(Named(name), ds)[2]]
     atoms += [make_twist(n) for n in range(1, 2 * bound + 1)]
     codes = {c for x in atoms if isinstance(x, TwoBridge) for c in ((x.a, x.b), (-x.a, -x.b))}
     swept = [TwoBridge(a, b) for a, b in sorted(codes)

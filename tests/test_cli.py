@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from datetime import timedelta
 from pathlib import Path
 
@@ -673,6 +674,68 @@ def test_malformed_table_cell_exits_3(table, key, edit, argv, message, tmp_path)
     assert (code, out, err) == (3, "", f"integrity error: {message}\n")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("signature", 3, "odd signature 3", id="odd-signature"),
+    pytest.param("determinant", 4, "determinant 4 not odd positive", id="even-determinant"),
+    pytest.param("slice_genus", 0, "|nu| exceeds max(2 g_s - 1, 0) = 0",
+                 id="nu-beyond-the-slice-genus-bound"),
+    pytest.param("instanton", {"shape": "W"}, "W-shaped but nu != 0",
+                 id="w-shaped-with-nonzero-nu"),
+    # the coefficients (1, 1) give |Delta(-1)| = |1 - 2| = 1, not 3
+    pytest.param("alexander", [1, 1], "|Delta(-1)| != determinant",
+                 id="alexander-polynomial-off-the-determinant"),
+])
+def test_a_knot_record_outside_its_own_bounds_exits_3(field, value, message, tmp_path):
+    # every load bounds each KNOT record against itself and its T1 and T3
+    # cells: 3_1 has nu = -1
+    data = _edited_copy(tmp_path, "KNOT", "3_1",
+                        lambda line: line["payload"].update({field: value}))
+    assert _call(["--data", data, "invariants", "3_1"]) == (
+        3, "", f"integrity error: knot record 3_1: {message}\n")
+
+
+@pytest.mark.parametrize("table, key, edit, argvs, message", [
+    # 10_124 has determinant 1, and -3-surgery on 3_1 has |H1| = 3
+    pytest.param("T5", "10_124", lambda line: line["payload"].update(sigma2="surg(3_1; -3/1)"),
+                 [("dim", "dcover(10_124)"), ("verify", "T5")],
+                 "registered cover description surg(3_1; -3/1) has euler 3, "
+                 "but det(10_124) = 1", id="cover-euler-differs-from-det"),
+    # 8_20 is slice, so R3 makes it W-shaped
+    pytest.param("KNOT", "8_20", lambda line: line["payload"].update(instanton={"shape": "V"}),
+                 [("invariants", "8_20"), ("verify", "all")],
+                 "knot record 8_20 or its aliases: 8_20: rule R3 gives shape W, "
+                 "contradicting earlier V", id="stored-shape-contradicts-a-rule"),
+])
+def test_a_record_a_route_or_a_rule_contradicts_exits_3(table, key, edit, argvs, message,
+                                                        tmp_path):
+    data = _edited_copy(tmp_path, table, key, edit)
+    for argv in argvs:
+        assert _call(["--data", data, *argv]) == (3, "", f"integrity error: {message}\n"), argv
+
+
+def test_an_r0_the_data_leave_open_exits_1_at_slope_0(tmp_path):
+    # with nu = 0 the 0-surgery dimension is r0 itself
+    data = _copy_with_9_99(tmp_path, {"nu": 0, "r0": {"lo": 2, "hi": 4, "parity": 0}})
+    assert _call(["--data", data, "dim", "surg(9_99; 0)"]) == (
+        1, "", "error: r0 of 9_99 is not pinned at slope 0: [2,4] (even)\n")
+
+
+def test_identities_the_data_contradict_exit_3_after_the_report(tmp_path):
+    # 7_3's r0 raised by 2, in T1 and in its T4 copy, moves every surgery
+    # on TB(-3,4) that an identity re-describes
+    def raise_7_3_r0(line):
+        if line["table"] in ("T1", "T4") and line["key"] == "7_3":
+            line["payload"]["r0"] += 2
+    data = _edited_copy(tmp_path, None, None, raise_7_3_r0)
+    code, out, err = _call(["--data", data, "verify", "identities"])
+    report = json.loads(out)
+    first = report["failed"][0]
+    assert (first["key"], first["cell"], first["got"]) == (
+        "surg(TB(-3,4); 7/1)", "surg(m(5_2); 7/2)", "contradiction")
+    assert (len(report["failed"]), report["total"]) == (5, 5)
+    assert (code, err) == (3, "integrity error: 5 of 5 cells failed\n")
+
+
 def test_an_alternating_record_with_a_null_thin_flag_reads_thin(tmp_path):
     # no family code presents 8_16, so only the rule that alternating
     # knots are thin keeps its cover's dimension at its determinant
@@ -934,6 +997,27 @@ def test_public_names_resolve():
         assert getattr(isharp, name) is getattr(sys.modules[f"isharp.{module}"], name)
     with pytest.raises(AttributeError):
         isharp.no_such_name
+
+
+def test_every_definition_is_named_outside_its_own_body():
+    # no helper that only its own unit test calls: each module-level
+    # function and class of isharp is named by isharp code outside its
+    # own body, or is public through isharp._EXPORTS; Python itself calls
+    # the module __getattr__ hooks (PEP 562)
+    import isharp
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(Path(isharp.__file__).parent.glob("*.py"))]
+
+    def names(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    named = sum(map(names, trees), Counter())
+    definitions = [d for tree in trees for d in tree.body
+                   if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+    unnamed = [d.name for d in definitions if named[d.name] == names(d)[d.name]
+               and d.name not in isharp._EXPORTS and d.name != "__getattr__"]
+    assert len(definitions) > 100 and unnamed == []
 
 
 def _loaded_modules(code, *flags):

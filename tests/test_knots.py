@@ -34,7 +34,6 @@ from isharp.knots import (
     make_twist,
     mirror,
     parse_knot,
-    resolve_atom,
     structural,
     twist_form,
 )
@@ -584,7 +583,9 @@ def test_all_records_match_alexander_determinant(ds):
 # --- alias resolution ---------------------------------------------------------
 
 def resolve(code, ds):
-    return resolve_atom(parse_knot(code), ds)
+    """(name, mirrored) of the record that code presents, or None."""
+    rec, mirrored, _ = knots.resolve(parse_knot(code), ds)
+    return None if rec is None else (rec.name, mirrored)
 
 
 def test_resolve_alias_examples(ds):

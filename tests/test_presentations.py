@@ -26,15 +26,15 @@ from hypothesis import strategies as st
 
 from isharp import datasets, invariants
 from isharp.invariants import deduce, sl_upper_bound
-from isharp.knots import (KnotError, Named, TwoBridge, Unknot, canonical, equivalent_atoms,
-                          format_knot, mirror, parse_knot, resolve_atom, structural)
+from isharp.knots import (KnotError, Named, TwoBridge, Unknot, canonical, format_knot, mirror,
+                          parse_knot, resolve, structural)
 from isharp.dimension import DimensionError, branched_cover_dim, surgery_dim
 from isharp.values import Inconsistency, Slope, Val
 
 DS = datasets.load()
 
 
-# The (name, mirrored) that resolve_atom gives each of 44 family codes
+# The (name, mirrored) that resolve gives each of 44 family codes
 # and its mirror.  The ALIAS rows register one code per knot class; the
 # other codes here present a row's knot or its mirror (T(2,3), the mirror
 # of the row T(-2,3); TB(-2,3), the knot of p/q = 7/4 that Tw(3) is), or
@@ -92,7 +92,7 @@ PAIRS = [(f"m({name})" if mirrored else name, code)
          for code, ((name, mirrored), _) in RESOLVED.items()]
 PRESENTATIONS = sorted({t for pair in PAIRS for t in pair})
 # the presentations of each KNOT name that has any, in the order
-# equivalent_atoms lists them after the name
+# resolve lists them after the name
 EQUIVALENT = {
     "0_1": ["P(-1,3,2)"], "3_1": ["T(-2,3)", "Tw(1)"], "4_1": ["Tw(2)"],
     "5_1": ["T(-2,5)"], "5_2": ["Tw(3)"], "6_1": ["Tw(4)", "P(1,3,-3)"],
@@ -101,6 +101,12 @@ EQUIVALENT = {
     "8_3": ["TB(-4,4)"], "8_4": ["TB(-5,-4)"], "8_5": ["P(3,3,2)"], "8_19": ["T(3,4)"],
     "8_20": ["P(2,3,-3)"], "10_124": ["T(3,5)"], "K12n242": ["P(-2,3,7)"],
 }
+
+
+def resolved(k):
+    """(name, mirrored) of the record that k presents, or None."""
+    rec, mirrored, _ = resolve(k, DS)
+    return None if rec is None else (rec.name, mirrored)
 
 
 def _attempt(f):
@@ -127,19 +133,19 @@ def test_the_registry_has_every_family():
     # each row's code is in its knot's chirality, and RESOLVED covers it
     covered = {k for code in RESOLVED for k in (parse_knot(code), mirror(parse_knot(code)))}
     for name, code in registered:
-        assert resolve_atom(parse_knot(code), DS) == (name, False), code
+        assert resolved(parse_knot(code)) == (name, False), code
         assert parse_knot(code) in covered, code
 
 
 @pytest.mark.parametrize("code", RESOLVED)
 def test_each_code_and_its_mirror_resolve_to_one_knot(code):
     k = parse_knot(code)
-    assert (resolve_atom(k, DS), resolve_atom(mirror(k), DS)) == RESOLVED[code]
+    assert (resolved(k), resolved(mirror(k))) == RESOLVED[code]
 
 
 def test_each_name_lists_its_presentations_in_order():
     for name in DS.knot_names():
-        got = [format_knot(k) for k in equivalent_atoms(Named(name), DS)]
+        got = [format_knot(k) for k in resolve(Named(name), DS)[2]]
         assert got == [name, *EQUIVALENT.get(name, [])], name
 
 

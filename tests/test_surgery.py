@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from isharp import datasets
 from isharp.invariants import Bundle, deduce
-from isharp.knots import Cable, Pretzel, mirror, parse_knot
+from isharp.knots import Cable, Pretzel, Unknot, mirror, parse_knot
 from isharp.slopes import neg_cf, triad
 from isharp.dimension import (
     BranchedCover,
@@ -29,8 +29,9 @@ from isharp.dimension import (
     zero_surgery_dim,
 )
 from isharp.surgery import homeo_identities, integer_identities
-from isharp.values import INFINITY, Inconsistency, IntegrityError, Slope, Val, parse_slope, reduce
-from isharp.verify import verify_identity
+from isharp.values import (INFINITY, DatasetError, Inconsistency, IntegrityError, Slope, Val,
+                           parse_slope, reduce)
+from isharp.verify import verify_identity, verify_target
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +272,29 @@ def test_triad_bounds(ds):
     assert triad_bounds(DimResult.exact(5, 5), DimResult.exact(25, 25), 30).dim == 30
     with pytest.raises(Inconsistency):
         triad_bounds(DimResult.exact(2, 2), DimResult.exact(3, 3), 9)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda ds: Surgery(Unknot(), Slope(0, 1), "x"), ValueError, "bad bundle 'x'",
+                 id="unknown-bundle"),
+    pytest.param(lambda ds: Surgery(Unknot(), Slope(1, 1), "mu"), ValueError,
+                 "the mu bundle is only meaningful at slope 0", id="mu-bundle-off-slope-0"),
+    pytest.param(lambda ds: DimResult.of_candidates([], 1), Inconsistency,
+                 "empty candidate set", id="no-candidates"),
+    pytest.param(lambda ds: Val(0, 2).value(), ValueError, "value of non-exact [0,2]",
+                 id="value-of-an-interval"),
+    pytest.param(lambda ds: verify_target("T9", ds), DatasetError,
+                 "nothing to verify for 'T9'", id="unknown-verify-target"),
+    pytest.param(lambda ds: triad_bounds(DimResult.of_interval(1, None, 1),
+                                         DimResult.exact(1, 1), 1),
+                 DimensionError, "triad propagation needs exact or candidate inputs",
+                 id="triad-of-an-interval"),
+])
+def test_library_guards_refuse_bad_arguments(call, error, message, ds):
+    # the CLI never passes these, so only a library caller meets them
+    with pytest.raises(error) as e:
+        call(ds)
+    assert (type(e.value), str(e.value)) == (error, message)
 
 
 def test_manifold_parsing_roundtrip(ds):
