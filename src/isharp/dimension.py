@@ -233,39 +233,43 @@ def _require_bounded(val: Val, what: str, knot) -> Val:
 
 
 def surgery_dim(k: KnotExpr, s: Slope, bundle: str, ds) -> DimResult:
-    """Dimension of the p/q surgery: q * r0 + |p - q * nu| away from the
-    zero-surgery exceptions; slope 0 dispatches to zero_surgery_dim and
-    the infinite slope gives the 3-sphere, SPHERE."""
+    """Dimension of the p/q surgery; the infinite slope gives the
+    3-sphere, SPHERE.
+
+    A warm step is one probe of the deduce cache and, when the bundle
+    pins one (nu, r0) pair, the closed form d = q r0 + |p - q nu|, built
+    by one tuple.__new__ call that skips the checks of exact(): Bundle
+    admits a pair only with r0 = nu (mod 2) and r0 >= |nu|, so with
+    q >= 1, d >= q |nu| + |p - q nu| >= |p| and d = q (r0 - nu) + p =
+    p (mod 2), the two conditions exact() tests.  At slope 0 the form
+    reads d = r0 + |nu|, even and >= 0, the answer of either bundle when
+    nu is exact and non-zero.  Every other bundle goes to _formula_dim,
+    and every other slope-0 case to zero_surgery_dim."""
     p, q = s[0], s[1]
     if not q:
         return SPHERE
+    b = deduce(k, ds)
+    pairs = b.pairs
+    if pairs and len(pairs) == 1:
+        (n, r), = pairs
+        if p or n and b.nu.lo == b.nu.hi:  # a nu with pairs is bounded
+            return tuple.__new__(DimResult, ((q * r + abs(p - q * n),), abs(p)))
     if p == 0:
         return zero_surgery_dim(k, bundle, ds)
-    return _formula_dim(deduce(k, ds), s, k)
+    return _formula_dim(b, s, k)
 
 
 def _formula_dim(b: Bundle, s: Slope, knot=None) -> DimResult:
-    """The closed form at a finite slope s with p != 0; errors name knot,
-    or else the knot b names.
+    """The closed form q * r0 + |p - q * nu| at a finite slope s with
+    p != 0; errors name knot, or else the knot b names.
 
-    One pinned (nu, r0) pair gives one number, several give the set of
-    their values, and without pairs the form runs on the intervals.  The
-    euler characteristic is |p|.
-
-    A value from pairs is built by one tuple.__new__ call, skipping the
-    checks of exact() and of_candidates(): Bundle admits a pair only
-    with r0 = nu (mod 2) and r0 >= |nu|, so with q >= 1 every
-    d = q r0 + |p - q nu| satisfies d >= q |nu| + |p - q nu| >= |p| and
-    d = q (r0 - nu) + p = p (mod 2), the two conditions those checks test."""
+    With (nu, r0) pairs the result is the set of the form's values over
+    them, and without pairs the form runs on the intervals.  The euler
+    characteristic is |p|."""
     p, q = s[0], s[1]
     pairs = b.pairs
-    if pairs:  # nu and r0 are bounded
-        if len(pairs) == 1:
-            (n, r), = pairs
-            state = (q * r + abs(p - q * n),)
-        else:  # enumeration over the admissible (nu, r0) lattice
-            state = tuple(sorted({q * r + abs(p - q * n) for n, r in pairs}))
-        return tuple.__new__(DimResult, (state, abs(p)))
+    if pairs:  # enumeration over the admissible (nu, r0) lattice
+        return DimResult.of_candidates({q * r + abs(p - q * n) for n, r in pairs}, p)
 
     # interval propagation: |p - q nu| is piecewise linear in nu, so its
     # extremes over an interval sit at the endpoints or at the interior
@@ -294,10 +298,11 @@ def _abs_range(p: int, q: int, nu: Val) -> tuple[int, int]:
 
 
 def zero_surgery_dim(k: KnotExpr, bundle: str, ds) -> DimResult:
-    """Zero-surgery dimensions: V-shaped knots give r0 + |nu| for either
-    bundle; W-shaped knots give r0 (mu bundle) and r0 + 2 (trivial); with
-    nu = 0 and unknown shape the trivial bundle gives the candidate pair
-    {r0, r0 + 2} and the mu bundle is undetermined unless tabulated."""
+    """Zero-surgery dimensions: an exact non-zero nu (V-shaped, by R14)
+    gives r0 + |nu| for either bundle; W-shaped knots (nu = 0) give r0
+    (mu bundle) and r0 + 2 (trivial); with nu = 0 and shape V or unknown
+    the trivial bundle gives r0 (V) or the candidate pair {r0, r0 + 2},
+    and the mu bundle is undetermined unless its dimension is tabulated."""
     b = deduce(k, ds)
     euler = 0
     if b.nu.is_exact and b.nu.value() != 0:

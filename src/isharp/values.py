@@ -51,7 +51,7 @@ class Record:
     the slope sweep, are Values, stored as tuples and checked by __new__:
     one C call builds a tuple, where a slotted record pays a setter call
     per field, as __setattr__ blocks the fast slot store.  The sweep's two
-    timed builders, slopes.triad and dimension._formula_dim, alone call
+    timed builders, slopes.triad and dimension.surgery_dim, alone call
     tuple.__new__ itself, skipping the checks their arithmetic proves;
     its timed readers index a slope, cheaper than a property or unpack.
     """

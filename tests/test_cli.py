@@ -1500,7 +1500,7 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_only_the_two_timed_builders_skip_init():
     # tuple.__new__ builds a values.Value without its checked __new__, so
     # its caller's arithmetic must prove the checks: only slopes.triad and
-    # dimension._formula_dim, the builders the slope sweep times, name it
+    # dimension.surgery_dim, the builders the slope sweep times, name it
     import isharp
     src = Path(isharp.__file__).parent
     callers = set()
@@ -1516,7 +1516,7 @@ def test_only_the_two_timed_builders_skip_init():
 
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
-    assert callers == {("slopes", "triad"), ("dimension", "_formula_dim")}
+    assert callers == {("slopes", "triad"), ("dimension", "surgery_dim")}
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,12 +3,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isharp import datasets
 from isharp.invariants import Bundle, deduce
-from isharp.knots import Cable, Pretzel, Unknot, mirror, parse_knot
+from isharp.knots import Cable, Named, Pretzel, Unknot, format_knot, mirror, parse_knot
 from isharp.slopes import neg_cf, triad
 from isharp.dimension import (
     BranchedCover,
@@ -183,39 +183,92 @@ def test_abs_range_lower_bound_is_the_exact_minimum(nu, p, q):
     assert _abs_range(p, q, nu)[0] == min(abs(p - q * n) for n in admissible)
 
 
-# digit counts of the pair lattices and slopes the closed-form property draws
+# digit counts of the pairs and slopes the closed-form property draws
 _DIGITS = st.sampled_from([1, 2, 5, 30, 35, 40])
 
 
 @st.composite
-def _pair_lattices(draw):
-    """A bundle whose (nu, r0) states are short intervals, possibly with a
-    parity and up to 40 digits wide, and a nonzero finite slope."""
-    def end(digits):
-        return draw(st.integers(-10 ** digits, 10 ** digits))
-
-    nu_lo = end(draw(_DIGITS))
-    nu = Val(nu_lo, nu_lo + draw(st.integers(0, 6)))
-    r0_lo = abs(nu_lo) + draw(st.integers(-8, 8) | st.integers(0, 10 ** draw(_DIGITS)))
-    r0 = Val(r0_lo, r0_lo + draw(st.integers(0, 6)), draw(st.sampled_from([None, r0_lo % 2])))
+def _one_pair_steps(draw):
+    """A bundle whose states admit one (nu, r0) pair, up to 40 digits
+    wide, a finite slope and a bundle, "mu" only at slope 0.  One state
+    may admit more values, which the other's parity or r0 >= |nu| rules
+    out."""
+    digits = draw(_DIGITS)
+    n = draw(st.integers(-10 ** digits, 10 ** digits))
+    r = abs(n) + 2 * draw(st.integers(0, 4) | st.integers(0, 10 ** draw(_DIGITS)))
+    nu, r0 = Val.exact(n), Val.exact(r)
+    widen = draw(st.sampled_from(["none", "nu", "r0"]))
+    if widen == "r0":  # r0's neighbours have the other parity
+        r0 = Val(r - draw(st.integers(0, 1)), r + draw(st.integers(0, 1)))
+    elif widen == "nu":  # so do nu's, and a nu beyond r0 = |n| breaks r0 >= |nu|
+        out = draw(st.integers(0, 3)) if r == abs(n) else 0
+        lo = n - draw(st.integers(0, 1)) - (out if n <= 0 else 0)
+        hi = n + draw(st.integers(0, 1)) + (out if n >= 0 else 0)
+        nu = Val(lo, hi)
+    if draw(st.booleans()):
+        return Bundle("K", nu=nu, r0=r0), Slope(0, 1), draw(st.sampled_from(["trivial", "mu"]))
     q = draw(st.integers(1, 10 ** draw(_DIGITS)))
     p = draw(st.integers(1, 10 ** draw(_DIGITS))) * draw(st.sampled_from([-1, 1]))
-    return Bundle("K", nu=nu, r0=r0), reduce(p, q)
+    return Bundle("K", nu=nu, r0=r0), reduce(p, q), "trivial"
 
 
-@given(_pair_lattices())
+@pytest.fixture(scope="module")
+def served():
+    """A loaded dataset whose deduce cache a test may fill by hand."""
+    return datasets.load()
+
+
+def _attempt(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:  # every isharp error, compared by type and message
+        return type(e), str(e)
+
+
+@given(step=_one_pair_steps())
 @settings(max_examples=400, deadline=None)
-def test_the_unchecked_closed_form_equals_the_checked_build(bundle_slope):
-    # _formula_dim builds a result from (nu, r0) pairs without the checks
-    # of exact() and of_candidates(); those checks must pass on it
-    b, s = bundle_slope
-    assume(b.pairs)
-    values = {s.q * r + abs(s.p - s.q * n) for n, r in b.pairs}
-    checked = (DimResult.exact(*values, s.p) if len(values) == 1
-               else DimResult.of_candidates(values, s.p))
-    result = _formula_dim(b, s)
+def test_the_unchecked_closed_form_equals_the_checked_build(served, step):
+    # surgery_dim builds a one-pair result without the checks of exact();
+    # those checks must pass on it, at slope 0 too when nu is exact and
+    # non-zero, and every other slope-0 bundle is zero_surgery_dim's
+    b, s, bundle = step
+    (n, r), = b.pairs
+    k = Named("K")
+    served.deduce_cache[format_knot(k)] = b
+    result = _attempt(surgery_dim, k, s, bundle, served)
+    if s.p == 0 and not (n and b.nu.is_exact):
+        assert result == _attempt(zero_surgery_dim, k, bundle, served)
+        return
+    checked = DimResult.exact(s.q * r + abs(s.p - s.q * n), s.p)
     assert type(result) is DimResult and result == checked
     assert result.to_json() == checked.to_json()
+
+
+def _differential_knots(ds) -> list:
+    """Every KNOT name and ALIAS code, family knots and L-space cables,
+    and the mirror of each."""
+    texts = [*ds.knot_names(), *ds.table("ALIAS"),
+             "T(3,4)", "T(3,5)", "T(4,7)", "T(5,11)",
+             "Cab(3,2;m(3_1))", "Cab(5,2;T(2,3))", "Cab(7,2;T(2,5))",
+             "Cab(13,2;Cab(3,2;m(3_1)))", "Cab(19,2;P(-2,3,7))"]
+    for n in (1, 2, 3, 4, 7, 10, 25):
+        texts += [f"T(2,{2 * n + 1})", f"Tw({n})", f"P({2 * n - 1},3,2)", f"P({n},3,-3)"]
+    knots = [parse_knot(text) for text in texts]
+    return knots + [mirror(k) for k in knots]
+
+
+@pytest.mark.parametrize("slope, bundle", [
+    (Slope(0, 1), "trivial"), (Slope(0, 1), "mu"), (Slope(1, 1), "trivial"),
+    (Slope(-1, 1), "trivial"), (Slope(7, 3), "trivial"), (Slope(-31, 6), "trivial"),
+    (reduce(4 * 10 ** 39 + 1, 3 * 10 ** 39 + 7), "trivial")])
+def test_surgery_dim_is_the_general_path(ds, slope, bundle):
+    # surgery_dim answers one-pair bundles itself; zero_surgery_dim at
+    # slope 0 and _formula_dim elsewhere answer every bundle
+    for k in _differential_knots(ds):
+        general = (lambda: zero_surgery_dim(k, bundle, ds)) if slope.p == 0 else \
+            (lambda: _formula_dim(deduce(k, ds), slope, k))
+        got, want = _attempt(surgery_dim, k, slope, bundle, ds), _attempt(general)
+        assert type(got) is type(want) and got == want, format_knot(k)
 
 
 def _python_calls(f, *args) -> list[str]:
@@ -234,14 +287,15 @@ def _python_calls(f, *args) -> list[str]:
     return calls
 
 
-def test_a_warm_fractional_step_runs_five_python_calls(ds):
+def test_a_warm_fractional_step_runs_four_python_calls(ds):
     # a warm one-pair surgery_dim is one probe of the deduce cache and the
-    # closed form, triad builds its record and its slopes in place, and
-    # the infinite slope answers the one shared 3-sphere result
+    # closed form in its own body, at slope 0 too when nu != 0; triad
+    # builds its record and its slopes in place, and the infinite slope
+    # answers the one shared 3-sphere result
     k, s = parse_knot("3_1"), Slope(7, 3)
-    surgery_dim(k, s, "trivial", ds)
-    assert _python_calls(surgery_dim, k, s, "trivial", ds) == [
-        "surgery_dim", "deduce", "_formula_dim"]
+    for slope in (s, Slope(0, 1)):
+        surgery_dim(k, slope, "trivial", ds)
+        assert _python_calls(surgery_dim, k, slope, "trivial", ds) == ["surgery_dim", "deduce"]
     assert _python_calls(triad, s) == ["triad"]
     assert _python_calls(neg_cf, s) == ["neg_cf"]
     assert _python_calls(surgery_dim, k, INFINITY, "trivial", ds) == ["surgery_dim"]
